@@ -25,13 +25,7 @@ let scale_of_env () =
     | None -> Experiment.quick
     | Some s -> (
       match float_of_string_opt s with
-      | Some f when f > 0. ->
-        {
-          Experiment.full with
-          Experiment.files = f;
-          bytes = f;
-          arus = f /. 5.;
-        }
+      | Some f when f > 0. -> Experiment.scaled f
       | Some _ | None ->
         prerr_endline "SCALE must be a positive float; using quick scale";
         Experiment.quick))
@@ -126,22 +120,11 @@ let run_micro () =
     rows;
   rows
 
-(* The machine-readable bench trajectory: virtual-clock tables plus the
-   micro-kernel timings, one file per run (default BENCH_PR10.json,
-   overridable with BENCH_JSON=path).  Since PR 3 the tables include the
-   "observability" section (gauges and latency histograms from the
-   traced runs); since PR 4 also the "backend" section (wall-clock vs
-   virtual-clock for the same workload on mem vs file storage); since
-   PR 6 also the "r1" section (restart cost vs log length at fixed
-   dirty-set size — the O(dirty) recovery curve); since PR 7 also the
-   "g1" section (group-commit throughput scaling with concurrent
-   clients); since PR 9 also the "z1" section (zero-copy data path:
-   copies per block write and the commit breakdown, bytes API vs
-   view API); since PR 10 also the "s1" section (sharded LLD:
-   log-bandwidth scaling over 1/2/4 shards, cross-shard 2PC barrier
-   cost, and the single-shard bit-identity flag). *)
+(* The bench JSON: the experiments' tables and checks plus the
+   micro-kernel timings (default BENCH.json, overridable with
+   BENCH_JSON=path). *)
 let emit_json ~tables ~micro =
-  let path = Option.value ~default:"BENCH_PR10.json" (Sys.getenv_opt "BENCH_JSON") in
+  let path = Option.value ~default:"BENCH.json" (Sys.getenv_opt "BENCH_JSON") in
   let micro_json =
     Report.List
       (List.map
@@ -163,22 +146,13 @@ let emit_json ~tables ~micro =
 
 let () =
   let scale = scale_of_env () in
-  let checks, tables = Experiment.run_all_json Format.std_formatter scale in
+  let checks, tables =
+    Experiment.run Format.std_formatter scale Experiment.all
+  in
   let micro =
     match Sys.getenv_opt "MICRO" with
     | Some "0" -> []
     | Some _ | None -> run_micro ()
   in
   emit_json ~tables ~micro;
-  let failed =
-    List.filter (fun c -> not c.Experiment.ck_ok) checks
-  in
-  if failed <> [] then begin
-    Printf.eprintf "\n%d reproduction check(s) failed:\n" (List.length failed);
-    List.iter
-      (fun c ->
-        Printf.eprintf "  FAIL %s (%s)\n" c.Experiment.ck_name
-          c.Experiment.ck_detail)
-      failed;
-    exit 1
-  end
+  exit (Experiment.exit_status checks)

@@ -266,14 +266,14 @@ let scrub_cmd =
 
 let repro full scale =
   let s =
-    if full then Experiment.full
-    else
-      match scale with
-      | None -> Experiment.quick
-      | Some f ->
-        { Experiment.full with Experiment.files = f; bytes = f; arus = f /. 5. }
+    match (full, scale) with
+    | true, _ -> Experiment.full
+    | false, None -> Experiment.quick
+    | false, Some f when f > 0. -> Experiment.scaled f
+    | false, Some _ -> fail_invalid "--scale must be positive"
   in
-  Experiment.run_all Format.std_formatter s
+  let checks, _json = Experiment.run Format.std_formatter s Experiment.all in
+  exit (Experiment.exit_status checks)
 
 let repro_cmd =
   let full =
@@ -1072,32 +1072,19 @@ let info_cmd =
 
 (* --------------------------------------------------------------- bench *)
 
-(* G1: group-commit throughput scaling with concurrent clients.  The
-   engine runs N synchronous-commit client loops; the flusher packs the
-   in-flight commits into batched commit records, one barrier each. *)
+(* G1: group-commit throughput scaling with concurrent clients, judged
+   by the same declared checks the reproduction uses. *)
 let bench_run clients segments =
   if clients = [] then fail_invalid "--clients needs at least one count";
   List.iter
     (fun n -> if n < 1 then fail_invalid "--clients counts must be positive")
     clients;
   let scale = { Experiment.quick with Experiment.geom = geom_of segments } in
-  let rows = Experiment.group_commit ~clients scale in
-  Experiment.print_group_commit Format.std_formatter rows;
-  let row n =
-    List.find_opt (fun r -> r.Experiment.g1_clients = n) rows
+  let checks, _json =
+    Experiment.run Format.std_formatter scale
+      [ Experiment.group_commit ~clients () ]
   in
-  match (row 1, row 8) with
-  | Some one, Some eight ->
-    let ratio =
-      eight.Experiment.g1_commits_per_sec /. one.Experiment.g1_commits_per_sec
-    in
-    Printf.printf
-      "scaling: %.2fx at 8 clients (gate: >= 3x); %.3f barriers/commit \
-       (gate: < 0.5)\n"
-      ratio eight.Experiment.g1_barriers_per_commit;
-    if ratio < 3.0 || eight.Experiment.g1_barriers_per_commit >= 0.5 then
-      exit 1
-  | _ -> ()
+  exit (Experiment.exit_status checks)
 
 let bench_cmd =
   let clients =

@@ -3,6 +3,8 @@ module Config = Lld_core.Config
 module Counters = Lld_core.Counters
 module Summary = Lld_core.Summary
 module Lld = Lld_core.Lld
+module Op = Lld_core.Op
+module Engine = Lld_core.Engine
 module Shard = Lld_core.Shard
 module Shard_engine = Lld_core.Shard_engine
 module Recovery = Lld_core.Recovery
@@ -20,6 +22,7 @@ module Obs = Lld_obs.Obs
 module Metrics = Lld_obs.Metrics
 module Trace = Lld_obs.Trace
 module Histogram = Lld_sim.Stats.Histogram
+module R = Report
 
 type scale = {
   files : float;
@@ -38,8 +41,38 @@ let quick =
     geom = Geometry.v ~num_segments:200 ();
   }
 
+let scaled f = { full with files = f; bytes = f; arus = f /. 5. }
+
+type check = { ck_name : string; ck_ok : bool; ck_detail : string }
+
+type 'r experiment = {
+  id : string;
+  paper_ref : string;
+  run : scale -> 'r;
+  tables : 'r -> Report.table list;
+  checks : 'r -> check list;
+}
+
+type t = T : 'r experiment -> t
+
+let check ck_name ck_ok ck_detail = { ck_name; ck_ok; ck_detail }
+let finite v = Float.is_finite v && v > 0.
+let no_checks _ = []
+
+(* A latency percentile of histogram [key], in microseconds (0 when
+   nothing was recorded). *)
+let hist_us m key sel =
+  match Metrics.find_histogram m key with
+  | Some h when Histogram.count h > 0 -> float_of_int (sel h) /. 1e3
+  | _ -> 0.
+
+let per_sec n elapsed_ns =
+  if elapsed_ns = 0 then 0. else float_of_int n /. (float_of_int elapsed_ns /. 1e9)
+
+let ratio n d = if d = 0 then 0. else float_of_int n /. float_of_int d
+
 (* ------------------------------------------------------------------ *)
-(* F5                                                                  *)
+(* F5: Figure 5 — small-file throughput                                *)
 
 type fig5_row = {
   f5_variant : Setup.variant;
@@ -52,76 +85,125 @@ let small_params scale =
     Smallfile.scaled Smallfile.paper_10k scale.files;
   ]
 
-let figure5 scale =
-  List.concat_map
-    (fun params ->
-      List.map
-        (fun variant ->
-          let inst = Setup.make ~geom:scale.geom variant in
-          { f5_variant = variant; f5_result = Smallfile.run inst params })
-        Setup.all_variants)
-    (small_params scale)
+(* A1 and X2 are derived from the F5 runs, so the three declarations
+   share one run per scale. *)
+let figure5_rows =
+  let last = ref None in
+  fun scale ->
+    match !last with
+    | Some (s, rows) when s == scale -> rows
+    | _ ->
+      let rows =
+        List.concat_map
+          (fun params ->
+            List.map
+              (fun variant ->
+                let inst = Setup.make ~geom:scale.geom variant in
+                { f5_variant = variant; f5_result = Smallfile.run inst params })
+              Setup.all_variants)
+          (small_params scale)
+      in
+      last := Some (scale, rows);
+      rows
 
 let size_label (p : Smallfile.params) =
   Printf.sprintf "%d x %dKB" p.Smallfile.file_count (p.Smallfile.file_bytes / 1024)
 
-let find_old rows (p : Smallfile.params) =
+let f5_params rows =
+  List.sort_uniq compare (List.map (fun r -> r.f5_result.Smallfile.params) rows)
+
+let f5_find rows variant (p : Smallfile.params) =
   List.find
-    (fun r -> r.f5_variant = Setup.Old && r.f5_result.Smallfile.params = p)
+    (fun r -> r.f5_variant = variant && r.f5_result.Smallfile.params = p)
     rows
 
-let print_figure5 ppf rows =
-  let params =
-    List.sort_uniq compare (List.map (fun r -> r.f5_result.Smallfile.params) rows)
-  in
-  let table_rows =
-    List.concat_map
-      (fun p ->
-        let old = find_old rows p in
-        let base ph = ph.Smallfile.files_per_sec in
-        List.filter_map
-          (fun r ->
-            if r.f5_result.Smallfile.params <> p then None
-            else begin
-              let res = r.f5_result in
-              let ph sel = sel res in
-              let cell sel_new sel_old =
-                let v = (sel_new : Smallfile.phase).Smallfile.files_per_sec in
-                Printf.sprintf "%s (%s)" (Report.f1 v)
-                  (Report.pct ~baseline:(base sel_old) v)
-              in
-              Some
-                [
-                  size_label p;
-                  Setup.variant_label r.f5_variant;
-                  cell
-                    (ph (fun r -> r.Smallfile.create_write))
-                    old.f5_result.Smallfile.create_write;
-                  cell (ph (fun r -> r.Smallfile.read)) old.f5_result.Smallfile.read;
-                  cell
-                    (ph (fun r -> r.Smallfile.delete))
-                    old.f5_result.Smallfile.delete;
-                ]
-            end)
-          rows)
-      params
-  in
-  Report.table ppf
+let f5_phases : (string * (Smallfile.result -> Smallfile.phase)) list =
+  [
+    ("create+write", fun r -> r.Smallfile.create_write);
+    ("read", fun r -> r.Smallfile.read);
+    ("delete", fun r -> r.Smallfile.delete);
+  ]
+
+let files_per_sec sel r = (sel r.f5_result : Smallfile.phase).Smallfile.files_per_sec
+
+let figure5_table rows =
+  R.table
     ~title:
       "Figure 5: small-file throughput in files/second (diff vs old; paper: \
        create 4.0-7.2%, delete 17.9-20.5% with improved deletion)"
-    ~header:[ "workload"; "variant"; "create+write"; "read"; "delete" ]
-    table_rows
+    ~header:("workload" :: "variant" :: List.map fst f5_phases)
+    (List.concat_map
+       (fun p ->
+         let old = f5_find rows Setup.Old p in
+         List.filter_map
+           (fun r ->
+             if r.f5_result.Smallfile.params <> p then None
+             else
+               Some
+                 (R.text (size_label p)
+                 :: R.text (Setup.variant_label r.f5_variant)
+                 :: List.map
+                      (fun (_, sel) ->
+                        R.vs ~baseline:(files_per_sec sel old)
+                          (files_per_sec sel r))
+                      f5_phases))
+           rows)
+       (f5_params rows))
+
+(* The paper's direction: ARU support costs the new variant throughput
+   on create+write and delete, and improved deletion wins part of the
+   delete cost back. *)
+let figure5_checks rows =
+  let all_phases =
+    List.concat_map
+      (fun r -> List.map (fun (_, sel) -> files_per_sec sel r) f5_phases)
+      rows
+  in
+  let direction name phase winner loser =
+    let sel = List.assoc phase f5_phases in
+    let pairs =
+      List.map
+        (fun p ->
+          ( p,
+            files_per_sec sel (f5_find rows winner p),
+            files_per_sec sel (f5_find rows loser p) ))
+        (f5_params rows)
+    in
+    check name
+      (List.for_all (fun (_, w, l) -> w >= l) pairs)
+      (String.concat "; "
+         (List.map
+            (fun (p, w, l) -> Printf.sprintf "%s: %.1f >= %.1f" (size_label p) w l)
+            pairs))
+  in
+  [
+    check "F5: small-file throughputs positive and finite"
+      (List.for_all finite all_phases)
+      (Printf.sprintf "%d phases" (List.length all_phases));
+    direction "F5: create+write old >= new" "create+write" Setup.Old Setup.New;
+    direction "F5: delete old >= new" "delete" Setup.Old Setup.New;
+    direction "F5: delete new-delete >= new" "delete" Setup.New_delete Setup.New;
+  ]
+
+let figure5 =
+  T
+    {
+      id = "F5";
+      paper_ref = "Figure 5";
+      run = figure5_rows;
+      tables = (fun rows -> [ figure5_table rows ]);
+      checks = figure5_checks;
+    }
 
 (* ------------------------------------------------------------------ *)
-(* F6                                                                  *)
+(* F6: Figure 6 — large-file throughput                                *)
 
 type fig6_row = {
   f6_variant : Setup.variant;
   f6_result : Largefile.result;
 }
 
-let figure6 scale =
+let figure6_rows scale =
   let params = Largefile.scaled Largefile.paper scale.bytes in
   List.map
     (fun variant ->
@@ -129,242 +211,328 @@ let figure6 scale =
       { f6_variant = variant; f6_result = Largefile.run inst params })
     [ Setup.Old; Setup.New ]
 
-let print_figure6 ppf rows =
-  let old =
-    List.find (fun r -> r.f6_variant = Setup.Old) rows
-  in
-  let table_rows =
-    List.map
-      (fun r ->
-        let cells =
-          List.map2
-            (fun (ph : Largefile.phase) (base : Largefile.phase) ->
-              Printf.sprintf "%s (%s)"
-                (Report.f2 ph.Largefile.mb_per_sec)
-                (Report.pct ~baseline:base.Largefile.mb_per_sec
-                   ph.Largefile.mb_per_sec))
-            (Largefile.phases r.f6_result)
-            (Largefile.phases old.f6_result)
-        in
-        Setup.variant_label r.f6_variant :: cells)
-      rows
-  in
-  Report.table ppf
-    ~title:
-      "Figure 6: large-file throughput in MB/second (diff vs old; paper: \
-       write1 2.9%, others 0.2-0.7%)"
-    ~header:[ "variant"; "write1"; "read1"; "write2"; "read2"; "read3" ]
-    table_rows
-
-(* ------------------------------------------------------------------ *)
-(* L1                                                                  *)
-
-let aru_latency scale =
-  let _, lld = Setup.make_raw ~geom:scale.geom Setup.New in
-  let count =
-    max 1000
-      (int_of_float (float_of_int Aru_churn.paper.Aru_churn.count *. scale.arus))
-  in
-  Aru_churn.run lld { Aru_churn.count }
-
-let print_aru_latency ppf (r : Aru_churn.result) =
-  Report.table ppf
-    ~title:
-      "ARU latency (paper 5.3: 78.47 us/ARU, 24 segments for 500,000 ARUs)"
-    ~header:[ "ARUs"; "latency (us)"; "segments written"; "segments/100k ARUs" ]
+let figure6 =
+  let tables rows =
+    let old = List.find (fun r -> r.f6_variant = Setup.Old) rows in
     [
-      [
-        string_of_int r.Aru_churn.count;
-        Report.f2 r.Aru_churn.latency_us;
-        string_of_int r.Aru_churn.segments_written;
-        Report.f1
-          (float_of_int r.Aru_churn.segments_written
-          /. float_of_int r.Aru_churn.count *. 100_000.);
-      ];
+      R.table
+        ~title:
+          "Figure 6: large-file throughput in MB/second (diff vs old; paper: \
+           write1 2.9%, others 0.2-0.7%)"
+        ~header:[ "variant"; "write1"; "read1"; "write2"; "read2"; "read3" ]
+        (List.map
+           (fun r ->
+             R.text (Setup.variant_label r.f6_variant)
+             :: List.map2
+                  (fun (ph : Largefile.phase) (base : Largefile.phase) ->
+                    R.vs ~digits:2 ~baseline:base.Largefile.mb_per_sec
+                      ph.Largefile.mb_per_sec)
+                  (Largefile.phases r.f6_result)
+                  (Largefile.phases old.f6_result))
+           rows);
     ]
-
-(* ------------------------------------------------------------------ *)
-(* A1                                                                  *)
-
-let mean = function
-  | [] -> 0.
-  | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-
-let print_summary ppf rows =
-  let overheads sel variant =
-    List.filter_map
-      (fun r ->
-        if r.f5_variant <> variant then None
-        else begin
-          let p = r.f5_result.Smallfile.params in
-          let old = find_old rows p in
-          let v = (sel r.f5_result : Smallfile.phase).Smallfile.files_per_sec in
-          let b = (sel old.f5_result).Smallfile.files_per_sec in
-          Some ((b -. v) /. b *. 100.)
-        end)
-      rows
   in
-  let create = overheads (fun r -> r.Smallfile.create_write) Setup.New in
-  let delete_improved = overheads (fun r -> r.Smallfile.delete) Setup.New_delete in
-  let avg = mean (create @ delete_improved) in
-  Report.table ppf
-    ~title:
-      "Summary (paper 5.4: average overhead about half-way between create \
-       4.0-7.2% and improved delete 17.9-20.5%)"
-    ~header:[ "metric"; "measured" ]
+  let checks rows =
+    let all_phases =
+      List.concat_map
+        (fun r ->
+          List.map
+            (fun (p : Largefile.phase) -> p.Largefile.mb_per_sec)
+            (Largefile.phases r.f6_result))
+        rows
+    in
     [
-      [ "create overhead (new vs old)";
-        Printf.sprintf "%.1f%% - %.1f%%"
-          (List.fold_left min infinity create)
-          (List.fold_left max neg_infinity create) ];
-      [ "delete overhead (new,delete vs old)";
-        Printf.sprintf "%.1f%% - %.1f%%"
-          (List.fold_left min infinity delete_improved)
-          (List.fold_left max neg_infinity delete_improved) ];
-      [ "average overhead"; Printf.sprintf "%.1f%%" avg ];
+      check "F6: large-file throughputs positive and finite"
+        (List.for_all finite all_phases)
+        (Printf.sprintf "%d phases" (List.length all_phases));
     ]
+  in
+  T { id = "F6"; paper_ref = "Figure 6"; run = figure6_rows; tables; checks }
 
 (* ------------------------------------------------------------------ *)
-(* X1: visibility ablation                                             *)
+(* L1: §5.3 ARU latency                                                *)
 
-type visibility_row = {
-  x1_visibility : Config.visibility;
-  x1_result : Concurrent.result;
-}
+let aru_latency =
+  let run scale =
+    let _, lld = Setup.make_raw ~geom:scale.geom Setup.New in
+    let count =
+      max 1000
+        (int_of_float (float_of_int Aru_churn.paper.Aru_churn.count *. scale.arus))
+    in
+    Aru_churn.run lld { Aru_churn.count }
+  in
+  let tables (r : Aru_churn.result) =
+    [
+      R.table
+        ~title:
+          "ARU latency (paper 5.3: 78.47 us/ARU, 24 segments for 500,000 ARUs)"
+        ~header:
+          [ "ARUs"; "latency (us)"; "segments written"; "segments/100k ARUs" ]
+        [
+          [
+            R.int r.Aru_churn.count;
+            R.float r.Aru_churn.latency_us;
+            R.int r.Aru_churn.segments_written;
+            R.float ~digits:1
+              (float_of_int r.Aru_churn.segments_written
+              /. float_of_int r.Aru_churn.count *. 100_000.);
+          ];
+        ];
+    ]
+  in
+  let checks (r : Aru_churn.result) =
+    [
+      check "L1: ARU latency measurable, log written"
+        (finite r.Aru_churn.latency_us && r.Aru_churn.segments_written > 0)
+        (Printf.sprintf "%.2f us/ARU, %d segments" r.Aru_churn.latency_us
+           r.Aru_churn.segments_written);
+    ]
+  in
+  T { id = "L1"; paper_ref = "§5.3 ARU latency"; run; tables; checks }
 
-let visibility_ablation scale =
-  List.map
-    (fun visibility ->
-      let clock = Clock.create () in
-      let disk = Disk.create ~clock scale.geom in
-      let lld =
-        Lld.create ~config:{ Config.default with Config.visibility } disk
-      in
-      Lld.flush lld;
-      Clock.reset clock;
+(* ------------------------------------------------------------------ *)
+(* A1: §5.4 average-overhead summary                                   *)
+
+let summary =
+  let tables rows =
+    let overheads sel variant =
+      List.filter_map
+        (fun r ->
+          if r.f5_variant <> variant then None
+          else
+            let b =
+              files_per_sec sel (f5_find rows Setup.Old r.f5_result.Smallfile.params)
+            in
+            Some ((b -. files_per_sec sel r) /. b *. 100.))
+        rows
+    in
+    let range xs =
+      let lo = List.fold_left min infinity xs in
+      let hi = List.fold_left max neg_infinity xs in
       {
-        x1_visibility = visibility;
-        x1_result = Concurrent.run_interleaved lld Concurrent.default;
-      })
-    [ Config.Own_shadow; Config.Committed_only; Config.Any_shadow ]
+        R.text = Printf.sprintf "%.1f%% - %.1f%%" lo hi;
+        value = R.List [ R.Float lo; R.Float hi ];
+      }
+    in
+    let create = overheads (fun r -> r.Smallfile.create_write) Setup.New in
+    let delete = overheads (fun r -> r.Smallfile.delete) Setup.New_delete in
+    let all = create @ delete in
+    let avg = List.fold_left ( +. ) 0. all /. float_of_int (List.length all) in
+    [
+      R.table
+        ~title:
+          "Summary (paper 5.4: average overhead about half-way between \
+           create 4.0-7.2% and improved delete 17.9-20.5%)"
+        ~header:[ "metric"; "measured" ]
+        [
+          [ R.text "create overhead (new vs old)"; range create ];
+          [ R.text "delete overhead (new,delete vs old)"; range delete ];
+          [ R.text "average overhead"; R.float ~digits:1 ~suffix:"%" avg ];
+        ];
+    ]
+  in
+  T
+    {
+      id = "A1";
+      paper_ref = "§5.4 average overhead";
+      run = figure5_rows;
+      tables;
+      checks = no_checks;
+    }
 
-let print_visibility ppf rows =
-  let vis_label = function
+(* ------------------------------------------------------------------ *)
+(* X1: read-visibility ablation.  Runs the raw-LD concurrency workload
+   under each of the paper's three read-visibility options (§3.3); the
+   Minix client itself requires option 3, which is itself a finding.   *)
+
+let concurrent_cells (c : Concurrent.result) =
+  [
+    R.int c.Concurrent.ops;
+    R.float c.Concurrent.us_per_op;
+    R.int c.Concurrent.record_creates;
+    R.int c.Concurrent.mesh_hops;
+  ]
+
+let concurrent_header = [ "ops"; "us/op"; "record creates"; "mesh hops" ]
+
+let visibility =
+  let run scale =
+    List.map
+      (fun visibility ->
+        let clock = Clock.create () in
+        let disk = Disk.create ~clock scale.geom in
+        let lld =
+          Lld.create ~config:{ Config.default with Config.visibility } disk
+        in
+        Lld.flush lld;
+        Clock.reset clock;
+        (visibility, Concurrent.run_interleaved lld Concurrent.default))
+      [ Config.Own_shadow; Config.Committed_only; Config.Any_shadow ]
+  in
+  let label = function
     | Config.Own_shadow -> "own-shadow (option 3, paper)"
     | Config.Committed_only -> "committed-only (option 2)"
     | Config.Any_shadow -> "any-shadow (option 1)"
   in
-  Report.table ppf
-    ~title:
-      "Ablation X1: read-visibility options (paper 3.3) on the interleaved \
-       raw-LD workload (the Minix client itself requires option 3)"
-    ~header:[ "visibility"; "ops"; "us/op"; "record creates"; "mesh hops" ]
-    (List.map
-       (fun r ->
-         [
-           vis_label r.x1_visibility;
-           string_of_int r.x1_result.Concurrent.ops;
-           Report.f2 r.x1_result.Concurrent.us_per_op;
-           string_of_int r.x1_result.Concurrent.record_creates;
-           string_of_int r.x1_result.Concurrent.mesh_hops;
-         ])
-       rows)
+  let tables rows =
+    [
+      R.table
+        ~title:
+          "Ablation X1: read-visibility options (paper 3.3) on the \
+           interleaved raw-LD workload (the Minix client itself requires \
+           option 3)"
+        ~header:("visibility" :: concurrent_header)
+        (List.map (fun (v, c) -> R.text (label v) :: concurrent_cells c) rows);
+    ]
+  in
+  T { id = "X1"; paper_ref = "§3.3 read visibility"; run; tables; checks = no_checks }
 
 (* ------------------------------------------------------------------ *)
-(* X2: deletion-policy ablation                                        *)
+(* X2: deletion-policy ablation, derived from the F5 runs              *)
 
-let print_delete_ablation ppf rows =
-  let table_rows =
-    List.filter_map
-      (fun r ->
-        match r.f5_variant with
-        | Setup.Old -> None
-        | Setup.New | Setup.New_delete ->
-          let d = r.f5_result.Smallfile.delete in
-          Some
-            [
-              size_label r.f5_result.Smallfile.params;
-              Setup.variant_label r.f5_variant;
-              string_of_int d.Smallfile.pred_search_hops;
-              Report.f1
-                (float_of_int d.Smallfile.pred_search_hops
-                /. float_of_int d.Smallfile.files);
-            ])
-      rows
+let delete_ablation =
+  let tables rows =
+    [
+      R.table
+        ~title:
+          "Ablation X2: predecessor-search cost of the deletion policies \
+           (paper 5.3: longer lists -> longer searches; improved deletion \
+           avoids them)"
+        ~header:[ "workload"; "variant"; "pred-search hops"; "hops/file" ]
+        (List.filter_map
+           (fun r ->
+             match r.f5_variant with
+             | Setup.Old -> None
+             | Setup.New | Setup.New_delete ->
+               let d = r.f5_result.Smallfile.delete in
+               Some
+                 [
+                   R.text (size_label r.f5_result.Smallfile.params);
+                   R.text (Setup.variant_label r.f5_variant);
+                   R.int d.Smallfile.pred_search_hops;
+                   R.float ~digits:1
+                     (ratio d.Smallfile.pred_search_hops d.Smallfile.files);
+                 ])
+           rows);
+    ]
   in
-  Report.table ppf
-    ~title:
-      "Ablation X2: predecessor-search cost of the deletion policies (paper \
-       5.3: longer lists -> longer searches; improved deletion avoids them)"
-    ~header:[ "workload"; "variant"; "pred-search hops"; "hops/file" ]
-    table_rows
+  (* improved deletion must not search more than standard deletion *)
+  let checks rows =
+    let hops variant p =
+      (f5_find rows variant p).f5_result.Smallfile.delete
+        .Smallfile.pred_search_hops
+    in
+    let pairs =
+      List.map (fun p -> (hops Setup.New_delete p, hops Setup.New p)) (f5_params rows)
+    in
+    [
+      check "X2: improved deletion avoids predecessor searches"
+        (List.for_all (fun (nd, n) -> nd <= n) pairs)
+        (String.concat "; "
+           (List.map
+              (fun (nd, n) -> Printf.sprintf "new-delete %d vs new %d hops" nd n)
+              pairs));
+    ]
+  in
+  T
+    {
+      id = "X2";
+      paper_ref = "§5.3 deletion policy";
+      run = figure5_rows;
+      tables;
+      checks;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* X3: recovery cost                                                   *)
 
 type recovery_row = {
+  x3_checkpointed : bool;
   x3_files_written : int;
   x3_crash_after_segments : int;
   x3_recovery_ns : int;
   x3_report : Recovery.report;
 }
 
-let recovery_cost scale =
-  let params =
-    Smallfile.scaled
-      { Smallfile.paper_1k with Smallfile.file_count = 2_000 }
-      scale.files
+let recovery_cost =
+  let run scale =
+    let params =
+      Smallfile.scaled
+        { Smallfile.paper_1k with Smallfile.file_count = 2_000 }
+        scale.files
+    in
+    List.map
+      (fun checkpointed ->
+        let inst = Setup.make ~geom:scale.geom Setup.New in
+        let fs = inst.Setup.fs in
+        let body = Bytes.make 1024 'x' in
+        for i = 0 to params.Smallfile.file_count - 1 do
+          let path = Printf.sprintf "/f%06d" i in
+          Fs.create fs path;
+          Fs.write_file fs path ~off:0 body
+        done;
+        Fs.flush fs;
+        if checkpointed then Lld.checkpoint inst.Setup.lld;
+        let segments =
+          (Lld.counters inst.Setup.lld).Counters.segments_written
+        in
+        Fault.schedule_crash (Disk.fault inst.Setup.disk) (Fault.After_writes 0);
+        (try Disk.write inst.Setup.disk ~offset:0 (Bytes.make 1 'x')
+         with Fault.Crashed -> ());
+        let t0 = Clock.now_ns inst.Setup.clock in
+        let _lld, report = Lld.recover inst.Setup.disk in
+        {
+          x3_checkpointed = checkpointed;
+          x3_files_written = params.Smallfile.file_count;
+          x3_crash_after_segments = segments;
+          x3_recovery_ns = Clock.now_ns inst.Setup.clock - t0;
+          x3_report = report;
+        })
+      [ false; true ]
   in
-  List.map
-    (fun checkpointed ->
-      let inst = Setup.make ~geom:scale.geom Setup.New in
-      let fs = inst.Setup.fs in
-      let body = Bytes.make 1024 'x' in
-      for i = 0 to params.Smallfile.file_count - 1 do
-        let path = Printf.sprintf "/f%06d" i in
-        Fs.create fs path;
-        Fs.write_file fs path ~off:0 body
-      done;
-      Fs.flush fs;
-      if checkpointed then Lld.checkpoint inst.Setup.lld;
-      let segments =
-        (Lld.counters inst.Setup.lld).Counters.segments_written
-      in
-      Fault.schedule_crash (Disk.fault inst.Setup.disk) (Fault.After_writes 0);
-      (try Disk.write inst.Setup.disk ~offset:0 (Bytes.make 1 'x')
-       with Fault.Crashed -> ());
-      let t0 = Clock.now_ns inst.Setup.clock in
-      let _lld, report = Lld.recover inst.Setup.disk in
-      {
-        x3_files_written = params.Smallfile.file_count;
-        x3_crash_after_segments = segments;
-        x3_recovery_ns = Clock.now_ns inst.Setup.clock - t0;
-        x3_report = report;
-      })
-    [ false; true ]
-
-let print_recovery ppf rows =
-  Report.table ppf
-    ~title:
-      "X3: recovery cost (checkpoints bound replay; the consistency sweep \
-       adds 'very little overhead', paper 3.3)"
-    ~header:
-      [
-        "files"; "segments"; "checkpointed"; "recovery (s)"; "replayed";
-        "ARUs committed"; "scavenged";
-      ]
-    (List.mapi
-       (fun i r ->
-         [
-           string_of_int r.x3_files_written;
-           string_of_int r.x3_crash_after_segments;
-           (if i = 0 then "no" else "yes");
-           Report.f2 (float_of_int r.x3_recovery_ns /. 1e9);
-           string_of_int r.x3_report.Recovery.segments_replayed;
-           string_of_int r.x3_report.Recovery.arus_committed;
-           string_of_int r.x3_report.Recovery.blocks_scavenged;
-         ])
-       rows)
+  let tables rows =
+    [
+      R.table
+        ~title:
+          "X3: recovery cost (checkpoints bound replay; the consistency \
+           sweep adds 'very little overhead', paper 3.3)"
+        ~header:
+          [
+            "files"; "segments"; "checkpointed"; "recovery (s)"; "replayed";
+            "ARUs committed"; "scavenged";
+          ]
+        (List.map
+           (fun r ->
+             [
+               R.int r.x3_files_written;
+               R.int r.x3_crash_after_segments;
+               {
+                 R.text = (if r.x3_checkpointed then "yes" else "no");
+                 value = R.Bool r.x3_checkpointed;
+               };
+               R.float (float_of_int r.x3_recovery_ns /. 1e9);
+               R.int r.x3_report.Recovery.segments_replayed;
+               R.int r.x3_report.Recovery.arus_committed;
+               R.int r.x3_report.Recovery.blocks_scavenged;
+             ])
+           rows);
+    ]
+  in
+  let checks rows =
+    let replayed r = r.x3_report.Recovery.segments_replayed in
+    [
+      (match rows with
+      | [ plain; ckpt ] ->
+        check "X3: checkpoints bound replay"
+          (replayed ckpt <= replayed plain)
+          (Printf.sprintf "replayed %d (ckpt) vs %d (no ckpt)" (replayed ckpt)
+             (replayed plain))
+      | _ ->
+        check "X3: checkpoints bound replay" false
+          "expected exactly two recovery rows");
+    ]
+  in
+  T { id = "X3"; paper_ref = "§3.3 recovery"; run; tables; checks }
 
 (* ------------------------------------------------------------------ *)
 (* R1: restart cost vs log length at fixed dirty-set size              *)
@@ -384,72 +552,161 @@ type r1_row = {
    checkpoint, not on how long the log has become: the recovery-time
    curve over an 8x log growth must stay flat, and replay must touch no
    more segments than the dirty workload wrote (+1 for the gap probe). *)
-let restart_cost scale =
-  let working_set = 64 and hot_set = 8 in
-  List.map
-    (fun rounds ->
-      let disk, lld = Setup.make_raw ~geom:scale.geom Setup.New in
-      let clock = Lld.clock lld in
-      let block_bytes = Lld.block_bytes lld in
-      let payload r i =
-        Bytes.make block_bytes (Char.chr (((r * 31) + i) land 0xff))
-      in
-      let l = Lld.new_list lld () in
-      let prev = ref Summary.Head in
-      let blocks =
-        Array.init working_set (fun _ ->
-            let b = Lld.new_block lld ~list:l ~pred:!prev () in
-            prev := Summary.After b;
-            b)
-      in
-      for r = 1 to rounds do
-        Array.iteri (fun i b -> Lld.write lld b (payload r i)) blocks;
-        Lld.flush lld
-      done;
-      Lld.checkpoint lld;
-      let after_ckpt = (Lld.counters lld).Counters.segments_written in
-      for i = 0 to hot_set - 1 do
-        Lld.write lld blocks.(i) (payload (rounds + 1) i)
-      done;
-      Lld.flush lld;
-      let log_segments = (Lld.counters lld).Counters.segments_written in
-      Fault.schedule_crash (Disk.fault disk) (Fault.After_writes 0);
-      (try Disk.write disk ~offset:0 (Bytes.make 1 'x')
-       with Fault.Crashed -> ());
-      let t0 = Clock.now_ns clock in
-      let lld2, _report = Lld.recover disk in
-      let c2 = Lld.counters lld2 in
-      {
-        r1_churn_rounds = rounds;
-        r1_log_segments = log_segments;
-        r1_dirty_segments = log_segments - after_ckpt;
-        r1_recovery_ns = Clock.now_ns clock - t0;
-        r1_replayed = c2.Counters.recovery_replayed_segments;
-        r1_skipped = c2.Counters.recovery_skipped_segments;
-      })
-    [ 1; 2; 4; 8 ]
+let restart_cost =
+  let run scale =
+    let working_set = 64 and hot_set = 8 in
+    List.map
+      (fun rounds ->
+        let disk, lld = Setup.make_raw ~geom:scale.geom Setup.New in
+        let clock = Lld.clock lld in
+        let block_bytes = Lld.block_bytes lld in
+        let payload r i =
+          Bytes.make block_bytes (Char.chr (((r * 31) + i) land 0xff))
+        in
+        let l = Lld.new_list lld () in
+        let prev = ref Summary.Head in
+        let blocks =
+          Array.init working_set (fun _ ->
+              let b = Lld.new_block lld ~list:l ~pred:!prev () in
+              prev := Summary.After b;
+              b)
+        in
+        for r = 1 to rounds do
+          Array.iteri (fun i b -> Lld.write lld b (payload r i)) blocks;
+          Lld.flush lld
+        done;
+        Lld.checkpoint lld;
+        let after_ckpt = (Lld.counters lld).Counters.segments_written in
+        for i = 0 to hot_set - 1 do
+          Lld.write lld blocks.(i) (payload (rounds + 1) i)
+        done;
+        Lld.flush lld;
+        let log_segments = (Lld.counters lld).Counters.segments_written in
+        Fault.schedule_crash (Disk.fault disk) (Fault.After_writes 0);
+        (try Disk.write disk ~offset:0 (Bytes.make 1 'x')
+         with Fault.Crashed -> ());
+        let t0 = Clock.now_ns clock in
+        let lld2, _report = Lld.recover disk in
+        let c2 = Lld.counters lld2 in
+        {
+          r1_churn_rounds = rounds;
+          r1_log_segments = log_segments;
+          r1_dirty_segments = log_segments - after_ckpt;
+          r1_recovery_ns = Clock.now_ns clock - t0;
+          r1_replayed = c2.Counters.recovery_replayed_segments;
+          r1_skipped = c2.Counters.recovery_skipped_segments;
+        })
+      [ 1; 2; 4; 8 ]
+  in
+  let tables rows =
+    [
+      R.table
+        ~title:
+          "R1: restart cost vs log length at fixed dirty-set size \
+           (incremental checkpoint + REDO-only replay: O(dirty), not O(log))"
+        ~header:
+          [
+            "churn rounds"; "log segments"; "dirty segments"; "recovery (ms)";
+            "replayed"; "skipped";
+          ]
+        (List.map
+           (fun r ->
+             [
+               R.int r.r1_churn_rounds;
+               R.int r.r1_log_segments;
+               R.int r.r1_dirty_segments;
+               R.float (float_of_int r.r1_recovery_ns /. 1e6);
+               R.int r.r1_replayed;
+               R.int r.r1_skipped;
+             ])
+           rows);
+    ]
+  in
+  let checks rows =
+    let times = List.map (fun r -> float_of_int r.r1_recovery_ns) rows in
+    let mn = List.fold_left Float.min Float.infinity times in
+    let mx = List.fold_left Float.max 0. times in
+    let segs = List.map (fun r -> r.r1_log_segments) rows in
+    [
+      check "R1: restart cost flat in log length (O(dirty), +-20%)"
+        (rows <> [] && mx <= 1.2 *. mn)
+        (Printf.sprintf "recovery %.3f..%.3f ms over %d..%d log segments"
+           (mn /. 1e6) (mx /. 1e6)
+           (List.fold_left min max_int segs)
+           (List.fold_left max 0 segs));
+      check "R1: checkpointed recovery replays at most dirty+1 segments"
+        (rows <> []
+        && List.for_all (fun r -> r.r1_replayed <= r.r1_dirty_segments + 1) rows)
+        (String.concat "; "
+           (List.map
+              (fun r ->
+                Printf.sprintf "%d replayed / %d dirty (%d skipped)"
+                  r.r1_replayed r.r1_dirty_segments r.r1_skipped)
+              rows));
+    ]
+  in
+  T { id = "R1"; paper_ref = "ours"; run; tables; checks }
 
-let print_restart_cost ppf rows =
-  Report.table ppf
-    ~title:
-      "R1: restart cost vs log length at fixed dirty-set size (incremental \
-       checkpoint + REDO-only replay: O(dirty), not O(log))"
-    ~header:
-      [
-        "churn rounds"; "log segments"; "dirty segments"; "recovery (ms)";
-        "replayed"; "skipped";
-      ]
-    (List.map
-       (fun r ->
-         [
-           string_of_int r.r1_churn_rounds;
-           string_of_int r.r1_log_segments;
-           string_of_int r.r1_dirty_segments;
-           Report.f2 (float_of_int r.r1_recovery_ns /. 1e6);
-           string_of_int r.r1_replayed;
-           string_of_int r.r1_skipped;
-         ])
-       rows)
+(* ------------------------------------------------------------------ *)
+(* The synchronous-commit client G1, G2 and S1 drive through the engine *)
+
+(* [iters] ARUs, each appending [blocks_per_aru] written blocks to the
+   client's private list; after each End_aru the client parks until the
+   commit is durable.  [on_done] runs when the last commit returns. *)
+let sync_commit_client ~iters ~blocks_per_aru ~block_bytes ?(on_done = ignore)
+    tag : Engine.client =
+  let aru = ref None in
+  let list = ref None in
+  let remaining = ref iters in
+  let blocks_left = ref 0 in
+  let state = ref `Setup in
+  let begin_aru () =
+    state := `Block;
+    blocks_left := blocks_per_aru;
+    Some Op.Begin_aru
+  in
+  let new_block () =
+    state := `Write;
+    Some (Op.New_block { aru = !aru; list = Option.get !list; pred = Summary.Head })
+  in
+  fun r ->
+    match (!state, r) with
+    | `Setup, _ ->
+      state := `Begin;
+      Some (Op.New_list None)
+    | `Begin, Some (Op.R_list l) ->
+      list := Some l;
+      begin_aru ()
+    | `Block, Some (Op.R_aru a) ->
+      aru := Some a;
+      new_block ()
+    | `Write, Some (Op.R_block b) ->
+      state := `Wrote;
+      Some
+        (Op.Write
+           {
+             aru = !aru;
+             block = b;
+             data = Bytes.make block_bytes (Char.chr (tag land 0xff));
+           })
+    | `Wrote, Some Op.R_unit ->
+      decr blocks_left;
+      if !blocks_left > 0 then new_block ()
+      else begin
+        state := `Committed;
+        Some (Op.End_aru (Option.get !aru))
+      end
+    | `Committed, Some Op.R_unit ->
+      decr remaining;
+      if !remaining = 0 then begin
+        on_done ();
+        None
+      end
+      else begin_aru ()
+    | _ -> None
+
+let mean_batch (c : Counters.t) =
+  ratio c.Counters.group_commits c.Counters.commit_batches
 
 (* ------------------------------------------------------------------ *)
 (* G1: group commit — throughput scaling with concurrent clients       *)
@@ -465,13 +722,10 @@ type g1_row = {
   g1_mean_batch : float;
 }
 
-(* Synchronous-commit loops: each client's ARU appends one written
-   block to its private list and the client blocks (parks) until the
-   commit is durable.  The engine pays a seal per drain, so one client
-   seals per commit while N clients share each seal across the batch
-   the flusher packs — the barrier amortization the group-commit
-   engine exists for (DESIGN.md §5.11). *)
-let group_commit ?(clients = [ 1; 2; 4; 8; 16 ]) scale =
+(* One client seals per commit, while N clients share each seal across
+   the batch the flusher packs — the barrier amortization the
+   group-commit engine exists for (DESIGN.md §5.11). *)
+let group_commit_rows clients scale =
   let iters = max 20 (int_of_float (100. *. scale.arus)) in
   let config =
     {
@@ -481,110 +735,96 @@ let group_commit ?(clients = [ 1; 2; 4; 8; 16 ]) scale =
     }
   in
   List.map
-    (fun clients ->
+    (fun n ->
       let clock = Clock.create () in
       let disk = Disk.create ~clock scale.geom in
       let lld = Lld.create ~config disk in
       let block_bytes = Lld.block_bytes lld in
-      let client tag =
-        let aru = ref None in
-        let list = ref None in
-        let block = ref None in
-        let remaining = ref iters in
-        let state = ref `Setup in
-        fun (r : Lld_core.Op.result option) ->
-          match (!state, r) with
-          | `Setup, _ ->
-            state := `Begin;
-            Some (Lld_core.Op.New_list None)
-          | `Begin, _ ->
-            (match r with
-            | Some (Lld_core.Op.R_list l) -> list := Some l
-            | _ -> ());
-            if !remaining = 0 then None
-            else begin
-              state := `Block;
-              Some Lld_core.Op.Begin_aru
-            end
-          | `Block, Some (Lld_core.Op.R_aru a) ->
-            aru := Some a;
-            state := `Write;
-            Some
-              (Lld_core.Op.New_block
-                 { aru = !aru; list = Option.get !list; pred = Summary.Head })
-          | `Write, Some (Lld_core.Op.R_block b) ->
-            block := Some b;
-            state := `Commit;
-            Some
-              (Lld_core.Op.Write
-                 {
-                   aru = !aru;
-                   block = b;
-                   data = Bytes.make block_bytes (Char.chr (tag land 0xff));
-                 })
-          | `Commit, Some Lld_core.Op.R_unit ->
-            state := `Committed;
-            Some (Lld_core.Op.End_aru (Option.get !aru))
-          | `Committed, Some Lld_core.Op.R_unit ->
-            (* the commit is durable; start the next ARU *)
-            decr remaining;
-            if !remaining = 0 then None
-            else begin
-              state := `Block;
-              Some Lld_core.Op.Begin_aru
-            end
-          | _ -> None
-      in
       let t0 = Clock.now_ns clock in
       let stats =
-        Lld_core.Engine.run lld (List.init clients (fun i -> client (i + 1)))
+        Engine.run lld
+          (List.init n (fun i ->
+               sync_commit_client ~iters ~blocks_per_aru:1 ~block_bytes (i + 1)))
       in
       let elapsed = Clock.now_ns clock - t0 in
       let c = Lld.counters lld in
-      let commits = stats.Lld_core.Engine.commits in
+      let commits = stats.Engine.commits in
       {
-        g1_clients = clients;
+        g1_clients = n;
         g1_commits = commits;
         g1_elapsed_ns = elapsed;
-        g1_commits_per_sec =
-          (if elapsed = 0 then 0.
-           else float_of_int commits /. (float_of_int elapsed /. 1e9));
+        g1_commits_per_sec = per_sec commits elapsed;
         g1_barriers = c.Counters.commit_barriers;
         g1_batches = c.Counters.commit_batches;
-        g1_barriers_per_commit =
-          (if commits = 0 then 0.
-           else float_of_int c.Counters.commit_barriers /. float_of_int commits);
-        g1_mean_batch =
-          (if c.Counters.commit_batches = 0 then 0.
-           else
-             float_of_int c.Counters.group_commits
-             /. float_of_int c.Counters.commit_batches);
+        g1_barriers_per_commit = ratio c.Counters.commit_barriers commits;
+        g1_mean_batch = mean_batch c;
       })
     clients
 
-let print_group_commit ppf rows =
-  Report.table ppf
-    ~title:
-      "G1: group commit — synchronous-commit throughput vs concurrent \
-       clients (one barrier per batch, not per commit)"
-    ~header:
-      [
-        "clients"; "commits"; "elapsed (ms)"; "commits/s"; "barriers";
-        "batches"; "barriers/commit"; "mean batch";
-      ]
-    (List.map
-       (fun r ->
+let group_commit ?(clients = [ 1; 2; 4; 8; 16 ]) () =
+  let tables rows =
+    [
+      R.table
+        ~title:
+          "G1: group commit — synchronous-commit throughput vs concurrent \
+           clients (one barrier per batch, not per commit)"
+        ~header:
+          [
+            "clients"; "commits"; "elapsed (ms)"; "commits/s"; "barriers";
+            "batches"; "barriers/commit"; "mean batch";
+          ]
+        (List.map
+           (fun r ->
+             [
+               R.int r.g1_clients;
+               R.int r.g1_commits;
+               R.float (float_of_int r.g1_elapsed_ns /. 1e6);
+               R.float ~digits:1 r.g1_commits_per_sec;
+               R.int r.g1_barriers;
+               R.int r.g1_batches;
+               R.float ~digits:3 r.g1_barriers_per_commit;
+               R.float r.g1_mean_batch;
+             ])
+           rows);
+    ]
+  in
+  let checks rows =
+    let row n = List.find_opt (fun r -> r.g1_clients = n) rows in
+    let gated = List.mem 1 clients && List.mem 8 clients in
+    let missing = List.filter (fun n -> row n = None) clients in
+    let counts l = String.concat ", " (List.map string_of_int l) in
+    (if not gated then []
+     else
+       match (row 1, row 8) with
+       | Some one, Some eight ->
          [
-           string_of_int r.g1_clients;
-           string_of_int r.g1_commits;
-           Report.f2 (float_of_int r.g1_elapsed_ns /. 1e6);
-           Report.f1 r.g1_commits_per_sec;
-           string_of_int r.g1_barriers;
-           string_of_int r.g1_batches;
-           Printf.sprintf "%.3f" r.g1_barriers_per_commit;
-           Report.f2 r.g1_mean_batch;
-         ])
-       rows)
+           check "G1: group commit scales (8 clients >= 3x 1-client commits/s)"
+             (eight.g1_commits_per_sec >= 3.0 *. one.g1_commits_per_sec)
+             (Printf.sprintf "%.1f commits/s at 8 clients vs %.1f at 1 (%.2fx)"
+                eight.g1_commits_per_sec one.g1_commits_per_sec
+                (eight.g1_commits_per_sec /. one.g1_commits_per_sec));
+           check "G1: barriers amortized (< 0.5 barriers/commit at 8 clients)"
+             (eight.g1_barriers_per_commit < 0.5)
+             (Printf.sprintf "%.3f barriers/commit, mean batch %.2f"
+                eight.g1_barriers_per_commit eight.g1_mean_batch);
+         ]
+       | _ -> [ check "G1: group commit scales" false "1- or 8-client row missing" ])
+    @ [
+        check
+          (Printf.sprintf "G1: a row for each of %s clients" (counts clients))
+          (missing = [])
+          (if missing = [] then Printf.sprintf "%d rows" (List.length rows)
+           else "missing " ^ counts missing);
+      ]
+  in
+  T
+    {
+      id = "G1";
+      paper_ref = "ours";
+      run = group_commit_rows clients;
+      tables;
+      checks;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* G2: per-stage commit latency under group commit                     *)
@@ -613,7 +853,7 @@ type g2_row = {
    member waits only for its peers to submit.  Queue-wait p99 shrinking
    as clients grow is exactly the latency side of the barrier
    amortization G1 measures on throughput. *)
-let group_commit_stages ?(clients = [ 1; 8; 16 ]) scale =
+let group_commit_stages_rows scale =
   let iters = max 10 (int_of_float (50. *. scale.arus)) in
   (* The window must dwarf the virtual time 8 clients need to fill a
      batch (each Begin/Write/Commit charges the clock), otherwise
@@ -633,78 +873,31 @@ let group_commit_stages ?(clients = [ 1; 8; 16 ]) scale =
       let lld = Lld.create ~config ~obs disk in
       let block_bytes = Lld.block_bytes lld in
       let live = ref n in
-      let client tag =
-        let aru = ref None in
-        let list = ref None in
-        let remaining = ref iters in
-        let state = ref `Setup in
-        fun (r : Lld_core.Op.result option) ->
-          match (!state, r) with
-          | `Setup, _ ->
-            state := `Begin;
-            Some (Lld_core.Op.New_list None)
-          | `Begin, _ ->
-            (match r with
-            | Some (Lld_core.Op.R_list l) -> list := Some l
-            | _ -> ());
-            state := `Block;
-            Some Lld_core.Op.Begin_aru
-          | `Block, Some (Lld_core.Op.R_aru a) ->
-            aru := Some a;
-            state := `Write;
-            Some
-              (Lld_core.Op.New_block
-                 { aru = !aru; list = Option.get !list; pred = Summary.Head })
-          | `Write, Some (Lld_core.Op.R_block b) ->
-            state := `Commit;
-            Some
-              (Lld_core.Op.Write
-                 {
-                   aru = !aru;
-                   block = b;
-                   data = Bytes.make block_bytes (Char.chr (tag land 0xff));
-                 })
-          | `Commit, Some Lld_core.Op.R_unit ->
-            state := `Committed;
-            Some (Lld_core.Op.End_aru (Option.get !aru))
-          | `Committed, Some Lld_core.Op.R_unit ->
-            decr remaining;
-            if !remaining = 0 then begin
-              decr live;
-              None
-            end
-            else begin
-              state := `Block;
-              Some Lld_core.Op.Begin_aru
-            end
-          | _ -> None
-      in
       let churner () =
         let list = ref None in
         let block = ref None in
         let state = ref `List in
-        fun (r : Lld_core.Op.result option) ->
+        fun (r : Op.result option) ->
           if !live = 0 then None
           else
             match (!state, r) with
             | `List, _ ->
               state := `Block;
-              Some (Lld_core.Op.New_list None)
-            | `Block, Some (Lld_core.Op.R_list l) ->
+              Some (Op.New_list None)
+            | `Block, Some (Op.R_list l) ->
               list := Some l;
               state := `Write;
               Some
-                (Lld_core.Op.New_block
+                (Op.New_block
                    { aru = None; list = Option.get !list; pred = Summary.Head })
-            | `Write, Some (Lld_core.Op.R_block b) ->
+            | `Write, Some (Op.R_block b) ->
               block := Some b;
               state := `Churn;
               Some
-                (Lld_core.Op.Write
-                   { aru = None; block = b; data = Bytes.make block_bytes 'c' })
+                (Op.Write { aru = None; block = b; data = Bytes.make block_bytes 'c' })
             | `Churn, _ ->
               Some
-                (Lld_core.Op.Write
+                (Op.Write
                    {
                      aru = None;
                      block = Option.get !block;
@@ -713,64 +906,117 @@ let group_commit_stages ?(clients = [ 1; 8; 16 ]) scale =
             | _ -> None
       in
       let stats =
-        Lld_core.Engine.run lld
-          (List.init n (fun i -> client (i + 1)) @ [ churner () ])
+        Engine.run lld
+          (List.init n (fun i ->
+               sync_commit_client ~iters ~blocks_per_aru:1 ~block_bytes
+                 ~on_done:(fun () -> decr live)
+                 (i + 1))
+          @ [ churner () ])
       in
-      let c = Lld.counters lld in
       let m = Obs.metrics obs in
-      let pct key sel =
-        match Metrics.find_histogram m key with
-        | Some h when Histogram.count h > 0 -> float_of_int (sel h) /. 1e3
-        | _ -> 0.
-      in
       {
         g2_clients = n;
-        g2_commits = stats.Lld_core.Engine.commits;
-        g2_queue_wait_p50_us = pct "aru.commit.queue_wait" Histogram.p50;
-        g2_queue_wait_p99_us = pct "aru.commit.queue_wait" Histogram.p99;
-        g2_barrier_p50_us = pct "aru.commit.barrier" Histogram.p50;
-        g2_barrier_p99_us = pct "aru.commit.barrier" Histogram.p99;
-        g2_wake_p50_us = pct "aru.commit.wake" Histogram.p50;
-        g2_wake_p99_us = pct "aru.commit.wake" Histogram.p99;
-        g2_mean_batch =
-          (if c.Counters.commit_batches = 0 then 0.
-           else
-             float_of_int c.Counters.group_commits
-             /. float_of_int c.Counters.commit_batches);
+        g2_commits = stats.Engine.commits;
+        g2_queue_wait_p50_us = hist_us m "aru.commit.queue_wait" Histogram.p50;
+        g2_queue_wait_p99_us = hist_us m "aru.commit.queue_wait" Histogram.p99;
+        g2_barrier_p50_us = hist_us m "aru.commit.barrier" Histogram.p50;
+        g2_barrier_p99_us = hist_us m "aru.commit.barrier" Histogram.p99;
+        g2_wake_p50_us = hist_us m "aru.commit.wake" Histogram.p50;
+        g2_wake_p99_us = hist_us m "aru.commit.wake" Histogram.p99;
+        g2_mean_batch = mean_batch (Lld.counters lld);
       })
-    clients
+    [ 1; 8; 16 ]
 
-let print_group_commit_stages ppf rows =
-  Report.table ppf
-    ~title:
-      "G2: per-stage commit latency under group commit — queue-wait p99 \
-       shrinks as concurrent clients fill batches (the latency side of \
-       barrier amortization)"
-    ~header:
-      [
-        "clients"; "commits"; "queue-wait p50 (us)"; "queue-wait p99";
-        "barrier p50"; "barrier p99"; "wake p50"; "wake p99"; "mean batch";
-      ]
-    (List.map
-       (fun r ->
-         [
-           string_of_int r.g2_clients;
-           string_of_int r.g2_commits;
-           Report.f2 r.g2_queue_wait_p50_us;
-           Report.f2 r.g2_queue_wait_p99_us;
-           Report.f2 r.g2_barrier_p50_us;
-           Report.f2 r.g2_barrier_p99_us;
-           Report.f2 r.g2_wake_p50_us;
-           Report.f2 r.g2_wake_p99_us;
-           Report.f2 r.g2_mean_batch;
-         ])
-       rows)
+(* The commit-path p99s (clients, queue-wait us, barrier us) recorded at
+   MICRO=0 SCALE=0.05 when the per-stage histograms landed: later
+   changes, zero-copy first, must not make the virtual commit path more
+   than 10 % slower. *)
+let g2_baseline = [ (1, 5009.4, 233317.0); (8, 805.0, 233457.0); (16, 910.0, 233617.0) ]
+
+let group_commit_stages =
+  let tables rows =
+    [
+      R.table
+        ~title:
+          "G2: per-stage commit latency under group commit — queue-wait p99 \
+           shrinks as concurrent clients fill batches (the latency side of \
+           barrier amortization)"
+        ~header:
+          [
+            "clients"; "commits"; "queue-wait p50 (us)"; "queue-wait p99";
+            "barrier p50"; "barrier p99"; "wake p50"; "wake p99"; "mean batch";
+          ]
+        (List.map
+           (fun r ->
+             R.int r.g2_clients :: R.int r.g2_commits
+             :: List.map R.float
+                  [
+                    r.g2_queue_wait_p50_us; r.g2_queue_wait_p99_us;
+                    r.g2_barrier_p50_us; r.g2_barrier_p99_us; r.g2_wake_p50_us;
+                    r.g2_wake_p99_us; r.g2_mean_batch;
+                  ])
+           rows);
+    ]
+  in
+  let checks rows =
+    let row n = List.find_opt (fun r -> r.g2_clients = n) rows in
+    (* with one client batches only close on the window; with 8+ the
+       size close fires first, so every member's queue wait shrinks *)
+    let shrinks =
+      match (row 1, row 8, row 16) with
+      | Some one, Some eight, Some sixteen ->
+        check "G2: queue-wait p99 shrinks as clients fill batches"
+          (eight.g2_queue_wait_p99_us < one.g2_queue_wait_p99_us
+          && sixteen.g2_queue_wait_p99_us < one.g2_queue_wait_p99_us)
+          (Printf.sprintf "queue-wait p99: %.1f us @1, %.1f us @8, %.1f us @16"
+             one.g2_queue_wait_p99_us eight.g2_queue_wait_p99_us
+             sixteen.g2_queue_wait_p99_us)
+      | _ ->
+        check "G2: queue-wait p99 shrinks as clients fill batches" false
+          "1-, 8- or 16-client row missing"
+    in
+    let batch_name = "G2: batches fill (mean batch > 2 at 8 clients)" in
+    let fills =
+      match row 8 with
+      | Some eight ->
+        check batch_name (eight.g2_mean_batch > 2.0)
+          (Printf.sprintf "mean batch %.2f" eight.g2_mean_batch)
+      | None -> check batch_name false "8-client row missing"
+    in
+    let vs_baseline =
+      List.map
+        (fun (n, qw, barrier) ->
+          match row n with
+          | Some r ->
+            let q = r.g2_queue_wait_p99_us /. qw
+            and b = r.g2_barrier_p99_us /. barrier in
+            (q <= 1.10 && b <= 1.10, Printf.sprintf "@%d %.2fx/%.2fx" n q b)
+          | None -> (false, Printf.sprintf "@%d missing" n))
+        g2_baseline
+    in
+    [
+      shrinks;
+      fills;
+      check "G2: queue-wait and barrier p99 within 1.10x of the baseline"
+        (List.for_all fst vs_baseline)
+        ("queue-wait/barrier p99 vs baseline: "
+        ^ String.concat "; " (List.map snd vs_baseline));
+    ]
+  in
+  T
+    {
+      id = "G2";
+      paper_ref = "ours";
+      run = group_commit_stages_rows;
+      tables;
+      checks;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Z1: the zero-copy data path — bytes API vs Blk-view API             *)
 
 type z1_row = {
-  z1_api : string;  (** ["bytes"] or ["view"] *)
+  z1_api : string;
   z1_commits : int;
   z1_copied_per_op : float;  (** bytes_copied per block write *)
   z1_elisions_per_op : float;  (** copy_elisions per block write *)
@@ -787,8 +1033,9 @@ type z1_row = {
    delta isolates the data path: the view run's bytes_copied per write
    must be strictly lower (each elided boundary copy is counted in
    copy_elisions), while the op.write / op.end_aru percentiles give the
-   p99 commit breakdown the CI gate tracks across PRs. *)
-let zero_copy ?(blocks_per_commit = 4) scale =
+   p99 commit breakdown. *)
+let zero_copy_rows scale =
+  let blocks_per_commit = 4 in
   let commits = max 20 (int_of_float (500. *. scale.arus)) in
   let ops = commits * blocks_per_commit in
   (* pin the group-commit knobs so the measurement ignores the
@@ -828,49 +1075,58 @@ let zero_copy ?(blocks_per_commit = 4) scale =
     Lld.flush lld;
     let c = Lld.counters lld in
     let m = Obs.metrics obs in
-    let pct key sel =
-      match Metrics.find_histogram m key with
-      | Some h when Histogram.count h > 0 -> float_of_int (sel h) /. 1e3
-      | _ -> 0.
-    in
     {
       z1_api = (match api with `Bytes -> "bytes" | `View -> "view");
       z1_commits = commits;
       z1_copied_per_op = float_of_int c.Counters.bytes_copied /. float_of_int ops;
       z1_elisions_per_op =
         float_of_int c.Counters.copy_elisions /. float_of_int ops;
-      z1_write_p50_us = pct "op.write" Histogram.p50;
-      z1_write_p99_us = pct "op.write" Histogram.p99;
-      z1_commit_p50_us = pct "op.end_aru" Histogram.p50;
-      z1_commit_p99_us = pct "op.end_aru" Histogram.p99;
+      z1_write_p50_us = hist_us m "op.write" Histogram.p50;
+      z1_write_p99_us = hist_us m "op.write" Histogram.p99;
+      z1_commit_p50_us = hist_us m "op.end_aru" Histogram.p50;
+      z1_commit_p99_us = hist_us m "op.end_aru" Histogram.p99;
     }
   in
   [ run `Bytes; run `View ]
 
-let print_zero_copy ppf rows =
-  Report.table ppf
-    ~title:
-      "Z1: zero-copy data path — the identical ARU commit loop through the \
-       bytes API vs the Blk-view API (copies per block write, and the \
-       write/commit latency breakdown)"
-    ~header:
-      [
-        "api"; "commits"; "copied B/op"; "elisions/op"; "write p50 (us)";
-        "write p99"; "commit p50"; "commit p99";
-      ]
-    (List.map
-       (fun r ->
-         [
-           r.z1_api;
-           string_of_int r.z1_commits;
-           Report.f2 r.z1_copied_per_op;
-           Report.f2 r.z1_elisions_per_op;
-           Report.f2 r.z1_write_p50_us;
-           Report.f2 r.z1_write_p99_us;
-           Report.f2 r.z1_commit_p50_us;
-           Report.f2 r.z1_commit_p99_us;
-         ])
-       rows)
+let zero_copy =
+  let tables rows =
+    [
+      R.table
+        ~title:
+          "Z1: zero-copy data path — the identical ARU commit loop through \
+           the bytes API vs the Blk-view API (copies per block write, and \
+           the write/commit latency breakdown)"
+        ~header:
+          [
+            "api"; "commits"; "copied B/op"; "elisions/op"; "write p50 (us)";
+            "write p99"; "commit p50"; "commit p99";
+          ]
+        (List.map
+           (fun r ->
+             R.text r.z1_api :: R.int r.z1_commits
+             :: List.map R.float
+                  [
+                    r.z1_copied_per_op; r.z1_elisions_per_op; r.z1_write_p50_us;
+                    r.z1_write_p99_us; r.z1_commit_p50_us; r.z1_commit_p99_us;
+                  ])
+           rows);
+    ]
+  in
+  let checks rows =
+    let name = "Z1: view API copies strictly fewer bytes than bytes API" in
+    let row api = List.find_opt (fun r -> r.z1_api = api) rows in
+    [
+      (match (row "bytes", row "view") with
+      | Some b, Some v ->
+        check name
+          (v.z1_copied_per_op < b.z1_copied_per_op && v.z1_elisions_per_op > 0.)
+          (Printf.sprintf "bytes %.0f B/op vs view %.0f B/op (%.2f elisions/op)"
+             b.z1_copied_per_op v.z1_copied_per_op v.z1_elisions_per_op)
+      | _ -> check name false "missing Z1 rows");
+    ]
+  in
+  T { id = "Z1"; paper_ref = "ours"; run = zero_copy_rows; tables; checks }
 
 (* ------------------------------------------------------------------ *)
 (* S1: sharded LLD — log-bandwidth scaling and cross-shard 2PC cost    *)
@@ -909,10 +1165,12 @@ let s1_geom = Geometry.v ~num_segments:200 ()
    segment writes on one spindle; S shards stripe clients' lists
    across S independent logs whose seals overlap (Clock.overlap in the
    facade's drain), so commits/s scales with the spindle count even
-   though total device time does not shrink. *)
-let sharding ?(shards = [ 1; 2; 4 ]) ?(clients = 8) ?(blocks_per_aru = 64)
-    scale =
-  let iters = max 12 (min 24 (int_of_float (600. *. scale.arus))) in
+   though total device time does not shrink.  At most 16 ARUs per
+   client keep one shard's log from wrapping: cleaning would inflate
+   its device time and hide the overlap. *)
+let sharding scale =
+  let clients = 8 and blocks_per_aru = 64 in
+  let iters = max 12 (min 16 (int_of_float (600. *. scale.arus))) in
   let config =
     {
       Config.default with
@@ -926,90 +1184,33 @@ let sharding ?(shards = [ 1; 2; 4 ]) ?(clients = 8) ?(blocks_per_aru = 64)
       let disks = Array.init s (fun _ -> Disk.create ~clock s1_geom) in
       let t = Shard.create ~config disks in
       let block_bytes = s1_geom.Geometry.block_bytes in
-      let client tag =
-        let aru = ref None in
-        let list = ref None in
-        let remaining = ref iters in
-        let blocks_left = ref 0 in
-        let state = ref `Setup in
-        fun (r : Lld_core.Op.result option) ->
-          match (!state, r) with
-          | `Setup, _ ->
-            state := `Begin;
-            Some (Lld_core.Op.New_list None)
-          | `Begin, _ ->
-            (match r with
-            | Some (Lld_core.Op.R_list l) -> list := Some l
-            | _ -> ());
-            if !remaining = 0 then None
-            else begin
-              state := `Block;
-              blocks_left := blocks_per_aru;
-              Some Lld_core.Op.Begin_aru
-            end
-          | `Block, Some (Lld_core.Op.R_aru a) ->
-            aru := Some a;
-            state := `Write;
-            Some
-              (Lld_core.Op.New_block
-                 { aru = !aru; list = Option.get !list; pred = Summary.Head })
-          | `Write, Some (Lld_core.Op.R_block b) ->
-            state := `Wrote;
-            Some
-              (Lld_core.Op.Write
-                 {
-                   aru = !aru;
-                   block = b;
-                   data = Bytes.make block_bytes (Char.chr (tag land 0xff));
-                 })
-          | `Wrote, Some Lld_core.Op.R_unit ->
-            decr blocks_left;
-            if !blocks_left > 0 then begin
-              state := `Write;
-              Some
-                (Lld_core.Op.New_block
-                   { aru = !aru; list = Option.get !list; pred = Summary.Head })
-            end
-            else begin
-              state := `Committed;
-              Some (Lld_core.Op.End_aru (Option.get !aru))
-            end
-          | `Committed, Some Lld_core.Op.R_unit ->
-            decr remaining;
-            if !remaining = 0 then None
-            else begin
-              state := `Block;
-              blocks_left := blocks_per_aru;
-              Some Lld_core.Op.Begin_aru
-            end
-          | _ -> None
-      in
       let t0 = Clock.now_ns clock in
       let io0 = Clock.total_ns clock Clock.Io in
       let stats =
-        Shard_engine.run t (List.init clients (fun i -> client (i + 1)))
+        Shard_engine.run t
+          (List.init clients (fun i ->
+               sync_commit_client ~iters ~blocks_per_aru ~block_bytes (i + 1)))
       in
       let elapsed = Clock.now_ns clock - t0 in
       let c = Shard.total_counters t in
-      let commits = stats.Lld_core.Engine.commits in
+      let commits = stats.Engine.commits in
       Array.iter Disk.close disks;
       {
         s1_shards = s;
         s1_commits = commits;
         s1_elapsed_ns = elapsed;
-        s1_commits_per_sec =
-          (if elapsed = 0 then 0.
-           else float_of_int commits /. (float_of_int elapsed /. 1e9));
+        s1_commits_per_sec = per_sec commits elapsed;
         s1_barriers = c.Counters.commit_barriers;
         s1_device_io_ns = Clock.total_ns clock Clock.Io - io0;
       })
-    shards
+    [ 1; 2; 4 ]
 
 (* The price of a cross-shard commit: P-1 Prepare barriers plus the
    coordinator's Decide — at most P+1 even counting a trailing
    propagation flush.  Measured as the commit-barrier delta per 2PC
    over a batch of P-participant ARUs on a 4-shard facade. *)
-let sharded_cross_cost ?(participants = [ 2; 3; 4 ]) ?(arus = 20) () =
+let sharded_cross_cost () =
+  let arus = 20 in
   let clock = Clock.create () in
   let disks = Array.init 4 (fun _ -> Disk.create ~clock s1_geom) in
   let t = Shard.create disks in
@@ -1056,11 +1257,9 @@ let sharded_cross_cost ?(participants = [ 2; 3; 4 ]) ?(arus = 20) () =
           s1_cross_commits = cross;
           s1_cross_barriers = barriers;
           s1_prepare_barriers = prepares;
-          s1_barriers_per_cross =
-            (if cross = 0 then 0.
-             else float_of_int barriers /. float_of_int cross);
+          s1_barriers_per_cross = ratio barriers cross;
         })
-      participants
+      [ 2; 3; 4 ]
   in
   Array.iter Disk.close disks;
   rows
@@ -1080,253 +1279,206 @@ let sharded_identity () =
       Ld.end_aru t aru
     done
   in
-  let plain =
+  let image run =
     let clock = Clock.create () in
     let disk = Disk.create ~clock s1_geom in
-    let lld = Lld.create disk in
-    stream (module Lld) lld ~block_bytes:(Lld.block_bytes lld);
+    run disk;
     let image = Disk.snapshot disk in
     Disk.close disk;
     image
   in
+  let plain =
+    image (fun disk ->
+        let lld = Lld.create disk in
+        stream (module Lld) lld ~block_bytes:(Lld.block_bytes lld))
+  in
   let sharded =
-    let clock = Clock.create () in
-    let disk = Disk.create ~clock s1_geom in
-    let t = Shard.create [| disk |] in
-    stream (module Shard) t ~block_bytes:(s1_geom.Geometry.block_bytes);
-    let image = Disk.snapshot disk in
-    Disk.close disk;
-    image
+    image (fun disk ->
+        stream (module Shard) (Shard.create [| disk |])
+          ~block_bytes:s1_geom.Geometry.block_bytes)
   in
   Bytes.equal plain sharded
 
-let sharded scale =
-  {
-    s1_rows = sharding scale;
-    s1_cross = sharded_cross_cost ();
-    s1_identical = sharded_identity ();
-  }
-
-let print_sharded ppf r =
-  Report.table ppf
-    ~title:
-      "S1: sharded LLD — 8 clients of 64-block ARUs over S independent \
-       segment logs (commits/s scales with spindles; device time does not \
-       shrink, it overlaps)"
-    ~header:
-      [
-        "shards"; "commits"; "elapsed (ms)"; "commits/s"; "barriers";
-        "device io (ms)";
-      ]
-    (List.map
-       (fun row ->
-         [
-           string_of_int row.s1_shards;
-           string_of_int row.s1_commits;
-           Report.f2 (float_of_int row.s1_elapsed_ns /. 1e6);
-           Report.f1 row.s1_commits_per_sec;
-           string_of_int row.s1_barriers;
-           Report.f2 (float_of_int row.s1_device_io_ns /. 1e6);
-         ])
-       r.s1_rows);
-  Report.table ppf
-    ~title:
-      "S1: cross-shard commit cost — barriers per P-participant 2PC on 4 \
-       shards (P-1 prepares + 1 decide; gate: <= P+1)"
-    ~header:
-      [
-        "participants"; "cross commits"; "barriers"; "prepare barriers";
-        "barriers/commit";
-      ]
-    (List.map
-       (fun row ->
-         [
-           string_of_int row.s1_participants;
-           string_of_int row.s1_cross_commits;
-           string_of_int row.s1_cross_barriers;
-           string_of_int row.s1_prepare_barriers;
-           Report.f2 row.s1_barriers_per_cross;
-         ])
-       r.s1_cross);
-  Report.table ppf
-    ~title:"S1: single-shard facade vs plain LLD (same op stream)"
-    ~header:[ "quantity"; "identical" ]
-    [ [ "final disk image"; (if r.s1_identical then "yes" else "NO") ] ]
+let sharded =
+  let run scale =
+    {
+      s1_rows = sharding scale;
+      s1_cross = sharded_cross_cost ();
+      s1_identical = sharded_identity ();
+    }
+  in
+  let tables r =
+    [
+      R.table
+        ~title:
+          "S1: sharded LLD — 8 clients of 64-block ARUs over S independent \
+           segment logs (commits/s scales with spindles; device time does \
+           not shrink, it overlaps)"
+        ~header:
+          [
+            "shards"; "commits"; "elapsed (ms)"; "commits/s"; "barriers";
+            "device io (ms)";
+          ]
+        (List.map
+           (fun row ->
+             [
+               R.int row.s1_shards;
+               R.int row.s1_commits;
+               R.float (float_of_int row.s1_elapsed_ns /. 1e6);
+               R.float ~digits:1 row.s1_commits_per_sec;
+               R.int row.s1_barriers;
+               R.float (float_of_int row.s1_device_io_ns /. 1e6);
+             ])
+           r.s1_rows);
+      R.table
+        ~title:
+          "S1: cross-shard commit cost — barriers per P-participant 2PC on 4 \
+           shards (P-1 prepares + 1 decide; gate: <= P+1)"
+        ~header:
+          [
+            "participants"; "cross commits"; "barriers"; "prepare barriers";
+            "barriers/commit";
+          ]
+        (List.map
+           (fun row ->
+             [
+               R.int row.s1_participants;
+               R.int row.s1_cross_commits;
+               R.int row.s1_cross_barriers;
+               R.int row.s1_prepare_barriers;
+               R.float row.s1_barriers_per_cross;
+             ])
+           r.s1_cross);
+      R.table ~title:"S1: single-shard facade vs plain LLD (same op stream)"
+        ~header:[ "quantity"; "identical" ]
+        [ [ R.text "final disk image"; R.yes_no r.s1_identical ] ];
+    ]
+  in
+  let checks r =
+    let row n = List.find_opt (fun row -> row.s1_shards = n) r.s1_rows in
+    let scaling, device_io =
+      let io_name =
+        "S1: device time overlaps, not elided (4 shards >= 0.9x 1 shard)"
+      in
+      let scale_name =
+        "S1: sharded throughput scales (4 shards >= 2x 1 shard at 8 clients)"
+      in
+      match (row 1, row 4) with
+      | Some one, Some four ->
+        ( check scale_name
+            (four.s1_commits_per_sec >= 2.0 *. one.s1_commits_per_sec)
+            (Printf.sprintf "%.1f commits/s on 4 shards vs %.1f on 1 (%.2fx)"
+               four.s1_commits_per_sec one.s1_commits_per_sec
+               (four.s1_commits_per_sec /. one.s1_commits_per_sec)),
+          check io_name
+            (float_of_int four.s1_device_io_ns
+            >= 0.9 *. float_of_int one.s1_device_io_ns)
+            (Printf.sprintf "device io %.2f ms on 4 shards vs %.2f ms on 1"
+               (float_of_int four.s1_device_io_ns /. 1e6)
+               (float_of_int one.s1_device_io_ns /. 1e6)) )
+      | _ ->
+        ( check scale_name false "1- or 4-shard row missing",
+          check io_name false "1- or 4-shard row missing" )
+    in
+    [
+      scaling;
+      check "S1: cross-shard commit costs at most P+1 barriers"
+        (r.s1_cross <> []
+        && List.for_all
+             (fun c ->
+               c.s1_cross_commits > 0
+               && c.s1_barriers_per_cross <= float_of_int (c.s1_participants + 1))
+             r.s1_cross)
+        (String.concat "; "
+           (List.map
+              (fun c ->
+                Printf.sprintf "P=%d: %.2f barriers/commit" c.s1_participants
+                  c.s1_barriers_per_cross)
+              r.s1_cross));
+      check "S1: single-shard facade bit-identical to plain LLD" r.s1_identical
+        (if r.s1_identical then "disk images byte-equal"
+         else "disk images DIFFER");
+      device_io;
+    ]
+  in
+  T { id = "S1"; paper_ref = "ours"; run; tables; checks }
 
 (* ------------------------------------------------------------------ *)
 (* X4: concurrency                                                     *)
 
-type concurrency_result = {
-  x4_interleaved : Concurrent.result;
-  x4_serial : Concurrent.result;
-}
-
-let concurrency scale =
-  let params = Concurrent.default in
-  let run f =
-    let _, lld = Setup.make_raw ~geom:scale.geom Setup.New in
-    f lld params
-  in
-  {
-    x4_interleaved = run Concurrent.run_interleaved;
-    x4_serial = run Concurrent.run_serial;
-  }
-
-let print_concurrency ppf r =
-  let row label (c : Concurrent.result) =
+let concurrency =
+  let run scale =
+    let run f =
+      let _, lld = Setup.make_raw ~geom:scale.geom Setup.New in
+      f lld Concurrent.default
+    in
     [
-      label;
-      string_of_int c.Concurrent.ops;
-      Report.f2 c.Concurrent.us_per_op;
-      string_of_int c.Concurrent.record_creates;
-      string_of_int c.Concurrent.mesh_hops;
+      ("interleaved", run Concurrent.run_interleaved);
+      ("serial", run Concurrent.run_serial);
     ]
   in
-  Report.table ppf
-    ~title:
-      "X4: concurrent ARU streams, interleaved vs serial (same operations; \
-       isolation machinery cost)"
-    ~header:[ "schedule"; "ops"; "us/op"; "record creates"; "mesh hops" ]
+  let tables rows =
     [
-      row "interleaved" r.x4_interleaved;
-      row "serial" r.x4_serial;
+      R.table
+        ~title:
+          "X4: concurrent ARU streams, interleaved vs serial (same \
+           operations; isolation machinery cost)"
+        ~header:("schedule" :: concurrent_header)
+        (List.map (fun (label, c) -> R.text label :: concurrent_cells c) rows);
     ]
+  in
+  T { id = "X4"; paper_ref = "ours"; run; tables; checks = no_checks }
 
 (* ------------------------------------------------------------------ *)
-(* X5: mixed workload                                                  *)
+(* X5: Andrew-style mixed workload, on all three variants              *)
 
-type mixed_row = {
-  x5_variant : Setup.variant;
-  x5_result : Mixed.result;
-}
-
-let mixed_workload scale =
-  let params =
-    {
-      Mixed.default with
-      Mixed.dirs = max 4 (int_of_float (20. *. sqrt scale.files));
-      files_per_dir = max 5 (int_of_float (25. *. sqrt scale.files));
-    }
+let mixed_workload =
+  let run scale =
+    let params =
+      {
+        Mixed.default with
+        Mixed.dirs = max 4 (int_of_float (20. *. sqrt scale.files));
+        files_per_dir = max 5 (int_of_float (25. *. sqrt scale.files));
+      }
+    in
+    List.map
+      (fun variant ->
+        let inst = Setup.make ~geom:scale.geom variant in
+        (variant, Mixed.run inst params))
+      Setup.all_variants
   in
-  List.map
-    (fun variant ->
-      let inst = Setup.make ~geom:scale.geom variant in
-      { x5_variant = variant; x5_result = Mixed.run inst params })
-    Setup.all_variants
-
-let print_mixed ppf rows =
-  let old = List.find (fun r -> r.x5_variant = Setup.Old) rows in
-  let phase_of r label =
-    List.find (fun (p : Mixed.phase) -> p.Mixed.label = label) r.x5_result.Mixed.phases
+  let tables rows =
+    let old = List.assoc Setup.Old rows in
+    let phase_of (r : Mixed.result) label =
+      List.find (fun (p : Mixed.phase) -> p.Mixed.label = label) r.Mixed.phases
+    in
+    let labels = List.map (fun (p : Mixed.phase) -> p.Mixed.label) old.Mixed.phases in
+    [
+      R.table
+        ~title:"X5: Andrew-style mixed workload, operations/second (diff vs old)"
+        ~header:("variant" :: labels)
+        (List.map
+           (fun (variant, r) ->
+             R.text (Setup.variant_label variant)
+             :: List.map
+                  (fun label ->
+                    R.vs
+                      ~baseline:(phase_of old label).Mixed.ops_per_sec
+                      (phase_of r label).Mixed.ops_per_sec)
+                  labels)
+           rows);
+    ]
   in
-  let labels =
-    List.map (fun (p : Mixed.phase) -> p.Mixed.label) old.x5_result.Mixed.phases
-  in
-  Report.table ppf
-    ~title:"X5: Andrew-style mixed workload, operations/second (diff vs old)"
-    ~header:("variant" :: labels)
-    (List.map
-       (fun r ->
-         Setup.variant_label r.x5_variant
-         :: List.map
-              (fun label ->
-                let p = phase_of r label in
-                let base = (phase_of old label).Mixed.ops_per_sec in
-                Printf.sprintf "%s (%s)"
-                  (Report.f1 p.Mixed.ops_per_sec)
-                  (Report.pct ~baseline:base p.Mixed.ops_per_sec))
-              labels)
-       rows)
+  T { id = "X5"; paper_ref = "ours"; run; tables; checks = no_checks }
 
 (* ------------------------------------------------------------------ *)
-(* W0: bandwidth context                                               *)
-
-type bandwidth_row = {
-  w0_label : string;
-  w0_mb_per_sec : float;
-  w0_fraction_of_raw : float;
-}
-
-let bandwidth_context scale =
-  let geom = scale.geom in
-  let mbytes =
-    max 4 (int_of_float (78.125 *. scale.bytes))
-  in
-  let total = mbytes * 1024 * 1024 in
-  let chunk = 64 * 1024 in
-  let body = Bytes.make chunk 'w' in
-  let mbps elapsed_ns =
-    float_of_int total /. (1024. *. 1024.) /. (float_of_int elapsed_ns /. 1e9)
-  in
-  (* 100 % reference: back-to-back segment-sized writes on the raw
-     device *)
-  let raw =
-    let clock = Clock.create () in
-    let disk = Disk.create ~clock geom in
-    let seg = geom.Lld_disk.Geometry.segment_bytes in
-    let image = Bytes.make seg 'r' in
-    let n = (total + seg - 1) / seg in
-    for i = 0 to n - 1 do
-      Disk.write disk ~offset:(i mod geom.Lld_disk.Geometry.num_segments * seg) image
-    done;
-    float_of_int (n * seg) /. (1024. *. 1024.)
-    /. (float_of_int (Clock.now_ns clock) /. 1e9)
-  in
-  let via_lld variant =
-    let inst = Setup.make ~geom ~inode_count:1024 variant in
-    Fs.create inst.Setup.fs "/big";
-    Clock.reset inst.Setup.clock;
-    let off = ref 0 in
-    while !off < total do
-      Fs.write_file inst.Setup.fs "/big" ~off:!off body;
-      off := !off + chunk
-    done;
-    Fs.flush inst.Setup.fs;
-    mbps (Clock.now_ns inst.Setup.clock)
-  in
-  let via_classic () =
-    let clock = Clock.create () in
-    let disk = Disk.create ~clock geom in
-    let fs = Lld_minixdisk.Classic.mkfs disk in
-    Lld_minixdisk.Classic.create fs "big";
-    Clock.reset clock;
-    let off = ref 0 in
-    while !off < total do
-      Lld_minixdisk.Classic.write_file fs "big" ~off:!off body;
-      off := !off + chunk
-    done;
-    Lld_minixdisk.Classic.flush fs;
-    mbps (Clock.now_ns clock)
-  in
-  let row label mb = { w0_label = label; w0_mb_per_sec = mb; w0_fraction_of_raw = mb /. raw } in
-  [
-    row "raw device (reference)" raw;
-    row "MinixLLD (new)" (via_lld Setup.New);
-    row "MinixLLD (old)" (via_lld Setup.Old);
-    row "classic Minix (in-place, sync meta)" (via_classic ());
-  ]
-
-let print_bandwidth ppf rows =
-  Report.table ppf
-    ~title:
-      "W0: sequential-write bandwidth context (paper 2: MinixLLD ~85% of \
-       bandwidth vs ~13% for Minix by itself)"
-    ~header:[ "substrate"; "MB/s"; "% of raw" ]
-    (List.map
-       (fun r ->
-         [
-           r.w0_label;
-           Report.f2 r.w0_mb_per_sec;
-           Printf.sprintf "%.0f%%" (r.w0_fraction_of_raw *. 100.);
-         ])
-       rows)
-
-(* ------------------------------------------------------------------ *)
-(* X6: two Logical Disk implementations under one file system          *)
+(* X6: two Logical Disk implementations under one file system.  The
+   paper's §5.4 predicts that other LD implementations need "at least a
+   meta-data update log" to support ARUs with similar performance;
+   lib/jld is such an implementation (update-in-place + write-ahead
+   journal), and the unchanged Minix file system runs on both.         *)
 
 module Minix_on_jld = Lld_minixfs.Fs_generic.Make (Lld_jld.Jld)
-
-type impl_row = { x6_impl : string; x6_phases : (string * float) list }
 
 (* The file-system operations each substrate exposes, as closures so one
    driver measures both. *)
@@ -1413,66 +1565,170 @@ let implementation_driver scale ops =
   in
   [ small_cw; small_r; small_d; w1; w2; r3 ]
 
-let implementation_comparison scale =
-  let lld_ops =
-    let inst = Setup.make ~geom:scale.geom Setup.New in
-    {
-      fo_create = Fs.create inst.Setup.fs;
-      fo_write = Fs.write_file inst.Setup.fs;
-      fo_read = Fs.read_file inst.Setup.fs;
-      fo_unlink = Fs.unlink inst.Setup.fs;
-      fo_flush = (fun () -> Fs.flush inst.Setup.fs);
-      fo_clock = inst.Setup.clock;
-    }
+let implementations =
+  let run scale =
+    let lld_ops =
+      let inst = Setup.make ~geom:scale.geom Setup.New in
+      {
+        fo_create = Fs.create inst.Setup.fs;
+        fo_write = Fs.write_file inst.Setup.fs;
+        fo_read = Fs.read_file inst.Setup.fs;
+        fo_unlink = Fs.unlink inst.Setup.fs;
+        fo_flush = (fun () -> Fs.flush inst.Setup.fs);
+        fo_clock = inst.Setup.clock;
+      }
+    in
+    let jld_ops =
+      let module F = Minix_on_jld.Fs_impl in
+      let clock = Clock.create () in
+      let disk = Disk.create ~clock scale.geom in
+      let jld = Lld_jld.Jld.create disk in
+      let fs = F.mkfs jld in
+      Clock.reset clock;
+      {
+        fo_create = F.create fs;
+        fo_write = F.write_file fs;
+        fo_read = F.read_file fs;
+        fo_unlink = F.unlink fs;
+        fo_flush = (fun () -> F.flush fs);
+        fo_clock = clock;
+      }
+    in
+    [
+      ("LLD (log-structured)", implementation_driver scale lld_ops);
+      ("JLD (in-place + journal)", implementation_driver scale jld_ops);
+    ]
   in
-  let jld_ops =
-    let module F = Minix_on_jld.Fs_impl in
-    let clock = Clock.create () in
-    let disk = Disk.create ~clock scale.geom in
-    let jld = Lld_jld.Jld.create disk in
-    let fs = F.mkfs jld in
-    Clock.reset clock;
-    {
-      fo_create = F.create fs;
-      fo_write = F.write_file fs;
-      fo_read = F.read_file fs;
-      fo_unlink = F.unlink fs;
-      fo_flush = (fun () -> F.flush fs);
-      fo_clock = clock;
-    }
+  let tables = function
+    | [] -> []
+    | (_, first) :: _ as rows ->
+      [
+        R.table
+          ~title:
+            "X6: the same Minix file system on two LD implementations \
+             (paper 5.4: alternatives need a meta-data update log; layout \
+             drives the trade-offs)"
+          ~header:("implementation" :: List.map fst first)
+          (List.map
+             (fun (impl, phases) ->
+               R.text impl :: List.map (fun (_, v) -> R.float ~digits:1 v) phases)
+             rows);
+      ]
   in
-  [
-    { x6_impl = "LLD (log-structured)"; x6_phases = implementation_driver scale lld_ops };
-    { x6_impl = "JLD (in-place + journal)"; x6_phases = implementation_driver scale jld_ops };
-  ]
-
-let print_implementations ppf rows =
-  match rows with
-  | [] -> ()
-  | first :: _ ->
-    let labels = List.map fst first.x6_phases in
-    Report.table ppf
-      ~title:
-        "X6: the same Minix file system on two LD implementations (paper \
-         5.4: alternatives need a meta-data update log; layout drives the \
-         trade-offs)"
-      ~header:("implementation" :: labels)
-      (List.map
-         (fun r ->
-           r.x6_impl
-           :: List.map (fun (_, v) -> Report.f1 v) r.x6_phases)
-         rows)
+  T { id = "X6"; paper_ref = "§5.4 other LD implementations"; run; tables; checks = no_checks }
 
 (* ------------------------------------------------------------------ *)
-(* C1 — segment cleaning: victim policies and relocation I/O *)
+(* W0: §2 bandwidth context.  One large file written sequentially
+   through the raw device (the 100 % reference), MinixLLD, and the
+   update-in-place classic Minix of Lld_minixdisk.Classic, each as a
+   fraction of raw (paper: MinixLLD ~85 %, Minix by itself ~13 %).    *)
 
-type clean_row = {
-  c1_policy : Config.clean_policy;
-  c1_elapsed_ns : int;
-  c1_counters : Counters.t;
+type bandwidth_row = {
+  w0_label : string;
+  w0_mb_per_sec : float;
+  w0_fraction_of_raw : float;
 }
 
-let cleaning scale =
+let bandwidth_rows scale =
+  let geom = scale.geom in
+  let mbytes = max 4 (int_of_float (78.125 *. scale.bytes)) in
+  let total = mbytes * 1024 * 1024 in
+  let chunk = 64 * 1024 in
+  let body = Bytes.make chunk 'w' in
+  let mbps elapsed_ns =
+    float_of_int total /. (1024. *. 1024.) /. (float_of_int elapsed_ns /. 1e9)
+  in
+  (* 100 % reference: back-to-back segment-sized writes on the raw
+     device *)
+  let raw =
+    let clock = Clock.create () in
+    let disk = Disk.create ~clock geom in
+    let seg = geom.Lld_disk.Geometry.segment_bytes in
+    let image = Bytes.make seg 'r' in
+    let n = (total + seg - 1) / seg in
+    for i = 0 to n - 1 do
+      Disk.write disk ~offset:(i mod geom.Lld_disk.Geometry.num_segments * seg) image
+    done;
+    float_of_int (n * seg) /. (1024. *. 1024.)
+    /. (float_of_int (Clock.now_ns clock) /. 1e9)
+  in
+  let via_lld variant =
+    let inst = Setup.make ~geom ~inode_count:1024 variant in
+    Fs.create inst.Setup.fs "/big";
+    Clock.reset inst.Setup.clock;
+    let off = ref 0 in
+    while !off < total do
+      Fs.write_file inst.Setup.fs "/big" ~off:!off body;
+      off := !off + chunk
+    done;
+    Fs.flush inst.Setup.fs;
+    mbps (Clock.now_ns inst.Setup.clock)
+  in
+  let via_classic () =
+    let clock = Clock.create () in
+    let disk = Disk.create ~clock geom in
+    let fs = Lld_minixdisk.Classic.mkfs disk in
+    Lld_minixdisk.Classic.create fs "big";
+    Clock.reset clock;
+    let off = ref 0 in
+    while !off < total do
+      Lld_minixdisk.Classic.write_file fs "big" ~off:!off body;
+      off := !off + chunk
+    done;
+    Lld_minixdisk.Classic.flush fs;
+    mbps (Clock.now_ns clock)
+  in
+  let row label mb = { w0_label = label; w0_mb_per_sec = mb; w0_fraction_of_raw = mb /. raw } in
+  [
+    row "raw device (reference)" raw;
+    row "MinixLLD (new)" (via_lld Setup.New);
+    row "MinixLLD (old)" (via_lld Setup.Old);
+    row "classic Minix (in-place, sync meta)" (via_classic ());
+  ]
+
+let bandwidth =
+  let tables rows =
+    [
+      R.table
+        ~title:
+          "W0: sequential-write bandwidth context (paper 2: MinixLLD ~85% of \
+           bandwidth vs ~13% for Minix by itself)"
+        ~header:[ "substrate"; "MB/s"; "% of raw" ]
+        (List.map
+           (fun r ->
+             [
+               R.text r.w0_label;
+               R.float r.w0_mb_per_sec;
+               R.float ~digits:0 ~suffix:"%" (r.w0_fraction_of_raw *. 100.);
+             ])
+           rows);
+    ]
+  in
+  let checks rows =
+    let frac label =
+      List.find_opt (fun r -> r.w0_label = label) rows
+      |> Option.map (fun r -> r.w0_fraction_of_raw)
+    in
+    let name = "W0: MinixLLD beats in-place Minix on write bandwidth" in
+    [
+      (match (frac "MinixLLD (new)", frac "classic Minix (in-place, sync meta)") with
+      | Some lld, Some classic ->
+        check name (lld > classic)
+          (Printf.sprintf "MinixLLD %.0f%% vs classic %.0f%% of raw" (lld *. 100.)
+             (classic *. 100.))
+      | _ -> check name false "bandwidth rows missing");
+    ]
+  in
+  T { id = "W0"; paper_ref = "§2 bandwidth context"; run = bandwidth_rows; tables; checks }
+
+(* ------------------------------------------------------------------ *)
+(* C1: segment cleaning — victim policies and relocation I/O.  Overwrite
+   churn over a hot set of raw LD blocks wraps the log twice so the
+   auto-cleaner runs repeatedly, once per clean policy: relocation takes
+   at most one disk read per victim, and victim selection scans
+   segments rather than the block map.                                 *)
+
+let cleaning_rows scale =
   let run policy =
     let geom = scale.geom in
     let clock = Clock.create () in
@@ -1526,110 +1782,136 @@ let cleaning scale =
       done;
       Lld.flush lld
     done;
-    {
-      c1_policy = policy;
-      c1_elapsed_ns = Clock.now_ns clock;
-      c1_counters = Counters.copy (Lld.counters lld);
-    }
+    (policy, Clock.now_ns clock, Counters.copy (Lld.counters lld))
   in
   [ run Config.Greedy; run Config.Cost_benefit ]
 
-let print_cleaning ppf rows =
-  Report.table ppf
-    ~title:
-      "C1: segment cleaning under overwrite churn (relocation batches at \
-       most one disk read per victim; victim selection scans segments, \
-       not the block map)"
-    ~header:
-      [
-        "policy";
-        "cleaned";
-        "copied";
-        "disk reads";
-        "reads/victim";
-        "cache hits";
-        "victim scans";
-        "picks";
-        "live-idx upd";
-        "ms";
-      ]
-    (List.map
-       (fun r ->
-         let c = r.c1_counters in
-         [
-           Format.asprintf "%a" Config.pp_clean_policy r.c1_policy;
-           string_of_int c.Counters.segments_cleaned;
-           string_of_int c.Counters.blocks_copied_clean;
-           string_of_int c.Counters.clean_disk_reads;
-           (if c.Counters.segments_cleaned = 0 then "n/a"
-            else
-              Report.f2
-                (float_of_int c.Counters.clean_disk_reads
-                /. float_of_int c.Counters.segments_cleaned));
-           string_of_int c.Counters.clean_cache_hits;
-           string_of_int c.Counters.victim_scans;
-           string_of_int c.Counters.clean_picks;
-           string_of_int c.Counters.live_index_updates;
-           Report.f1 (float_of_int r.c1_elapsed_ns /. 1e6);
-         ])
-       rows)
+let cleaning =
+  let policy p = Format.asprintf "%a" Config.pp_clean_policy p in
+  let tables rows =
+    [
+      R.table
+        ~title:
+          "C1: segment cleaning under overwrite churn (relocation batches at \
+           most one disk read per victim; victim selection scans segments, \
+           not the block map)"
+        ~header:
+          [
+            "policy"; "cleaned"; "copied"; "disk reads"; "reads/victim";
+            "cache hits"; "victim scans"; "picks"; "live-idx upd"; "ms";
+          ]
+        (List.map
+           (fun (p, elapsed_ns, (c : Counters.t)) ->
+             [
+               R.text (policy p);
+               R.int c.Counters.segments_cleaned;
+               R.int c.Counters.blocks_copied_clean;
+               R.int c.Counters.clean_disk_reads;
+               (if c.Counters.segments_cleaned = 0 then R.na
+                else
+                  R.float
+                    (ratio c.Counters.clean_disk_reads c.Counters.segments_cleaned));
+               R.int c.Counters.clean_cache_hits;
+               R.int c.Counters.victim_scans;
+               R.int c.Counters.clean_picks;
+               R.int c.Counters.live_index_updates;
+               R.float ~digits:1 (float_of_int elapsed_ns /. 1e6);
+             ])
+           rows);
+    ]
+  in
+  let checks rows =
+    [
+      check "C1: cleaner ran and relocation batched reads (<=1/victim)"
+        (List.for_all
+           (fun (_, _, (c : Counters.t)) ->
+             c.Counters.segments_cleaned > 0
+             && c.Counters.clean_disk_reads <= c.Counters.segments_cleaned)
+           rows)
+        (String.concat "; "
+           (List.map
+              (fun (p, _, (c : Counters.t)) ->
+                Printf.sprintf "%s: %d reads / %d cleaned" (policy p)
+                  c.Counters.clean_disk_reads c.Counters.segments_cleaned)
+              rows));
+    ]
+  in
+  T { id = "C1"; paper_ref = "ours"; run = cleaning_rows; tables; checks }
 
 (* ------------------------------------------------------------------ *)
-(* O1/O2 — observability: observer effect and ARU commit breakdown *)
+(* O1: observer effect.  The same deterministic small-file workload runs
+   twice — once with Obs.null, once under a live tracer — and the
+   counters JSON and the final virtual clock must be byte-identical,
+   because probes read the clock but never charge it.                  *)
 
-type observability_result = {
+type observer_result = {
   o1_counters_match : bool;
   o1_clock_match : bool;
   o1_plain_clock_ns : int;
   o1_traced_clock_ns : int;
   o1_trace_events : int;
-  o1_metrics : Metrics.t;  (* gauges + histograms of the traced FS run *)
-  o2_arus : int;
-  o2_latency_us : float;
-  o2_metrics : Metrics.t;  (* histograms incl. the aru.commit.* phases *)
 }
 
-(* O1 is the no-observer-effect guard: the same deterministic
-   small-file workload runs twice — once with Obs.null, once under a
-   live tracer — and the counters JSON and the final virtual clock must
-   be byte-identical, because probes read the clock but never charge
-   it.  O2 re-runs the paper's §5.3 empty-ARU churn under tracing and
-   decomposes the 78.47 us commit figure into its phases. *)
-let observability scale =
-  let params = Smallfile.scaled Smallfile.paper_1k (0.1 *. scale.files) in
-  let run ?clock ?obs () =
-    let inst = Setup.make ~geom:scale.geom ?clock ?obs Setup.New in
-    ignore (Smallfile.run inst params);
-    ( Counters.to_json_string (Lld.counters inst.Setup.lld),
-      Clock.now_ns inst.Setup.clock )
+let observer_effect =
+  let run scale =
+    let params = Smallfile.scaled Smallfile.paper_1k (0.1 *. scale.files) in
+    let run ?clock ?obs () =
+      let inst = Setup.make ~geom:scale.geom ?clock ?obs Setup.New in
+      ignore (Smallfile.run inst params);
+      ( Counters.to_json_string (Lld.counters inst.Setup.lld),
+        Clock.now_ns inst.Setup.clock )
+    in
+    let plain_counters, plain_clock = run () in
+    let clock = Clock.create () in
+    let obs = Obs.create ~clock () in
+    let traced_counters, traced_clock = run ~clock ~obs () in
+    {
+      o1_counters_match = String.equal plain_counters traced_counters;
+      o1_clock_match = plain_clock = traced_clock;
+      o1_plain_clock_ns = plain_clock;
+      o1_traced_clock_ns = traced_clock;
+      o1_trace_events = Trace.count (Obs.trace obs);
+    }
   in
-  let plain_counters, plain_clock = run () in
-  let clock = Clock.create () in
-  let obs = Obs.create ~clock () in
-  let traced_counters, traced_clock = run ~clock ~obs () in
-  let o2_count =
-    max 1_000
-      (int_of_float
-         (float_of_int Aru_churn.paper.Aru_churn.count *. scale.arus *. 0.02))
+  let tables r =
+    [
+      R.table
+        ~title:
+          "O1: observer effect — identical small-file run with tracing off \
+           vs on (probes read the virtual clock, never charge it)"
+        ~header:[ "quantity"; "untraced"; "traced"; "identical" ]
+        [
+          [
+            R.text "counters JSON"; R.text "(baseline)"; R.text "(compared)";
+            R.yes_no r.o1_counters_match;
+          ];
+          [
+            R.text "final virtual clock (ns)"; R.int r.o1_plain_clock_ns;
+            R.int r.o1_traced_clock_ns; R.yes_no r.o1_clock_match;
+          ];
+          [
+            R.text "trace events recorded"; R.int 0; R.int r.o1_trace_events;
+            R.text "-";
+          ];
+        ];
+    ]
   in
-  let churn_clock = Clock.create () in
-  let churn_obs = Obs.create ~clock:churn_clock () in
-  let _, lld =
-    Setup.make_raw ~geom:scale.geom ~clock:churn_clock ~obs:churn_obs
-      Setup.New
+  let checks r =
+    [
+      check "O1: tracing has no observer effect"
+        (r.o1_counters_match && r.o1_clock_match && r.o1_trace_events > 0)
+        (Printf.sprintf "counters %s, clock %s (%d ns), %d events traced"
+           (if r.o1_counters_match then "identical" else "DIFFER")
+           (if r.o1_clock_match then "identical" else "DIFFERS")
+           r.o1_traced_clock_ns r.o1_trace_events);
+    ]
   in
-  let churn = Aru_churn.run lld { Aru_churn.count = o2_count } in
-  {
-    o1_counters_match = String.equal plain_counters traced_counters;
-    o1_clock_match = plain_clock = traced_clock;
-    o1_plain_clock_ns = plain_clock;
-    o1_traced_clock_ns = traced_clock;
-    o1_trace_events = Trace.count (Obs.trace obs);
-    o1_metrics = Obs.metrics obs;
-    o2_arus = churn.Aru_churn.count;
-    o2_latency_us = churn.Aru_churn.latency_us;
-    o2_metrics = Obs.metrics churn_obs;
-  }
+  T { id = "O1"; paper_ref = "ours"; run; tables; checks }
+
+(* ------------------------------------------------------------------ *)
+(* O2: the paper's §5.3 empty-ARU churn re-run under tracing, its
+   78.47 us commit figure decomposed into the instrumented phases (log
+   replay, shadow merge, commit record).                               *)
 
 let commit_breakdown_keys =
   [
@@ -1645,57 +1927,72 @@ let commit_breakdown_keys =
     "disk.write";
   ]
 
-let hist_table_rows metrics keys =
-  List.filter_map
-    (fun key ->
-      match Metrics.find_histogram metrics key with
-      | None -> None
-      | Some h when Histogram.count h = 0 -> None
-      | Some h ->
-        let us ns = Report.f2 (float_of_int ns /. 1e3) in
-        Some
-          [
-            key;
-            string_of_int (Histogram.count h);
-            Report.f2 (Histogram.mean h /. 1e3);
-            us (Histogram.p50 h);
-            us (Histogram.p95 h);
-            us (Histogram.p99 h);
-          ])
-    keys
-
-let print_observability ppf r =
-  Report.table ppf
-    ~title:
-      "O1: observer effect — identical small-file run with tracing off vs \
-       on (probes read the virtual clock, never charge it)"
-    ~header:[ "quantity"; "untraced"; "traced"; "identical" ]
+let commit_breakdown =
+  let run scale =
+    let count =
+      max 1_000
+        (int_of_float
+           (float_of_int Aru_churn.paper.Aru_churn.count *. scale.arus *. 0.02))
+    in
+    let clock = Clock.create () in
+    let obs = Obs.create ~clock () in
+    let _, lld = Setup.make_raw ~geom:scale.geom ~clock ~obs Setup.New in
+    (Aru_churn.run lld { Aru_churn.count }, Obs.metrics obs)
+  in
+  let tables ((churn : Aru_churn.result), m) =
+    let us ns = R.float (float_of_int ns /. 1e3) in
     [
-      [
-        "counters JSON";
-        "(baseline)";
-        "(compared)";
-        (if r.o1_counters_match then "yes" else "NO");
-      ];
-      [
-        "final virtual clock (ns)";
-        string_of_int r.o1_plain_clock_ns;
-        string_of_int r.o1_traced_clock_ns;
-        (if r.o1_clock_match then "yes" else "NO");
-      ];
-      [ "trace events recorded"; "0"; string_of_int r.o1_trace_events; "-" ];
-    ];
-  Report.table ppf
-    ~title:
-      (Printf.sprintf
-         "O2: ARU commit span breakdown over %d empty Begin/End pairs — \
-          measured %.2f us/ARU (paper 5.3: 78.47 us)"
-         r.o2_arus r.o2_latency_us)
-    ~header:[ "span"; "count"; "mean (us)"; "p50"; "p95"; "p99" ]
-    (hist_table_rows r.o2_metrics commit_breakdown_keys)
+      R.table
+        ~quoted:
+          [
+            ("arus", R.Int churn.Aru_churn.count);
+            ("latency_us", R.Float churn.Aru_churn.latency_us);
+          ]
+        ~title:
+          (Printf.sprintf
+             "O2: ARU commit span breakdown over %d empty Begin/End pairs — \
+              measured %.2f us/ARU (paper 5.3: 78.47 us)"
+             churn.Aru_churn.count churn.Aru_churn.latency_us)
+        ~header:[ "span"; "count"; "mean (us)"; "p50"; "p95"; "p99" ]
+        (List.filter_map
+           (fun key ->
+             match Metrics.find_histogram m key with
+             | Some h when Histogram.count h > 0 ->
+               Some
+                 [
+                   R.text key;
+                   R.int (Histogram.count h);
+                   R.float (Histogram.mean h /. 1e3);
+                   us (Histogram.p50 h);
+                   us (Histogram.p95 h);
+                   us (Histogram.p99 h);
+                 ]
+             | _ -> None)
+           commit_breakdown_keys);
+    ]
+  in
+  let checks ((churn : Aru_churn.result), m) =
+    let spans =
+      match Metrics.find_histogram m "aru.commit.record" with
+      | Some h -> Histogram.count h
+      | None -> 0
+    in
+    [
+      check "O2: commit phases instrumented for every ARU"
+        (spans = churn.Aru_churn.count)
+        (Printf.sprintf "%d commit-record spans for %d ARUs" spans
+           churn.Aru_churn.count);
+    ]
+  in
+  T { id = "O2"; paper_ref = "§5.3 ARU latency"; run; tables; checks }
 
 (* ------------------------------------------------------------------ *)
-(* O3 — the always-on flight recorder has no observer effect either *)
+(* O3 — the always-on flight recorder has no observer effect either.
+   The black box must be safe to leave on in production (LLD_FLIGHT=1):
+   the same deterministic small-file workload runs once against
+   Obs.null and once with a flight-only handle, and the final disk
+   image, the operation counters, and the virtual clock must be
+   byte-identical — the ring records, it never charges.                *)
 
 type flight_effect_result = {
   o3_clock_match : bool;
@@ -1704,52 +2001,67 @@ type flight_effect_result = {
   o3_flight_events : int;
 }
 
-(* The black box must be safe to leave on in production (LLD_FLIGHT=1):
-   the same deterministic small-file workload runs once against
-   Obs.null and once with a flight-only handle, and the final disk
-   image, the operation counters, and the virtual clock must be
-   byte-identical — the ring records, it never charges. *)
-let flight_effect scale =
-  let params = Smallfile.scaled Smallfile.paper_1k (0.05 *. scale.files) in
-  let run ?clock ?obs () =
-    let backend =
-      Lld_disk.Backend.mem ~size:(Geometry.total_bytes scale.geom)
+let flight_effect =
+  let run scale =
+    let params = Smallfile.scaled Smallfile.paper_1k (0.05 *. scale.files) in
+    let run ?clock ?obs () =
+      let backend =
+        Lld_disk.Backend.mem ~size:(Geometry.total_bytes scale.geom)
+      in
+      let inst = Setup.make ~geom:scale.geom ?clock ?obs ~backend Setup.New in
+      ignore (Smallfile.run inst params);
+      Fs.flush inst.Setup.fs;
+      let image = Disk.snapshot inst.Setup.disk in
+      let counters = Counters.to_json_string (Lld.counters inst.Setup.lld) in
+      let ns = Clock.now_ns inst.Setup.clock in
+      Disk.close inst.Setup.disk;
+      (image, counters, ns)
     in
-    let inst = Setup.make ~geom:scale.geom ?clock ?obs ~backend Setup.New in
-    ignore (Smallfile.run inst params);
-    Fs.flush inst.Setup.fs;
-    let image = Disk.snapshot inst.Setup.disk in
-    let counters = Counters.to_json_string (Lld.counters inst.Setup.lld) in
-    let ns = Clock.now_ns inst.Setup.clock in
-    Disk.close inst.Setup.disk;
-    (image, counters, ns)
+    let p_image, p_counters, p_ns = run () in
+    let clock = Clock.create () in
+    let obs = Obs.flight_only ~clock () in
+    let f_image, f_counters, f_ns = run ~clock ~obs () in
+    {
+      o3_clock_match = p_ns = f_ns;
+      o3_counters_match = String.equal p_counters f_counters;
+      o3_image_match = Bytes.equal p_image f_image;
+      o3_flight_events = Lld_obs.Flight.count (Obs.flight obs);
+    }
   in
-  let p_image, p_counters, p_ns = run () in
-  let clock = Clock.create () in
-  let obs = Obs.flight_only ~clock () in
-  let f_image, f_counters, f_ns = run ~clock ~obs () in
-  {
-    o3_clock_match = p_ns = f_ns;
-    o3_counters_match = String.equal p_counters f_counters;
-    o3_image_match = Bytes.equal p_image f_image;
-    o3_flight_events = Lld_obs.Flight.count (Obs.flight obs);
-  }
-
-let print_flight_effect ppf r =
-  Report.table ppf
-    ~title:
-      "O3: flight-recorder observer effect — identical run against Obs.null \
-       vs the always-on black box (LLD_FLIGHT=1 semantics)"
-    ~header:[ "quantity"; "identical" ]
+  let tables r =
     [
-      [ "final disk image"; (if r.o3_image_match then "yes" else "NO") ];
-      [ "counters JSON"; (if r.o3_counters_match then "yes" else "NO") ];
-      [ "final virtual clock"; (if r.o3_clock_match then "yes" else "NO") ];
-      [ "flight events recorded"; string_of_int r.o3_flight_events ];
+      R.table
+        ~title:
+          "O3: flight-recorder observer effect — identical run against \
+           Obs.null vs the always-on black box (LLD_FLIGHT=1 semantics)"
+        ~header:[ "quantity"; "identical" ]
+        [
+          [ R.text "final disk image"; R.yes_no r.o3_image_match ];
+          [ R.text "counters JSON"; R.yes_no r.o3_counters_match ];
+          [ R.text "final virtual clock"; R.yes_no r.o3_clock_match ];
+          [ R.text "flight events recorded"; R.int r.o3_flight_events ];
+        ];
     ]
+  in
+  let checks r =
+    let same b = if b then "identical" else "DIFFERS" in
+    [
+      check "O3: flight recorder has no observer effect"
+        (r.o3_clock_match && r.o3_counters_match && r.o3_image_match
+        && r.o3_flight_events > 0)
+        (Printf.sprintf "image %s, counters %s, clock %s, %d flight events"
+           (same r.o3_image_match)
+           (if r.o3_counters_match then "identical" else "DIFFER")
+           (same r.o3_clock_match) r.o3_flight_events);
+    ]
+  in
+  T { id = "O3"; paper_ref = "ours"; run; tables; checks }
 
 (* ------------------------------------------------------------------ *)
-(* B1 — backend transparency: Mem vs File at identical virtual cost *)
+(* B1 — backend transparency: the §2 claim one layer down.  The same
+   deterministic small-file workload on the in-memory store and on a
+   real file image: wall-clock may differ (that is what the file backend
+   buys and pays for); the virtual clock and the counters must not.    *)
 
 type backend_row = {
   b1_backend : string;
@@ -1759,743 +2071,153 @@ type backend_row = {
   b1_files_per_sec : float;
 }
 
-type backend_result = {
-  b1_rows : backend_row list;
-  b1_clock_match : bool;
-  b1_counters_match : bool;
-}
-
-(* The §2 transparency claim one layer down: the same deterministic
-   small-file workload on the in-memory store and on a real file image.
-   Wall-clock may differ (that is what the file backend buys and pays
-   for); the virtual clock and the logical-disk counters must not. *)
-let backend_comparison scale =
-  let params = Smallfile.scaled Smallfile.paper_1k (0.1 *. scale.files) in
-  let run make_backend =
-    let backend = make_backend (Geometry.total_bytes scale.geom) in
-    let t0 = Unix.gettimeofday () in
-    let inst = Setup.make ~geom:scale.geom ~backend Setup.New in
-    let result = Smallfile.run inst params in
-    let wall = Unix.gettimeofday () -. t0 in
-    let row =
-      {
-        b1_backend = Disk.backend_label inst.Setup.disk;
-        b1_wall_s = wall;
-        b1_virtual_ns = Clock.now_ns inst.Setup.clock;
-        b1_counters_json = Counters.to_json_string (Lld.counters inst.Setup.lld);
-        b1_files_per_sec =
-          result.Smallfile.create_write.Smallfile.files_per_sec;
-      }
+let backend_comparison =
+  let run scale =
+    let params = Smallfile.scaled Smallfile.paper_1k (0.1 *. scale.files) in
+    let run label make_backend =
+      let backend = make_backend (Geometry.total_bytes scale.geom) in
+      let t0 = Unix.gettimeofday () in
+      let inst = Setup.make ~geom:scale.geom ~backend Setup.New in
+      let result = Smallfile.run inst params in
+      let wall = Unix.gettimeofday () -. t0 in
+      let row =
+        {
+          b1_backend = label;
+          b1_wall_s = wall;
+          b1_virtual_ns = Clock.now_ns inst.Setup.clock;
+          b1_counters_json = Counters.to_json_string (Lld.counters inst.Setup.lld);
+          b1_files_per_sec = result.Smallfile.create_write.Smallfile.files_per_sec;
+        }
+      in
+      Disk.close inst.Setup.disk;
+      row
     in
-    Disk.close inst.Setup.disk;
-    row
+    let mem = run "mem" (fun size -> Lld_disk.Backend.mem ~size) in
+    let file = run "file" (fun size -> Lld_disk.Backend.temp_file ~size ()) in
+    [ mem; file ]
   in
-  let mem = run (fun size -> Lld_disk.Backend.mem ~size) in
-  let file = run (fun size -> Lld_disk.Backend.temp_file ~size ()) in
-  {
-    b1_rows = [ mem; file ];
-    b1_clock_match = mem.b1_virtual_ns = file.b1_virtual_ns;
-    b1_counters_match = String.equal mem.b1_counters_json file.b1_counters_json;
-  }
-
-let print_backend ppf r =
-  Report.table ppf
-    ~title:
-      "B1: storage-backend transparency — same workload on mem vs file \
-       (paper 2: implementations exchange without the client noticing; \
-       wall-clock differs, virtual clock must not)"
-    ~header:
-      [ "backend"; "wall (s)"; "virtual (s)"; "create+write f/s"; "identical" ]
-    (List.map
-       (fun row ->
-         [
-           row.b1_backend;
-           Report.f2 row.b1_wall_s;
-           Report.f2 (float_of_int row.b1_virtual_ns /. 1e9);
-           Report.f1 row.b1_files_per_sec;
-           (if r.b1_clock_match && r.b1_counters_match then "yes" else "NO");
-         ])
-       r.b1_rows)
+  let identical = function
+    | [ mem; file ] ->
+      ( mem.b1_virtual_ns = file.b1_virtual_ns,
+        String.equal mem.b1_counters_json file.b1_counters_json )
+    | _ -> (false, false)
+  in
+  let tables rows =
+    let clock, counters = identical rows in
+    [
+      R.table
+        ~title:
+          "B1: storage-backend transparency — same workload on mem vs file \
+           (paper 2: implementations exchange without the client noticing; \
+           wall-clock differs, virtual clock must not)"
+        ~header:
+          [ "backend"; "wall (s)"; "virtual (s)"; "create+write f/s"; "identical" ]
+        (List.map
+           (fun row ->
+             [
+               R.text row.b1_backend;
+               R.float row.b1_wall_s;
+               R.float (float_of_int row.b1_virtual_ns /. 1e9);
+               R.float ~digits:1 row.b1_files_per_sec;
+               R.yes_no (clock && counters);
+             ])
+           rows);
+    ]
+  in
+  let checks rows =
+    let clock, counters = identical rows in
+    [
+      check "B1: mem and file backends charge identical virtual time"
+        (clock && counters)
+        (String.concat "; "
+           (List.map
+              (fun row ->
+                Printf.sprintf "%s: %d ns virtual, %.2f s wall" row.b1_backend
+                  row.b1_virtual_ns row.b1_wall_s)
+              rows));
+    ]
+  in
+  T { id = "B1"; paper_ref = "§2 transparency"; run; tables; checks }
 
 (* ------------------------------------------------------------------ *)
+(* The runner                                                          *)
 
-type check = { ck_name : string; ck_ok : bool; ck_detail : string }
-
-let finite v = Float.is_finite v && v > 0.
-
-(* Sanity gates over the reproduced artifacts: not exact numbers (the
-   virtual clock is calibrated, not cycle-accurate) but the directional
-   claims each table/figure exists to demonstrate.  A regression that
-   silently zeroes a phase or inverts a trade-off fails the run. *)
-let checks ~f5 ~f6 ~l1 ~x3 ~r1 ~g1 ~g2 ~z1 ~s1 ~w0 ~c1 ~ob ~o3 ~b1 =
-  let all_f5_phases =
-    List.concat_map
-      (fun r ->
-        let res = r.f5_result in
-        [
-          res.Smallfile.create_write.Smallfile.files_per_sec;
-          res.Smallfile.read.Smallfile.files_per_sec;
-          res.Smallfile.delete.Smallfile.files_per_sec;
-        ])
-      f5
-  in
-  let all_f6_phases =
-    List.concat_map
-      (fun r ->
-        List.map
-          (fun (p : Largefile.phase) -> p.Largefile.mb_per_sec)
-          (Largefile.phases r.f6_result))
-      f6
-  in
-  let x2_ok, x2_detail =
-    (* improved deletion must not search more than standard deletion *)
-    let hops variant p =
-      let r =
-        List.find
-          (fun r ->
-            r.f5_variant = variant && r.f5_result.Smallfile.params = p)
-          f5
-      in
-      r.f5_result.Smallfile.delete.Smallfile.pred_search_hops
-    in
-    let params =
-      List.sort_uniq compare
-        (List.map (fun r -> r.f5_result.Smallfile.params) f5)
-    in
-    let pairs =
-      List.map (fun p -> (hops Setup.New_delete p, hops Setup.New p)) params
-    in
-    ( List.for_all (fun (nd, n) -> nd <= n) pairs,
-      String.concat "; "
-        (List.map
-           (fun (nd, n) -> Printf.sprintf "new-delete %d vs new %d hops" nd n)
-           pairs) )
-  in
-  let x3_ok, x3_detail =
-    match x3 with
-    | [ uncheckpointed; checkpointed ] ->
-      ( checkpointed.x3_report.Recovery.segments_replayed
-        <= uncheckpointed.x3_report.Recovery.segments_replayed,
-        Printf.sprintf "replayed %d (ckpt) vs %d (no ckpt)"
-          checkpointed.x3_report.Recovery.segments_replayed
-          uncheckpointed.x3_report.Recovery.segments_replayed )
-    | _ -> (false, "expected exactly two recovery rows")
-  in
-  let r1_flat_ok, r1_flat_detail =
-    let times = List.map (fun r -> float_of_int r.r1_recovery_ns) r1 in
-    let mn = List.fold_left Float.min Float.infinity times in
-    let mx = List.fold_left Float.max 0. times in
-    let segs = List.map (fun r -> r.r1_log_segments) r1 in
-    ( r1 <> [] && mx <= 1.2 *. mn,
-      Printf.sprintf "recovery %.3f..%.3f ms over %d..%d log segments"
-        (mn /. 1e6) (mx /. 1e6)
-        (List.fold_left min max_int segs)
-        (List.fold_left max 0 segs) )
-  in
-  let r1_replay_ok, r1_replay_detail =
-    ( r1 <> []
-      && List.for_all (fun r -> r.r1_replayed <= r.r1_dirty_segments + 1) r1,
-      String.concat "; "
-        (List.map
-           (fun r ->
-             Printf.sprintf "%d replayed / %d dirty (%d skipped)" r.r1_replayed
-               r.r1_dirty_segments r.r1_skipped)
-           r1) )
-  in
-  let g1_row n = List.find_opt (fun r -> r.g1_clients = n) g1 in
-  let g1_scaling_ok, g1_scaling_detail =
-    match (g1_row 1, g1_row 8) with
-    | Some one, Some eight ->
-      ( eight.g1_commits_per_sec >= 3.0 *. one.g1_commits_per_sec,
-        Printf.sprintf "%.1f commits/s at 8 clients vs %.1f at 1 (%.2fx)"
-          eight.g1_commits_per_sec one.g1_commits_per_sec
-          (eight.g1_commits_per_sec /. one.g1_commits_per_sec) )
-    | _ -> (false, "1- or 8-client row missing")
-  in
-  let g1_barrier_ok, g1_barrier_detail =
-    match g1_row 8 with
-    | Some eight ->
-      ( eight.g1_barriers_per_commit < 0.5,
-        Printf.sprintf "%.3f barriers/commit, mean batch %.2f"
-          eight.g1_barriers_per_commit eight.g1_mean_batch )
-    | None -> (false, "8-client row missing")
-  in
-  let g2_ok, g2_detail =
-    (* with one client batches only close on the window; with 8+ the
-       size close fires first, so every member's queue wait shrinks *)
-    let row n = List.find_opt (fun r -> r.g2_clients = n) g2 in
-    match (row 1, row 8, row 16) with
-    | Some one, Some eight, Some sixteen ->
-      ( eight.g2_queue_wait_p99_us < one.g2_queue_wait_p99_us
-        && sixteen.g2_queue_wait_p99_us < one.g2_queue_wait_p99_us,
-        Printf.sprintf "queue-wait p99: %.1f us @1, %.1f us @8, %.1f us @16"
-          one.g2_queue_wait_p99_us eight.g2_queue_wait_p99_us
-          sixteen.g2_queue_wait_p99_us )
-    | _ -> (false, "1-, 8- or 16-client row missing")
-  in
-  let s1_row n = List.find_opt (fun r -> r.s1_shards = n) s1.s1_rows in
-  let s1_scaling_ok, s1_scaling_detail =
-    match (s1_row 1, s1_row 4) with
-    | Some one, Some four ->
-      ( four.s1_commits_per_sec >= 2.0 *. one.s1_commits_per_sec,
-        Printf.sprintf "%.1f commits/s on 4 shards vs %.1f on 1 (%.2fx)"
-          four.s1_commits_per_sec one.s1_commits_per_sec
-          (four.s1_commits_per_sec /. one.s1_commits_per_sec) )
-    | _ -> (false, "1- or 4-shard row missing")
-  in
-  let s1_cross_ok, s1_cross_detail =
-    ( s1.s1_cross <> []
-      && List.for_all
-           (fun r ->
-             r.s1_cross_commits > 0
-             && r.s1_barriers_per_cross
-                <= float_of_int (r.s1_participants + 1))
-           s1.s1_cross,
-      String.concat "; "
-        (List.map
-           (fun r ->
-             Printf.sprintf "P=%d: %.2f barriers/commit" r.s1_participants
-               r.s1_barriers_per_cross)
-           s1.s1_cross) )
-  in
-  let w0_ok, w0_detail =
-    let frac label =
-      List.find_opt (fun r -> r.w0_label = label) w0
-      |> Option.map (fun r -> r.w0_fraction_of_raw)
-    in
-    match (frac "MinixLLD (new)", frac "classic Minix (in-place, sync meta)") with
-    | Some lld, Some classic ->
-      ( lld > classic,
-        Printf.sprintf "MinixLLD %.0f%% vs classic %.0f%% of raw" (lld *. 100.)
-          (classic *. 100.) )
-    | _ -> (false, "bandwidth rows missing")
-  in
+let all =
   [
-    {
-      ck_name = "F5: small-file throughputs positive and finite";
-      ck_ok = List.for_all finite all_f5_phases;
-      ck_detail = Printf.sprintf "%d phases" (List.length all_f5_phases);
-    };
-    {
-      ck_name = "F6: large-file throughputs positive and finite";
-      ck_ok = List.for_all finite all_f6_phases;
-      ck_detail = Printf.sprintf "%d phases" (List.length all_f6_phases);
-    };
-    {
-      ck_name = "L1: ARU latency measurable, log written";
-      ck_ok = finite l1.Aru_churn.latency_us && l1.Aru_churn.segments_written > 0;
-      ck_detail =
-        Printf.sprintf "%.2f us/ARU, %d segments" l1.Aru_churn.latency_us
-          l1.Aru_churn.segments_written;
-    };
-    {
-      ck_name = "X2: improved deletion avoids predecessor searches";
-      ck_ok = x2_ok;
-      ck_detail = x2_detail;
-    };
-    {
-      ck_name = "X3: checkpoints bound replay";
-      ck_ok = x3_ok;
-      ck_detail = x3_detail;
-    };
-    {
-      ck_name = "R1: restart cost flat in log length (O(dirty), +-20%)";
-      ck_ok = r1_flat_ok;
-      ck_detail = r1_flat_detail;
-    };
-    {
-      ck_name = "R1: checkpointed recovery replays at most dirty+1 segments";
-      ck_ok = r1_replay_ok;
-      ck_detail = r1_replay_detail;
-    };
-    {
-      ck_name = "G1: group commit scales (8 clients >= 3x 1-client commits/s)";
-      ck_ok = g1_scaling_ok;
-      ck_detail = g1_scaling_detail;
-    };
-    {
-      ck_name = "G1: barriers amortized (< 0.5 barriers/commit at 8 clients)";
-      ck_ok = g1_barrier_ok;
-      ck_detail = g1_barrier_detail;
-    };
-    {
-      ck_name = "G2: queue-wait p99 shrinks as clients fill batches";
-      ck_ok = g2_ok;
-      ck_detail = g2_detail;
-    };
-    (let bytes_row = List.find_opt (fun r -> r.z1_api = "bytes") z1 in
-     let view_row = List.find_opt (fun r -> r.z1_api = "view") z1 in
-     match (bytes_row, view_row) with
-     | Some b, Some v ->
-       {
-         ck_name = "Z1: view API copies strictly fewer bytes than bytes API";
-         ck_ok =
-           v.z1_copied_per_op < b.z1_copied_per_op
-           && v.z1_elisions_per_op > 0.;
-         ck_detail =
-           Printf.sprintf
-             "bytes %.0f B/op vs view %.0f B/op (%.2f elisions/op)"
-             b.z1_copied_per_op v.z1_copied_per_op v.z1_elisions_per_op;
-       }
-     | _ ->
-       {
-         ck_name = "Z1: view API copies strictly fewer bytes than bytes API";
-         ck_ok = false;
-         ck_detail = "missing Z1 rows";
-       });
-    {
-      ck_name = "S1: sharded throughput scales (4 shards >= 2x 1 shard at 8 clients)";
-      ck_ok = s1_scaling_ok;
-      ck_detail = s1_scaling_detail;
-    };
-    {
-      ck_name = "S1: cross-shard commit costs at most P+1 barriers";
-      ck_ok = s1_cross_ok;
-      ck_detail = s1_cross_detail;
-    };
-    {
-      ck_name = "S1: single-shard facade bit-identical to plain LLD";
-      ck_ok = s1.s1_identical;
-      ck_detail =
-        (if s1.s1_identical then "disk images byte-equal"
-         else "disk images DIFFER");
-    };
-    {
-      ck_name = "W0: MinixLLD beats in-place Minix on write bandwidth";
-      ck_ok = w0_ok;
-      ck_detail = w0_detail;
-    };
-    {
-      ck_name = "C1: cleaner ran and relocation batched reads (<=1/victim)";
-      ck_ok =
-        List.for_all
-          (fun r ->
-            let c = r.c1_counters in
-            c.Counters.segments_cleaned > 0
-            && c.Counters.clean_disk_reads <= c.Counters.segments_cleaned)
-          c1;
-      ck_detail =
-        String.concat "; "
-          (List.map
-             (fun r ->
-               Format.asprintf "%a: %d reads / %d cleaned"
-                 Config.pp_clean_policy r.c1_policy
-                 r.c1_counters.Counters.clean_disk_reads
-                 r.c1_counters.Counters.segments_cleaned)
-             c1);
-    };
-    {
-      ck_name = "O1: tracing has no observer effect";
-      ck_ok =
-        ob.o1_counters_match && ob.o1_clock_match && ob.o1_trace_events > 0;
-      ck_detail =
-        Printf.sprintf
-          "counters %s, clock %s (%d ns), %d events traced"
-          (if ob.o1_counters_match then "identical" else "DIFFER")
-          (if ob.o1_clock_match then "identical" else "DIFFERS")
-          ob.o1_traced_clock_ns ob.o1_trace_events;
-    };
-    {
-      ck_name = "B1: mem and file backends charge identical virtual time";
-      ck_ok = b1.b1_clock_match && b1.b1_counters_match;
-      ck_detail =
-        String.concat "; "
-          (List.map
-             (fun row ->
-               Printf.sprintf "%s: %d ns virtual, %.2f s wall"
-                 (if String.length row.b1_backend >= 4
-                     && String.sub row.b1_backend 0 4 = "file"
-                  then "file"
-                  else row.b1_backend)
-                 row.b1_virtual_ns row.b1_wall_s)
-             b1.b1_rows);
-    };
-    {
-      ck_name = "O3: flight recorder has no observer effect";
-      ck_ok =
-        o3.o3_clock_match && o3.o3_counters_match && o3.o3_image_match
-        && o3.o3_flight_events > 0;
-      ck_detail =
-        Printf.sprintf "image %s, counters %s, clock %s, %d flight events"
-          (if o3.o3_image_match then "identical" else "DIFFERS")
-          (if o3.o3_counters_match then "identical" else "DIFFER")
-          (if o3.o3_clock_match then "identical" else "DIFFERS")
-          o3.o3_flight_events;
-    };
-    {
-      ck_name = "O2: commit phases instrumented for every ARU";
-      ck_ok =
-        (match Metrics.find_histogram ob.o2_metrics "aru.commit.record" with
-        | Some h -> Histogram.count h = ob.o2_arus
-        | None -> false);
-      ck_detail =
-        Printf.sprintf "%d commit-record spans for %d ARUs"
-          (match Metrics.find_histogram ob.o2_metrics "aru.commit.record" with
-          | Some h -> Histogram.count h
-          | None -> 0)
-          ob.o2_arus;
-    };
+    figure5; figure6; aru_latency; summary; visibility; delete_ablation;
+    recovery_cost; restart_cost; group_commit (); group_commit_stages;
+    zero_copy; sharded; concurrency; mixed_workload; implementations;
+    bandwidth; cleaning; observer_effect; commit_breakdown; flight_effect;
+    backend_comparison;
   ]
 
-let print_checks ppf cks =
-  Report.table ppf ~title:"Reproduction checks"
-    ~header:[ "check"; "status"; "detail" ]
-    (List.map
-       (fun c ->
-         [ c.ck_name; (if c.ck_ok then "ok" else "FAIL"); c.ck_detail ])
-       cks)
-
-(* JSON projections of the main artifacts (the bench trajectory file). *)
-
 let json_of_check c =
-  Report.Obj
+  R.Obj
     [
-      ("name", Report.String c.ck_name);
-      ("ok", Report.Bool c.ck_ok);
-      ("detail", Report.String c.ck_detail);
+      ("name", R.String c.ck_name);
+      ("ok", R.Bool c.ck_ok);
+      ("detail", R.String c.ck_detail);
     ]
 
-let json_of_f5 rows =
-  Report.List
-    (List.map
-       (fun r ->
-         let ph (p : Smallfile.phase) = Report.Float p.Smallfile.files_per_sec in
-         Report.Obj
-           [
-             ("workload", Report.String (size_label r.f5_result.Smallfile.params));
-             ("variant", Report.String (Setup.variant_label r.f5_variant));
-             ("create_write_files_per_sec", ph r.f5_result.Smallfile.create_write);
-             ("read_files_per_sec", ph r.f5_result.Smallfile.read);
-             ("delete_files_per_sec", ph r.f5_result.Smallfile.delete);
-           ])
-       rows)
-
-let json_of_f6 rows =
-  let labels = [ "write1"; "read1"; "write2"; "read2"; "read3" ] in
-  Report.List
-    (List.map
-       (fun r ->
-         Report.Obj
-           (("variant", Report.String (Setup.variant_label r.f6_variant))
-           :: List.map2
-                (fun label (p : Largefile.phase) ->
-                  (label ^ "_mb_per_sec", Report.Float p.Largefile.mb_per_sec))
-                labels
-                (Largefile.phases r.f6_result)))
-       rows)
-
-let json_of_l1 (r : Aru_churn.result) =
-  Report.Obj
-    [
-      ("arus", Report.Int r.Aru_churn.count);
-      ("latency_us", Report.Float r.Aru_churn.latency_us);
-      ("segments_written", Report.Int r.Aru_churn.segments_written);
-    ]
-
-let json_of_x3 rows =
-  Report.List
-    (List.map
-       (fun r ->
-         Report.Obj
-           [
-             ("files_written", Report.Int r.x3_files_written);
-             ("crash_after_segments", Report.Int r.x3_crash_after_segments);
-             ("recovery_ns", Report.Int r.x3_recovery_ns);
-             ( "segments_replayed",
-               Report.Int r.x3_report.Recovery.segments_replayed );
-           ])
-       rows)
-
-let json_of_r1 rows =
-  Report.List
-    (List.map
-       (fun r ->
-         Report.Obj
-           [
-             ("churn_rounds", Report.Int r.r1_churn_rounds);
-             ("log_segments", Report.Int r.r1_log_segments);
-             ("dirty_segments", Report.Int r.r1_dirty_segments);
-             ("recovery_ns", Report.Int r.r1_recovery_ns);
-             ("segments_replayed", Report.Int r.r1_replayed);
-             ("segments_skipped", Report.Int r.r1_skipped);
-           ])
-       rows)
-
-let json_of_g1 rows =
-  Report.List
-    (List.map
-       (fun r ->
-         Report.Obj
-           [
-             ("clients", Report.Int r.g1_clients);
-             ("commits", Report.Int r.g1_commits);
-             ("elapsed_ns", Report.Int r.g1_elapsed_ns);
-             ("commits_per_sec", Report.Float r.g1_commits_per_sec);
-             ("commit_barriers", Report.Int r.g1_barriers);
-             ("commit_batches", Report.Int r.g1_batches);
-             ("barriers_per_commit", Report.Float r.g1_barriers_per_commit);
-             ("mean_batch", Report.Float r.g1_mean_batch);
-           ])
-       rows)
-
-let json_of_g2 rows =
-  Report.List
-    (List.map
-       (fun r ->
-         Report.Obj
-           [
-             ("clients", Report.Int r.g2_clients);
-             ("commits", Report.Int r.g2_commits);
-             ("queue_wait_p50_us", Report.Float r.g2_queue_wait_p50_us);
-             ("queue_wait_p99_us", Report.Float r.g2_queue_wait_p99_us);
-             ("barrier_p50_us", Report.Float r.g2_barrier_p50_us);
-             ("barrier_p99_us", Report.Float r.g2_barrier_p99_us);
-             ("wake_p50_us", Report.Float r.g2_wake_p50_us);
-             ("wake_p99_us", Report.Float r.g2_wake_p99_us);
-             ("mean_batch", Report.Float r.g2_mean_batch);
-           ])
-       rows)
-
-let json_of_z1 rows =
-  Report.List
-    (List.map
-       (fun r ->
-         Report.Obj
-           [
-             ("api", Report.String r.z1_api);
-             ("commits", Report.Int r.z1_commits);
-             ("copied_bytes_per_op", Report.Float r.z1_copied_per_op);
-             ("elisions_per_op", Report.Float r.z1_elisions_per_op);
-             ("write_p50_us", Report.Float r.z1_write_p50_us);
-             ("write_p99_us", Report.Float r.z1_write_p99_us);
-             ("commit_p50_us", Report.Float r.z1_commit_p50_us);
-             ("commit_p99_us", Report.Float r.z1_commit_p99_us);
-           ])
-       rows)
-
-let json_of_s1 r =
-  Report.Obj
-    [
-      ( "rows",
-        Report.List
-          (List.map
-             (fun row ->
-               Report.Obj
-                 [
-                   ("shards", Report.Int row.s1_shards);
-                   ("commits", Report.Int row.s1_commits);
-                   ("elapsed_ns", Report.Int row.s1_elapsed_ns);
-                   ("commits_per_sec", Report.Float row.s1_commits_per_sec);
-                   ("commit_barriers", Report.Int row.s1_barriers);
-                   ("device_io_ns", Report.Int row.s1_device_io_ns);
-                 ])
-             r.s1_rows) );
-      ( "cross",
-        Report.List
-          (List.map
-             (fun row ->
-               Report.Obj
-                 [
-                   ("participants", Report.Int row.s1_participants);
-                   ("cross_commits", Report.Int row.s1_cross_commits);
-                   ("commit_barriers", Report.Int row.s1_cross_barriers);
-                   ("prepare_barriers", Report.Int row.s1_prepare_barriers);
-                   ( "barriers_per_commit",
-                     Report.Float row.s1_barriers_per_cross );
-                 ])
-             r.s1_cross) );
-      ("single_shard_identical", Report.Bool r.s1_identical);
-    ]
-
-let json_of_flight_effect r =
-  Report.Obj
-    [
-      ("clock_match", Report.Bool r.o3_clock_match);
-      ("counters_match", Report.Bool r.o3_counters_match);
-      ("image_match", Report.Bool r.o3_image_match);
-      ("flight_events", Report.Int r.o3_flight_events);
-    ]
-
-let json_of_w0 rows =
-  Report.List
-    (List.map
-       (fun r ->
-         Report.Obj
-           [
-             ("substrate", Report.String r.w0_label);
-             ("mb_per_sec", Report.Float r.w0_mb_per_sec);
-             ("fraction_of_raw", Report.Float r.w0_fraction_of_raw);
-           ])
-       rows)
-
-let json_of_c1 rows =
-  Report.List
-    (List.map
-       (fun r ->
-         let c = r.c1_counters in
-         Report.Obj
-           [
-             ( "policy",
-               Report.String
-                 (Format.asprintf "%a" Config.pp_clean_policy r.c1_policy) );
-             ("segments_cleaned", Report.Int c.Counters.segments_cleaned);
-             ("blocks_copied", Report.Int c.Counters.blocks_copied_clean);
-             ("relocation_disk_reads", Report.Int c.Counters.clean_disk_reads);
-             ("relocation_cache_hits", Report.Int c.Counters.clean_cache_hits);
-             ("victim_scans", Report.Int c.Counters.victim_scans);
-             ("policy_picks", Report.Int c.Counters.clean_picks);
-             ("live_index_updates", Report.Int c.Counters.live_index_updates);
-             ("elapsed_ns", Report.Int r.c1_elapsed_ns);
-           ])
-       rows)
-
-let json_of_histogram h =
-  if Histogram.count h = 0 then Report.Obj [ ("count", Report.Int 0) ]
-  else
-    Report.Obj
-      [
-        ("count", Report.Int (Histogram.count h));
-        ("sum_ns", Report.Int (Histogram.sum h));
-        ("min_ns", Report.Int (Histogram.min_ns h));
-        ("max_ns", Report.Int (Histogram.max_ns h));
-        ("mean_ns", Report.Float (Histogram.mean h));
-        ("p50_ns", Report.Int (Histogram.p50 h));
-        ("p95_ns", Report.Int (Histogram.p95 h));
-        ("p99_ns", Report.Int (Histogram.p99 h));
-      ]
-
-let json_of_metrics m =
-  Report.Obj
-    [
-      ( "gauges",
-        Report.Obj
-          (List.map
-             (fun (name, v, _help) -> (name, Report.Int v))
-             (Metrics.sample_gauges m)) );
-      ( "histograms",
-        Report.Obj
-          (List.map
-             (fun (name, h) -> (name, json_of_histogram h))
-             (Metrics.histograms m)) );
-    ]
-
-let json_of_backend r =
-  Report.Obj
-    [
-      ("clock_match", Report.Bool r.b1_clock_match);
-      ("counters_match", Report.Bool r.b1_counters_match);
-      ( "rows",
-        Report.List
-          (List.map
-             (fun row ->
-               Report.Obj
-                 [
-                   ("backend", Report.String row.b1_backend);
-                   ("wall_seconds", Report.Float row.b1_wall_s);
-                   ("virtual_ns", Report.Int row.b1_virtual_ns);
-                   ( "create_write_files_per_sec",
-                     Report.Float row.b1_files_per_sec );
-                 ])
-             r.b1_rows) );
-    ]
-
-let json_of_observability r =
-  Report.Obj
-    [
-      ( "observer_effect",
-        Report.Obj
-          [
-            ("counters_match", Report.Bool r.o1_counters_match);
-            ("clock_match", Report.Bool r.o1_clock_match);
-            ("traced_clock_ns", Report.Int r.o1_traced_clock_ns);
-            ("trace_events", Report.Int r.o1_trace_events);
-          ] );
-      ("smallfile", json_of_metrics r.o1_metrics);
-      ( "aru_churn",
-        Report.Obj
-          [
-            ("arus", Report.Int r.o2_arus);
-            ("latency_us", Report.Float r.o2_latency_us);
-            ( "histograms",
-              Report.Obj
-                (List.map
-                   (fun (name, h) -> (name, json_of_histogram h))
-                   (Metrics.histograms r.o2_metrics)) );
-          ] );
-    ]
-
-let run_all_json ppf scale =
-  Format.fprintf ppf
-    "=== Atomic Recovery Units reproduction: %s scale ===@."
+let run ppf scale exps =
+  Format.fprintf ppf "=== Atomic Recovery Units reproduction: %s scale ===@."
     (if scale.files >= 1.0 then "full (paper)" else "reduced");
-  let f5 = figure5 scale in
-  print_figure5 ppf f5;
-  let f6 = figure6 scale in
-  print_figure6 ppf f6;
-  let l1 = aru_latency scale in
-  print_aru_latency ppf l1;
-  print_summary ppf f5;
-  print_visibility ppf (visibility_ablation scale);
-  print_delete_ablation ppf f5;
-  let x3 = recovery_cost scale in
-  print_recovery ppf x3;
-  let r1 = restart_cost scale in
-  print_restart_cost ppf r1;
-  let g1 = group_commit scale in
-  print_group_commit ppf g1;
-  let g2 = group_commit_stages scale in
-  print_group_commit_stages ppf g2;
-  let z1 = zero_copy scale in
-  print_zero_copy ppf z1;
-  let s1 = sharded scale in
-  print_sharded ppf s1;
-  print_concurrency ppf (concurrency scale);
-  print_mixed ppf (mixed_workload scale);
-  print_implementations ppf (implementation_comparison scale);
-  let w0 = bandwidth_context scale in
-  print_bandwidth ppf w0;
-  let c1 = cleaning scale in
-  print_cleaning ppf c1;
-  let ob = observability scale in
-  print_observability ppf ob;
-  let o3 = flight_effect scale in
-  print_flight_effect ppf o3;
-  let b1 = backend_comparison scale in
-  print_backend ppf b1;
-  let cks = checks ~f5 ~f6 ~l1 ~x3 ~r1 ~g1 ~g2 ~z1 ~s1 ~w0 ~c1 ~ob ~o3 ~b1 in
-  print_checks ppf cks;
+  let results =
+    List.map
+      (fun (T e) ->
+        let r = e.run scale in
+        let tables = e.tables r in
+        List.iter (R.print ppf) tables;
+        (e.id, e.paper_ref, tables, e.checks r))
+      exps
+  in
+  let checks = List.concat_map (fun (_, _, _, cks) -> cks) results in
+  R.print ppf
+    (R.table ~title:"Reproduction checks" ~header:[ "check"; "status"; "detail" ]
+       (List.map
+          (fun c ->
+            [
+              R.text c.ck_name;
+              { R.text = (if c.ck_ok then "ok" else "FAIL"); value = R.Bool c.ck_ok };
+              R.text c.ck_detail;
+            ])
+          checks));
   Format.fprintf ppf "@.";
   let json =
-    Report.Obj
+    R.Obj
       [
-        ("schema", Report.String "lld-bench/1");
+        ("schema", R.String "lld-bench/2");
         ( "scale",
-          Report.Obj
+          R.Obj
             [
-              ("files", Report.Float scale.files);
-              ("bytes", Report.Float scale.bytes);
-              ("arus", Report.Float scale.arus);
-              ("num_segments", Report.Int scale.geom.Geometry.num_segments);
-              ("segment_bytes", Report.Int scale.geom.Geometry.segment_bytes);
+              ("files", R.Float scale.files);
+              ("bytes", R.Float scale.bytes);
+              ("arus", R.Float scale.arus);
+              ("num_segments", R.Int scale.geom.Geometry.num_segments);
+              ("segment_bytes", R.Int scale.geom.Geometry.segment_bytes);
             ] );
-        ("figure5", json_of_f5 f5);
-        ("figure6", json_of_f6 f6);
-        ("aru_latency", json_of_l1 l1);
-        ("recovery", json_of_x3 x3);
-        ("r1", json_of_r1 r1);
-        ("g1", json_of_g1 g1);
-        ("g2", json_of_g2 g2);
-        ("z1", json_of_z1 z1);
-        ("s1", json_of_s1 s1);
-        ("bandwidth", json_of_w0 w0);
-        ("cleaning", json_of_c1 c1);
-        ("observability", json_of_observability ob);
-        ("o3", json_of_flight_effect o3);
-        ("backend", json_of_backend b1);
-        ("checks", Report.List (List.map json_of_check cks));
+        ( "experiments",
+          R.Obj
+            (List.map
+               (fun (id, paper_ref, tables, cks) ->
+                 ( id,
+                   R.Obj
+                     [
+                       ("paper_ref", R.String paper_ref);
+                       ("tables", R.List (List.map R.to_json tables));
+                       ("checks", R.List (List.map json_of_check cks));
+                     ] ))
+               results) );
       ]
   in
-  (cks, json)
+  (checks, json)
 
-let run_all_checked ppf scale = fst (run_all_json ppf scale)
-let run_all ppf scale = ignore (run_all_checked ppf scale)
+let exit_status checks =
+  match List.filter (fun c -> not c.ck_ok) checks with
+  | [] -> 0
+  | failed ->
+    Printf.eprintf "\n%d reproduction check(s) failed:\n" (List.length failed);
+    List.iter
+      (fun c -> Printf.eprintf "  FAIL %s (%s)\n" c.ck_name c.ck_detail)
+      failed;
+    1

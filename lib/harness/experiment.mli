@@ -1,10 +1,7 @@
-(** The per-experiment reproduction index (DESIGN.md §4).
-
-    Each [figure*]/[table*] function runs the corresponding paper
-    experiment on the simulated testbed and returns structured results;
-    each [print_*] renders them the way the paper reports them
-    (throughput bars of Figures 5 and 6 become throughput tables with
-    percent differences against the "old" baseline).
+(** The reproduction index (DESIGN.md §4): every experiment is one
+    declaration — how to run it, the tables it prints, and the checks
+    its results must pass — and one generic runner prints, serialises
+    and judges any list of them.
 
     A {!scale} shrinks the workloads for quick runs; {!full} reproduces
     the paper's exact parameters. *)
@@ -22,343 +19,45 @@ val full : scale
 val quick : scale
 (** ~5 % sized workloads on a 100 MB partition — seconds, not minutes. *)
 
-(** {1 F5 — Figure 5: small-file throughput} *)
-
-type fig5_row = {
-  f5_variant : Lld_workload.Setup.variant;
-  f5_result : Lld_workload.Smallfile.result;
-}
-
-val figure5 : scale -> fig5_row list
-(** Three variants × two file sizes (10,000 × 1 KB, 1,000 × 10 KB). *)
-
-val print_figure5 : Format.formatter -> fig5_row list -> unit
-
-(** {1 F6 — Figure 6: large-file throughput} *)
-
-type fig6_row = {
-  f6_variant : Lld_workload.Setup.variant;
-  f6_result : Lld_workload.Largefile.result;
-}
-
-val figure6 : scale -> fig6_row list
-(** Variants old and new. *)
-
-val print_figure6 : Format.formatter -> fig6_row list -> unit
-
-(** {1 L1 — §5.3 ARU latency} *)
-
-val aru_latency : scale -> Lld_workload.Aru_churn.result
-val print_aru_latency : Format.formatter -> Lld_workload.Aru_churn.result -> unit
-
-(** {1 A1 — §5.4 average-overhead summary} *)
-
-val print_summary : Format.formatter -> fig5_row list -> unit
-(** The paper's closing claim: average concurrent-ARU overhead roughly
-    half-way between the create and delete overheads. *)
-
-(** {1 X1 — ablation: read-visibility options}
-
-    Runs the raw-LD concurrency workload under each of the paper's
-    three read-visibility options (§3.3).  The Minix client itself
-    requires option 3 — inside an ARU it must see its own meta-data
-    writes — which is itself a finding: the weaker options restrict
-    which clients can bracket multi-step updates. *)
-
-type visibility_row = {
-  x1_visibility : Lld_core.Config.visibility;
-  x1_result : Lld_workload.Concurrent.result;
-}
-
-val visibility_ablation : scale -> visibility_row list
-val print_visibility : Format.formatter -> visibility_row list -> unit
-
-(** {1 X2 — ablation: deletion policy predecessor searches} *)
-
-val print_delete_ablation : Format.formatter -> fig5_row list -> unit
-(** Derived from the F5 runs: predecessor-search hops per deleted file. *)
-
-(** {1 X3 — recovery cost} *)
-
-type recovery_row = {
-  x3_files_written : int;
-  x3_crash_after_segments : int;
-  x3_recovery_ns : int;
-  x3_report : Lld_core.Recovery.report;
-}
-
-val recovery_cost : scale -> recovery_row list
-val print_recovery : Format.formatter -> recovery_row list -> unit
-
-(** {1 R1 — restart cost vs log length at fixed dirty-set size}
-
-    The O(dirty) restart claim of the incremental-checkpoint +
-    REDO-only recovery work: a fixed working set is overwritten 1, 2, 4
-    and 8 rounds (the log grows 8x), then a checkpoint is taken and a
-    fixed hot subset dirtied before the crash.  The recovery-time curve
-    must stay flat (within 20 %) and replay must touch no more segments
-    than the post-checkpoint dirty workload wrote, plus one for the
-    gap probe — both are reproduction checks and CI gates. *)
-
-type r1_row = {
-  r1_churn_rounds : int;
-  r1_log_segments : int;  (** segments written when the crash hits *)
-  r1_dirty_segments : int;  (** of those, written after the checkpoint *)
-  r1_recovery_ns : int;  (** virtual time of the recovery *)
-  r1_replayed : int;  (** log-tail segments recovery replayed *)
-  r1_skipped : int;  (** sealed segments the checkpoint let it skip *)
-}
-
-val restart_cost : scale -> r1_row list
-val print_restart_cost : Format.formatter -> r1_row list -> unit
-
-(** {1 G1 — group commit: throughput scaling with concurrent clients}
-
-    N logical clients run synchronous-commit loops through the
-    {!Lld_core.Engine} event loop: every commit is durable (its batch
-    sealed and barriered) before the client's next operation.  With one
-    client each commit pays a full seal; with N the flusher packs the
-    in-flight commits into one batched commit record and one barrier.
-    Throughput must scale (8 clients ≥ 3× one client) and the mean
-    barriers-per-commit at 8 clients must drop below 0.5 — both are
-    reproduction checks and CI gates over [BENCH_PR8.json]. *)
-
-type g1_row = {
-  g1_clients : int;
-  g1_commits : int;  (** ARUs committed across all clients *)
-  g1_elapsed_ns : int;  (** virtual time of the whole run *)
-  g1_commits_per_sec : float;  (** commits per virtual second *)
-  g1_barriers : int;  (** seals paid by the commit path *)
-  g1_batches : int;  (** batched commit records written *)
-  g1_barriers_per_commit : float;
-  g1_mean_batch : float;  (** ARUs per batched commit record *)
-}
-
-val group_commit : ?clients:int list -> scale -> g1_row list
-(** One run per client count (default {e 1, 2, 4, 8, 16}). *)
-
-val print_group_commit : Format.formatter -> g1_row list -> unit
-
-(** {1 X4 — concurrency: interleaved vs serial ARU streams} *)
-
-(** {2 Z1: zero-copy data path}
-
-    The identical single-client ARU commit loop driven once through the
-    [bytes] compatibility API and once through the [Blk]-view API, on
-    the virtual clock.  The view run must copy strictly fewer bytes per
-    block write; the write/commit percentiles feed the CI bench gate. *)
-
-type z1_row = {
-  z1_api : string;  (** ["bytes"] or ["view"] *)
-  z1_commits : int;
-  z1_copied_per_op : float;  (** bytes_copied per block write *)
-  z1_elisions_per_op : float;  (** copy_elisions per block write *)
-  z1_write_p50_us : float;
-  z1_write_p99_us : float;
-  z1_commit_p50_us : float;
-  z1_commit_p99_us : float;
-}
-
-val zero_copy : ?blocks_per_commit:int -> scale -> z1_row list
-val print_zero_copy : Format.formatter -> z1_row list -> unit
-
-(** {2 S1: sharded LLD — log-bandwidth scaling and cross-shard cost}
-
-    Three artifacts of the sharded facade ({!Lld_core.Shard}).  First,
-    8 clients of large (64-block) single-shard ARUs through the
-    {!Lld_core.Shard_engine} event loop on 1, 2 and 4 shards: every
-    commit is half a segment of payload, so throughput is bound by
-    sequential log bandwidth, and S independent spindles whose seals
-    overlap ({!Lld_sim.Clock.overlap}) must scale commits/s — 4 shards
-    ≥ 2× one shard is a reproduction check and CI gate.  Second, the
-    barrier cost of a P-participant cross-shard 2PC: P−1 prepares plus
-    the coordinator's decide, gated at ≤ P+1 barriers per commit.
-    Third, the S=1 pass-through: the same op stream through a
-    one-shard facade and a plain {!Lld_core.Lld} must leave
-    byte-identical disk images. *)
-
-type s1_row = {
-  s1_shards : int;
-  s1_commits : int;
-  s1_elapsed_ns : int;  (** virtual wall time of the run *)
-  s1_commits_per_sec : float;
-  s1_barriers : int;  (** seals paid across all shards *)
-  s1_device_io_ns : int;
-      (** summed device time: exceeds elapsed exactly when the shards'
-          segment writes overlapped *)
-}
-
-type s1_cross_row = {
-  s1_participants : int;  (** P: shards the ARU touched *)
-  s1_cross_commits : int;
-  s1_cross_barriers : int;
-      (** seals the batch paid: prepares + decides + any batch seals *)
-  s1_prepare_barriers : int;
-  s1_barriers_per_cross : float;  (** gate: ≤ P+1 *)
-}
-
-type s1_result = {
-  s1_rows : s1_row list;
-  s1_cross : s1_cross_row list;
-  s1_identical : bool;
-}
-
-val sharding :
-  ?shards:int list -> ?clients:int -> ?blocks_per_aru:int -> scale ->
-  s1_row list
-
-val sharded_cross_cost :
-  ?participants:int list -> ?arus:int -> unit -> s1_cross_row list
-
-val sharded_identity : unit -> bool
-val sharded : scale -> s1_result
-val print_sharded : Format.formatter -> s1_result -> unit
-
-type concurrency_result = {
-  x4_interleaved : Lld_workload.Concurrent.result;
-  x4_serial : Lld_workload.Concurrent.result;
-}
-
-val concurrency : scale -> concurrency_result
-val print_concurrency : Format.formatter -> concurrency_result -> unit
-
-(** {1 X5 — Andrew-style mixed workload}
-
-    The general file-system benchmark complementing the
-    micro-benchmarks, run on all three variants. *)
-
-type mixed_row = {
-  x5_variant : Lld_workload.Setup.variant;
-  x5_result : Lld_workload.Mixed.result;
-}
-
-val mixed_workload : scale -> mixed_row list
-val print_mixed : Format.formatter -> mixed_row list -> unit
-
-(** {1 W0 — §2 bandwidth context: MinixLLD vs the conventional Minix}
-
-    The paper's background quotes the original Logical Disk result:
-    MinixLLD utilises ~85 % of the disk's write bandwidth where the
-    Minix file system by itself reaches ~13 %.  This experiment writes
-    one large file sequentially through three substrates — the raw
-    device (the 100 % reference), MinixLLD, and the update-in-place
-    classic Minix of {!Lld_minixdisk.Classic} — and reports each as a
-    fraction of raw. *)
-
-type bandwidth_row = {
-  w0_label : string;
-  w0_mb_per_sec : float;
-  w0_fraction_of_raw : float;
-}
-
-val bandwidth_context : scale -> bandwidth_row list
-val print_bandwidth : Format.formatter -> bandwidth_row list -> unit
-
-(** {1 X6 — LLD vs JLD: two Logical Disk implementations}
-
-    The paper's §5.4 closes by predicting that other LD implementations
-    need "at least a meta-data update log" to support ARUs with similar
-    performance.  [lib/jld] is such an implementation (update-in-place +
-    write-ahead journal); this experiment runs the Minix file system —
-    unchanged, via the {!Lld_minixfs.Fs_generic} functor — on both and
-    compares the evaluation's workload phases. *)
-
-type impl_row = { x6_impl : string; x6_phases : (string * float) list }
-
-val implementation_comparison : scale -> impl_row list
-val print_implementations : Format.formatter -> impl_row list -> unit
-
-(** {1 C1 — segment cleaning: victim policies and relocation I/O}
-
-    Overwrite churn over a hot set of raw LD blocks, sized to wrap the
-    log twice so the auto-cleaner runs repeatedly.  Run once per
-    {!Lld_core.Config.clean_policy}; the counters demonstrate the PR-2
-    cleaner invariants (at most one relocation disk read per victim,
-    victim selection scanning segments rather than the block map). *)
-
-type clean_row = {
-  c1_policy : Lld_core.Config.clean_policy;
-  c1_elapsed_ns : int;  (** virtual time of the whole churn run *)
-  c1_counters : Lld_core.Counters.t;  (** snapshot after the run *)
-}
-
-val cleaning : scale -> clean_row list
-val print_cleaning : Format.formatter -> clean_row list -> unit
-
-(** {1 O1/O2 — observability: observer effect and ARU commit breakdown}
-
-    O1 runs the same deterministic small-file workload twice — once with
-    {!Lld_obs.Obs.null}, once under a live tracer — and requires the
-    counters JSON and the final virtual clock to be byte-identical:
-    probes read the virtual clock but never charge it, so tracing must
-    be invisible to the cost model.  O2 re-runs the §5.3 empty-ARU churn
-    under tracing and decomposes the paper's 78.47 us commit latency
-    into its instrumented phases (log replay, shadow merge, commit
-    record). *)
-
-type observability_result = {
-  o1_counters_match : bool;
-  o1_clock_match : bool;
-  o1_plain_clock_ns : int;
-  o1_traced_clock_ns : int;
-  o1_trace_events : int;
-  o1_metrics : Lld_obs.Metrics.t;
-      (** gauges + histograms of the traced FS run *)
-  o2_arus : int;
-  o2_latency_us : float;
-  o2_metrics : Lld_obs.Metrics.t;
-      (** histograms including the [aru.commit.*] phases *)
-}
-
-val observability : scale -> observability_result
-val print_observability : Format.formatter -> observability_result -> unit
-
-(** {1 B1 — storage-backend transparency: mem vs file}
-
-    The paper's §2 claim that Logical Disk implementations exchange
-    transparently, checked one layer down at the storage backend: the
-    same deterministic small-file workload on {!Lld_disk.Backend.mem}
-    and on {!Lld_disk.Backend.temp_file} must produce an identical final
-    virtual clock and identical logical-disk counters.  Host wall-clock
-    is reported alongside — it is the real price of durability and the
-    one quantity allowed to differ. *)
-
-type backend_row = {
-  b1_backend : string;  (** {!Lld_disk.Disk.backend_label} *)
-  b1_wall_s : float;  (** host wall-clock seconds for the run *)
-  b1_virtual_ns : int;  (** final virtual clock *)
-  b1_counters_json : string;
-  b1_files_per_sec : float;  (** create+write phase throughput *)
-}
-
-type backend_result = {
-  b1_rows : backend_row list;  (** mem first, then file *)
-  b1_clock_match : bool;
-  b1_counters_match : bool;
-}
-
-val backend_comparison : scale -> backend_result
-val print_backend : Format.formatter -> backend_result -> unit
-
-(** {1 Everything} *)
+val scaled : float -> scale
+(** [scaled f]: the paper's partition with small-file counts and the
+    large-file size multiplied by [f] and the ARU count by [f /. 5]. *)
 
 (** One sanity gate over a reproduced artifact: not an exact number (the
     virtual clock is calibrated, not cycle-accurate) but the directional
     claim the table or figure exists to demonstrate. *)
 type check = { ck_name : string; ck_ok : bool; ck_detail : string }
 
-val run_all_checked : Format.formatter -> scale -> check list
-(** Run and print every experiment above in order, then evaluate and
-    print the reproduction checks.  The caller decides what a failed
-    check means (the bench driver exits non-zero). *)
+type 'r experiment = {
+  id : string;  (** ["F5"], ["G1"], ... — the key in the bench JSON *)
+  paper_ref : string;  (** what it reproduces, or ["ours"] *)
+  run : scale -> 'r;
+  tables : 'r -> Report.table list;
+  checks : 'r -> check list;
+}
 
-val run_all : Format.formatter -> scale -> unit
-(** {!run_all_checked} with the checks printed but discarded. *)
+type t = T : 'r experiment -> t
 
-val run_all_json : Format.formatter -> scale -> check list * Report.json
-(** {!run_all_checked}, additionally returning the machine-readable
-    projection of the main artifacts (the [BENCH_PR4.json] payload,
-    minus the real-time micro-benchmark rows the bench driver adds),
-    including the ["observability"] section with the traced runs'
-    gauges and latency histograms and the ["backend"] section with the
-    B1 mem-vs-file comparison rows. *)
+val all : t list
+(** Every experiment, in the order the reproduction prints them. *)
+
+val figure5 : t
+(** F5 — Figure 5, small-file throughput of the three variants; its
+    checks assert the paper's direction (old ≥ new on create+write and
+    delete, improved deletion ≥ new on delete). *)
+
+val group_commit : ?clients:int list -> unit -> t
+(** G1 — synchronous-commit throughput over [clients] concurrent clients
+    (default {e 1, 2, 4, 8, 16}).  Checks a row per requested count and,
+    when 1 and 8 are both requested, the scaling (≥ 3×) and
+    barrier-amortization (< 0.5 barriers/commit) gates. *)
+
+val run : Format.formatter -> scale -> t list -> check list * Report.json
+(** Run each experiment in order, printing its tables as it finishes,
+    then print every check.  Returns the checks and the bench JSON
+    ([{"schema", "scale", "experiments": {<id>: {"paper_ref", "tables",
+    "checks"}}}]). *)
+
+val exit_status : check list -> int
+(** [0] when every check passed; otherwise lists the failures on stderr
+    and returns [1]. *)

@@ -77,6 +77,8 @@ let matrix () =
       ],
       0 );
     ("stats, small workload", [ "stats"; "--segments"; "64"; "--files"; "4" ], 0);
+    ("bench, G1 gates at 1 and 8 clients", [ "bench"; "--clients"; "1,8" ], 0);
+    ("bench, zero clients", [ "bench"; "--clients"; "0" ], 2);
     ( "model, small clean fuzz",
       [ "model"; "--budget"; "2"; "--ops"; "10"; "--crash-every"; "0" ],
       0 );

@@ -140,52 +140,45 @@ let test_torture_runs_quickly () =
   Alcotest.(check int) "three outcomes" 3 (List.length r.Lld_workload.Torture.outcomes);
   Alcotest.(check bool) "consistent" true r.Lld_workload.Torture.all_consistent
 
-let test_experiment_figure5_shape () =
-  let rows = Experiment.figure5 tiny_scale in
-  Alcotest.(check int) "3 variants x 2 sizes" 6 (List.length rows);
-  List.iter
-    (fun r ->
-      let res = r.Experiment.f5_result in
-      Alcotest.(check bool) "throughputs positive" true
-        (res.Smallfile.create_write.Smallfile.files_per_sec > 0.
-        && res.Smallfile.read.Smallfile.files_per_sec > 0.
-        && res.Smallfile.delete.Smallfile.files_per_sec > 0.))
-    rows;
-  (* the old variant must win creates and deletes in both sizes *)
-  List.iter
-    (fun p ->
-      let by v =
-        List.find
-          (fun r ->
-            r.Experiment.f5_variant = v
-            && r.Experiment.f5_result.Smallfile.params = p)
-          rows
-      in
-      let tp sel r = (sel r.Experiment.f5_result : Smallfile.phase).Smallfile.files_per_sec in
-      Alcotest.(check bool) "old creates faster" true
-        (tp (fun r -> r.Smallfile.create_write) (by Setup.Old)
-        >= tp (fun r -> r.Smallfile.create_write) (by Setup.New));
-      Alcotest.(check bool) "old deletes faster" true
-        (tp (fun r -> r.Smallfile.delete) (by Setup.Old)
-        >= tp (fun r -> r.Smallfile.delete) (by Setup.New));
-      Alcotest.(check bool) "improved deletion helps" true
-        (tp (fun r -> r.Smallfile.delete) (by Setup.New_delete)
-        >= tp (fun r -> r.Smallfile.delete) (by Setup.New)))
-    (List.sort_uniq compare
-       (List.map (fun r -> r.Experiment.f5_result.Smallfile.params) rows))
-
-let test_experiment_prints () =
-  (* every printer renders without raising *)
+let run_quiet exps =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
-  let f5 = Experiment.figure5 tiny_scale in
-  Experiment.print_figure5 ppf f5;
-  Experiment.print_summary ppf f5;
-  Experiment.print_delete_ablation ppf f5;
-  Experiment.print_figure6 ppf (Experiment.figure6 tiny_scale);
-  Experiment.print_aru_latency ppf (Experiment.aru_latency tiny_scale);
+  let checks, json = Experiment.run ppf tiny_scale exps in
   Format.pp_print_flush ppf ();
-  let out = Buffer.contents buf in
+  (checks, json, Buffer.contents buf)
+
+let field key = function
+  | Report.Obj fields -> List.assoc key fields
+  | _ -> Alcotest.failf "expected an object holding %S" key
+
+let test_experiment_figure5_shape () =
+  (* the paper's direction (old >= new on create+write and delete,
+     improved deletion >= new on delete) is F5's own declared checks *)
+  let checks, json, _ = run_quiet [ Experiment.figure5 ] in
+  Alcotest.(check int) "positive + three directions" 4 (List.length checks);
+  List.iter
+    (fun c ->
+      Alcotest.(check bool)
+        (c.Experiment.ck_name ^ ": " ^ c.Experiment.ck_detail)
+        true c.Experiment.ck_ok)
+    checks;
+  match field "tables" (field "F5" (field "experiments" json)) with
+  | Report.List [ table ] -> (
+    match field "rows" table with
+    | Report.List rows ->
+      Alcotest.(check int) "3 variants x 2 sizes" 6 (List.length rows)
+    | _ -> Alcotest.fail "rows is not a list")
+  | _ -> Alcotest.fail "F5 should declare one table"
+
+let test_experiment_prints () =
+  (* every table of the F5-derived experiments renders *)
+  let exps =
+    List.filter
+      (fun (Experiment.T e) ->
+        List.mem e.Experiment.id [ "F5"; "F6"; "L1"; "A1"; "X2" ])
+      Experiment.all
+  in
+  let _, _, out = run_quiet exps in
   let contains needle =
     let nl = String.length needle and ol = String.length out in
     let rec scan i = i + nl <= ol && (String.sub out i nl = needle || scan (i + 1)) in
@@ -194,13 +187,14 @@ let test_experiment_prints () =
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("output mentions " ^ needle) true (contains needle))
-    [ "Figure 5"; "Figure 6"; "ARU latency" ]
+    [ "Figure 5"; "Figure 6"; "ARU latency"; "Summary"; "Ablation X2" ]
 
 let test_report_table_alignment () =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
-  Report.table ppf ~title:"T" ~header:[ "a"; "bb" ]
-    [ [ "xxx"; "y" ]; [ "z"; "wwww" ] ];
+  Report.print ppf
+    (Report.table ~title:"T" ~header:[ "a"; "bb" ]
+       [ [ Report.text "xxx"; Report.text "y" ]; [ Report.text "z"; Report.text "wwww" ] ]);
   Format.pp_print_flush ppf ();
   let lines =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' (Buffer.contents buf))
@@ -211,6 +205,49 @@ let test_report_pct () =
   Alcotest.(check string) "slower" "+10.0%" (Report.pct ~baseline:100. 90.);
   Alcotest.(check string) "faster" "-10.0%" (Report.pct ~baseline:100. 110.);
   Alcotest.(check string) "zero baseline" "n/a" (Report.pct ~baseline:0. 1.)
+
+let test_report_typed_cells () =
+  let c = Report.float (2. /. 3.) in
+  Alcotest.(check string) "printed with two decimals" "0.67" c.Report.text;
+  Alcotest.(check string) "JSON keeps the raw value" "0.6666666666666666"
+    (Report.json_to_string c.Report.value);
+  let t = Report.table ~title:"T" ~header:[ "v" ] [ [ c ] ] in
+  Alcotest.(check string) "row keyed by header"
+    {|{"title":"T","rows":[{"v":0.6666666666666666}]}|}
+    (Report.json_to_string (Report.to_json t));
+  Alcotest.(check string) "non-finite becomes null" "[null,null,null]"
+    (Report.json_to_string
+       (Report.List (List.map (fun f -> Report.Float f) [ nan; infinity; neg_infinity ])))
+
+let test_runner_surfaces_failure () =
+  let fake =
+    Experiment.T
+      {
+        Experiment.id = "FAKE";
+        paper_ref = "none";
+        run = (fun _ -> 41);
+        tables =
+          (fun n -> [ Report.table ~title:"Fake" ~header:[ "n" ] [ [ Report.int n ] ] ]);
+        checks =
+          (fun n ->
+            [
+              { Experiment.ck_name = "fake: n is 42"; ck_ok = n = 42;
+                ck_detail = string_of_int n };
+            ]);
+      }
+  in
+  let checks, json, out = run_quiet [ fake ] in
+  Alcotest.(check (list bool)) "one failed check" [ false ]
+    (List.map (fun c -> c.Experiment.ck_ok) checks);
+  Alcotest.(check bool) "FAIL printed" true
+    (List.exists
+       (fun l -> String.length l >= 4 && String.sub l 0 4 = "fake"
+                 && List.mem "FAIL" (String.split_on_char ' ' l))
+       (String.split_on_char '\n' out));
+  Alcotest.(check string) "failure in the JSON"
+    {|[{"name":"fake: n is 42","ok":false,"detail":"41"}]|}
+    (Report.json_to_string (field "checks" (field "FAKE" (field "experiments" json))));
+  Alcotest.(check int) "exit status" 1 (Experiment.exit_status checks)
 
 let () =
   Alcotest.run "lld_workload"
@@ -250,5 +287,8 @@ let () =
           Alcotest.test_case "printers render" `Slow test_experiment_prints;
           Alcotest.test_case "table alignment" `Quick test_report_table_alignment;
           Alcotest.test_case "percent formatting" `Quick test_report_pct;
+          Alcotest.test_case "typed cells" `Quick test_report_typed_cells;
+          Alcotest.test_case "failing check surfaces" `Quick
+            test_runner_surfaces_failure;
         ] );
     ]
