@@ -492,65 +492,52 @@ let point_conv =
 
 let crashcheck workload shards budget granularity seed at broken_sweep
     trace_dir differential during_recovery inner_budget corruption =
-  if workload = Some "cross-shard" then begin
-    (* the sharded checker: S disks, one interleaved global write
-       trace, recovery through the facade's cross-shard decision scan *)
-    if differential || corruption || during_recovery || broken_sweep then begin
-      Printf.eprintf
-        "--workload cross-shard supports plain enumeration and --at only\n";
-      exit 2
-    end;
-    if shards < 2 then begin
-      Printf.eprintf "--shards must be at least 2 for cross-shard ARUs\n";
-      exit 2
-    end;
-    let spec = Crashcheck.cross_shard_spec ~shards () in
-    Printf.printf "recording cross-shard trace (%d shards)...\n%!" shards;
-    let trace = Crashcheck.record_sharded spec in
-    Printf.printf "cross-shard: %d disk writes, %d oracle units\n%!"
-      (Crashcheck.sharded_trace_writes trace)
-      (Crashcheck.sharded_trace_oracle_units trace);
-    match at with
-    | Some point ->
-      let problems =
-        try Crashcheck.check_sharded_point trace point
-        with Invalid_argument msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 2
-      in
-      if problems = [] then
-        Format.printf "crash %a: consistent@." Crashcheck.pp_point point
-      else begin
-        Format.printf "crash %a: %d violation(s)@." Crashcheck.pp_point point
-          (List.length problems);
-        List.iter (fun p -> Printf.printf "  %s\n" p) problems;
-        exit 1
-      end
-    | None ->
-      let progress ~checked ~selected =
-        if checked mod 200 = 0 || checked = selected then
-          Printf.printf "  cross-shard: %d/%d crash points checked\n%!" checked
-            selected
-      in
-      let r = Crashcheck.run_sharded ~granularity ?budget ~seed ~progress trace in
-      Format.printf "%a@." Crashcheck.pp_result r;
-      if not (Crashcheck.ok r) then exit 1
-  end
-  else
+  let usage fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline msg;
+        exit 2)
+      fmt
+  in
+  (* bad points and granularities are usage errors *)
+  let usage_checked f = try f () with Invalid_argument msg -> usage "%s" msg in
+  let cross_shard = workload = Some "cross-shard" in
+  if cross_shard && (differential || corruption || during_recovery) then
+    usage
+      "--workload cross-shard does not support --differential, --corruption \
+       or --during-recovery";
+  if cross_shard && shards < 2 then
+    usage "--shards must be at least 2 for cross-shard ARUs";
+  (* the one-disk specs: every mode but cross-shard's *)
   let selected =
     match workload with
     | None -> Crashcheck.specs
+    | Some "cross-shard" -> []
     | Some name -> (
       match List.assoc_opt name Crashcheck.specs with
       | Some mk -> [ (name, mk) ]
       | None ->
-        Printf.eprintf "unknown workload %S (known: %s)\n" name
-          (String.concat ", " (List.map fst Crashcheck.specs));
-        exit 2)
+        usage "unknown workload %S (known: %s, cross-shard)" name
+          (String.concat ", " (List.map fst Crashcheck.specs)))
   in
-  let recover_config spec =
-    if broken_sweep then
-      Some { spec.Crashcheck.sc_config with Config.recovery_sweep = false }
+  (* each workload's recorder and the config its recovery runs with *)
+  let recorders =
+    if cross_shard then
+      let spec = Crashcheck.cross_shard_spec ~shards () in
+      [
+        ( spec.Crashcheck.ss_name,
+          (fun () -> Crashcheck.record_sharded spec),
+          spec.Crashcheck.ss_config );
+      ]
+    else
+      List.map
+        (fun (name, mk) ->
+          let spec = mk () in
+          (name, (fun () -> Crashcheck.record spec), spec.Crashcheck.sc_config))
+        selected
+  in
+  let recover_config config =
+    if broken_sweep then Some { config with Config.recovery_sweep = false }
     else None
   in
   if differential then begin
@@ -580,86 +567,81 @@ let crashcheck workload shards budget granularity seed at broken_sweep
   else if during_recovery then begin
     let failed = ref false in
     List.iter
-      (fun (name, mk) ->
-        let spec = mk () in
+      (fun (name, record, config) ->
         Printf.printf "recording %s trace...\n%!" name;
-        let trace = Crashcheck.record spec in
+        let trace = record () in
         let progress ~outer ~total =
           Printf.printf "  %s: recovery crashed from %d/%d workload points\n%!"
             name outer total
         in
         let r =
-          Crashcheck.run_during_recovery ~granularity
-            ?budget ?inner_budget ~seed
-            ?recover_config:(recover_config spec) ?trace_dir ~progress trace
+          usage_checked (fun () ->
+              Crashcheck.run_during_recovery ~granularity ?budget ?inner_budget
+                ~seed ?recover_config:(recover_config config) ?trace_dir
+                ~progress trace)
         in
         Format.printf "%a@." Crashcheck.pp_recovery_result r;
         if not (Crashcheck.recovery_ok r) then failed := true)
-      selected;
+      recorders;
     if !failed then exit 1
   end
   else
     match at with
     | Some point ->
-      let name, mk =
-      match selected with
-      | [ one ] -> one
-      | _ ->
-        Printf.eprintf "--at requires --workload\n";
-        exit 2
-    in
-    let spec = mk () in
-    let trace = Crashcheck.record spec in
-    Printf.printf "workload %s: %d disk writes recorded\n" name
-      (Crashcheck.trace_writes trace);
-    let problems =
-      try
-        Crashcheck.check_point ?recover_config:(recover_config spec) trace
-          point
-      with Invalid_argument msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 2
-    in
-    if problems = [] then
-      Format.printf "crash %a: consistent@." Crashcheck.pp_point point
-    else begin
-      Format.printf "crash %a: %d violation(s)@." Crashcheck.pp_point point
-        (List.length problems);
-      List.iter (fun p -> Printf.printf "  %s\n" p) problems;
-      exit 1
-    end
-  | None ->
-    let caught_broken = ref false in
-    let failed = ref false in
-    List.iter
-      (fun (name, mk) ->
-        let spec = mk () in
-        Printf.printf "recording %s trace...\n%!" name;
-        let trace = Crashcheck.record spec in
-        let progress ~checked ~selected =
-          if checked mod 200 = 0 || checked = selected then
-            Printf.printf "  %s: %d/%d crash points checked\n%!" name checked
-              selected
-        in
-        let r =
-          Crashcheck.run ~granularity ?budget ~seed
-            ?recover_config:(recover_config spec) ?trace_dir ~progress trace
-        in
-        Format.printf "%a@." Crashcheck.pp_result r;
-        if Crashcheck.ok r then () else failed := true;
-        if broken_sweep && not (Crashcheck.ok r) then caught_broken := true)
-      selected;
-    if broken_sweep then
-      if !caught_broken then
-        print_endline
-          "broken recovery (sweep disabled) detected, as intended: the \
-           checker works"
+      let name, record, config =
+        match recorders with
+        | [ one ] -> one
+        | _ -> usage "--at requires --workload"
+      in
+      let trace = record () in
+      Printf.printf "workload %s: %d disk writes recorded\n" name
+        (Crashcheck.trace_writes trace);
+      let problems =
+        usage_checked (fun () ->
+            Crashcheck.check_point ?recover_config:(recover_config config)
+              trace point)
+      in
+      if problems = [] then
+        Format.printf "crash %a: consistent@." Crashcheck.pp_point point
       else begin
-        print_endline
-          "ERROR: recovery sweep was disabled but no violation was detected";
+        Format.printf "crash %a: %d violation(s)@." Crashcheck.pp_point point
+          (List.length problems);
+        List.iter (fun p -> Printf.printf "  %s\n" p) problems;
         exit 1
       end
-    else if !failed then exit 1
+    | None ->
+      let caught_broken = ref false in
+      let failed = ref false in
+      List.iter
+        (fun (name, record, config) ->
+          Printf.printf "recording %s trace...\n%!" name;
+          let trace = record () in
+          let progress ~checked ~selected =
+            if checked mod 200 = 0 || checked = selected then
+              Printf.printf "  %s: %d/%d crash points checked\n%!" name checked
+                selected
+          in
+          let r =
+            usage_checked (fun () ->
+                Crashcheck.run ~granularity ?budget ~seed
+                  ?recover_config:(recover_config config) ?trace_dir ~progress
+                  trace)
+          in
+          Format.printf "%a@." Crashcheck.pp_result r;
+          if Crashcheck.ok r then () else failed := true;
+          if broken_sweep && not (Crashcheck.ok r) then caught_broken := true)
+        recorders;
+      if broken_sweep then
+        if !caught_broken then
+          print_endline
+            "broken recovery (sweep disabled) detected, as intended: the \
+             checker works"
+        else begin
+          print_endline
+            "ERROR: recovery sweep was disabled but no violation was detected";
+          exit 1
+        end
+      else if !failed then exit 1
 
 let crashcheck_cmd =
   let workload =
@@ -668,10 +650,13 @@ let crashcheck_cmd =
       & opt (some string) None
       & info [ "workload" ] ~docv:"NAME"
           ~doc:
-            "Workload to check: $(b,smallfile), $(b,aru-churn) or \
-             $(b,cleaning) (default: all), or $(b,cross-shard) — the \
-             sharded facade's two-phase-commit workload, enumerated over \
-             the interleaved multi-disk write trace (see $(b,--shards)).")
+            "Workload to check: $(b,smallfile), $(b,aru-churn), \
+             $(b,cleaning) or $(b,group-commit) (default: all four), or \
+             $(b,cross-shard) — the sharded facade's two-phase-commit \
+             workload, enumerated over the interleaved multi-disk write \
+             trace (see $(b,--shards)); it takes every mode but \
+             $(b,--differential), $(b,--corruption) and \
+             $(b,--during-recovery).")
   in
   let shards =
     Arg.(
@@ -688,13 +673,14 @@ let crashcheck_cmd =
       & info [ "budget" ] ~docv:"N"
           ~doc:
             "Check at most N crash points per workload, sampled \
-             deterministically (default: exhaustive).")
+             deterministically (default: exhaustive).  The first and last \
+             point are always checked, so N below 2 still checks 2.")
   in
   let granularity =
     Arg.(
       value & opt int 512
       & info [ "granularity" ] ~docv:"BYTES"
-          ~doc:"Torn-write boundary spacing in bytes.")
+          ~doc:"Torn-write boundary spacing in bytes (at least 1).")
   in
   let seed =
     Arg.(

@@ -108,6 +108,11 @@ let recover ?(config = Config.default) ?(obs = Obs.null) disks =
     (* the decision oracle must be complete before any shard replays,
        so early open is off and all logs are scanned up front *)
     let config = { config with Config.recovery_early_open = false } in
+    (* a disk that crashed in place refuses reads until its fault plan
+       is reset, which [Lld.recover] does only after the scan below *)
+    Array.iter
+      (fun d -> Lld_disk.Fault.reset_after_recovery (Lld_disk.Disk.fault d))
+      disks;
     let union : (int, bool) Hashtbl.t = Hashtbl.create 16 in
     let watermark = ref 1 in
     Array.iter

@@ -12,6 +12,7 @@ module Layout = Lld_minixfs.Layout
 module Fs = Lld_minixfs.Fs
 module Fsck = Lld_minixfs.Fsck
 module Summary = Lld_core.Summary
+module Obs = Lld_obs.Obs
 module Oracle = Lld_workload.Oracle
 module Setup = Lld_workload.Setup
 module Smallfile = Lld_workload.Smallfile
@@ -39,6 +40,36 @@ type spec = {
 (* Small segments so seals — the dominant crash granularity — happen
    every few operations, giving dense crash-point coverage. *)
 let checker_geom = Geometry.v ~segment_bytes:(32 * 1024) ~num_segments:192 ()
+
+(* A block's worth of recognisable data: the tag ["<tag>-<u>-<s>:"],
+   then an affine byte pattern in unit [u] and slot [s]. *)
+let payload ~tag ~mul:(mu, ms) block_bytes u s =
+  let b = Bytes.make block_bytes '\000' in
+  let tag = Printf.sprintf "%s-%d-%d:" tag u s in
+  Bytes.blit_string tag 0 b 0 (String.length tag);
+  for i = String.length tag to block_bytes - 1 do
+    Bytes.set b i (Char.chr ((u * mu + s * ms + i) land 0xff))
+  done;
+  b
+
+(* One raw-LD oracle unit: an ARU creating a list of [blocks] chained
+   blocks holding [data j], handed to [commit], then registered with
+   the oracle.  Returns the list and its (block, data) pairs. *)
+let one_unit lld oracle ~label ~blocks ~data ~commit ~must_not_commit =
+  let a = Lld.begin_aru lld in
+  let l = Lld.new_list lld ~aru:a () in
+  let rec chain j pred acc =
+    if j = blocks then List.rev acc
+    else
+      let b = Lld.new_block lld ~aru:a ~list:l ~pred () in
+      let d = data j in
+      Lld.write lld ~aru:a b d;
+      chain (j + 1) (Summary.After b) ((b, d) :: acc)
+  in
+  let bs = chain 0 Summary.Head [] in
+  commit a;
+  Oracle.add_blocks oracle ~label ~must_not_commit ~lists:[ l ] bs;
+  (l, bs)
 
 let smallfile_spec ?(files = 200) () =
   {
@@ -91,39 +122,16 @@ let cleaning_spec ?(units = 36) ?(blocks_per_unit = 2) () =
     sc_run =
       (fun cx oracle ->
         let lld = cx.cx_lld in
-        let block_bytes = Lld.block_bytes lld in
-        let payload u s =
-          let b = Bytes.make block_bytes '\000' in
-          let tag = Printf.sprintf "clean-%d-%d:" u s in
-          Bytes.blit_string tag 0 b 0 (String.length tag);
-          for i = String.length tag to block_bytes - 1 do
-            Bytes.set b i (Char.chr ((u * 137 + s * 29 + i) land 0xff))
-          done;
-          b
+        let payload =
+          payload ~tag:"clean" ~mul:(137, 29) (Lld.block_bytes lld)
         in
         let one_unit ~index ~must_not_commit =
-          let a = Lld.begin_aru lld in
-          let l = Lld.new_list lld ~aru:a () in
-          let prev = ref None in
-          let blocks = ref [] in
-          for j = 0 to blocks_per_unit - 1 do
-            let pred =
-              match !prev with None -> Summary.Head | Some b -> Summary.After b
-            in
-            let b = Lld.new_block lld ~aru:a ~list:l ~pred () in
-            let data = payload index j in
-            Lld.write lld ~aru:a b data;
-            prev := Some b;
-            blocks := (b, data) :: !blocks
-          done;
-          if not must_not_commit then Lld.end_aru lld a;
-          let blocks = List.rev !blocks in
-          Oracle.add_blocks oracle
+          one_unit lld oracle ~blocks:blocks_per_unit ~data:(payload index)
+            ~must_not_commit
+            ~commit:(if must_not_commit then ignore else Lld.end_aru lld)
             ~label:
               (Printf.sprintf "clean-%d%s" index
                  (if must_not_commit then "-open" else ""))
-            ~must_not_commit ~lists:[ l ] blocks;
-          (l, blocks)
         in
         let made =
           Array.init units (fun i ->
@@ -187,37 +195,16 @@ let group_commit_spec ?(rounds = 10) ?(arus_per_round = 4)
     sc_run =
       (fun cx oracle ->
         let lld = cx.cx_lld in
-        let block_bytes = Lld.block_bytes lld in
-        let payload u s =
-          let b = Bytes.make block_bytes '\000' in
-          let tag = Printf.sprintf "group-%d-%d:" u s in
-          Bytes.blit_string tag 0 b 0 (String.length tag);
-          for i = String.length tag to block_bytes - 1 do
-            Bytes.set b i (Char.chr ((u * 211 + s * 17 + i) land 0xff))
-          done;
-          b
+        let payload =
+          payload ~tag:"group" ~mul:(211, 17) (Lld.block_bytes lld)
         in
         let one_unit ~index ~must_not_commit =
-          let a = Lld.begin_aru lld in
-          let l = Lld.new_list lld ~aru:a () in
-          let prev = ref None in
-          let blocks = ref [] in
-          for j = 0 to blocks_per_aru - 1 do
-            let pred =
-              match !prev with None -> Summary.Head | Some b -> Summary.After b
-            in
-            let b = Lld.new_block lld ~aru:a ~list:l ~pred () in
-            let data = payload index j in
-            Lld.write lld ~aru:a b data;
-            prev := Some b;
-            blocks := (b, data) :: !blocks
-          done;
-          Lld.submit_commit lld a;
-          Oracle.add_blocks oracle
-            ~label:
-              (Printf.sprintf "group-%d%s" index
-                 (if must_not_commit then "-queued" else ""))
-            ~must_not_commit ~lists:[ l ] (List.rev !blocks)
+          ignore
+            (one_unit lld oracle ~blocks:blocks_per_aru ~data:(payload index)
+               ~must_not_commit ~commit:(Lld.submit_commit lld)
+               ~label:
+                 (Printf.sprintf "group-%d%s" index
+                    (if must_not_commit then "-queued" else "")))
         in
         for r = 0 to rounds - 1 do
           for i = 0 to arus_per_round - 1 do
@@ -239,142 +226,6 @@ let specs =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Trace recording                                                     *)
-
-type trace = {
-  tr_spec : spec;
-  tr_base : bytes;  (* device image after format, before the workload *)
-  tr_writes : (int * bytes) array;  (* (offset, data), in write order *)
-  tr_oracle : Oracle.t;
-}
-
-let default_backend geom = function
-  | Some b -> b
-  | None -> (
-    let size = Geometry.total_bytes geom in
-    match Lld_disk.Backend.of_env ~size () with
-    | Some b -> b
-    | None -> Lld_disk.Backend.mem ~size)
-
-(* One full traced run of the workload on the given backend.  The base
-   image and every subsequent state come from the backend API
-   ([Disk.snapshot] / the write observer), so the checker exercises
-   whatever store it is pointed at. *)
-let record_on backend spec =
-  let clock = Clock.create () in
-  let disk = Disk.create ~backend ~clock spec.sc_geom in
-  let lld = Lld.create ~config:spec.sc_config disk in
-  let fs =
-    Option.map
-      (fun config -> Fs.mkfs ~config ?inode_count:spec.sc_inode_count lld)
-      spec.sc_fs
-  in
-  (match fs with Some fs -> Fs.flush fs | None -> Lld.flush lld);
-  let base = Disk.snapshot disk in
-  let writes = ref [] in
-  Disk.set_observer disk
-    (Some
-       (fun ~index:_ ~offset ~data ->
-         (* the observer's view aliases the writer's buffer: copy now *)
-         writes := (offset, Blk.to_bytes data) :: !writes));
-  let oracle = Oracle.create () in
-  spec.sc_run { cx_clock = clock; cx_disk = disk; cx_lld = lld; cx_fs = fs }
-    oracle;
-  Disk.set_observer disk None;
-  let trace =
-    {
-      tr_spec = spec;
-      tr_base = base;
-      tr_writes = Array.of_list (List.rev !writes);
-      tr_oracle = oracle;
-    }
-  in
-  let final = Disk.snapshot disk in
-  let counters = Disk.counters disk in
-  let label = Disk.backend_label disk in
-  Disk.close disk;
-  (trace, label, final, counters, Clock.now_ns clock)
-
-let record ?backend spec =
-  let backend = default_backend spec.sc_geom backend in
-  let trace, _, _, _, _ = record_on backend spec in
-  trace
-
-let trace_writes t = Array.length t.tr_writes
-let trace_oracle_units t = Oracle.size t.tr_oracle
-
-(* ------------------------------------------------------------------ *)
-(* Differential backend check                                          *)
-
-type differential = {
-  d_workload : string;
-  d_mem_label : string;
-  d_file_label : string;
-  d_writes : int;
-  d_images_equal : bool;
-  d_counters_equal : bool;
-  d_clocks_equal : bool;
-  d_problems : string list;
-}
-
-let differential_ok d = d.d_problems = []
-
-let differential ?dir spec =
-  let size = Geometry.total_bytes spec.sc_geom in
-  let m_trace, m_label, m_image, m_counters, m_ns =
-    record_on (Lld_disk.Backend.mem ~size) spec
-  in
-  let f_trace, f_label, f_image, f_counters, f_ns =
-    record_on (Lld_disk.Backend.temp_file ?dir ~size ()) spec
-  in
-  let problems = ref [] in
-  let check cond msg = if not cond then problems := msg :: !problems in
-  let images_equal = Bytes.equal m_image f_image in
-  check images_equal
-    "final device images differ byte-for-byte between mem and file backends";
-  check
-    (Bytes.equal m_trace.tr_base f_trace.tr_base)
-    "post-format base images differ between mem and file backends";
-  check
-    (Array.length m_trace.tr_writes = Array.length f_trace.tr_writes)
-    (Printf.sprintf "write traces differ in length: mem %d, file %d"
-       (Array.length m_trace.tr_writes)
-       (Array.length f_trace.tr_writes));
-  let counters_equal = m_counters = f_counters in
-  check counters_equal
-    (Printf.sprintf
-       "device counters differ: mem %d writes / %d reads, file %d writes / %d \
-        reads"
-       m_counters.Disk.writes m_counters.Disk.reads f_counters.Disk.writes
-       f_counters.Disk.reads);
-  let clocks_equal = m_ns = f_ns in
-  check clocks_equal
-    (Printf.sprintf "virtual clocks differ: mem %d ns, file %d ns" m_ns f_ns);
-  {
-    d_workload = spec.sc_name;
-    d_mem_label = m_label;
-    d_file_label = f_label;
-    d_writes = Array.length m_trace.tr_writes;
-    d_images_equal = images_equal;
-    d_counters_equal = counters_equal;
-    d_clocks_equal = clocks_equal;
-    d_problems = List.rev !problems;
-  }
-
-let pp_differential ppf d =
-  Format.fprintf ppf
-    "@[<v>workload %s: %d disk writes on %s and %s@,\
-     images byte-identical: %b; counters equal: %b; virtual clocks equal: %b@,"
-    d.d_workload d.d_writes d.d_mem_label d.d_file_label d.d_images_equal
-    d.d_counters_equal d.d_clocks_equal;
-  if d.d_problems = [] then
-    Format.fprintf ppf "backends are observably equivalent@]"
-  else begin
-    List.iter (fun p -> Format.fprintf ppf "  %s@," p) d.d_problems;
-    Format.fprintf ppf "@]"
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Crash points                                                        *)
 
 type point = { pt_index : int; pt_keep : int option }
@@ -393,22 +244,55 @@ let torn_boundaries ~granularity len =
   let ks = if len > 1 then 1 :: (len - 1) :: ks else ks in
   List.sort_uniq Int.compare (List.filter (fun k -> k > 0 && k < len) ks)
 
-(* Crash-point machinery over a bare (base image, write trace) pair, so
-   checkers with their own notion of correctness — the differential
-   tester in lib/model composes the model's crash frontier with it —
-   reuse the enumeration, sampling and image reconstruction without the
-   oracle/spec superstructure. *)
+(* The crash-trace engine for any number of disks: one recorder, the
+   enumeration and sampling of crash points, the one place per-disk
+   crash images are built, and one rolling-prefix walker.  Checkers with their own
+   notion of correctness — the differential tester in lib/model judges
+   against the model's crash frontier — use it without the oracle/spec
+   superstructure. *)
 module Raw = struct
-  type raw = { base : bytes; writes : (int * bytes) array }
-  type t = raw
+  type t = {
+    bases : bytes array;  (* each disk's image before the first write *)
+    writes : (int * int * bytes) array;
+        (* (disk, offset, data) in global write order *)
+  }
 
-  let v ~base ~writes = { base; writes }
+  (* The observers fire in the order writes reach the media; callers
+     are single-threaded, so that is the global persistence order, and
+     a crash freezes every disk's medium together. *)
+  let record disks f =
+    let bases = Array.map Disk.snapshot disks in
+    let writes = ref [] in
+    Array.iteri
+      (fun d disk ->
+        Disk.set_observer disk
+          (Some
+             (fun ~index:_ ~offset ~data ->
+               (* the observer's view aliases the writer's buffer *)
+               writes := (d, offset, Blk.to_bytes data) :: !writes)))
+      disks;
+    let result =
+      Fun.protect
+        ~finally:(fun () ->
+          Array.iter (fun disk -> Disk.set_observer disk None) disks)
+        f
+    in
+    ({ bases; writes = Array.of_list (List.rev !writes) }, result)
+
+  let v ~base ~writes =
+    { bases = [| base |]; writes = Array.map (fun (o, d) -> (0, o, d)) writes }
 
   let enumerate ?(granularity = 512) t =
+    if granularity < 1 then
+      invalid_arg
+        (Printf.sprintf
+           "Crashcheck.Raw.enumerate: granularity must be at least 1 byte \
+            (got %d)"
+           granularity);
     let n = Array.length t.writes in
     let points = ref [] in
     for i = n - 1 downto 0 do
-      let _, data = t.writes.(i) in
+      let _, _, data = t.writes.(i) in
       let torn =
         List.rev_map
           (fun k -> { pt_index = i; pt_keep = Some k })
@@ -453,25 +337,41 @@ module Raw = struct
       List.map (fun i -> arr.(i)) chosen
     end
 
-  let image_at t point =
-    let image = Bytes.copy t.base in
-    let apply i =
-      let offset, data = t.writes.(i) in
-      Bytes.blit data 0 image offset (Bytes.length data)
+  (* Where every crash image is built: bring [images], holding writes
+     [0 .. from-1], up to writes [0 .. upto-1] plus the first [keep]
+     bytes of write [upto], if any. *)
+  let advance t images ~from ~upto ~keep =
+    let apply i ~len =
+      let d, offset, data = t.writes.(i) in
+      Bytes.blit data 0 images.(d) offset (min len (Bytes.length data))
     in
-    for i = 0 to point.pt_index - 1 do
-      apply i
+    for i = from to upto - 1 do
+      apply i ~len:max_int
     done;
-    (match point.pt_keep with
-    | None -> ()
-    | Some k ->
-      let offset, data = t.writes.(point.pt_index) in
-      Bytes.blit data 0 image offset (min k (Bytes.length data)));
-    image
-end
+    Option.iter (fun k -> apply upto ~len:k) keep
 
-let raw_of_trace t = Raw.v ~base:t.tr_base ~writes:t.tr_writes
-let enumerate ?granularity t = Raw.enumerate ?granularity (raw_of_trace t)
+  let images_at t point =
+    let images = Array.map Bytes.copy t.bases in
+    advance t images ~from:0 ~upto:point.pt_index ~keep:point.pt_keep;
+    images
+
+  let image_at t point = (images_at t point).(0)
+
+  (* Walk points in enumeration order over one rolling image per disk
+     that always holds writes [0 .. applied-1]; each point gets its own
+     copy with its torn prefix added. *)
+  let walk t points f =
+    let images = Array.map Bytes.copy t.bases in
+    let applied = ref 0 in
+    List.iter
+      (fun p ->
+        advance t images ~from:!applied ~upto:p.pt_index ~keep:None;
+        applied := max !applied p.pt_index;
+        let at_point = Array.map Bytes.copy images in
+        advance t at_point ~from:p.pt_index ~upto:p.pt_index ~keep:p.pt_keep;
+        f p at_point)
+      points
+end
 
 (* ------------------------------------------------------------------ *)
 (* Judging one recovered state                                         *)
@@ -480,10 +380,10 @@ let enumerate ?granularity t = Raw.enumerate ?granularity (raw_of_trace t)
    idempotency check, so it must be a plain value. *)
 type status = Present | Empty | Absent | Violated
 
-(* The block-unit judge is a functor over the LD signature so the flat
-   checker ({!Lld}) and the sharded checker ({!Lld_core.Shard}) apply
-   the identical all-or-nothing verdict — for a cross-shard ARU "all"
-   spans every participant shard, which is exactly the 2PC claim. *)
+(* The block-unit judge is a functor over the LD signature so one disk
+   ({!Lld}) and S shards ({!Lld_core.Shard}) get the identical
+   all-or-nothing verdict — for a cross-shard ARU "all" spans every
+   participant shard, which is exactly the 2PC claim. *)
 module Judge (Ld : Lld_core.Ld_intf.S) = struct
   let blocks ld (u : Oracle.block_unit) =
     let lists_exist = List.map (fun l -> Ld.list_exists ld l) u.Oracle.bu_lists in
@@ -576,8 +476,6 @@ end
 
 module Lld_judge = Judge (Lld)
 
-let judge_blocks = Lld_judge.blocks
-
 let judge_file fs (u : Oracle.file_unit) =
   let len = Bytes.length u.Oracle.fu_content in
   if not (Fs.exists fs u.Oracle.fu_path) then (Absent, [])
@@ -605,74 +503,234 @@ let judge_file fs (u : Oracle.file_unit) =
             u.Oracle.fu_path size len;
         ] )
 
-(* Verify one freshly recovered logical disk: core invariant probe,
-   oracle units, fsck.  Returns (violations, per-unit statuses). *)
-let verify_recovered trace lld =
-  let spec = trace.tr_spec in
-  let problems = ref (Lld.recovery_invariant_errors lld) in
-  let add ps = problems := !problems @ ps in
-  let fs =
-    match spec.sc_fs with
-    | None -> None
-    | Some config -> (
-      match Fs.mount ~config lld with
-      | fs -> Some fs
-      | exception e ->
-        add [ "mount after recovery failed: " ^ Printexc.to_string e ];
-        None)
-  in
-  let statuses =
+(* Every oracle unit in registration order: block units through
+   [blocks], file units through the mounted file system.  Returns
+   (violations, per-unit statuses). *)
+let judge_units ~blocks ~fs oracle =
+  let judged =
     List.map
-      (fun unit_ ->
-        let status, ps =
-          match (unit_, fs) with
-          | Oracle.Blocks u, _ -> judge_blocks lld u
-          | Oracle.File u, Some fs -> judge_file fs u
-          | Oracle.File u, None ->
+      (function
+        | Oracle.Blocks u -> blocks u
+        | Oracle.File u -> (
+          match fs with
+          | Some fs -> judge_file fs u
+          | None ->
             ( Violated,
               [
                 Printf.sprintf "file unit %s but no mountable file system"
                   u.Oracle.fu_path;
-              ] )
-        in
-        add ps;
-        status)
-      (Oracle.units trace.tr_oracle)
+              ] )))
+      (Oracle.units oracle)
   in
-  (match fs with
-  | None -> ()
-  | Some fs ->
-    let report = Fsck.run fs in
-    if not (Fsck.ok report) then
-      add
-        (List.map
-           (fun p -> Format.asprintf "fsck: %a" Fsck.pp_problem p)
-           report.Fsck.problems));
-  (!problems, statuses)
+  (List.concat_map snd judged, List.map fst judged)
+
+(* The file system of an FS spec, mounted on a recovered disk. *)
+let mount_fs ~what fs_config lld =
+  match fs_config with
+  | None -> (None, [])
+  | Some config -> (
+    match Fs.mount ~config lld with
+    | fs -> (Some fs, [])
+    | exception e -> (None, [ what ^ " failed: " ^ Printexc.to_string e ]))
+
+(* Verify one freshly recovered logical disk: core invariant probe,
+   oracle units, fsck. *)
+let verify_recovered ~fs oracle lld =
+  let invariants = Lld.recovery_invariant_errors lld in
+  let fs, unmounted = mount_fs ~what:"mount after recovery" fs lld in
+  let problems, statuses =
+    judge_units ~blocks:(Lld_judge.blocks lld) ~fs oracle
+  in
+  let fsck =
+    match fs with
+    | None -> []
+    | Some fs ->
+      let report = Fsck.run fs in
+      if Fsck.ok report then []
+      else
+        List.map
+          (fun p -> Format.asprintf "fsck: %a" Fsck.pp_problem p)
+          report.Fsck.problems
+  in
+  (invariants @ unmounted @ problems @ fsck, statuses)
+
+(* ------------------------------------------------------------------ *)
+(* Trace recording                                                     *)
+
+type trace = {
+  tr_name : string;
+  tr_geom : Geometry.t;
+  tr_config : Config.t;
+  tr_fs : Fs.config option;  (* one-disk FS specs only *)
+  tr_raw : Raw.t;
+  tr_oracle : Oracle.t;
+  tr_recover :
+    obs:Obs.t ->
+    Config.t ->
+    Disk.t array ->
+    (string list * status list, exn) result;
+      (* the only step that differs between targets: recover the crash
+         image's disks and judge the oracle units — [Lld.recover], FS
+         mount and fsck on one disk, [Shard.recover] over S shards.
+         [Error] carries what recovery raised. *)
+}
+
+let default_backend geom = function
+  | Some b -> b
+  | None -> (
+    let size = Geometry.total_bytes geom in
+    match Lld_disk.Backend.of_env ~size () with
+    | Some b -> b
+    | None -> Lld_disk.Backend.mem ~size)
+
+(* One full traced run of the workload on the given backend.  The base
+   image and every subsequent state come from the backend API
+   ([Disk.snapshot] / the write observer), so the checker exercises
+   whatever store it is pointed at. *)
+let record_on backend spec =
+  let clock = Clock.create () in
+  let disk = Disk.create ~backend ~clock spec.sc_geom in
+  let lld = Lld.create ~config:spec.sc_config disk in
+  let fs =
+    Option.map
+      (fun config -> Fs.mkfs ~config ?inode_count:spec.sc_inode_count lld)
+      spec.sc_fs
+  in
+  (match fs with Some fs -> Fs.flush fs | None -> Lld.flush lld);
+  let oracle = Oracle.create () in
+  let raw, () =
+    Raw.record [| disk |] (fun () ->
+        spec.sc_run
+          { cx_clock = clock; cx_disk = disk; cx_lld = lld; cx_fs = fs }
+          oracle)
+  in
+  let trace =
+    {
+      tr_name = spec.sc_name;
+      tr_geom = spec.sc_geom;
+      tr_config = spec.sc_config;
+      tr_fs = spec.sc_fs;
+      tr_raw = raw;
+      tr_oracle = oracle;
+      tr_recover =
+        (fun ~obs config disks ->
+          match Lld.recover ~config ~obs disks.(0) with
+          | exception e -> Error e
+          | lld, _report -> Ok (verify_recovered ~fs:spec.sc_fs oracle lld));
+    }
+  in
+  let final = Disk.snapshot disk in
+  let counters = Disk.counters disk in
+  let label = Disk.backend_label disk in
+  Disk.close disk;
+  (trace, label, final, counters, Clock.now_ns clock)
+
+let record ?backend spec =
+  let backend = default_backend spec.sc_geom backend in
+  let trace, _, _, _, _ = record_on backend spec in
+  trace
+
+let trace_writes t = Array.length t.tr_raw.Raw.writes
+let trace_oracle_units t = Oracle.size t.tr_oracle
+let enumerate ?granularity t = Raw.enumerate ?granularity t.tr_raw
+
+(* ------------------------------------------------------------------ *)
+(* Differential backend check                                          *)
+
+type differential = {
+  d_workload : string;
+  d_mem_label : string;
+  d_file_label : string;
+  d_writes : int;
+  d_images_equal : bool;
+  d_counters_equal : bool;
+  d_clocks_equal : bool;
+  d_problems : string list;
+}
+
+let differential_ok d = d.d_problems = []
+
+let differential ?dir spec =
+  let size = Geometry.total_bytes spec.sc_geom in
+  let m_trace, m_label, m_image, m_counters, m_ns =
+    record_on (Lld_disk.Backend.mem ~size) spec
+  in
+  let f_trace, f_label, f_image, f_counters, f_ns =
+    record_on (Lld_disk.Backend.temp_file ?dir ~size ()) spec
+  in
+  let problems = ref [] in
+  let check cond msg = if not cond then problems := msg :: !problems in
+  let images_equal = Bytes.equal m_image f_image in
+  check images_equal
+    "final device images differ byte-for-byte between mem and file backends";
+  check
+    (Bytes.equal m_trace.tr_raw.Raw.bases.(0) f_trace.tr_raw.Raw.bases.(0))
+    "post-format base images differ between mem and file backends";
+  check
+    (trace_writes m_trace = trace_writes f_trace)
+    (Printf.sprintf "write traces differ in length: mem %d, file %d"
+       (trace_writes m_trace) (trace_writes f_trace));
+  let counters_equal = m_counters = f_counters in
+  check counters_equal
+    (Printf.sprintf
+       "device counters differ: mem %d writes / %d reads, file %d writes / %d \
+        reads"
+       m_counters.Disk.writes m_counters.Disk.reads f_counters.Disk.writes
+       f_counters.Disk.reads);
+  let clocks_equal = m_ns = f_ns in
+  check clocks_equal
+    (Printf.sprintf "virtual clocks differ: mem %d ns, file %d ns" m_ns f_ns);
+  {
+    d_workload = spec.sc_name;
+    d_mem_label = m_label;
+    d_file_label = f_label;
+    d_writes = trace_writes m_trace;
+    d_images_equal = images_equal;
+    d_counters_equal = counters_equal;
+    d_clocks_equal = clocks_equal;
+    d_problems = List.rev !problems;
+  }
+
+let pp_differential ppf d =
+  Format.fprintf ppf
+    "@[<v>workload %s: %d disk writes on %s and %s@,\
+     images byte-identical: %b; counters equal: %b; virtual clocks equal: %b@,"
+    d.d_workload d.d_writes d.d_mem_label d.d_file_label d.d_images_equal
+    d.d_counters_equal d.d_clocks_equal;
+  if d.d_problems = [] then
+    Format.fprintf ppf "backends are observably equivalent@]"
+  else begin
+    List.iter (fun p -> Format.fprintf ppf "  %s@," p) d.d_problems;
+    Format.fprintf ppf "@]"
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Checking one crash point                                            *)
+
+let load ?(clock = Clock.create ()) trace images =
+  Array.map (Disk.load ~clock trace.tr_geom) images
 
 let crash_now disk =
   Fault.schedule_crash (Disk.fault disk) (Fault.After_writes 0);
   try Disk.write disk ~offset:0 (Bytes.make 1 'x')
   with Fault.Crashed -> ()
 
-(* Check a fully materialised crash image (consumed, not copied). *)
-let check_image ?recover_config trace image =
-  let spec = trace.tr_spec in
-  let config = Option.value recover_config ~default:spec.sc_config in
-  let clock = Clock.create () in
-  let disk = Disk.load ~clock spec.sc_geom image in
-  match Lld.recover ~config disk with
-  | exception e -> [ "recovery raised: " ^ Printexc.to_string e ]
-  | lld, _report -> (
-    let problems, statuses = verify_recovered trace lld in
+(* Check fully materialised crash images (consumed, not copied). *)
+let check_images ?recover_config trace images =
+  let config = Option.value recover_config ~default:trace.tr_config in
+  let disks = load trace images in
+  let recover () = trace.tr_recover ~obs:Obs.null config disks in
+  match recover () with
+  | Error e -> [ "recovery raised: " ^ Printexc.to_string e ]
+  | Ok (problems, statuses) -> (
     (* idempotency: recovery ends with its own checkpoint write; crash
-       right after it and recover again — the state must not change *)
-    crash_now disk;
-    match Lld.recover ~config disk with
-    | exception e ->
+       every disk in place right after it and recover again — the state
+       must not change *)
+    Array.iter crash_now disks;
+    match recover () with
+    | Error e ->
       problems @ [ "recovery after recovery raised: " ^ Printexc.to_string e ]
-    | lld2, _report2 ->
-      let problems2, statuses2 = verify_recovered trace lld2 in
+    | Ok (problems2, statuses2) ->
       let problems2 =
         List.map (fun p -> "after re-recovery: " ^ p) problems2
       in
@@ -682,26 +740,21 @@ let check_image ?recover_config trace image =
       in
       problems @ problems2 @ idem)
 
-let image_at trace point = Raw.image_at (raw_of_trace trace) point
-
 (* Replay one crash point with live tracing attached to recovery (and
    to the verification reads), writing the Chrome trace next to the
    minimal reproducer so a failing point can be inspected in Perfetto
    without re-running the checker. *)
 let replay_point_obs ?recover_config trace point =
-  let spec = trace.tr_spec in
-  let config = Option.value recover_config ~default:spec.sc_config in
+  let config = Option.value recover_config ~default:trace.tr_config in
   let clock = Clock.create () in
-  let obs = Lld_obs.Obs.create ~clock () in
-  let disk = Disk.load ~clock spec.sc_geom (image_at trace point) in
-  (match Lld.recover ~config ~obs disk with
-  | exception _ -> ()
-  | lld, _report -> ignore (verify_recovered trace lld));
+  let obs = Obs.create ~clock () in
+  let disks = load ~clock trace (Raw.images_at trace.tr_raw point) in
+  ignore (trace.tr_recover ~obs config disks);
   obs
 
 let dump_point_trace ?recover_config trace point ~path =
   let obs = replay_point_obs ?recover_config trace point in
-  Lld_obs.Trace.write_chrome_file (Lld_obs.Obs.trace obs) path
+  Lld_obs.Trace.write_chrome_file (Obs.trace obs) path
 
 (* The full black-box bundle for a failing point: the same replay, but
    everything the handle holds — flight ring, trace ring, metrics
@@ -722,39 +775,41 @@ let hex_of_bytes b =
   Bytes.unsafe_to_string out
 
 (* The pre-crash write trace as JSON: every disk write the crash image
-   contains, with offset and full data (the torn write carries its kept
-   prefix length).  Together with the deterministic post-format base
-   image this reconstructs the crash image exactly, so a reproducer
-   bundle can be inspected — or replayed against another implementation
-   — without re-running the workload. *)
+   contains, with its disk, offset and full data (the torn write carries
+   its kept prefix length).  Together with the deterministic post-format
+   base images this reconstructs the crash image exactly, so a
+   reproducer bundle can be inspected — or replayed against another
+   implementation — without re-running the workload. *)
 let dump_point_writes trace point ~path =
+  let raw = trace.tr_raw in
   let buf = Buffer.create 65536 in
   Buffer.add_string buf
     (Printf.sprintf
        "{\"workload\":\"%s\",\"base_bytes\":%d,\"point\":{\"index\":%d,\"keep\":%s},\"writes\":["
-       trace.tr_spec.sc_name
-       (Bytes.length trace.tr_base)
+       trace.tr_name
+       (Bytes.length raw.Raw.bases.(0))
        point.pt_index
        (match point.pt_keep with
        | None -> "null"
        | Some k -> string_of_int k));
   let emit i ~keep =
-    let offset, data = trace.tr_writes.(i) in
+    let disk, offset, data = raw.Raw.writes.(i) in
     if i > 0 then Buffer.add_char buf ',';
     Buffer.add_string buf
-      (Printf.sprintf "{\"i\":%d,\"offset\":%d,\"len\":%d%s,\"data\":\"%s\"}" i
-         offset (Bytes.length data)
+      (Printf.sprintf
+         "{\"i\":%d,\"disk\":%d,\"offset\":%d,\"len\":%d%s,\"data\":\"%s\"}" i
+         disk offset (Bytes.length data)
          (match keep with
          | None -> ""
          | Some k -> Printf.sprintf ",\"keep\":%d" k)
          (hex_of_bytes data))
   in
-  for i = 0 to min point.pt_index (Array.length trace.tr_writes) - 1 do
+  let n = trace_writes trace in
+  for i = 0 to min point.pt_index n - 1 do
     emit i ~keep:None
   done;
   (match point.pt_keep with
-  | Some k when point.pt_index < Array.length trace.tr_writes ->
-    emit point.pt_index ~keep:(Some k)
+  | Some k when point.pt_index < n -> emit point.pt_index ~keep:(Some k)
   | _ -> ());
   Buffer.add_string buf "]}";
   let oc = open_out path in
@@ -762,14 +817,14 @@ let dump_point_writes trace point ~path =
   close_out oc
 
 let check_point ?recover_config trace point =
-  let n = Array.length trace.tr_writes in
+  let n = trace_writes trace in
   if point.pt_index < 0 || point.pt_index > n then
     invalid_arg "Crashcheck.check_point: write index outside the trace";
   if point.pt_keep <> None && point.pt_index = n then
     invalid_arg "Crashcheck.check_point: torn variant of a write not in trace";
   (match point.pt_keep with
   | Some k when point.pt_index < n ->
-    let _, data = trace.tr_writes.(point.pt_index) in
+    let _, _, data = trace.tr_raw.Raw.writes.(point.pt_index) in
     if k <= 0 || k >= Bytes.length data then
       invalid_arg
         (Printf.sprintf
@@ -777,7 +832,7 @@ let check_point ?recover_config trace point =
             torn write's length"
            (Bytes.length data))
   | _ -> ());
-  check_image ?recover_config trace (image_at trace point)
+  check_images ?recover_config trace (Raw.images_at trace.tr_raw point)
 
 (* ------------------------------------------------------------------ *)
 (* The checker                                                         *)
@@ -806,39 +861,20 @@ let ok r = r.r_violation_points = 0
 
 let sample = Raw.sample
 
-(* Walk the selected points in enumeration order, materialising write
-   prefixes incrementally: the rolling image always reflects writes
-   [0 .. applied-1]; each point copies it and adds its torn prefix. *)
-let check_ordered ?recover_config ?progress trace points ~on_violation =
+(* Check the selected points of [raw] — the trace's own, or the writes
+   of a recovery — in enumeration order over the rolling images. *)
+let check_ordered ?recover_config ?progress trace raw points ~on_violation =
   let selected = List.length points in
-  let image = ref (Bytes.copy trace.tr_base) in
-  let applied = ref 0 in
-  let advance_to i =
-    while !applied < i do
-      let offset, data = trace.tr_writes.(!applied) in
-      Bytes.blit data 0 !image offset (Bytes.length data);
-      incr applied
-    done
-  in
   let checked = ref 0 in
   let torn = ref 0 in
-  List.iter
-    (fun p ->
-      advance_to p.pt_index;
-      let scratch = Bytes.copy !image in
-      (match p.pt_keep with
-      | None -> ()
-      | Some k ->
-        incr torn;
-        let offset, data = trace.tr_writes.(p.pt_index) in
-        Bytes.blit data 0 scratch offset (min k (Bytes.length data)));
-      let problems = check_image ?recover_config trace scratch in
+  Raw.walk raw points (fun p images ->
+      if p.pt_keep <> None then incr torn;
+      let problems = check_images ?recover_config trace images in
       incr checked;
       (match progress with
       | Some f -> f ~checked:!checked ~selected
       | None -> ());
-      if problems <> [] then on_violation { v_point = p; v_problems = problems })
-    points;
+      if problems <> [] then on_violation { v_point = p; v_problems = problems });
   (!checked, !torn)
 
 let run ?(granularity = 512) ?budget ?(seed = 1) ?recover_config
@@ -857,7 +893,8 @@ let run ?(granularity = 512) ?budget ?(seed = 1) ?recover_config
     if !violation_points <= max_kept_violations then kept := v :: !kept
   in
   let checked, torn =
-    check_ordered ?recover_config ?progress trace points ~on_violation
+    check_ordered ?recover_config ?progress trace trace.tr_raw points
+      ~on_violation
   in
   let violations = List.rev !kept in
   (* shrink: the minimal reproducer is the earliest failing point of the
@@ -871,7 +908,7 @@ let run ?(granularity = 512) ?budget ?(seed = 1) ?recover_config
       let scanned = ref 0 in
       (try
          ignore
-           (check_ordered ?recover_config trace
+           (check_ordered ?recover_config trace trace.tr_raw
               (List.filter
                  (fun p ->
                    incr scanned;
@@ -892,9 +929,7 @@ let run ?(granularity = 512) ?budget ?(seed = 1) ?recover_config
         | None -> string_of_int v.v_point.pt_index
         | Some k -> Printf.sprintf "%d-torn%d" v.v_point.pt_index k
       in
-      let label =
-        Printf.sprintf "crash-%s-at-%s" trace.tr_spec.sc_name point_tag
-      in
+      let label = Printf.sprintf "crash-%s-at-%s" trace.tr_name point_tag in
       let wpath = Filename.concat dir (label ^ ".writes.json") in
       (try
          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -915,10 +950,10 @@ let run ?(granularity = 512) ?budget ?(seed = 1) ?recover_config
     | _ -> (None, None, [])
   in
   {
-    r_workload = trace.tr_spec.sc_name;
+    r_workload = trace.tr_name;
     r_seed = seed;
-    r_writes = Array.length trace.tr_writes;
-    r_oracle_units = Oracle.size trace.tr_oracle;
+    r_writes = trace_writes trace;
+    r_oracle_units = trace_oracle_units trace;
     r_points_total = total;
     r_points_checked = checked;
     r_torn_checked = torn;
@@ -973,43 +1008,6 @@ let pp_result ppf r =
 (* ------------------------------------------------------------------ *)
 (* Crashing during recovery itself                                     *)
 
-(* Judge the oracle units through reads alone — no invariant probe, no
-   fsck — so an early-open recovery has to serve every unit on demand,
-   while the replay of unrelated dependency groups is still pending. *)
-let judge_units trace lld =
-  let spec = trace.tr_spec in
-  let problems = ref [] in
-  let add ps = problems := !problems @ ps in
-  let fs =
-    match spec.sc_fs with
-    | None -> None
-    | Some config -> (
-      match Fs.mount ~config lld with
-      | fs -> Some fs
-      | exception e ->
-        add [ "mount during early-open recovery failed: " ^ Printexc.to_string e ];
-        None)
-  in
-  let statuses =
-    List.map
-      (fun unit_ ->
-        let status, ps =
-          match (unit_, fs) with
-          | Oracle.Blocks u, _ -> judge_blocks lld u
-          | Oracle.File u, Some fs -> judge_file fs u
-          | Oracle.File u, None ->
-            ( Violated,
-              [
-                Printf.sprintf "file unit %s but no mountable file system"
-                  u.Oracle.fu_path;
-              ] )
-        in
-        add ps;
-        status)
-      (Oracle.units trace.tr_oracle)
-  in
-  (!problems, statuses)
-
 type recovery_violation = {
   rv_outer : point;
   rv_inner : point option;
@@ -1031,87 +1029,82 @@ type recovery_result = {
 
 let recovery_ok r = r.rr_violation_points = 0
 
-(* One outer workload crash point: recover with early open, verify the
-   oracle through on-demand reads while the replay is still pending,
-   complete the recovery (its post-recovery checkpoint lands in the
-   recorded writes), verify again eagerly — then crash the recovery
-   itself at every inner point of its own write sequence (including
-   torn checkpoint chunks) and demand that a second recovery from each
-   such image still satisfies the oracle. *)
+(* Verify the oracle on an early-opened instance (the on-demand pass:
+   reads alone — no invariant probe, no fsck — so every unit is served
+   while the replay of unrelated groups is still pending), complete the
+   recovery, verify again eagerly and demand the verdicts agree. *)
+let verify_early_then_complete trace lld =
+  let on_demand () =
+    let fs, unmounted =
+      mount_fs ~what:"mount during early-open recovery" trace.tr_fs lld
+    in
+    let problems, statuses =
+      judge_units ~blocks:(Lld_judge.blocks lld) ~fs trace.tr_oracle
+    in
+    (unmounted @ problems, statuses)
+  in
+  match on_demand () with
+  | exception e -> [ "on-demand verification raised: " ^ Printexc.to_string e ]
+  | early_problems, early_statuses -> (
+    match Lld.complete_recovery lld with
+    | exception e ->
+      early_problems @ [ "completing recovery raised: " ^ Printexc.to_string e ]
+    | _final_report ->
+      let full_problems, full_statuses =
+        verify_recovered ~fs:trace.tr_fs trace.tr_oracle lld
+      in
+      let drift =
+        if early_statuses = full_statuses then []
+        else
+          [
+            "on-demand recovery disagrees with completed recovery: unit \
+             statuses changed";
+          ]
+      in
+      early_problems @ full_problems @ drift)
+
+(* One outer workload crash point: recover with early open and verify
+   it (its writes — the post-recovery checkpoint included — recorded),
+   then crash the recovery itself at every inner point of its own write
+   sequence (including torn checkpoint chunks) and demand that a second
+   recovery from each such image still satisfies the oracle. *)
 let check_during_recovery ?recover_config ~granularity ~inner_budget ~seed
     trace outer ~on_violation =
-  let spec = trace.tr_spec in
-  let base_config = Option.value recover_config ~default:spec.sc_config in
+  let base_config = Option.value recover_config ~default:trace.tr_config in
   let config = { base_config with Config.recovery_early_open = true } in
-  let base = image_at trace outer in
-  let clock = Clock.create () in
-  let disk = Disk.load ~clock spec.sc_geom (Bytes.copy base) in
-  let rec_writes = ref [] in
-  Disk.set_observer disk
-    (Some
-       (fun ~index:_ ~offset ~data ->
-         rec_writes := (offset, Blk.to_bytes data) :: !rec_writes));
-  match Lld.recover ~config disk with
-  | exception e ->
-    on_violation
-      {
-        rv_outer = outer;
-        rv_inner = None;
-        rv_problems = [ "early-open recovery raised: " ^ Printexc.to_string e ];
-      };
-    (0, 0, 0, 0)
-  | lld, _preliminary ->
-    let units_judged = Oracle.size trace.tr_oracle in
-    let outcome =
-      match judge_units trace lld with
-      | exception e ->
-        Error [ "on-demand verification raised: " ^ Printexc.to_string e ]
-      | early_problems, early_statuses -> (
-        match Lld.complete_recovery lld with
+  let disks = load trace (Raw.images_at trace.tr_raw outer) in
+  let raw, outcome =
+    Raw.record disks (fun () ->
+        match Lld.recover ~config disks.(0) with
         | exception e ->
-          Error
-            (early_problems
-            @ [ "completing recovery raised: " ^ Printexc.to_string e ])
-        | _final_report ->
-          let full_problems, full_statuses = verify_recovered trace lld in
-          let drift =
-            if early_statuses = full_statuses then []
-            else
-              [
-                "on-demand recovery disagrees with completed recovery: unit \
-                 statuses changed";
-              ]
-          in
-          let probs = early_problems @ full_problems @ drift in
-          if probs = [] then Ok () else Error probs)
-    in
-    Disk.set_observer disk None;
-    (match outcome with
-    | Ok () -> ()
-    | Error probs ->
-      on_violation { rv_outer = outer; rv_inner = None; rv_problems = probs });
-    let writes = Array.of_list (List.rev !rec_writes) in
-    let raw = Raw.v ~base ~writes in
+          Error [ "early-open recovery raised: " ^ Printexc.to_string e ]
+        | lld, _preliminary -> Ok (verify_early_then_complete trace lld))
+  in
+  let violation ?inner problems =
+    on_violation { rv_outer = outer; rv_inner = inner; rv_problems = problems }
+  in
+  match outcome with
+  | Error problems ->
+    violation problems;
+    (0, 0, 0, 0)
+  | Ok problems ->
+    if problems <> [] then violation problems;
     let inner_all = Raw.enumerate ~granularity raw in
     let inner =
       match inner_budget with
       | None -> inner_all
       | Some b -> Raw.sample ~budget:b ~seed inner_all
     in
-    let checked = ref 0 and torn = ref 0 in
-    List.iter
-      (fun ip ->
-        if ip.pt_keep <> None then incr torn;
-        incr checked;
-        let problems = check_image ?recover_config trace (Raw.image_at raw ip) in
-        if problems <> [] then
-          on_violation
-            { rv_outer = outer; rv_inner = Some ip; rv_problems = problems })
-      inner;
-    (Array.length writes, !checked, !torn, units_judged)
+    let checked, torn =
+      check_ordered ?recover_config trace raw inner ~on_violation:(fun v ->
+          violation ~inner:v.v_point v.v_problems)
+    in
+    (Array.length raw.Raw.writes, checked, torn, trace_oracle_units trace)
 
 let run_during_recovery ?(granularity = 512) ?(budget = 24) ?inner_budget
     ?(seed = 1) ?recover_config ?trace_dir ?progress trace =
+  if Array.length trace.tr_raw.Raw.bases <> 1 then
+    invalid_arg "Crashcheck.run_during_recovery: one-disk traces only";
   let outer_points =
     sample ~budget ~seed (enumerate ~granularity trace)
   in
@@ -1153,8 +1146,8 @@ let run_during_recovery ?(granularity = 512) ?(budget = 24) ?inner_budget
       in
       let path =
         Filename.concat dir
-          (Printf.sprintf "crash-rec-%s-at-%s.writes.json"
-             trace.tr_spec.sc_name point_tag)
+          (Printf.sprintf "crash-rec-%s-at-%s.writes.json" trace.tr_name
+             point_tag)
       in
       (try
          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -1164,7 +1157,7 @@ let run_during_recovery ?(granularity = 512) ?(budget = 24) ?inner_budget
     | _ -> None
   in
   {
-    rr_workload = trace.tr_spec.sc_name;
+    rr_workload = trace.tr_name;
     rr_seed = seed;
     rr_outer_checked = !outer_checked;
     rr_inner_checked = !inner_checked;
@@ -1229,18 +1222,9 @@ type corruption_result = {
 
 let corruption_ok r = r.c_problems = []
 
-(* The device image at the end of the recorded workload: base plus
-   every traced write, replayed in order. *)
-let final_image trace =
-  let image = Bytes.copy trace.tr_base in
-  Array.iter
-    (fun (offset, data) -> Bytes.blit data 0 image offset (Bytes.length data))
-    trace.tr_writes;
-  image
-
 let corruption_check ?backend spec =
   let backend = default_backend spec.sc_geom backend in
-  let trace = record_on backend spec |> fun (t, _, _, _, _) -> t in
+  let trace, _, final, _, _ = record_on backend spec in
   let geom = spec.sc_geom in
   let config = spec.sc_config in
   let problems = ref [] in
@@ -1265,7 +1249,7 @@ let corruption_check ?backend spec =
       None
   in
   let verify ctx lld =
-    let ps, _ = verify_recovered trace lld in
+    let ps, _ = verify_recovered ~fs:spec.sc_fs trace.tr_oracle lld in
     add ctx ps
   in
   let remount_verify ctx disk =
@@ -1298,7 +1282,7 @@ let corruption_check ?backend spec =
      intact, so scrub must recover every live block of the segment
      (salvage, or relocation when recovery happened to warm the cache)
      with zero loss. *)
-  (match mount "meta-rot" (final_image trace) with
+  (match mount "meta-rot" (Bytes.copy final) with
   | None -> ()
   | Some (disk, lld) -> (
     match find_victim lld with
@@ -1330,7 +1314,7 @@ let corruption_check ?backend spec =
   (* Round 2 — generational superblock rot.  Mount rewrites one slot
      (the new checkpoint's parity); rot the other, older generation and
      demand scrub rewrites it so both survive a remount. *)
-  (match mount "superblock-rot" (final_image trace) with
+  (match mount "superblock-rot" (Bytes.copy final) with
   | None -> ()
   | Some (disk, lld) -> (
     match Superblock.read_slots disk with
@@ -1357,7 +1341,7 @@ let corruption_check ?backend spec =
   (* Round 3 — slot-data rot on a warm instance.  The block was read
      (so the LRU cache holds a verified copy) before its on-disk slot
      rots; scrub must relocate the cached copy, losing nothing. *)
-  (match mount "slot-rot" (final_image trace) with
+  (match mount "slot-rot" final with
   | None -> ()
   | Some (disk, lld) -> (
     verify "slot-rot (pre-corruption)" lld;
@@ -1402,13 +1386,12 @@ let corruption_check ?backend spec =
 (* ------------------------------------------------------------------ *)
 (* Sharded crash-point checking: cross-shard ARUs under two-phase
    commit (DESIGN.md §5.14).  S disks, one virtual clock, one
-   interleaved global write trace — the facade is single-threaded, so
-   the order the per-disk observers fire in IS the global persistence
-   order, and a crash point is a prefix of that order: the shards'
-   media freeze together, exactly the whole-machine power-loss the 2PC
-   protocol must survive.  Prepare and Decide seals are ordinary traced
-   writes, so the enumeration lands complete AND torn crash points
-   between prepare and decision and inside each. *)
+   interleaved global write trace recorded by [Raw.record], and a crash
+   point is a prefix of that order: the shards' media freeze together,
+   exactly the whole-machine power-loss the 2PC protocol must survive.
+   Prepare and Decide seals are ordinary traced writes, so the
+   enumeration lands complete AND torn crash points between prepare and
+   decision and inside each. *)
 
 module Shard_judge = Judge (Shard)
 
@@ -1418,14 +1401,6 @@ type sharded_spec = {
   ss_config : Config.t;
   ss_shards : int;
   ss_run : Shard.t -> Oracle.t -> unit;
-}
-
-type sharded_trace = {
-  st_spec : sharded_spec;
-  st_bases : bytes array;  (* per-shard image after format *)
-  st_writes : (int * int * bytes) array;
-      (* (shard, offset, data) in global write order *)
-  st_oracle : Oracle.t;
 }
 
 (* The cross-shard workload.  Per shard: an "anchor" unit (own list,
@@ -1457,15 +1432,8 @@ let cross_shard_spec ?(shards = 3) () =
     ss_shards = shards;
     ss_run =
       (fun t oracle ->
-        let block_bytes = Shard.block_bytes t in
-        let payload u s =
-          let b = Bytes.make block_bytes '\000' in
-          let tag = Printf.sprintf "xshard-%d-%d:" u s in
-          Bytes.blit_string tag 0 b 0 (String.length tag);
-          for i = String.length tag to block_bytes - 1 do
-            Bytes.set b i (Char.chr ((u * 173 + s * 31 + i) land 0xff))
-          done;
-          b
+        let payload =
+          payload ~tag:"xshard" ~mul:(173, 31) (Shard.block_bytes t)
         in
         let unit_no = ref 0 in
         (* one committed single-shard unit; returns its list and block *)
@@ -1594,211 +1562,26 @@ let record_sharded spec =
   in
   let t = Shard.create ~config:spec.ss_config disks in
   Shard.flush t;
-  let bases = Array.map Disk.snapshot disks in
-  let writes = ref [] in
-  Array.iteri
-    (fun s disk ->
-      Disk.set_observer disk
-        (Some
-           (fun ~index:_ ~offset ~data ->
-             writes := (s, offset, Blk.to_bytes data) :: !writes)))
-    disks;
   let oracle = Oracle.create () in
-  spec.ss_run t oracle;
-  Array.iter (fun disk -> Disk.set_observer disk None) disks;
+  let raw, () = Raw.record disks (fun () -> spec.ss_run t oracle) in
   Array.iter Disk.close disks;
   {
-    st_spec = spec;
-    st_bases = bases;
-    st_writes = Array.of_list (List.rev !writes);
-    st_oracle = oracle;
-  }
-
-let sharded_trace_writes t = Array.length t.st_writes
-let sharded_trace_oracle_units t = Oracle.size t.st_oracle
-
-(* Enumeration and sampling reuse {!Raw} verbatim: a crash point only
-   cares about write count and lengths, not which shard a write went
-   to. *)
-let enumerate_sharded ?granularity t =
-  Raw.enumerate ?granularity
-    (Raw.v ~base:Bytes.empty
-       ~writes:(Array.map (fun (_, o, d) -> (o, d)) t.st_writes))
-
-let sharded_images_at t point =
-  let images = Array.map Bytes.copy t.st_bases in
-  for i = 0 to point.pt_index - 1 do
-    let s, offset, data = t.st_writes.(i) in
-    Bytes.blit data 0 images.(s) offset (Bytes.length data)
-  done;
-  (match point.pt_keep with
-  | None -> ()
-  | Some k ->
-    let s, offset, data = t.st_writes.(point.pt_index) in
-    Bytes.blit data 0 images.(s) offset (min k (Bytes.length data)));
-  images
-
-let verify_sharded_recovered trace t =
-  let problems = ref (Shard.recovery_invariant_errors t) in
-  let statuses =
-    List.map
-      (fun unit_ ->
-        match unit_ with
-        | Oracle.Blocks u ->
-          let status, ps = Shard_judge.blocks t u in
-          problems := !problems @ ps;
-          status
-        | Oracle.File u ->
-          problems :=
-            !problems
-            @ [
-                Printf.sprintf "file unit %s in a raw sharded trace"
-                  u.Oracle.fu_path;
-              ];
-          Violated)
-      (Oracle.units trace.st_oracle)
-  in
-  (!problems, statuses)
-
-(* Check fully materialised per-shard crash images (consumed).  The
-   idempotency leg re-mounts the post-recovery snapshots — recovery
-   ends in a checkpoint on every shard it changed, and a second
-   recovery from that state must reach the same verdicts. *)
-let check_sharded_images ?recover_config trace images =
-  let spec = trace.st_spec in
-  let config = Option.value recover_config ~default:spec.ss_config in
-  let mount images =
-    let clock = Clock.create () in
-    Array.map (fun image -> Disk.load ~clock spec.ss_geom image) images
-  in
-  let disks = mount images in
-  match Shard.recover ~config disks with
-  | exception e -> [ "sharded recovery raised: " ^ Printexc.to_string e ]
-  | t, _reports -> (
-    let problems, statuses = verify_sharded_recovered trace t in
-    let disks2 = mount (Array.map Disk.snapshot disks) in
-    match Shard.recover ~config disks2 with
-    | exception e ->
-      problems @ [ "recovery after recovery raised: " ^ Printexc.to_string e ]
-    | t2, _reports2 ->
-      let problems2, statuses2 = verify_sharded_recovered trace t2 in
-      let problems2 =
-        List.map (fun p -> "after re-recovery: " ^ p) problems2
-      in
-      let idem =
-        if statuses = statuses2 then []
-        else [ "sharded recovery is not idempotent: unit statuses changed" ]
-      in
-      problems @ problems2 @ idem)
-
-let check_sharded_point ?recover_config trace point =
-  let n = Array.length trace.st_writes in
-  if point.pt_index < 0 || point.pt_index > n then
-    invalid_arg "Crashcheck.check_sharded_point: write index outside the trace";
-  if point.pt_keep <> None && point.pt_index = n then
-    invalid_arg
-      "Crashcheck.check_sharded_point: torn variant of a write not in trace";
-  (match point.pt_keep with
-  | Some k when point.pt_index < n ->
-    let _, _, data = trace.st_writes.(point.pt_index) in
-    if k <= 0 || k >= Bytes.length data then
-      invalid_arg
-        (Printf.sprintf
-           "Crashcheck.check_sharded_point: keep bytes must be within (0, \
-            %d), the torn write's length"
-           (Bytes.length data))
-  | _ -> ());
-  check_sharded_images ?recover_config trace (sharded_images_at trace point)
-
-(* Rolling per-shard prefix images, as in [check_ordered]. *)
-let check_sharded_ordered ?recover_config ?progress trace points ~on_violation
-    =
-  let selected = List.length points in
-  let images = Array.map Bytes.copy trace.st_bases in
-  let applied = ref 0 in
-  let advance_to i =
-    while !applied < i do
-      let s, offset, data = trace.st_writes.(!applied) in
-      Bytes.blit data 0 images.(s) offset (Bytes.length data);
-      incr applied
-    done
-  in
-  let checked = ref 0 in
-  let torn = ref 0 in
-  List.iter
-    (fun p ->
-      advance_to p.pt_index;
-      let scratch = Array.map Bytes.copy images in
-      (match p.pt_keep with
-      | None -> ()
-      | Some k ->
-        incr torn;
-        let s, offset, data = trace.st_writes.(p.pt_index) in
-        Bytes.blit data 0 scratch.(s) offset (min k (Bytes.length data)));
-      let problems = check_sharded_images ?recover_config trace scratch in
-      incr checked;
-      (match progress with
-      | Some f -> f ~checked:!checked ~selected
-      | None -> ());
-      if problems <> [] then on_violation { v_point = p; v_problems = problems })
-    points;
-  (!checked, !torn)
-
-let run_sharded ?(granularity = 512) ?budget ?(seed = 1) ?recover_config
-    ?(shrink_limit = 4000) ?progress trace =
-  let all_points = enumerate_sharded ~granularity trace in
-  let total = List.length all_points in
-  let points =
-    match budget with
-    | None -> all_points
-    | Some b -> sample ~budget:b ~seed all_points
-  in
-  let violation_points = ref 0 in
-  let kept = ref [] in
-  let on_violation v =
-    incr violation_points;
-    if !violation_points <= max_kept_violations then kept := v :: !kept
-  in
-  let checked, torn =
-    check_sharded_ordered ?recover_config ?progress trace points ~on_violation
-  in
-  let violations = List.rev !kept in
-  let minimal =
-    match violations with
-    | [] -> None
-    | first :: _ ->
-      let found = ref None in
-      let scanned = ref 0 in
-      (try
-         ignore
-           (check_sharded_ordered ?recover_config trace
-              (List.filter
-                 (fun p ->
-                   incr scanned;
-                   !scanned <= shrink_limit
-                   && (p.pt_index, p.pt_keep)
-                      < (first.v_point.pt_index, first.v_point.pt_keep))
-                 all_points)
-              ~on_violation:(fun v ->
-                found := Some v;
-                raise Exit))
-       with Exit -> ());
-      (match !found with Some v -> Some v | None -> Some first)
-  in
-  {
-    r_workload = trace.st_spec.ss_name;
-    r_seed = seed;
-    r_writes = Array.length trace.st_writes;
-    r_oracle_units = Oracle.size trace.st_oracle;
-    r_points_total = total;
-    r_points_checked = checked;
-    r_torn_checked = torn;
-    r_violation_points = !violation_points;
-    r_violations = violations;
-    r_minimal = minimal;
-    r_trace_file = None;
-    r_writes_file = None;
-    r_forensics_files = [];
+    tr_name = spec.ss_name;
+    tr_geom = spec.ss_geom;
+    tr_config = spec.ss_config;
+    tr_fs = None;
+    tr_raw = raw;
+    tr_oracle = oracle;
+    tr_recover =
+      (fun ~obs config disks ->
+        match Shard.recover ~config ~obs disks with
+        | exception e -> Error e
+        | t, _reports ->
+          let invariants = Shard.recovery_invariant_errors t in
+          let problems, statuses =
+            judge_units ~blocks:(Shard_judge.blocks t) ~fs:None oracle
+          in
+          Ok (invariants @ problems, statuses));
   }
 
 let pp_corruption_result ppf r =

@@ -1,5 +1,5 @@
 (** Exhaustive crash-point enumeration checker for ARU failure
-    atomicity.
+    atomicity, over one disk or S shards.
 
     The paper's claim (§3) is that after {e any} crash, recovery
     restores the most recent persistent state and every ARU is
@@ -13,16 +13,20 @@
       {!Lld_workload.Oracle} of expected atomic effects;
     + {b enumerate} every crash point — after each write index, and
       torn variants of each write at [keep_bytes] boundaries;
-    + for each point, {b reconstruct} the disk image as of that crash,
-      run {!Lld_core.Lld.recover}, and {b verify}:
+    + for each point, {b reconstruct} the disk images as of that crash,
+      recover, and {b verify}:
       (a) every oracle unit is present in full or absent in full,
       (b) {!Lld_minixfs.Fsck} is clean on file-system workloads,
       (c) the consistency sweep leaked no allocations
           ({!Lld_core.Lld.recovery_invariant_errors}),
-      (d) recovery is idempotent: crashing right after recovery's own
-          checkpoint write and recovering again reproduces the same
-          state.
+      (d) recovery is idempotent: crashing every disk right after
+          recovery's own checkpoint write and recovering again
+          reproduces the same state.
 
+    One engine ({!Raw}) serves every target: a trace of one disk
+    ({!record}, recovered with {!Lld_core.Lld.recover}) and a trace of S
+    shards ({!record_sharded}, recovered with {!Lld_core.Shard.recover})
+    differ only in how the recovered disks are mounted and judged.
     Exhaustive mode covers every point; budgeted mode samples a
     deterministic subset via {!Lld_sim.Rng} (for CI).  Failing points
     are shrunk to the earliest failing point — the minimal reproducer. *)
@@ -90,6 +94,8 @@ val record : ?backend:Lld_disk.Backend.t -> spec -> trace
     crash-point checking works identically on any store. *)
 
 val trace_writes : trace -> int
+(** Disk writes in the trace, over all disks. *)
+
 val trace_oracle_units : trace -> int
 
 (** {1 Differential backend check}
@@ -129,32 +135,45 @@ type point = {
 
 val pp_point : Format.formatter -> point -> unit
 
-(** Crash-point machinery over a bare (base image, write trace) pair.
+(** The crash-trace engine: base images plus one global write trace
+    over any number of disks.
 
-    The trace-level {!enumerate} / {!check_point} pipeline judges
-    recovered states against an {!Lld_workload.Oracle}; a checker with
-    its own notion of correctness — the differential tester in
+    Every trace-level function above and below runs on it; a checker
+    with its own notion of correctness — the differential tester in
     lib/model judges against the executable specification's crash
-    frontier — reuses the enumeration, deterministic sampling and image
-    reconstruction through this interface instead. *)
+    frontier — uses the recorder, the enumeration, deterministic
+    sampling and image reconstruction directly. *)
 module Raw : sig
   type t
 
+  val record : Lld_disk.Disk.t array -> (unit -> 'a) -> t * 'a
+  (** [record disks f] snapshots every disk's image, runs [f] while
+      observing the writes to all [disks] in the order they reach the
+      media — the global persistence order, as the callers are
+      single-threaded — and detaches the observers, also when [f]
+      raises.  Returns the trace and [f]'s result. *)
+
   val v : base:bytes -> writes:(int * bytes) array -> t
-  (** [base] is the device image before the first write; [writes] are
-      [(offset, data)] in write order, as delivered by the
-      {!Lld_disk.Disk} write observer. *)
+  (** One-disk trace: [base] is the device image before the first
+      write; [writes] are [(offset, data)] in write order, as delivered
+      by the {!Lld_disk.Disk} write observer. *)
 
   val enumerate : ?granularity:int -> t -> point list
-  (** Same canonical order as the trace-level {!enumerate}. *)
+  (** Same canonical order as the trace-level {!enumerate}.  Raises
+      [Invalid_argument] when [granularity] is below 1. *)
 
   val sample : budget:int -> seed:int -> point list -> point list
-  (** Deterministic subsample of at most [budget] points: complete
-      points preferred over torn variants, first and last always kept,
-      the rest drawn via {!Lld_sim.Rng} seeded by [seed]. *)
+  (** Deterministic subsample of at most [max 2 budget] points: complete
+      points preferred over torn variants, the first and last point
+      always kept (so a [budget] of 0 or 1 still yields both), the rest
+      drawn via {!Lld_sim.Rng} seeded by [seed]. *)
+
+  val images_at : t -> point -> bytes array
+  (** Materialise every disk's image as of the crash point, indexed
+      like {!record}'s [disks]. *)
 
   val image_at : t -> point -> bytes
-  (** Materialise the device image as of the crash point. *)
+  (** One-disk form of {!images_at}: the first disk's image. *)
 end
 
 val enumerate : ?granularity:int -> trace -> point list
@@ -165,8 +184,9 @@ val enumerate : ?granularity:int -> trace -> point list
 
 val check_point :
   ?recover_config:Lld_core.Config.t -> trace -> point -> string list
-(** Reconstruct the disk as of the crash point, recover, verify all
-    invariants.  Returns the violations ([[]] = consistent).
+(** Reconstruct the disks as of the crash point, recover, verify all
+    invariants.  Returns the violations ([[]] = consistent).  Raises
+    [Invalid_argument] for a point outside the trace.
     [recover_config] overrides the config recovery runs with (used by
     tests to demonstrate that a deliberately broken recovery — e.g.
     [recovery_sweep = false] — is caught). *)
@@ -210,11 +230,11 @@ type result = {
           when [run ~trace_dir] was given and a violation was found *)
   r_writes_file : string option;
       (** JSON dump of the minimal reproducer's {e pre-crash} write
-          trace (offsets, lengths, full data, the torn write's kept
-          prefix), written alongside [r_trace_file] — the reproducer
-          bundle is self-contained: the crash image can be rebuilt over
-          the deterministic post-format base without re-running the
-          workload *)
+          trace (disk indices, offsets, lengths, full data, the torn
+          write's kept prefix), written alongside [r_trace_file] — the
+          reproducer bundle is self-contained: the crash images can be
+          rebuilt over the deterministic post-format bases without
+          re-running the workload *)
   r_forensics_files : string list;
       (** the rest of the minimal reproducer's {!dump_point_bundle}
           output — flight-recorder ring and metrics snapshot — written
@@ -238,16 +258,17 @@ val run :
   result
 (** Check crash points of [trace].  Without [budget], every enumerated
     point is checked (exhaustive mode).  With [budget], a deterministic
-    sample of at most [budget] points is checked — complete points are
-    preferred over torn variants, the first and last points are always
-    kept, and the sample is drawn with {!Lld_sim.Rng} seeded by [seed]
-    (default 1).  When violations are found, the earliest failing point
-    is located by scanning the full enumeration from the start (at most
-    [shrink_limit] extra checks, default 4000).  With [trace_dir], the
-    minimal reproducer's recovery is replayed under live tracing and the
-    Chrome trace written into that directory (see
-    {!dump_point_trace}); the path lands in [r_trace_file] and in
-    {!pp_result}'s output next to the reproducer command line. *)
+    sample of at most [max 2 budget] points is checked ({!Raw.sample}) —
+    complete points are preferred over torn variants, the first and
+    last points are always kept, and the sample is drawn with
+    {!Lld_sim.Rng} seeded by [seed] (default 1).  When violations are
+    found, the earliest failing point is located by scanning the full
+    enumeration from the start (at most [shrink_limit] extra checks,
+    default 4000).  With [trace_dir], the minimal reproducer's recovery
+    is replayed under live tracing and the Chrome trace written into
+    that directory (see {!dump_point_trace}); the path lands in
+    [r_trace_file] and in {!pp_result}'s output next to the reproducer
+    command line. *)
 
 val repro_hint : workload:string -> point -> string
 (** A [lld crashcheck --workload ... --at ...] command line that replays
@@ -310,7 +331,8 @@ val run_during_recovery :
   ?progress:(outer:int -> total:int -> unit) ->
   trace ->
   recovery_result
-(** Crash-during-recovery check of [trace].  [budget] (default 24)
+(** Crash-during-recovery check of a one-disk [trace] (a trace from
+    {!record_sharded} raises [Invalid_argument]).  [budget] (default 24)
     deterministically samples the workload crash points recovery starts
     from; [inner_budget] (default: exhaustive) optionally samples the
     crash points within each recovery's own write sequence.
@@ -326,19 +348,17 @@ val pp_recovery_result : Format.formatter -> recovery_result -> unit
     shards with 2PC over the shards' summary records (DESIGN.md §5.14);
     the atomicity claim is then {e cross-device}: after a whole-machine
     crash, a multi-shard unit is visible on all its shards or none.
-    This checker records the S disks' writes as one interleaved global
-    trace — the facade is single-threaded, so observer firing order is
-    the global persistence order — and crash points are prefixes of
-    that order: all shards' media freeze together.  Prepare and Decide
-    seals are ordinary traced writes, so the enumeration covers
-    complete and torn crashes between a participant's prepare and the
-    coordinator's decision, inside either record's seal, and in the
+    {!record_sharded} records the S disks' writes as one interleaved
+    global trace, so crash points are prefixes of that order: all
+    shards' media freeze together.  Prepare and Decide seals are
+    ordinary traced writes, so the enumeration covers complete and torn
+    crashes between a participant's prepare and the coordinator's
+    decision, inside either record's seal, and in the
     decided-but-unpropagated window a lazy participant [Decide] leaves
     open.  Each point recovers with {!Lld_core.Shard.recover} (the
     cross-shard decision scan) and is judged by the same all-or-nothing
-    oracle as the flat checker, plus
-    {!Lld_core.Shard.recovery_invariant_errors} and the idempotent
-    re-recovery check. *)
+    oracle as one disk, plus {!Lld_core.Shard.recovery_invariant_errors}
+    and the idempotent re-recovery check. *)
 
 type sharded_spec = {
   ss_name : string;
@@ -358,42 +378,14 @@ val cross_shard_spec : ?shards:int -> unit -> sharded_spec
     flushed durable on two shards but never committed — no crash image
     may surface it. *)
 
-type sharded_trace
-
-val record_sharded : sharded_spec -> sharded_trace
+val record_sharded : sharded_spec -> trace
 (** Run the workload once on [ss_shards] fresh disks sharing one
     virtual clock, recording every shard's base image and the
-    interleaved (shard, offset, data) write trace.  The per-shard
-    backend honours [LLD_BACKEND=file] exactly as {!record}. *)
-
-val sharded_trace_writes : sharded_trace -> int
-val sharded_trace_oracle_units : sharded_trace -> int
-
-val enumerate_sharded : ?granularity:int -> sharded_trace -> point list
-(** Crash points over the global interleaved write order, complete and
-    torn, in the same canonical order as {!enumerate}. *)
-
-val check_sharded_point :
-  ?recover_config:Lld_core.Config.t -> sharded_trace -> point -> string list
-(** Materialise every shard's image as of the crash point, recover the
-    whole array with {!Lld_core.Shard.recover}, verify all invariants
-    (including a second recovery for idempotence).  Returns the
-    violations ([[]] = consistent). *)
-
-val run_sharded :
-  ?granularity:int ->
-  ?budget:int ->
-  ?seed:int ->
-  ?recover_config:Lld_core.Config.t ->
-  ?shrink_limit:int ->
-  ?progress:(checked:int -> selected:int -> unit) ->
-  sharded_trace ->
-  result
-(** The sharded analogue of {!run}: exhaustive without [budget],
-    deterministically sampled with it, failing points shrunk to the
-    earliest failing point of the full enumeration.  The result reuses
-    {!result} / {!ok} / {!pp_result}; the forensic-dump fields are
-    [None] (per-shard bundles are a CLI affair). *)
+    interleaved write trace.  The per-shard backend honours
+    [LLD_BACKEND=file] exactly as {!record}.  The trace serves
+    {!enumerate}, {!check_point} and {!run} like a one-disk one; only
+    {!run_during_recovery} (and the spec-level {!differential} and
+    {!corruption_check}) are one-disk modes. *)
 
 (** {1 Silent corruption}
 

@@ -6,7 +6,7 @@ module Lld = Lld_core.Lld
 module Op = Lld_core.Op
 module Engine = Lld_core.Engine
 module Shard = Lld_core.Shard
-module Shard_engine = Lld_core.Shard_engine
+module Shard_engine = Engine.Make (Shard)
 module Recovery = Lld_core.Recovery
 module Fault = Lld_disk.Fault
 module Disk = Lld_disk.Disk

@@ -1,6 +1,5 @@
 module Rng = Lld_sim.Rng
 module Clock = Lld_sim.Clock
-module Blk = Lld_util.Blk
 module Geometry = Lld_disk.Geometry
 module Disk = Lld_disk.Disk
 module Backend = Lld_disk.Backend
@@ -307,19 +306,6 @@ let run_program_stats ?(crash = false) ?obs_for cfg ~seed (program : Program.t)
   in
   let sut = Shard.create ~config ~obs disks in
   Shard.flush sut;
-  let base = if crash then Some (Array.map Disk.snapshot disks) else None in
-  let writes = ref [] in
-  if crash then
-    (* one interleaved global write trace: the facade is
-       single-threaded, so observer firing order IS the persistence
-       order, and a crash freezes all shards' media together *)
-    Array.iteri
-      (fun s disk ->
-        Disk.set_observer disk
-          (Some
-             (fun ~index:_ ~offset ~data ->
-               writes := (s, offset, Blk.to_bytes data) :: !writes)))
-      disks;
   let capacity = Shard.capacity sut in
   let block_bytes = Shard.block_bytes sut in
   let model =
@@ -367,14 +353,6 @@ let run_program_stats ?(crash = false) ?obs_for cfg ~seed (program : Program.t)
   in
   note_frontier ();
   let trail = ref [] in
-  let finish div =
-    Array.iter
-      (fun disk ->
-        Disk.set_observer disk None;
-        Disk.close disk)
-      disks;
-    div
-  in
   (* one operation against both sides; [Some d] = stop with divergence *)
   let step ci op =
     let m_res = Mops.apply model op in
@@ -506,113 +484,93 @@ let run_program_stats ?(crash = false) ?obs_for cfg ~seed (program : Program.t)
         !trail
     else None
   in
-  let crash_check () =
-    match base with
-    | None -> None
-    | Some bases ->
-      Array.iter (fun disk -> Disk.set_observer disk None) disks;
-      let writes = Array.of_list (List.rev !writes) in
-      (* enumeration and sampling only look at write count and lengths,
-         so the flat Raw machinery serves the interleaved trace as-is;
-         images are rebuilt per shard *)
-      let raw =
-        Raw.v ~base:Bytes.empty
-          ~writes:(Array.map (fun (_, o, d) -> (o, d)) writes)
-      in
-      let points = Raw.enumerate ~granularity:cfg.granularity raw in
-      let points = Raw.sample ~budget:cfg.crash_points ~seed points in
-      let images_at point =
-        let images = Array.map Bytes.copy bases in
-        for i = 0 to point.Cc.pt_index - 1 do
-          let s, offset, data = writes.(i) in
-          Bytes.blit data 0 images.(s) offset (Bytes.length data)
-        done;
-        (match point.Cc.pt_keep with
-        | None -> ()
-        | Some k ->
-          let s, offset, data = writes.(point.Cc.pt_index) in
-          Bytes.blit data 0 images.(s) offset (min k (Bytes.length data)));
-        images
-      in
-      let rec each = function
-        | [] -> None
-        | point :: rest -> (
-          stats.ex_crash_points <- stats.ex_crash_points + 1;
-          let rclock = Clock.create () in
-          let rdisks =
-            Array.map
-              (fun image -> Disk.load ~clock:rclock differ_geom image)
-              (images_at point)
-          in
-          let verdict =
-            match Shard.recover ~config rdisks with
-            | exception e ->
+  (* Recover every sampled crash point of [raw] — all shards' writes
+     after the flush above, one interleaved trace — on fresh disks. *)
+  let crash_check raw =
+    let points = Raw.enumerate ~granularity:cfg.granularity raw in
+    let points = Raw.sample ~budget:cfg.crash_points ~seed points in
+    let rec each = function
+      | [] -> None
+      | point :: rest -> (
+        stats.ex_crash_points <- stats.ex_crash_points + 1;
+        let rclock = Clock.create () in
+        let rdisks =
+          Array.map
+            (fun image -> Disk.load ~clock:rclock differ_geom image)
+            (Raw.images_at raw point)
+        in
+        let verdict =
+          match Shard.recover ~config rdisks with
+          | exception e ->
+            diverged Crash_mismatch
+              [
+                Format.asprintf "crash %a: recovery raised %s" Cc.pp_point
+                  point
+                  (Printexc.to_string e);
+              ]
+              !trail
+          | rsut, _reports -> (
+            match Shard.recovery_invariant_errors rsut with
+            | _ :: _ as errs ->
               diverged Crash_mismatch
-                [
-                  Format.asprintf "crash %a: recovery raised %s" Cc.pp_point
-                    point
-                    (Printexc.to_string e);
-                ]
+                (Format.asprintf "crash %a: recovery invariants violated"
+                   Cc.pp_point point
+                :: errs)
                 !trail
-            | rsut, _reports -> (
-              match Shard.recovery_invariant_errors rsut with
-              | _ :: _ as errs ->
+            | [] ->
+              let _, members = real_summary rsut in
+              if Shard.allocated_blocks rsut <> members then
                 diverged Crash_mismatch
-                  (Format.asprintf "crash %a: recovery invariants violated"
-                     Cc.pp_point point
-                  :: errs)
+                  [
+                    Format.asprintf
+                      "crash %a: recovered state holds %d allocations for \
+                       %d list members"
+                      Cc.pp_point point
+                      (Shard.allocated_blocks rsut)
+                      members;
+                  ]
                   !trail
-              | [] ->
-                let _, members = real_summary rsut in
-                if Shard.allocated_blocks rsut <> members then
-                  diverged Crash_mismatch
-                    [
-                      Format.asprintf
-                        "crash %a: recovered state holds %d allocations for \
-                         %d list members"
-                        Cc.pp_point point
-                        (Shard.allocated_blocks rsut)
-                        members;
-                    ]
-                    !trail
-                else begin
-                  let rec on_chain s =
-                    if s >= cfg.shards then None
+              else begin
+                let rec on_chain s =
+                  if s >= cfg.shards then None
+                  else
+                    let p_sum, _ = real_summary ~shard:s rsut in
+                    if Hashtbl.mem frontiers.(s) p_sum then on_chain (s + 1)
                     else
-                      let p_sum, _ = real_summary ~shard:s rsut in
-                      if Hashtbl.mem frontiers.(s) p_sum then on_chain (s + 1)
-                      else
-                        diverged Crash_mismatch
-                          [
-                            Format.asprintf
-                              "crash %a: shard %d's recovered state is not \
-                               on its crash-frontier chain (%d states)"
-                              Cc.pp_point point s
-                              (Hashtbl.length frontiers.(s));
-                            "recovered: " ^ p_sum;
-                          ]
-                          !trail
-                  in
-                  on_chain 0
-                end)
-          in
-          Array.iter Disk.close rdisks;
-          match verdict with None -> each rest | d -> d)
-      in
-      each points
+                      diverged Crash_mismatch
+                        [
+                          Format.asprintf
+                            "crash %a: shard %d's recovered state is not \
+                             on its crash-frontier chain (%d states)"
+                            Cc.pp_point point s
+                            (Hashtbl.length frontiers.(s));
+                          "recovered: " ^ p_sum;
+                        ]
+                        !trail
+                in
+                on_chain 0
+              end)
+        in
+        Array.iter Disk.close rdisks;
+        match verdict with None -> each rest | d -> d)
+    in
+    each points
   in
-  let result =
+  let execute () =
     match steps 0 with
     | Some d -> Some d
     | None -> (
-      match quiesce () with
-      | Some d -> Some d
-      | None -> (
-        match final_check () with
-        | Some d -> Some d
-        | None -> crash_check ()))
+      match quiesce () with Some d -> Some d | None -> final_check ())
   in
-  finish result
+  let result =
+    if not crash then execute ()
+    else
+      match Raw.record disks execute with
+      | _, Some d -> Some d
+      | raw, None -> crash_check raw
+  in
+  Array.iter Disk.close disks;
+  result
 
 let run_program ?crash ?obs_for cfg ~seed program =
   let stats = { ex_ops = 0; ex_skipped = 0; ex_crash_points = 0 } in

@@ -79,6 +79,12 @@ let matrix () =
     ("stats, small workload", [ "stats"; "--segments"; "64"; "--files"; "4" ], 0);
     ("bench, G1 gates at 1 and 8 clients", [ "bench"; "--clients"; "1,8" ], 0);
     ("bench, zero clients", [ "bench"; "--clients"; "0" ], 2);
+    ( "crashcheck, zero granularity",
+      [ "crashcheck"; "--workload"; "aru-churn"; "--granularity"; "0" ],
+      2 );
+    ( "crashcheck, negative granularity",
+      [ "crashcheck"; "--workload"; "aru-churn"; "--granularity=-512" ],
+      2 );
     ( "model, small clean fuzz",
       [ "model"; "--budget"; "2"; "--ops"; "10"; "--crash-every"; "0" ],
       0 );

@@ -166,10 +166,10 @@ let test_catches_broken_sweep () =
 let test_sharded_clean () =
   let trace = Crashcheck.record_sharded (Crashcheck.cross_shard_spec ()) in
   Alcotest.(check bool) "trace has writes" true
-    (Crashcheck.sharded_trace_writes trace > 0);
+    (Crashcheck.trace_writes trace > 0);
   Alcotest.(check bool) "oracle units recorded" true
-    (Crashcheck.sharded_trace_oracle_units trace >= 8);
-  let r = Crashcheck.run_sharded ~budget:100 trace in
+    (Crashcheck.trace_oracle_units trace >= 8);
+  let r = Crashcheck.run ~budget:100 trace in
   Alcotest.(check bool)
     (Format.asprintf "%a" Crashcheck.pp_result r)
     true (Crashcheck.ok r);
@@ -182,38 +182,38 @@ let test_sharded_two_shards () =
   let trace =
     Crashcheck.record_sharded (Crashcheck.cross_shard_spec ~shards:2 ())
   in
-  let r = Crashcheck.run_sharded ~budget:80 trace in
+  let r = Crashcheck.run ~budget:80 trace in
   Alcotest.(check bool)
     (Format.asprintf "%a" Crashcheck.pp_result r)
     true (Crashcheck.ok r)
 
 let test_sharded_deterministic () =
   let trace = Crashcheck.record_sharded (Crashcheck.cross_shard_spec ()) in
-  let r1 = Crashcheck.run_sharded ~budget:24 ~seed:7 trace in
-  let r2 = Crashcheck.run_sharded ~budget:24 ~seed:7 trace in
+  let r1 = Crashcheck.run ~budget:24 ~seed:7 trace in
+  let r2 = Crashcheck.run ~budget:24 ~seed:7 trace in
   Alcotest.(check bool) "same seed, same sample" true (r1 = r2)
 
 (* A deliberately broken sharded recovery — consistency sweep disabled,
    so aborted prepares leak their allocations — must be caught, and the
-   minimal reproducer must replay standalone via check_sharded_point. *)
+   minimal reproducer must replay standalone via check_point. *)
 let test_sharded_catches_broken_sweep () =
   let spec = Crashcheck.cross_shard_spec () in
   let broken =
     { spec.Crashcheck.ss_config with Config.recovery_sweep = false }
   in
   let trace = Crashcheck.record_sharded spec in
-  let r = Crashcheck.run_sharded ~budget:100 ~recover_config:broken trace in
+  let r = Crashcheck.run ~budget:100 ~recover_config:broken trace in
   Alcotest.(check bool) "violations found" false (Crashcheck.ok r);
   match r.Crashcheck.r_minimal with
   | None -> Alcotest.fail "no minimal reproducer"
   | Some v ->
     let problems =
-      Crashcheck.check_sharded_point ~recover_config:broken trace
+      Crashcheck.check_point ~recover_config:broken trace
         v.Crashcheck.v_point
     in
     Alcotest.(check bool) "minimal reproducer replays" true (problems <> []);
     Alcotest.(check (list string)) "real recovery is consistent there" []
-      (Crashcheck.check_sharded_point trace v.Crashcheck.v_point)
+      (Crashcheck.check_point trace v.Crashcheck.v_point)
 
 (* ------------------------------------------------------------------ *)
 (* qcheck property: tearing the segment write that carries an ARU's

@@ -323,6 +323,65 @@ let test_decide_propagation_on_mount () =
        0 reports2)
 
 (* ------------------------------------------------------------------ *)
+(* A whole-machine crash in place: every shard's device dies
+   mid-workload and refuses I/O until recovery resets it.  Recovering
+   the same disks must work — the cross-shard decision scan reads every
+   log before any shard's own recovery runs — and must agree with
+   recovering reloaded snapshots of the crashed images. *)
+
+let crash_in_place d =
+  Fault.schedule_crash (Disk.fault d) (Fault.After_writes 0);
+  match Disk.write d ~offset:0 (Bytes.make 1 'x') with
+  | () -> Alcotest.fail "the scheduled crash did not fire"
+  | exception Fault.Crashed -> ()
+
+(* every list with its members' contents, in canonical order *)
+let committed_state t =
+  List.map
+    (fun l ->
+      ( Types.List_id.to_int l,
+        List.map
+          (fun b ->
+            ( Types.Block_id.to_int b,
+              Digest.to_hex (Digest.bytes (Shard.read t b)) ))
+          (Shard.list_blocks t l) ))
+    (Shard.lists t)
+
+let test_recover_after_crash_in_place () =
+  let disks, t = fresh_sharded ~s:3 () in
+  let a, ls, bs = cross_shard_tx t in
+  (* committed; the participants' lazy Decides are still buffered *)
+  Shard.end_aru t a;
+  (* durable on every shard, never committed *)
+  let _open, _, open_bs = cross_shard_tx t in
+  Shard.flush t;
+  Array.iter crash_in_place disks;
+  let reloaded, _ = remount disks in
+  let in_place, _reports = Shard.recover disks in
+  Alcotest.(check (list string))
+    "no invariant violations" []
+    (Shard.recovery_invariant_errors in_place);
+  List.iter2
+    (fun l b ->
+      check_data "committed cross-shard data survived"
+        (block_data (Types.List_id.to_int l))
+        (Shard.read in_place b))
+    ls bs;
+  List.iter
+    (fun b ->
+      Alcotest.(check bool)
+        "uncommitted block swept" false
+        (Shard.block_allocated in_place b))
+    open_bs;
+  Alcotest.(check (list (pair int (list (pair int string)))))
+    "in-place recovery agrees with reloaded snapshots"
+    (committed_state reloaded) (committed_state in_place);
+  Alcotest.(check int)
+    "same allocations"
+    (Shard.allocated_blocks reloaded)
+    (Shard.allocated_blocks in_place)
+
+(* ------------------------------------------------------------------ *)
 (* Maintenance fans out per shard: scrub reports and info-style gauges
    come back one per shard. *)
 
@@ -371,6 +430,8 @@ let () =
             test_prepare_failure_aborts_in_place;
           Alcotest.test_case "decide propagates on the next mount" `Quick
             test_decide_propagation_on_mount;
+          Alcotest.test_case "recovery after a crash in place" `Quick
+            test_recover_after_crash_in_place;
         ] );
       ( "maintenance",
         [
