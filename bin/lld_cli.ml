@@ -5,6 +5,7 @@ module Fault = Lld_disk.Fault
 module Disk = Lld_disk.Disk
 module Backend = Lld_disk.Backend
 module Errors = Lld_core.Errors
+module Disk_layout = Lld_core.Disk_layout
 module Clock = Lld_sim.Clock
 module Config = Lld_core.Config
 module Lld = Lld_core.Lld
@@ -56,7 +57,38 @@ let segments_arg =
     & info [ "segments" ] ~docv:"N"
         ~doc:"Partition size in 0.5 MB segments (paper: 800 = 400 MB).")
 
-let geom_of segments = Geometry.v ~num_segments:segments ()
+let fail_invalid msg =
+  Printf.eprintf "%s\n" msg;
+  exit 2
+
+let positive name n =
+  if n < 1 then fail_invalid (Printf.sprintf "%s must be positive (got %d)" name n)
+
+let default_segment_bytes = (Geometry.v ~num_segments:1 ()).Geometry.segment_bytes
+
+(* The smallest partition, in default-size segments, that holds the
+   superblock, both checkpoint regions and a log. *)
+let min_segments =
+  let fits n =
+    match Disk_layout.log_count (Geometry.v ~num_segments:n ()) with
+    | _ -> true
+    | exception Invalid_argument _ -> false
+  in
+  let rec first n = if fits n then n else first (n + 1) in
+  first 1
+
+(* Every geometry the CLI builds or infers comes from here, before any
+   file is created. *)
+let checked_geom what segments =
+  if segments < min_segments then
+    fail_invalid
+      (Printf.sprintf
+         "%s: %d segment(s) is too small for a log; the minimum is %d \
+          segments of %d KB"
+         what segments min_segments (default_segment_bytes / 1024));
+  Geometry.v ~num_segments:segments ()
+
+let geom_of = checked_geom "--segments"
 
 (* ------------------------------------------------- persistent images *)
 
@@ -67,18 +99,12 @@ let file_arg =
     & info [ "file" ] ~docv:"PATH"
         ~doc:"Back the partition with a real on-disk image instead of memory.")
 
-let default_segment_bytes = (geom_of 1).Geometry.segment_bytes
-
 (* Deterministic seed-file contents, shared by mkfs (writer) and mount
    (verifier) so the round-trip check needs no side channel. *)
 let seed_file_path i = Printf.sprintf "/f%05d" i
 
 let seed_file_body i =
   Bytes.init 1024 (fun j -> Char.chr (33 + (((i * 31) + j) mod 94)))
-
-let fail_invalid msg =
-  Printf.eprintf "%s\n" msg;
-  exit 2
 
 (* Open an existing image, inferring the segment count from its size
    (segment size is the default 0.5 MB). *)
@@ -96,7 +122,7 @@ let open_image path =
          "%s is not an LLD image: %d bytes is not a whole number of %d KB \
           segments"
          path size (default_segment_bytes / 1024));
-  let geom = Geometry.v ~num_segments:(size / default_segment_bytes) () in
+  let geom = checked_geom path (size / default_segment_bytes) in
   match Backend.file ~size path with
   | backend -> (geom, backend)
   | exception Invalid_argument msg -> fail_invalid msg
@@ -292,6 +318,7 @@ let repro_cmd =
 (* --------------------------------------------------------- smallfile *)
 
 let smallfile variant segments files bytes =
+  positive "--files" files;
   let inst = Setup.make ~geom:(geom_of segments) variant in
   let r =
     Smallfile.run inst { Smallfile.file_count = files; file_bytes = bytes; dirs = 1 }
@@ -321,6 +348,7 @@ let smallfile_cmd =
 (* --------------------------------------------------------- largefile *)
 
 let largefile variant segments mbytes =
+  positive "--mbytes" mbytes;
   let inst = Setup.make ~geom:(geom_of segments) variant in
   let r =
     Largefile.run inst
@@ -343,6 +371,7 @@ let largefile_cmd =
 (* --------------------------------------------------------- aru-bench *)
 
 let aru_bench variant segments count =
+  positive "--count" count;
   let _, lld = Setup.make_raw ~geom:(geom_of segments) variant in
   let r = Aru_churn.run lld { Aru_churn.count } in
   Printf.printf

@@ -17,15 +17,15 @@ module Clock = Lld_sim.Clock
 module Types = Lld_core.Types
 module Lld = Lld_core.Lld
 module Summary = Lld_core.Summary
-module Codec = Lld_util.Bytes_codec
+module Blk = Lld_util.Blk
 
 type ledger = { lld : Lld.t; accounts : Types.Block_id.t array }
 
-let balance_of_block b = Codec.get_u32 b 0
+let balance_of_block b = Blk.get_u32_bytes b 0
 
 let block_of_balance v =
   let b = Bytes.make 4096 '\000' in
-  Codec.set_u32 b 0 v;
+  Blk.set_u32_bytes b 0 v;
   b
 
 let create lld ~accounts ~opening_balance =

@@ -2,7 +2,6 @@ module Clock = Lld_sim.Clock
 module Cost = Lld_sim.Cost
 module Geometry = Lld_disk.Geometry
 module Disk = Lld_disk.Disk
-module Lru = Lld_util.Lru
 module Blk = Lld_util.Blk
 module Arena = Lld_util.Arena
 module Obs = Lld_obs.Obs
@@ -25,6 +24,7 @@ type t = {
   disk : Disk.t;
   geom : Geometry.t;
   clock : Clock.t;
+  log : Seglog.t;
   blocks : Block_map.t;
   lists : List_table.t;
   mutable committed_blocks : Record.block option;
@@ -38,26 +38,12 @@ type t = {
   (* ARUs prepared under two-phase commit and not yet decided *)
   mutable seq_aru : Aru.t option; (* sequential mode's single open ARU *)
   mutable stamp : int;
-  mutable open_seg : Segment.t option;
-  mutable next_seq : int;
-  free_segs : int Queue.t;
-  sealed : bool array; (* per disk segment: written and not yet freed *)
-  seal_seq : int array; (* per disk segment: seq when last sealed *)
   victim_flag : bool array; (* per disk segment: picked in current batch *)
   live : Live_index.t; (* seg -> persistent block slots referenced *)
-  cache : Blk.t Lru.t;
-  (* cached entries are views into immutable storage (sealed segment
-     images, fresh disk reads) — never into a buffer that can mutate *)
   arena : Arena.t; (* block-sized slots backing shadow data versions *)
-  meta_cache : (int, Blk.t) Hashtbl.t;
-  (* per sealed segment: its trailing meta view (header + CRC table),
-     memoised so single-block reads can verify their slot CRC with one
-     small extra fetch per segment; dropped when the segment is freed *)
   sb_slots : Superblock.slot option array;
   (* in-memory mirror of the two superblock generations, the scrubber's
      repair source for a rotted slot *)
-  mutable last_read_gslot : int;
-  mutable seq_read_run : int; (* consecutive sequential physical reads *)
   counters : Counters.t;
   mutable ckpt_id : int;
   mutable full_region : int; (* region holding the newest durable full *)
@@ -102,7 +88,7 @@ let cost_model t = t.config.Config.cost
 let disk t = t.disk
 let capacity t = Block_map.capacity t.blocks
 let allocated_blocks t = Block_map.allocated_count t.blocks
-let free_segments t = Queue.length t.free_segs
+let free_segments t = Seglog.free_count t.log
 
 type who = [ `Simple | `In of Aru.t ]
 
@@ -194,35 +180,244 @@ let set_durable_list (r : Record.list_r) seq =
      else max r.Record.l_durable_seq seq)
 
 (* ------------------------------------------------------------------ *)
-(* Segment lifecycle                                                   *)
+(* Emitting summary entries                                            *)
 
-let current_seq t =
-  match t.open_seg with Some s -> Segment.seq s | None -> t.next_seq
+(* An ARU's entries also wait in [pending] until its commit record, so a
+   checkpoint can carry them. *)
+let pending_push t stream op seg =
+  match stream with
+  | Summary.In_aru aru ->
+    let key = Types.Aru_id.to_int aru in
+    let prev = Option.value ~default:[] (Hashtbl.find_opt t.pending key) in
+    Hashtbl.replace t.pending key ({ Checkpoint.pe_op = op; pe_seg = seg } :: prev)
+  | Summary.Simple -> ()
 
-let cache_invalidate_segment t idx =
-  let base = idx * bps t in
-  Hashtbl.remove t.meta_cache idx;
-  Lru.remove_range t.cache ~lo:base ~hi:(base + bps t - 1)
+let emit_entry t ~stream op =
+  let seq, seg = Seglog.emit_entry t.log { Summary.stream; op } in
+  pending_push t stream op seg;
+  seq
 
-let rec open_new t =
-  if
-    (not t.in_cleaning) && t.config.Config.auto_clean
-    && Queue.length t.free_segs < t.config.Config.clean_reserve_segments
-  then clean_internal t ~target_free:(t.config.Config.clean_reserve_segments * 2);
-  match Queue.take_opt t.free_segs with
-  | None -> raise Errors.Disk_full
-  | Some idx ->
-    cache_invalidate_segment t idx;
-    let seg = Segment.create t.geom ~seq:t.next_seq ~disk_index:idx in
-    t.next_seq <- t.next_seq + 1;
-    t.open_seg <- Some seg;
-    seg
+let emit_write t ?charge_copy ~allow_cross_scope ~stream ~block ~data ~stamp () =
+  let seq, phys =
+    Seglog.emit_write t.log ?charge_copy ~allow_cross_scope ~stream ~block ~data
+      ~stamp ()
+  in
+  pending_push t stream
+    (Summary.Write { block; slot = phys.Record.slot; stamp })
+    phys.Record.seg_index;
+  (seq, phys)
 
-and get_open t = match t.open_seg with Some s -> s | None -> open_new t
+(* ------------------------------------------------------------------ *)
+(* Version views                                                       *)
+
+let hops_charge t n =
+  if n > 0 then begin
+    t.counters.Counters.mesh_hops <- t.counters.Counters.mesh_hops + n;
+    cpu t (n * (cost t).Cost.mesh_hop_ns)
+  end
+
+(* Committed view of a block: the committed alternative record, falling
+   back to the persistent anchor.  In sequential mode the anchor is the
+   single authoritative record. *)
+let committed_peek t b =
+  let anchor = Block_map.anchor t.blocks b in
+  if not (concurrent t) then anchor
+  else begin
+    let r, hops = Record.find_block ~anchor Record.Committed in
+    hops_charge t hops;
+    Option.value r ~default:anchor
+  end
+
+let committed_get t b =
+  dirty_block t b;
+  let anchor = Block_map.anchor t.blocks b in
+  if not (concurrent t) then anchor
+  else begin
+    let r, hops = Record.find_block ~anchor Record.Committed in
+    hops_charge t hops;
+    match r with
+    | Some r -> r
+    | None ->
+      let alt = Record.alt_block Record.Committed ~from:anchor in
+      Record.insert_alt_block ~anchor alt;
+      alt.Record.next_same_state <- t.committed_blocks;
+      t.committed_blocks <- Some alt;
+      t.counters.Counters.record_creates <-
+        t.counters.Counters.record_creates + 1;
+      cpu t (cost t).Cost.record_create_ns;
+      alt
+  end
+
+let committed_peek_list t l =
+  let anchor = List_table.anchor t.lists l in
+  if not (concurrent t) then anchor
+  else begin
+    let r, hops = Record.find_list ~anchor Record.Committed in
+    hops_charge t hops;
+    Option.value r ~default:anchor
+  end
+
+let committed_get_list t l =
+  dirty_list t l;
+  let anchor = List_table.anchor t.lists l in
+  if not (concurrent t) then anchor
+  else begin
+    let r, hops = Record.find_list ~anchor Record.Committed in
+    hops_charge t hops;
+    match r with
+    | Some r -> r
+    | None ->
+      let alt = Record.alt_list Record.Committed ~from:anchor in
+      Record.insert_alt_list ~anchor alt;
+      alt.Record.l_next_same_state <- t.committed_lists;
+      t.committed_lists <- Some alt;
+      t.counters.Counters.record_creates <-
+        t.counters.Counters.record_creates + 1;
+      cpu t (cost t).Cost.record_create_ns;
+      alt
+  end
+
+(* Shadow view for an ARU: shadow record, else committed, else
+   persistent (the standardized search of paper §3.3). *)
+let shadow_peek t (a : Aru.t) b =
+  let anchor = Block_map.anchor t.blocks b in
+  let r, hops = Record.find_block ~anchor (Record.Shadow a.Aru.id) in
+  hops_charge t hops;
+  match r with Some r -> r | None -> committed_peek t b
+
+let shadow_get t (a : Aru.t) b =
+  let anchor = Block_map.anchor t.blocks b in
+  let r, hops = Record.find_block ~anchor (Record.Shadow a.Aru.id) in
+  hops_charge t hops;
+  match r with
+  | Some r -> r
+  | None ->
+    let from = committed_peek t b in
+    let alt = Record.alt_block (Record.Shadow a.Aru.id) ~from in
+    Record.insert_alt_block ~anchor alt;
+    Aru.push_shadow_block a alt;
+    t.counters.Counters.record_creates <- t.counters.Counters.record_creates + 1;
+    cpu t (cost t).Cost.record_create_ns;
+    alt
+
+let shadow_peek_list t (a : Aru.t) l =
+  let anchor = List_table.anchor t.lists l in
+  let r, hops = Record.find_list ~anchor (Record.Shadow a.Aru.id) in
+  hops_charge t hops;
+  match r with Some r -> r | None -> committed_peek_list t l
+
+let shadow_get_list t (a : Aru.t) l =
+  let anchor = List_table.anchor t.lists l in
+  let r, hops = Record.find_list ~anchor (Record.Shadow a.Aru.id) in
+  hops_charge t hops;
+  match r with
+  | Some r -> r
+  | None ->
+    let from = committed_peek_list t l in
+    let alt = Record.alt_list (Record.Shadow a.Aru.id) ~from in
+    Record.insert_alt_list ~anchor alt;
+    Aru.push_shadow_list a alt;
+    t.counters.Counters.record_creates <- t.counters.Counters.record_creates + 1;
+    cpu t (cost t).Cost.record_create_ns;
+    alt
+
+(* The record a Read (or introspection) sees, per the configured
+   visibility option (paper §3.3). *)
+let visible_block t (who : who) b =
+  let anchor = Block_map.anchor t.blocks b in
+  if not (concurrent t) then anchor
+  else begin
+    cpu t (cost t).Cost.version_search_ns;
+    match (t.config.Config.visibility, who) with
+    | Config.Own_shadow, `In a -> shadow_peek t a b
+    | Config.Own_shadow, `Simple | Config.Committed_only, _ ->
+      committed_peek t b
+    | Config.Any_shadow, _ -> (
+      let r, hops = Record.newest_shadow_block ~anchor in
+      hops_charge t hops;
+      match r with Some r -> r | None -> committed_peek t b)
+  end
+
+let visible_list t (who : who) l =
+  if not (concurrent t) then List_table.anchor t.lists l
+  else begin
+    cpu t (cost t).Cost.version_search_ns;
+    match (t.config.Config.visibility, who) with
+    | (Config.Own_shadow | Config.Any_shadow), `In a -> shadow_peek_list t a l
+    | (Config.Own_shadow | Config.Any_shadow), `Simple
+    | Config.Committed_only, (`Simple | `In _) ->
+      committed_peek_list t l
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Durability sinks and splice contexts                                *)
+
+let note_block_simple t (r : Record.block) =
+  if concurrent t then set_durable_block r (Seglog.current_seq t.log)
+
+let note_list_simple t (r : Record.list_r) =
+  if concurrent t then set_durable_list r (Seglog.current_seq t.log)
+
+let pred_hop t () =
+  t.counters.Counters.pred_search_hops <-
+    t.counters.Counters.pred_search_hops + 1;
+  cpu t (cost t).Cost.pred_search_hop_ns
+
+(* Splice context over the committed state for simple operations. *)
+let committed_ctx t =
+  {
+    Splice.peek_block = (fun b -> committed_peek t b);
+    get_block =
+      (fun b ->
+        let r = committed_get t b in
+        note_block_simple t r;
+        r);
+    peek_list = (fun l -> committed_peek_list t l);
+    get_list =
+      (fun l ->
+        let r = committed_get_list t l in
+        note_list_simple t r;
+        r);
+    on_pred_hop = pred_hop t;
+  }
+
+(* Splice context over the committed state during commit replay: every
+   touched record is collected so EndARU can stamp it with the commit
+   record's segment. *)
+let commit_ctx t collected_b collected_l =
+  {
+    Splice.peek_block = (fun b -> committed_peek t b);
+    get_block =
+      (fun b ->
+        let r = committed_get t b in
+        r.Record.durable_seq <- max_int;
+        collected_b := r :: !collected_b;
+        r);
+    peek_list = (fun l -> committed_peek_list t l);
+    get_list =
+      (fun l ->
+        let r = committed_get_list t l in
+        r.Record.l_durable_seq <- max_int;
+        collected_l := r :: !collected_l;
+        r);
+    on_pred_hop = pred_hop t;
+  }
+
+let shadow_ctx t (a : Aru.t) =
+  {
+    Splice.peek_block = (fun b -> shadow_peek t a b);
+    get_block = (fun b -> shadow_get t a b);
+    peek_list = (fun l -> shadow_peek_list t a l);
+    get_list = (fun l -> shadow_get_list t a l);
+    on_pred_hop = pred_hop t;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Promotion and checkpoints                                           *)
 
 (* Promote committed records whose durability requirement is met:
    the committed -> persistent transition (paper §3.1). *)
-and promote_upto t upto_seq =
+let promote_upto t upto_seq =
   let c = cost t in
   let promote_block (r : Record.block) =
     dirty_block t r.Record.id;
@@ -300,51 +495,6 @@ and promote_upto t upto_seq =
   t.committed_blocks <- filter_blocks t.committed_blocks;
   t.committed_lists <- filter_lists t.committed_lists
 
-and seal t =
-  match t.open_seg with
-  | None -> ()
-  | Some s when Segment.is_empty s ->
-    (* never written: return the slot unused *)
-    t.open_seg <- None;
-    t.next_seq <- t.next_seq - 1;
-    Queue.push (Segment.disk_index s) t.free_segs
-  | Some s ->
-    let image = Segment.seal s in
-    let idx = Segment.disk_index s in
-    Disk.write_view t.disk ~offset:(Geometry.segment_offset t.geom idx) image;
-    (* Paper §4 ordering: a sealed segment (and every commit record in
-       it) must be durable before any later segment or checkpoint refers
-       to it.  No-op in memory; fsync on a file backend. *)
-    Disk.barrier t.disk;
-    t.counters.Counters.segments_written <-
-      t.counters.Counters.segments_written + 1;
-    t.sealed.(idx) <- true;
-    t.seal_seq.(idx) <- Segment.seq s;
-    (* the sealed segment's blocks are the most recently used data; the
-       sealed image is immutable, so the cache aliases its slots *)
-    let base = idx * bps t in
-    for slot = 0 to Segment.slots_used s - 1 do
-      elide t;
-      Lru.add t.cache (base + slot) (Segment.read_slot s ~slot)
-    done;
-    t.open_seg <- None;
-    t.sealed_since_ckpt <- t.sealed_since_ckpt + 1;
-    promote_upto t (Segment.seq s);
-    maybe_auto_checkpoint t
-
-and flush t =
-  t.counters.Counters.flushes <- t.counters.Counters.flushes + 1;
-  seal t
-
-and maybe_auto_checkpoint t =
-  let interval = t.config.Config.checkpoint_interval_segments in
-  if
-    interval > 0
-    && t.sealed_since_ckpt >= interval
-    && (not t.in_checkpoint) && (not t.in_cleaning)
-    && t.seq_aru = None
-  then checkpoint_internal t
-
 (* Write a checkpoint of the persistent state (plus pending ARU
    entries); see Checkpoint.  A periodic checkpoint is an incremental
    delta (the anchors dirtied since the last full, plus tombstones)
@@ -359,7 +509,7 @@ and maybe_auto_checkpoint t =
    destroy the fallback generation.  A completed full takes that region
    over; deltas are cumulative against the full and keep overwriting the
    same region. *)
-and checkpoint_internal ?(extra_free = []) ?(force_full = false) t =
+let checkpoint_internal ?(extra_free = []) ?(force_full = false) t =
   t.in_checkpoint <- true;
   Fun.protect ~finally:(fun () -> t.in_checkpoint <- false) @@ fun () ->
   let delta =
@@ -377,7 +527,7 @@ and checkpoint_internal ?(extra_free = []) ?(force_full = false) t =
         ("dirty", Tr.I (dirty_count t));
       ]
   @@ fun () ->
-  seal t;
+  Seglog.seal t.log;
   let block_entry (r : Record.block) =
     {
       Checkpoint.b_id = Types.Block_id.to_int r.Record.id;
@@ -432,10 +582,6 @@ and checkpoint_internal ?(extra_free = []) ?(force_full = false) t =
   let pending =
     Hashtbl.fold (fun aru rev acc -> (aru, List.rev rev) :: acc) t.pending []
   in
-  let free_order =
-    List.rev (Queue.fold (fun acc idx -> idx :: acc) [] t.free_segs)
-    @ extra_free
-  in
   t.ckpt_id <- t.ckpt_id + 1;
   let snap =
     {
@@ -443,8 +589,8 @@ and checkpoint_internal ?(extra_free = []) ?(force_full = false) t =
       kind =
         (if delta then Checkpoint.Delta { base_id = t.full_ckpt_id }
          else Checkpoint.Full);
-      covered_seq = t.next_seq - 1;
-      next_seq = t.next_seq;
+      covered_seq = Seglog.next_seq t.log - 1;
+      next_seq = Seglog.next_seq t.log;
       stamp = t.stamp;
       next_aru = t.next_aru;
       next_gid = t.next_gid;
@@ -453,7 +599,7 @@ and checkpoint_internal ?(extra_free = []) ?(force_full = false) t =
       dead_blocks = List.rev !dead_blocks;
       dead_lists = List.rev !dead_lists;
       pending;
-      free_order;
+      free_order = Seglog.free_order t.log @ extra_free;
       prepared =
         List.sort
           (fun (a, _, _) (b, _, _) -> Int.compare a b)
@@ -478,10 +624,113 @@ and checkpoint_internal ?(extra_free = []) ?(force_full = false) t =
   t.sealed_since_ckpt <- 0;
   t.counters.Counters.checkpoints <- t.counters.Counters.checkpoints + 1
 
+let maybe_auto_checkpoint t =
+  let interval = t.config.Config.checkpoint_interval_segments in
+  if
+    interval > 0
+    && t.sealed_since_ckpt >= interval
+    && (not t.in_checkpoint) && (not t.in_cleaning)
+    && t.seq_aru = None
+  then checkpoint_internal t
+
+(* Seglog's hook after every seal: the segment is durable, so records
+   waiting on it are promoted, then the periodic checkpoint runs if due. *)
+let after_seal t seq =
+  t.sealed_since_ckpt <- t.sealed_since_ckpt + 1;
+  promote_upto t seq;
+  maybe_auto_checkpoint t
+
+let flush_log t =
+  t.counters.Counters.flushes <- t.counters.Counters.flushes + 1;
+  Seglog.seal t.log
+
+(* Segments emptied by the cleaner or the scrubber rejoin the free queue
+   right after a checkpoint whose free order already lists them, in the
+   order they will be reused; forced full so no earlier generation
+   recovery could fall back to predates their reuse. *)
+let retire t idxs =
+  checkpoint_internal t ~extra_free:idxs ~force_full:true;
+  Seglog.retire t.log idxs
+
+(* Rewrite one live block through the ordinary log path, preserving its
+   stamp so replay ordering is untouched (cleaner and scrub). *)
+let relocate_block t bid (anchor : Record.block) data =
+  let seq, phys =
+    emit_write t ~allow_cross_scope:true ~stream:Summary.Simple ~block:bid
+      ~data ~stamp:anchor.Record.stamp ()
+  in
+  if concurrent t then begin
+    let r = committed_get t bid in
+    r.Record.phys <- Some phys;
+    r.Record.stamp <- anchor.Record.stamp;
+    set_durable_block r seq
+  end
+  else begin
+    live_add t phys.Record.seg_index bid;
+    anchor.Record.phys <- Some phys;
+    dirty_block t bid
+  end
+
+(* Visit segment [seg]'s live blocks with their anchor and slot.  The
+   walk runs over a snapshot of the live index: relocation can seal and
+   promote, mutating anchors mid-walk, so each anchor is re-checked
+   against [seg] at visit time. *)
+let iter_live t seg f =
+  List.iter
+    (fun bi ->
+      let bid = Types.Block_id.of_int bi in
+      let anchor = Block_map.anchor t.blocks bid in
+      match anchor.Record.phys with
+      | Some p when p.Record.seg_index = seg -> f bid anchor p.Record.slot
+      | Some _ | None -> ())
+    (Live_index.blocks t.live seg)
+
 (* ------------------------------------------------------------------ *)
 (* Segment cleaning                                                    *)
 
-and clean_internal t ~target_free =
+(* Copy every live block out of the victim segment into the open
+   stream, preserving stamps so replay ordering is untouched.
+
+   The live index names the victim's blocks directly (O(live(victim)),
+   no block-map scan), and their data comes from the LRU cache when
+   present, else from ONE batched segment-sized read that is lazily
+   fetched and then serves every remaining slot. *)
+let relocate_live_blocks t victim =
+  Obs.timed t.obs Tr.Clean "relocate"
+    ~args:
+      [ ("segment", Tr.I victim); ("live", Tr.I (live_count t victim)) ]
+  @@ fun () ->
+  let c = cost t in
+  let parsed =
+    lazy
+      (let _, parsed = Seglog.load t.disk victim in
+       t.counters.Counters.clean_disk_reads <-
+         t.counters.Counters.clean_disk_reads + 1;
+       match parsed with
+       | Some p -> p
+       | None ->
+         raise
+           (Errors.Corruption
+              (Errors.Invalid_checksum { what = "segment"; index = victim })))
+  in
+  let slot_data slot =
+    match Seglog.cached t.log ~seg:victim ~slot with
+    | Some data ->
+      t.counters.Counters.clean_cache_hits <-
+        t.counters.Counters.clean_cache_hits + 1;
+      elide t;
+      data
+    | None ->
+      (* checksum-verified view into the batched read *)
+      Segment.parsed_slot t.geom (Lazy.force parsed) ~slot
+  in
+  iter_live t victim (fun bid anchor slot ->
+      relocate_block t bid anchor (slot_data slot);
+      t.counters.Counters.blocks_copied_clean <-
+        t.counters.Counters.blocks_copied_clean + 1;
+      cpu t c.Cost.record_lookup_ns)
+
+let clean_internal t ~target_free =
   if t.in_cleaning then ()
   else begin
     t.in_cleaning <- true;
@@ -490,23 +739,23 @@ and clean_internal t ~target_free =
       ~args:
         [
           ("target_free", Tr.I target_free);
-          ("free_now", Tr.I (Queue.length t.free_segs));
+          ("free_now", Tr.I (Seglog.free_count t.log));
         ]
     @@ fun () ->
     if t.seq_aru <> None then
       (* the sequential prototype cannot checkpoint (and therefore not
          clean) with an open ARU; DESIGN.md §5.3 *)
       raise Errors.Disk_full;
-    flush t;
+    flush_log t;
     (* Clean in batches.  A batch's relocation copies must fit in the
        space that is free right now (minus one spare segment), or the
        relocation itself would run out of segments mid-way. *)
     let progress = ref true in
-    while Queue.length t.free_segs < target_free && !progress do
+    while Seglog.free_count t.log < target_free && !progress do
       let victims = ref [] in
       let n_victims = ref 0 in
       let copies = ref 0 in
-      let budget = max 0 ((Queue.length t.free_segs - 1) * bps t) in
+      let budget = max 0 ((Seglog.free_count t.log - 1) * bps t) in
       (* Segments at or past the oldest prepared transaction's position
          are pinned: a prepared ARU's merge (data slots included) is
          sealed but NOT yet in the live index — its records sit at
@@ -519,8 +768,9 @@ and clean_internal t ~target_free =
           t.prepared_commits max_int
       in
       let is_candidate idx =
-        t.sealed.(idx) && (not t.victim_flag.(idx))
-        && t.seal_seq.(idx) < prepared_floor
+        Seglog.is_sealed t.log idx
+        && (not t.victim_flag.(idx))
+        && Seglog.seal_seq t.log idx < prepared_floor
       in
       (* Victim score, higher is better.  Greedy reproduces the paper's
          least-live choice; cost-benefit is the Sprite-LFS ratio
@@ -531,7 +781,10 @@ and clean_internal t ~target_free =
         | Config.Greedy -> -.float_of_int (live_count t idx)
         | Config.Cost_benefit ->
           let u = float_of_int (live_count t idx) /. float_of_int (bps t) in
-          let age = float_of_int (max 1 (t.next_seq - t.seal_seq.(idx))) in
+          let age =
+            float_of_int
+              (max 1 (Seglog.next_seq t.log - Seglog.seal_seq t.log idx))
+          in
           (1. -. u) *. age /. (1. +. u)
       in
       let pick () =
@@ -558,7 +811,7 @@ and clean_internal t ~target_free =
       let batch_full = ref false in
       while
         (not !batch_full)
-        && Queue.length t.free_segs + !n_victims
+        && Seglog.free_count t.log + !n_victims
            - ((!copies + bps t - 1) / bps t)
            < target_free
       do
@@ -583,484 +836,22 @@ and clean_internal t ~target_free =
             ("gain", Tr.I gain);
           ];
         List.iter (relocate_live_blocks t) !victims;
-        flush t;
-        (* the victims join the free queue right after this checkpoint,
-           so they must already appear in its free order; forced full so
-           no earlier generation recovery could fall back to predates
-           their reuse *)
-        checkpoint_internal t ~extra_free:(List.rev !victims) ~force_full:true;
+        flush_log t;
         List.iter
           (fun idx ->
             if live_count t idx <> 0 then
               Errors.corrupt
                 (Printf.sprintf "cleaner: segment %d still has %d live blocks"
-                   idx (live_count t idx));
-            t.sealed.(idx) <- false;
-            cache_invalidate_segment t idx;
-            Queue.push idx t.free_segs)
+                   idx (live_count t idx)))
           !victims;
+        retire t !victims;
         t.counters.Counters.segments_cleaned <-
           t.counters.Counters.segments_cleaned + !n_victims
       end;
       List.iter (fun idx -> t.victim_flag.(idx) <- false) !victims
     done;
-    if Queue.length t.free_segs = 0 then raise Errors.Disk_full
+    if Seglog.free_count t.log = 0 then raise Errors.Disk_full
   end
-
-(* Copy every live block out of the victim segment into the open
-   stream, preserving stamps so replay ordering is untouched.
-
-   The live index names the victim's blocks directly (O(live(victim)),
-   no block-map scan), and their data comes from the LRU cache when
-   present, else from ONE batched segment-sized read that is lazily
-   fetched and then serves every remaining slot.  Relocation's own
-   [emit_write] can seal the open segment and promote committed
-   records, mutating anchors mid-loop, so the block list is a snapshot
-   and each anchor is re-checked against the victim at visit time. *)
-and relocate_live_blocks t victim =
-  Obs.timed t.obs Tr.Clean "relocate"
-    ~args:
-      [ ("segment", Tr.I victim); ("live", Tr.I (live_count t victim)) ]
-  @@ fun () ->
-  let c = cost t in
-  let base = victim * bps t in
-  let seg_parsed = ref None in
-  let slot_data slot =
-    match Lru.find t.cache (base + slot) with
-    | Some data ->
-      t.counters.Counters.clean_cache_hits <-
-        t.counters.Counters.clean_cache_hits + 1;
-      elide t;
-      data
-    | None ->
-      let parsed =
-        match !seg_parsed with
-        | Some p -> p
-        | None ->
-          let image =
-            Disk.read_view t.disk
-              ~offset:(Geometry.segment_offset t.geom victim)
-              ~length:t.geom.Geometry.segment_bytes
-          in
-          t.counters.Counters.clean_disk_reads <-
-            t.counters.Counters.clean_disk_reads + 1;
-          let p =
-            match Segment.parse t.geom image with
-            | Some p -> p
-            | None ->
-              raise
-                (Errors.Corruption
-                   (Errors.Invalid_checksum
-                      { what = "segment"; index = victim }))
-          in
-          seg_parsed := Some p;
-          p
-      in
-      (* checksum-verified view into the batched read *)
-      Segment.parsed_slot t.geom parsed ~slot
-  in
-  List.iter
-    (fun bi ->
-      let bid = Types.Block_id.of_int bi in
-      let anchor = Block_map.anchor t.blocks bid in
-      match anchor.Record.phys with
-      | Some p when p.Record.seg_index = victim ->
-        let data = slot_data p.Record.slot in
-        let seq, phys =
-          emit_write t ~allow_cross_scope:true ~stream:Summary.Simple
-            ~block:bid ~data ~stamp:anchor.Record.stamp ()
-        in
-        (if concurrent t then begin
-           let r = committed_get t bid in
-           r.Record.phys <- Some phys;
-           r.Record.stamp <- anchor.Record.stamp;
-           set_durable_block r seq
-         end
-         else begin
-           live_add t phys.Record.seg_index bid;
-           anchor.Record.phys <- Some phys;
-           dirty_block t bid
-         end);
-        t.counters.Counters.blocks_copied_clean <-
-          t.counters.Counters.blocks_copied_clean + 1;
-        cpu t c.Cost.record_lookup_ns
-      | Some _ | None -> ())
-    (Live_index.blocks t.live victim)
-
-(* ------------------------------------------------------------------ *)
-(* Emitting summary entries                                            *)
-
-and pending_push t aru op seg =
-  let key = Types.Aru_id.to_int aru in
-  let prev = Option.value ~default:[] (Hashtbl.find_opt t.pending key) in
-  Hashtbl.replace t.pending key ({ Checkpoint.pe_op = op; pe_seg = seg } :: prev)
-
-and emit_entry t ~stream op =
-  let entry = { Summary.stream; op } in
-  let size = Summary.encoded_size entry in
-  let s =
-    let s0 = get_open t in
-    if Segment.has_room s0 ~data_blocks:0 ~entry_bytes:size then s0
-    else begin
-      seal t;
-      get_open t
-    end
-  in
-  Segment.add_entry s entry;
-  t.counters.Counters.summary_entries <- t.counters.Counters.summary_entries + 1;
-  cpu t (cost t).Cost.summary_entry_ns;
-  (match stream with
-  | Summary.In_aru a -> pending_push t a op (Segment.disk_index s)
-  | Summary.Simple -> ());
-  Segment.seq s
-
-(* Write one block of data into the open stream together with its
-   summary entry (kept atomic with respect to segment boundaries).
-   [charge_copy:false] models the commit-time shadow->committed data
-   transition, where the already-copied shadow buffer is donated to the
-   segment rather than copied again (DESIGN.md §5.4).
-   [allow_cross_scope] says whether the write may coalesce into a slot
-   last written by a different stream: true for simple writes (they
-   apply unconditionally at replay) and for commit-time merges (the
-   reservation in [end_aru] guarantees the commit record lands in the
-   same segment); false for the sequential prototype's in-ARU writes,
-   whose commit record may be segments away. *)
-and emit_write t ?(charge_copy = true) ~allow_cross_scope ~stream ~block ~data
-    ~stamp () =
-  let scope =
-    match stream with
-    | Summary.Simple -> Segment.Simple_scope
-    | Summary.In_aru a -> Segment.Aru_scope a
-  in
-  let op = Summary.Write { block; slot = 0; stamp } in
-  let size = Summary.encoded_size { Summary.stream; op } in
-  let s =
-    let s0 = get_open t in
-    if Segment.has_room s0 ~data_blocks:1 ~entry_bytes:size then s0
-    else begin
-      seal t;
-      get_open t
-    end
-  in
-  let slot = Segment.put_block s ~scope ~allow_cross_scope block data in
-  if charge_copy then cpu t (cost t).Cost.block_copy_ns;
-  let op = Summary.Write { block; slot; stamp } in
-  Segment.add_entry s { Summary.stream; op };
-  t.counters.Counters.summary_entries <- t.counters.Counters.summary_entries + 1;
-  cpu t (cost t).Cost.summary_entry_ns;
-  (match stream with
-  | Summary.In_aru a -> pending_push t a op (Segment.disk_index s)
-  | Summary.Simple -> ());
-  (Segment.seq s, { Record.seg_index = Segment.disk_index s; slot })
-
-(* ------------------------------------------------------------------ *)
-(* Version views                                                       *)
-
-and hops_charge t n =
-  if n > 0 then begin
-    t.counters.Counters.mesh_hops <- t.counters.Counters.mesh_hops + n;
-    cpu t (n * (cost t).Cost.mesh_hop_ns)
-  end
-
-(* Committed view of a block: the committed alternative record, falling
-   back to the persistent anchor.  In sequential mode the anchor is the
-   single authoritative record. *)
-and committed_peek t b =
-  let anchor = Block_map.anchor t.blocks b in
-  if not (concurrent t) then anchor
-  else begin
-    let r, hops = Record.find_block ~anchor Record.Committed in
-    hops_charge t hops;
-    Option.value r ~default:anchor
-  end
-
-and committed_get t b =
-  dirty_block t b;
-  let anchor = Block_map.anchor t.blocks b in
-  if not (concurrent t) then anchor
-  else begin
-    let r, hops = Record.find_block ~anchor Record.Committed in
-    hops_charge t hops;
-    match r with
-    | Some r -> r
-    | None ->
-      let alt = Record.alt_block Record.Committed ~from:anchor in
-      Record.insert_alt_block ~anchor alt;
-      alt.Record.next_same_state <- t.committed_blocks;
-      t.committed_blocks <- Some alt;
-      t.counters.Counters.record_creates <-
-        t.counters.Counters.record_creates + 1;
-      cpu t (cost t).Cost.record_create_ns;
-      alt
-  end
-
-and committed_peek_list t l =
-  let anchor = List_table.anchor t.lists l in
-  if not (concurrent t) then anchor
-  else begin
-    let r, hops = Record.find_list ~anchor Record.Committed in
-    hops_charge t hops;
-    Option.value r ~default:anchor
-  end
-
-and committed_get_list t l =
-  dirty_list t l;
-  let anchor = List_table.anchor t.lists l in
-  if not (concurrent t) then anchor
-  else begin
-    let r, hops = Record.find_list ~anchor Record.Committed in
-    hops_charge t hops;
-    match r with
-    | Some r -> r
-    | None ->
-      let alt = Record.alt_list Record.Committed ~from:anchor in
-      Record.insert_alt_list ~anchor alt;
-      alt.Record.l_next_same_state <- t.committed_lists;
-      t.committed_lists <- Some alt;
-      t.counters.Counters.record_creates <-
-        t.counters.Counters.record_creates + 1;
-      cpu t (cost t).Cost.record_create_ns;
-      alt
-  end
-
-(* Shadow view for an ARU: shadow record, else committed, else
-   persistent (the standardized search of paper §3.3). *)
-and shadow_peek t (a : Aru.t) b =
-  let anchor = Block_map.anchor t.blocks b in
-  let r, hops = Record.find_block ~anchor (Record.Shadow a.Aru.id) in
-  hops_charge t hops;
-  match r with Some r -> r | None -> committed_peek t b
-
-and shadow_get t (a : Aru.t) b =
-  let anchor = Block_map.anchor t.blocks b in
-  let r, hops = Record.find_block ~anchor (Record.Shadow a.Aru.id) in
-  hops_charge t hops;
-  match r with
-  | Some r -> r
-  | None ->
-    let from = committed_peek t b in
-    let alt = Record.alt_block (Record.Shadow a.Aru.id) ~from in
-    Record.insert_alt_block ~anchor alt;
-    Aru.push_shadow_block a alt;
-    t.counters.Counters.record_creates <- t.counters.Counters.record_creates + 1;
-    cpu t (cost t).Cost.record_create_ns;
-    alt
-
-and shadow_peek_list t (a : Aru.t) l =
-  let anchor = List_table.anchor t.lists l in
-  let r, hops = Record.find_list ~anchor (Record.Shadow a.Aru.id) in
-  hops_charge t hops;
-  match r with Some r -> r | None -> committed_peek_list t l
-
-and shadow_get_list t (a : Aru.t) l =
-  let anchor = List_table.anchor t.lists l in
-  let r, hops = Record.find_list ~anchor (Record.Shadow a.Aru.id) in
-  hops_charge t hops;
-  match r with
-  | Some r -> r
-  | None ->
-    let from = committed_peek_list t l in
-    let alt = Record.alt_list (Record.Shadow a.Aru.id) ~from in
-    Record.insert_alt_list ~anchor alt;
-    Aru.push_shadow_list a alt;
-    t.counters.Counters.record_creates <- t.counters.Counters.record_creates + 1;
-    cpu t (cost t).Cost.record_create_ns;
-    alt
-
-(* The record a Read (or introspection) sees, per the configured
-   visibility option (paper §3.3). *)
-and visible_block t (who : who) b =
-  let anchor = Block_map.anchor t.blocks b in
-  if not (concurrent t) then anchor
-  else begin
-    cpu t (cost t).Cost.version_search_ns;
-    match (t.config.Config.visibility, who) with
-    | Config.Own_shadow, `In a -> shadow_peek t a b
-    | Config.Own_shadow, `Simple | Config.Committed_only, _ ->
-      committed_peek t b
-    | Config.Any_shadow, _ -> (
-      let r, hops = Record.newest_shadow_block ~anchor in
-      hops_charge t hops;
-      match r with Some r -> r | None -> committed_peek t b)
-  end
-
-and visible_list t (who : who) l =
-  if not (concurrent t) then List_table.anchor t.lists l
-  else begin
-    cpu t (cost t).Cost.version_search_ns;
-    match (t.config.Config.visibility, who) with
-    | (Config.Own_shadow | Config.Any_shadow), `In a -> shadow_peek_list t a l
-    | (Config.Own_shadow | Config.Any_shadow), `Simple
-    | Config.Committed_only, (`Simple | `In _) ->
-      committed_peek_list t l
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Durability sinks and splice contexts                                *)
-
-and note_block_simple t (r : Record.block) =
-  if concurrent t then set_durable_block r (current_seq t)
-
-and note_list_simple t (r : Record.list_r) =
-  if concurrent t then set_durable_list r (current_seq t)
-
-and pred_hop t () =
-  t.counters.Counters.pred_search_hops <-
-    t.counters.Counters.pred_search_hops + 1;
-  cpu t (cost t).Cost.pred_search_hop_ns
-
-(* Splice context over the committed state for simple operations. *)
-and committed_ctx t =
-  {
-    Splice.peek_block = (fun b -> committed_peek t b);
-    get_block =
-      (fun b ->
-        let r = committed_get t b in
-        note_block_simple t r;
-        r);
-    peek_list = (fun l -> committed_peek_list t l);
-    get_list =
-      (fun l ->
-        let r = committed_get_list t l in
-        note_list_simple t r;
-        r);
-    on_pred_hop = pred_hop t;
-  }
-
-(* Splice context over the committed state during commit replay: every
-   touched record is collected so EndARU can stamp it with the commit
-   record's segment. *)
-and commit_ctx t collected_b collected_l =
-  {
-    Splice.peek_block = (fun b -> committed_peek t b);
-    get_block =
-      (fun b ->
-        let r = committed_get t b in
-        r.Record.durable_seq <- max_int;
-        collected_b := r :: !collected_b;
-        r);
-    peek_list = (fun l -> committed_peek_list t l);
-    get_list =
-      (fun l ->
-        let r = committed_get_list t l in
-        r.Record.l_durable_seq <- max_int;
-        collected_l := r :: !collected_l;
-        r);
-    on_pred_hop = pred_hop t;
-  }
-
-and shadow_ctx t (a : Aru.t) =
-  {
-    Splice.peek_block = (fun b -> shadow_peek t a b);
-    get_block = (fun b -> shadow_get t a b);
-    peek_list = (fun l -> shadow_peek_list t a l);
-    get_list = (fun l -> shadow_get_list t a l);
-    on_pred_hop = pred_hop t;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Reading data                                                        *)
-
-and read_phys t (p : Record.phys) =
-  let bb = block_bytes t in
-  match t.open_seg with
-  | Some s when Segment.disk_index s = p.Record.seg_index ->
-    (* view into the open buffer — the bytes wrapper copies, the view
-       API's contract is "valid until the next mutating operation" *)
-    elide t;
-    Segment.read_slot s ~slot:p.Record.slot
-  | Some _ | None -> (
-    let gslot = (p.Record.seg_index * bps t) + p.Record.slot in
-    match Lru.find t.cache gslot with
-    | Some data ->
-      t.counters.Counters.cache_hits <- t.counters.Counters.cache_hits + 1;
-      if gslot = t.last_read_gslot + 1 then
-        t.seq_read_run <- t.seq_read_run + 1
-      else t.seq_read_run <- 0;
-      t.last_read_gslot <- gslot;
-      elide t;
-      data
-    | None ->
-      t.counters.Counters.cache_misses <- t.counters.Counters.cache_misses + 1;
-      if gslot = t.last_read_gslot + 1 then
-        t.seq_read_run <- t.seq_read_run + 1
-      else t.seq_read_run <- 0;
-      t.last_read_gslot <- gslot;
-      (* prefetch only on an established sequential run: a lone +1
-         coincidence (adjacent meta blocks) must not drag in 0.5 MB *)
-      let sequential = t.seq_read_run >= 3 in
-      if t.config.Config.readahead && sequential then begin
-        (* fetch the whole segment in one request (paper §2: segments
-           are the unit of disk transfer); the image is a fresh buffer,
-           so the cache can alias its slots — but only the ones whose
-           CRC still matches, keeping the cache free of media rot *)
-        let image =
-          Disk.read_view t.disk
-            ~offset:(Geometry.segment_offset t.geom p.Record.seg_index)
-            ~length:t.geom.Geometry.segment_bytes
-        in
-        t.counters.Counters.readaheads <- t.counters.Counters.readaheads + 1;
-        let base = p.Record.seg_index * bps t in
-        (match Segment.parse t.geom image with
-        | Some parsed ->
-          for i = 0 to parsed.Segment.p_slots_used - 1 do
-            if Segment.verify_slot t.geom parsed ~slot:i then begin
-              elide t;
-              Lru.add t.cache (base + i)
-                (Segment.unverified_slot t.geom parsed ~slot:i)
-            end
-          done;
-          if not (Segment.verify_slot t.geom parsed ~slot:p.Record.slot) then
-            raise
-              (Errors.Corruption
-                 (Errors.Invalid_checksum
-                    { what = "segment slot"; index = p.Record.slot }))
-        | None ->
-          raise
-            (Errors.Corruption
-               (Errors.Invalid_checksum
-                  { what = "segment"; index = p.Record.seg_index })));
-        Blk.sub image (p.Record.slot * bb) bb
-      end
-      else begin
-        let seg_off = Geometry.segment_offset t.geom p.Record.seg_index in
-        let data =
-          Disk.read_view t.disk
-            ~offset:(seg_off + (p.Record.slot * bb))
-            ~length:bb
-        in
-        (* per-slot CRC check against the segment's trailing meta,
-           fetched once per segment and memoised *)
-        let tail =
-          match Hashtbl.find_opt t.meta_cache p.Record.seg_index with
-          | Some v -> v
-          | None ->
-            let tb = Segment.tail_bytes t.geom in
-            let v =
-              Disk.read_view t.disk
-                ~offset:(seg_off + t.geom.Geometry.segment_bytes - tb)
-                ~length:tb
-            in
-            Hashtbl.replace t.meta_cache p.Record.seg_index v;
-            v
-        in
-        (match Segment.tail_slot_crc t.geom ~tail ~slot:p.Record.slot with
-        | Some crc when crc = Blk.crc32c data -> ()
-        | Some _ ->
-          raise
-            (Errors.Corruption
-               (Errors.Invalid_checksum
-                  { what = "segment slot"; index = p.Record.slot }))
-        | None ->
-          raise
-            (Errors.Corruption
-               (Errors.Invalid_checksum
-                  { what = "segment"; index = p.Record.seg_index })));
-        (* the read is a fresh buffer; cache and caller share it *)
-        elide t;
-        Lru.add t.cache gslot data;
-        data
-      end)
 
 (* ------------------------------------------------------------------ *)
 (* Early-open recovery: finishing the warming replay and rebuilding the
@@ -1070,7 +861,6 @@ and read_phys t (p : Record.phys) =
 
 let finalize_recovery t (restored : Recovery.restored) =
   let report = restored.Recovery.r_report in
-  t.next_seq <- restored.Recovery.r_next_seq;
   t.stamp <- restored.Recovery.r_stamp;
   t.next_aru <- restored.Recovery.r_next_aru;
   t.next_gid <- restored.Recovery.r_next_gid;
@@ -1083,10 +873,8 @@ let finalize_recovery t (restored : Recovery.restored) =
       match r.Record.phys with
       | Some p -> live_add t p.Record.seg_index r.Record.id
       | None -> ());
-  for i = Disk_layout.log_first t.geom to t.geom.Geometry.num_segments - 1 do
-    if live_count t i > 0 then t.sealed.(i) <- true
-    else Queue.push i t.free_segs
-  done;
+  Seglog.restore t.log ~next_seq:restored.Recovery.r_next_seq
+    ~in_use:(fun i -> live_count t i > 0);
   t.counters.Counters.recovery_replayed_segments <-
     report.Recovery.segments_replayed;
   t.counters.Counters.recovery_skipped_segments <-
@@ -1133,10 +921,20 @@ let dispatch t =
   cpu t (cost t).Cost.op_dispatch_ns;
   cpu t (cost t).Cost.record_lookup_ns
 
+(* Every public LD operation is timed once, at its definition: on the
+   virtual clock into an ["op.<name>"] histogram and as an [op] trace
+   span.  Inside the span a mutation first completes an early-open
+   recovery ([warm]) and a read recovers just its block.  With
+   {!Obs.null} attached (the default) this is one field read and a
+   direct call — the cost model never sees it. *)
+let op t name f = Obs.timed t.obs Tr.Op name f
+
 (* ------------------------------------------------------------------ *)
 (* The LD interface                                                    *)
 
 let begin_aru t =
+  op t "begin_aru" @@ fun () ->
+  warm t;
   dispatch t;
   if t.config.Config.mode = Config.Sequential && t.seq_aru <> None then
     raise Errors.Aru_already_active;
@@ -1153,6 +951,8 @@ let begin_aru t =
   id
 
 let new_list t ?aru () =
+  op t "new_list" @@ fun () ->
+  warm t;
   dispatch t;
   t.counters.Counters.new_lists <- t.counters.Counters.new_lists + 1;
   let who = resolve_who t aru in
@@ -1197,6 +997,8 @@ let new_list t ?aru () =
   lid
 
 let new_block t ?aru ~list ~pred () =
+  op t "new_block" @@ fun () ->
+  warm t;
   dispatch t;
   t.counters.Counters.new_blocks <- t.counters.Counters.new_blocks + 1;
   let who = resolve_who t aru in
@@ -1284,6 +1086,8 @@ let new_block t ?aru ~list ~pred () =
   bid
 
 let write_view t ?aru block data =
+  op t "write" @@ fun () ->
+  warm t;
   if Blk.length data <> block_bytes t then
     invalid_arg "Lld.write: data must be exactly one block";
   dispatch t;
@@ -1324,6 +1128,8 @@ let write t ?aru block data =
   write_view t ?aru block (Blk.of_bytes data)
 
 let read_view t ?aru block =
+  op t "read" @@ fun () ->
+  touch_block t block;
   dispatch t;
   t.counters.Counters.reads <- t.counters.Counters.reads + 1;
   cpu t (cost t).Cost.block_read_cpu_ns;
@@ -1336,7 +1142,7 @@ let read_view t ?aru block =
     d
   | None -> (
     match r.Record.phys with
-    | Some p -> read_phys t p
+    | Some p -> Seglog.read_slot t.log p
     | None -> Blk.create (block_bytes t))
 
 let read t ?aru block =
@@ -1355,6 +1161,8 @@ let release_list_id t ~deferred lid =
   | None -> List_table.release_id t.lists lid
 
 let delete_block t ?aru block =
+  op t "delete_block" @@ fun () ->
+  warm t;
   dispatch t;
   t.counters.Counters.delete_blocks <- t.counters.Counters.delete_blocks + 1;
   let who = resolve_who t aru in
@@ -1413,6 +1221,8 @@ let delete_block t ?aru block =
     release_block_id t ~deferred block
 
 let delete_list t ?aru list =
+  op t "delete_list" @@ fun () ->
+  warm t;
   dispatch t;
   t.counters.Counters.delete_lists <- t.counters.Counters.delete_lists + 1;
   let who = resolve_who t aru in
@@ -1546,9 +1356,7 @@ let commit_room t (a : Aru.t) ~extra_entry_bytes =
   let entry_bound =
     (32 * (Link_log.length a.Aru.log + data_bound)) + 64 + extra_entry_bytes
   in
-  match t.open_seg with
-  | Some s -> Segment.has_room s ~data_blocks:data_bound ~entry_bytes:entry_bound
-  | None -> true
+  Seglog.has_room t.log ~data_blocks:data_bound ~entry_bytes:entry_bound
 
 (* Phases 1–2 of a concurrent commit: replay the list-operation log
    and merge the shadow data versions into the committed state.
@@ -1630,7 +1438,9 @@ let commit_finish t (a : Aru.t) aid ~commit_seq collected_b collected_l =
   Hashtbl.remove t.arus (Types.Aru_id.to_int aid);
   t.counters.Counters.arus_committed <- t.counters.Counters.arus_committed + 1
 
-let end_aru t aid =
+(* The immediate commit path, untimed: [end_aru] times it, and a
+   degenerate [submit_commit] takes it inside its own span. *)
+let commit_immediate t aid =
   dispatch t;
   if Hashtbl.mem t.commit_set (Types.Aru_id.to_int aid) then
     raise (Errors.Commit_pending aid);
@@ -1654,7 +1464,7 @@ let end_aru t aid =
     t.counters.Counters.arus_committed <- t.counters.Counters.arus_committed + 1
   | Config.Concurrent ->
     cpu t (cost t).Cost.aru_commit_ns;
-    if not (commit_room t a ~extra_entry_bytes:0) then seal t;
+    if not (commit_room t a ~extra_entry_bytes:0) then Seglog.seal t.log;
     let collected_b, collected_l = commit_merge t a aid in
     (* 3. the commit record *)
     let commit_seq =
@@ -1665,6 +1475,8 @@ let end_aru t aid =
     in
     (* 4. *)
     commit_finish t a aid ~commit_seq collected_b collected_l
+
+let end_aru t aid = op t "end_aru" @@ fun () -> commit_immediate t aid
 
 (* A queued commit intent is withdrawn, not rejected: the ARU leaves
    [commit_q] (and its mirrors) and aborts like any other.  The oldest
@@ -1691,6 +1503,7 @@ let commit_dequeue t aid =
     [ ("aru", Tr.I key); ("stage", Tr.S "abort") ]
 
 let abort_aru t aid =
+  op t "abort_aru" @@ fun () ->
   dispatch t;
   if t.config.Config.mode = Config.Sequential then
     invalid_arg "Lld.abort_aru: not supported by the sequential prototype";
@@ -1731,9 +1544,10 @@ let commit_due t =
         >= t.config.Config.group_commit_window)
 
 let submit_commit t aid =
+  op t "submit_commit" @@ fun () ->
   if t.config.Config.group_commit_window <= 0 || not (concurrent t) then
     (* degenerate batches of one: the immediate commit path *)
-    end_aru t aid
+    commit_immediate t aid
   else begin
     dispatch t;
     let key = Types.Aru_id.to_int aid in
@@ -1756,6 +1570,7 @@ let submit_commit t aid =
   end
 
 let flush_commits t =
+  op t "flush_commits" @@ fun () ->
   if Queue.is_empty t.commit_q then 0
   else
     Obs.timed t.obs Tr.Aru "commit.group"
@@ -1793,7 +1608,7 @@ let flush_commits t =
         (* one seal makes the whole batch durable *)
         Obs.timed t.obs Tr.Aru "commit.barrier"
           ~args:[ ("batch", Tr.I n) ]
-          (fun () -> seal t);
+          (fun () -> Seglog.seal t.log);
         t.counters.Counters.commit_batches <-
           t.counters.Counters.commit_batches + 1;
         t.counters.Counters.commit_barriers <-
@@ -1843,7 +1658,8 @@ let flush_commits t =
              (its record still fits the margin the earlier reservations
              kept), then let the merge start on a fresh segment *)
           close_subbatch ();
-          if not (commit_room t a ~extra_entry_bytes:extra) then seal t
+          if not (commit_room t a ~extra_entry_bytes:extra) then
+            Seglog.seal t.log
         end;
         let merge_ns = Clock.now_ns t.clock in
         let cb, cl = commit_merge t a aid in
@@ -1882,11 +1698,12 @@ let require_commit_ready t aid =
   | None -> raise (Errors.Unknown_aru aid)
 
 let prepare_commit t aid ~gid ~coordinator =
+  op t "prepare_commit" @@ fun () ->
   dispatch t;
   let a = require_commit_ready t aid in
   cpu t (cost t).Cost.aru_commit_ns;
   note_gid t gid;
-  if not (commit_room t a ~extra_entry_bytes:0) then seal t;
+  if not (commit_room t a ~extra_entry_bytes:0) then Seglog.seal t.log;
   (* [cross_scope:false]: the commit-room argument for cross-scope slot
      coalescing — "no sealed segment carries this ARU's slot overwrites
      without its commit record" — does not hold for a prepare, whose
@@ -1914,16 +1731,17 @@ let prepare_commit t aid ~gid ~coordinator =
     };
   (* the prepare barrier: this shard's slice (and the promise to honour
      the coordinator's decision) is durable before anyone may decide *)
-  seal t;
+  Seglog.seal t.log;
   t.counters.Counters.prepare_barriers <-
     t.counters.Counters.prepare_barriers + 1
 
 let decide_commit t aid ~gid =
+  op t "decide_commit" @@ fun () ->
   dispatch t;
   let a = require_commit_ready t aid in
   cpu t (cost t).Cost.aru_commit_ns;
   note_gid t gid;
-  if not (commit_room t a ~extra_entry_bytes:0) then seal t;
+  if not (commit_room t a ~extra_entry_bytes:0) then Seglog.seal t.log;
   let cb, cl = commit_merge t a aid in
   let commit_seq =
     Obs.timed t.obs Tr.Aru "commit.decide"
@@ -1935,11 +1753,12 @@ let decide_commit t aid ~gid =
   commit_finish t a aid ~commit_seq cb cl;
   (* the decision barrier: once this seal returns, the transaction is
      committed on every shard regardless of later crashes *)
-  seal t;
+  Seglog.seal t.log;
   t.counters.Counters.cross_shard_commits <-
     t.counters.Counters.cross_shard_commits + 1
 
 let commit_prepared t aid =
+  op t "commit_prepared" @@ fun () ->
   dispatch t;
   let key = Types.Aru_id.to_int aid in
   match Hashtbl.find_opt t.prepared_commits key with
@@ -1958,6 +1777,7 @@ let commit_prepared t aid =
     commit_finish t a aid ~commit_seq pc.pc_blocks pc.pc_lists
 
 let abort_prepared t aid =
+  op t "abort_prepared" @@ fun () ->
   let key = Types.Aru_id.to_int aid in
   match Hashtbl.find_opt t.prepared_commits key with
   | None -> raise (Errors.Unknown_aru aid)
@@ -1992,85 +1812,10 @@ let prepared_arus t =
 
 let next_gid t = t.next_gid
 
-(* ------------------------------------------------------------------ *)
-(* Observability wrappers.  Each public LD operation is timed on the
-   virtual clock into an ["op.<name>"] histogram and recorded as an
-   [op] trace span.  With {!Obs.null} attached (the default) a wrapper
-   is one field read and a direct call — the cost model never sees it. *)
-
-let begin_aru t =
-  Obs.timed t.obs Tr.Op "begin_aru" (fun () ->
-      warm t;
-      begin_aru t)
-
-let end_aru t aid = Obs.timed t.obs Tr.Op "end_aru" (fun () -> end_aru t aid)
-
-let abort_aru t aid =
-  Obs.timed t.obs Tr.Op "abort_aru" (fun () -> abort_aru t aid)
-
-let submit_commit t aid =
-  Obs.timed t.obs Tr.Op "submit_commit" (fun () -> submit_commit t aid)
-
-let flush_commits t =
-  Obs.timed t.obs Tr.Op "flush_commits" (fun () -> flush_commits t)
-
-let prepare_commit t aid ~gid ~coordinator =
-  Obs.timed t.obs Tr.Op "prepare_commit" (fun () ->
-      prepare_commit t aid ~gid ~coordinator)
-
-let decide_commit t aid ~gid =
-  Obs.timed t.obs Tr.Op "decide_commit" (fun () -> decide_commit t aid ~gid)
-
-let commit_prepared t aid =
-  Obs.timed t.obs Tr.Op "commit_prepared" (fun () -> commit_prepared t aid)
-
-let abort_prepared t aid =
-  Obs.timed t.obs Tr.Op "abort_prepared" (fun () -> abort_prepared t aid)
-
-let new_list t ?aru () =
-  Obs.timed t.obs Tr.Op "new_list" (fun () ->
-      warm t;
-      new_list t ?aru ())
-
-let new_block t ?aru ~list ~pred () =
-  Obs.timed t.obs Tr.Op "new_block" (fun () ->
-      warm t;
-      new_block t ?aru ~list ~pred ())
-
-let write t ?aru block data =
-  Obs.timed t.obs Tr.Op "write" (fun () ->
-      warm t;
-      write t ?aru block data)
-
-let write_view t ?aru block data =
-  Obs.timed t.obs Tr.Op "write" (fun () ->
-      warm t;
-      write_view t ?aru block data)
-
-let read t ?aru block =
-  Obs.timed t.obs Tr.Op "read" (fun () ->
-      touch_block t block;
-      read t ?aru block)
-
-let read_view t ?aru block =
-  Obs.timed t.obs Tr.Op "read" (fun () ->
-      touch_block t block;
-      read_view t ?aru block)
-
-let delete_block t ?aru block =
-  Obs.timed t.obs Tr.Op "delete_block" (fun () ->
-      warm t;
-      delete_block t ?aru block)
-
-let delete_list t ?aru list =
-  Obs.timed t.obs Tr.Op "delete_list" (fun () ->
-      warm t;
-      delete_list t ?aru list)
-
 let flush t =
-  Obs.timed t.obs Tr.Op "flush" (fun () ->
-      warm t;
-      flush t)
+  op t "flush" @@ fun () ->
+  warm t;
+  flush_log t
 
 let with_aru t f =
   let aru = begin_aru t in
@@ -2240,85 +1985,38 @@ let scrub t =
   let unparsable = ref [] in
   let bb = block_bytes t in
   for idx = Disk_layout.log_first t.geom to t.geom.Geometry.num_segments - 1 do
-    if t.sealed.(idx) && live_count t idx > 0 then begin
+    if Seglog.is_sealed t.log idx && live_count t idx > 0 then begin
       incr segments;
-      let image =
-        Disk.read_view t.disk
-          ~offset:(Geometry.segment_offset t.geom idx)
-          ~length:t.geom.Geometry.segment_bytes
-      in
-      let parsed = Segment.parse t.geom image in
+      let image, parsed = Seglog.load t.disk idx in
       if parsed = None then unparsable := idx :: !unparsable;
-      let base = idx * bps t in
-      (* relocations below can seal and promote, mutating anchors
-         mid-loop: snapshot the live list, re-check each anchor *)
-      List.iter
-        (fun bi ->
-          let bid = Types.Block_id.of_int bi in
-          let anchor = Block_map.anchor t.blocks bid in
-          match anchor.Record.phys with
-          | Some p when p.Record.seg_index = idx ->
-            let slot = p.Record.slot in
-            let ok =
-              match parsed with
-              | Some pr -> Segment.verify_slot t.geom pr ~slot
-              | None -> false
-            in
-            if not ok then begin
-              incr bad;
-              let source =
-                match Lru.find t.cache (base + slot) with
-                | Some v -> Some (`Cache v)
-                | None ->
-                  if parsed = None then
-                    (* only the meta region is known bad; the slot
-                       bytes themselves may well be intact *)
-                    Some (`Salvage (Blk.sub image (slot * bb) bb))
-                  else None
-              in
-              match source with
-              | Some src ->
-                let data = match src with `Cache v | `Salvage v -> v in
-                let seq, phys =
-                  emit_write t ~allow_cross_scope:true
-                    ~stream:Summary.Simple ~block:bid ~data
-                    ~stamp:anchor.Record.stamp ()
-                in
-                (if concurrent t then begin
-                   let r = committed_get t bid in
-                   r.Record.phys <- Some phys;
-                   r.Record.stamp <- anchor.Record.stamp;
-                   set_durable_block r seq
-                 end
-                 else begin
-                   live_add t phys.Record.seg_index bid;
-                   anchor.Record.phys <- Some phys;
-                   dirty_block t bid
-                 end);
-                (match src with
-                | `Cache _ -> incr repaired
-                | `Salvage _ -> incr salvaged)
-              | None -> incr lost
-            end
-          | Some _ | None -> ())
-        (Live_index.blocks t.live idx)
+      iter_live t idx (fun bid anchor slot ->
+          let ok =
+            match parsed with
+            | Some pr -> Segment.verify_slot t.geom pr ~slot
+            | None -> false
+          in
+          if not ok then begin
+            incr bad;
+            match Seglog.cached t.log ~seg:idx ~slot with
+            | Some v ->
+              relocate_block t bid anchor v;
+              incr repaired
+            | None when parsed = None ->
+              (* only the meta region is known bad; the slot bytes
+                 themselves may well be intact *)
+              relocate_block t bid anchor (Blk.sub image (slot * bb) bb);
+              incr salvaged
+            | None -> incr lost
+          end)
     end
   done;
   (* 3. make the repairs durable and retire evacuated carcasses *)
   if !repaired + !salvaged > 0 || !unparsable <> [] then begin
     flush t;
-    let to_free =
-      List.filter
-        (fun idx -> t.sealed.(idx) && live_count t idx = 0)
-        (List.rev !unparsable)
-    in
-    checkpoint_internal t ~extra_free:to_free ~force_full:true;
-    List.iter
-      (fun idx ->
-        t.sealed.(idx) <- false;
-        cache_invalidate_segment t idx;
-        Queue.push idx t.free_segs)
-      to_free
+    retire t
+      (List.filter
+         (fun idx -> Seglog.is_sealed t.log idx && live_count t idx = 0)
+         (List.rev !unparsable))
   end;
   {
     scrub_segments = !segments;
@@ -2454,11 +2152,7 @@ let scavenge t =
 (* Gauges and observability attachment                                 *)
 
 let open_arus t = Hashtbl.length t.arus
-let cache_blocks t = Lru.length t.cache
-let cache_capacity t = Lru.capacity t.cache
-
-let sealed_segments t =
-  Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 t.sealed
+let sealed_segments t = Seglog.sealed_count t.log
 
 let live_blocks t =
   let total = ref 0 in
@@ -2466,13 +2160,6 @@ let live_blocks t =
     total := !total + live_count t i
   done;
   !total
-
-let segment_utilization t =
-  let acc = ref [] in
-  for i = t.geom.Geometry.num_segments - 1 downto 0 do
-    if t.sealed.(i) then acc := (i, live_count t i) :: !acc
-  done;
-  !acc
 
 let shadow_versions t =
   Hashtbl.fold (fun _ a acc -> acc + Aru.shadow_block_count a) t.arus 0
@@ -2487,7 +2174,7 @@ let set_obs t obs =
   Disk.set_obs t.disk obs;
   if Obs.active obs then begin
     Obs.register_gauge obs ~name:"free_segments"
-      ~help:"segments on the free queue" (fun () -> Queue.length t.free_segs);
+      ~help:"segments on the free queue" (fun () -> free_segments t);
     Obs.register_gauge obs ~name:"sealed_segments"
       ~help:"segments written and not yet freed" (fun () -> sealed_segments t);
     Obs.register_gauge obs ~name:"allocated_blocks"
@@ -2497,9 +2184,11 @@ let set_obs t obs =
       ~help:"persistent block slots referenced by the live index" (fun () ->
         live_blocks t);
     Obs.register_gauge obs ~name:"cache_blocks"
-      ~help:"blocks resident in the LRU cache" (fun () -> cache_blocks t);
+      ~help:"blocks resident in the LRU cache" (fun () ->
+        Seglog.cache_blocks t.log);
     Obs.register_gauge obs ~name:"cache_capacity"
-      ~help:"LRU cache capacity in blocks" (fun () -> cache_capacity t);
+      ~help:"LRU cache capacity in blocks" (fun () ->
+        Seglog.cache_capacity t.log);
     Obs.register_gauge obs ~name:"open_arus" ~help:"ARUs begun and not yet ended"
       (fun () -> open_arus t);
     Obs.register_gauge obs ~name:"shadow_versions"
@@ -2523,88 +2212,83 @@ let set_obs t obs =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-let make ~config ~disk ~blocks ~lists ~next_seq ~stamp ~next_aru ~next_gid
-    ~ckpt_id =
+(* Before the log takes a free segment: refill the cleaner's reserve. *)
+let auto_clean t =
+  if
+    (not t.in_cleaning) && t.config.Config.auto_clean
+    && Seglog.free_count t.log < t.config.Config.clean_reserve_segments
+  then clean_internal t ~target_free:(t.config.Config.clean_reserve_segments * 2)
+
+(* A handle over fresh tables with mkfs's counters, which recovery's
+   [finalize_recovery] replaces.  The log's hooks close over the handle
+   under construction; the log runs them only after [make] returns. *)
+let make ~config ~disk ~blocks ~lists =
   let geom = Disk.geometry disk in
-  let t =
-    {
-      config;
-      disk;
-      geom;
-      clock = Disk.clock disk;
-      blocks;
-      lists;
-      committed_blocks = None;
-      committed_lists = None;
-      arus = Hashtbl.create 16;
-      next_aru;
-      next_gid;
-      prepared_commits = Hashtbl.create 4;
-      seq_aru = None;
-      stamp;
-      open_seg = None;
-      next_seq;
-      free_segs = Queue.create ();
-      sealed = Array.make geom.Geometry.num_segments false;
-      seal_seq = Array.make geom.Geometry.num_segments 0;
-      victim_flag = Array.make geom.Geometry.num_segments false;
-      live =
-        Live_index.create ~num_segments:geom.Geometry.num_segments
-          ~capacity:(Block_map.capacity blocks);
-      cache = Lru.create ~capacity:(max 16 config.Config.cache_blocks);
-      arena = Arena.create ~slot_bytes:geom.Geometry.block_bytes ();
-      meta_cache = Hashtbl.create 32;
-      sb_slots = [| None; None |];
-      last_read_gslot = min_int;
-      seq_read_run = 0;
-      counters = Counters.create ();
-      ckpt_id;
-      full_region = 1;
-      (* so the first full checkpoint targets region 0 *)
-      full_ckpt_id = 0;
-      dirty_blocks = Hashtbl.create 256;
-      dirty_lists = Hashtbl.create 64;
-      sealed_since_ckpt = 0;
-      pending = Hashtbl.create 16;
-      commit_q = Queue.create ();
-      commit_set = Hashtbl.create 16;
-      commit_enq_ns = Hashtbl.create 16;
-      commit_first_ns = 0;
-      in_cleaning = false;
-      in_checkpoint = false;
-      warming = None;
-      obs = Obs.null;
-    }
+  let counters = Counters.create () in
+  let rec self =
+    lazy
+      {
+        config;
+        disk;
+        geom;
+        clock = Disk.clock disk;
+        log =
+          Seglog.create ~config ~counters disk
+            ~before_take:(fun () -> auto_clean (Lazy.force self))
+            ~after_seal:(fun seq -> after_seal (Lazy.force self) seq);
+        blocks;
+        lists;
+        committed_blocks = None;
+        committed_lists = None;
+        arus = Hashtbl.create 16;
+        next_aru = 1;
+        next_gid = 1;
+        prepared_commits = Hashtbl.create 4;
+        seq_aru = None;
+        stamp = 1;
+        victim_flag = Array.make geom.Geometry.num_segments false;
+        live =
+          Live_index.create ~num_segments:geom.Geometry.num_segments
+            ~capacity:(Block_map.capacity blocks);
+        arena = Arena.create ~slot_bytes:geom.Geometry.block_bytes ();
+        sb_slots = [| None; None |];
+        counters;
+        ckpt_id = 0;
+        full_region = 1;
+        (* so the first full checkpoint targets region 0 *)
+        full_ckpt_id = 0;
+        dirty_blocks = Hashtbl.create 256;
+        dirty_lists = Hashtbl.create 64;
+        sealed_since_ckpt = 0;
+        pending = Hashtbl.create 16;
+        commit_q = Queue.create ();
+        commit_set = Hashtbl.create 16;
+        commit_enq_ns = Hashtbl.create 16;
+        commit_first_ns = 0;
+        in_cleaning = false;
+        in_checkpoint = false;
+        warming = None;
+        obs = Obs.null;
+      }
   in
-  t
+  Lazy.force self
 
 let create ?(config = Config.default) ?(obs = Obs.null) disk =
   let obs = Obs.env_default ~clock:(Disk.clock disk) obs in
   let geom = Disk.geometry disk in
   (* a reused disk may hold stale segments with arbitrary sequence
      numbers; start above all of them so recovery never replays relics *)
-  let max_stale = ref 0 in
-  for i = Disk_layout.log_first geom to geom.Geometry.num_segments - 1 do
-    let image =
-      Disk.read_view disk
-        ~offset:(Geometry.segment_offset geom i)
-        ~length:geom.Geometry.segment_bytes
-    in
-    match Segment.parse geom image with
-    | Some p when p.Segment.p_seq > !max_stale -> max_stale := p.Segment.p_seq
-    | Some _ | None -> ()
-  done;
+  let stale =
+    Seglog.fold_log disk ~init:0 (fun acc _ -> function
+      | Some p -> max acc p.Segment.p_seq
+      | None -> acc)
+  in
   let blocks = Block_map.create ~capacity:(Disk_layout.block_capacity geom) in
   let lists = List_table.create ~max_lists:(Disk_layout.max_lists geom) in
-  let t =
-    make ~config ~disk ~blocks ~lists ~next_seq:(!max_stale + 1) ~stamp:1
-      ~next_aru:1 ~next_gid:1 ~ckpt_id:0
-  in
+  let t = make ~config ~disk ~blocks ~lists in
   (* the free queue must be populated before the first checkpoint: its
      order is what recovery follows to find the log tail *)
-  for i = Disk_layout.log_first geom to geom.Geometry.num_segments - 1 do
-    Queue.push i t.free_segs
-  done;
+  Seglog.restore t.log ~next_seq:(stale + 1) ~in_use:(fun _ -> false);
   set_obs t obs;
   (* both regions get the empty state (as fulls) so no stale checkpoint
      survives *)
@@ -2627,30 +2311,23 @@ let recover ?(config = Config.default) ?(obs = Obs.null) ?decisions disk =
     t.sb_slots.(1) <- b;
     if config.Config.scrub_on_mount then ignore (scrub t)
   in
-  if config.Config.recovery_early_open then begin
-    (* open for reads immediately: blocks/lists recover on demand, the
-       first mutating operation (or [complete_recovery]) finishes.  The
-       report carries only the parse-phase facts so far. *)
-    let report = Recovery.preliminary_report prepared in
-    let t =
-      make ~config ~disk ~blocks ~lists ~next_seq:0 ~stamp:0 ~next_aru:1
-        ~next_gid:1 ~ckpt_id:report.Recovery.checkpoint_id
-    in
-    t.warming <- Some prepared;
-    set_obs t obs;
-    mirror_superblock t;
-    (t, report)
-  end
-  else begin
-    let restored = Recovery.finish prepared in
-    let t =
-      make ~config ~disk ~blocks ~lists ~next_seq:restored.Recovery.r_next_seq
-        ~stamp:restored.Recovery.r_stamp ~next_aru:restored.Recovery.r_next_aru
-        ~next_gid:restored.Recovery.r_next_gid
-        ~ckpt_id:restored.Recovery.r_report.Recovery.checkpoint_id
-    in
-    set_obs t obs;
-    finalize_recovery t restored;
-    mirror_superblock t;
-    (t, restored.Recovery.r_report)
-  end
+  (* early open serves reads at once: blocks/lists recover on demand,
+     the first mutating operation (or [complete_recovery]) finishes, and
+     the report carries only the parse-phase facts so far *)
+  let restored =
+    if config.Config.recovery_early_open then None
+    else Some (Recovery.finish prepared)
+  in
+  let t = make ~config ~disk ~blocks ~lists in
+  set_obs t obs;
+  let report =
+    match restored with
+    | Some restored ->
+      finalize_recovery t restored;
+      restored.Recovery.r_report
+    | None ->
+      t.warming <- Some prepared;
+      Recovery.preliminary_report prepared
+  in
+  mirror_superblock t;
+  (t, report)

@@ -337,19 +337,11 @@ val obs : t -> Lld_obs.Obs.t
 val open_arus : t -> int
 (** ARUs begun and not yet committed or aborted. *)
 
-val cache_blocks : t -> int
-(** Blocks resident in the LRU cache. *)
-
-val cache_capacity : t -> int
-
 val live_blocks : t -> int
 (** Persistent block slots referenced by the per-segment live index. *)
 
 val sealed_segments : t -> int
 (** Segments written and not yet freed. *)
-
-val segment_utilization : t -> (int * int) list
-(** [(segment, live blocks)] for every sealed segment, ascending. *)
 
 val shadow_versions : t -> int
 (** Shadow block versions held by open ARUs (the mesh depth). *)

@@ -1,7 +1,5 @@
-module Geometry = Lld_disk.Geometry
 module Disk = Lld_disk.Disk
 module Fault = Lld_disk.Fault
-module Blk = Lld_util.Blk
 module Obs = Lld_obs.Obs
 module Tr = Lld_obs.Trace
 
@@ -479,116 +477,23 @@ let prepare ?(obs = Obs.null) ?(sweep = true) ?(parallel = true)
     (best, blocks, lists)
   in
   let snap = best.Checkpoint.best_snap in
-  (* Find the log tail: read along the checkpoint's recorded free-segment
-     order until the sequence numbers stop being contiguous (a torn,
-     stale or unwritten segment ends the stream there).  A checkpoint
-     without the order (never produced by this implementation, but
-     tolerated) falls back to scanning the whole partition.  Only this
-     phase reads the log from disk — the later apply is pure CPU. *)
-  let invalid = ref 0 in
-  let expected = ref (snap.Checkpoint.covered_seq + 1) in
-  let replayed = ref 0 in
-  let tail = ref [] in
-  let disk_reads = ref 0 in
-  let read_segment i =
-    incr disk_reads;
-    match
-      Disk.read_view disk
-        ~offset:(Geometry.segment_offset geom i)
-        ~length:geom.Geometry.segment_bytes
-    with
-    | image -> Some image
-    | exception Fault.Media_error _ ->
-      incr invalid;
-      None
+  (* Find the log tail (Seglog.read_tail): read along the checkpoint's
+     recorded free-segment order until the sequence numbers stop being
+     contiguous.  A checkpoint written while the free queue was empty (a
+     full disk) records no order; the tail is then found by scanning the
+     whole partition.  Only this phase reads the log from disk — the
+     later apply is pure CPU. *)
+  let { Seglog.segments; next_seq = tail_end; invalid; reads } =
+    Obs.timed obs Tr.Recovery "replay" (fun () ->
+        Seglog.read_tail disk ~order:snap.Checkpoint.free_order
+          ~after:snap.Checkpoint.covered_seq)
   in
-  Obs.timed obs Tr.Recovery "replay" (fun () ->
-      match snap.Checkpoint.free_order with
-      | _ :: _ as order ->
-        (* Batched tail reads: physically contiguous runs of the
-           recorded order are fetched in one [Disk.read_view] each, with
-           the run length ramping up (1, 2, 4, ... 64) so a short tail —
-           the common O(dirty) restart — over-reads at most one segment
-           past the gap probe, while a long tail amortises to one
-           request per 32 MB of log.  Per-segment images are O(1) views
-           into the batched read, not copies.  A media error on a
-           batched read falls back to per-segment reads of the same run
-           (lazily, so the invalid-segment accounting matches the
-           unbatched scan). *)
-        let seg_bytes = geom.Geometry.segment_bytes in
-        let order = Array.of_list order in
-        let n = Array.length order in
-        let continue = ref true in
-        let pos = ref 0 in
-        let cap = ref 1 in
-        while !continue && !pos < n do
-          let first = order.(!pos) in
-          let len = ref 1 in
-          while
-            !len < !cap && !pos + !len < n && order.(!pos + !len) = first + !len
-          do
-            incr len
-          done;
-          let batched =
-            if !len = 1 then None
-            else begin
-              incr disk_reads;
-              match
-                Disk.read_view disk
-                  ~offset:(Geometry.segment_offset geom first)
-                  ~length:(!len * seg_bytes)
-              with
-              | image -> Some image
-              | exception Fault.Media_error _ -> None
-            end
-          in
-          for k = 0 to !len - 1 do
-            if !continue then begin
-              let image =
-                match batched with
-                | Some img -> Some (Blk.sub img (k * seg_bytes) seg_bytes)
-                | None when !len = 1 -> read_segment first
-                | None -> read_segment (first + k)
-              in
-              match Option.map (Segment.parse geom) image with
-              | Some (Some p) when p.Segment.p_seq = !expected ->
-                incr expected;
-                incr replayed;
-                tail := (first + k, p.Segment.p_entries) :: !tail
-              | Some (Some _) | Some None | None ->
-                (* stale contents, torn write, or a media error: the
-                   stream ends here *)
-                incr invalid;
-                continue := false
-            end
-          done;
-          pos := !pos + !len;
-          cap := min 64 (2 * !cap)
-        done
-      | [] ->
-        let parsed = ref [] in
-        for i = Disk_layout.log_first geom to geom.Geometry.num_segments - 1 do
-          match Option.map (Segment.parse geom) (read_segment i) with
-          | Some (Some p) when p.Segment.p_seq > snap.Checkpoint.covered_seq ->
-            parsed := (p.Segment.p_seq, i, p) :: !parsed
-          | Some (Some _) -> ()
-          | Some None | None -> incr invalid
-        done;
-        let ordered =
-          List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !parsed
-        in
-        List.iter
-          (fun (seq, disk_index, p) ->
-            if seq = !expected then begin
-              incr expected;
-              incr replayed;
-              tail := (disk_index, p.Segment.p_entries) :: !tail
-            end)
-          ordered);
-  let tail = List.rev !tail in
+  let replayed = List.length segments in
   let entries =
     Array.of_list
-      (List.concat_map (fun (seg, es) -> List.map (fun e -> (seg, e)) es) tail)
+      (List.concat_map
+         (fun (seg, es) -> List.map (fun e -> (seg, e)) es)
+         segments)
   in
   (* Partition the tail into dependency-independent groups. *)
   let partition, groups, group_of_root =
@@ -737,10 +642,10 @@ let prepare ?(obs = Obs.null) ?(sweep = true) ?(parallel = true)
     p_partition = partition;
     p_group_of_root = group_of_root;
     p_sb_epoch = sb_epoch;
-    p_next_seq = max snap.Checkpoint.next_seq !expected;
-    p_segments_replayed = !replayed;
-    p_invalid_segments = !invalid;
-    p_disk_reads = !disk_reads;
+    p_next_seq = max snap.Checkpoint.next_seq tail_end;
+    p_segments_replayed = replayed;
+    p_invalid_segments = invalid;
+    p_disk_reads = reads;
     p_blocks_scavenged = 0;
     p_lists_scavenged = 0;
     p_used_domains = false;
@@ -932,43 +837,3 @@ let finish p =
     in
     p.p_finished <- Some restored;
     restored
-
-let run ?obs ?sweep ?parallel ?decisions disk =
-  finish (prepare ?obs ?sweep ?parallel ?decisions disk)
-
-(* Raw decision scan used by the sharded front-end at mount: collect the
-   verdict of every [Decide] record still present in a shard's log,
-   regardless of checkpoint coverage.  Sound for resolving a peer's
-   dangling prepare because the coordinator's decision segment cannot
-   have been cleaned before every participant made its own (lazy)
-   [Decide] durable — once it has, the participant no longer consults
-   the coordinator.  Also returns the gid watermark so a remount never
-   reuses a transaction id that a stale record could vouch for. *)
-let scan_decisions disk =
-  let geom = Disk.geometry disk in
-  let decisions = Hashtbl.create 8 in
-  let max_gid = ref 1 in
-  let note gid = if gid >= !max_gid then max_gid := gid + 1 in
-  for i = Disk_layout.log_first geom to geom.Geometry.num_segments - 1 do
-    match
-      Disk.read_view disk
-        ~offset:(Geometry.segment_offset geom i)
-        ~length:geom.Geometry.segment_bytes
-    with
-    | exception Fault.Media_error _ -> ()
-    | image -> (
-      match Segment.parse geom image with
-      | None -> ()
-      | Some p ->
-        List.iter
-          (fun (e : Summary.t) ->
-            match e.Summary.op with
-            | Summary.Decide { gid; committed; _ } ->
-              note gid;
-              if committed || not (Hashtbl.mem decisions gid) then
-                Hashtbl.replace decisions gid committed
-            | Summary.Prepare { gid; _ } -> note gid
-            | _ -> ())
-          p.Segment.p_entries)
-  done;
-  (decisions, !max_gid)

@@ -34,7 +34,7 @@
     {!finish}) additionally supports {e early open}: reads can be served
     as soon as {!prepare} returns, recovering a logical block or list on
     demand the first time it is touched; {!finish} completes the replay
-    and the global sweep.  {!run} is the eager composition of the two. *)
+    and the global sweep. *)
 
 type report = {
   checkpoint_id : int;
@@ -115,9 +115,9 @@ val prepare :
     the test-only reason to disable it.  [decisions] resolves an ARU
     left {e prepared} under two-phase commit with no [Decide] record in
     this log: [Some true] commits it, anything else aborts it (presumed
-    abort).  The sharded front-end passes the union of every shard's
-    {!scan_decisions}; the default resolves nothing, which is correct
-    for a standalone disk.  [obs] (default {!Lld_obs.Obs.null}) records
+    abort).  The sharded front-end passes the union of the [Decide]
+    records in every shard's log; the default resolves nothing, which is
+    correct for a standalone disk.  [obs] (default {!Lld_obs.Obs.null}) records
     the [recovery] phase spans — [checkpoint_restore], [replay],
     [partition], [apply], [resolve_prepared], [sweep] — and their
     latency histograms. *)
@@ -151,20 +151,3 @@ val finish : pending -> restored
     global consistency sweep and rebuild the free pools.  Identifiers
     already swept on demand are no-ops here, so the report's totals
     match an eager recovery exactly.  Idempotent. *)
-
-val run :
-  ?obs:Lld_obs.Obs.t -> ?sweep:bool -> ?parallel:bool ->
-  ?decisions:(int -> bool option) ->
-  Lld_disk.Disk.t -> restored
-(** [finish (prepare disk)] — eager recovery. *)
-
-val scan_decisions : Lld_disk.Disk.t -> (int, bool) Hashtbl.t * int
-(** Raw scan of every parseable log segment for two-phase-commit
-    [Decide] records, regardless of checkpoint coverage: gid -> verdict,
-    plus the gid watermark (1 + highest gid seen in any [Prepare] or
-    [Decide]).  The sharded front-end runs this over {e all} shards at
-    mount and feeds the union to {!prepare}'s [decisions]; the watermark
-    keeps transaction ids unique across incarnations.  Media errors on
-    individual segments are tolerated (the segment contributes
-    nothing — a torn decision is indistinguishable from an unwritten
-    one, and presumed abort makes that safe). *)

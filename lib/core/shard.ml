@@ -113,20 +113,35 @@ let recover ?(config = Config.default) ?(obs = Obs.null) disks =
     Array.iter
       (fun d -> Lld_disk.Fault.reset_after_recovery (Lld_disk.Disk.fault d))
       disks;
+    (* Every [Decide] verdict still in any shard's log, regardless of
+       checkpoint coverage.  Sound for resolving a peer's dangling
+       prepare because the coordinator's decision segment cannot have
+       been cleaned before every participant made its own (lazy)
+       [Decide] durable.  An unreadable or torn segment contributes
+       nothing, which presumed abort makes safe.  The gid watermark
+       keeps a remount from reusing a transaction id that a stale record
+       could vouch for. *)
     let union : (int, bool) Hashtbl.t = Hashtbl.create 16 in
-    let watermark = ref 1 in
-    Array.iter
-      (fun d ->
-        let tbl, wm = Recovery.scan_decisions d in
-        if wm > !watermark then watermark := wm;
-        Hashtbl.iter
-          (fun gid committed ->
-            (* commit wins: the coordinator's Decide is authoritative
-               and participants only ever mirror it *)
-            if committed || not (Hashtbl.mem union gid) then
-              Hashtbl.replace union gid committed)
-          tbl)
-      disks;
+    let watermark =
+      Array.fold_left
+        (fun wm d ->
+          Seglog.fold_log d ~init:wm (fun wm _ -> function
+            | None -> wm
+            | Some p ->
+              List.fold_left
+                (fun wm (e : Summary.t) ->
+                  match e.Summary.op with
+                  | Summary.Decide { gid; committed; _ } ->
+                    (* commit wins: the coordinator's Decide is
+                       authoritative and participants only mirror it *)
+                    if committed || not (Hashtbl.mem union gid) then
+                      Hashtbl.replace union gid committed;
+                    max wm (gid + 1)
+                  | Summary.Prepare { gid; _ } -> max wm (gid + 1)
+                  | _ -> wm)
+                wm p.Segment.p_entries))
+        1 disks
+    in
     let decisions gid = Hashtbl.find_opt union gid in
     let pairs = Array.make n None in
     Array.iteri
@@ -138,7 +153,7 @@ let recover ?(config = Config.default) ?(obs = Obs.null) disks =
     let shards = Array.init n (fun i -> fst (get i)) in
     let reports = Array.init n (fun i -> snd (get i)) in
     let t = wrap config shards in
-    if !watermark > t.gid then t.gid <- !watermark;
+    if watermark > t.gid then t.gid <- watermark;
     t.fobs <- obs;
     (t, reports)
   end

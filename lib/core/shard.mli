@@ -17,8 +17,8 @@
     experiment gates on.
 
     Crash safety is {e presumed abort}: a participant that recovers with
-    a dangling [Prepare] consults the union of every shard's
-    {!Recovery.scan_decisions} — the coordinator's durable [Decide]
+    a dangling [Prepare] consults the union of the [Decide] records in
+    every shard's log — the coordinator's durable [Decide]
     commits it, anything else aborts it.  {!recover} therefore scans all
     shards before recovering any of them.
 
@@ -49,7 +49,7 @@ val recover :
   ?config:Config.t -> ?obs:Lld_obs.Obs.t -> Lld_disk.Disk.t array ->
   t * Recovery.report array
 (** Mount after a crash: first scans {e every} shard's log for durable
-    two-phase-commit decisions ({!Recovery.scan_decisions}), then
+    two-phase-commit decisions ([Decide] records), then
     recovers each shard with the union as its [decisions] oracle, so a
     participant's dangling prepare commits exactly when the
     coordinator's [Decide] survived.  The cross-shard transaction-id

@@ -1,4 +1,3 @@
-module Codec = Lld_util.Bytes_codec
 module Blk = Lld_util.Blk
 module Lru = Lld_util.Lru
 module Clock = Lld_sim.Clock
@@ -73,28 +72,28 @@ let layout_of ~total_blocks ~journal_fraction =
 
 let encode_superblock bb l =
   let b = Bytes.make bb '\000' in
-  Codec.set_u32 b 0 sb_magic;
-  Codec.set_u32 b 4 1 (* version *);
-  Codec.set_u32 b 8 l.journal_first;
-  Codec.set_u32 b 12 l.journal_blocks;
-  Codec.set_u32 b 16 l.table_blocks;
-  Codec.set_u32 b 20 l.table_a_first;
-  Codec.set_u32 b 24 l.table_b_first;
-  Codec.set_u32 b 28 l.data_first;
-  Codec.set_u32 b 32 l.capacity;
+  Blk.set_u32_bytes b 0 sb_magic;
+  Blk.set_u32_bytes b 4 1 (* version *);
+  Blk.set_u32_bytes b 8 l.journal_first;
+  Blk.set_u32_bytes b 12 l.journal_blocks;
+  Blk.set_u32_bytes b 16 l.table_blocks;
+  Blk.set_u32_bytes b 20 l.table_a_first;
+  Blk.set_u32_bytes b 24 l.table_b_first;
+  Blk.set_u32_bytes b 28 l.data_first;
+  Blk.set_u32_bytes b 32 l.capacity;
   b
 
 let decode_superblock b =
-  if Codec.get_u32 b 0 <> sb_magic then
+  if Blk.get_u32_bytes b 0 <> sb_magic then
     raise (Errors.Corrupt "no JLD superblock");
   {
-    journal_first = Codec.get_u32 b 8;
-    journal_blocks = Codec.get_u32 b 12;
-    table_blocks = Codec.get_u32 b 16;
-    table_a_first = Codec.get_u32 b 20;
-    table_b_first = Codec.get_u32 b 24;
-    data_first = Codec.get_u32 b 28;
-    capacity = Codec.get_u32 b 32;
+    journal_first = Blk.get_u32_bytes b 8;
+    journal_blocks = Blk.get_u32_bytes b 12;
+    table_blocks = Blk.get_u32_bytes b 16;
+    table_a_first = Blk.get_u32_bytes b 20;
+    table_b_first = Blk.get_u32_bytes b 24;
+    data_first = Blk.get_u32_bytes b 28;
+    capacity = Blk.get_u32_bytes b 32;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -176,14 +175,12 @@ let flush_chunk t =
       (* the reserve invariant should make this impossible *)
       raise Errors.Disk_full;
     let image = Bytes.make (blocks * bb) '\000' in
-    Codec.set_u32 image 0 0x4a43484b (* "JCHK" *);
-    Codec.set_u32 image 4 (t.epoch land 0xffffffff);
-    Codec.set_u32 image 8 (t.epoch lsr 32);
-    Codec.set_u32 image 12 (t.jseq land 0xffffffff);
-    Codec.set_u32 image 16 (t.jseq lsr 32);
-    Codec.set_u32 image 20 t.pend_entries;
-    Codec.set_u32 image 24 (Bytes.length encoded);
-    Codec.set_u32 image 28 t.pend_data;
+    Blk.set_u32_bytes image 0 0x4a43484b (* "JCHK" *);
+    Bytes.set_int64_le image 4 (Int64.of_int t.epoch);
+    Bytes.set_int64_le image 12 (Int64.of_int t.jseq);
+    Blk.set_u32_bytes image 20 t.pend_entries;
+    Blk.set_u32_bytes image 24 (Bytes.length encoded);
+    Blk.set_u32_bytes image 28 t.pend_data;
     Bytes.blit encoded 0 image chunk_header_bytes (Bytes.length encoded);
     let data_off = chunk_header_bytes + Bytes.length encoded in
     let idx = ref 0 in
@@ -196,10 +193,7 @@ let flush_chunk t =
         | None -> ())
       entries;
     let sum_off = Bytes.length image - chunk_trailer_bytes in
-    let sum = Codec.hash64 ~pos:0 ~len:sum_off image in
-    Codec.set_u32 image sum_off (Int64.to_int (Int64.logand sum 0xffffffffL));
-    Codec.set_u32 image (sum_off + 4)
-      (Int64.to_int (Int64.logand (Int64.shift_right_logical sum 32) 0xffffffffL));
+    Bytes.set_int64_le image sum_off (Blk.hash64 ~len:sum_off (Blk.of_bytes image));
     Disk.write t.disk
       ~offset:((t.layout.journal_first + t.jptr) * bb)
       image;
@@ -275,16 +269,12 @@ let write_tables t =
   let region_bytes = t.layout.table_blocks * bb in
   if total > region_bytes then raise Errors.Disk_full;
   let image = Bytes.make ((total + bb - 1) / bb * bb) '\000' in
-  Codec.set_u32 image 0 table_magic;
-  Codec.set_u32 image 4 ((t.epoch + 1) land 0xffffffff);
-  Codec.set_u32 image 8 ((t.epoch + 1) lsr 32);
-  Codec.set_u32 image 12 (Bytes.length payload);
+  Blk.set_u32_bytes image 0 table_magic;
+  Bytes.set_int64_le image 4 (Int64.of_int (t.epoch + 1));
+  Blk.set_u32_bytes image 12 (Bytes.length payload);
   Bytes.blit payload 0 image header (Bytes.length payload);
   let sum_off = header + Bytes.length payload in
-  let sum = Codec.hash64 ~pos:0 ~len:sum_off image in
-  Codec.set_u32 image sum_off (Int64.to_int (Int64.logand sum 0xffffffffL));
-  Codec.set_u32 image (sum_off + 4)
-    (Int64.to_int (Int64.logand (Int64.shift_right_logical sum 32) 0xffffffffL));
+  Bytes.set_int64_le image sum_off (Blk.hash64 ~len:sum_off (Blk.of_bytes image));
   let region =
     if (t.epoch + 1) mod 2 = 0 then t.layout.table_a_first
     else t.layout.table_b_first
@@ -293,21 +283,17 @@ let write_tables t =
 
 let read_tables disk bb layout region =
   let head = Disk.read disk ~offset:(region * bb) ~length:bb in
-  if Codec.get_u32 head 0 <> table_magic then None
+  if Blk.get_u32_bytes head 0 <> table_magic then None
   else begin
-    let epoch = Codec.get_u32 head 4 lor (Codec.get_u32 head 8 lsl 32) in
-    let len = Codec.get_u32 head 12 in
+    let epoch = Int64.to_int (Bytes.get_int64_le head 4) in
+    let len = Blk.get_u32_bytes head 12 in
     let total = 16 + len + 8 in
     if total > layout.table_blocks * bb then None
     else begin
       let image = Disk.read disk ~offset:(region * bb) ~length:total in
       let sum_off = 16 + len in
-      let stored =
-        Int64.logor
-          (Int64.of_int (Codec.get_u32 image sum_off))
-          (Int64.shift_left (Int64.of_int (Codec.get_u32 image (sum_off + 4))) 32)
-      in
-      if not (Int64.equal stored (Codec.hash64 ~pos:0 ~len:sum_off image)) then
+      let stored = Bytes.get_int64_le image sum_off in
+      if not (Int64.equal stored (Blk.hash64 ~len:sum_off (Blk.of_bytes image))) then
         None
       else
         match Lld_core.Checkpoint.decode (Blk.of_bytes (Bytes.sub image 16 len)) with
@@ -1035,13 +1021,13 @@ let replay_journal t =
       let head =
         Disk.read t.disk ~offset:((t.layout.journal_first + t.jptr) * bb) ~length:bb
       in
-      if Codec.get_u32 head 0 <> 0x4a43484b then stop := true
+      if Blk.get_u32_bytes head 0 <> 0x4a43484b then stop := true
       else begin
-        let epoch = Codec.get_u32 head 4 lor (Codec.get_u32 head 8 lsl 32) in
-        let seq = Codec.get_u32 head 12 lor (Codec.get_u32 head 16 lsl 32) in
-        let entry_count = Codec.get_u32 head 20 in
-        let entries_len = Codec.get_u32 head 24 in
-        let data_count = Codec.get_u32 head 28 in
+        let epoch = Int64.to_int (Bytes.get_int64_le head 4) in
+        let seq = Int64.to_int (Bytes.get_int64_le head 12) in
+        let entry_count = Blk.get_u32_bytes head 20 in
+        let entries_len = Blk.get_u32_bytes head 24 in
+        let data_count = Blk.get_u32_bytes head 28 in
         let total =
           chunk_header_bytes + entries_len + (data_count * bb)
           + chunk_trailer_bytes
@@ -1058,14 +1044,8 @@ let replay_journal t =
               ~length:(blocks * bb)
           in
           let sum_off = Bytes.length image - chunk_trailer_bytes in
-          let stored =
-            Int64.logor
-              (Int64.of_int (Codec.get_u32 image sum_off))
-              (Int64.shift_left
-                 (Int64.of_int (Codec.get_u32 image (sum_off + 4)))
-                 32)
-          in
-          if not (Int64.equal stored (Codec.hash64 ~pos:0 ~len:sum_off image))
+          let stored = Bytes.get_int64_le image sum_off in
+          if not (Int64.equal stored (Blk.hash64 ~len:sum_off (Blk.of_bytes image)))
           then stop := true
           else begin
             let r =

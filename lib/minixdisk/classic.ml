@@ -1,4 +1,4 @@
-module Codec = Lld_util.Bytes_codec
+module Blk = Lld_util.Blk
 module Lru = Lld_util.Lru
 module Geometry = Lld_disk.Geometry
 module Disk = Lld_disk.Disk
@@ -122,11 +122,11 @@ let read_inode t ino =
   let data = read_block t (inode_block t ino) in
   let off = inode_offset ino in
   let i = fresh_inode () in
-  i.kind <- Codec.get_u16 data off;
-  i.nlinks <- Codec.get_u16 data (off + 2);
-  i.size <- Codec.get_u32 data (off + 4);
+  i.kind <- Bytes.get_uint16_le data off;
+  i.nlinks <- Bytes.get_uint16_le data (off + 2);
+  i.size <- Blk.get_u32_bytes data (off + 4);
   for z = 0 to direct_zones + 1 do
-    i.zones.(z) <- Codec.get_u32 data (off + 8 + (z * 4))
+    i.zones.(z) <- Blk.get_u32_bytes data (off + 8 + (z * 4))
   done;
   i
 
@@ -134,11 +134,11 @@ let write_inode t ino (i : inode) =
   let blk = inode_block t ino in
   let data = read_block t blk in
   let off = inode_offset ino in
-  Codec.set_u16 data off i.kind;
-  Codec.set_u16 data (off + 2) i.nlinks;
-  Codec.set_u32 data (off + 4) i.size;
+  Bytes.set_uint16_le data off i.kind;
+  Bytes.set_uint16_le data (off + 2) i.nlinks;
+  Blk.set_u32_bytes data (off + 4) i.size;
   for z = 0 to direct_zones + 1 do
-    Codec.set_u32 data (off + 8 + (z * 4)) i.zones.(z)
+    Blk.set_u32_bytes data (off + 8 + (z * 4)) i.zones.(z)
   done;
   write_meta t blk data
 
@@ -194,11 +194,11 @@ let rec zone_of t (i : inode) ~ino ~index ~alloc =
     else begin
       let data = read_block t outer in
       let inner_idx = index / ptrs_per_block in
-      let inner = Codec.get_u32 data (inner_idx * 4) in
+      let inner = Blk.get_u32_bytes data (inner_idx * 4) in
       let inner =
         if inner = 0 && alloc then begin
           let z = alloc_zone t in
-          Codec.set_u32 data (inner_idx * 4) z;
+          Blk.set_u32_bytes data (inner_idx * 4) z;
           write_meta t outer data;
           z
         end
@@ -208,10 +208,10 @@ let rec zone_of t (i : inode) ~ino ~index ~alloc =
       else begin
         let leaf = read_block t inner in
         let off = index mod ptrs_per_block * 4 in
-        let z = Codec.get_u32 leaf off in
+        let z = Blk.get_u32_bytes leaf off in
         if z = 0 && alloc then begin
           let z = alloc_zone t in
-          Codec.set_u32 leaf off z;
+          Blk.set_u32_bytes leaf off z;
           write_meta t inner leaf;
           z
         end
@@ -233,10 +233,10 @@ and indirect_lookup t (i : inode) ~ino ~slot ~offset ~alloc =
   if blk = 0 then 0
   else begin
     let data = read_block t blk in
-    let z = Codec.get_u32 data (offset * 4) in
+    let z = Blk.get_u32_bytes data (offset * 4) in
     if z = 0 && alloc then begin
       let z = alloc_zone t in
-      Codec.set_u32 data (offset * 4) z;
+      Blk.set_u32_bytes data (offset * 4) z;
       write_meta t blk data;
       z
     end
@@ -255,7 +255,7 @@ let iter_zones t (i : inode) f =
     let outer = i.zones.(direct_zones + 1) in
     let data = read_block t outer in
     for k = 0 to ptrs_per_block - 1 do
-      let inner = Codec.get_u32 data (k * 4) in
+      let inner = Blk.get_u32_bytes data (k * 4) in
       if inner <> 0 then f inner
     done;
     f outer
@@ -369,10 +369,10 @@ let superblock_layout ~total_blocks ~inode_count =
 
 let encode_superblock shape =
   let b = Bytes.make bb '\000' in
-  Codec.set_u32 b 0 magic;
-  Codec.set_u32 b 4 shape.inode_count;
-  Codec.set_u32 b 8 shape.first_data;
-  Codec.set_u32 b 12 shape.data_zones;
+  Blk.set_u32_bytes b 0 magic;
+  Blk.set_u32_bytes b 4 shape.inode_count;
+  Blk.set_u32_bytes b 8 shape.first_data;
+  Blk.set_u32_bytes b 12 shape.data_zones;
   b
 
 let make disk shape =
@@ -412,9 +412,9 @@ let mount disk =
   let geom = Disk.geometry disk in
   let total_blocks = Geometry.total_bytes geom / bb in
   let sb = Disk.read disk ~offset:0 ~length:bb in
-  if Codec.get_u32 sb 0 <> magic then
+  if Blk.get_u32_bytes sb 0 <> magic then
     invalid_arg "Classic.mount: no classic-Minix superblock";
-  let inode_count = Codec.get_u32 sb 4 in
+  let inode_count = Blk.get_u32_bytes sb 4 in
   let shape = superblock_layout ~total_blocks ~inode_count in
   let t = make disk shape in
   for b = 0 to shape.inode_bitmap_blocks - 1 do

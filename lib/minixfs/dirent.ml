@@ -1,4 +1,3 @@
-module Codec = Lld_util.Bytes_codec
 
 type t = { ino : int; name : string }
 
@@ -8,7 +7,7 @@ let valid_name name =
   && not (String.exists (fun c -> c = '/' || c = '\000') name)
 
 let read block ~off =
-  match Codec.get_u16 block off with
+  match Bytes.get_uint16_le block off with
   | 0 -> None
   | ino ->
     let raw = Bytes.sub_string block (off + 2) Layout.name_max in
@@ -22,7 +21,7 @@ let read block ~off =
 let write block ~off t =
   if not (valid_name t.name) then invalid_arg "Dirent.write: invalid name";
   if t.ino <= 0 || t.ino > 0xffff then invalid_arg "Dirent.write: invalid ino";
-  Codec.set_u16 block off t.ino;
+  Bytes.set_uint16_le block off t.ino;
   let padded = Bytes.make Layout.name_max '\000' in
   Bytes.blit_string t.name 0 padded 0 (String.length t.name);
   Bytes.blit padded 0 block (off + 2) Layout.name_max

@@ -1,4 +1,4 @@
-module Codec = Lld_util.Bytes_codec
+module Blk = Lld_util.Blk
 
 type t = {
   kind : Layout.kind;
@@ -11,11 +11,11 @@ let free = { kind = Layout.Free; nlinks = 0; size = 0; list = None }
 
 let read block ~index =
   let off = index * Layout.inode_bytes in
-  let kind = Layout.kind_of_int (Codec.get_u16 block off) in
-  let nlinks = Codec.get_u16 block (off + 2) in
-  let size = Codec.get_u32 block (off + 4) in
+  let kind = Layout.kind_of_int (Bytes.get_uint16_le block off) in
+  let nlinks = Bytes.get_uint16_le block (off + 2) in
+  let size = Blk.get_u32_bytes block (off + 4) in
   let list =
-    match Codec.get_u32 block (off + 8) with
+    match Blk.get_u32_bytes block (off + 8) with
     | 0 -> None
     | l -> Some (Lld_core.Types.List_id.of_int l)
   in
@@ -23,10 +23,10 @@ let read block ~index =
 
 let write block ~index t =
   let off = index * Layout.inode_bytes in
-  Codec.set_u16 block off (Layout.kind_to_int t.kind);
-  Codec.set_u16 block (off + 2) t.nlinks;
-  Codec.set_u32 block (off + 4) t.size;
-  Codec.set_u32 block (off + 8)
+  Bytes.set_uint16_le block off (Layout.kind_to_int t.kind);
+  Bytes.set_uint16_le block (off + 2) t.nlinks;
+  Blk.set_u32_bytes block (off + 4) t.size;
+  Blk.set_u32_bytes block (off + 8)
     (match t.list with
     | None -> 0
     | Some l -> Lld_core.Types.List_id.to_int l)

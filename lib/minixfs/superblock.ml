@@ -1,4 +1,4 @@
-module Codec = Lld_util.Bytes_codec
+module Blk = Lld_util.Blk
 
 type t = {
   inode_count : int;
@@ -8,23 +8,23 @@ type t = {
 
 let encode t =
   let b = Bytes.make Layout.block_bytes '\000' in
-  Codec.set_u32 b 0 Layout.superblock_magic;
-  Codec.set_u32 b 4 1 (* version *);
-  Codec.set_u32 b 8 t.inode_count;
-  Codec.set_u32 b 12 (Lld_core.Types.List_id.to_int t.inode_list);
-  Codec.set_u32 b 16 t.root_ino;
-  Codec.set_u32 b 20 Layout.block_bytes;
+  Blk.set_u32_bytes b 0 Layout.superblock_magic;
+  Blk.set_u32_bytes b 4 1 (* version *);
+  Blk.set_u32_bytes b 8 t.inode_count;
+  Blk.set_u32_bytes b 12 (Lld_core.Types.List_id.to_int t.inode_list);
+  Blk.set_u32_bytes b 16 t.root_ino;
+  Blk.set_u32_bytes b 20 Layout.block_bytes;
   b
 
 let decode b =
   if Bytes.length b <> Layout.block_bytes then
     raise (Lld_core.Errors.Corrupt "superblock: wrong block size");
-  if Codec.get_u32 b 0 <> Layout.superblock_magic then
+  if Blk.get_u32_bytes b 0 <> Layout.superblock_magic then
     raise (Lld_core.Errors.Corrupt "superblock: bad magic");
-  if Codec.get_u32 b 20 <> Layout.block_bytes then
+  if Blk.get_u32_bytes b 20 <> Layout.block_bytes then
     raise (Lld_core.Errors.Corrupt "superblock: block size mismatch");
   {
-    inode_count = Codec.get_u32 b 8;
-    inode_list = Lld_core.Types.List_id.of_int (Codec.get_u32 b 12);
-    root_ino = Codec.get_u32 b 16;
+    inode_count = Blk.get_u32_bytes b 8;
+    inode_list = Lld_core.Types.List_id.of_int (Blk.get_u32_bytes b 12);
+    root_ino = Blk.get_u32_bytes b 16;
   }

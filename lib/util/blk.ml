@@ -143,11 +143,12 @@ let set_u64 t i v =
   set_u32 t (i + 4)
     (Int64.to_int (Int64.logand (Int64.shift_right_logical v 32) 0xffffffffL))
 
+let get_u32_bytes b i = Int32.to_int (Bytes.get_int32_le b i) land 0xffff_ffff
+let set_u32_bytes b i v = Bytes.set_int32_le b i (Int32.of_int v)
+
 (* ------------------------------------------------------------ hashes *)
 
-(* FNV-1a over 8-byte LE words with a byte tail, bit-identical to
-   [Bytes_codec.hash64] (checkpoint chunk trailers keep their on-disk
-   format across the Blk conversion). *)
+(* FNV-1a over 8-byte LE words with a byte tail. *)
 let hash64 ?(pos = 0) ?len t =
   let len = match len with None -> t.len - pos | Some l -> l in
   if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Blk.hash64";

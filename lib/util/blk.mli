@@ -66,11 +66,16 @@ val set_u32 : t -> int -> int -> unit
 val get_u64 : t -> int -> int64
 val set_u64 : t -> int -> int64 -> unit
 
+(* Unsigned 32-bit fields of [bytes] structures (Minix, JLD); 16-bit
+   fields use [Bytes.get_uint16_le]. *)
+val get_u32_bytes : bytes -> int -> int
+val set_u32_bytes : bytes -> int -> int -> unit
+
 (** {1 Checksums} *)
 
 val hash64 : ?pos:int -> ?len:int -> t -> int64
-(** FNV-1a, bit-identical to {!Bytes_codec.hash64} (checkpoint chunks
-    keep their trailer format across the view conversion). *)
+(** FNV-1a over 64-bit little-endian words with a byte-wise tail: the
+    checksum of checkpoint chunks and of JLD's journal and tables. *)
 
 val crc32c : ?init:int -> ?pos:int -> ?len:int -> t -> int
 (** CRC32c (Castagnoli, reflected 0x82f63b78) of the window; the
@@ -81,10 +86,10 @@ val crc32c_bytes : ?init:int -> ?pos:int -> ?len:int -> bytes -> int
 
 (** {1 Codecs}
 
-    Mirror {!Bytes_codec.Writer}/{!Bytes_codec.Reader}, but the writer
-    can serialise straight into an existing view ({!Writer.of_view} —
-    the single-pass segment seal) and the reader's {!Reader.raw} hands
-    back an alias instead of a copy. *)
+    Little-endian serialisation.  The writer can serialise straight into
+    an existing view ({!Writer.of_view} — the single-pass segment seal)
+    and the reader's {!Reader.raw} hands back an alias instead of a
+    copy. *)
 
 module Writer : sig
   type view = t

@@ -38,11 +38,16 @@ let write_file path bytes =
   close_out oc
 
 (* Fixture images: a properly formatted one, one whose size is not a
-   whole number of segments, and one with valid geometry but zeroed
-   content (nothing to recover). *)
+   whole number of segments, one with valid geometry but zeroed content
+   (nothing to recover), and a zeroed one of four whole segments — too
+   small to hold a log. *)
 let good_image = tmp "good.img"
 let badsize_image = tmp "badsize.img"
 let zeroed_image = tmp "zeroed.img"
+let tiny_image = tmp "tiny.img"
+
+(* mkfs target that a rejected geometry must not create *)
+let small_mkfs_image = tmp "small-mkfs.img"
 
 let setup_images () =
   let rc =
@@ -50,12 +55,13 @@ let setup_images () =
   in
   if rc <> 0 then Alcotest.failf "mkfs fixture failed with exit code %d" rc;
   write_file badsize_image (Bytes.create 1000);
-  write_file zeroed_image (Bytes.create (32 * segment_bytes))
+  write_file zeroed_image (Bytes.create (32 * segment_bytes));
+  write_file tiny_image (Bytes.make (4 * segment_bytes) '\000')
 
 let cleanup_images () =
   List.iter
     (fun p -> try Sys.remove p with Sys_error _ -> ())
-    [ good_image; badsize_image; zeroed_image ]
+    [ good_image; badsize_image; zeroed_image; tiny_image; small_mkfs_image ]
 
 (* The matrix.  [trace]/[stats] run a real (small) workload; [model]
    runs a real (small) differential-fuzzing session. *)
@@ -65,6 +71,15 @@ let matrix () =
     ("info, formatted image", [ "info"; "--file"; good_image ], 0);
     ("info, truncated image", [ "info"; "--file"; badsize_image ], 2);
     ("info, zeroed image", [ "info"; "--file"; zeroed_image ], 1);
+    ("info, partition too small for a log", [ "info"; "--segments"; "10" ], 2);
+    ("info, smallest partition", [ "info"; "--segments"; "11" ], 0);
+    ("info, four-segment image", [ "info"; "--file"; tiny_image ], 2);
+    ( "mkfs, partition too small for a log",
+      [ "mkfs"; "--file"; small_mkfs_image; "--segments"; "10" ],
+      2 );
+    ("mount, four-segment image", [ "mount"; "--file"; tiny_image ], 2);
+    ("scrub, four-segment image", [ "scrub"; "--file"; tiny_image ], 2);
+    ("smallfile, zero files", [ "smallfile"; "--files"; "0" ], 2);
     ( "mkfs, fresh image",
       [ "mkfs"; "--file"; tmp "mkfs2.img"; "--segments"; "64"; "--files"; "2" ],
       0 );
@@ -109,6 +124,12 @@ let test_matrix () =
                 (Printf.sprintf "%s: expected exit %d, got %d (lld %s)" name
                    expected got (String.concat " " args)))
           (matrix ())
+      in
+      let failures =
+        if Sys.file_exists small_mkfs_image then
+          "mkfs, partition too small for a log: left the image behind"
+          :: failures
+        else failures
       in
       if failures <> [] then Alcotest.fail (String.concat "\n" failures))
 

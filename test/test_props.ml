@@ -1,7 +1,6 @@
 open Helpers
 module Fault = Lld_disk.Fault
 module Rng = Lld_sim.Rng
-module Codec = Lld_util.Bytes_codec
 module Blk = Lld_util.Blk
 module Checkpoint = Lld_core.Checkpoint
 

@@ -303,6 +303,38 @@ let test_cleaner_then_crash_recovers () =
         (block_data i) (Lld.read lld2 b))
     !keep
 
+(* A cleaning batch frees several segments at once; the log must reuse
+   them in the order the cleaner's checkpoint recorded, or recovery
+   stops its tail walk early and drops flushed data written there. *)
+let test_multi_victim_clean_then_crash () =
+  let geom = Geometry.v ~num_segments:20 () in
+  let config = { Config.default with Config.auto_clean = false } in
+  let disk, lld = fresh_lld ~config ~geom () in
+  let l = new_list lld in
+  List.iteri
+    (fun i b -> if i mod 10 <> 0 then Lld.delete_block lld b)
+    (List.init 600 (fun i ->
+         let b = Lld.new_block lld ~list:l ~pred:Summary.Head () in
+         Lld.write lld b (block_data i);
+         b));
+  Lld.flush lld;
+  let free_before = Lld.free_segments lld in
+  Lld.clean lld ~target_free:(free_before + 3);
+  Alcotest.(check bool) "several segments reclaimed" true
+    (Lld.free_segments lld >= free_before + 3);
+  (* fill all but one free segment without another checkpoint *)
+  let l2 = new_list lld in
+  let written = (Lld.free_segments lld - 1) * 120 in
+  for i = 1 to written do
+    let b = Lld.new_block lld ~list:l2 ~pred:Summary.Head () in
+    Lld.write lld b (block_data i)
+  done;
+  Lld.flush lld;
+  crash disk;
+  let lld2, _ = Lld.recover ~config disk in
+  Alcotest.(check int) "every flushed block survives" written
+    (List.length (Lld.list_blocks lld2 l2))
+
 let test_media_error_on_checkpoint_region_falls_back () =
   let disk, lld = fresh_lld () in
   let l = new_list lld in
@@ -315,6 +347,81 @@ let test_media_error_on_checkpoint_region_falls_back () =
   let lld2, _ = Lld.recover disk in
   check_data "fell back to surviving checkpoint + replay" (block_data 8)
     (Lld.read lld2 b)
+
+(* --- the segment log's recovery-side paths ---------------------------- *)
+
+(* Formatting over a disk that still holds a log must start the new log
+   above every old segment's sequence number, or recovery would replay
+   the previous incarnation's segments. *)
+let test_mkfs_over_used_disk () =
+  let disk, lld = fresh_lld () in
+  let l = new_list lld in
+  for i = 0 to 499 do
+    let b = Lld.new_block lld ~list:l ~pred:Summary.Head () in
+    Lld.write lld b (block_data i)
+  done;
+  Lld.flush lld;
+  let _fresh = Lld.create disk in
+  crash disk;
+  let lld2, _ = Lld.recover disk in
+  Alcotest.(check int) "nothing allocated" 0 (Lld.allocated_blocks lld2);
+  Alcotest.(check int) "no list" 0 (List.length (Lld.lists lld2))
+
+(* A checkpoint written while the free queue is empty carries an empty
+   free order; recovery then finds the tail by scanning every log
+   segment. *)
+let test_empty_free_order_checkpoint () =
+  let geom = Geometry.v ~num_segments:12 () in
+  let config = { Config.default with Config.auto_clean = false } in
+  let disk, lld = fresh_lld ~config ~geom () in
+  let l = new_list lld in
+  (try
+     for i = 0 to max_int - 1 do
+       let b = Lld.new_block lld ~list:l ~pred:Summary.Head () in
+       Lld.write lld b (block_data i)
+     done
+   with Errors.Disk_full -> ());
+  Alcotest.(check int) "free queue exhausted" 0 (Lld.free_segments lld);
+  Lld.checkpoint lld;
+  let allocated = Lld.allocated_blocks lld in
+  crash disk;
+  let lld2, _ = Lld.recover ~config disk in
+  Alcotest.(check int) "allocations survive" allocated
+    (Lld.allocated_blocks lld2)
+
+(* A log segment that fails with a media error ends the tail and counts
+   as one invalid segment, not two. *)
+let test_tail_media_error_counted_once () =
+  (* checkpoint, then three sealed tail segments *)
+  let build () =
+    let disk, lld = fresh_lld () in
+    Lld.checkpoint lld;
+    let l = new_list lld in
+    let last = ref None in
+    for i = 0 to 299 do
+      let b = Lld.new_block lld ~list:l ~pred:Summary.Head () in
+      Lld.write lld b (block_data i);
+      last := Some b
+    done;
+    Lld.flush lld;
+    match Option.bind !last (Lld.block_phys lld) with
+    | Some p -> (disk, l, p)
+    | None -> Alcotest.fail "last block has no location"
+  in
+  let disk, _, _ = build () in
+  crash disk;
+  let _, clean = Lld.recover disk in
+  Alcotest.(check (pair int int)) "replayed, invalid without a fault" (3, 1)
+    (clean.Recovery.segments_replayed, clean.Recovery.invalid_segments);
+  let disk, l, (seg, slot) = build () in
+  crash disk;
+  Fault.mark_bad (Disk.fault disk)
+    ~offset:(Geometry.segment_offset small_geom seg + (slot * block_bytes))
+    ~length:block_bytes;
+  let lld, report = Lld.recover disk in
+  Alcotest.(check (pair int int)) "replayed, invalid with a bad slot" (2, 1)
+    (report.Recovery.segments_replayed, report.Recovery.invalid_segments);
+  Alcotest.(check bool) "list survives" true (Lld.list_exists lld l)
 
 (* --- early open: reads served before the replay finishes ----------- *)
 
@@ -511,6 +618,15 @@ let () =
           Alcotest.test_case "media error fallback" `Quick
             test_media_error_on_checkpoint_region_falls_back;
         ] );
+      ( "segment-log",
+        [
+          Alcotest.test_case "mkfs over a used disk" `Quick
+            test_mkfs_over_used_disk;
+          Alcotest.test_case "empty free order" `Quick
+            test_empty_free_order_checkpoint;
+          Alcotest.test_case "tail media error counted once" `Quick
+            test_tail_media_error_counted_once;
+        ] );
       ( "early-open",
         [
           Alcotest.test_case "reads served on demand" `Quick
@@ -530,5 +646,7 @@ let () =
             test_cleaner_preserves_data;
           Alcotest.test_case "clean then crash recovers" `Quick
             test_cleaner_then_crash_recovers;
+          Alcotest.test_case "multi-victim clean then crash" `Quick
+            test_multi_victim_clean_then_crash;
         ] );
     ]

@@ -1,61 +1,7 @@
-module Codec = Lld_util.Bytes_codec
 module Lru = Lld_util.Lru
 module Vec = Lld_util.Vec
 module Blk = Lld_util.Blk
 module Arena = Lld_util.Arena
-
-let test_writer_reader_roundtrip () =
-  let w = Codec.Writer.create () in
-  Codec.Writer.u8 w 0xab;
-  Codec.Writer.u16 w 0xbeef;
-  Codec.Writer.u32 w 0x12345678;
-  Codec.Writer.u64 w 0x1122334455667788L;
-  Codec.Writer.string w "hello";
-  let buf = Codec.Writer.contents w in
-  let r = Codec.Reader.of_bytes buf in
-  Alcotest.(check int) "u8" 0xab (Codec.Reader.u8 r);
-  Alcotest.(check int) "u16" 0xbeef (Codec.Reader.u16 r);
-  Alcotest.(check int) "u32" 0x12345678 (Codec.Reader.u32 r);
-  Alcotest.(check int64) "u64" 0x1122334455667788L (Codec.Reader.u64 r);
-  Alcotest.(check string) "string" "hello" (Codec.Reader.string r);
-  Alcotest.(check int) "exhausted" 0 (Codec.Reader.remaining r)
-
-let test_reader_truncated () =
-  let r = Codec.Reader.of_bytes (Bytes.make 2 'x') in
-  ignore (Codec.Reader.u16 r);
-  Alcotest.check_raises "past end" Codec.Truncated (fun () ->
-      ignore (Codec.Reader.u8 r))
-
-let test_reader_window () =
-  let buf = Bytes.of_string "abcdefgh" in
-  let r = Codec.Reader.of_bytes ~pos:2 ~len:3 buf in
-  Alcotest.(check int) "pos" 2 (Codec.Reader.pos r);
-  Alcotest.(check string) "window" "cde" (Bytes.to_string (Codec.Reader.raw r 3));
-  Alcotest.check_raises "window end" Codec.Truncated (fun () ->
-      ignore (Codec.Reader.u8 r))
-
-let test_fixed_offset_accessors () =
-  let b = Bytes.make 8 '\000' in
-  Codec.set_u16 b 0 0xfffe;
-  Codec.set_u32 b 2 0xdeadbeef;
-  Alcotest.(check int) "u16" 0xfffe (Codec.get_u16 b 0);
-  Alcotest.(check int) "u32" 0xdeadbeef (Codec.get_u32 b 2)
-
-let test_fnv1a_stability () =
-  let b = Bytes.of_string "the quick brown fox" in
-  let h1 = Codec.fnv1a b in
-  let h2 = Codec.fnv1a b in
-  Alcotest.(check int64) "deterministic" h1 h2;
-  Bytes.set b 0 'T';
-  Alcotest.(check bool) "sensitive to change" false (Int64.equal h1 (Codec.fnv1a b))
-
-let test_fnv1a_range () =
-  let b = Bytes.of_string "abcdef" in
-  let whole = Codec.fnv1a b in
-  let prefix = Codec.fnv1a ~pos:0 ~len:3 b in
-  let sub = Codec.fnv1a (Bytes.of_string "abc") in
-  Alcotest.(check int64) "range equals standalone" sub prefix;
-  Alcotest.(check bool) "range differs from whole" false (Int64.equal whole prefix)
 
 let test_lru_basic () =
   let c = Lru.create ~capacity:2 in
@@ -253,28 +199,61 @@ let test_blk_scalars () =
   Alcotest.(check int) "u16" 0xfffe (Blk.get_u16 t 0);
   Alcotest.(check int) "u32" 0xdeadbeef (Blk.get_u32 t 2);
   Alcotest.(check int64) "u64" 0x1122334455667788L (Blk.get_u64 t 6);
-  (* little-endian layout matches Bytes_codec's *)
+  (* little-endian layout, the same as the bytes accessors' *)
   let b = Bytes.make 4 '\000' in
-  Codec.set_u32 b 0 0xdeadbeef;
+  Blk.set_u32_bytes b 0 0xdeadbeef;
   Alcotest.(check string) "LE layout" (Bytes.to_string b)
     (Blk.to_string (Blk.sub t 2 4))
 
-let test_blk_hash64_matches_codec () =
-  (* checkpoint chunk trailers must keep their bits: Blk.hash64 must be
-     bit-identical to Bytes_codec.hash64 on every length (word loop +
-     byte tail) and on unaligned windows. *)
+let test_blk_bytes_accessors () =
+  let b = Bytes.make 8 '\000' in
+  Bytes.set_uint16_le b 0 0xfffe;
+  Blk.set_u32_bytes b 2 0x1deadbeef (* only the low 32 bits are stored *);
+  Alcotest.(check string) "layout" "\254\255\239\190\173\222\000\000"
+    (Bytes.to_string b);
+  Alcotest.(check int) "u16" 0xfffe (Bytes.get_uint16_le b 0);
+  Alcotest.(check int) "u32 unsigned" 0xdeadbeef (Blk.get_u32_bytes b 2)
+
+(* Golden values pin the checkpoint-chunk and JLD checksum: every
+   length through the word loop and the byte tail, and an unaligned
+   window. *)
+let test_blk_hash64_golden () =
   let data = Bytes.init 67 (fun i -> Char.chr ((i * 37 + 11) land 0xff)) in
-  for len = 0 to 24 do
-    Alcotest.(check int64)
-      (Printf.sprintf "hash64 len=%d" len)
-      (Codec.hash64 ~len data)
-      (Blk.hash64 ~len (Blk.of_bytes data))
-  done;
-  Alcotest.(check int64) "hash64 whole" (Codec.hash64 data)
-    (Blk.hash64 (Blk.of_bytes data));
-  Alcotest.(check int64) "hash64 window"
-    (Codec.hash64 ~pos:3 ~len:29 data)
-    (Blk.hash64 ~pos:3 ~len:29 (Blk.of_bytes data))
+  let v = Blk.of_bytes data in
+  List.iter
+    (fun (len, h) ->
+      Alcotest.(check int64) (Printf.sprintf "hash64 len=%d" len) h
+        (Blk.hash64 ~len v))
+    [
+      (0, 0xcbf29ce484222325L);
+      (1, 0xaf63c64c8601c72aL);
+      (7, 0xfcf25e868166b7a9L);
+      (8, 0x648a88b16455972aL);
+      (9, 0x2cfd5e6d7d6fbf7bL);
+      (16, 0x86daced2b757e77bL);
+      (23, 0x7d8bf1fbf5f07e9fL);
+      (24, 0x7d92f67d02e53b60L);
+      (67, 0xb27b60653f63d199L);
+    ];
+  Alcotest.(check int64) "hash64 window" 0x375f45ddcd294751L
+    (Blk.hash64 ~pos:3 ~len:29 v)
+
+let test_blk_hash64_stable () =
+  let b = Blk.of_string "the quick brown fox" in
+  let h1 = Blk.hash64 b in
+  Alcotest.(check int64) "deterministic" h1 (Blk.hash64 b);
+  Blk.set b 0 'T';
+  Alcotest.(check bool) "sensitive to change" false
+    (Int64.equal h1 (Blk.hash64 b))
+
+let test_blk_hash64_range () =
+  let b = Blk.of_string "abcdefghijk" in
+  let whole = Blk.hash64 b in
+  let prefix = Blk.hash64 ~pos:0 ~len:9 b in
+  let sub = Blk.hash64 (Blk.of_string "abcdefghi") in
+  Alcotest.(check int64) "range equals standalone" sub prefix;
+  Alcotest.(check bool) "range differs from whole" false
+    (Int64.equal whole prefix)
 
 let test_blk_crc32c_vector () =
   (* The canonical Castagnoli check vector. *)
@@ -315,23 +294,25 @@ let test_blk_writer_reader_roundtrip () =
   Alcotest.check_raises "past end" Blk.Truncated (fun () ->
       ignore (Blk.Reader.u8 r))
 
-let test_blk_writer_wire_compat () =
-  (* Blk.Writer must emit exactly the bytes Bytes_codec.Writer does —
-     the codecs are swapped underneath Summary/Checkpoint without a
-     format change. *)
-  let bw = Codec.Writer.create () in
-  Codec.Writer.u8 bw 7;
-  Codec.Writer.u32 bw 0xcafe01;
-  Codec.Writer.u64 bw 0x0102030405060708L;
-  Codec.Writer.string bw "wire";
-  let vw = Blk.Writer.create () in
-  Blk.Writer.u8 vw 7;
-  Blk.Writer.u32 vw 0xcafe01;
-  Blk.Writer.u64 vw 0x0102030405060708L;
-  Blk.Writer.string vw "wire";
-  Alcotest.(check string) "identical bytes"
-    (Bytes.to_string (Codec.Writer.contents bw))
-    (Blk.to_string (Blk.Writer.contents vw))
+(* The exact bytes the writer emits: Summary and Checkpoint encode
+   through it, so these pin the on-disk field layout. *)
+let test_blk_writer_golden () =
+  let w = Blk.Writer.create () in
+  Blk.Writer.u8 w 7;
+  Blk.Writer.u16 w 0xbeef;
+  Blk.Writer.u32 w 0xcafe01;
+  Blk.Writer.u64 w 0x0102030405060708L;
+  Blk.Writer.string w "wire";
+  Alcotest.(check string) "bytes"
+    "\007\239\190\001\254\202\000\b\007\006\005\004\003\002\001\004\000wire"
+    (Blk.to_string (Blk.Writer.contents w))
+
+let test_blk_reader_window () =
+  let r = Blk.Reader.of_view ~pos:2 ~len:3 (Blk.of_string "abcdefgh") in
+  Alcotest.(check int) "pos" 2 (Blk.Reader.pos r);
+  Alcotest.(check string) "window" "cde" (Blk.to_string (Blk.Reader.raw r 3));
+  Alcotest.check_raises "window end" Blk.Truncated (fun () ->
+      ignore (Blk.Reader.u8 r))
 
 let test_blk_writer_of_view () =
   let target = Blk.create 8 in
@@ -396,18 +377,6 @@ let blk_bytes_model =
 let () =
   Alcotest.run "lld_util"
     [
-      ( "bytes_codec",
-        [
-          Alcotest.test_case "writer/reader roundtrip" `Quick
-            test_writer_reader_roundtrip;
-          Alcotest.test_case "reader truncation" `Quick test_reader_truncated;
-          Alcotest.test_case "reader window" `Quick test_reader_window;
-          Alcotest.test_case "fixed-offset accessors" `Quick
-            test_fixed_offset_accessors;
-          Alcotest.test_case "fnv1a stable and sensitive" `Quick
-            test_fnv1a_stability;
-          Alcotest.test_case "fnv1a ranges" `Quick test_fnv1a_range;
-        ] );
       ( "lru",
         [
           Alcotest.test_case "basic insert/evict" `Quick test_lru_basic;
@@ -433,13 +402,16 @@ let () =
           Alcotest.test_case "copy detaches" `Quick test_blk_copy_detaches;
           Alcotest.test_case "blit and bounds" `Quick test_blk_blit_and_bounds;
           Alcotest.test_case "scalar accessors" `Quick test_blk_scalars;
-          Alcotest.test_case "hash64 matches Bytes_codec" `Quick
-            test_blk_hash64_matches_codec;
+          Alcotest.test_case "bytes accessors" `Quick test_blk_bytes_accessors;
+          Alcotest.test_case "hash64 golden" `Quick test_blk_hash64_golden;
+          Alcotest.test_case "hash64 stable and sensitive" `Quick
+            test_blk_hash64_stable;
+          Alcotest.test_case "hash64 ranges" `Quick test_blk_hash64_range;
           Alcotest.test_case "crc32c check vector" `Quick test_blk_crc32c_vector;
           Alcotest.test_case "writer/reader roundtrip" `Quick
             test_blk_writer_reader_roundtrip;
-          Alcotest.test_case "writer wire-compatible with Bytes_codec" `Quick
-            test_blk_writer_wire_compat;
+          Alcotest.test_case "writer golden bytes" `Quick test_blk_writer_golden;
+          Alcotest.test_case "reader window" `Quick test_blk_reader_window;
           Alcotest.test_case "writer of_view" `Quick test_blk_writer_of_view;
           Alcotest.test_case "reader raw aliases" `Quick
             test_blk_reader_raw_aliases;
