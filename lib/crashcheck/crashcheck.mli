@@ -168,13 +168,23 @@ module Raw : sig
       always kept (so a [budget] of 0 or 1 still yields both), the rest
       drawn via {!Lld_sim.Rng} seeded by [seed]. *)
 
+  val views_at : t -> point -> Lld_util.Blk.t array
+  (** Build every disk's image as of the crash point, indexed like
+      {!record}'s [disks]: fresh views the caller owns, each ready for
+      {!Lld_disk.Backend.of_view} to adopt without another copy.  The
+      recorded bases are never handed out, so recovery writing into an
+      adopted image leaves every later crash image intact. *)
+
   val images_at : t -> point -> bytes array
-  (** Materialise every disk's image as of the crash point, indexed
-      like {!record}'s [disks]. *)
+  (** {!views_at} as [bytes]. *)
 
   val image_at : t -> point -> bytes
   (** One-disk form of {!images_at}: the first disk's image. *)
 end
+
+val trace_raw : trace -> Raw.t
+(** The trace's crash-trace engine: its bases and global write
+    order. *)
 
 val enumerate : ?granularity:int -> trace -> point list
 (** Every crash point in canonical order: for each write index, the

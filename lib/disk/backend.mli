@@ -42,11 +42,15 @@ val mem : size:int -> t
 
 val of_view : Blk.t -> t
 (** Wrap an existing view without copying — the caller hands over
-    ownership of the buffer. *)
+    ownership of the buffer, and the store's writes land in it.  Crash
+    images are built as fresh views and adopted this way
+    ([Crashcheck.Raw.views_at]), so each crash point pays one image
+    copy. *)
 
 val of_bytes : bytes -> t
-(** An in-memory store initialised from (a copy of) the image — used by
-    {!Disk.load} to reconstruct crash images from byte traces. *)
+(** An in-memory store initialised from a copy of the image (one
+    {!Blk.of_bytes}, no zero-fill) — used by {!Disk.load} for [bytes]
+    images. *)
 
 val file : ?create:bool -> size:int -> string -> t
 (** An on-disk image at the given path, memory-mapped shared.  With

@@ -496,8 +496,10 @@ let run_program_stats ?(crash = false) ?obs_for cfg ~seed (program : Program.t)
         let rclock = Clock.create () in
         let rdisks =
           Array.map
-            (fun image -> Disk.load ~clock:rclock differ_geom image)
-            (Raw.images_at raw point)
+            (fun image ->
+              Disk.create ~clock:rclock ~backend:(Backend.of_view image)
+                differ_geom)
+            (Raw.views_at raw point)
         in
         let verdict =
           match Shard.recover ~config rdisks with

@@ -16,11 +16,17 @@ exception Truncated
 
 let length t = t.len
 
+(* A fresh buffer with unspecified contents, for constructors that
+   overwrite all of it. *)
+let uninit len =
+  let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout len in
+  { buf; off = 0; len }
+
 let create len =
   if len < 0 then invalid_arg "Blk.create: negative length";
-  let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout len in
-  Bigarray.Array1.fill buf '\000';
-  { buf; off = 0; len }
+  let t = uninit len in
+  Bigarray.Array1.fill t.buf '\000';
+  t
 
 let of_buffer buf =
   { buf; off = 0; len = Bigarray.Array1.dim buf }
@@ -50,17 +56,40 @@ let blit src src_off dst dst_off len =
     (Bigarray.Array1.sub src.buf (src.off + src_off) len)
     (Bigarray.Array1.sub dst.buf (dst.off + dst_off) len)
 
+(* Unchecked 64-bit loads and stores in native byte order.  Both ends
+   of a copy use the same order, so a word moves as 8 plain bytes. *)
+external buf_get64 : buf -> int -> int64 = "%caml_bigstring_get64u"
+external buf_set64 : buf -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bytes_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+external bytes_set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* The Bytes <-> Bigarray copies: 8 bytes per step, then a byte-wise
+   tail.  Offsets are absolute and the ranges already checked. *)
+let unsafe_bytes_to_buf src s dst d len =
+  let words = len / 8 in
+  for i = 0 to words - 1 do
+    buf_set64 dst (d + (i * 8)) (bytes_get64 src (s + (i * 8)))
+  done;
+  for i = words * 8 to len - 1 do
+    Bigarray.Array1.unsafe_set dst (d + i) (Bytes.unsafe_get src (s + i))
+  done
+
+let unsafe_buf_to_bytes src s dst d len =
+  let words = len / 8 in
+  for i = 0 to words - 1 do
+    bytes_set64 dst (d + (i * 8)) (buf_get64 src (s + (i * 8)))
+  done;
+  for i = words * 8 to len - 1 do
+    Bytes.unsafe_set dst (d + i) (Bigarray.Array1.unsafe_get src (s + i))
+  done
+
 let blit_from_bytes src src_off dst dst_off len =
   if
     len < 0 || src_off < 0 || dst_off < 0
     || src_off + len > Bytes.length src
     || dst_off + len > dst.len
   then invalid_arg "Blk.blit_from_bytes";
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set dst.buf
-      (dst.off + dst_off + i)
-      (Bytes.unsafe_get src (src_off + i))
-  done
+  unsafe_bytes_to_buf src src_off dst.buf (dst.off + dst_off) len
 
 let blit_to_bytes src src_off dst dst_off len =
   if
@@ -68,13 +97,10 @@ let blit_to_bytes src src_off dst dst_off len =
     || src_off + len > src.len
     || dst_off + len > Bytes.length dst
   then invalid_arg "Blk.blit_to_bytes";
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set dst (dst_off + i)
-      (Bigarray.Array1.unsafe_get src.buf (src.off + src_off + i))
-  done
+  unsafe_buf_to_bytes src.buf (src.off + src_off) dst dst_off len
 
 let of_bytes b =
-  let t = create (Bytes.length b) in
+  let t = uninit (Bytes.length b) in
   blit_from_bytes b 0 t 0 (Bytes.length b);
   t
 
@@ -88,7 +114,7 @@ let to_bytes t =
 let to_string t = Bytes.unsafe_to_string (to_bytes t)
 
 let copy t =
-  let c = create t.len in
+  let c = uninit t.len in
   blit t 0 c 0 t.len;
   c
 
@@ -195,6 +221,8 @@ let crc32c ?(init = 0) ?(pos = 0) ?len t =
 
 let crc32c_bytes ?(init = 0) ?(pos = 0) ?len b =
   let len = match len with None -> Bytes.length b - pos | Some l -> l in
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then
+    invalid_arg "Blk.crc32c_bytes";
   let table = Lazy.force crc32c_table in
   let crc = ref (lnot init land 0xffffffff) in
   for i = pos to pos + len - 1 do
@@ -276,11 +304,7 @@ module Writer = struct
   let raw_bytes t b =
     let n = Bytes.length b in
     ensure t n;
-    for i = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set t.w_buf
-        (t.w_off + t.w_pos + i)
-        (Bytes.unsafe_get b i)
-    done;
+    unsafe_bytes_to_buf b 0 t.w_buf (t.w_off + t.w_pos) n;
     t.w_pos <- t.w_pos + n
 
   let string t s =
@@ -295,9 +319,10 @@ module Reader = struct
   type t = { r_view : view; mutable r_pos : int; r_limit : int }
 
   let of_view ?(pos = 0) ?len (v : view) =
-    let limit = match len with None -> v.len | Some l -> pos + l in
-    if pos < 0 || limit > v.len then invalid_arg "Blk.Reader.of_view";
-    { r_view = v; r_pos = pos; r_limit = limit }
+    let len = match len with None -> v.len - pos | Some l -> l in
+    if pos < 0 || len < 0 || pos + len > v.len then
+      invalid_arg "Blk.Reader.of_view";
+    { r_view = v; r_pos = pos; r_limit = pos + len }
 
   let pos t = t.r_pos
   let remaining t = t.r_limit - t.r_pos

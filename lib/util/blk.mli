@@ -2,7 +2,8 @@
 
     A [Blk.t] is an (buffer, offset, length) window.  [sub] and the
     {!Reader} alias the underlying buffer in O(1); only {!copy},
-    {!to_bytes} and {!of_bytes} allocate and copy.
+    {!to_bytes} and {!of_bytes} allocate and copy.  Copies between
+    [bytes] and a view move 8 bytes per step with a byte-wise tail.
 
     {b Ownership rules} (the view contract every producer documents):
     a view handed out by a layer is valid until that layer's next
@@ -19,7 +20,9 @@ exception Truncated
 (** Raised by {!Reader} on reads past the view's end. *)
 
 val create : int -> t
-(** A fresh zero-filled view owning its whole buffer. *)
+(** A fresh zero-filled view owning its whole buffer — the only
+    constructor that zero-fills; {!copy} and {!of_bytes} overwrite
+    their whole new buffer and skip it. *)
 
 val of_buffer : buf -> t
 (** View of an entire existing buffer — aliases, does not copy. *)
@@ -39,18 +42,24 @@ val blit : t -> int -> t -> int -> int -> unit
     order. *)
 
 val blit_from_bytes : bytes -> int -> t -> int -> int -> unit
+(** [blit_from_bytes src src_off dst dst_off len], in [Bytes.blit]
+    argument order; raises [Invalid_argument] for a range outside
+    either side. *)
+
 val blit_to_bytes : t -> int -> bytes -> int -> int -> unit
+(** The converse of {!blit_from_bytes}. *)
 
 val of_bytes : bytes -> t
-(** Copying conversion (the explicit boundary copy). *)
+(** Copying conversion (the explicit boundary copy) into a fresh
+    buffer, not zero-filled first. *)
 
 val of_string : string -> t
 val to_bytes : t -> bytes
 val to_string : t -> string
 
 val copy : t -> t
-(** A fresh view with its own buffer — the only way to detach from the
-    producer's lifetime. *)
+(** A fresh view with its own buffer, not zero-filled first — the only
+    way to detach from the producer's lifetime. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
@@ -83,6 +92,8 @@ val crc32c : ?init:int -> ?pos:int -> ?len:int -> t -> int
     superblock.  [crc32c "123456789" = 0xe3069283]. *)
 
 val crc32c_bytes : ?init:int -> ?pos:int -> ?len:int -> bytes -> int
+(** {!crc32c} of a [bytes] window.  Both raise [Invalid_argument] for
+    a window outside the data. *)
 
 (** {1 Codecs}
 
@@ -120,6 +131,10 @@ module Reader : sig
   type t
 
   val of_view : ?pos:int -> ?len:int -> view -> t
+  (** A reader over [len] bytes (default: the rest of the view) from
+      [pos] (default 0); raises [Invalid_argument] for a window outside
+      the view. *)
+
   val pos : t -> int
   val remaining : t -> int
   val u8 : t -> int

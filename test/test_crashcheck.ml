@@ -156,6 +156,64 @@ let test_catches_broken_sweep () =
       (Crashcheck.check_point trace v.Crashcheck.v_point)
 
 (* ------------------------------------------------------------------ *)
+(* Crash-image ownership: a point's recovery adopts its image and writes
+   into it (the post-recovery checkpoint, then the idempotency leg's
+   crash write), so no image may share storage with the recorded bases
+   or with another point's image. *)
+
+let test_image_ownership () =
+  let trace = Crashcheck.record (churn ()) in
+  let raw = Crashcheck.trace_raw trace in
+  let points = Array.of_list (Crashcheck.enumerate trace) in
+  let first = points.(0) and last = points.(Array.length points - 1) in
+  let earlier = points.(Array.length points / 2) in
+  let base = Crashcheck.Raw.image_at raw first in
+  let earlier_image = Crashcheck.Raw.image_at raw earlier in
+  let answer = Crashcheck.check_point trace earlier in
+  Alcotest.(check (list string)) "point 0 consistent" []
+    (Crashcheck.check_point trace first);
+  Alcotest.(check (list string)) "last point consistent" []
+    (Crashcheck.check_point trace last);
+  Alcotest.(check bool) "point 0 still the recorded base" true
+    (Bytes.equal base (Crashcheck.Raw.image_at raw first));
+  Alcotest.(check bool) "an earlier image unchanged" true
+    (Bytes.equal earlier_image (Crashcheck.Raw.image_at raw earlier));
+  Alcotest.(check (list string)) "re-checking an earlier point" answer
+    (Crashcheck.check_point trace earlier)
+
+(* The ordered walk behind [run] and the one-point path of
+   [check_point] build their images differently; under a broken
+   recovery (so there is something to disagree on) they must report
+   the same problems for every sampled point. *)
+let test_run_matches_check_point () =
+  let spec = churn () in
+  let broken =
+    { spec.Crashcheck.sc_config with Config.recovery_sweep = false }
+  in
+  let trace = Crashcheck.record spec in
+  let budget = 40 and seed = 3 in
+  let r = Crashcheck.run ~budget ~seed ~recover_config:broken trace in
+  let sampled =
+    Crashcheck.Raw.sample ~budget ~seed (Crashcheck.enumerate trace)
+  in
+  let one_by_one =
+    List.filter_map
+      (fun p ->
+        match Crashcheck.check_point ~recover_config:broken trace p with
+        | [] -> None
+        | problems -> Some { Crashcheck.v_point = p; v_problems = problems })
+      sampled
+  in
+  Alcotest.(check int) "same points checked" (List.length sampled)
+    r.Crashcheck.r_points_checked;
+  Alcotest.(check bool) "the broken sweep fails somewhere" true
+    (one_by_one <> []);
+  Alcotest.(check int) "same violation count" (List.length one_by_one)
+    r.Crashcheck.r_violation_points;
+  Alcotest.(check bool) "same per-point problems" true
+    (one_by_one = r.Crashcheck.r_violations)
+
+(* ------------------------------------------------------------------ *)
 (* Sharded crash points: the cross-shard workload's 2PC must be
    all-or-nothing across shards at EVERY crash point of the interleaved
    global write trace — exhaustively, torn prepare/decide seals
@@ -355,6 +413,10 @@ let () =
             test_clean_cleaning;
           Alcotest.test_case "budgeted runs deterministic" `Quick
             test_budget_deterministic;
+          Alcotest.test_case "crash images own their storage" `Quick
+            test_image_ownership;
+          Alcotest.test_case "run agrees with check_point" `Quick
+            test_run_matches_check_point;
           Alcotest.test_case "sampling seed round-trips" `Quick
             test_seed_roundtrip;
         ] );

@@ -269,7 +269,23 @@ let test_blk_crc32c_vector () =
   (* sensitive to any flipped byte *)
   let w = Blk.copy v in
   Blk.set w 4 '\000';
-  Alcotest.(check bool) "sensitive" false (Blk.crc32c w = 0xe3069283)
+  Alcotest.(check bool) "sensitive" false (Blk.crc32c w = 0xe3069283);
+  (* a window outside the data is refused, for bytes as for views *)
+  let b = Bytes.of_string "123456789" in
+  Alcotest.(check int) "crc32c_bytes window agrees"
+    (Blk.crc32c ~pos:4 ~len:5 v)
+    (Blk.crc32c_bytes ~pos:4 ~len:5 b);
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "crc32c ~pos:%d ~len:%d" pos len)
+        (Invalid_argument "Blk.crc32c")
+        (fun () -> ignore (Blk.crc32c ~pos ~len v));
+      Alcotest.check_raises
+        (Printf.sprintf "crc32c_bytes ~pos:%d ~len:%d" pos len)
+        (Invalid_argument "Blk.crc32c_bytes")
+        (fun () -> ignore (Blk.crc32c_bytes ~pos ~len b)))
+    [ (4, 64); (-3, 2); (0, -1) ]
 
 let test_blk_writer_reader_roundtrip () =
   let w = Blk.Writer.create ~capacity:4 () in
@@ -308,11 +324,22 @@ let test_blk_writer_golden () =
     (Blk.to_string (Blk.Writer.contents w))
 
 let test_blk_reader_window () =
-  let r = Blk.Reader.of_view ~pos:2 ~len:3 (Blk.of_string "abcdefgh") in
+  let v = Blk.of_string "abcdefgh" in
+  let r = Blk.Reader.of_view ~pos:2 ~len:3 v in
   Alcotest.(check int) "pos" 2 (Blk.Reader.pos r);
   Alcotest.(check string) "window" "cde" (Blk.to_string (Blk.Reader.raw r 3));
   Alcotest.check_raises "window end" Blk.Truncated (fun () ->
-      ignore (Blk.Reader.u8 r))
+      ignore (Blk.Reader.u8 r));
+  Alcotest.(check int) "empty window at the end" 0
+    (Blk.Reader.remaining (Blk.Reader.of_view ~pos:8 v));
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "of_view ~pos:%d ~len:%s" pos
+           (match len with None -> "_" | Some l -> string_of_int l))
+        (Invalid_argument "Blk.Reader.of_view")
+        (fun () -> ignore (Blk.Reader.of_view ~pos ?len v)))
+    [ (0, Some (-1)); (2, Some 7); (-1, None); (9, None) ]
 
 let test_blk_writer_of_view () =
   let target = Blk.create 8 in
@@ -332,6 +359,117 @@ let test_blk_reader_raw_aliases () =
   let raw = Blk.Reader.raw r 4 in
   Blk.set v 1 'Z';
   Alcotest.(check string) "alias sees mutation" "aZcd" (Blk.to_string raw)
+
+(* The bulk copies move 8 bytes per step with a byte-wise tail; check
+   each against a byte-at-a-time reference for every length 0-33 (word
+   loop alone, tail alone, both) at source and destination offsets 0-9,
+   on [sub] views whose window starts inside a larger buffer.  Every
+   byte outside the copied range must keep its sentinel. *)
+let test_blk_bulk_copies () =
+  let size = 48 and margin = 3 and sentinel = '\xa5' in
+  let src = Bytes.init size (fun i -> Char.chr (((i * 73) + 41) land 0xff)) in
+  (* a [size]-byte window at offset [margin] of a sentinel-filled buffer *)
+  let window () =
+    let whole = Blk.create (size + (2 * margin)) in
+    Blk.fill whole sentinel;
+    (whole, Blk.sub whole margin size)
+  in
+  let filled () =
+    let whole, v = window () in
+    Bytes.iteri (fun i c -> Blk.set v i c) src;
+    (whole, v)
+  in
+  let bytes_of_view v pos len = Bytes.init len (fun i -> Blk.get v (pos + i)) in
+  let same_view what (whole, _) (ref_whole, _) =
+    if not (Blk.equal whole ref_whole) then Alcotest.failf "%s" what
+  in
+  let same_bytes what got want =
+    if not (Bytes.equal got want) then Alcotest.failf "%s" what
+  in
+  for len = 0 to 33 do
+    for so = 0 to 9 do
+      for d = 0 to 9 do
+        let case name =
+          Printf.sprintf "%s len=%d src=%d dst=%d" name len so d
+        in
+        (* Bytes -> view *)
+        let got = window () and want = window () in
+        Blk.blit_from_bytes src so (snd got) d len;
+        for i = 0 to len - 1 do
+          Blk.set (snd want) (d + i) (Bytes.get src (so + i))
+        done;
+        same_view (case "blit_from_bytes") got want;
+        (* view -> Bytes *)
+        let _, v = filled () in
+        let got = Bytes.make size sentinel in
+        let want = Bytes.copy got in
+        Blk.blit_to_bytes v so got d len;
+        for i = 0 to len - 1 do
+          Bytes.set want (d + i) (Blk.get v (so + i))
+        done;
+        same_bytes (case "blit_to_bytes") got want
+      done;
+      let case name = Printf.sprintf "%s len=%d at %d" name len so in
+      let _, v = filled () in
+      let want = bytes_of_view v so len in
+      same_bytes (case "to_bytes") (Blk.to_bytes (Blk.sub v so len)) want;
+      let c = Blk.copy (Blk.sub v so len) in
+      same_bytes (case "copy") (bytes_of_view c 0 len) want;
+      let r = Blk.Reader.of_view ~pos:so v in
+      same_bytes (case "Reader.raw_bytes") (Blk.Reader.raw_bytes r len) want;
+      Alcotest.(check int) (case "Reader.raw_bytes advances") (so + len)
+        (Blk.Reader.pos r);
+      (* a u16 length at [so], then the string *)
+      let _, v = filled () in
+      Blk.set_u16 v so len;
+      let r = Blk.Reader.of_view ~pos:so v in
+      Alcotest.(check string) (case "Reader.string")
+        (Bytes.to_string (bytes_of_view v (so + 2) len))
+        (Blk.Reader.string r);
+      (* the writer's position plays the destination offset *)
+      let data = Bytes.sub src so len in
+      let got = window () and want = window () in
+      let w = Blk.Writer.of_view (snd got) in
+      for i = 0 to so - 1 do
+        Blk.Writer.u8 w i;
+        Blk.set_u8 (snd want) i i
+      done;
+      Blk.Writer.raw_bytes w data;
+      Bytes.iteri (fun i c -> Blk.set (snd want) (so + i) c) data;
+      same_view (case "Writer.raw_bytes") got want;
+      let got = window () and want = window () in
+      let w = Blk.Writer.of_view (Blk.sub (snd got) so (size - so)) in
+      Blk.Writer.string w (Bytes.to_string data);
+      Blk.set_u16 (snd want) so len;
+      Bytes.iteri (fun i c -> Blk.set (snd want) (so + 2 + i) c) data;
+      same_view (case "Writer.string") got want
+    done;
+    let b = Bytes.sub src 0 len in
+    same_bytes
+      (Printf.sprintf "of_bytes len=%d" len)
+      (bytes_of_view (Blk.of_bytes b) 0 len)
+      b
+  done
+
+(* [copy] and [of_bytes] skip the zero-fill because they overwrite the
+   whole buffer; [create] must still hand out zeros, also where freed
+   buffers full of other bytes were recycled. *)
+let test_blk_create_zeroed () =
+  let sizes = List.init 34 Fun.id @ [ 4096; 65536 ] in
+  List.iter
+    (fun n ->
+      let junk = Blk.create n in
+      Blk.fill junk '\xff';
+      ignore (Blk.copy junk))
+    sizes;
+  Gc.full_major ();
+  List.iter
+    (fun n ->
+      let t = Blk.create n in
+      for i = 0 to n - 1 do
+        if Blk.get t i <> '\000' then Alcotest.failf "create %d: byte %d" n i
+      done)
+    sizes
 
 let test_arena_recycles () =
   let a = Arena.create ~chunk_slots:2 ~slot_bytes:8 () in
@@ -415,6 +553,9 @@ let () =
           Alcotest.test_case "writer of_view" `Quick test_blk_writer_of_view;
           Alcotest.test_case "reader raw aliases" `Quick
             test_blk_reader_raw_aliases;
+          Alcotest.test_case "bulk copies match a byte loop" `Quick
+            test_blk_bulk_copies;
+          Alcotest.test_case "create zero-fills" `Quick test_blk_create_zeroed;
           Alcotest.test_case "arena recycles slots" `Quick test_arena_recycles;
           QCheck_alcotest.to_alcotest blk_bytes_model;
         ] );
