@@ -37,10 +37,11 @@ val load :
   Geometry.t ->
   bytes ->
   t
-(** A partition whose initial contents are (a copy of) the given image.
-    Raises [Invalid_argument] when the image size does not match the
-    geometry.  Used by the crash-consistency checker to reconstruct the
-    medium as of an arbitrary crash point. *)
+(** A partition whose initial contents are a copy of the given image,
+    taken once through {!Backend.of_bytes}.  Raises [Invalid_argument]
+    when the image size does not match the geometry.  Crash images are
+    not built this way: [Crashcheck.Raw.views_at] builds each as a fresh
+    view, and {!Backend.of_view} adopts it without another copy. *)
 
 val geometry : t -> Geometry.t
 val fault : t -> Fault.t
