@@ -56,12 +56,41 @@ let blit src src_off dst dst_off len =
     (Bigarray.Array1.sub src.buf (src.off + src_off) len)
     (Bigarray.Array1.sub dst.buf (dst.off + dst_off) len)
 
-(* Unchecked 64-bit loads and stores in native byte order.  Both ends
-   of a copy use the same order, so a word moves as 8 plain bytes. *)
+(* Unchecked loads and stores in native byte order.  Both ends of a
+   copy use the same order, so a word moves as 8 plain bytes. *)
+external buf_get16 : buf -> int -> int = "%caml_bigstring_get16u"
+external buf_set16 : buf -> int -> int -> unit = "%caml_bigstring_set16u"
+external buf_get32 : buf -> int -> int32 = "%caml_bigstring_get32u"
+external buf_set32 : buf -> int -> int32 -> unit = "%caml_bigstring_set32u"
 external buf_get64 : buf -> int -> int64 = "%caml_bigstring_get64u"
 external buf_set64 : buf -> int -> int64 -> unit = "%caml_bigstring_set64u"
 external bytes_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
 external bytes_set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap16 : int -> int = "%bswap16"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* Little-endian fields at an absolute offset the caller has checked:
+   one access each, byte-swapped only on a big-endian host. *)
+let[@inline] le_get16 buf i =
+  if Sys.big_endian then swap16 (buf_get16 buf i) else buf_get16 buf i
+
+let[@inline] le_set16 buf i v =
+  if Sys.big_endian then buf_set16 buf i (swap16 v) else buf_set16 buf i v
+
+let[@inline] le_get32 buf i =
+  let v = buf_get32 buf i in
+  Int32.to_int (if Sys.big_endian then swap32 v else v) land 0xffff_ffff
+
+let[@inline] le_set32 buf i v =
+  let v = Int32.of_int v in
+  buf_set32 buf i (if Sys.big_endian then swap32 v else v)
+
+let[@inline] le_get64 buf i =
+  if Sys.big_endian then swap64 (buf_get64 buf i) else buf_get64 buf i
+
+let[@inline] le_set64 buf i v =
+  buf_set64 buf i (if Sys.big_endian then swap64 v else v)
 
 (* The Bytes <-> Bigarray copies: 8 bytes per step, then a byte-wise
    tail.  Offsets are absolute and the ranges already checked. *)
@@ -145,29 +174,37 @@ let compare a b =
 
 (* -------------------------------------------------- scalar accessors *)
 
+(* A multi-byte field is checked once, as a whole, before it is touched:
+   a field that does not fit raises and changes nothing. *)
+let[@inline] check t i n what =
+  if i < 0 || i > t.len - n then invalid_arg what
+
 let get_u8 t i = Char.code (get t i)
-let set_u8 t i v = set t i (Char.chr (v land 0xff))
-let get_u16 t i = get_u8 t i lor (get_u8 t (i + 1) lsl 8)
+let set_u8 t i v = set t i (Char.unsafe_chr (v land 0xff))
+
+let get_u16 t i =
+  check t i 2 "Blk.get";
+  le_get16 t.buf (t.off + i)
 
 let set_u16 t i v =
-  set_u8 t i v;
-  set_u8 t (i + 1) (v lsr 8)
+  check t i 2 "Blk.set";
+  le_set16 t.buf (t.off + i) v
 
-let get_u32 t i = get_u16 t i lor (get_u16 t (i + 2) lsl 16)
+let get_u32 t i =
+  check t i 4 "Blk.get";
+  le_get32 t.buf (t.off + i)
 
 let set_u32 t i v =
-  set_u16 t i (v land 0xffff);
-  set_u16 t (i + 2) ((v lsr 16) land 0xffff)
+  check t i 4 "Blk.set";
+  le_set32 t.buf (t.off + i) v
 
 let get_u64 t i =
-  Int64.logor
-    (Int64.of_int (get_u32 t i))
-    (Int64.shift_left (Int64.of_int (get_u32 t (i + 4))) 32)
+  check t i 8 "Blk.get";
+  le_get64 t.buf (t.off + i)
 
 let set_u64 t i v =
-  set_u32 t i (Int64.to_int (Int64.logand v 0xffffffffL));
-  set_u32 t (i + 4)
-    (Int64.to_int (Int64.logand (Int64.shift_right_logical v 32) 0xffffffffL))
+  check t i 8 "Blk.set";
+  le_set64 t.buf (t.off + i) v
 
 let get_u32_bytes b i = Int32.to_int (Bytes.get_int32_le b i) land 0xffff_ffff
 let set_u32_bytes b i v = Bytes.set_int32_le b i (Int32.of_int v)
@@ -178,26 +215,33 @@ let set_u32_bytes b i v = Bytes.set_int32_le b i (Int32.of_int v)
 let hash64 ?(pos = 0) ?len t =
   let len = match len with None -> t.len - pos | Some l -> l in
   if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Blk.hash64";
-  let h = ref 0xcbf29ce484222325L in
+  let start = t.off + pos in
   let words = len / 8 in
+  let h = ref 0xcbf29ce484222325L in
   for i = 0 to words - 1 do
-    h := Int64.logxor !h (get_u64 t (pos + (i * 8)));
-    h := Int64.mul !h 0x100000001b3L
-  done;
-  for i = pos + (words * 8) to pos + len - 1 do
     h :=
-      Int64.logxor !h
-        (Int64.of_int (Char.code (Bigarray.Array1.unsafe_get t.buf (t.off + i))));
-    h := Int64.mul !h 0x100000001b3L
+      Int64.mul
+        (Int64.logxor !h (le_get64 t.buf (start + (i * 8))))
+        0x100000001b3L
+  done;
+  for i = start + (words * 8) to start + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h
+           (Int64.of_int (Char.code (Bigarray.Array1.unsafe_get t.buf i))))
+        0x100000001b3L
   done;
   !h
 
 (* CRC32c (Castagnoli), reflected polynomial 0x82f63b78 — the checksum
-   notafs-style self-healing formats use.  Software table; computed
-   once at module initialisation. *)
-let crc32c_table =
+   notafs-style self-healing formats use.  Slice-by-8: table [k]
+   (entries [256 * k] to [256 * k + 255]) is table [k - 1] run through
+   one more zero byte, so eight lookups consume a 64-bit word at once.
+   Table 0 is the classic byte-wise table, which the byte tail and
+   [crc32c_bytes] use.  Built once, on first use. *)
+let crc32c_tables =
   lazy
-    (let table = Array.make 256 0 in
+    (let table = Array.make (8 * 256) 0 in
      for n = 0 to 255 do
        let c = ref n in
        for _ = 0 to 7 do
@@ -206,16 +250,45 @@ let crc32c_table =
        done;
        table.(n) <- !c
      done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let c = table.((256 * (k - 1)) + n) in
+         table.((256 * k) + n) <- (c lsr 8) lxor table.(c land 0xff)
+       done
+     done;
      table)
+
+(* Entry [i land 0xff] of table [k]: always in range. *)
+let[@inline] slice (table : int array) k i =
+  Array.unsafe_get table ((256 * k) + (i land 0xff))
+
+let[@inline] crc_byte table crc byte =
+  (crc lsr 8) lxor slice table 0 (crc lxor byte)
 
 let crc32c ?(init = 0) ?(pos = 0) ?len t =
   let len = match len with None -> t.len - pos | Some l -> l in
   if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Blk.crc32c";
-  let table = Lazy.force crc32c_table in
+  let table = Lazy.force crc32c_tables in
+  let start = t.off + pos in
+  let words = len / 8 in
   let crc = ref (lnot init land 0xffffffff) in
-  for i = pos to pos + len - 1 do
-    let byte = Char.code (Bigarray.Array1.unsafe_get t.buf (t.off + i)) in
-    crc := (!crc lsr 8) lxor table.((!crc lxor byte) land 0xff)
+  for i = 0 to words - 1 do
+    let w = le_get64 t.buf (start + (i * 8)) in
+    let lo = (Int64.to_int w land 0xffff_ffff) lxor !crc in
+    let hi = Int64.to_int (Int64.shift_right_logical w 32) in
+    crc :=
+      slice table 7 lo
+      lxor slice table 6 (lo lsr 8)
+      lxor slice table 5 (lo lsr 16)
+      lxor slice table 4 (lo lsr 24)
+      lxor slice table 3 hi
+      lxor slice table 2 (hi lsr 8)
+      lxor slice table 1 (hi lsr 16)
+      lxor slice table 0 (hi lsr 24)
+  done;
+  for i = start + (words * 8) to start + len - 1 do
+    crc :=
+      crc_byte table !crc (Char.code (Bigarray.Array1.unsafe_get t.buf i))
   done;
   lnot !crc land 0xffffffff
 
@@ -223,11 +296,10 @@ let crc32c_bytes ?(init = 0) ?(pos = 0) ?len b =
   let len = match len with None -> Bytes.length b - pos | Some l -> l in
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Blk.crc32c_bytes";
-  let table = Lazy.force crc32c_table in
+  let table = Lazy.force crc32c_tables in
   let crc = ref (lnot init land 0xffffffff) in
   for i = pos to pos + len - 1 do
-    let byte = Char.code (Bytes.unsafe_get b i) in
-    crc := (!crc lsr 8) lxor table.((!crc lxor byte) land 0xff)
+    crc := crc_byte table !crc (Char.code (Bytes.unsafe_get b i))
   done;
   lnot !crc land 0xffffffff
 
@@ -259,55 +331,63 @@ module Writer = struct
 
   let length t = t.w_pos
 
-  let ensure t n =
+  let grow t n =
+    let cap = ref (Bigarray.Array1.dim t.w_buf) in
+    while t.w_off + t.w_pos + n > !cap do
+      cap := !cap * 2
+    done;
+    let bigger = Bigarray.Array1.create Bigarray.char Bigarray.c_layout !cap in
+    Bigarray.Array1.blit
+      (Bigarray.Array1.sub t.w_buf 0 (t.w_off + t.w_pos))
+      (Bigarray.Array1.sub bigger 0 (t.w_off + t.w_pos));
+    t.w_buf <- bigger
+
+  (* Each field calls [ensure] once for its whole width, then stores
+     with one unchecked access at [at t]: a field that overflows a
+     fixed view raises before any of its bytes is written. *)
+  let[@inline] ensure t n =
     if t.w_pos + n > t.w_limit then invalid_arg "Blk.Writer: view overflow";
-    if t.w_grow && t.w_off + t.w_pos + n > Bigarray.Array1.dim t.w_buf then begin
-      let cap = ref (Bigarray.Array1.dim t.w_buf) in
-      while t.w_off + t.w_pos + n > !cap do
-        cap := !cap * 2
-      done;
-      let bigger =
-        Bigarray.Array1.create Bigarray.char Bigarray.c_layout !cap
-      in
-      Bigarray.Array1.blit
-        (Bigarray.Array1.sub t.w_buf 0 (t.w_off + t.w_pos))
-        (Bigarray.Array1.sub bigger 0 (t.w_off + t.w_pos));
-      t.w_buf <- bigger
-    end
+    if t.w_grow && t.w_off + t.w_pos + n > Bigarray.Array1.dim t.w_buf then
+      grow t n
+
+  let at t = t.w_off + t.w_pos
 
   let u8 t v =
     ensure t 1;
-    Bigarray.Array1.unsafe_set t.w_buf (t.w_off + t.w_pos)
-      (Char.unsafe_chr (v land 0xff));
+    Bigarray.Array1.unsafe_set t.w_buf (at t) (Char.unsafe_chr (v land 0xff));
     t.w_pos <- t.w_pos + 1
 
   let u16 t v =
-    u8 t v;
-    u8 t (v lsr 8)
+    ensure t 2;
+    le_set16 t.w_buf (at t) v;
+    t.w_pos <- t.w_pos + 2
 
   let u32 t v =
-    u16 t (v land 0xffff);
-    u16 t ((v lsr 16) land 0xffff)
+    ensure t 4;
+    le_set32 t.w_buf (at t) v;
+    t.w_pos <- t.w_pos + 4
 
   let u64 t v =
-    u32 t (Int64.to_int (Int64.logand v 0xffffffffL));
-    u32 t
-      (Int64.to_int (Int64.logand (Int64.shift_right_logical v 32) 0xffffffffL))
+    ensure t 8;
+    le_set64 t.w_buf (at t) v;
+    t.w_pos <- t.w_pos + 8
 
   let raw t (v : view) =
     ensure t v.len;
     Bigarray.Array1.blit
       (Bigarray.Array1.sub v.buf v.off v.len)
-      (Bigarray.Array1.sub t.w_buf (t.w_off + t.w_pos) v.len);
+      (Bigarray.Array1.sub t.w_buf (at t) v.len);
     t.w_pos <- t.w_pos + v.len
 
   let raw_bytes t b =
     let n = Bytes.length b in
     ensure t n;
-    unsafe_bytes_to_buf b 0 t.w_buf (t.w_off + t.w_pos) n;
+    unsafe_bytes_to_buf b 0 t.w_buf (at t) n;
     t.w_pos <- t.w_pos + n
 
+  (* The length prefix and the bytes are one field. *)
   let string t s =
+    ensure t (2 + String.length s);
     u16 t (String.length s);
     raw_bytes t (Bytes.unsafe_of_string s)
 
@@ -326,28 +406,36 @@ module Reader = struct
 
   let pos t = t.r_pos
   let remaining t = t.r_limit - t.r_pos
-  let need t n = if t.r_limit - t.r_pos < n then raise Truncated
+
+  (* Each field calls [need] once for its whole width, then loads with
+     one unchecked access at [at t] ([of_view] checked the window): a
+     truncated field raises with [pos] unmoved. *)
+  let[@inline] need t n = if t.r_limit - t.r_pos < n then raise Truncated
+  let at t = t.r_view.off + t.r_pos
 
   let u8 t =
     need t 1;
-    let v = get_u8 t.r_view t.r_pos in
+    let v = Char.code (Bigarray.Array1.unsafe_get t.r_view.buf (at t)) in
     t.r_pos <- t.r_pos + 1;
     v
 
   let u16 t =
-    let lo = u8 t in
-    let hi = u8 t in
-    lo lor (hi lsl 8)
+    need t 2;
+    let v = le_get16 t.r_view.buf (at t) in
+    t.r_pos <- t.r_pos + 2;
+    v
 
   let u32 t =
-    let lo = u16 t in
-    let hi = u16 t in
-    lo lor (hi lsl 16)
+    need t 4;
+    let v = le_get32 t.r_view.buf (at t) in
+    t.r_pos <- t.r_pos + 4;
+    v
 
   let u64 t =
-    let lo = u32 t in
-    let hi = u32 t in
-    Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32)
+    need t 8;
+    let v = le_get64 t.r_view.buf (at t) in
+    t.r_pos <- t.r_pos + 8;
+    v
 
   let raw t n : view =
     need t n;
@@ -362,8 +450,12 @@ module Reader = struct
     t.r_pos <- t.r_pos + n;
     b
 
+  (* The length prefix and the bytes are one field. *)
   let string t =
-    let n = u16 t in
+    need t 2;
+    let n = le_get16 t.r_view.buf (at t) in
+    need t (2 + n);
+    t.r_pos <- t.r_pos + 2;
     Bytes.unsafe_to_string (raw_bytes t n)
 end
 

@@ -5,6 +5,13 @@
     {!to_bytes} and {!of_bytes} allocate and copy.  Copies between
     [bytes] and a view move 8 bytes per step with a byte-wise tail.
 
+    {b Range contract.}  Every multi-byte field is little-endian on
+    every host.  An accessor checks a field's whole range once, then
+    reads or writes it with one unchecked word access.  A field that
+    does not fit raises [Invalid_argument] (or {!Truncated} from a
+    {!Reader}) with no partial effect: no byte of the view is written,
+    and neither the reader's position nor the writer's length moves.
+
     {b Ownership rules} (the view contract every producer documents):
     a view handed out by a layer is valid until that layer's next
     mutating operation, unless the producer promises immutability
@@ -17,7 +24,8 @@ type buf =
 type t
 
 exception Truncated
-(** Raised by {!Reader} on reads past the view's end. *)
+(** Raised by {!Reader} on reads past the view's end, before the read
+    moves the position. *)
 
 val create : int -> t
 (** A fresh zero-filled view owning its whole buffer — the only
@@ -64,7 +72,13 @@ val copy : t -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-(** {1 Little-endian scalar accessors} *)
+(** {1 Little-endian scalar accessors}
+
+    [get_uN t i] and [set_uN t i v] access the [N / 8] bytes from [i].
+    Unless [0 <= i <= length t - N / 8] they raise [Invalid_argument]
+    and touch nothing.  Getters return the unsigned value, so [get_u32]
+    of [0xffff_ffff] is non-negative; setters store the low [N] bits of
+    [v], so a wide or negative int wraps. *)
 
 val get_u8 : t -> int -> int
 val set_u8 : t -> int -> int -> unit
@@ -89,11 +103,15 @@ val hash64 : ?pos:int -> ?len:int -> t -> int64
 val crc32c : ?init:int -> ?pos:int -> ?len:int -> t -> int
 (** CRC32c (Castagnoli, reflected 0x82f63b78) of the window; the
     per-slot and header checksum of segment format v3 and the
-    superblock.  [crc32c "123456789" = 0xe3069283]. *)
+    superblock.  [crc32c "123456789" = 0xe3069283].  Slice-by-8: eight
+    256-entry tables consume a 64-bit word per step, with a byte-wise
+    tail.  [~init] chains: the CRC of a window split anywhere, fed the
+    first part's CRC as [init], equals the CRC of the whole. *)
 
 val crc32c_bytes : ?init:int -> ?pos:int -> ?len:int -> bytes -> int
-(** {!crc32c} of a [bytes] window.  Both raise [Invalid_argument] for
-    a window outside the data. *)
+(** {!crc32c} of a [bytes] window, one byte per step: the byte-wise
+    reference {!crc32c} is tested against.  Both raise
+    [Invalid_argument] for a window outside the data. *)
 
 (** {1 Codecs}
 
@@ -110,8 +128,9 @@ module Writer : sig
   (** Growable writer backed by its own buffer. *)
 
   val of_view : view -> t
-  (** Fixed-capacity writer serialising directly into [view]; raises
-      [Invalid_argument] on overflow. *)
+  (** Fixed-capacity writer serialising directly into [view]; a field
+      that does not fit raises [Invalid_argument] before writing any
+      of its bytes. *)
 
   val length : t -> int
   val u8 : t -> int -> unit
@@ -120,7 +139,9 @@ module Writer : sig
   val u64 : t -> int64 -> unit
   val raw : t -> view -> unit
   val raw_bytes : t -> bytes -> unit
+
   val string : t -> string -> unit
+  (** A [u16] length, then the bytes: one field for the range check. *)
 
   val contents : t -> view
   (** View of the written prefix (aliases the writer's buffer). *)
@@ -146,7 +167,10 @@ module Reader : sig
   (** O(1) alias into the underlying view. *)
 
   val raw_bytes : t -> int -> bytes
+
   val string : t -> string
+  (** Reads what {!Writer.string} wrote; a truncated string raises
+      {!Truncated} before its length prefix is consumed. *)
 end
 
 val pp : Format.formatter -> t -> unit

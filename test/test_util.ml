@@ -191,6 +191,17 @@ let test_blk_blit_and_bounds () =
   Blk.blit_from_bytes (Bytes.of_string "AB") 0 b 0 2;
   Alcotest.(check string) "blit_from_bytes" "AB" (Blk.to_string (Blk.sub b 0 2))
 
+(* Each width's little-endian bytes, assembled and split by hand. *)
+let le_bytes n v =
+  String.init n (fun k -> Char.chr ((v lsr (8 * k)) land 0xff))
+
+let le_bytes64 v =
+  String.init 8 (fun k ->
+      Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xff))
+
+(* Fixed fields, then a round trip of every width at every in-range
+   offset of a [sub] view: the bytes are little-endian, no byte outside
+   the field moves, and values with the top bit set survive. *)
 let test_blk_scalars () =
   let t = Blk.create 16 in
   Blk.set_u16 t 0 0xfffe;
@@ -203,7 +214,73 @@ let test_blk_scalars () =
   let b = Bytes.make 4 '\000' in
   Blk.set_u32_bytes b 0 0xdeadbeef;
   Alcotest.(check string) "LE layout" (Bytes.to_string b)
-    (Blk.to_string (Blk.sub t 2 4))
+    (Blk.to_string (Blk.sub t 2 4));
+  let size = 21 in
+  let view () =
+    let whole = Blk.create (size + 6) in
+    Blk.fill whole '\xa5';
+    (whole, Blk.sub whole 5 size)
+  in
+  let only_field what whole at want =
+    (* [want] at [5 + at] of [whole], every other byte untouched *)
+    let expected = Bytes.make (size + 6) '\xa5' in
+    Bytes.blit_string want 0 expected (5 + at) (String.length want);
+    if Blk.to_string whole <> Bytes.to_string expected then
+      Alcotest.failf "%s: wrong bytes" what
+  in
+  let ints n =
+    [ 0; 1; 0x5a; (1 lsl ((8 * n) - 1)) lor 0x81; (1 lsl (8 * n)) - 1 ]
+  in
+  List.iter
+    (fun (n, get, set) ->
+      for at = 0 to size - n do
+        List.iter
+          (fun x ->
+            let what = Printf.sprintf "u%d %#x at %d" (8 * n) x at in
+            let whole, v = view () in
+            set v at x;
+            only_field what whole at (le_bytes n x);
+            Alcotest.(check int) what x (get v at))
+          (ints n)
+      done)
+    [ (2, Blk.get_u16, Blk.set_u16); (4, Blk.get_u32, Blk.set_u32) ];
+  for at = 0 to size - 8 do
+    List.iter
+      (fun x ->
+        let what = Printf.sprintf "u64 %Lx at %d" x at in
+        let whole, v = view () in
+        Blk.set_u64 v at x;
+        only_field what whole at (le_bytes64 x);
+        Alcotest.(check int64) what x (Blk.get_u64 v at))
+      [
+        0L; 1L; 0x0102030405060708L; Int64.min_int; -1L; 0x8000_0000_0000_0081L;
+      ]
+  done;
+  (* the top bit of a u32 reads back as a non-negative int, and a wide
+     or negative int keeps only its low bits *)
+  let _, v = view () in
+  Blk.set_u32 v 3 0xffff_ffff;
+  Alcotest.(check int) "u32 top bit non-negative" 0xffff_ffff (Blk.get_u32 v 3);
+  Blk.set_u32 v 3 0x1_2345_6789;
+  Alcotest.(check int) "set_u32 keeps low bits" 0x2345_6789 (Blk.get_u32 v 3);
+  Blk.set_u32 v 3 (-2);
+  Alcotest.(check int) "set_u32 of -2" 0xffff_fffe (Blk.get_u32 v 3);
+  Blk.set_u16 v 3 0x1_fffe;
+  Alcotest.(check int) "set_u16 keeps low bits" 0xfffe (Blk.get_u16 v 3);
+  let w = Blk.Writer.create () in
+  Blk.Writer.u32 w 0x1_2345_6789;
+  Blk.Writer.u32 w (-2);
+  Blk.Writer.u16 w (-1);
+  Blk.Writer.u64 w Int64.min_int;
+  Alcotest.(check string) "writer keeps low bits"
+    (le_bytes 4 0x2345_6789 ^ le_bytes 4 0xffff_fffe ^ "\xff\xff"
+   ^ le_bytes64 Int64.min_int)
+    (Blk.to_string (Blk.Writer.contents w));
+  let r = Blk.Reader.of_view (Blk.Writer.contents w) in
+  Alcotest.(check int) "reader u32" 0x2345_6789 (Blk.Reader.u32 r);
+  Alcotest.(check int) "reader u32 top bit" 0xffff_fffe (Blk.Reader.u32 r);
+  Alcotest.(check int) "reader u16" 0xffff (Blk.Reader.u16 r);
+  Alcotest.(check int64) "reader u64 bit 63" Int64.min_int (Blk.Reader.u64 r)
 
 let test_blk_bytes_accessors () =
   let b = Bytes.make 8 '\000' in
@@ -256,11 +333,21 @@ let test_blk_hash64_range () =
     (Int64.equal whole prefix)
 
 let test_blk_crc32c_vector () =
-  (* The canonical Castagnoli check vector. *)
+  (* The canonical Castagnoli check vector, and the RFC 3720 (iSCSI)
+     appendix B.4 vectors. *)
+  List.iter
+    (fun (name, data, want) ->
+      let b = Bytes.of_string data in
+      Alcotest.(check int) name want (Blk.crc32c (Blk.of_bytes b));
+      Alcotest.(check int) (name ^ ", byte-wise") want (Blk.crc32c_bytes b))
+    [
+      ("123456789", "123456789", 0xe3069283);
+      ("32 x 00", String.make 32 '\000', 0x8a9136aa);
+      ("32 x ff", String.make 32 '\xff', 0x62a8ab43);
+      ("0..31", String.init 32 Char.chr, 0x46dd794e);
+      ("31..0", String.init 32 (fun i -> Char.chr (31 - i)), 0x113fdb5c);
+    ];
   let v = Blk.of_string "123456789" in
-  Alcotest.(check int) "crc32c(123456789)" 0xe3069283 (Blk.crc32c v);
-  Alcotest.(check int) "crc32c_bytes agrees" 0xe3069283
-    (Blk.crc32c_bytes (Bytes.of_string "123456789"));
   (* incremental == one-shot *)
   let a = Blk.crc32c ~len:4 v in
   Alcotest.(check int) "incremental" 0xe3069283
@@ -451,6 +538,153 @@ let test_blk_bulk_copies () =
       b
   done
 
+(* The word-at-a-time kernels against byte-wise references, for every
+   length 0-70 (word loop alone, tail alone, both) at offsets 0-9 of a
+   [sub] view whose window starts inside a larger buffer. *)
+let kernel_data =
+  Bytes.init 83 (fun i -> Char.chr (((i * 151) + 29) land 0xff))
+
+let kernel_view () =
+  let whole = Blk.create (Bytes.length kernel_data + 3) in
+  Blk.fill whole '\xa5';
+  let v = Blk.sub whole 3 (Bytes.length kernel_data) in
+  Blk.blit_from_bytes kernel_data 0 v 0 (Bytes.length kernel_data);
+  v
+
+let test_blk_crc32c_slices () =
+  let v = kernel_view () in
+  for len = 0 to 70 do
+    for pos = 0 to 9 do
+      let want = Blk.crc32c_bytes ~pos ~len kernel_data in
+      let got = Blk.crc32c ~pos ~len v in
+      if got <> want then
+        Alcotest.failf "crc32c ~pos:%d ~len:%d = %08x, byte-wise %08x" pos len
+          got want;
+      (* a chained checksum equals the one-shot, split anywhere *)
+      for split = 0 to len do
+        let init = Blk.crc32c ~pos ~len:split v in
+        let chained =
+          Blk.crc32c ~init ~pos:(pos + split) ~len:(len - split) v
+        in
+        if chained <> want then
+          Alcotest.failf "crc32c ~pos:%d ~len:%d split at %d = %08x, want %08x"
+            pos len split chained want
+      done
+    done
+  done
+
+(* FNV-1a over little-endian 64-bit words assembled byte by byte, then
+   over the tail's bytes one at a time. *)
+let fnv1a_reference b pos len =
+  let step h x = Int64.mul (Int64.logxor h x) 0x100000001b3L in
+  let byte i = Int64.of_int (Char.code (Bytes.get b i)) in
+  let words = len / 8 in
+  let h = ref 0xcbf29ce484222325L in
+  for w = 0 to words - 1 do
+    let word = ref 0L in
+    for k = 7 downto 0 do
+      word := Int64.logor (Int64.shift_left !word 8) (byte (pos + (w * 8) + k))
+    done;
+    h := step !h !word
+  done;
+  for i = pos + (words * 8) to pos + len - 1 do
+    h := step !h (byte i)
+  done;
+  !h
+
+let test_blk_hash64_reference () =
+  let v = kernel_view () in
+  for len = 0 to 70 do
+    for pos = 0 to 9 do
+      let want = fnv1a_reference kernel_data pos len in
+      let got = Blk.hash64 ~pos ~len v in
+      if not (Int64.equal got want) then
+        Alcotest.failf "hash64 ~pos:%d ~len:%d = %Lx, reference %Lx" pos len got
+          want
+    done
+  done
+
+(* A field that ends at the last byte works; one byte further, or at
+   offset -1, raises [Invalid_argument]. *)
+let test_blk_scalar_bounds () =
+  let whole = Blk.create 16 in
+  let v = Blk.sub whole 2 11 in
+  let len = Blk.length v in
+  List.iter
+    (fun (n, get, set) ->
+      ignore (get v (len - n));
+      set v (len - n);
+      List.iter
+        (fun at ->
+          let case what = Printf.sprintf "%s u%d at %d" what (8 * n) at in
+          (match get v at with
+          | _ -> Alcotest.failf "%s" (case "get")
+          | exception Invalid_argument _ -> ());
+          match set v at with
+          | () -> Alcotest.failf "%s" (case "set")
+          | exception Invalid_argument _ -> ())
+        [ len - n + 1; -1 ])
+    [
+      (1, Blk.get_u8, fun v i -> Blk.set_u8 v i 0xff);
+      (2, Blk.get_u16, fun v i -> Blk.set_u16 v i 0xffff);
+      (4, Blk.get_u32, fun v i -> Blk.set_u32 v i 0xffff_ffff);
+      (8, (fun v i -> Int64.to_int (Blk.get_u64 v i)), fun v i ->
+        Blk.set_u64 v i (-1L));
+    ]
+
+(* A multi-byte access that fails changes nothing: the field is
+   checked as a whole before any byte of it is written or read. *)
+let test_blk_set_no_partial_effect () =
+  let b = Blk.of_string "0123456789" in
+  Alcotest.check_raises "set_u32 across the end" (Invalid_argument "Blk.set")
+    (fun () -> Blk.set_u32 (Blk.sub b 4 6) 4 0x11223344);
+  List.iter
+    (fun (what, f) ->
+      match f (Blk.sub b 4 6) with
+      | () -> Alcotest.failf "%s did not raise" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("set_u16", fun v -> Blk.set_u16 v 5 0xffff);
+      ("set_u64", fun v -> Blk.set_u64 v 0 (-1L));
+    ];
+  Alcotest.(check string) "buffer unchanged" "0123456789" (Blk.to_string b)
+
+let test_blk_writer_no_partial_effect () =
+  let target = Blk.of_string "abcdef" in
+  let w = Blk.Writer.of_view target in
+  Blk.Writer.u32 w 1;
+  List.iter
+    (fun (what, f) ->
+      Alcotest.check_raises what (Invalid_argument "Blk.Writer: view overflow")
+        (fun () -> f w))
+    [
+      ("writer u32", fun w -> Blk.Writer.u32 w 0xaabbccdd);
+      ("writer u64", fun w -> Blk.Writer.u64 w (-1L));
+      ("writer string", fun w -> Blk.Writer.string w "x");
+    ];
+  Alcotest.(check int) "writer length" 4 (Blk.Writer.length w);
+  Alcotest.(check string) "writer view unchanged" "\001\000\000\000ef"
+    (Blk.to_string target)
+
+let test_blk_reader_no_partial_effect () =
+  let reader s =
+    let r = Blk.Reader.of_view (Blk.of_string s) in
+    ignore (Blk.Reader.u32 r);
+    r
+  in
+  List.iter
+    (fun (what, s, f) ->
+      let r = reader s in
+      Alcotest.check_raises what Blk.Truncated (fun () -> f r);
+      Alcotest.(check int) (what ^ ": pos") 4 (Blk.Reader.pos r))
+    [
+      ("u32 with 2 left", "abcdef", fun r -> ignore (Blk.Reader.u32 r));
+      ("u64 with 3 left", "abcdefg", fun r -> ignore (Blk.Reader.u64 r));
+      ("u16 with 1 left", "abcde", fun r -> ignore (Blk.Reader.u16 r));
+      ("string past the end", "abcd\005\000abc", fun r ->
+        ignore (Blk.Reader.string r));
+    ]
+
 (* [copy] and [of_bytes] skip the zero-fill because they overwrite the
    whole buffer; [create] must still hand out zeros, also where freed
    buffers full of other bytes were recycled. *)
@@ -555,6 +789,18 @@ let () =
             test_blk_reader_raw_aliases;
           Alcotest.test_case "bulk copies match a byte loop" `Quick
             test_blk_bulk_copies;
+          Alcotest.test_case "crc32c slices match the byte-wise loop" `Quick
+            test_blk_crc32c_slices;
+          Alcotest.test_case "hash64 matches a byte-wise FNV-1a" `Quick
+            test_blk_hash64_reference;
+          Alcotest.test_case "scalar range boundary" `Quick
+            test_blk_scalar_bounds;
+          Alcotest.test_case "failed set changes nothing" `Quick
+            test_blk_set_no_partial_effect;
+          Alcotest.test_case "writer overflow changes nothing" `Quick
+            test_blk_writer_no_partial_effect;
+          Alcotest.test_case "truncated read leaves pos" `Quick
+            test_blk_reader_no_partial_effect;
           Alcotest.test_case "create zero-fills" `Quick test_blk_create_zeroed;
           Alcotest.test_case "arena recycles slots" `Quick test_arena_recycles;
           QCheck_alcotest.to_alcotest blk_bytes_model;
