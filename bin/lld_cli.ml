@@ -17,7 +17,6 @@ module Setup = Lld_workload.Setup
 module Smallfile = Lld_workload.Smallfile
 module Largefile = Lld_workload.Largefile
 module Aru_churn = Lld_workload.Aru_churn
-module Torture = Lld_workload.Torture
 module Experiment = Lld_harness.Experiment
 module Crashcheck = Lld_crashcheck.Crashcheck
 module Model = Lld_model.Model
@@ -389,116 +388,6 @@ let aru_bench_cmd =
     (Cmd.info "aru-bench" ~doc:"Measure Begin/End ARU latency (paper 5.3).")
     Term.(const aru_bench $ variant_arg $ segments_arg $ count)
 
-(* -------------------------------------------------------- crash-demo *)
-
-let crash_demo no_arus segments crash_after =
-  let variant = if no_arus then Setup.Old else Setup.New in
-  let geom =
-    Geometry.v ~segment_bytes:(32 * 1024)
-      ~num_segments:(max 64 (segments * 4)) ()
-  in
-  let inst = Setup.make ~geom variant in
-  Printf.printf "configuration: %s (%s)\n"
-    (Setup.variant_label variant)
-    (if no_arus then "creates NOT bracketed in ARUs" else "one ARU per create");
-  Fault.schedule_crash (Disk.fault inst.Setup.disk)
-    (Fault.After_writes crash_after);
-  let created = ref 0 in
-  (try
-     for i = 0 to 499 do
-       Fs.mkdir inst.Setup.fs (Printf.sprintf "/d%03d" i);
-       Fs.create inst.Setup.fs (Printf.sprintf "/d%03d/file" i);
-       incr created
-     done;
-     Fs.flush inst.Setup.fs
-   with Fault.Crashed -> ());
-  Printf.printf "crash injected after %d segment writes (%d creates started)\n"
-    crash_after !created;
-  let lld, report = Lld.recover ~config:(Setup.lld_config variant) inst.Setup.disk in
-  Format.printf "recovery: %a@." Recovery.pp_report report;
-  let fs = Fs.mount ~config:(Setup.fs_config variant) lld in
-  let check = Fsck.run fs in
-  Format.printf "fsck: %a@." Fsck.pp_report check;
-  if not (Fsck.ok check) then begin
-    let repaired = Fsck.run ~repair:true fs in
-    Format.printf "fsck --repair: fixed %d problem(s)@." repaired.Fsck.repaired;
-    Format.printf "fsck again: %a@." Fsck.pp_report (Fsck.run fs)
-  end
-
-let crash_demo_cmd =
-  let no_arus =
-    Arg.(
-      value & flag
-      & info [ "no-arus" ]
-          ~doc:"Run the old configuration (no ARU bracketing) to show the \
-                inconsistencies ARUs prevent.")
-  in
-  let crash_after =
-    Arg.(
-      value & opt int 7
-      & info [ "crash-after" ] ~docv:"N"
-          ~doc:"Crash after this many segment writes.")
-  in
-  Cmd.v
-    (Cmd.info "crash-demo"
-       ~doc:"Crash mid-workload, recover, and run fsck (paper 5.1).")
-    Term.(const crash_demo $ no_arus $ segments_arg $ crash_after)
-
-(* ----------------------------------------------------------- torture *)
-
-let torture no_arus seeds operations crash_points =
-  let with_arus = not no_arus in
-  let failures = ref 0 in
-  for seed = 1 to seeds do
-    let r =
-      Torture.run ~with_arus { Torture.seed; operations; crash_points }
-    in
-    List.iter
-      (fun (o : Torture.outcome) ->
-        if not o.Torture.consistent then begin
-          incr failures;
-          Printf.printf "seed %d, crash@%d: %d problem(s), e.g. %s\n" seed
-            o.Torture.crash_after
-            (List.length o.Torture.problems)
-            (match o.Torture.problems with
-            | p :: _ -> Format.asprintf "%a" Lld_minixfs.Fsck.pp_problem p
-            | [] -> "?")
-        end)
-      r.Torture.outcomes;
-    Printf.printf "seed %d: %s (%d crash points)\n%!" seed
-      (if r.Torture.all_consistent then "consistent at every crash point"
-       else "INCONSISTENCIES FOUND")
-      crash_points
-  done;
-  if with_arus && !failures > 0 then exit 1;
-  if (not with_arus) && !failures > 0 then
-    Printf.printf
-      "(inconsistencies are expected without ARUs: that is the point)\n"
-
-let torture_cmd =
-  let no_arus =
-    Arg.(value & flag & info [ "no-arus" ] ~doc:"Use the old configuration.")
-  in
-  let seeds =
-    Arg.(value & opt int 5 & info [ "seeds" ] ~docv:"N" ~doc:"Workload seeds.")
-  in
-  let operations =
-    Arg.(
-      value & opt int 300
-      & info [ "operations" ] ~docv:"N" ~doc:"Operations per workload.")
-  in
-  let crash_points =
-    Arg.(
-      value & opt int 24
-      & info [ "crash-points" ] ~docv:"N" ~doc:"Crash points per seed.")
-  in
-  Cmd.v
-    (Cmd.info "torture"
-       ~doc:
-         "Crash-consistency torture: random FS workloads x crash points, \
-          fsck after every recovery.")
-    Term.(const torture $ no_arus $ seeds $ operations $ crash_points)
-
 (* -------------------------------------------------------- crashcheck *)
 
 let point_conv =
@@ -530,6 +419,32 @@ let crashcheck workload shards budget granularity seed at broken_sweep
   in
   (* bad points and granularities are usage errors *)
   let usage_checked f = try f () with Invalid_argument msg -> usage "%s" msg in
+  (* one mode per run, and a flag the mode would ignore is refused
+     rather than silently dropped *)
+  let enumeration = "crash-point enumeration" in
+  let mode =
+    match
+      List.filter snd
+        [
+          ("--at", at <> None);
+          ("--differential", differential);
+          ("--corruption", corruption);
+          ("--during-recovery", during_recovery);
+        ]
+    with
+    | [] -> enumeration
+    | [ (m, _) ] -> m
+    | (a, _) :: (b, _) :: _ -> usage "%s and %s cannot be combined" a b
+  in
+  let applies_to modes flag given =
+    if given && not (List.mem mode modes) then
+      usage "%s is ignored by %s" flag mode
+  in
+  applies_to [ enumeration ] "--test-broken-sweep" broken_sweep;
+  applies_to [ enumeration; "--during-recovery" ] "--budget" (budget <> None);
+  applies_to [ enumeration; "--during-recovery" ] "--trace-dir"
+    (trace_dir <> None);
+  applies_to [ "--during-recovery" ] "--inner-budget" (inner_budget <> None);
   let cross_shard = workload = Some "cross-shard" in
   if cross_shard && (differential || corruption || during_recovery) then
     usage
@@ -680,7 +595,8 @@ let crashcheck_cmd =
       & info [ "workload" ] ~docv:"NAME"
           ~doc:
             "Workload to check: $(b,smallfile), $(b,aru-churn), \
-             $(b,cleaning) or $(b,group-commit) (default: all four), or \
+             $(b,cleaning), $(b,group-commit) or $(b,torture) (paper 5.1's \
+             file-system workload) (default: all five), or \
              $(b,cross-shard) — the sharded facade's two-phase-commit \
              workload, enumerated over the interleaved multi-disk write \
              trace (see $(b,--shards)); it takes every mode but \
@@ -730,9 +646,9 @@ let crashcheck_cmd =
       value & flag
       & info [ "test-broken-sweep" ]
           ~doc:
-            "Self-test: recover with the consistency sweep disabled and \
-             verify the checker flags the leak (exits non-zero if it \
-             doesn't).")
+            "Self-test of crash-point enumeration: recover with the \
+             consistency sweep disabled and verify the checker flags the \
+             leak (exits non-zero if it doesn't).")
   in
   let trace_dir =
     Arg.(
@@ -1325,8 +1241,8 @@ let () =
       (Cmd.info "lld" ~version:"1.0.0" ~doc)
       [
         repro_cmd; smallfile_cmd; largefile_cmd; aru_bench_cmd; bench_cmd;
-        crash_demo_cmd; torture_cmd; crashcheck_cmd; model_cmd; trace_cmd;
-        stats_cmd; info_cmd; mkfs_cmd; mount_cmd; scrub_cmd;
+        crashcheck_cmd; model_cmd; trace_cmd; stats_cmd; info_cmd; mkfs_cmd;
+        mount_cmd; scrub_cmd;
       ]
   in
   exit (Cmd.eval cmd)

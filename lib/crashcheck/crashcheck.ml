@@ -217,12 +217,72 @@ let group_commit_spec ?(rounds = 10) ?(arus_per_round = 4)
         Lld.flush lld);
   }
 
+(* The paper's §5.1 workload: 300 creates, writes, unlinks, renames,
+   links, truncates and reads drawn from one seeded stream over 8
+   directories of 12 names, so operations collide (create over an
+   existing name, unlink a missing one, rename onto a file).  It
+   registers no oracle units: each crash point is judged by fsck, the
+   sweep-leak probe and idempotent re-recovery.  [variant] takes Table
+   1's configuration pair, so [Old] (no ARU bracketing) is the contrast
+   [New] must not show. *)
+let torture_spec ?(variant = Setup.New) ?(seed = 42) () =
+  let dir d = Printf.sprintf "/d%d" d in
+  let file d f = Printf.sprintf "%s/f%d" (dir d) f in
+  {
+    sc_name = "torture";
+    sc_geom = checker_geom;
+    sc_config = Setup.lld_config variant;
+    sc_fs = Some (Setup.fs_config variant);
+    sc_inode_count = Some 1024;
+    sc_run =
+      (fun cx _oracle ->
+        let fs = Option.get cx.cx_fs in
+        let rng = Rng.create ~seed in
+        let name () =
+          let d = Rng.int rng 8 in
+          let f = Rng.int rng 12 in
+          file d f
+        in
+        let attempt op =
+          try op () with
+          | Fs.Not_found_path _ | Fs.Already_exists _ | Fs.Is_a_directory _
+          | Fs.Not_a_directory _ | Fs.Directory_not_empty _
+          | Fs.Invalid_name _ | Fs.Out_of_inodes ->
+            ()
+        in
+        for d = 0 to 7 do
+          Fs.mkdir fs (dir d)
+        done;
+        for _ = 1 to 300 do
+          let path = name () in
+          match Rng.int rng 10 with
+          | 0 | 1 | 2 -> attempt (fun () -> Fs.create fs path)
+          | 3 | 4 ->
+            let data = Bytes.make (512 + Rng.int rng 8192) 'x' in
+            attempt (fun () -> Fs.write_file fs path ~off:0 data)
+          | 5 -> attempt (fun () -> Fs.unlink fs path)
+          | 6 ->
+            let target = name () in
+            attempt (fun () -> Fs.rename fs path target)
+          | 7 ->
+            let target = name () in
+            attempt (fun () -> Fs.link fs path target)
+          | 8 ->
+            let size = Rng.int rng 4096 in
+            attempt (fun () -> Fs.truncate fs path ~size)
+          | _ ->
+            attempt (fun () -> ignore (Fs.read_file fs path ~off:0 ~len:1024))
+        done;
+        Fs.flush fs);
+  }
+
 let specs =
   [
     ("smallfile", fun () -> smallfile_spec ());
     ("aru-churn", fun () -> aru_churn_spec ());
     ("cleaning", fun () -> cleaning_spec ());
     ("group-commit", fun () -> group_commit_spec ());
+    ("torture", fun () -> torture_spec ());
   ]
 
 (* ------------------------------------------------------------------ *)

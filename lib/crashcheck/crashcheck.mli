@@ -79,6 +79,17 @@ val group_commit_spec :
     contained ARU all-or-nothing; a final ARU is submitted but never
     flushed and must never surface as committed. *)
 
+val torture_spec :
+  ?variant:Lld_workload.Setup.variant -> ?seed:int -> unit -> spec
+(** The paper's §5.1 workload through the Minix FS: 300 creates,
+    writes, unlinks, renames, links, truncates and reads over 8
+    directories of 12 names, drawn from one {!Lld_sim.Rng} stream
+    seeded by [seed] (default 42).  It registers no oracle units, so
+    each crash point is judged by fsck, the sweep-leak probe and
+    idempotent re-recovery.  [variant] (default [New]) picks Table 1's
+    logical-disk and file-system configurations; [Old], with no ARU
+    bracketing, is the contrast that does need fsck. *)
+
 val specs : (string * (unit -> spec)) list
 (** Name-indexed registry of the built-in specs (for the CLI). *)
 

@@ -17,6 +17,7 @@ module Largefile = Lld_workload.Largefile
 module Aru_churn = Lld_workload.Aru_churn
 module Concurrent = Lld_workload.Concurrent
 module Mixed = Lld_workload.Mixed
+module Crashcheck = Lld_crashcheck.Crashcheck
 module Fs = Lld_minixfs.Fs
 module Obs = Lld_obs.Obs
 module Metrics = Lld_obs.Metrics
@@ -928,7 +929,7 @@ let group_commit_stages_rows scale =
     [ 1; 8; 16 ]
 
 (* The commit-path p99s (clients, queue-wait us, barrier us) recorded at
-   MICRO=0 SCALE=0.05 when the per-stage histograms landed: later
+   SCALE=0.05 when the per-stage histograms landed: later
    changes, zero-copy first, must not make the virtual commit path more
    than 10 % slower. *)
 let g2_baseline = [ (1, 5009.4, 233317.0); (8, 805.0, 233457.0); (16, 910.0, 233617.0) ]
@@ -2140,6 +2141,57 @@ let backend_comparison =
   T { id = "B1"; paper_ref = "§2 transparency"; run; tables; checks }
 
 (* ------------------------------------------------------------------ *)
+(* X7 — the paper's §5.1 claim: with ARUs no crash ever needs fsck.
+   The torture workload is recorded once per Table 1 configuration and
+   a deterministic sample of its crash points (complete and torn
+   writes) is recovered and judged by fsck, the sweep-leak probe and
+   idempotent re-recovery.  The old configuration is the contrast: it
+   must leave some crash point inconsistent.                          *)
+
+let consistency =
+  let run _scale =
+    List.map
+      (fun variant ->
+        let trace = Crashcheck.record (Crashcheck.torture_spec ~variant ()) in
+        (variant, Crashcheck.run ~budget:200 trace))
+      [ Setup.New; Setup.Old ]
+  in
+  let tables rows =
+    [
+      R.table
+        ~title:
+          "X7: §5.1 consistency — torture workload crash points, recovered \
+           and checked (fsck, sweep leaks, idempotent re-recovery)"
+        ~header:[ "configuration"; "checked"; "enumerated"; "violating" ]
+        (List.map
+           (fun (variant, r) ->
+             [
+               R.text (Setup.variant_label variant);
+               R.int r.Crashcheck.r_points_checked;
+               R.int r.Crashcheck.r_points_total;
+               R.int r.Crashcheck.r_violation_points;
+             ])
+           rows);
+    ]
+  in
+  let checks rows =
+    let detail (r : Crashcheck.result) =
+      Printf.sprintf "%d of %d sampled crash points violate"
+        r.r_violation_points r.r_points_checked
+    in
+    let with_arus = List.assoc Setup.New rows in
+    let without = List.assoc Setup.Old rows in
+    [
+      check "X7: with ARUs no crash point needs fsck" (Crashcheck.ok with_arus)
+        (detail with_arus);
+      check "X7: without ARUs some crash point is inconsistent"
+        (not (Crashcheck.ok without))
+        (detail without);
+    ]
+  in
+  T { id = "X7"; paper_ref = "§5.1 consistency"; run; tables; checks }
+
+(* ------------------------------------------------------------------ *)
 (* The runner                                                          *)
 
 let all =
@@ -2148,7 +2200,7 @@ let all =
     recovery_cost; restart_cost; group_commit (); group_commit_stages;
     zero_copy; sharded; concurrency; mixed_workload; implementations;
     bandwidth; cleaning; observer_effect; commit_breakdown; flight_effect;
-    backend_comparison;
+    backend_comparison; consistency;
   ]
 
 let json_of_check c =

@@ -100,6 +100,37 @@ let matrix () =
     ( "crashcheck, negative granularity",
       [ "crashcheck"; "--workload"; "aru-churn"; "--granularity=-512" ],
       2 );
+    ( "crashcheck, torture workload",
+      [ "crashcheck"; "--workload"; "torture"; "--budget"; "20" ],
+      0 );
+  ]
+  (* a second mode, or a flag the chosen mode ignores, is a usage
+     error *)
+  @ List.map
+      (fun (name, flags) ->
+        ( "crashcheck, " ^ name,
+          "crashcheck" :: "--workload" :: "aru-churn" :: flags,
+          2 ))
+      [
+        ("broken sweep with --differential",
+         [ "--differential"; "--test-broken-sweep" ]);
+        ("broken sweep with --corruption",
+         [ "--corruption"; "--test-broken-sweep" ]);
+        ("broken sweep with --at", [ "--at"; "160"; "--test-broken-sweep" ]);
+        ("broken sweep with --during-recovery",
+         [ "--during-recovery"; "--test-broken-sweep" ]);
+        ("--at with --differential", [ "--at"; "1"; "--differential" ]);
+        ("--at with --corruption", [ "--at"; "1"; "--corruption" ]);
+        ("--at with --during-recovery", [ "--at"; "1"; "--during-recovery" ]);
+        ("--differential with --corruption",
+         [ "--differential"; "--corruption" ]);
+        ("--inner-budget without --during-recovery",
+         [ "--budget"; "2"; "--inner-budget"; "2" ]);
+        ("--budget with --at", [ "--at"; "1"; "--budget"; "2" ]);
+        ("--trace-dir with --corruption",
+         [ "--corruption"; "--trace-dir"; tmp "unused-dir" ]);
+      ]
+  @ [
     ( "model, small clean fuzz",
       [ "model"; "--budget"; "2"; "--ops"; "10"; "--crash-every"; "0" ],
       0 );

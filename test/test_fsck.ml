@@ -2,6 +2,7 @@ open Helpers
 module Fs = Lld_minixfs.Fs
 module Fsck = Lld_minixfs.Fsck
 module Fault = Lld_disk.Fault
+module Crashcheck = Lld_crashcheck.Crashcheck
 
 (* The paper's central claim (§5.1): with create/delete bracketed in
    ARUs, the file system is consistent after any crash — no fsck
@@ -176,27 +177,33 @@ let test_fsck_detects_planted_corruption () =
   ignore (Fsck.run ~repair:true fs);
   Alcotest.(check bool) "clean after repair" true (Fsck.ok (Fsck.run fs))
 
+(* The exhaustive version of the sweeps above, on the crash-point
+   checker: the torture workload (creates, writes, unlinks, renames,
+   links and truncates) is recorded once per seed, and 40 of its crash
+   points are recovered and judged by fsck, the sweep-leak probe and
+   idempotent re-recovery.  Sampling prefers complete points, so with
+   21-26 writes per trace every complete point is checked, plus torn
+   variants. *)
+let torture ?variant seed =
+  Crashcheck.run ~budget:40
+    (Crashcheck.record (Crashcheck.torture_spec ?variant ~seed ()))
+
 let test_torture_with_arus () =
-  (* the exhaustive version of the sweep above: randomized workloads
-     with renames, links and truncates, each cut at many crash points.
-     Seed 10 is the seed that once exposed the segment-slot-coalescing
-     atomicity hole (see Segment.scope). *)
   List.iter
     (fun seed ->
-      let r =
-        Lld_workload.Torture.run
-          { Lld_workload.Torture.seed; operations = 250; crash_points = 16 }
-      in
-      List.iter
-        (fun (o : Lld_workload.Torture.outcome) ->
-          Alcotest.(check bool)
-            (Format.asprintf "seed %d crash@%d: %a" seed
-               o.Lld_workload.Torture.crash_after
-               (Format.pp_print_list Fsck.pp_problem)
-               o.Lld_workload.Torture.problems)
-            true o.Lld_workload.Torture.consistent)
-        r.Lld_workload.Torture.outcomes)
+      let r = torture seed in
+      Alcotest.(check bool)
+        (Format.asprintf "seed %d: %a" seed Crashcheck.pp_result r)
+        true (Crashcheck.ok r))
     [ 3; 10; 27 ]
+
+(* The paper's contrast: without ARU bracketing the same workload
+   leaves crash points that need fsck. *)
+let test_torture_without_arus () =
+  let r = torture ~variant:Lld_workload.Setup.Old 3 in
+  Alcotest.(check bool)
+    (Format.asprintf "old configuration: %a" Crashcheck.pp_result r)
+    false (Crashcheck.ok r)
 
 let test_recovery_then_continued_use () =
   (* after a crash and recovery, the file system keeps working *)
@@ -237,6 +244,8 @@ let () =
         [
           Alcotest.test_case "randomized workloads consistent at every crash"
             `Slow test_torture_with_arus;
+          Alcotest.test_case "old configuration leaves crash points inconsistent"
+            `Slow test_torture_without_arus;
         ] );
       ( "fsck",
         [

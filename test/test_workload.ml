@@ -132,14 +132,6 @@ let test_mixed_workload_phases () =
   Alcotest.(check bool) "fsck clean" true
     (Lld_minixfs.Fsck.ok (Lld_minixfs.Fsck.run inst.Setup.fs))
 
-let test_torture_runs_quickly () =
-  let r =
-    Lld_workload.Torture.run
-      { Lld_workload.Torture.seed = 1; operations = 60; crash_points = 3 }
-  in
-  Alcotest.(check int) "three outcomes" 3 (List.length r.Lld_workload.Torture.outcomes);
-  Alcotest.(check bool) "consistent" true r.Lld_workload.Torture.all_consistent
-
 let run_quiet exps =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
@@ -275,11 +267,10 @@ let () =
       ( "concurrent",
         [ Alcotest.test_case "interleaved vs serial" `Quick test_concurrent_equal_ops ]
       );
-      ( "mixed-and-torture",
+      ( "mixed",
         [
           Alcotest.test_case "mixed workload phases" `Quick
             test_mixed_workload_phases;
-          Alcotest.test_case "torture smoke" `Quick test_torture_runs_quickly;
         ] );
       ( "harness",
         [
