@@ -25,11 +25,9 @@ type t = {
   geom : Geometry.t;
   clock : Clock.t;
   log : Seglog.t;
-  blocks : Block_map.t;
-  lists : List_table.t;
+  v : Versions.t; (* the tables, the active ARUs and the views over them *)
   mutable committed_blocks : Record.block option;
   mutable committed_lists : Record.list_r option;
-  arus : (int, Aru.t) Hashtbl.t;
   mutable next_aru : int;
   mutable next_gid : int;
   (* cross-shard transaction-id watermark (persisted in checkpoints so
@@ -86,20 +84,9 @@ let clock t = t.clock
 let config t = t.config
 let cost_model t = t.config.Config.cost
 let disk t = t.disk
-let capacity t = Block_map.capacity t.blocks
-let allocated_blocks t = Block_map.allocated_count t.blocks
+let capacity t = Block_map.capacity t.v.Versions.blocks
+let allocated_blocks t = Block_map.allocated_count t.v.Versions.blocks
 let free_segments t = Seglog.free_count t.log
-
-type who = [ `Simple | `In of Aru.t ]
-
-let resolve_who t = function
-  | None -> `Simple
-  | Some aid -> (
-    match Hashtbl.find_opt t.arus (Types.Aru_id.to_int aid) with
-    | Some a -> `In a
-    | None -> raise (Errors.Unknown_aru aid))
-
-let owner_active t o = Hashtbl.mem t.arus (Types.Aru_id.to_int o)
 
 (* Dirty tracking for incremental checkpoints: every site that mutates a
    persistent anchor — or hands out a committed record that will be
@@ -154,18 +141,6 @@ let live_remove t b =
     t.counters.Counters.live_index_updates + 1;
   Live_index.remove t.live ~block:(Types.Block_id.to_int b)
 
-(* Allocation-owner visibility (paper §3.3): a block/list allocated
-   inside an ARU is invisible to everyone else until the ARU ends. *)
-let owner_visible t who owner =
-  match owner with
-  | None -> true
-  | Some o -> (
-    if not (owner_active t o) then true
-    else
-      match who with
-      | `In (a : Aru.t) -> Types.Aru_id.equal a.Aru.id o
-      | `Simple -> false)
-
 (* Durability bookkeeping for committed records touched by simple
    operations: the record may be promoted once the given segment is on
    disk.  A fresh alternative record carries [max_int] ("not yet
@@ -208,33 +183,19 @@ let emit_write t ?charge_copy ~allow_cross_scope ~stream ~block ~data ~stamp () 
   (seq, phys)
 
 (* ------------------------------------------------------------------ *)
-(* Version views                                                       *)
+(* Committed records                                                   *)
 
-let hops_charge t n =
-  if n > 0 then begin
-    t.counters.Counters.mesh_hops <- t.counters.Counters.mesh_hops + n;
-    cpu t (n * (cost t).Cost.mesh_hop_ns)
-  end
-
-(* Committed view of a block: the committed alternative record, falling
-   back to the persistent anchor.  In sequential mode the anchor is the
-   single authoritative record. *)
-let committed_peek t b =
-  let anchor = Block_map.anchor t.blocks b in
-  if not (concurrent t) then anchor
-  else begin
-    let r, hops = Record.find_block ~anchor Record.Committed in
-    hops_charge t hops;
-    Option.value r ~default:anchor
-  end
-
+(* The committed record a mutation writes: found on the same-id chain,
+   or created there and pushed onto the committed same-state chain that
+   promotion walks.  In sequential mode the anchor is the single
+   authoritative record. *)
 let committed_get t b =
   dirty_block t b;
-  let anchor = Block_map.anchor t.blocks b in
+  let anchor = Block_map.anchor t.v.Versions.blocks b in
   if not (concurrent t) then anchor
   else begin
     let r, hops = Record.find_block ~anchor Record.Committed in
-    hops_charge t hops;
+    Versions.hops_charge t.v hops;
     match r with
     | Some r -> r
     | None ->
@@ -242,28 +203,17 @@ let committed_get t b =
       Record.insert_alt_block ~anchor alt;
       alt.Record.next_same_state <- t.committed_blocks;
       t.committed_blocks <- Some alt;
-      t.counters.Counters.record_creates <-
-        t.counters.Counters.record_creates + 1;
-      cpu t (cost t).Cost.record_create_ns;
+      Versions.record_created t.v;
       alt
-  end
-
-let committed_peek_list t l =
-  let anchor = List_table.anchor t.lists l in
-  if not (concurrent t) then anchor
-  else begin
-    let r, hops = Record.find_list ~anchor Record.Committed in
-    hops_charge t hops;
-    Option.value r ~default:anchor
   end
 
 let committed_get_list t l =
   dirty_list t l;
-  let anchor = List_table.anchor t.lists l in
+  let anchor = List_table.anchor t.v.Versions.lists l in
   if not (concurrent t) then anchor
   else begin
     let r, hops = Record.find_list ~anchor Record.Committed in
-    hops_charge t hops;
+    Versions.hops_charge t.v hops;
     match r with
     | Some r -> r
     | None ->
@@ -271,82 +221,8 @@ let committed_get_list t l =
       Record.insert_alt_list ~anchor alt;
       alt.Record.l_next_same_state <- t.committed_lists;
       t.committed_lists <- Some alt;
-      t.counters.Counters.record_creates <-
-        t.counters.Counters.record_creates + 1;
-      cpu t (cost t).Cost.record_create_ns;
+      Versions.record_created t.v;
       alt
-  end
-
-(* Shadow view for an ARU: shadow record, else committed, else
-   persistent (the standardized search of paper §3.3). *)
-let shadow_peek t (a : Aru.t) b =
-  let anchor = Block_map.anchor t.blocks b in
-  let r, hops = Record.find_block ~anchor (Record.Shadow a.Aru.id) in
-  hops_charge t hops;
-  match r with Some r -> r | None -> committed_peek t b
-
-let shadow_get t (a : Aru.t) b =
-  let anchor = Block_map.anchor t.blocks b in
-  let r, hops = Record.find_block ~anchor (Record.Shadow a.Aru.id) in
-  hops_charge t hops;
-  match r with
-  | Some r -> r
-  | None ->
-    let from = committed_peek t b in
-    let alt = Record.alt_block (Record.Shadow a.Aru.id) ~from in
-    Record.insert_alt_block ~anchor alt;
-    Aru.push_shadow_block a alt;
-    t.counters.Counters.record_creates <- t.counters.Counters.record_creates + 1;
-    cpu t (cost t).Cost.record_create_ns;
-    alt
-
-let shadow_peek_list t (a : Aru.t) l =
-  let anchor = List_table.anchor t.lists l in
-  let r, hops = Record.find_list ~anchor (Record.Shadow a.Aru.id) in
-  hops_charge t hops;
-  match r with Some r -> r | None -> committed_peek_list t l
-
-let shadow_get_list t (a : Aru.t) l =
-  let anchor = List_table.anchor t.lists l in
-  let r, hops = Record.find_list ~anchor (Record.Shadow a.Aru.id) in
-  hops_charge t hops;
-  match r with
-  | Some r -> r
-  | None ->
-    let from = committed_peek_list t l in
-    let alt = Record.alt_list (Record.Shadow a.Aru.id) ~from in
-    Record.insert_alt_list ~anchor alt;
-    Aru.push_shadow_list a alt;
-    t.counters.Counters.record_creates <- t.counters.Counters.record_creates + 1;
-    cpu t (cost t).Cost.record_create_ns;
-    alt
-
-(* The record a Read (or introspection) sees, per the configured
-   visibility option (paper §3.3). *)
-let visible_block t (who : who) b =
-  let anchor = Block_map.anchor t.blocks b in
-  if not (concurrent t) then anchor
-  else begin
-    cpu t (cost t).Cost.version_search_ns;
-    match (t.config.Config.visibility, who) with
-    | Config.Own_shadow, `In a -> shadow_peek t a b
-    | Config.Own_shadow, `Simple | Config.Committed_only, _ ->
-      committed_peek t b
-    | Config.Any_shadow, _ -> (
-      let r, hops = Record.newest_shadow_block ~anchor in
-      hops_charge t hops;
-      match r with Some r -> r | None -> committed_peek t b)
-  end
-
-let visible_list t (who : who) l =
-  if not (concurrent t) then List_table.anchor t.lists l
-  else begin
-    cpu t (cost t).Cost.version_search_ns;
-    match (t.config.Config.visibility, who) with
-    | (Config.Own_shadow | Config.Any_shadow), `In a -> shadow_peek_list t a l
-    | (Config.Own_shadow | Config.Any_shadow), `Simple
-    | Config.Committed_only, (`Simple | `In _) ->
-      committed_peek_list t l
   end
 
 (* ------------------------------------------------------------------ *)
@@ -358,27 +234,22 @@ let note_block_simple t (r : Record.block) =
 let note_list_simple t (r : Record.list_r) =
   if concurrent t then set_durable_list r (Seglog.current_seq t.log)
 
-let pred_hop t () =
-  t.counters.Counters.pred_search_hops <-
-    t.counters.Counters.pred_search_hops + 1;
-  cpu t (cost t).Cost.pred_search_hop_ns
-
 (* Splice context over the committed state for simple operations. *)
 let committed_ctx t =
   {
-    Splice.peek_block = (fun b -> committed_peek t b);
+    Splice.peek_block = (fun b -> Versions.committed_peek t.v b);
     get_block =
       (fun b ->
         let r = committed_get t b in
         note_block_simple t r;
         r);
-    peek_list = (fun l -> committed_peek_list t l);
+    peek_list = (fun l -> Versions.committed_peek_list t.v l);
     get_list =
       (fun l ->
         let r = committed_get_list t l in
         note_list_simple t r;
         r);
-    on_pred_hop = pred_hop t;
+    on_pred_hop = Versions.pred_hop t.v;
   }
 
 (* Splice context over the committed state during commit replay: every
@@ -386,30 +257,21 @@ let committed_ctx t =
    record's segment. *)
 let commit_ctx t collected_b collected_l =
   {
-    Splice.peek_block = (fun b -> committed_peek t b);
+    Splice.peek_block = (fun b -> Versions.committed_peek t.v b);
     get_block =
       (fun b ->
         let r = committed_get t b in
         r.Record.durable_seq <- max_int;
         collected_b := r :: !collected_b;
         r);
-    peek_list = (fun l -> committed_peek_list t l);
+    peek_list = (fun l -> Versions.committed_peek_list t.v l);
     get_list =
       (fun l ->
         let r = committed_get_list t l in
         r.Record.l_durable_seq <- max_int;
         collected_l := r :: !collected_l;
         r);
-    on_pred_hop = pred_hop t;
-  }
-
-let shadow_ctx t (a : Aru.t) =
-  {
-    Splice.peek_block = (fun b -> shadow_peek t a b);
-    get_block = (fun b -> shadow_get t a b);
-    peek_list = (fun l -> shadow_peek_list t a l);
-    get_list = (fun l -> shadow_get_list t a l);
-    on_pred_hop = pred_hop t;
+    on_pred_hop = Versions.pred_hop t.v;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -421,7 +283,7 @@ let promote_upto t upto_seq =
   let c = cost t in
   let promote_block (r : Record.block) =
     dirty_block t r.Record.id;
-    let anchor = Block_map.anchor t.blocks r.Record.id in
+    let anchor = Block_map.anchor t.v.Versions.blocks r.Record.id in
     (match anchor.Record.phys with
     | Some _ -> live_remove t r.Record.id
     | None -> ());
@@ -451,7 +313,7 @@ let promote_upto t upto_seq =
   in
   let promote_list (r : Record.list_r) =
     dirty_list t r.Record.lid;
-    let anchor = List_table.anchor t.lists r.Record.lid in
+    let anchor = List_table.anchor t.v.Versions.lists r.Record.lid in
     anchor.Record.exists <- r.Record.exists;
     anchor.Record.first <- r.Record.first;
     anchor.Record.last <- r.Record.last;
@@ -528,57 +390,36 @@ let checkpoint_internal ?(extra_free = []) ?(force_full = false) t =
       ]
   @@ fun () ->
   Seglog.seal t.log;
-  let block_entry (r : Record.block) =
-    {
-      Checkpoint.b_id = Types.Block_id.to_int r.Record.id;
-      b_member = Option.map Types.List_id.to_int r.Record.member_of;
-      b_succ = Option.map Types.Block_id.to_int r.Record.successor;
-      b_phys =
-        Option.map
-          (fun (p : Record.phys) -> (p.Record.seg_index, p.Record.slot))
-          r.Record.phys;
-      b_stamp = r.Record.stamp;
-    }
+  let blocks, lists, dead_blocks, dead_lists =
+    if delta then begin
+      let sorted tbl =
+        List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
+      in
+      let blocks, dead_blocks =
+        List.partition_map
+          (fun bi ->
+            let id = Types.Block_id.of_int bi in
+            let r = Block_map.anchor t.v.Versions.blocks id in
+            if r.Record.alloc then Either.Left (Versions.block_entry r)
+            else Either.Right bi)
+          (sorted t.dirty_blocks)
+      in
+      let lists, dead_lists =
+        List.partition_map
+          (fun li ->
+            let id = Types.List_id.of_int li in
+            match List_table.find_anchor t.v.Versions.lists id with
+            | Some r when r.Record.exists ->
+              Either.Left (Versions.list_entry t.v r)
+            | Some _ | None -> Either.Right li)
+          (sorted t.dirty_lists)
+      in
+      (blocks, lists, dead_blocks, dead_lists)
+    end
+    else
+      let blocks, lists = Versions.entries t.v in
+      (blocks, lists, [], [])
   in
-  let list_entry (r : Record.list_r) =
-    let l_owner =
-      match r.Record.l_owner with
-      | Some o when owner_active t o -> Some (Types.Aru_id.to_int o)
-      | Some _ | None -> None
-    in
-    {
-      Checkpoint.l_id = Types.List_id.to_int r.Record.lid;
-      l_first = Option.map Types.Block_id.to_int r.Record.first;
-      l_last = Option.map Types.Block_id.to_int r.Record.last;
-      l_stamp = r.Record.lstamp;
-      l_owner;
-    }
-  in
-  let blocks = ref [] in
-  let lists = ref [] in
-  let dead_blocks = ref [] in
-  let dead_lists = ref [] in
-  if delta then begin
-    let sorted tbl = List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl []) in
-    List.iter
-      (fun bi ->
-        let r = Block_map.anchor t.blocks (Types.Block_id.of_int bi) in
-        if r.Record.alloc then blocks := block_entry r :: !blocks
-        else dead_blocks := bi :: !dead_blocks)
-      (sorted t.dirty_blocks);
-    List.iter
-      (fun li ->
-        match List_table.find_anchor t.lists (Types.List_id.of_int li) with
-        | Some r when r.Record.exists -> lists := list_entry r :: !lists
-        | Some _ | None -> dead_lists := li :: !dead_lists)
-      (sorted t.dirty_lists)
-  end
-  else begin
-    Block_map.iter t.blocks (fun r ->
-        if r.Record.alloc then blocks := block_entry r :: !blocks);
-    List_table.iter t.lists (fun r ->
-        if r.Record.exists then lists := list_entry r :: !lists)
-  end;
   let pending =
     Hashtbl.fold (fun aru rev acc -> (aru, List.rev rev) :: acc) t.pending []
   in
@@ -594,10 +435,10 @@ let checkpoint_internal ?(extra_free = []) ?(force_full = false) t =
       stamp = t.stamp;
       next_aru = t.next_aru;
       next_gid = t.next_gid;
-      blocks = List.rev !blocks;
-      lists = List.rev !lists;
-      dead_blocks = List.rev !dead_blocks;
-      dead_lists = List.rev !dead_lists;
+      blocks;
+      lists;
+      dead_blocks;
+      dead_lists;
       pending;
       free_order = Seglog.free_order t.log @ extra_free;
       prepared =
@@ -679,7 +520,7 @@ let iter_live t seg f =
   List.iter
     (fun bi ->
       let bid = Types.Block_id.of_int bi in
-      let anchor = Block_map.anchor t.blocks bid in
+      let anchor = Block_map.anchor t.v.Versions.blocks bid in
       match anchor.Record.phys with
       | Some p when p.Record.seg_index = seg -> f bid anchor p.Record.slot
       | Some _ | None -> ())
@@ -869,7 +710,7 @@ let finalize_recovery t (restored : Recovery.restored) =
      sequences are unknown after a crash, so they stay 0 — recovered
      segments look maximally old to the cost-benefit policy, which is
      the conservative choice (clean them first) *)
-  Block_map.iter t.blocks (fun r ->
+  Block_map.iter t.v.Versions.blocks (fun r ->
       match r.Record.phys with
       | Some p -> live_add t p.Record.seg_index r.Record.id
       | None -> ());
@@ -909,18 +750,6 @@ let recovery_pending t =
 
 (* ------------------------------------------------------------------ *)
 
-let require_visible_block t who (r : Record.block) =
-  if not (r.Record.alloc && owner_visible t who r.Record.alloc_owner) then
-    raise (Errors.Unallocated_block r.Record.id)
-
-let require_visible_list t who (r : Record.list_r) =
-  if not (r.Record.exists && owner_visible t who r.Record.l_owner) then
-    raise (Errors.Unallocated_list r.Record.lid)
-
-let dispatch t =
-  cpu t (cost t).Cost.op_dispatch_ns;
-  cpu t (cost t).Cost.record_lookup_ns
-
 (* Every public LD operation is timed once, at its definition: on the
    virtual clock into an ["op.<name>"] histogram and as an [op] trace
    span.  Inside the span a mutation first completes an early-open
@@ -935,7 +764,7 @@ let op t name f = Obs.timed t.obs Tr.Op name f
 let begin_aru t =
   op t "begin_aru" @@ fun () ->
   warm t;
-  dispatch t;
+  Versions.dispatch t.v;
   if t.config.Config.mode = Config.Sequential && t.seq_aru <> None then
     raise Errors.Aru_already_active;
   t.counters.Counters.arus_begun <- t.counters.Counters.arus_begun + 1;
@@ -947,17 +776,17 @@ let begin_aru t =
     t.seq_aru <- Some a;
     cpu t ((cost t).Cost.aru_begin_ns / 2)
   | Config.Concurrent -> cpu t (cost t).Cost.aru_begin_ns);
-  Hashtbl.replace t.arus (Types.Aru_id.to_int id) a;
+  Hashtbl.replace t.v.Versions.arus (Types.Aru_id.to_int id) a;
   id
 
 let new_list t ?aru () =
   op t "new_list" @@ fun () ->
   warm t;
-  dispatch t;
+  Versions.dispatch t.v;
   t.counters.Counters.new_lists <- t.counters.Counters.new_lists + 1;
-  let who = resolve_who t aru in
+  let who = Versions.resolve_who t.v aru in
   let lid =
-    match List_table.alloc_id t.lists with
+    match List_table.alloc_id t.v.Versions.lists with
     | Some l -> l
     | None -> raise Errors.Disk_full
   in
@@ -978,7 +807,7 @@ let new_list t ?aru () =
      list invisible to its own creator — reset it in place *)
   (match who with
   | `In a when concurrent t -> (
-    let anchor = List_table.anchor t.lists lid in
+    let anchor = List_table.anchor t.v.Versions.lists lid in
     match fst (Record.find_list ~anchor (Record.Shadow a.Aru.id)) with
     | None -> ()
     | Some sr ->
@@ -999,26 +828,26 @@ let new_list t ?aru () =
 let new_block t ?aru ~list ~pred () =
   op t "new_block" @@ fun () ->
   warm t;
-  dispatch t;
+  Versions.dispatch t.v;
   t.counters.Counters.new_blocks <- t.counters.Counters.new_blocks + 1;
-  let who = resolve_who t aru in
+  let who = Versions.resolve_who t.v aru in
   (* validate against the view the insertion will run in *)
   let view_list, view_block =
     match (t.config.Config.mode, who) with
     | Config.Concurrent, `In a ->
-      ((fun l -> shadow_peek_list t a l), fun b -> shadow_peek t a b)
+      (Versions.shadow_peek_list t.v a, Versions.shadow_peek t.v a)
     | (Config.Concurrent | Config.Sequential), (`Simple | `In _) ->
-      ((fun l -> committed_peek_list t l), fun b -> committed_peek t b)
+      (Versions.committed_peek_list t.v, Versions.committed_peek t.v)
   in
-  require_visible_list t who (view_list list);
+  Versions.require_visible_list t.v who (view_list list);
   (match pred with
   | Summary.Head -> ()
   | Summary.After p ->
     let pr = view_block p in
-    require_visible_block t who pr;
+    Versions.require_visible_block t.v who pr;
     if pr.Record.member_of <> Some list then raise (Errors.Block_not_on_list p));
   let bid =
-    match Block_map.alloc_id t.blocks with
+    match Block_map.alloc_id t.v.Versions.blocks with
     | Some b -> b
     | None -> raise Errors.Disk_full
   in
@@ -1042,7 +871,7 @@ let new_block t ?aru ~list ~pred () =
      below resolves the dead version and skips. *)
   (match (t.config.Config.mode, who) with
   | Config.Concurrent, `In a -> (
-    let anchor = Block_map.anchor t.blocks bid in
+    let anchor = Block_map.anchor t.v.Versions.blocks bid in
     match fst (Record.find_block ~anchor (Record.Shadow a.Aru.id)) with
     | None -> ()
     | Some r ->
@@ -1063,7 +892,7 @@ let new_block t ?aru ~list ~pred () =
      otherwise *)
   (match (t.config.Config.mode, who) with
   | Config.Concurrent, `In a ->
-    (match Splice.insert (shadow_ctx t a) ~list ~block:bid ~pred with
+    (match Splice.insert (Versions.shadow_ctx t.v a) ~list ~block:bid ~pred with
     | `Applied -> ()
     | `Skipped ->
       Errors.corrupt "new_block: validated insertion was skipped");
@@ -1090,23 +919,23 @@ let write_view t ?aru block data =
   warm t;
   if Blk.length data <> block_bytes t then
     invalid_arg "Lld.write: data must be exactly one block";
-  dispatch t;
+  Versions.dispatch t.v;
   t.counters.Counters.writes <- t.counters.Counters.writes + 1;
-  let who = resolve_who t aru in
+  let who = Versions.resolve_who t.v aru in
   let stamp = next_stamp t in
   match (t.config.Config.mode, who) with
   | Config.Concurrent, `In a ->
-    let peek = shadow_peek t a block in
-    require_visible_block t who peek;
-    let r = shadow_get t a block in
+    let peek = Versions.shadow_peek t.v a block in
+    Versions.require_visible_block t.v who peek;
+    let r = Versions.shadow_get t.v a block in
     (* the one unavoidable copy: the shadow version must outlive the
        caller's buffer, so it moves into an arena slot *)
     set_data t r data;
     cpu t (cost t).Cost.block_copy_ns;
     r.Record.stamp <- stamp
   | (Config.Concurrent | Config.Sequential), (`Simple | `In _) ->
-    let peek = committed_peek t block in
-    require_visible_block t who peek;
+    let peek = Versions.committed_peek t.v block in
+    Versions.require_visible_block t.v who peek;
     let stream, allow_cross_scope =
       match who with
       | `In a -> (Summary.In_aru a.Aru.id, false)
@@ -1130,12 +959,12 @@ let write t ?aru block data =
 let read_view t ?aru block =
   op t "read" @@ fun () ->
   touch_block t block;
-  dispatch t;
+  Versions.dispatch t.v;
   t.counters.Counters.reads <- t.counters.Counters.reads + 1;
   cpu t (cost t).Cost.block_read_cpu_ns;
-  let who = resolve_who t aru in
-  let r = visible_block t who block in
-  require_visible_block t who r;
+  let who = Versions.resolve_who t.v aru in
+  let r = Versions.visible_block t.v who block in
+  Versions.require_visible_block t.v who r;
   match r.Record.data with
   | Some d ->
     elide t;
@@ -1153,31 +982,31 @@ let read t ?aru block =
 let release_block_id t ~deferred bid =
   match deferred with
   | Some (a : Aru.t) -> a.Aru.freed_blocks <- bid :: a.Aru.freed_blocks
-  | None -> Block_map.release_id t.blocks bid
+  | None -> Block_map.release_id t.v.Versions.blocks bid
 
 let release_list_id t ~deferred lid =
   match deferred with
   | Some (a : Aru.t) -> a.Aru.freed_lists <- lid :: a.Aru.freed_lists
-  | None -> List_table.release_id t.lists lid
+  | None -> List_table.release_id t.v.Versions.lists lid
 
 let delete_block t ?aru block =
   op t "delete_block" @@ fun () ->
   warm t;
-  dispatch t;
+  Versions.dispatch t.v;
   t.counters.Counters.delete_blocks <- t.counters.Counters.delete_blocks + 1;
-  let who = resolve_who t aru in
+  let who = Versions.resolve_who t.v aru in
   let stamp = next_stamp t in
   match (t.config.Config.mode, who) with
   | Config.Concurrent, `In a ->
-    let peek = shadow_peek t a block in
-    require_visible_block t who peek;
+    let peek = Versions.shadow_peek t.v a block in
+    Versions.require_visible_block t.v who peek;
     (match peek.Record.member_of with
     | Some l -> (
-      match Splice.unlink (shadow_ctx t a) ~list:l ~block with
+      match Splice.unlink (Versions.shadow_ctx t.v a) ~list:l ~block with
       | `Applied -> ()
       | `Skipped -> raise (Errors.Block_not_on_list block))
     | None -> ());
-    let r = shadow_get t a block in
+    let r = Versions.shadow_get t.v a block in
     r.Record.alloc <- false;
     r.Record.member_of <- None;
     r.Record.successor <- None;
@@ -1189,8 +1018,8 @@ let delete_block t ?aru block =
       t.counters.Counters.link_log_appends + 1;
     cpu t (cost t).Cost.link_log_append_ns
   | (Config.Concurrent | Config.Sequential), (`Simple | `In _) ->
-    let peek = committed_peek t block in
-    require_visible_block t who peek;
+    let peek = Versions.committed_peek t.v block in
+    Versions.require_visible_block t.v who peek;
     let stream =
       match who with
       | `In a -> Summary.In_aru a.Aru.id
@@ -1223,17 +1052,17 @@ let delete_block t ?aru block =
 let delete_list t ?aru list =
   op t "delete_list" @@ fun () ->
   warm t;
-  dispatch t;
+  Versions.dispatch t.v;
   t.counters.Counters.delete_lists <- t.counters.Counters.delete_lists + 1;
-  let who = resolve_who t aru in
+  let who = Versions.resolve_who t.v aru in
   match (t.config.Config.mode, who) with
   | Config.Concurrent, `In a ->
-    let peek = shadow_peek_list t a list in
-    require_visible_list t who peek;
+    let peek = Versions.shadow_peek_list t.v a list in
+    Versions.require_visible_list t.v who peek;
     (* lazily mark the list deleted in the shadow state; its members
        are deallocated when the log replays at commit (this is what
        makes the improved deletion policy cheap, paper §5.3) *)
-    let r = shadow_get_list t a list in
+    let r = Versions.shadow_get_list t.v a list in
     r.Record.exists <- false;
     r.Record.first <- None;
     r.Record.last <- None;
@@ -1242,8 +1071,8 @@ let delete_list t ?aru list =
       t.counters.Counters.link_log_appends + 1;
     cpu t (cost t).Cost.link_log_append_ns
   | (Config.Concurrent | Config.Sequential), (`Simple | `In _) ->
-    let peek = committed_peek_list t list in
-    require_visible_list t who peek;
+    let peek = Versions.committed_peek_list t.v list in
+    Versions.require_visible_list t.v who peek;
     let deferred = match who with `In a -> Some a | `Simple -> None in
     (match
        Splice.delete_list (committed_ctx t) ~list ~dealloc:(fun br ->
@@ -1283,7 +1112,7 @@ let replay_log_op t (a : Aru.t) ctx op =
     | `Applied -> ignore (emit_entry t ~stream (Summary.Link { list; block; pred }))
     | `Skipped -> skipped ())
   | Link_log.Delete_block { block } ->
-    let peek = committed_peek t block in
+    let peek = Versions.committed_peek t.v block in
     if not peek.Record.alloc then skipped ()
     else begin
       (match peek.Record.member_of with
@@ -1303,7 +1132,7 @@ let replay_log_op t (a : Aru.t) ctx op =
       let stamp = next_stamp t in
       r.Record.stamp <- stamp;
       ignore (emit_entry t ~stream (Summary.Dealloc { block; stamp }));
-      Block_map.release_id t.blocks block
+      Block_map.release_id t.v.Versions.blocks block
     end
   | Link_log.Delete_list { list } -> (
     match
@@ -1311,37 +1140,22 @@ let replay_log_op t (a : Aru.t) ctx op =
           br.Record.phys <- None;
           drop_data t br;
           br.Record.alloc_owner <- None;
-          Block_map.release_id t.blocks br.Record.id)
+          Block_map.release_id t.v.Versions.blocks br.Record.id)
     with
     | `Applied ->
       ignore (emit_entry t ~stream (Summary.Delete_list { list }));
-      List_table.release_id t.lists list
+      List_table.release_id t.v.Versions.lists list
     | `Skipped -> skipped ())
 
 (* The commit makes this ARU's list allocations ordinary committed
-   lists: clear the owner marks so scavengers leave them alone.  Shared
-   by every commit path (immediate and group-commit flusher). *)
-let clear_owner_marks t (a : Aru.t) aid =
+   lists: clear the owner marks so scavengers leave them alone, and mark
+   the lists for the next delta checkpoint.  Shared by every commit path
+   (immediate and group-commit flusher). *)
+let clear_owner_marks t (a : Aru.t) =
   List.iter
-    (fun (r : Record.list_r) ->
-      dirty_list t r.Record.lid;
-      (match r.Record.l_owner with
-      | Some o when Types.Aru_id.equal o aid -> r.Record.l_owner <- None
-      | Some _ | None -> ());
-      let anchor = List_table.anchor t.lists r.Record.lid in
-      (match anchor.Record.l_owner with
-      | Some o when Types.Aru_id.equal o aid -> anchor.Record.l_owner <- None
-      | Some _ | None -> ());
-      (* the replay may have cloned a fresh committed alternative from a
-         promoted anchor that still carried the mark; it would restore
-         the stale owner at its own promotion unless cleared too *)
-      match Record.find_list ~anchor Record.Committed with
-      | Some c, _ -> (
-        match c.Record.l_owner with
-        | Some o when Types.Aru_id.equal o aid -> c.Record.l_owner <- None
-        | Some _ | None -> ())
-      | None, _ -> ())
-    a.Aru.owned_lists
+    (fun (r : Record.list_r) -> dirty_list t r.Record.lid)
+    a.Aru.owned_lists;
+  Versions.clear_owner_marks t.v a
 
 (* Reservation: the whole merge — replayed entries, shadow data and
    the commit record — must land in one segment, or the merge must
@@ -1387,14 +1201,14 @@ let commit_merge ?(cross_scope = true) t (a : Aru.t) aid =
       ]
     (fun () ->
   Aru.iter_shadow_blocks a (fun r ->
-      let anchor = Block_map.anchor t.blocks r.Record.id in
+      let anchor = Block_map.anchor t.v.Versions.blocks r.Record.id in
       Record.remove_alt_block ~anchor r;
       t.counters.Counters.record_transitions <-
         t.counters.Counters.record_transitions + 1;
       cpu t (cost t).Cost.record_transition_ns;
       (match r.Record.data with
       | Some d when r.Record.alloc ->
-        let cnow = committed_peek t r.Record.id in
+        let cnow = Versions.committed_peek t.v r.Record.id in
         (* the shadow version replaces the committed version only if
            it is more recent (paper §3.1) *)
         if cnow.Record.alloc && r.Record.stamp >= cnow.Record.stamp then begin
@@ -1417,7 +1231,7 @@ let commit_merge ?(cross_scope = true) t (a : Aru.t) aid =
          its arena slot recycles either way *)
       drop_data t r);
   Aru.iter_shadow_lists a (fun r ->
-      let anchor = List_table.anchor t.lists r.Record.lid in
+      let anchor = List_table.anchor t.v.Versions.lists r.Record.lid in
       Record.remove_alt_list ~anchor r;
       t.counters.Counters.record_transitions <-
         t.counters.Counters.record_transitions + 1;
@@ -1434,21 +1248,17 @@ let commit_finish t (a : Aru.t) aid ~commit_seq collected_b collected_l =
   List.iter
     (fun (r : Record.list_r) -> r.Record.l_durable_seq <- commit_seq)
     !collected_l;
-  clear_owner_marks t a aid;
-  Hashtbl.remove t.arus (Types.Aru_id.to_int aid);
+  clear_owner_marks t a;
+  Hashtbl.remove t.v.Versions.arus (Types.Aru_id.to_int aid);
   t.counters.Counters.arus_committed <- t.counters.Counters.arus_committed + 1
 
 (* The immediate commit path, untimed: [end_aru] times it, and a
    degenerate [submit_commit] takes it inside its own span. *)
 let commit_immediate t aid =
-  dispatch t;
+  Versions.dispatch t.v;
   if Hashtbl.mem t.commit_set (Types.Aru_id.to_int aid) then
     raise (Errors.Commit_pending aid);
-  let a =
-    match Hashtbl.find_opt t.arus (Types.Aru_id.to_int aid) with
-    | Some a -> a
-    | None -> raise (Errors.Unknown_aru aid)
-  in
+  let a = Versions.find_aru t.v aid in
   match t.config.Config.mode with
   | Config.Sequential ->
     (* the old prototype: operations already ran in the single merged
@@ -1456,11 +1266,11 @@ let commit_immediate t aid =
     cpu t ((cost t).Cost.aru_commit_ns / 4);
     ignore (emit_entry t ~stream:Summary.Simple (Summary.Commit { aru = aid }));
     Hashtbl.remove t.pending (Types.Aru_id.to_int aid);
-    List.iter (Block_map.release_id t.blocks) a.Aru.freed_blocks;
-    List.iter (List_table.release_id t.lists) a.Aru.freed_lists;
+    List.iter (Block_map.release_id t.v.Versions.blocks) a.Aru.freed_blocks;
+    List.iter (List_table.release_id t.v.Versions.lists) a.Aru.freed_lists;
     t.seq_aru <- None;
-    clear_owner_marks t a aid;
-    Hashtbl.remove t.arus (Types.Aru_id.to_int aid);
+    clear_owner_marks t a;
+    Hashtbl.remove t.v.Versions.arus (Types.Aru_id.to_int aid);
     t.counters.Counters.arus_committed <- t.counters.Counters.arus_committed + 1
   | Config.Concurrent ->
     cpu t (cost t).Cost.aru_commit_ns;
@@ -1504,24 +1314,20 @@ let commit_dequeue t aid =
 
 let abort_aru t aid =
   op t "abort_aru" @@ fun () ->
-  dispatch t;
+  Versions.dispatch t.v;
   if t.config.Config.mode = Config.Sequential then
     invalid_arg "Lld.abort_aru: not supported by the sequential prototype";
   if Hashtbl.mem t.commit_set (Types.Aru_id.to_int aid) then
     commit_dequeue t aid;
-  let a =
-    match Hashtbl.find_opt t.arus (Types.Aru_id.to_int aid) with
-    | Some a -> a
-    | None -> raise (Errors.Unknown_aru aid)
-  in
+  let a = Versions.find_aru t.v aid in
   Aru.iter_shadow_blocks a (fun r ->
-      let anchor = Block_map.anchor t.blocks r.Record.id in
+      let anchor = Block_map.anchor t.v.Versions.blocks r.Record.id in
       Record.remove_alt_block ~anchor r;
       drop_data t r);
   Aru.iter_shadow_lists a (fun r ->
-      let anchor = List_table.anchor t.lists r.Record.lid in
+      let anchor = List_table.anchor t.v.Versions.lists r.Record.lid in
       Record.remove_alt_list ~anchor r);
-  Hashtbl.remove t.arus (Types.Aru_id.to_int aid);
+  Hashtbl.remove t.v.Versions.arus (Types.Aru_id.to_int aid);
   t.counters.Counters.arus_aborted <- t.counters.Counters.arus_aborted + 1
 
 (* ------------------------------------------------------------------ *)
@@ -1549,10 +1355,10 @@ let submit_commit t aid =
     (* degenerate batches of one: the immediate commit path *)
     commit_immediate t aid
   else begin
-    dispatch t;
+    Versions.dispatch t.v;
     let key = Types.Aru_id.to_int aid in
     if Hashtbl.mem t.commit_set key then raise (Errors.Commit_pending aid);
-    if not (Hashtbl.mem t.arus key) then raise (Errors.Unknown_aru aid);
+    ignore (Versions.find_aru t.v aid);
     if Queue.is_empty t.commit_q then t.commit_first_ns <- Clock.now_ns t.clock;
     Queue.push key t.commit_q;
     Hashtbl.replace t.commit_set key ();
@@ -1631,7 +1437,7 @@ let flush_commits t =
       Hashtbl.remove t.commit_set key;
       let enq_ns = Hashtbl.find_opt t.commit_enq_ns key in
       Hashtbl.remove t.commit_enq_ns key;
-      match Hashtbl.find_opt t.arus key with
+      match Hashtbl.find_opt t.v.Versions.arus key with
       | None -> () (* unreachable: queued ARUs stay active until drained *)
       | Some a ->
         let aid = Types.Aru_id.of_int key in
@@ -1693,13 +1499,11 @@ let require_commit_ready t aid =
     raise (Errors.Commit_pending aid);
   if Hashtbl.mem t.prepared_commits (Types.Aru_id.to_int aid) then
     raise (Errors.Commit_pending aid);
-  match Hashtbl.find_opt t.arus (Types.Aru_id.to_int aid) with
-  | Some a -> a
-  | None -> raise (Errors.Unknown_aru aid)
+  Versions.find_aru t.v aid
 
 let prepare_commit t aid ~gid ~coordinator =
   op t "prepare_commit" @@ fun () ->
-  dispatch t;
+  Versions.dispatch t.v;
   let a = require_commit_ready t aid in
   cpu t (cost t).Cost.aru_commit_ns;
   note_gid t gid;
@@ -1737,7 +1541,7 @@ let prepare_commit t aid ~gid ~coordinator =
 
 let decide_commit t aid ~gid =
   op t "decide_commit" @@ fun () ->
-  dispatch t;
+  Versions.dispatch t.v;
   let a = require_commit_ready t aid in
   cpu t (cost t).Cost.aru_commit_ns;
   note_gid t gid;
@@ -1759,16 +1563,12 @@ let decide_commit t aid ~gid =
 
 let commit_prepared t aid =
   op t "commit_prepared" @@ fun () ->
-  dispatch t;
+  Versions.dispatch t.v;
   let key = Types.Aru_id.to_int aid in
   match Hashtbl.find_opt t.prepared_commits key with
   | None -> raise (Errors.Unknown_aru aid)
   | Some pc ->
-    let a =
-      match Hashtbl.find_opt t.arus key with
-      | Some a -> a
-      | None -> raise (Errors.Unknown_aru aid)
-    in
+    let a = Versions.find_aru t.v aid in
     Hashtbl.remove t.prepared_commits key;
     let commit_seq =
       emit_entry t ~stream:Summary.Simple
@@ -1790,19 +1590,19 @@ let abort_prepared t aid =
        never stamped durable, then abort the ARU like any other *)
     List.iter
       (fun (r : Record.block) ->
-        let anchor = Block_map.anchor t.blocks r.Record.id in
+        let anchor = Block_map.anchor t.v.Versions.blocks r.Record.id in
         Record.remove_alt_block ~anchor r)
       !(pc.pc_blocks);
     List.iter
       (fun (r : Record.list_r) ->
-        let anchor = List_table.anchor t.lists r.Record.lid in
+        let anchor = List_table.anchor t.v.Versions.lists r.Record.lid in
         Record.remove_alt_list ~anchor r)
       !(pc.pc_lists);
     Hashtbl.remove t.pending key;
-    (match Hashtbl.find_opt t.arus key with
+    (match Hashtbl.find_opt t.v.Versions.arus key with
     | Some a ->
-      clear_owner_marks t a aid;
-      Hashtbl.remove t.arus key
+      clear_owner_marks t a;
+      Hashtbl.remove t.v.Versions.arus key
     | None -> ());
     t.counters.Counters.arus_aborted <- t.counters.Counters.arus_aborted + 1
 
@@ -1832,68 +1632,42 @@ let with_aru t f =
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 
+(* The walks are Versions'; a read first recovers what it names, a
+   whole-table walk first completes an early-open recovery. *)
 let list_exists t ?aru list =
   touch_list t list;
-  let who = resolve_who t aru in
-  let r = visible_list t who list in
-  r.Record.exists && owner_visible t who r.Record.l_owner
+  Versions.list_exists t.v ?aru list
 
 let block_allocated t ?aru block =
   touch_block t block;
-  let who = resolve_who t aru in
-  if not (Block_map.in_range t.blocks block) then false
-  else begin
-    let r = visible_block t who block in
-    r.Record.alloc && owner_visible t who r.Record.alloc_owner
-  end
+  Versions.block_allocated t.v ?aru block
 
 let block_phys t block =
   touch_block t block;
-  if not (Block_map.in_range t.blocks block) then None
+  if not (Block_map.in_range t.v.Versions.blocks block) then None
   else
-    match (Block_map.anchor t.blocks block).Record.phys with
+    match (Block_map.anchor t.v.Versions.blocks block).Record.phys with
     | Some p -> Some (p.Record.seg_index, p.Record.slot)
     | None -> None
 
 let block_member t ?aru block =
   touch_block t block;
-  let who = resolve_who t aru in
-  let r = visible_block t who block in
-  if r.Record.alloc && owner_visible t who r.Record.alloc_owner then
-    r.Record.member_of
-  else None
+  Versions.block_member t.v ?aru block
 
 let list_blocks t ?aru list =
   touch_list t list;
-  let who = resolve_who t aru in
-  let lrec = visible_list t who list in
-  require_visible_list t who lrec;
-  let rec walk acc = function
-    | None -> List.rev acc
-    | Some b ->
-      let br = visible_block t who b in
-      walk (b :: acc) br.Record.successor
-  in
-  walk [] lrec.Record.first
+  Versions.list_blocks t.v ?aru list
 
 let lists t =
   warm t;
-  let acc = ref [] in
-  List_table.iter t.lists (fun anchor ->
-      let r =
-        if concurrent t then
-          match Record.find_list ~anchor Record.Committed with
-          | Some r, _ -> r
-          | None, _ -> anchor
-        else anchor
-      in
-      if r.Record.exists then acc := r.Record.lid :: !acc);
-  List.rev !acc
+  Versions.lists t.v
 
-let aru_active t aid = Hashtbl.mem t.arus (Types.Aru_id.to_int aid)
+let aru_active t aid = Versions.owner_active t.v aid
 
 let active_arus t =
-  Hashtbl.fold (fun k _ acc -> Types.Aru_id.of_int k :: acc) t.arus []
+  Hashtbl.fold
+    (fun k _ acc -> Types.Aru_id.of_int k :: acc)
+    t.v.Versions.arus []
   |> List.sort Types.Aru_id.compare
 
 (* ------------------------------------------------------------------ *)
@@ -2030,17 +1804,7 @@ let scrub t =
 let orphan_blocks t =
   warm t;
   flush t;
-  let acc = ref [] in
-  Block_map.iter t.blocks (fun anchor ->
-      let orphaned =
-        anchor.Record.alloc
-        && anchor.Record.member_of = None
-        && (match anchor.Record.alloc_owner with
-           | None -> true
-           | Some o -> not (owner_active t o))
-      in
-      if orphaned then acc := anchor.Record.id :: !acc);
-  List.rev !acc
+  Versions.orphan_blocks t.v
 
 (* Recovery invariant probes (crash-consistency checking).  The committed
    state is inspected through the persistent anchors, exactly like
@@ -2050,7 +1814,7 @@ let recovery_invariant_errors t =
   warm t;
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-  let n_arus = Hashtbl.length t.arus in
+  let n_arus = Hashtbl.length t.v.Versions.arus in
   if n_arus <> 0 then err "%d ARU(s) active immediately after recovery" n_arus;
   (* walk every committed list, recording which list each block is on *)
   let member = Hashtbl.create 256 in
@@ -2066,7 +1830,7 @@ let recovery_invariant_errors t =
           | None -> Hashtbl.replace member bi l)
         (list_blocks t l))
     (lists t);
-  Block_map.iter t.blocks (fun anchor ->
+  Block_map.iter t.v.Versions.blocks (fun anchor ->
       let bi = Types.Block_id.to_int anchor.Record.id in
       if anchor.Record.alloc then begin
         match Hashtbl.find_opt member bi with
@@ -2089,9 +1853,9 @@ let recovery_invariant_errors t =
       else if Hashtbl.mem member bi then
         err "unallocated block %d is linked into list %d" bi
           (Types.List_id.to_int (Hashtbl.find member bi)));
-  List_table.iter t.lists (fun lr ->
+  List_table.iter t.v.Versions.lists (fun lr ->
       match lr.Record.l_owner with
-      | Some o when lr.Record.exists && not (owner_active t o) ->
+      | Some o when lr.Record.exists && not (Versions.owner_active t.v o) ->
         err "leaked list: %d still owned by inactive ARU %d"
           (Types.List_id.to_int lr.Record.lid)
           (Types.Aru_id.to_int o)
@@ -2102,29 +1866,13 @@ let scavenge t =
   warm t;
   flush t;
   let freed = ref 0 in
-  (* still-empty lists allocated by an ARU that is no longer active *)
-  let dead_lists = ref [] in
-  List_table.iter t.lists (fun anchor ->
-      match anchor.Record.l_owner with
-      | Some o
-        when anchor.Record.exists && anchor.Record.first = None
-             && not (owner_active t o) ->
-        dead_lists := anchor.Record.lid :: !dead_lists
-      | Some _ | None -> ());
   List.iter
     (fun lid ->
       delete_list t lid;
       incr freed)
-    !dead_lists;
-  Block_map.iter t.blocks (fun anchor ->
-      let orphaned =
-        anchor.Record.alloc
-        && anchor.Record.member_of = None
-        && (match anchor.Record.alloc_owner with
-           | None -> true
-           | Some o -> not (owner_active t o))
-      in
-      if orphaned then begin
+    (Versions.abandoned_lists t.v);
+  Block_map.iter t.v.Versions.blocks (fun anchor ->
+      if Versions.orphaned t.v anchor then begin
         let stamp = next_stamp t in
         let r = committed_get t anchor.Record.id in
         (if not (concurrent t) then
@@ -2143,7 +1891,7 @@ let scavenge t =
             (Summary.Dealloc { block = anchor.Record.id; stamp })
         in
         if concurrent t then set_durable_block r seq;
-        Block_map.release_id t.blocks anchor.Record.id;
+        Block_map.release_id t.v.Versions.blocks anchor.Record.id;
         incr freed
       end);
   !freed
@@ -2151,7 +1899,7 @@ let scavenge t =
 (* ------------------------------------------------------------------ *)
 (* Gauges and observability attachment                                 *)
 
-let open_arus t = Hashtbl.length t.arus
+let open_arus t = Hashtbl.length t.v.Versions.arus
 let sealed_segments t = Seglog.sealed_count t.log
 
 let live_blocks t =
@@ -2162,10 +1910,14 @@ let live_blocks t =
   !total
 
 let shadow_versions t =
-  Hashtbl.fold (fun _ a acc -> acc + Aru.shadow_block_count a) t.arus 0
+  Hashtbl.fold
+    (fun _ a acc -> acc + Aru.shadow_block_count a)
+    t.v.Versions.arus 0
 
 let link_log_entries t =
-  Hashtbl.fold (fun _ (a : Aru.t) acc -> acc + Link_log.length a.Aru.log) t.arus 0
+  Hashtbl.fold
+    (fun _ (a : Aru.t) acc -> acc + Link_log.length a.Aru.log)
+    t.v.Versions.arus 0
 
 let obs t = t.obs
 
@@ -2236,11 +1988,16 @@ let make ~config ~disk ~blocks ~lists =
           Seglog.create ~config ~counters disk
             ~before_take:(fun () -> auto_clean (Lazy.force self))
             ~after_seal:(fun seq -> after_seal (Lazy.force self) seq);
-        blocks;
-        lists;
+        v =
+          Versions.create
+            ~layers:
+              (match config.Config.mode with
+              | Config.Sequential -> Versions.Anchors
+              | Config.Concurrent -> Versions.Anchors_committed_shadows)
+            ~visibility:config.Config.visibility ~clock:(Disk.clock disk)
+            ~cost:config.Config.cost ~counters blocks lists;
         committed_blocks = None;
         committed_lists = None;
-        arus = Hashtbl.create 16;
         next_aru = 1;
         next_gid = 1;
         prepared_commits = Hashtbl.create 4;

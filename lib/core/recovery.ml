@@ -78,15 +78,6 @@ type group = {
   mutable gr_applied : bool;
 }
 
-let persistent_ctx st =
-  {
-    Splice.peek_block = (fun b -> Block_map.anchor st.g_blocks b);
-    get_block = (fun b -> Block_map.anchor st.g_blocks b);
-    peek_list = (fun l -> List_table.anchor st.g_lists l);
-    get_list = (fun l -> List_table.anchor st.g_lists l);
-    on_pred_hop = ignore;
-  }
-
 let note_stamp st stamp = if stamp > st.g_max_stamp then st.g_max_stamp <- stamp
 let note_gid st gid = if gid >= st.g_max_gid then st.g_max_gid <- gid + 1
 
@@ -97,7 +88,7 @@ let count_outcome st = function
 (* Apply one operation to the persistent state.  This function mirrors
    the committed-state semantics of the runtime exactly (see Splice). *)
 let rec apply_op st ~seg op =
-  let ctx = persistent_ctx st in
+  let ctx = Versions.anchor_ctx st.g_blocks st.g_lists in
   match op with
   | Summary.Alloc { block; list = _; stamp } ->
     let r = Block_map.anchor st.g_blocks block in
@@ -197,32 +188,6 @@ let replay_entry st ~seg (entry : Summary.t) =
     let prev = Option.value ~default:[] (Hashtbl.find_opt st.g_buffers key) in
     Hashtbl.replace st.g_buffers key
       ({ Checkpoint.pe_op = op; pe_seg = seg } :: prev)
-
-let restore_checkpoint geom snap =
-  let blocks = Block_map.create ~capacity:(Disk_layout.block_capacity geom) in
-  let lists = List_table.create ~max_lists:(Disk_layout.max_lists geom) in
-  List.iter
-    (fun (b : Checkpoint.block_entry) ->
-      let r = Block_map.anchor blocks (Types.Block_id.of_int b.b_id) in
-      r.Record.alloc <- true;
-      r.Record.member_of <- Option.map Types.List_id.of_int b.b_member;
-      r.Record.successor <- Option.map Types.Block_id.of_int b.b_succ;
-      r.Record.phys <-
-        Option.map
-          (fun (seg, slot) -> { Record.seg_index = seg; slot })
-          b.b_phys;
-      r.Record.stamp <- b.b_stamp)
-    snap.Checkpoint.blocks;
-  List.iter
-    (fun (l : Checkpoint.list_entry) ->
-      let r = List_table.anchor lists (Types.List_id.of_int l.l_id) in
-      r.Record.exists <- true;
-      r.Record.first <- Option.map Types.Block_id.of_int l.l_first;
-      r.Record.last <- Option.map Types.Block_id.of_int l.l_last;
-      r.Record.lstamp <- l.l_stamp;
-      r.Record.l_owner <- Option.map Types.Aru_id.of_int l.l_owner)
-    snap.Checkpoint.lists;
-  (blocks, lists)
 
 (* ------------------------------------------------------------------ *)
 (* Dependency partitioning: union-find over block / list / ARU nodes.
@@ -473,7 +438,9 @@ let prepare ?(obs = Obs.null) ?(sweep = true) ?(parallel = true)
           raise (Errors.Corruption Errors.All_generations_corrupted)
         else b
     in
-    let blocks, lists = restore_checkpoint geom best.Checkpoint.best_snap in
+    let blocks = Block_map.create ~capacity:(Disk_layout.block_capacity geom) in
+    let lists = List_table.create ~max_lists:(Disk_layout.max_lists geom) in
+    Versions.restore best.Checkpoint.best_snap blocks lists;
     (best, blocks, lists)
   in
   let snap = best.Checkpoint.best_snap in

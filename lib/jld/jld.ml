@@ -14,6 +14,7 @@ module Aru = Lld_core.Aru
 module Block_map = Lld_core.Block_map
 module List_table = Lld_core.List_table
 module Counters = Lld_core.Counters
+module Versions = Lld_core.Versions
 
 type config = {
   cost : Cost.t;
@@ -104,9 +105,8 @@ type t = {
   geom : Geometry.t;
   clock : Clock.t;
   layout : layout;
-  blocks : Block_map.t; (* the anchors ARE the committed state *)
-  lists : List_table.t;
-  arus : (int, Aru.t) Hashtbl.t;
+  v : Versions.t; (* the anchors ARE the committed state *)
+  committed : Splice.ctx; (* over the anchors *)
   mutable next_aru : int;
   mutable stamp : int;
   (* journal *)
@@ -134,7 +134,7 @@ let set_obs t obs =
   t.obs <- obs;
   Disk.set_obs t.disk obs
 let capacity t = t.layout.capacity
-let allocated_blocks t = Block_map.allocated_count t.blocks
+let allocated_blocks t = Block_map.allocated_count t.v.Versions.blocks
 let block_bytes t = t.geom.Geometry.block_bytes
 
 let cpu t ns = Clock.charge t.clock Clock.Cpu ns
@@ -217,34 +217,7 @@ let table_magic = 0x4a544142 (* "JTAB" *)
 
 let write_tables t =
   let bb = block_bytes t in
-  let blocks = ref [] in
-  Block_map.iter t.blocks (fun r ->
-      if r.Record.alloc then
-        blocks :=
-          {
-            Lld_core.Checkpoint.b_id = Types.Block_id.to_int r.Record.id;
-            b_member = Option.map Types.List_id.to_int r.Record.member_of;
-            b_succ = Option.map Types.Block_id.to_int r.Record.successor;
-            b_phys = None;
-            b_stamp = r.Record.stamp;
-          }
-          :: !blocks);
-  let lists = ref [] in
-  List_table.iter t.lists (fun r ->
-      if r.Record.exists then
-        lists :=
-          {
-            Lld_core.Checkpoint.l_id = Types.List_id.to_int r.Record.lid;
-            l_first = Option.map Types.Block_id.to_int r.Record.first;
-            l_last = Option.map Types.Block_id.to_int r.Record.last;
-            l_stamp = r.Record.lstamp;
-            l_owner =
-              (match r.Record.l_owner with
-              | Some o when Hashtbl.mem t.arus (Types.Aru_id.to_int o) ->
-                Some (Types.Aru_id.to_int o)
-              | Some _ | None -> None);
-          }
-          :: !lists);
+  let blocks, lists = Versions.entries t.v in
   let snap =
     {
       Lld_core.Checkpoint.ckpt_id = t.epoch + 1;
@@ -254,8 +227,8 @@ let write_tables t =
       stamp = t.stamp;
       next_aru = t.next_aru;
       next_gid = 1;
-      blocks = List.rev !blocks;
-      lists = List.rev !lists;
+      blocks;
+      lists;
       dead_blocks = [];
       dead_lists = [];
       pending = [];
@@ -360,122 +333,6 @@ let flush t =
   ensure_journal_room t (pend_chunk_blocks t);
   flush_chunk t
 
-(* ------------------------------------------------------------------ *)
-(* Views: anchors are the committed state; shadows hang off them       *)
-
-let owner_active t o = Hashtbl.mem t.arus (Types.Aru_id.to_int o)
-
-let resolve_who t = function
-  | None -> `Simple
-  | Some aid -> (
-    match Hashtbl.find_opt t.arus (Types.Aru_id.to_int aid) with
-    | Some a -> `In a
-    | None -> raise (Errors.Unknown_aru aid))
-
-let owner_visible t who owner =
-  match owner with
-  | None -> true
-  | Some o -> (
-    if not (owner_active t o) then true
-    else
-      match who with
-      | `In (a : Aru.t) -> Types.Aru_id.equal a.Aru.id o
-      | `Simple -> false)
-
-let hops_charge t n =
-  if n > 0 then begin
-    t.counters.Counters.mesh_hops <- t.counters.Counters.mesh_hops + n;
-    cpu t (n * t.config.cost.Cost.mesh_hop_ns)
-  end
-
-let shadow_peek t (a : Aru.t) b =
-  let anchor = Block_map.anchor t.blocks b in
-  let r, hops = Record.find_block ~anchor (Record.Shadow a.Aru.id) in
-  hops_charge t hops;
-  Option.value r ~default:anchor
-
-let shadow_get t (a : Aru.t) b =
-  let anchor = Block_map.anchor t.blocks b in
-  let r, hops = Record.find_block ~anchor (Record.Shadow a.Aru.id) in
-  hops_charge t hops;
-  match r with
-  | Some r -> r
-  | None ->
-    let alt = Record.alt_block (Record.Shadow a.Aru.id) ~from:anchor in
-    Record.insert_alt_block ~anchor alt;
-    Aru.push_shadow_block a alt;
-    t.counters.Counters.record_creates <- t.counters.Counters.record_creates + 1;
-    cpu t t.config.cost.Cost.record_create_ns;
-    alt
-
-let shadow_peek_list t (a : Aru.t) l =
-  let anchor = List_table.anchor t.lists l in
-  let r, hops = Record.find_list ~anchor (Record.Shadow a.Aru.id) in
-  hops_charge t hops;
-  Option.value r ~default:anchor
-
-let shadow_get_list t (a : Aru.t) l =
-  let anchor = List_table.anchor t.lists l in
-  let r, hops = Record.find_list ~anchor (Record.Shadow a.Aru.id) in
-  hops_charge t hops;
-  match r with
-  | Some r -> r
-  | None ->
-    let alt = Record.alt_list (Record.Shadow a.Aru.id) ~from:anchor in
-    Record.insert_alt_list ~anchor alt;
-    Aru.push_shadow_list a alt;
-    t.counters.Counters.record_creates <- t.counters.Counters.record_creates + 1;
-    cpu t t.config.cost.Cost.record_create_ns;
-    alt
-
-let pred_hop t () =
-  t.counters.Counters.pred_search_hops <- t.counters.Counters.pred_search_hops + 1;
-  cpu t t.config.cost.Cost.pred_search_hop_ns
-
-let committed_ctx t =
-  {
-    Splice.peek_block = (fun b -> Block_map.anchor t.blocks b);
-    get_block = (fun b -> Block_map.anchor t.blocks b);
-    peek_list = (fun l -> List_table.anchor t.lists l);
-    get_list = (fun l -> List_table.anchor t.lists l);
-    on_pred_hop = pred_hop t;
-  }
-
-let shadow_ctx t (a : Aru.t) =
-  {
-    Splice.peek_block = (fun b -> shadow_peek t a b);
-    get_block = (fun b -> shadow_get t a b);
-    peek_list = (fun l -> shadow_peek_list t a l);
-    get_list = (fun l -> shadow_get_list t a l);
-    on_pred_hop = pred_hop t;
-  }
-
-let visible_block t who b =
-  match who with
-  | `Simple -> Block_map.anchor t.blocks b
-  | `In a ->
-    cpu t t.config.cost.Cost.version_search_ns;
-    shadow_peek t a b
-
-let visible_list t who l =
-  match who with
-  | `Simple -> List_table.anchor t.lists l
-  | `In a ->
-    cpu t t.config.cost.Cost.version_search_ns;
-    shadow_peek_list t a l
-
-let require_visible_block t who (r : Record.block) =
-  if not (r.Record.alloc && owner_visible t who r.Record.alloc_owner) then
-    raise (Errors.Unallocated_block r.Record.id)
-
-let require_visible_list t who (r : Record.list_r) =
-  if not (r.Record.exists && owner_visible t who r.Record.l_owner) then
-    raise (Errors.Unallocated_list r.Record.lid)
-
-let dispatch t =
-  cpu t t.config.cost.Cost.op_dispatch_ns;
-  cpu t t.config.cost.Cost.record_lookup_ns
-
 (* Committed data write: journal entry + payload, dirty map update.
    When too much committed data is waiting to go home, checkpoint (the
    write-back bound a real buffer cache would impose). *)
@@ -489,33 +346,33 @@ let committed_write t ~stream b data ~stamp =
     { Summary.stream; op = Summary.Write { block = b; slot; stamp } };
   Hashtbl.replace t.dirty (Types.Block_id.to_int b) (Bytes.copy data);
   Lru.remove t.cache (Types.Block_id.to_int b);
-  let anchor = Block_map.anchor t.blocks b in
+  let anchor = Block_map.anchor t.v.Versions.blocks b in
   anchor.Record.stamp <- stamp
 
 (* ------------------------------------------------------------------ *)
 (* The LD interface                                                    *)
 
 let begin_aru t =
-  dispatch t;
+  Versions.dispatch t.v;
   t.counters.Counters.arus_begun <- t.counters.Counters.arus_begun + 1;
   cpu t t.config.cost.Cost.aru_begin_ns;
   let id = Types.Aru_id.of_int t.next_aru in
   t.next_aru <- t.next_aru + 1;
-  Hashtbl.replace t.arus (Types.Aru_id.to_int id) (Aru.create id);
+  Hashtbl.replace t.v.Versions.arus (Types.Aru_id.to_int id) (Aru.create id);
   id
 
 let new_list t ?aru () =
-  dispatch t;
+  Versions.dispatch t.v;
   t.counters.Counters.new_lists <- t.counters.Counters.new_lists + 1;
-  let who = resolve_who t aru in
+  let who = Versions.resolve_who t.v aru in
   let lid =
-    match List_table.alloc_id t.lists with
+    match List_table.alloc_id t.v.Versions.lists with
     | Some l -> l
     | None -> raise Errors.Disk_full
   in
   let stamp = next_stamp t in
   let owner = match who with `In a -> Some a.Aru.id | `Simple -> None in
-  let r = List_table.anchor t.lists lid in
+  let r = List_table.anchor t.v.Versions.lists lid in
   r.Record.exists <- true;
   r.Record.first <- None;
   r.Record.last <- None;
@@ -528,33 +385,29 @@ let new_list t ?aru () =
   lid
 
 let new_block t ?aru ~list ~pred () =
-  dispatch t;
+  Versions.dispatch t.v;
   t.counters.Counters.new_blocks <- t.counters.Counters.new_blocks + 1;
-  let who = resolve_who t aru in
-  (match who with
-  | `In a ->
-    require_visible_list t who (shadow_peek_list t a list);
-    (match pred with
-    | Summary.Head -> ()
-    | Summary.After p ->
-      let pr = shadow_peek t a p in
-      require_visible_block t who pr;
-      if pr.Record.member_of <> Some list then raise (Errors.Block_not_on_list p))
-  | `Simple ->
-    require_visible_list t who (List_table.anchor t.lists list);
-    (match pred with
-    | Summary.Head -> ()
-    | Summary.After p ->
-      let pr = Block_map.anchor t.blocks p in
-      require_visible_block t who pr;
-      if pr.Record.member_of <> Some list then raise (Errors.Block_not_on_list p)));
+  let who = Versions.resolve_who t.v aru in
+  (* validate against the view the insertion will run in *)
+  let view_list, view_block =
+    match who with
+    | `In a -> (Versions.shadow_peek_list t.v a, Versions.shadow_peek t.v a)
+    | `Simple -> (Versions.committed_peek_list t.v, Versions.committed_peek t.v)
+  in
+  Versions.require_visible_list t.v who (view_list list);
+  (match pred with
+  | Summary.Head -> ()
+  | Summary.After p ->
+    let pr = view_block p in
+    Versions.require_visible_block t.v who pr;
+    if pr.Record.member_of <> Some list then raise (Errors.Block_not_on_list p));
   let bid =
-    match Block_map.alloc_id t.blocks with
+    match Block_map.alloc_id t.v.Versions.blocks with
     | Some b -> b
     | None -> raise Errors.Disk_full
   in
   let stamp = next_stamp t in
-  let anchor = Block_map.anchor t.blocks bid in
+  let anchor = Block_map.anchor t.v.Versions.blocks bid in
   anchor.Record.alloc <- true;
   anchor.Record.member_of <- None;
   anchor.Record.successor <- None;
@@ -565,14 +418,14 @@ let new_block t ?aru ~list ~pred () =
     { Summary.stream = Summary.Simple; op = Summary.Alloc { block = bid; list; stamp } };
   (match who with
   | `In a ->
-    (match Splice.insert (shadow_ctx t a) ~list ~block:bid ~pred with
+    (match Splice.insert (Versions.shadow_ctx t.v a) ~list ~block:bid ~pred with
     | `Applied -> ()
     | `Skipped -> raise (Errors.Corrupt "Jld.new_block: validated insert skipped"));
     Link_log.add a.Aru.log (Link_log.Insert { list; block = bid; pred });
     t.counters.Counters.link_log_appends <- t.counters.Counters.link_log_appends + 1;
     cpu t t.config.cost.Cost.link_log_append_ns
   | `Simple ->
-    (match Splice.insert (committed_ctx t) ~list ~block:bid ~pred with
+    (match Splice.insert t.committed ~list ~block:bid ~pred with
     | `Applied -> ()
     | `Skipped -> raise (Errors.Corrupt "Jld.new_block: validated insert skipped"));
     append t
@@ -582,28 +435,28 @@ let new_block t ?aru ~list ~pred () =
 let write t ?aru block data =
   if Bytes.length data <> block_bytes t then
     invalid_arg "Jld.write: data must be exactly one block";
-  dispatch t;
+  Versions.dispatch t.v;
   t.counters.Counters.writes <- t.counters.Counters.writes + 1;
-  let who = resolve_who t aru in
+  let who = Versions.resolve_who t.v aru in
   let stamp = next_stamp t in
   match who with
   | `In a ->
-    require_visible_block t who (shadow_peek t a block);
-    let r = shadow_get t a block in
+    Versions.require_visible_block t.v who (Versions.shadow_peek t.v a block);
+    let r = Versions.shadow_get t.v a block in
     r.Record.data <- Some (Blk.of_bytes (Bytes.copy data));
     cpu t t.config.cost.Cost.block_copy_ns;
     r.Record.stamp <- stamp
   | `Simple ->
-    require_visible_block t who (Block_map.anchor t.blocks block);
+    Versions.require_visible_block t.v who (Versions.committed_peek t.v block);
     committed_write t ~stream:Summary.Simple block data ~stamp
 
 let read t ?aru block =
-  dispatch t;
+  Versions.dispatch t.v;
   t.counters.Counters.reads <- t.counters.Counters.reads + 1;
   cpu t t.config.cost.Cost.block_read_cpu_ns;
-  let who = resolve_who t aru in
-  let r = visible_block t who block in
-  require_visible_block t who r;
+  let who = Versions.resolve_who t.v aru in
+  let r = Versions.visible_block t.v who block in
+  Versions.require_visible_block t.v who r;
   match r.Record.data with
   | Some d -> Blk.to_bytes d
   | None -> (
@@ -625,21 +478,21 @@ let read t ?aru block =
         d))
 
 let delete_block t ?aru block =
-  dispatch t;
+  Versions.dispatch t.v;
   t.counters.Counters.delete_blocks <- t.counters.Counters.delete_blocks + 1;
-  let who = resolve_who t aru in
+  let who = Versions.resolve_who t.v aru in
   let stamp = next_stamp t in
   match who with
   | `In a ->
-    let peek = shadow_peek t a block in
-    require_visible_block t who peek;
+    let peek = Versions.shadow_peek t.v a block in
+    Versions.require_visible_block t.v who peek;
     (match peek.Record.member_of with
     | Some l -> (
-      match Splice.unlink (shadow_ctx t a) ~list:l ~block with
+      match Splice.unlink (Versions.shadow_ctx t.v a) ~list:l ~block with
       | `Applied -> ()
       | `Skipped -> raise (Errors.Block_not_on_list block))
     | None -> ());
-    let r = shadow_get t a block in
+    let r = Versions.shadow_get t.v a block in
     r.Record.alloc <- false;
     r.Record.member_of <- None;
     r.Record.successor <- None;
@@ -649,11 +502,11 @@ let delete_block t ?aru block =
     t.counters.Counters.link_log_appends <- t.counters.Counters.link_log_appends + 1;
     cpu t t.config.cost.Cost.link_log_append_ns
   | `Simple ->
-    let anchor = Block_map.anchor t.blocks block in
-    require_visible_block t who anchor;
+    let anchor = Block_map.anchor t.v.Versions.blocks block in
+    Versions.require_visible_block t.v who anchor;
     (match anchor.Record.member_of with
     | Some l ->
-      (match Splice.unlink (committed_ctx t) ~list:l ~block with
+      (match Splice.unlink t.committed ~list:l ~block with
       | `Applied -> ()
       | `Skipped -> raise (Errors.Block_not_on_list block));
       append t
@@ -667,17 +520,17 @@ let delete_block t ?aru block =
     Hashtbl.remove t.dirty (Types.Block_id.to_int block);
     append t
       { Summary.stream = Summary.Simple; op = Summary.Dealloc { block; stamp } };
-    Block_map.release_id t.blocks block
+    Block_map.release_id t.v.Versions.blocks block
 
 let delete_list t ?aru list =
-  dispatch t;
+  Versions.dispatch t.v;
   t.counters.Counters.delete_lists <- t.counters.Counters.delete_lists + 1;
-  let who = resolve_who t aru in
+  let who = Versions.resolve_who t.v aru in
   match who with
   | `In a ->
-    let peek = shadow_peek_list t a list in
-    require_visible_list t who peek;
-    let r = shadow_get_list t a list in
+    let peek = Versions.shadow_peek_list t.v a list in
+    Versions.require_visible_list t.v who peek;
+    let r = Versions.shadow_get_list t.v a list in
     r.Record.exists <- false;
     r.Record.first <- None;
     r.Record.last <- None;
@@ -685,17 +538,17 @@ let delete_list t ?aru list =
     t.counters.Counters.link_log_appends <- t.counters.Counters.link_log_appends + 1;
     cpu t t.config.cost.Cost.link_log_append_ns
   | `Simple ->
-    require_visible_list t who (List_table.anchor t.lists list);
+    Versions.require_visible_list t.v who (Versions.committed_peek_list t.v list);
     (match
-       Splice.delete_list (committed_ctx t) ~list ~dealloc:(fun br ->
+       Splice.delete_list t.committed ~list ~dealloc:(fun br ->
            Hashtbl.remove t.dirty (Types.Block_id.to_int br.Record.id);
            br.Record.alloc_owner <- None;
-           Block_map.release_id t.blocks br.Record.id)
+           Block_map.release_id t.v.Versions.blocks br.Record.id)
      with
     | `Applied -> ()
     | `Skipped -> raise (Errors.Unallocated_list list));
     append t { Summary.stream = Summary.Simple; op = Summary.Delete_list { list } };
-    List_table.release_id t.lists list
+    List_table.release_id t.v.Versions.lists list
 
 (* ------------------------------------------------------------------ *)
 (* Commit / abort                                                      *)
@@ -708,14 +561,14 @@ let replay_log_op t (a : Aru.t) op =
     t.counters.Counters.replay_skips <- t.counters.Counters.replay_skips + 1
   in
   let stream = Summary.In_aru a.Aru.id in
-  let ctx = committed_ctx t in
+  let ctx = t.committed in
   match op with
   | Link_log.Insert { list; block; pred } -> (
     match Splice.insert ctx ~list ~block ~pred with
     | `Applied -> append t { Summary.stream; op = Summary.Link { list; block; pred } }
     | `Skipped -> skipped ())
   | Link_log.Delete_block { block } ->
-    let anchor = Block_map.anchor t.blocks block in
+    let anchor = Block_map.anchor t.v.Versions.blocks block in
     if not anchor.Record.alloc then skipped ()
     else begin
       (match anchor.Record.member_of with
@@ -733,27 +586,23 @@ let replay_log_op t (a : Aru.t) op =
       anchor.Record.stamp <- stamp;
       Hashtbl.remove t.dirty (Types.Block_id.to_int block);
       append t { Summary.stream; op = Summary.Dealloc { block; stamp } };
-      Block_map.release_id t.blocks block
+      Block_map.release_id t.v.Versions.blocks block
     end
   | Link_log.Delete_list { list } -> (
     match
       Splice.delete_list ctx ~list ~dealloc:(fun br ->
           Hashtbl.remove t.dirty (Types.Block_id.to_int br.Record.id);
           br.Record.alloc_owner <- None;
-          Block_map.release_id t.blocks br.Record.id)
+          Block_map.release_id t.v.Versions.blocks br.Record.id)
     with
     | `Applied ->
       append t { Summary.stream; op = Summary.Delete_list { list } };
-      List_table.release_id t.lists list
+      List_table.release_id t.v.Versions.lists list
     | `Skipped -> skipped ())
 
 let end_aru t aid =
-  dispatch t;
-  let a =
-    match Hashtbl.find_opt t.arus (Types.Aru_id.to_int aid) with
-    | Some a -> a
-    | None -> raise (Errors.Unknown_aru aid)
-  in
+  Versions.dispatch t.v;
+  let a = Versions.find_aru t.v aid in
   cpu t t.config.cost.Cost.aru_commit_ns;
   (* reserve journal room for the whole commit before starting it *)
   let data_bound = Aru.shadow_block_count a in
@@ -763,7 +612,7 @@ let end_aru t aid =
   Fun.protect ~finally:(fun () -> t.in_commit <- false) @@ fun () ->
   List.iter (replay_log_op t a) (Link_log.to_list a.Aru.log);
   Aru.iter_shadow_blocks a (fun r ->
-      let anchor = Block_map.anchor t.blocks r.Record.id in
+      let anchor = Block_map.anchor t.v.Versions.blocks r.Record.id in
       Record.remove_alt_block ~anchor r;
       t.counters.Counters.record_transitions <-
         t.counters.Counters.record_transitions + 1;
@@ -777,37 +626,26 @@ let end_aru t aid =
           t.counters.Counters.replay_skips <- t.counters.Counters.replay_skips + 1
       | Some _ | None -> ());
   Aru.iter_shadow_lists a (fun r ->
-      let anchor = List_table.anchor t.lists r.Record.lid in
+      let anchor = List_table.anchor t.v.Versions.lists r.Record.lid in
       Record.remove_alt_list ~anchor r;
       t.counters.Counters.record_transitions <-
         t.counters.Counters.record_transitions + 1;
       cpu t t.config.cost.Cost.record_transition_ns);
   append t { Summary.stream = Summary.Simple; op = Summary.Commit { aru = aid } };
-  List.iter
-    (fun (r : Record.list_r) ->
-      (match r.Record.l_owner with
-      | Some o when Types.Aru_id.equal o aid -> r.Record.l_owner <- None
-      | Some _ | None -> ());
-      let anchor = List_table.anchor t.lists r.Record.lid in
-      match anchor.Record.l_owner with
-      | Some o when Types.Aru_id.equal o aid -> anchor.Record.l_owner <- None
-      | Some _ | None -> ())
-    a.Aru.owned_lists;
-  Hashtbl.remove t.arus (Types.Aru_id.to_int aid);
+  Versions.clear_owner_marks t.v a;
+  Hashtbl.remove t.v.Versions.arus (Types.Aru_id.to_int aid);
   t.counters.Counters.arus_committed <- t.counters.Counters.arus_committed + 1
 
 let abort_aru t aid =
-  dispatch t;
-  let a =
-    match Hashtbl.find_opt t.arus (Types.Aru_id.to_int aid) with
-    | Some a -> a
-    | None -> raise (Errors.Unknown_aru aid)
-  in
+  Versions.dispatch t.v;
+  let a = Versions.find_aru t.v aid in
   Aru.iter_shadow_blocks a (fun r ->
-      Record.remove_alt_block ~anchor:(Block_map.anchor t.blocks r.Record.id) r);
+      let anchor = Block_map.anchor t.v.Versions.blocks r.Record.id in
+      Record.remove_alt_block ~anchor r);
   Aru.iter_shadow_lists a (fun r ->
-      Record.remove_alt_list ~anchor:(List_table.anchor t.lists r.Record.lid) r);
-  Hashtbl.remove t.arus (Types.Aru_id.to_int aid);
+      let anchor = List_table.anchor t.v.Versions.lists r.Record.lid in
+      Record.remove_alt_list ~anchor r);
+  Hashtbl.remove t.v.Versions.arus (Types.Aru_id.to_int aid);
   t.counters.Counters.arus_aborted <- t.counters.Counters.arus_aborted + 1
 
 (* JLD has no group-commit engine: a submitted commit applies
@@ -829,75 +667,23 @@ let with_aru t f =
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 
-let list_exists t ?aru list =
-  let who = resolve_who t aru in
-  let r = visible_list t who list in
-  r.Record.exists && owner_visible t who r.Record.l_owner
-
-let block_allocated t ?aru block =
-  let who = resolve_who t aru in
-  if not (Block_map.in_range t.blocks block) then false
-  else begin
-    let r = visible_block t who block in
-    r.Record.alloc && owner_visible t who r.Record.alloc_owner
-  end
-
-let block_member t ?aru block =
-  let who = resolve_who t aru in
-  let r = visible_block t who block in
-  if r.Record.alloc && owner_visible t who r.Record.alloc_owner then
-    r.Record.member_of
-  else None
-
-let list_blocks t ?aru list =
-  let who = resolve_who t aru in
-  let lrec = visible_list t who list in
-  require_visible_list t who lrec;
-  let rec walk acc = function
-    | None -> List.rev acc
-    | Some b ->
-      let br = visible_block t who b in
-      walk (b :: acc) br.Record.successor
-  in
-  walk [] lrec.Record.first
-
-let lists t =
-  let acc = ref [] in
-  List_table.iter t.lists (fun r ->
-      if r.Record.exists then acc := r.Record.lid :: !acc);
-  List.rev !acc
-
-let orphan_blocks t =
-  let acc = ref [] in
-  Block_map.iter t.blocks (fun anchor ->
-      let orphaned =
-        anchor.Record.alloc
-        && anchor.Record.member_of = None
-        && (match anchor.Record.alloc_owner with
-           | None -> true
-           | Some o -> not (owner_active t o))
-      in
-      if orphaned then acc := anchor.Record.id :: !acc);
-  List.rev !acc
+let list_exists t = Versions.list_exists t.v
+let block_allocated t = Versions.block_allocated t.v
+let block_member t = Versions.block_member t.v
+let list_blocks t = Versions.list_blocks t.v
+let lists t = Versions.lists t.v
+let orphan_blocks t = Versions.orphan_blocks t.v
 
 let scavenge t =
   let freed = ref 0 in
-  let dead_lists = ref [] in
-  List_table.iter t.lists (fun anchor ->
-      match anchor.Record.l_owner with
-      | Some o
-        when anchor.Record.exists && anchor.Record.first = None
-             && not (owner_active t o) ->
-        dead_lists := anchor.Record.lid :: !dead_lists
-      | Some _ | None -> ());
   List.iter
     (fun lid ->
       delete_list t lid;
       incr freed)
-    !dead_lists;
+    (Versions.abandoned_lists t.v);
   List.iter
     (fun bid ->
-      let anchor = Block_map.anchor t.blocks bid in
+      let anchor = Block_map.anchor t.v.Versions.blocks bid in
       anchor.Record.alloc_owner <- None;
       delete_block t bid;
       incr freed)
@@ -909,15 +695,24 @@ let scavenge t =
 
 let make config disk layout =
   let geom = Disk.geometry disk in
+  let counters = Counters.create () in
+  let v =
+    Versions.create ~layers:Versions.Anchors_shadows
+      ~visibility:Lld_core.Config.Own_shadow ~clock:(Disk.clock disk)
+      ~cost:config.cost ~counters
+      (Block_map.create ~capacity:layout.capacity)
+      (List_table.create ~max_lists:layout.capacity)
+  in
   {
     config;
     disk;
     geom;
     clock = Disk.clock disk;
     layout;
-    blocks = Block_map.create ~capacity:layout.capacity;
-    lists = List_table.create ~max_lists:layout.capacity;
-    arus = Hashtbl.create 16;
+    v;
+    committed =
+      Versions.anchor_ctx ~on_pred_hop:(Versions.pred_hop v) v.Versions.blocks
+        v.Versions.lists;
     next_aru = 1;
     stamp = 1;
     epoch = 0;
@@ -929,7 +724,7 @@ let make config disk layout =
     pend_data = 0;
     dirty = Hashtbl.create 256;
     cache = Lru.create ~capacity:(max 16 config.cache_blocks);
-    counters = Counters.create ();
+    counters;
     in_commit = false;
     obs = Lld_obs.Obs.null;
   }
@@ -958,11 +753,11 @@ let replay_journal t =
     Hashtbl.create 16
   in
   let committed_arus = Hashtbl.create 16 in
-  let ctx = committed_ctx t in
+  let ctx = t.committed in
   let rec apply_op (op, payload) =
     match op with
     | Summary.Alloc { block; list = _; stamp } ->
-      let r = Block_map.anchor t.blocks block in
+      let r = Block_map.anchor t.v.Versions.blocks block in
       r.Record.alloc <- true;
       r.Record.member_of <- None;
       r.Record.successor <- None;
@@ -971,7 +766,7 @@ let replay_journal t =
     | Summary.Write { block; slot = _; stamp } -> (
       match payload with
       | Some d ->
-        let r = Block_map.anchor t.blocks block in
+        let r = Block_map.anchor t.v.Versions.blocks block in
         if r.Record.alloc && stamp >= r.Record.stamp then begin
           Hashtbl.replace t.dirty (Types.Block_id.to_int block) d;
           r.Record.stamp <- stamp
@@ -982,7 +777,7 @@ let replay_journal t =
       ignore (Splice.insert ctx ~list ~block ~pred)
     | Summary.Unlink { list; block } -> ignore (Splice.unlink ctx ~list ~block)
     | Summary.New_list { list; stamp; owner } ->
-      let r = List_table.anchor t.lists list in
+      let r = List_table.anchor t.v.Versions.lists list in
       r.Record.exists <- true;
       r.Record.first <- None;
       r.Record.last <- None;
@@ -994,7 +789,7 @@ let replay_journal t =
         (Splice.delete_list ctx ~list ~dealloc:(fun br ->
              Hashtbl.remove t.dirty (Types.Block_id.to_int br.Record.id)))
     | Summary.Dealloc { block; stamp } ->
-      let r = Block_map.anchor t.blocks block in
+      let r = Block_map.anchor t.v.Versions.blocks block in
       r.Record.alloc <- false;
       r.Record.member_of <- None;
       r.Record.successor <- None;
@@ -1092,13 +887,13 @@ let replay_journal t =
     end
   done;
   (* sweep: blocks of undone ARUs, still-empty lists of undone ARUs *)
-  Block_map.iter t.blocks (fun r ->
+  Block_map.iter t.v.Versions.blocks (fun r ->
       if r.Record.alloc && r.Record.member_of = None then begin
         r.Record.alloc <- false;
         r.Record.successor <- None;
         Hashtbl.remove t.dirty (Types.Block_id.to_int r.Record.id)
       end);
-  List_table.iter t.lists (fun r ->
+  List_table.iter t.v.Versions.lists (fun r ->
       match r.Record.l_owner with
       | Some o when Hashtbl.mem committed_arus (Types.Aru_id.to_int o) ->
         r.Record.l_owner <- None
@@ -1125,26 +920,10 @@ let recover ?(config = default_config) disk =
   t.epoch <- epoch;
   t.stamp <- snap.Lld_core.Checkpoint.stamp;
   t.next_aru <- snap.Lld_core.Checkpoint.next_aru;
-  List.iter
-    (fun (b : Lld_core.Checkpoint.block_entry) ->
-      let r = Block_map.anchor t.blocks (Types.Block_id.of_int b.b_id) in
-      r.Record.alloc <- true;
-      r.Record.member_of <- Option.map Types.List_id.of_int b.b_member;
-      r.Record.successor <- Option.map Types.Block_id.of_int b.b_succ;
-      r.Record.stamp <- b.b_stamp)
-    snap.Lld_core.Checkpoint.blocks;
-  List.iter
-    (fun (l : Lld_core.Checkpoint.list_entry) ->
-      let r = List_table.anchor t.lists (Types.List_id.of_int l.l_id) in
-      r.Record.exists <- true;
-      r.Record.first <- Option.map Types.Block_id.of_int l.l_first;
-      r.Record.last <- Option.map Types.Block_id.of_int l.l_last;
-      r.Record.lstamp <- l.l_stamp;
-      r.Record.l_owner <- Option.map Types.Aru_id.of_int l.l_owner)
-    snap.Lld_core.Checkpoint.lists;
+  Versions.restore snap t.v.Versions.blocks t.v.Versions.lists;
   let chunks = replay_journal t in
-  Block_map.rebuild_free t.blocks;
-  List_table.rebuild_free t.lists;
+  Block_map.rebuild_free t.v.Versions.blocks;
+  List_table.rebuild_free t.v.Versions.lists;
   (* a fresh checkpoint writes the recovered data home and restarts the
      journal under a new epoch *)
   checkpoint t;

@@ -1,161 +1,347 @@
 open Helpers
 
-(* Semantics of concurrent atomic recovery units (paper §3). *)
+(* Semantics of concurrent atomic recovery units (paper §3).  The cases
+   that need only the Logical Disk signature run on both
+   implementations: the log-structured LLD and the journaling JLD. *)
 
-let test_shadow_isolated_until_commit () =
-  let _, lld = fresh_lld () in
-  let l = new_list lld in
-  let b = append_block lld l in
-  Lld.write lld b (block_data 1);
-  let a = Lld.begin_aru lld in
-  Lld.write lld ~aru:a b (block_data 2);
-  (* option 3 visibility: the ARU sees its shadow, simple reads see the
-     committed version *)
-  check_data "ARU sees its shadow" (block_data 2) (Lld.read lld ~aru:a b);
-  check_data "simple read sees committed" (block_data 1) (Lld.read lld b);
-  Lld.end_aru lld a;
-  check_data "visible after commit" (block_data 2) (Lld.read lld b)
+module Counters = Lld_core.Counters
+module Jld = Lld_jld.Jld
 
-let test_two_arus_isolated () =
-  let _, lld = fresh_lld () in
-  let l = new_list lld in
-  let b = append_block lld l in
-  Lld.write lld b (block_data 0);
-  let a1 = Lld.begin_aru lld in
-  let a2 = Lld.begin_aru lld in
-  Lld.write lld ~aru:a1 b (block_data 1);
-  Lld.write lld ~aru:a2 b (block_data 2);
-  check_data "a1 sees its own" (block_data 1) (Lld.read lld ~aru:a1 b);
-  check_data "a2 sees its own" (block_data 2) (Lld.read lld ~aru:a2 b);
-  check_data "simple sees committed" (block_data 0) (Lld.read lld b);
-  (* ARUs serialize by EndARU, but data versions carry their write
-     stamps: the later write (a2's) wins regardless of commit order *)
-  Lld.end_aru lld a2;
-  Lld.end_aru lld a1;
-  check_data "later write stamp wins" (block_data 2) (Lld.read lld b)
+module type LD = sig
+  include Lld_core.Ld_intf.S
 
-let test_aru_list_operations_isolated () =
-  let _, lld = fresh_lld () in
-  let l = new_list lld in
-  let b1 = append_block lld l in
-  let a = Lld.begin_aru lld in
-  let b2 = append_block ~aru:a lld l in
-  Alcotest.check block_ids "ARU sees insertion" [ b1; b2 ]
-    (Lld.list_blocks lld ~aru:a l);
-  Alcotest.check block_ids "others do not" [ b1 ] (Lld.list_blocks lld l);
-  Lld.end_aru lld a;
-  Alcotest.check block_ids "merged after commit" [ b1; b2 ]
-    (Lld.list_blocks lld l)
+  val fresh : unit -> t
+end
 
-let test_allocation_in_committed_state () =
-  (* paper §3.3: NewBlock inside an ARU allocates in the committed
-     state immediately, so concurrent ARUs can never get the same id;
-     but the allocation is invisible to others. *)
-  let _, lld = fresh_lld () in
-  let l = new_list lld in
-  let a1 = Lld.begin_aru lld in
-  let a2 = Lld.begin_aru lld in
-  let b1 = Lld.new_block lld ~aru:a1 ~list:l ~pred:Summary.Head () in
-  let b2 = Lld.new_block lld ~aru:a2 ~list:l ~pred:Summary.Head () in
-  Alcotest.(check bool) "distinct ids" false (Types.Block_id.equal b1 b2);
-  (* others cannot see (or touch) the un-committed allocation *)
-  Alcotest.(check bool) "invisible to simple" false (Lld.block_allocated lld b1);
-  Alcotest.(check bool) "invisible to the other ARU" false
-    (Lld.block_allocated lld ~aru:a2 b1);
-  Alcotest.(check bool) "visible to its owner" true
-    (Lld.block_allocated lld ~aru:a1 b1);
-  Alcotest.check_raises "other ARU cannot write it"
-    (Errors.Unallocated_block b1) (fun () ->
-      Lld.write lld ~aru:a2 b1 (block_data 9));
-  Lld.end_aru lld a1;
-  Alcotest.(check bool) "visible after commit" true (Lld.block_allocated lld b1);
-  Lld.end_aru lld a2
+module Cases (L : LD) = struct
+  let new_list t = L.new_list t ()
 
-let test_list_allocation_hidden_until_commit () =
-  let _, lld = fresh_lld () in
-  let a1 = Lld.begin_aru lld in
-  let a2 = Lld.begin_aru lld in
-  let l = Lld.new_list lld ~aru:a1 () in
-  Alcotest.(check bool) "visible to owner" true (Lld.list_exists lld ~aru:a1 l);
-  Alcotest.(check bool) "hidden from simple" false (Lld.list_exists lld l);
-  Alcotest.(check bool) "hidden from other ARUs" false
-    (Lld.list_exists lld ~aru:a2 l);
-  Alcotest.check_raises "others cannot populate it" (Errors.Unallocated_list l)
-    (fun () -> ignore (Lld.new_block lld ~aru:a2 ~list:l ~pred:Summary.Head ()));
-  Lld.end_aru lld a1;
-  Alcotest.(check bool) "visible after commit" true (Lld.list_exists lld l);
-  Lld.end_aru lld a2
+  let append_block ?aru t list =
+    let pred =
+      match List.rev (L.list_blocks t ?aru list) with
+      | [] -> Summary.Head
+      | last :: _ -> Summary.After last
+    in
+    L.new_block t ?aru ~list ~pred ()
 
-let test_write_after_own_shadow_delete_rejected () =
-  let _, lld = fresh_lld () in
-  let l = new_list lld in
-  let b = append_block lld l in
-  let a = Lld.begin_aru lld in
-  Lld.delete_block lld ~aru:a b;
-  Alcotest.check_raises "write to shadow-deleted block"
-    (Errors.Unallocated_block b) (fun () ->
-      Lld.write lld ~aru:a b (block_data 1));
-  Alcotest.check_raises "read of shadow-deleted block"
-    (Errors.Unallocated_block b) (fun () -> ignore (Lld.read lld ~aru:a b));
-  (* but the committed state still has it *)
-  Alcotest.(check bool) "committed still allocated" true
-    (Lld.block_allocated lld b);
-  Lld.end_aru lld a
+  let test_shadow_isolated_until_commit () =
+    let t = L.fresh () in
+    let l = new_list t in
+    let b = append_block t l in
+    L.write t b (block_data 1);
+    let a = L.begin_aru t in
+    L.write t ~aru:a b (block_data 2);
+    (* option 3 visibility: the ARU sees its shadow, simple reads see the
+       committed version *)
+    check_data "ARU sees its shadow" (block_data 2) (L.read t ~aru:a b);
+    check_data "simple read sees committed" (block_data 1) (L.read t b);
+    L.end_aru t a;
+    check_data "visible after commit" (block_data 2) (L.read t b)
 
-let test_delete_block_in_aru () =
-  let _, lld = fresh_lld () in
-  let l = new_list lld in
-  let b1 = append_block lld l in
-  let b2 = append_block lld l in
-  let a = Lld.begin_aru lld in
-  Lld.delete_block lld ~aru:a b1;
-  Alcotest.check block_ids "shadow sees deletion" [ b2 ]
-    (Lld.list_blocks lld ~aru:a l);
-  Alcotest.check block_ids "committed unchanged" [ b1; b2 ]
-    (Lld.list_blocks lld l);
-  Alcotest.(check bool) "still committed-allocated" true
-    (Lld.block_allocated lld b1);
-  Lld.end_aru lld a;
-  Alcotest.check block_ids "deletion merged" [ b2 ] (Lld.list_blocks lld l);
-  Alcotest.(check bool) "deallocated after commit" false
-    (Lld.block_allocated lld b1)
+  let test_two_arus_isolated () =
+    let t = L.fresh () in
+    let l = new_list t in
+    let b = append_block t l in
+    L.write t b (block_data 0);
+    let a1 = L.begin_aru t in
+    let a2 = L.begin_aru t in
+    L.write t ~aru:a1 b (block_data 1);
+    L.write t ~aru:a2 b (block_data 2);
+    check_data "a1 sees its own" (block_data 1) (L.read t ~aru:a1 b);
+    check_data "a2 sees its own" (block_data 2) (L.read t ~aru:a2 b);
+    check_data "simple sees committed" (block_data 0) (L.read t b);
+    (* ARUs serialize by EndARU, but data versions carry their write
+       stamps: the later write (a2's) wins regardless of commit order *)
+    L.end_aru t a2;
+    L.end_aru t a1;
+    check_data "later write stamp wins" (block_data 2) (L.read t b)
 
-let test_delete_list_in_aru () =
-  let _, lld = fresh_lld () in
-  let l = new_list lld in
-  let bs = List.init 3 (fun _ -> append_block lld l) in
-  let a = Lld.begin_aru lld in
-  Lld.delete_list lld ~aru:a l;
-  Alcotest.(check bool) "shadow sees list gone" false
-    (Lld.list_exists lld ~aru:a l);
-  Alcotest.(check bool) "committed still there" true (Lld.list_exists lld l);
-  Lld.end_aru lld a;
-  Alcotest.(check bool) "gone after commit" false (Lld.list_exists lld l);
-  List.iter
-    (fun b ->
-      Alcotest.(check bool) "members deallocated" false
-        (Lld.block_allocated lld b))
-    bs
+  let test_aru_list_operations_isolated () =
+    let t = L.fresh () in
+    let l = new_list t in
+    let b1 = append_block t l in
+    let a = L.begin_aru t in
+    let b2 = append_block ~aru:a t l in
+    Alcotest.check block_ids "ARU sees insertion" [ b1; b2 ]
+      (L.list_blocks t ~aru:a l);
+    Alcotest.check block_ids "others do not" [ b1 ] (L.list_blocks t l);
+    L.end_aru t a;
+    Alcotest.check block_ids "merged after commit" [ b1; b2 ]
+      (L.list_blocks t l)
 
-let test_abort_discards_shadow () =
-  let _, lld = fresh_lld () in
-  let l = new_list lld in
-  let b = append_block lld l in
-  Lld.write lld b (block_data 1);
-  let a = Lld.begin_aru lld in
-  Lld.write lld ~aru:a b (block_data 2);
-  let b2 = Lld.new_block lld ~aru:a ~list:l ~pred:(Summary.After b) () in
-  Lld.abort_aru lld a;
-  check_data "write discarded" (block_data 1) (Lld.read lld b);
-  Alcotest.check block_ids "insertion discarded" [ b ] (Lld.list_blocks lld l);
-  (* the allocation itself survives the abort (paper §3.3)... *)
-  Alcotest.(check bool) "allocation survives" true (Lld.block_allocated lld b2);
-  Alcotest.(check (option int)) "but on no list" None
-    (Option.map Types.List_id.to_int (Lld.block_member lld b2));
-  (* ...until the scavenger frees it *)
-  let freed = Lld.scavenge lld in
-  Alcotest.(check int) "scavenged" 1 freed;
-  Alcotest.(check bool) "freed" false (Lld.block_allocated lld b2)
+  let test_max_versions_bound () =
+    (* n active ARUs + committed + persistent = n + 2 versions (paper
+       §3.3): writing the same block in 3 ARUs plus a simple write keeps
+       every version readable by its owner. *)
+    let t = L.fresh () in
+    let l = new_list t in
+    let b = append_block t l in
+    L.write t b (block_data 0);
+    let arus = List.init 3 (fun _ -> L.begin_aru t) in
+    List.iteri (fun i a -> L.write t ~aru:a b (block_data (i + 1))) arus;
+    List.iteri
+      (fun i a ->
+        check_data
+          (Printf.sprintf "aru %d sees its version" i)
+          (block_data (i + 1))
+          (L.read t ~aru:a b))
+      arus;
+    check_data "committed version intact" (block_data 0) (L.read t b);
+    List.iter (fun a -> L.end_aru t a) arus
+
+  let test_allocation_in_committed_state () =
+    (* paper §3.3: NewBlock inside an ARU allocates in the committed
+       state immediately, so concurrent ARUs can never get the same id;
+       but the allocation is invisible to others. *)
+    let t = L.fresh () in
+    let l = new_list t in
+    let a1 = L.begin_aru t in
+    let a2 = L.begin_aru t in
+    let b1 = L.new_block t ~aru:a1 ~list:l ~pred:Summary.Head () in
+    let b2 = L.new_block t ~aru:a2 ~list:l ~pred:Summary.Head () in
+    Alcotest.(check bool) "distinct ids" false (Types.Block_id.equal b1 b2);
+    (* others cannot see (or touch) the un-committed allocation *)
+    Alcotest.(check bool) "invisible to simple" false (L.block_allocated t b1);
+    Alcotest.(check bool) "invisible to the other ARU" false
+      (L.block_allocated t ~aru:a2 b1);
+    Alcotest.(check bool) "visible to its owner" true
+      (L.block_allocated t ~aru:a1 b1);
+    Alcotest.check_raises "other ARU cannot write it"
+      (Errors.Unallocated_block b1) (fun () ->
+        L.write t ~aru:a2 b1 (block_data 9));
+    L.end_aru t a1;
+    Alcotest.(check bool) "visible after commit" true (L.block_allocated t b1);
+    L.end_aru t a2
+
+  let test_list_allocation_hidden_until_commit () =
+    let t = L.fresh () in
+    let a1 = L.begin_aru t in
+    let a2 = L.begin_aru t in
+    let l = L.new_list t ~aru:a1 () in
+    Alcotest.(check bool) "visible to owner" true (L.list_exists t ~aru:a1 l);
+    Alcotest.(check bool) "hidden from simple" false (L.list_exists t l);
+    Alcotest.(check bool) "hidden from other ARUs" false
+      (L.list_exists t ~aru:a2 l);
+    Alcotest.check_raises "others cannot populate it"
+      (Errors.Unallocated_list l) (fun () ->
+        ignore (L.new_block t ~aru:a2 ~list:l ~pred:Summary.Head ()));
+    L.end_aru t a1;
+    Alcotest.(check bool) "visible after commit" true (L.list_exists t l);
+    L.end_aru t a2
+
+  let test_delete_block_in_aru () =
+    let t = L.fresh () in
+    let l = new_list t in
+    let b1 = append_block t l in
+    let b2 = append_block t l in
+    let a = L.begin_aru t in
+    L.delete_block t ~aru:a b1;
+    Alcotest.check block_ids "shadow sees deletion" [ b2 ]
+      (L.list_blocks t ~aru:a l);
+    Alcotest.check block_ids "committed unchanged" [ b1; b2 ]
+      (L.list_blocks t l);
+    Alcotest.(check bool) "still committed-allocated" true
+      (L.block_allocated t b1);
+    L.end_aru t a;
+    Alcotest.check block_ids "deletion merged" [ b2 ] (L.list_blocks t l);
+    Alcotest.(check bool) "deallocated after commit" false
+      (L.block_allocated t b1)
+
+  let test_write_after_own_shadow_delete_rejected () =
+    let t = L.fresh () in
+    let l = new_list t in
+    let b = append_block t l in
+    let a = L.begin_aru t in
+    L.delete_block t ~aru:a b;
+    Alcotest.check_raises "write to shadow-deleted block"
+      (Errors.Unallocated_block b) (fun () ->
+        L.write t ~aru:a b (block_data 1));
+    Alcotest.check_raises "read of shadow-deleted block"
+      (Errors.Unallocated_block b) (fun () -> ignore (L.read t ~aru:a b));
+    (* but the committed state still has it *)
+    Alcotest.(check bool) "committed still allocated" true
+      (L.block_allocated t b);
+    L.end_aru t a
+
+  let test_delete_list_in_aru () =
+    let t = L.fresh () in
+    let l = new_list t in
+    let bs = List.init 3 (fun _ -> append_block t l) in
+    let a = L.begin_aru t in
+    L.delete_list t ~aru:a l;
+    Alcotest.(check bool) "shadow sees list gone" false
+      (L.list_exists t ~aru:a l);
+    Alcotest.(check bool) "committed still there" true (L.list_exists t l);
+    L.end_aru t a;
+    Alcotest.(check bool) "gone after commit" false (L.list_exists t l);
+    List.iter
+      (fun b ->
+        Alcotest.(check bool) "members deallocated" false
+          (L.block_allocated t b))
+      bs
+
+  let test_abort_discards_shadow () =
+    let t = L.fresh () in
+    let l = new_list t in
+    let b = append_block t l in
+    L.write t b (block_data 1);
+    let a = L.begin_aru t in
+    L.write t ~aru:a b (block_data 2);
+    let b2 = L.new_block t ~aru:a ~list:l ~pred:(Summary.After b) () in
+    L.abort_aru t a;
+    check_data "write discarded" (block_data 1) (L.read t b);
+    Alcotest.check block_ids "insertion discarded" [ b ] (L.list_blocks t l);
+    (* the allocation itself survives the abort (paper §3.3)... *)
+    Alcotest.(check bool) "allocation survives" true (L.block_allocated t b2);
+    Alcotest.(check (option int)) "but on no list" None
+      (Option.map Types.List_id.to_int (L.block_member t b2));
+    (* ...until the scavenger frees it *)
+    let freed = L.scavenge t in
+    Alcotest.(check int) "scavenged" 1 freed;
+    Alcotest.(check bool) "freed" false (L.block_allocated t b2)
+
+  let test_end_unknown_aru_rejected () =
+    let t = L.fresh () in
+    let a = L.begin_aru t in
+    L.end_aru t a;
+    Alcotest.check_raises "double end" (Errors.Unknown_aru a) (fun () ->
+        L.end_aru t a);
+    Alcotest.check_raises "op on finished aru" (Errors.Unknown_aru a)
+      (fun () -> ignore (L.new_list t ~aru:a ()))
+
+  (* [with_aru] leaves no ARU behind: aborting the one it ran is an
+     unknown ARU *)
+  let check_ended t a =
+    Alcotest.check_raises "no ARU left active" (Errors.Unknown_aru a)
+      (fun () -> L.abort_aru t a)
+
+  let test_with_aru_commits () =
+    let t = L.fresh () in
+    let l = new_list t in
+    let ran = ref None in
+    let b =
+      L.with_aru t (fun aru ->
+          ran := Some aru;
+          let b = L.new_block t ~aru ~list:l ~pred:Summary.Head () in
+          L.write t ~aru b (block_data 4);
+          b)
+    in
+    check_data "committed on return" (block_data 4) (L.read t b);
+    check_ended t (Option.get !ran)
+
+  let test_with_aru_aborts_on_exception () =
+    let t = L.fresh () in
+    let l = new_list t in
+    let b = append_block t l in
+    L.write t b (block_data 1);
+    let ran = ref None in
+    Alcotest.check_raises "exception propagates" Exit (fun () ->
+        L.with_aru t (fun aru ->
+            ran := Some aru;
+            L.write t ~aru b (block_data 9);
+            raise Exit));
+    check_data "write rolled back" (block_data 1) (L.read t b);
+    check_ended t (Option.get !ran)
+
+  let test_commit_replays_into_committed_state () =
+    let t = L.fresh () in
+    let l = new_list t in
+    let a = L.begin_aru t in
+    let b = L.new_block t ~aru:a ~list:l ~pred:Summary.Head () in
+    L.write t ~aru:a b (block_data 5);
+    let before = (L.counters t).Counters.link_log_replays in
+    L.end_aru t a;
+    let after = (L.counters t).Counters.link_log_replays in
+    Alcotest.(check bool) "log was replayed" true (after > before);
+    check_data "data merged" (block_data 5) (L.read t b)
+
+  let test_conflicting_merge_is_deterministic () =
+    (* two ARUs delete the same block; the second commit's operations
+       are skipped rather than corrupting the list *)
+    let t = L.fresh () in
+    let l = new_list t in
+    let b1 = append_block t l in
+    let b2 = append_block t l in
+    let a1 = L.begin_aru t in
+    let a2 = L.begin_aru t in
+    L.delete_block t ~aru:a1 b1;
+    L.delete_block t ~aru:a2 b1;
+    L.end_aru t a1;
+    L.end_aru t a2;
+    Alcotest.check block_ids "list consistent" [ b2 ] (L.list_blocks t l);
+    Alcotest.(check bool) "skips recorded" true
+      ((L.counters t).Counters.replay_skips > 0)
+
+  let test_commit_spanning_segments () =
+    (* an ARU touching more data than one LLD segment commits correctly *)
+    let t = L.fresh () in
+    let l = new_list t in
+    let a = L.begin_aru t in
+    let blocks =
+      List.init 200 (fun i ->
+          let b = append_block ~aru:a t l in
+          L.write t ~aru:a b (block_data i);
+          b)
+    in
+    L.end_aru t a;
+    L.flush t;
+    List.iteri
+      (fun i b ->
+        check_data (Printf.sprintf "block %d" i) (block_data i) (L.read t b))
+      blocks
+
+  let case name f = Alcotest.test_case name `Quick f
+
+  let isolation =
+    [
+      case "shadow isolated until commit" test_shadow_isolated_until_commit;
+      case "two ARUs isolated" test_two_arus_isolated;
+      case "list operations isolated" test_aru_list_operations_isolated;
+      case "n+2 versions" test_max_versions_bound;
+    ]
+
+  let allocation =
+    [
+      case "allocation in committed state" test_allocation_in_committed_state;
+      case "list allocation hidden until commit"
+        test_list_allocation_hidden_until_commit;
+    ]
+
+  let deletion =
+    [
+      case "delete block in ARU" test_delete_block_in_aru;
+      case "ops on shadow-deleted block rejected"
+        test_write_after_own_shadow_delete_rejected;
+      case "delete list in ARU" test_delete_list_in_aru;
+    ]
+
+  let lifecycle =
+    [
+      case "abort discards shadow" test_abort_discards_shadow;
+      case "unknown ARU rejected" test_end_unknown_aru_rejected;
+      case "with_aru commits" test_with_aru_commits;
+      case "with_aru aborts on exception" test_with_aru_aborts_on_exception;
+      case "commit replays the link log" test_commit_replays_into_committed_state;
+      case "conflicting merges deterministic"
+        test_conflicting_merge_is_deterministic;
+      case "commit spanning segments" test_commit_spanning_segments;
+    ]
+end
+
+module On_lld = Cases (struct
+  include Lld
+
+  let fresh () = snd (fresh_lld ())
+end)
+
+module On_jld = Cases (struct
+  include Jld
+
+  let fresh () = Jld.create (fresh_disk ())
+end)
+
+(* LLD-only cases: ARU bookkeeping, the configurable read visibility and
+   the sequential prototype are not part of the LD signature. *)
 
 let test_aru_ids_unique_and_tracked () =
   let _, lld = fresh_lld () in
@@ -167,35 +353,6 @@ let test_aru_ids_unique_and_tracked () =
   Alcotest.(check bool) "a1 inactive" false (Lld.aru_active lld a1);
   Alcotest.(check bool) "a2 active" true (Lld.aru_active lld a2);
   Lld.end_aru lld a2
-
-let test_end_unknown_aru_rejected () =
-  let _, lld = fresh_lld () in
-  let a = Lld.begin_aru lld in
-  Lld.end_aru lld a;
-  Alcotest.check_raises "double end" (Errors.Unknown_aru a) (fun () ->
-      Lld.end_aru lld a);
-  Alcotest.check_raises "op on finished aru" (Errors.Unknown_aru a) (fun () ->
-      ignore (Lld.new_list lld ~aru:a ()))
-
-let test_max_versions_bound () =
-  (* n active ARUs + committed + persistent = n + 2 versions (paper
-     §3.3): writing the same block in 3 ARUs plus a simple write keeps
-     exactly 3 shadow + 1 committed alternative records. *)
-  let _, lld = fresh_lld () in
-  let l = new_list lld in
-  let b = append_block lld l in
-  Lld.write lld b (block_data 0);
-  let arus = List.init 3 (fun _ -> Lld.begin_aru lld) in
-  List.iteri (fun i a -> Lld.write lld ~aru:a b (block_data (i + 1))) arus;
-  List.iteri
-    (fun i a ->
-      check_data
-        (Printf.sprintf "aru %d sees its version" i)
-        (block_data (i + 1))
-        (Lld.read lld ~aru:a b))
-    arus;
-  check_data "committed version intact" (block_data 0) (Lld.read lld b);
-  List.iter (fun a -> Lld.end_aru lld a) arus
 
 let test_visibility_option_committed_only () =
   let config = { Config.default with Config.visibility = Config.Committed_only } in
@@ -256,123 +413,18 @@ let test_sequential_abort_unsupported () =
     (fun () -> Lld.abort_aru lld a);
   Lld.end_aru lld a
 
-let test_with_aru_commits () =
-  let _, lld = fresh_lld () in
-  let l = new_list lld in
-  let b =
-    Lld.with_aru lld (fun aru ->
-        let b = Lld.new_block lld ~aru ~list:l ~pred:Summary.Head () in
-        Lld.write lld ~aru b (block_data 4);
-        b)
-  in
-  check_data "committed on return" (block_data 4) (Lld.read lld b);
-  Alcotest.(check int) "no ARU left active" 0
-    (List.length (Lld.active_arus lld))
-
-let test_with_aru_aborts_on_exception () =
-  let _, lld = fresh_lld () in
-  let l = new_list lld in
-  let b = append_block lld l in
-  Lld.write lld b (block_data 1);
-  Alcotest.check_raises "exception propagates" Exit (fun () ->
-      Lld.with_aru lld (fun aru ->
-          Lld.write lld ~aru b (block_data 9);
-          raise Exit));
-  check_data "write rolled back" (block_data 1) (Lld.read lld b);
-  Alcotest.(check int) "no ARU left active" 0
-    (List.length (Lld.active_arus lld))
-
-let test_commit_replays_into_committed_state () =
-  let _, lld = fresh_lld () in
-  let l = new_list lld in
-  let a = Lld.begin_aru lld in
-  let b = Lld.new_block lld ~aru:a ~list:l ~pred:Summary.Head () in
-  Lld.write lld ~aru:a b (block_data 5);
-  let before = (Lld.counters lld).Lld_core.Counters.link_log_replays in
-  Lld.end_aru lld a;
-  let after = (Lld.counters lld).Lld_core.Counters.link_log_replays in
-  Alcotest.(check bool) "log was replayed" true (after > before);
-  check_data "data merged" (block_data 5) (Lld.read lld b)
-
-let test_conflicting_merge_is_deterministic () =
-  (* two ARUs delete the same block; the second commit's operations are
-     skipped rather than corrupting the list *)
-  let _, lld = fresh_lld () in
-  let l = new_list lld in
-  let b1 = append_block lld l in
-  let b2 = append_block lld l in
-  let a1 = Lld.begin_aru lld in
-  let a2 = Lld.begin_aru lld in
-  Lld.delete_block lld ~aru:a1 b1;
-  Lld.delete_block lld ~aru:a2 b1;
-  Lld.end_aru lld a1;
-  Lld.end_aru lld a2;
-  Alcotest.check block_ids "list consistent" [ b2 ] (Lld.list_blocks lld l);
-  Alcotest.(check bool) "skips recorded" true
-    ((Lld.counters lld).Lld_core.Counters.replay_skips > 0)
-
-let test_commit_spanning_segments () =
-  (* an ARU touching more data than one segment commits correctly *)
-  let _, lld = fresh_lld () in
-  let l = new_list lld in
-  let a = Lld.begin_aru lld in
-  let blocks =
-    List.init 200 (fun i ->
-        let b = append_block ~aru:a lld l in
-        Lld.write lld ~aru:a b (block_data i);
-        b)
-  in
-  Lld.end_aru lld a;
-  Lld.flush lld;
-  List.iteri
-    (fun i b -> check_data (Printf.sprintf "block %d" i) (block_data i) (Lld.read lld b))
-    blocks
-
 let () =
   Alcotest.run "lld_aru"
     [
-      ( "isolation",
-        [
-          Alcotest.test_case "shadow isolated until commit" `Quick
-            test_shadow_isolated_until_commit;
-          Alcotest.test_case "two ARUs isolated" `Quick test_two_arus_isolated;
-          Alcotest.test_case "list operations isolated" `Quick
-            test_aru_list_operations_isolated;
-          Alcotest.test_case "n+2 versions" `Quick test_max_versions_bound;
-        ] );
-      ( "allocation",
-        [
-          Alcotest.test_case "allocation in committed state" `Quick
-            test_allocation_in_committed_state;
-          Alcotest.test_case "list allocation hidden until commit" `Quick
-            test_list_allocation_hidden_until_commit;
-        ] );
-      ( "deletion",
-        [
-          Alcotest.test_case "delete block in ARU" `Quick
-            test_delete_block_in_aru;
-          Alcotest.test_case "ops on shadow-deleted block rejected" `Quick
-            test_write_after_own_shadow_delete_rejected;
-          Alcotest.test_case "delete list in ARU" `Quick test_delete_list_in_aru;
-        ] );
+      ("isolation", On_lld.isolation);
+      ("allocation", On_lld.allocation);
+      ("deletion", On_lld.deletion);
       ( "lifecycle",
-        [
-          Alcotest.test_case "abort discards shadow" `Quick
-            test_abort_discards_shadow;
-          Alcotest.test_case "ids unique and tracked" `Quick
-            test_aru_ids_unique_and_tracked;
-          Alcotest.test_case "unknown ARU rejected" `Quick
-            test_end_unknown_aru_rejected;
-          Alcotest.test_case "with_aru commits" `Quick test_with_aru_commits;
-          Alcotest.test_case "with_aru aborts on exception" `Quick
-            test_with_aru_aborts_on_exception;
-          Alcotest.test_case "commit replays the link log" `Quick
-            test_commit_replays_into_committed_state;
-          Alcotest.test_case "conflicting merges deterministic" `Quick
-            test_conflicting_merge_is_deterministic;
-          Alcotest.test_case "commit spanning segments" `Quick
-            test_commit_spanning_segments;
-        ] );
+        On_lld.lifecycle
+        @ [
+            Alcotest.test_case "ids unique and tracked" `Quick
+              test_aru_ids_unique_and_tracked;
+          ] );
       ( "visibility-options",
         [
           Alcotest.test_case "option 2: committed only" `Quick
@@ -389,4 +441,8 @@ let () =
           Alcotest.test_case "abort unsupported" `Quick
             test_sequential_abort_unsupported;
         ] );
+      ("jld-isolation", On_jld.isolation);
+      ("jld-allocation", On_jld.allocation);
+      ("jld-deletion", On_jld.deletion);
+      ("jld-lifecycle", On_jld.lifecycle);
     ]
