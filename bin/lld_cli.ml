@@ -188,6 +188,10 @@ let mount_run file variant scrub =
       msg;
     Disk.close disk;
     exit 1
+  | exception Errors.Corruption c ->
+    Format.eprintf "mount failed: %s: %a@." file Errors.pp_corruption c;
+    Disk.close disk;
+    exit 1
   | lld, report -> (
     Format.printf "recovery: %a@." Recovery.pp_report report;
     match Fs.mount ~config:(Setup.fs_config variant) lld with
@@ -984,6 +988,10 @@ let show_info segments file =
     match Lld.recover ~obs disk with
     | exception Errors.Corrupt msg ->
       Printf.eprintf "corrupt or unformatted image: %s\n" msg;
+      Disk.close disk;
+      exit 1
+    | exception Errors.Corruption c ->
+      Format.eprintf "corrupt image %s: %a@." path Errors.pp_corruption c;
       Disk.close disk;
       exit 1
     | lld, report ->

@@ -2,6 +2,7 @@ module Codec = Lld_util.Blk
 module Blk = Lld_util.Blk
 module Geometry = Lld_disk.Geometry
 module Disk = Lld_disk.Disk
+module Fault = Lld_disk.Fault
 
 type pending_entry = { pe_op : Summary.op; pe_seg : int }
 
@@ -133,20 +134,26 @@ let encode snap =
     snap.prepared;
   W.contents w
 
+(* The fields a payload leads with: all that generation selection needs
+   to choose a winner before anything else is decoded. *)
+let read_header r =
+  let module R = Codec.Reader in
+  let version = R.u32 r in
+  if version <> payload_version then
+    raise (Errors.Corrupt (Printf.sprintf "checkpoint version %d" version));
+  let kind =
+    match R.u8 r with
+    | 0 -> Full
+    | 1 -> Delta { base_id = Int64.to_int (R.u64 r) }
+    | n -> raise (Errors.Corrupt (Printf.sprintf "checkpoint kind %d" n))
+  in
+  (kind, Int64.to_int (R.u64 r))
+
 let decode buf =
   let r = Codec.Reader.of_view buf in
   let module R = Codec.Reader in
   try
-    let version = R.u32 r in
-    if version <> payload_version then
-      raise (Errors.Corrupt (Printf.sprintf "checkpoint version %d" version));
-    let kind =
-      match R.u8 r with
-      | 0 -> Full
-      | 1 -> Delta { base_id = Int64.to_int (R.u64 r) }
-      | n -> raise (Errors.Corrupt (Printf.sprintf "checkpoint kind %d" n))
-    in
-    let ckpt_id = Int64.to_int (R.u64 r) in
+    let kind, ckpt_id = read_header r in
     let covered_seq = Int64.to_int (R.u64 r) in
     let next_seq = Int64.to_int (R.u64 r) in
     let stamp = Int64.to_int (R.u64 r) in
@@ -274,7 +281,7 @@ let read_chunk geom image =
     end
   end
 
-let read_region disk ~region =
+let read_payload disk ~region =
   let geom = Disk.geometry disk in
   let first = Disk_layout.region_first geom ~region in
   let read_seg i =
@@ -310,11 +317,16 @@ let read_region disk ~region =
               off + Blk.length c)
             0 chunks
         in
-        match decode payload with
-        | snap -> Some snap
-        | exception Errors.Corrupt _ -> None
+        Some payload
       end)
   | Some (_, _, _, _, _) -> None
+
+let decode_opt payload =
+  match decode payload with
+  | snap -> Some snap
+  | exception Errors.Corrupt _ -> None
+
+let read_region disk ~region = Option.bind (read_payload disk ~region) decode_opt
 
 (* Overlay a cumulative delta on its full base: delta entries replace
    (or add) base entries, tombstones remove them, and every scalar —
@@ -367,35 +379,73 @@ type best = {
    wins — so a torn newest write (delta or full) falls back to the
    previous generation, and a delta orphaned by a later full (never
    produced by the writer, but conceivable after media errors) is
-   ignored rather than composed against the wrong base. *)
-let select ~region0 ~region1 =
-  let r0 = region0 and r1 = region1 in
-  let candidate region snap other =
-    match snap with
-    | None -> None
-    | Some s -> (
-      match s.kind with
-      | Full ->
-        Some { best_snap = s; best_region = region; best_full_region = region }
-      | Delta { base_id } -> (
-        match other with
-        | Some f when f.kind = Full && f.ckpt_id = base_id && s.ckpt_id > base_id
-          ->
-          Some
-            {
-              best_snap = compose ~full:f ~delta:s;
-              best_region = region;
-              best_full_region = 1 - region;
-            }
-        | Some _ | None -> None))
-  in
-  match (candidate 0 r0 r1, candidate 1 r1 r0) with
-  | None, None -> None
-  | Some b, None | None, Some b -> Some b
-  | Some a, Some b ->
-    Some (if a.best_snap.ckpt_id >= b.best_snap.ckpt_id then a else b)
+   ignored rather than composed against the wrong base.
 
+   The choice reads only each payload's header; then the winner is
+   decoded, and its base when it is a delta.  A payload that does not
+   decode drops out and the choice runs again.  The answer is the one
+   decoding both regions first would give: a payload that does not
+   decode can neither win nor be a base, and once the winner and its
+   base decode, no payload that dropped out could have beaten it. *)
+let select ~region0 ~region1 =
+  let header payload =
+    match read_header (Codec.Reader.of_view payload) with
+    | h -> Some h
+    | exception (Errors.Corrupt _ | Codec.Truncated) -> None
+  in
+  let headers =
+    Array.map
+      (fun p -> Option.bind p (fun p -> Option.map (fun h -> (p, h)) (header p)))
+      [| region0; region1 |]
+  in
+  (* the winner's region, its ckpt_id and its base's region *)
+  let candidate region =
+    match headers.(region) with
+    | None -> None
+    | Some (_, (Full, id)) -> Some (region, id, region)
+    | Some (_, (Delta { base_id }, id)) -> (
+      match headers.(1 - region) with
+      | Some (_, (Full, full_id)) when full_id = base_id && id > base_id ->
+        Some (region, id, 1 - region)
+      | Some _ | None -> None)
+  in
+  let decoded region =
+    match decode_opt (fst (Option.get headers.(region))) with
+    | None ->
+      headers.(region) <- None;
+      None
+    | snap -> snap
+  in
+  let rec choose () =
+    let winner =
+      match (candidate 0, candidate 1) with
+      | None, None -> None
+      | Some c, None | None, Some c -> Some c
+      | (Some (_, a, _) as c0), (Some (_, b, _) as c1) ->
+        if a >= b then c0 else c1
+    in
+    match winner with
+    | None -> None
+    | Some (region, _, full_region) -> (
+      let best best_snap =
+        Some { best_snap; best_region = region; best_full_region = full_region }
+      in
+      match decoded region with
+      | None -> choose ()
+      | Some snap when full_region = region -> best snap
+      | Some delta -> (
+        match decoded full_region with
+        | None -> choose ()
+        | Some full -> best (compose ~full ~delta)))
+  in
+  choose ()
+
+(* Selection over possibly failing media: a region whose read raises a
+   media error is treated as empty. *)
 let read_best disk =
-  select
-    ~region0:(read_region disk ~region:0)
-    ~region1:(read_region disk ~region:1)
+  let payload region =
+    match read_payload disk ~region with
+    | payload -> payload
+    | exception Fault.Media_error _ -> None
+  in
+  select ~region0:(payload 0) ~region1:(payload 1)

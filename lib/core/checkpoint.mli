@@ -25,7 +25,8 @@
     so a crash during any checkpoint write leaves the previous
     consistent generation intact, and {!read_best} performs the
     generation selection: newest consistent wins, a torn newest falls
-    back. *)
+    back.  Only the generation restored (and the full it rests on) is
+    decoded. *)
 
 type pending_entry = {
   pe_op : Summary.op;
@@ -102,8 +103,13 @@ val write : Lld_disk.Disk.t -> region:int -> snapshot -> unit
     when the payload exceeds the region (only possible with enormous
     pending-ARU state). *)
 
+val read_payload : Lld_disk.Disk.t -> region:int -> Lld_util.Blk.t option
+(** The region's payload, read and checksummed but not decoded: [None]
+    when the region holds no complete, checksummed checkpoint. *)
+
 val read_region : Lld_disk.Disk.t -> region:int -> snapshot option
-(** [None] when the region holds no complete, checksummed checkpoint. *)
+(** {!read_payload}, decoded: [None] also when the payload does not
+    decode. *)
 
 val compose : full:snapshot -> delta:snapshot -> snapshot
 (** The effective snapshot of a delta over its full base: delta entries
@@ -122,13 +128,21 @@ type best = {
           generations at once *)
 }
 
-val select : region0:snapshot option -> region1:snapshot option -> best option
-(** Generation selection: every readable full is a candidate, a readable
-    delta is a candidate only if its exact base full is also readable;
-    the candidate with the highest [ckpt_id] wins.  [None] when neither
-    region yields a candidate.  Callers that must survive media errors
-    (recovery) read each region themselves and pass [None] for an
-    unreadable one. *)
+val select :
+  region0:Lld_util.Blk.t option -> region1:Lld_util.Blk.t option -> best option
+(** Generation selection over the two regions' payloads (from
+    {!read_payload}; [None] for a region that yielded none): every
+    decodable full is a candidate, a decodable delta is a candidate only
+    if its exact base full is also decodable, and the candidate with the
+    highest [ckpt_id] wins.  [None] when neither region yields a
+    candidate.  The winner is chosen from each payload's header (version,
+    kind, base id, [ckpt_id]), and only the winner is decoded, plus its
+    base when a delta wins.  A payload that then fails to decode drops
+    out and the choice is made again, so the result is the same as
+    decoding both regions first. *)
 
 val read_best : Lld_disk.Disk.t -> best option
-(** {!select} over {!read_region} of both regions. *)
+(** {!select} over {!read_payload} of both regions.  A region whose read
+    raises [Fault.Media_error] counts as empty, so recovery survives an
+    unreadable region by falling back to the other generation.  Both
+    regions are always read and checksummed. *)

@@ -16,10 +16,10 @@ type corruption =
       (* [what] names the structure ("segment slot", "segment meta",
          "superblock slot"), [index] which one *)
   | All_generations_corrupted
-      (* both superblock generations failed their checksums on a disk
-         that otherwise holds valid checkpoints — mount refuses;
-         [lld scrub] can rebuild the slots from the surviving
-         checkpoint generation *)
+      (* a formatted image lost every generation of one of its two
+         generational structures: both superblock slots fail their
+         checksums while a checkpoint still parses, or both checkpoint
+         regions fail while a superblock slot is valid — mount refuses *)
 
 exception Corruption of corruption
 
@@ -27,7 +27,8 @@ let pp_corruption ppf = function
   | Invalid_checksum { what; index } ->
     Format.fprintf ppf "checksum mismatch: %s %d" what index
   | All_generations_corrupted ->
-    Format.fprintf ppf "all superblock generations are corrupted"
+    Format.fprintf ppf
+      "every generation of the superblock or of the checkpoint is corrupted"
 
 let pp_exn ppf = function
   | Unallocated_block b ->

@@ -34,10 +34,12 @@ type corruption =
       (** [what] names the structure (["segment slot"],
           ["segment meta"], ["superblock slot"]), [index] which one. *)
   | All_generations_corrupted
-      (** Both superblock generations failed their checksums on a disk
-          that otherwise holds valid checkpoints.  Mount refuses;
-          [lld scrub] rebuilds the slots from the surviving checkpoint
-          generation. *)
+      (** A formatted image lost every generation of one of its two
+          generational structures: both superblock slots failed their
+          checksums on a disk that otherwise holds valid checkpoints, or
+          neither checkpoint region yields a generation while a
+          superblock slot is valid (see {!Recovery.prepare}).  Mount
+          refuses. *)
 
 exception Corruption of corruption
 

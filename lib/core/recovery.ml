@@ -1,5 +1,4 @@
 module Disk = Lld_disk.Disk
-module Fault = Lld_disk.Fault
 module Obs = Lld_obs.Obs
 module Tr = Lld_obs.Trace
 
@@ -193,9 +192,10 @@ let replay_entry st ~seg (entry : Summary.t) =
 (* Dependency partitioning: union-find over block / list / ARU nodes.
    Two entries end up in the same group iff a chain of shared
    identifiers connects them — including identifiers related only
-   through checkpoint state (list membership, pending ARU entries), so
-   operations that walk a list chain (Unlink's predecessor search,
-   Delete_list's full-chain deallocation) stay within their group. *)
+   through checkpoint state (list membership, owner marks, pending ARU
+   entries), so operations that walk a list chain (Unlink's predecessor
+   search, Delete_list's full-chain deallocation) stay within their
+   group. *)
 
 module Uf = struct
   type t = { mutable parent : int array; mutable rank : int array; mutable n : int }
@@ -239,22 +239,57 @@ type node_key = Nblock of int | Nlist of int | Naru of int
 type partition = {
   uf : Uf.t;
   nodes : (node_key, int) Hashtbl.t;
+  pa_blocks : Block_map.t;
+  pa_lists : List_table.t;
 }
 
-let node p key =
+(* The checkpoint edge above an identifier, read off its anchor: a
+   block's list (membership), a list's ARU (owner mark).  These edges
+   form a forest, block -> list -> ARU, so only the identifiers the tail
+   names and their ancestors need nodes: an identifier the tail never
+   names joins the tail's classes only through its parent.
+   [List_table.find_anchor] creates no anchor for a list never seen. *)
+let ckpt_parent p = function
+  | Nblock b ->
+    let b = Types.Block_id.of_int b in
+    if not (Block_map.in_range p.pa_blocks b) then None
+    else
+      Option.map
+        (fun l -> Nlist (Types.List_id.to_int l))
+        (Block_map.anchor p.pa_blocks b).Record.member_of
+  | Nlist l -> (
+    match List_table.find_anchor p.pa_lists (Types.List_id.of_int l) with
+    | Some { Record.l_owner = Some o; _ } -> Some (Naru (Types.Aru_id.to_int o))
+    | Some _ | None -> None)
+  | Naru _ -> None
+
+(* A node joins its checkpoint parent when it is created.  Nodes are
+   created only while [prepare] partitions, when every anchor still
+   holds its restored checkpoint state. *)
+let rec node p key =
   match Hashtbl.find_opt p.nodes key with
   | Some i -> i
   | None ->
     let i = Uf.fresh p.uf in
     Hashtbl.replace p.nodes key i;
+    Option.iter (fun parent -> Uf.union p.uf i (node p parent)) (ckpt_parent p key);
     i
 
-let find_node p key = Hashtbl.find_opt p.nodes key
+(* The node whose class an identifier belongs to: its own, or for an
+   identifier the tail never names, the first ancestor's that has one.
+   The climb reads the current anchors; a replay can only cut an
+   unnamed identifier's edge (a deleted list drops its members) after
+   applying the group the edge led to. *)
+let rec find_node p key =
+  match Hashtbl.find_opt p.nodes key with
+  | Some _ as n -> n
+  | None -> Option.bind (ckpt_parent p key) (find_node p)
 
 (* All identifiers an operation names directly.  Chain walks (Unlink,
    Delete_list) reach blocks the entry does not name; those blocks are
-   connected to the list through their own Link entries or through the
-   checkpoint's membership edges, so the union still covers them. *)
+   connected to the list through their own Link entries, or belong to
+   its class through their checkpoint membership ([find_node] climbs
+   it), so the walk stays within the list's group. *)
 let op_nodes p = function
   | Summary.Alloc { block; list; _ } ->
     [ node p (Nblock (Types.Block_id.to_int block));
@@ -401,18 +436,6 @@ let touch_list p l =
 
 (* ------------------------------------------------------------------ *)
 
-let read_region_safe disk ~region =
-  match Checkpoint.read_region disk ~region with
-  | snap -> snap
-  | exception Fault.Media_error _ -> None
-
-(* Generation selection over possibly-failing media: an unreadable
-   region is treated as empty. *)
-let read_best_safe disk =
-  Checkpoint.select
-    ~region0:(read_region_safe disk ~region:0)
-    ~region1:(read_region_safe disk ~region:1)
-
 let prepare ?(obs = Obs.null) ?(sweep = true) ?(parallel = true)
     ?(decisions = fun _ -> None) disk =
   let geom = Disk.geometry disk in
@@ -428,7 +451,7 @@ let prepare ?(obs = Obs.null) ?(sweep = true) ?(parallel = true)
   let best, blocks, lists =
     Obs.timed obs Tr.Recovery "checkpoint_restore" @@ fun () ->
     let best =
-      match read_best_safe disk with
+      match Checkpoint.read_best disk with
       | None ->
         if sb_epoch > 0 then
           raise (Errors.Corruption Errors.All_generations_corrupted)
@@ -465,21 +488,13 @@ let prepare ?(obs = Obs.null) ?(sweep = true) ?(parallel = true)
   (* Partition the tail into dependency-independent groups. *)
   let partition, groups, group_of_root =
     Obs.span obs Tr.Recovery "partition" @@ fun () ->
-    let p = { uf = Uf.create (); nodes = Hashtbl.create 1024 } in
-    (* edges from checkpoint state: membership ties a block (and hence a
-       whole chain) to its list; an owner mark ties a list to its ARU *)
-    List.iter
-      (fun (b : Checkpoint.block_entry) ->
-        match b.b_member with
-        | None -> ()
-        | Some l -> union_all p [ node p (Nblock b.b_id); node p (Nlist l) ])
-      snap.Checkpoint.blocks;
-    List.iter
-      (fun (l : Checkpoint.list_entry) ->
-        match l.l_owner with
-        | None -> ()
-        | Some o -> union_all p [ node p (Nlist l.l_id); node p (Naru o) ])
-      snap.Checkpoint.lists;
+    (* edges from checkpoint state (membership ties a block, and hence a
+       whole chain, to its list; an owner mark ties a list to its ARU)
+       join each node as [node] creates it *)
+    let p =
+      { uf = Uf.create (); nodes = Hashtbl.create 256; pa_blocks = blocks;
+        pa_lists = lists }
+    in
     (* edges from pending ARU entries carried by the checkpoint *)
     List.iter
       (fun (aru, pes) ->

@@ -3,11 +3,12 @@
 
     Recovery runs in phases:
 
-    + {e checkpoint restore} — {!Checkpoint.select} picks the newest
+    + {e checkpoint restore} — {!Checkpoint.read_best} picks the newest
       consistent generation (a full, or a delta composed over its full
       base; a torn newest falls back), and the block-number map / list
-      table are rebuilt from it.  A region that raises a media error is
-      treated as empty.
+      table are rebuilt from it.  Both regions are read and checksummed,
+      but only the generation restored (and its base) is decoded.  A
+      region that raises a media error is treated as empty.
     + {e tail scan} — segments sealed after the checkpoint are read
       along the checkpoint's recorded free order until the sequence
       numbers stop being contiguous (a torn or unwritten segment ends
@@ -18,7 +19,13 @@
       dependency-independent groups (union-find over the block, list and
       ARU identifiers each entry names, plus the relations the
       checkpoint itself carries), so replay order only matters within a
-      group.  [Simple] entries apply at their position; [In_aru] entries
+      group.  Only identifiers the tail (or the checkpoint's pending and
+      prepared ARUs) names get a node: each joins its checkpoint parent
+      when created, a block the list its restored record is a member of,
+      a list its owning ARU.  Those edges form a forest, so the groups
+      are the same as over every checkpointed identifier, at a cost
+      proportional to the tail.  Early open climbs the same edges from
+      an identifier the tail never names.  [Simple] entries apply at their position; [In_aru] entries
       are buffered per ARU and applied only when that ARU's commit
       record is reached — ARUs whose commit record never reached disk
       are discarded wholesale.

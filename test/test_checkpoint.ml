@@ -171,6 +171,57 @@ let test_orphaned_delta_ignored () =
     (snapshot ~ckpt_id:6 ~kind:(delta ~base_id:5) ~covered_seq:20 ());
   Alcotest.(check int) "orphaned delta ignored" 8 (best_id disk)
 
+(* Payloads that pass every checksum yet do not decode.  A region's
+   first chunk is a 28-byte header (its payload length at offset 20),
+   the payload, then a hash64 trailer over header and payload; the
+   spoilers rewrite one payload field and then the trailer, so only the
+   decoder can tell.  One breaks the header (the payload version), the
+   other the body behind it (a full's block count, at payload offset 53
+   after version, kind, ckpt_id and five u64 scalars). *)
+let spoil ~pos ~value disk ~region =
+  let module Blk = Lld_util.Blk in
+  let geom = Disk.geometry disk in
+  let offset =
+    Geometry.segment_offset geom (Disk_layout.region_first geom ~region)
+  in
+  let chunk = Disk.read_view disk ~offset ~length:geom.Geometry.segment_bytes in
+  let len = Blk.get_u32 chunk 20 in
+  Blk.set_u32 chunk (28 + pos) value;
+  Blk.set_u64 chunk (28 + len) (Blk.hash64 ~pos:0 ~len:(28 + len) chunk);
+  Disk.write_view disk ~offset chunk
+
+let spoilers =
+  [
+    ("bad version", spoil ~pos:0 ~value:99);
+    ("bad body", spoil ~pos:53 ~value:0xffff_fff0);
+  ]
+
+let test_undecodable_newer_full_loses () =
+  List.iter
+    (fun (what, spoil) ->
+      let disk = fresh_disk () in
+      Checkpoint.write disk ~region:0 (snapshot ~ckpt_id:5 ~covered_seq:10 ());
+      Checkpoint.write disk ~region:1
+        (snapshot ~ckpt_id:6 ~covered_seq:20 ~blocks:[ block_entry 1 ] ());
+      spoil disk ~region:1;
+      Alcotest.(check bool) (what ^ ": region does not decode") true
+        (Checkpoint.read_region disk ~region:1 = None);
+      Alcotest.(check int) (what ^ ": older full wins") 5 (best_id disk))
+    spoilers
+
+let test_delta_over_undecodable_base () =
+  List.iter
+    (fun (what, spoil) ->
+      let disk = fresh_disk () in
+      Checkpoint.write disk ~region:0
+        (snapshot ~ckpt_id:5 ~covered_seq:10 ~blocks:[ block_entry 1 ] ());
+      Checkpoint.write disk ~region:1
+        (snapshot ~ckpt_id:6 ~kind:(delta ~base_id:5) ~covered_seq:20 ());
+      spoil disk ~region:0;
+      Alcotest.(check bool) (what ^ ": no generation") true
+        (Checkpoint.read_best disk = None))
+    spoilers
+
 let test_delta_codec_roundtrip () =
   let s =
     snapshot ~ckpt_id:7 ~kind:(delta ~base_id:3)
@@ -247,6 +298,10 @@ let () =
             test_torn_delta_falls_back_to_full;
           Alcotest.test_case "orphaned delta ignored" `Quick
             test_orphaned_delta_ignored;
+          Alcotest.test_case "undecodable newer full loses" `Quick
+            test_undecodable_newer_full_loses;
+          Alcotest.test_case "delta over undecodable base" `Quick
+            test_delta_over_undecodable_base;
           Alcotest.test_case "delta codec roundtrip" `Quick
             test_delta_codec_roundtrip;
           Alcotest.test_case "multi-chunk payloads" `Quick

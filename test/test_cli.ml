@@ -39,12 +39,17 @@ let write_file path bytes =
 
 (* Fixture images: a properly formatted one, one whose size is not a
    whole number of segments, one with valid geometry but zeroed content
-   (nothing to recover), and a zeroed one of four whole segments — too
-   small to hold a log. *)
+   (nothing to recover), a zeroed one of four whole segments — too
+   small to hold a log — and two formatted ones that lost every
+   generation of a generational structure: both superblock slots (blocks
+   0 and 1), or the first chunk of both checkpoint regions (segments 1
+   and 4 of a 64-segment image). *)
 let good_image = tmp "good.img"
 let badsize_image = tmp "badsize.img"
 let zeroed_image = tmp "zeroed.img"
 let tiny_image = tmp "tiny.img"
+let no_superblock_image = tmp "no-superblock.img"
+let no_checkpoint_image = tmp "no-checkpoint.img"
 
 (* mkfs target that a rejected geometry must not create *)
 let small_mkfs_image = tmp "small-mkfs.img"
@@ -56,12 +61,25 @@ let setup_images () =
   if rc <> 0 then Alcotest.failf "mkfs fixture failed with exit code %d" rc;
   write_file badsize_image (Bytes.create 1000);
   write_file zeroed_image (Bytes.create (32 * segment_bytes));
-  write_file tiny_image (Bytes.make (4 * segment_bytes) '\000')
+  write_file tiny_image (Bytes.make (4 * segment_bytes) '\000');
+  let damaged path ranges =
+    let image =
+      Bytes.of_string (In_channel.with_open_bin good_image In_channel.input_all)
+    in
+    List.iter (fun (off, len) -> Bytes.fill image off len '\000') ranges;
+    write_file path image
+  in
+  damaged no_superblock_image [ (0, 2 * 4096) ];
+  damaged no_checkpoint_image
+    [ (segment_bytes, segment_bytes); (4 * segment_bytes, segment_bytes) ]
 
 let cleanup_images () =
   List.iter
     (fun p -> try Sys.remove p with Sys_error _ -> ())
-    [ good_image; badsize_image; zeroed_image; tiny_image; small_mkfs_image ]
+    [
+      good_image; badsize_image; zeroed_image; tiny_image; small_mkfs_image;
+      no_superblock_image; no_checkpoint_image;
+    ]
 
 (* The matrix.  [trace]/[stats] run a real (small) workload; [model]
    runs a real (small) differential-fuzzing session. *)
@@ -86,6 +104,19 @@ let matrix () =
     ("mount, formatted image", [ "mount"; "--file"; good_image ], 0);
     ("mount, truncated image", [ "mount"; "--file"; badsize_image ], 2);
     ("mount, zeroed image", [ "mount"; "--file"; zeroed_image ], 1);
+  ]
+  (* a formatted image that lost every generation of its superblock or
+     of its checkpoint is corrupt: a real problem, never a crash *)
+  @ List.concat_map
+      (fun (what, image) ->
+        List.map
+          (fun cmd -> (cmd ^ ", " ^ what, [ cmd; "--file"; image ], 1))
+          [ "mount"; "info"; "scrub" ])
+      [
+        ("superblock slots destroyed", no_superblock_image);
+        ("checkpoint generations destroyed", no_checkpoint_image);
+      ]
+  @ [
     ( "trace, small workload",
       [
         "trace"; "--segments"; "64"; "--files"; "4"; "--out"; tmp "trace.json";

@@ -561,6 +561,84 @@ let test_early_open_first_mutation_completes () =
   check_data "mutation applied on the recovered state" (block_data 777)
     (Lld.read lld2 (List.hd bs))
 
+(* Lists and members written before a checkpoint, so their membership
+   and owner edges reach recovery only through the checkpoint. *)
+let checkpointed_lists lld ~lists ~members =
+  let ls =
+    List.init lists (fun g ->
+        let l = new_list lld in
+        let bs =
+          List.init members (fun i ->
+              let b = append_block lld l in
+              Lld.write lld b (block_data ((100 * g) + i));
+              b)
+        in
+        (l, bs))
+  in
+  Lld.checkpoint lld;
+  ls
+
+(* The tail deletes one list and one member of another; every other
+   member of those lists is named by no tail entry and reaches its
+   replay group only through its checkpointed membership.  Early open
+   must recover such a member before serving it: first touched, it
+   must already read as deleted (or still linked), exactly as after an
+   eager recovery. *)
+let test_early_open_unnamed_members () =
+  let disk, lld = fresh_lld () in
+  let ls = checkpointed_lists lld ~lists:3 ~members:4 in
+  let (l_deleted, deleted_members), (l_shrunk, shrunk_members), _ =
+    match ls with [ a; b; c ] -> (a, b, c) | _ -> assert false
+  in
+  Lld.delete_list lld l_deleted;
+  Lld.delete_block lld (List.hd shrunk_members);
+  Lld.flush lld;
+  crash disk;
+  let geom = Disk.geometry disk in
+  let image = Disk.snapshot disk in
+  let load () = Disk.load ~clock:(Clock.create ()) geom (Bytes.copy image) in
+  let eager_lld, eager_report = Lld.recover (load ()) in
+  let lazy_lld, _preliminary = Lld.recover ~config:early_config (load ()) in
+  Alcotest.(check bool) "replay pending" true (Lld.recovery_pending lazy_lld > 0);
+  let same op =
+    Alcotest.(check bool)
+      (Format.asprintf "op %a agrees while replay pending" Op.pp op)
+      true
+      (Op.equal_result (Ops.apply lazy_lld op) (Ops.apply eager_lld op))
+  in
+  (* members before their lists: each member's first touch is the one
+     that must find the group *)
+  List.iter
+    (fun b ->
+      same (Op.Block_allocated { aru = None; block = b });
+      same (Op.Block_member { aru = None; block = b });
+      same (Op.Read { aru = None; block = b }))
+    (deleted_members @ List.tl shrunk_members);
+  same (Op.List_blocks { aru = None; list = l_deleted });
+  same (Op.List_blocks { aru = None; list = l_shrunk });
+  match Lld.complete_recovery lazy_lld with
+  | None -> Alcotest.fail "expected a pending recovery"
+  | Some report ->
+    Alcotest.(check bool) "final report equals the eager report" true
+      ({ report with Recovery.parallel_replay = false }
+      = { eager_report with Recovery.parallel_replay = false })
+
+(* Members of one checkpointed list share a replay group through the
+   list, though no tail entry names the list. *)
+let test_checkpoint_membership_joins_groups () =
+  let disk, lld = fresh_lld () in
+  let ls = checkpointed_lists lld ~lists:2 ~members:3 in
+  let a, b =
+    match ls with [ (_, a); (_, b) ] -> (a, b) | _ -> assert false
+  in
+  Lld.write lld (List.nth a 0) (block_data 1);
+  Lld.write lld (List.nth a 2) (block_data 2);
+  Lld.write lld (List.nth b 1) (block_data 3);
+  Lld.flush lld;
+  crash disk;
+  let _, report = Lld.recover disk in
+  Alcotest.(check int) "one group per list" 2 report.Recovery.replay_groups
+
 let test_recovery_report_counts () =
   let disk, lld = fresh_lld () in
   let l = new_list lld in
@@ -635,6 +713,10 @@ let () =
             test_early_open_matches_eager_recovery;
           Alcotest.test_case "first mutation completes replay" `Quick
             test_early_open_first_mutation_completes;
+          Alcotest.test_case "unnamed members of checkpointed lists" `Quick
+            test_early_open_unnamed_members;
+          Alcotest.test_case "checkpoint membership joins groups" `Quick
+            test_checkpoint_membership_joins_groups;
         ] );
       ( "cleaner",
         [
