@@ -162,6 +162,48 @@ let test_journal_fills_and_recycles () =
     ((Jld.counters lld).Lld_core.Counters.checkpoints > checkpoints0);
   Alcotest.(check int) "latest data" (2000 land 0xff) (tag_of (Jld.read lld b))
 
+(* A freed block identifier handed out again reads zeros until its
+   first write, whichever path freed it and across recovery: the old
+   incarnation's data still sits in the cache and at the home location
+   after a checkpoint. *)
+let reissued_reads_zeros free () =
+  let disk, lld = fresh () in
+  let l = Jld.new_list lld () in
+  let b = append lld l in
+  Jld.write lld b (Bytes.make block_bytes 'X');
+  Jld.checkpoint lld;
+  let lld, b2 = free disk lld l b in
+  Alcotest.(check int) "identifier reissued" (Types.Block_id.to_int b)
+    (Types.Block_id.to_int b2);
+  Alcotest.(check bool) "reads zeros" true
+    (Bytes.equal (Jld.read lld b2) (Bytes.make block_bytes '\000'))
+
+let test_reissue_after_delete =
+  reissued_reads_zeros (fun _ lld l b ->
+      Jld.delete_block lld b;
+      (lld, append lld l))
+
+let test_reissue_after_aru_delete =
+  reissued_reads_zeros (fun _ lld l b ->
+      let a = Jld.begin_aru lld in
+      Jld.delete_block lld ~aru:a b;
+      Jld.end_aru lld a;
+      (lld, append lld l))
+
+let test_reissue_after_delete_list =
+  reissued_reads_zeros (fun _ lld l _ ->
+      Jld.delete_list lld l;
+      let l2 = Jld.new_list lld () in
+      (lld, append lld l2))
+
+let test_reissue_across_recovery =
+  reissued_reads_zeros (fun disk lld l b ->
+      Jld.delete_block lld b;
+      let b2 = append lld l in
+      Jld.flush lld;
+      crash disk;
+      (fst (Jld.recover disk), b2))
+
 let test_torn_journal_chunk () =
   let disk, lld = fresh () in
   let l = Jld.new_list lld () in
@@ -364,6 +406,16 @@ let () =
           Alcotest.test_case "ARU isolation and commit" `Quick
             test_aru_isolation_and_commit;
           Alcotest.test_case "ARU abort" `Quick test_aru_abort;
+        ] );
+      ( "reissued-ids",
+        [
+          Alcotest.test_case "after delete" `Quick test_reissue_after_delete;
+          Alcotest.test_case "after in-ARU delete" `Quick
+            test_reissue_after_aru_delete;
+          Alcotest.test_case "after list delete" `Quick
+            test_reissue_after_delete_list;
+          Alcotest.test_case "across recovery" `Quick
+            test_reissue_across_recovery;
         ] );
       ( "recovery",
         [
