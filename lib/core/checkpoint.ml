@@ -281,6 +281,8 @@ let read_chunk geom image =
     end
   end
 
+(* The region's payload, read and checksummed but not decoded: [None]
+   when the region holds no complete, checksummed checkpoint. *)
 let read_payload disk ~region =
   let geom = Disk.geometry disk in
   let first = Disk_layout.region_first geom ~region in
@@ -331,7 +333,8 @@ let read_region disk ~region = Option.bind (read_payload disk ~region) decode_op
 (* Overlay a cumulative delta on its full base: delta entries replace
    (or add) base entries, tombstones remove them, and every scalar —
    position, pending ARU state, free order — comes from the delta, which
-   is the newer generation. *)
+   is the newer generation.  Raises [Invalid_argument] when [delta] is
+   not a delta against exactly [full]. *)
 let compose ~full ~delta =
   let base_id =
     match delta.kind with

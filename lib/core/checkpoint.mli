@@ -103,19 +103,10 @@ val write : Lld_disk.Disk.t -> region:int -> snapshot -> unit
     when the payload exceeds the region (only possible with enormous
     pending-ARU state). *)
 
-val read_payload : Lld_disk.Disk.t -> region:int -> Lld_util.Blk.t option
-(** The region's payload, read and checksummed but not decoded: [None]
-    when the region holds no complete, checksummed checkpoint. *)
-
 val read_region : Lld_disk.Disk.t -> region:int -> snapshot option
-(** {!read_payload}, decoded: [None] also when the payload does not
-    decode. *)
-
-val compose : full:snapshot -> delta:snapshot -> snapshot
-(** The effective snapshot of a delta over its full base: delta entries
-    replace or add base entries, tombstones remove them, scalars come
-    from the delta.  Raises [Invalid_argument] when [delta] is not a
-    delta against exactly [full]. *)
+(** The region's checkpoint, read, checksummed and decoded: [None] when
+    the region holds no complete, checksummed checkpoint or its payload
+    does not decode. *)
 
 type best = {
   best_snap : snapshot;
@@ -128,21 +119,14 @@ type best = {
           generations at once *)
 }
 
-val select :
-  region0:Lld_util.Blk.t option -> region1:Lld_util.Blk.t option -> best option
-(** Generation selection over the two regions' payloads (from
-    {!read_payload}; [None] for a region that yielded none): every
-    decodable full is a candidate, a decodable delta is a candidate only
-    if its exact base full is also decodable, and the candidate with the
-    highest [ckpt_id] wins.  [None] when neither region yields a
-    candidate.  The winner is chosen from each payload's header (version,
-    kind, base id, [ckpt_id]), and only the winner is decoded, plus its
-    base when a delta wins.  A payload that then fails to decode drops
-    out and the choice is made again, so the result is the same as
-    decoding both regions first. *)
-
 val read_best : Lld_disk.Disk.t -> best option
-(** {!select} over {!read_payload} of both regions.  A region whose read
-    raises [Fault.Media_error] counts as empty, so recovery survives an
-    unreadable region by falling back to the other generation.  Both
-    regions are always read and checksummed. *)
+(** Generation selection over both regions: every decodable full is a
+    candidate, a decodable delta is a candidate only if its exact base
+    full is also decodable, and the candidate with the highest
+    [ckpt_id] wins.  [None] when neither region yields a candidate.  The
+    winner is chosen from each payload's header (version, kind, base id,
+    [ckpt_id]), and only the winner is decoded, plus its base when a
+    delta wins; the result is the same as decoding both regions first.
+    A region whose read raises [Fault.Media_error] counts as empty, so
+    recovery survives an unreadable region by falling back to the other
+    generation.  Both regions are always read and checksummed. *)

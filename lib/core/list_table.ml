@@ -67,5 +67,3 @@ let iter t f =
   List.iter
     (fun i -> f (Hashtbl.find t.table i))
     (List.sort Int.compare ids)
-
-let existing_count t = t.existing

@@ -31,5 +31,3 @@ val rebuild_free : t -> unit
 val iter : t -> (Record.list_r -> unit) -> unit
 (** Over all materialised persistent records, in increasing identifier
     order. *)
-
-val existing_count : t -> int

@@ -19,8 +19,6 @@ let create ~num_segments ~capacity =
 
 let live t seg = Vec.length t.seg_blocks.(seg)
 
-let seg_of t block = if t.seg_of.(block) < 0 then None else Some t.seg_of.(block)
-
 (* Swap-with-last removal keeps every operation O(1). *)
 let remove t ~block =
   let seg = t.seg_of.(block) in

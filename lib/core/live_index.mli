@@ -23,9 +23,6 @@ val remove : t -> block:int -> unit
 val live : t -> int -> int
 (** Number of live blocks in a segment. *)
 
-val seg_of : t -> int -> int option
-(** The segment a block id is indexed in, if any. *)
-
 val blocks : t -> int -> int list
 (** Snapshot of a segment's live block ids (unspecified order). *)
 

@@ -334,17 +334,9 @@ val set_obs : t -> Lld_obs.Obs.t -> unit
 
 val obs : t -> Lld_obs.Obs.t
 
-val open_arus : t -> int
-(** ARUs begun and not yet committed or aborted. *)
-
 val live_blocks : t -> int
 (** Persistent block slots referenced by the per-segment live index. *)
 
 val sealed_segments : t -> int
 (** Segments written and not yet freed. *)
 
-val shadow_versions : t -> int
-(** Shadow block versions held by open ARUs (the mesh depth). *)
-
-val link_log_entries : t -> int
-(** Buffered list operations across all open ARU link logs. *)

@@ -52,7 +52,6 @@ let seq t = t.seq
 let disk_index t = t.disk_index
 let is_empty t = t.slots_used = 0 && t.entry_count = 0
 let slots_used t = t.slots_used
-let summary_bytes t = t.summary_bytes
 let entry_count t = t.entry_count
 
 (* every slot costs its block plus one CRC-table entry *)

@@ -29,7 +29,6 @@ val seq : t -> int
 val disk_index : t -> int
 val is_empty : t -> bool
 val slots_used : t -> int
-val summary_bytes : t -> int
 val entry_count : t -> int
 
 val has_room : t -> data_blocks:int -> entry_bytes:int -> bool

@@ -15,9 +15,6 @@
 
 type slot = { epoch : int; region : int }
 
-val slot_count : int
-(** Always 2. *)
-
 val slot_for : epoch:int -> int
 (** The slot index generation [epoch] is written to ([epoch mod 2]). *)
 

@@ -827,10 +827,6 @@ let replay_point_obs ?recover_config trace point =
   ignore (trace.tr_recover ~obs config disks);
   obs
 
-let dump_point_trace ?recover_config trace point ~path =
-  let obs = replay_point_obs ?recover_config trace point in
-  Lld_obs.Trace.write_chrome_file (Obs.trace obs) path
-
 (* The full black-box bundle for a failing point: the same replay, but
    everything the handle holds — flight ring, trace ring, metrics
    registry — written as a Forensics bundle sharing one stem. *)
@@ -1040,6 +1036,8 @@ let run ?(granularity = 512) ?budget ?(seed = 1) ?recover_config
     r_forensics_files = forensics_files;
   }
 
+(* A [lld crashcheck --workload ... --at ...] command line that replays
+   exactly this crash point. *)
 let repro_hint ~workload point =
   match point.pt_keep with
   | None ->

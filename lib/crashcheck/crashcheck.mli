@@ -69,15 +69,6 @@ val cleaning_spec : ?units:int -> ?blocks_per_unit:int -> unit -> spec
     with one ARU left open across it — segment relocation, the live
     index and the cleaner's checkpoint all inside the recorded trace. *)
 
-val group_commit_spec :
-  ?rounds:int -> ?arus_per_round:int -> ?blocks_per_aru:int -> unit -> spec
-(** Group-commit workload: rounds of ARUs queued with
-    {!Lld_core.Lld.submit_commit} and drained as batches whose commit
-    records travel in single [Commit_group] entries (default 10 rounds
-    of 4 ARUs x 2 blocks — big enough to split sub-batches on segment
-    room).  Crash points tearing a batch seal must recover each
-    contained ARU all-or-nothing; a final ARU is submitted but never
-    flushed and must never surface as committed. *)
 
 val torture_spec :
   ?variant:Lld_workload.Setup.variant -> ?seed:int -> unit -> spec
@@ -212,21 +203,6 @@ val check_point :
     tests to demonstrate that a deliberately broken recovery — e.g.
     [recovery_sweep = false] — is caught). *)
 
-val dump_point_trace :
-  ?recover_config:Lld_core.Config.t -> trace -> point -> path:string -> unit
-(** Replay the crash point once more with a live {!Lld_obs.Obs} attached
-    to recovery (and to the oracle-verification reads that follow) and
-    write the resulting Chrome trace-event JSON to [path] — openable in
-    Perfetto / [chrome://tracing].  A recovery that raises still leaves
-    the spans recorded up to the failure in the file. *)
-
-val dump_point_bundle :
-  ?recover_config:Lld_core.Config.t ->
-  trace -> point -> dir:string -> label:string -> string list
-(** Same replay, full black box: write the {!Lld_obs.Forensics} bundle
-    ([<label>.flight.jsonl], [<label>.trace.json],
-    [<label>.metrics.json]) into [dir] and return the paths. *)
-
 (** {1 The checker} *)
 
 type violation = { v_point : point; v_problems : string list }
@@ -257,13 +233,11 @@ type result = {
           rebuilt over the deterministic post-format bases without
           re-running the workload *)
   r_forensics_files : string list;
-      (** the rest of the minimal reproducer's {!dump_point_bundle}
-          output — flight-recorder ring and metrics snapshot — written
+      (** the rest of the minimal reproducer's forensics bundle —
+          flight-recorder ring and metrics snapshot — written
           alongside [r_trace_file] (empty when no [trace_dir] or no
           violation) *)
 }
-
-val max_kept_violations : int
 
 val ok : result -> bool
 
@@ -287,13 +261,9 @@ val run :
     enumeration from the start (at most [shrink_limit] extra checks,
     default 4000).  With [trace_dir], the minimal reproducer's recovery
     is replayed under live tracing and the Chrome trace written into
-    that directory (see {!dump_point_trace}); the path lands in
+    that directory; the path lands in
     [r_trace_file] and in {!pp_result}'s output next to the reproducer
     command line. *)
-
-val repro_hint : workload:string -> point -> string
-(** A [lld crashcheck --workload ... --at ...] command line that replays
-    exactly this crash point. *)
 
 val pp_result : Format.formatter -> result -> unit
 

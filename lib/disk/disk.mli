@@ -96,11 +96,9 @@ val snapshot_view : t -> Blk.t
 
 val snapshot : t -> bytes
 
-val restore_view : t -> Blk.t -> unit
+val restore : t -> bytes -> unit
 (** Overwrite the entire device image.  Raises [Invalid_argument] when
     the image size does not match the partition. *)
-
-val restore : t -> bytes -> unit
 
 (** {2 Media corruption}
 

@@ -82,12 +82,6 @@ let on_write t ~length =
       `Torn (min keep_bytes length)
     end
 
-let pp_crash ppf = function
-  | After_writes n -> Format.fprintf ppf "after %d write(s)" n
-  | During_write { write_index; keep_bytes } ->
-    Format.fprintf ppf "during write %d (first %d byte(s) persisted)"
-      write_index keep_bytes
-
 let overlaps (boff, blen) ~offset ~length =
   offset < boff + blen && boff < offset + length
 

@@ -14,9 +14,6 @@ type crash =
           from now): only the first [keep_bytes] bytes reach the medium
           — a torn segment write. *)
 
-val pp_crash : Format.formatter -> crash -> unit
-(** Human-readable crash point (used by crash-checker reproducers). *)
-
 exception Crashed
 (** Raised by disk writes once the crash point is reached. The disk
     contents remain readable for recovery. *)

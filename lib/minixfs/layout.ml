@@ -3,7 +3,6 @@ let inode_bytes = 32
 let inodes_per_block = block_bytes / inode_bytes
 let name_max = 14
 let dirent_bytes = 16
-let dirents_per_block = block_bytes / dirent_bytes
 let superblock_magic = 0x4d4c4644 (* "MLFD" *)
 let root_ino = 1
 

@@ -20,8 +20,6 @@ val name_max : int
 val dirent_bytes : int
 (** 16: a u16 inode number plus the name. *)
 
-val dirents_per_block : int
-
 val superblock_magic : int
 
 val root_ino : int

@@ -46,8 +46,5 @@ val generate : seed:int -> clients:int -> ops:int -> t
 (** [ops] commands per client, interleaved at command granularity by a
     seeded scheduler.  Deterministic: equal arguments, equal program. *)
 
-val pp_cmd : Format.formatter -> cmd -> unit
-val pp_step : Format.formatter -> step -> unit
-
 val pp : Format.formatter -> t -> unit
 (** One [#i cN: cmd] line per step. *)

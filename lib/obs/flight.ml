@@ -79,17 +79,3 @@ let write_jsonl_file t path =
   let oc = open_out path in
   output_string oc (to_jsonl_string t);
   close_out oc
-
-let pp_entry ppf e =
-  let args =
-    String.concat ", "
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "%s=%s" k
-             (match v with
-             | Trace.I n -> string_of_int n
-             | Trace.F f -> Printf.sprintf "%g" f
-             | Trace.S s -> s))
-         e.fl_args)
-  in
-  Format.fprintf ppf "[%s] %s @%dns %s" e.fl_cat e.fl_name e.fl_ns args

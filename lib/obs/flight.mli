@@ -41,4 +41,3 @@ val entries : t -> entry list
 
 val to_jsonl_string : t -> string
 val write_jsonl_file : t -> string -> unit
-val pp_entry : Format.formatter -> entry -> unit

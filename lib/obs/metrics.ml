@@ -185,8 +185,3 @@ let to_openmetrics_string t =
   List.iter (fun (name, h) -> om_histogram buf (om_name name) h) (histograms t);
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
-
-let dump_openmetrics t path =
-  let oc = open_out path in
-  output_string oc (to_openmetrics_string t);
-  close_out oc

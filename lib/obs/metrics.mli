@@ -54,6 +54,3 @@ val to_openmetrics_string : t -> string
     [name_sum]/[name_count].  Names are sanitised (dots to
     underscores) and prefixed [lld_]; the output ends with
     [# EOF]. *)
-
-val dump_openmetrics : t -> string -> unit
-(** Write {!to_openmetrics_string} to the given path. *)

@@ -23,16 +23,6 @@ let category_label = function
   | Checkpoint -> "checkpoint"
   | Fs -> "fs"
 
-let category_of_string = function
-  | "op" -> Some Op
-  | "disk" -> Some Disk
-  | "aru" -> Some Aru
-  | "clean" -> Some Clean
-  | "recovery" -> Some Recovery
-  | "checkpoint" -> Some Checkpoint
-  | "fs" -> Some Fs
-  | _ -> None
-
 type arg = I of int | S of string | F of float
 type flow_phase = Flow_start | Flow_step | Flow_end
 
@@ -290,22 +280,3 @@ let write_file path contents =
 
 let write_chrome_file t path = write_file path (to_chrome_string t)
 let write_jsonl_file t path = write_file path (to_jsonl_string t)
-
-let pp_event ppf ev =
-  let args =
-    String.concat ", "
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "%s=%s" k
-             (match v with
-             | I n -> string_of_int n
-             | F f -> Printf.sprintf "%g" f
-             | S s -> s))
-         ev.ev_args)
-  in
-  if ev.ev_dur_ns < 0 then
-    Format.fprintf ppf "[%s] %s @%dns %s" (category_label ev.ev_cat) ev.ev_name
-      ev.ev_ts_ns args
-  else
-    Format.fprintf ppf "[%s] %s @%dns +%dns %s" (category_label ev.ev_cat)
-      ev.ev_name ev.ev_ts_ns ev.ev_dur_ns args

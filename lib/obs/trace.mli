@@ -13,9 +13,7 @@
 
 type category = Op | Disk | Aru | Clean | Recovery | Checkpoint | Fs
 
-val all_categories : category list
 val category_label : category -> string
-val category_of_string : string -> category option
 
 (** Event argument payload, rendered into the [args] JSON object. *)
 type arg = I of int | S of string | F of float
@@ -99,4 +97,3 @@ val to_chrome_string : t -> string
 val to_jsonl_string : t -> string
 val write_chrome_file : t -> string -> unit
 val write_jsonl_file : t -> string -> unit
-val pp_event : Format.formatter -> event -> unit

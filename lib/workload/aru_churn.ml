@@ -40,8 +40,6 @@ let run lld (p : params) =
 
 type traced_params = { arus : int; blocks_per_aru : int; flush_every : int }
 
-let traced_default = { arus = 160; blocks_per_aru = 2; flush_every = 1 }
-
 let payload ~block_bytes ~aru ~slot =
   let b = Bytes.make block_bytes '\000' in
   let tag = Printf.sprintf "churn-%d-%d:" aru slot in

@@ -26,8 +26,6 @@ type traced_params = {
   flush_every : int;  (** [Lld.flush] after this many ARUs; 0 = only at the end *)
 }
 
-val traced_default : traced_params
-
 val run_traced : Lld_core.Lld.t -> Oracle.t -> traced_params -> unit
 (** Each ARU creates a list and [blocks_per_aru] blocks with
     recognisable payloads and registers its expected committed state as

@@ -10,10 +10,6 @@ type block_unit = {
 type file_unit = { fu_path : string; fu_content : bytes }
 type unit_ = Blocks of block_unit | File of file_unit
 
-let unit_label = function
-  | Blocks u -> u.bu_label
-  | File u -> u.fu_path
-
 type t = { mutable rev_units : unit_ list; mutable count : int }
 
 let create () = { rev_units = []; count = 0 }

@@ -39,8 +39,6 @@ type file_unit = {
 
 type unit_ = Blocks of block_unit | File of file_unit
 
-val unit_label : unit_ -> string
-
 type t
 
 val create : unit -> t
