@@ -11,9 +11,14 @@
     - every operation (meta-data {e and} ARU data) first goes to a
       {e write-ahead journal} at the front of the partition, appended
       sequentially in checksummed group-commit chunks;
-    - the in-memory shadow machinery is the same as LLD's (the
-      alternative-record mesh, per-ARU list-operation logs, commit-time
-      replay), so concurrent ARUs have identical semantics;
+    - the in-memory shadow machinery is LLD's own code: the version
+      store {!Lld_core.Versions} and the operation bodies
+      {!Lld_core.Ld_ops} (the alternative-record mesh, per-ARU
+      list-operation logs, commit-time replay and merge) run over JLD's
+      tables and reach its journal through a storage sink, so concurrent
+      ARUs have identical semantics;
+    - a block reads zeros from its allocation until its first write,
+      whatever an earlier incarnation left at its home location;
     - a {e checkpoint} makes the journal's effects home: journaled data
       is written in place (write-ahead, so torn in-place writes are
       repaired by replay), the block/list tables are written to
