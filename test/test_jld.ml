@@ -267,6 +267,28 @@ let test_multiple_crash_cycles () =
       !blocks
   done
 
+(* An aborted ARU's list that a later simple operation gave a member
+   survives recovery like any committed list: the sweep drops the dead
+   ARU's owner mark, so the restarted disk, which hands out that ARU's
+   id again, does not hide the list behind it. *)
+let test_dead_owner_mark_swept () =
+  let disk, lld = fresh () in
+  let a = Jld.begin_aru lld in
+  let l = Jld.new_list lld ~aru:a () in
+  Jld.abort_aru lld a;
+  let b0 = Jld.new_block lld ~list:l ~pred:Summary.Head () in
+  Jld.flush lld;
+  crash disk;
+  let lld2, _ = Jld.recover disk in
+  let a2 = Jld.begin_aru lld2 in
+  Alcotest.(check int) "ARU id reissued" (Types.Aru_id.to_int a)
+    (Types.Aru_id.to_int a2);
+  Alcotest.(check bool) "list exists" true (Jld.list_exists lld2 l);
+  Alcotest.(check (list int)) "members" [ Types.Block_id.to_int b0 ]
+    (List.map Types.Block_id.to_int (Jld.list_blocks lld2 l));
+  let b1 = Jld.new_block lld2 ~list:l ~pred:(Summary.After b0) () in
+  Alcotest.(check bool) "linkable" true (Jld.block_allocated lld2 b1)
+
 let test_minix_fs_on_jld () =
   let module Fs = Minix_on_jld.Fs_impl in
   let module Fsck = Minix_on_jld.Fsck_impl in
@@ -435,6 +457,8 @@ let () =
             test_recover_unformatted_rejected;
           Alcotest.test_case "multiple crash cycles" `Quick
             test_multiple_crash_cycles;
+          Alcotest.test_case "dead ARU's owner mark swept" `Quick
+            test_dead_owner_mark_swept;
         ] );
       ( "minix-on-jld",
         [
