@@ -3,8 +3,9 @@
    The paper's §2: "LD implementations can be exchanged transparently,
    without changing applications" — here the same client function runs
    against the log-structured LLD and the journaling in-place JLD via a
-   first-class module of the LD signature, and the same Minix file
-   system (a functor over that signature) is mounted on both.
+   first-class module of the LD signature, then each disk crashes and
+   recovers, and the same Minix file system (a functor over that
+   signature) is mounted on both.
 
      dune exec examples/two_disks.exe *)
 
@@ -31,7 +32,35 @@ module Client (Ld : Lld_core.Ld_intf.S) = struct
     Printf.printf "  %d blocks on the list, %d allocated, %.3f s virtual\n"
       (List.length (Ld.list_blocks lld list))
       (Ld.allocated_blocks lld)
-      (float_of_int (Clock.now_ns (Ld.clock lld)) /. 1e9)
+      (float_of_int (Clock.now_ns (Ld.clock lld)) /. 1e9);
+    list
+
+  (* Then a crash: a committed ARU that swaps the list's tail for a new
+     block, a simple delete of a second list, and an ARU still open when
+     the disk goes down.  Recovery keeps the first two and sweeps the
+     open ARU's block. *)
+  let crash_and_recover lld list ~recover =
+    let second = Ld.new_list lld () in
+    ignore (Ld.new_block lld ~list:second ~pred:Summary.Head ());
+    (match Ld.list_blocks lld list with
+    | [ b1; b2 ] ->
+      Ld.with_aru lld (fun aru ->
+          Ld.delete_block lld ~aru b2;
+          let b3 = Ld.new_block lld ~aru ~list ~pred:(Summary.After b1) () in
+          Ld.write lld ~aru b3 (Bytes.make 4096 'c'))
+    | _ -> assert false);
+    Ld.delete_list lld second;
+    let aru = Ld.begin_aru lld in
+    ignore (Ld.new_block lld ~aru ~list ~pred:Summary.Head ());
+    Ld.flush lld;
+    let lld = recover () in
+    Printf.printf "  recovered: list [%s], %d allocated, %d ns virtual\n"
+      (String.concat "; "
+         (List.map
+            (fun b -> Format.asprintf "%a" Types.Block_id.pp b)
+            (Ld.list_blocks lld list)))
+      (Ld.allocated_blocks lld)
+      (Clock.now_ns (Ld.clock lld))
 end
 
 module Lld_client = Client (Lld_core.Lld)
@@ -44,12 +73,18 @@ let () =
   Printf.printf "raw LD client on LLD (log-structured):\n";
   let clock = Clock.create () in
   let disk = Disk.create ~clock Geometry.small in
-  Lld_client.run (Lld_core.Lld.create disk);
+  let lld = Lld_core.Lld.create disk in
+  let list = Lld_client.run lld in
+  Lld_client.crash_and_recover lld list ~recover:(fun () ->
+      fst (Lld_core.Lld.recover disk));
 
   Printf.printf "raw LD client on JLD (in-place + journal):\n";
   let clock = Clock.create () in
   let disk = Disk.create ~clock Geometry.small in
-  Jld_client.run (Lld_jld.Jld.create disk);
+  let jld = Lld_jld.Jld.create disk in
+  let list = Jld_client.run jld in
+  Jld_client.crash_and_recover jld list ~recover:(fun () ->
+      fst (Lld_jld.Jld.recover disk));
 
   (* the same file-system code, two different disks underneath *)
   Printf.printf "Minix FS on LLD:  ";
