@@ -654,6 +654,24 @@ let test_recovery_report_counts () =
   Alcotest.(check int) "five ARUs committed" 5 report.Recovery.arus_committed;
   Alcotest.(check int) "none discarded" 0 report.Recovery.arus_discarded
 
+(* An ARU that dies holding a new list and a new block leaves one of
+   each for the sweep; the printed report counts them apart. *)
+let test_report_prints_scavenged_apart () =
+  let disk, lld = fresh_lld () in
+  let a = Lld.begin_aru lld in
+  let l = Lld.new_list lld ~aru:a () in
+  ignore (Lld.new_block lld ~aru:a ~list:l ~pred:Summary.Head ());
+  Lld.flush lld;
+  crash disk;
+  let _, report = Lld.recover disk in
+  Alcotest.(check (pair int int)) "one block, one list" (1, 1)
+    (report.Recovery.blocks_scavenged, report.Recovery.lists_scavenged);
+  let lines =
+    String.split_on_char '\n' (Format.asprintf "%a" Recovery.pp_report report)
+  in
+  Alcotest.(check string) "printed" "scavenged: 1 blocks, 1 lists"
+    (List.nth lines (List.length lines - 1))
+
 let () =
   Alcotest.run "lld_recovery"
     [
@@ -683,6 +701,8 @@ let () =
           Alcotest.test_case "sequential committed ARU survives" `Quick
             test_sequential_mode_committed_aru_survives;
           Alcotest.test_case "report counts" `Quick test_recovery_report_counts;
+          Alcotest.test_case "report prints scavenged apart" `Quick
+            test_report_prints_scavenged_apart;
         ] );
       ( "torn-writes",
         [ Alcotest.test_case "torn segment write" `Quick test_torn_segment_write ]
