@@ -237,13 +237,18 @@ let list_blocks t ?aru list =
   let who = resolve_who t aru in
   let lrec = visible_list t who list in
   require_visible_list t who lrec;
-  let rec walk acc = function
+  (* a list holds each block at most once, so a longer chain is a cycle *)
+  let rec walk n acc = function
     | None -> List.rev acc
+    | Some _ when n = Block_map.capacity t.blocks ->
+      Errors.corrupt
+        (Format.asprintf "list %a: chain longer than the disk (a cycle)"
+           Types.List_id.pp list)
     | Some b ->
       let br = visible_block t who b in
-      walk (b :: acc) br.Record.successor
+      walk (n + 1) (b :: acc) br.Record.successor
   in
-  walk [] lrec.Record.first
+  walk 0 [] lrec.Record.first
 
 let lists t =
   let acc = ref [] in

@@ -3,6 +3,7 @@ module Record = Lld_core.Record
 module Splice = Lld_core.Splice
 module Summary = Lld_core.Summary
 module Errors = Lld_core.Errors
+module Versions = Lld_core.Versions
 
 let bid = Types.Block_id.of_int
 let lid = Types.List_id.of_int
@@ -277,6 +278,33 @@ let test_splice_delete_list () =
   Alcotest.(check bool) "second delete skipped" true
     (Splice.delete_list ctx ~list:(lid 1) ~dealloc:ignore = `Skipped)
 
+(* A list walk stops at the disk's capacity: a cyclic chain (two blocks
+   that name each other as successor) is reported as corruption naming
+   the list instead of walked forever. *)
+let test_list_walk_cycle_is_corrupt () =
+  let clock = Lld_sim.Clock.create () in
+  let v =
+    Versions.create ~layers:Versions.Anchors ~visibility:Lld_core.Config.Own_shadow
+      ~clock ~cost:Lld_sim.Cost.sparc5_70 ~counters:(Lld_core.Counters.create ())
+      (Lld_core.Block_map.create ~capacity:8)
+      (Lld_core.List_table.create ~max_lists:8)
+  in
+  let l = Lld_core.List_table.anchor v.Versions.lists (lid 1) in
+  l.Record.exists <- true;
+  l.Record.first <- Some (bid 0);
+  l.Record.last <- Some (bid 1);
+  List.iter
+    (fun (b, next) ->
+      let r = Lld_core.Block_map.anchor v.Versions.blocks (bid b) in
+      r.Record.alloc <- true;
+      r.Record.member_of <- Some (lid 1);
+      r.Record.successor <- Some (bid next))
+    [ (0, 1); (1, 0) ];
+  Alcotest.check_raises "cycle"
+    (Errors.Corrupt "list l1: chain longer than the disk (a cycle)") (fun () ->
+      ignore (Versions.list_blocks v (lid 1)));
+  Alcotest.(check int) "charges nothing" 0 (Lld_sim.Clock.now_ns clock)
+
 let () =
   Alcotest.run "lld_record"
     [
@@ -290,6 +318,8 @@ let () =
           Alcotest.test_case "hops counted" `Quick test_hops_counted;
           Alcotest.test_case "newest shadow" `Quick test_newest_shadow;
           Alcotest.test_case "list chain" `Quick test_list_chain;
+          Alcotest.test_case "list walk stops on a cycle" `Quick
+            test_list_walk_cycle_is_corrupt;
         ] );
       ( "splice",
         [
