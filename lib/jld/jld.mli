@@ -27,8 +27,10 @@
 
     It satisfies {!Lld_core.Ld_intf.S}, so the Minix file system runs on
     it unchanged — the interchangeability the paper claims for LD
-    implementations (§2).  Recovery semantics match LLD's: all-or-none
-    per ARU, allocations of undone ARUs swept. *)
+    implementations (§2).  Recovery is LLD's by the same code: the
+    journal replays through {!Lld_core.Recovery.replay} and its sweep,
+    so each ARU is all-or-none and the allocations of undone ARUs are
+    swept. *)
 
 type t
 
@@ -49,9 +51,10 @@ val create : ?config:config -> Lld_disk.Disk.t -> t
 
 val recover : ?config:config -> Lld_disk.Disk.t -> t * int
 (** Mount after a crash: restore the newest valid tables, replay the
-    journal (buffering ARU entries until their commit records), sweep
-    undone allocations, and checkpoint.  Returns the instance and the
-    number of journal chunks replayed. *)
+    journal's chunks through the shared REDO replay (an ARU's entries
+    wait for its commit record), run the shared consistency sweep, and
+    checkpoint.  Returns the instance and the number of journal chunks
+    replayed. *)
 
 val checkpoint : t -> unit
 (** Flush, write journaled data home, persist the tables, restart the
