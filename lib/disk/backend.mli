@@ -3,9 +3,9 @@
     The paper's headline claim for the Logical Disk split is that
     implementations can be exchanged transparently (§2); this vtable
     honors it one layer down.  A backend is a plain byte store with no
-    timing, no fault plan and no observability — those are composable
-    shims ({!Shim}) that {!Disk} stacks on top of {e any} backend, so
-    every implementation exposes identical crash and cost semantics.
+    timing, no fault plan and no observability — {!Disk} applies those
+    around {e any} backend, so every implementation exposes identical
+    crash and cost semantics.
 
     Since the zero-copy refactor (DESIGN.md §5.13) the data plane is
     {!Lld_util.Blk.t} views: [write] blits the caller's view straight

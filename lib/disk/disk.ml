@@ -14,8 +14,7 @@ type t = {
   timing : Timing.t;
   fault : Fault.t;
   clock : Lld_sim.Clock.t;
-  mutable stack : Backend.t; (* fault → timing → tap(observer) → store *)
-  backend : Backend.t; (* the raw store at the bottom of the stack *)
+  backend : Backend.t; (* the raw store *)
   mutable last_end : int; (* byte position after the previous request; -1 = cold *)
   mutable observer : observer option;
   mutable obs : Lld_obs.Obs.t;
@@ -29,8 +28,7 @@ type t = {
    handle is attached, record a [disk] span with the seek/transfer
    breakdown.  The span brackets exactly the charged interval, so trace
    durations equal the cost-model charge. *)
-let charge t ~op ~offset ~length =
-  let op = match op with `Read -> "read" | `Write -> "write" in
+let charge t op ~offset ~length =
   let b =
     Timing.request_breakdown t.timing t.geom ~last_end:t.last_end ~offset
       ~length
@@ -42,8 +40,7 @@ let charge t ~op ~offset ~length =
     Lld_sim.Clock.charge t.clock Lld_sim.Clock.Io ns;
     Obs.observe t.obs ("disk." ^ op) ns;
     Obs.observe t.obs ("disk." ^ op ^ ".position") b.Timing.position_ns;
-    Lld_obs.Trace.complete (Obs.trace t.obs) Lld_obs.Trace.Disk op ~ts_ns:ts
-      ~dur_ns:ns
+    Obs.complete t.obs Lld_obs.Trace.Disk op ~ts_ns:ts ~dur_ns:ns
       [
         ("offset", Lld_obs.Trace.I offset);
         ("length", Lld_obs.Trace.I length);
@@ -60,45 +57,20 @@ let make ?(timing = Timing.hp_c3010) ?fault ~clock geom backend =
   let fault = match fault with Some f -> f | None -> Fault.none () in
   if backend.Backend.size <> Geometry.total_bytes geom then
     invalid_arg "Disk: backend size does not match the geometry";
-  let t =
-    {
-      geom;
-      timing;
-      fault;
-      clock;
-      stack = backend;
-      backend;
-      last_end = -1;
-      observer = None;
-      obs = Lld_obs.Obs.null;
-      writes = 0;
-      reads = 0;
-      bytes_written = 0;
-      bytes_read = 0;
-    }
-  in
-  (* The canonical shim stack, assembled exactly once per device.  The
-     tap sits right above the store: its probe sees exactly the bytes
-     that persisted (a torn write arrives already sliced) and feeds
-     the counters and the crash-checker's write observer.  Timing sits
-     above the tap, and the fault plan outermost, so a crashed device
-     charges nothing and a torn write charges only its surviving
-     prefix — identical to the pre-backend device. *)
-  let metered =
-    Shim.tap
-      ~on_read:(fun ~offset:_ ~length ->
-        t.reads <- t.reads + 1;
-        t.bytes_read <- t.bytes_read + length)
-      ~on_write:(fun ~offset ~data ->
-        t.writes <- t.writes + 1;
-        t.bytes_written <- t.bytes_written + Blk.length data;
-        match t.observer with
-        | None -> ()
-        | Some f -> f ~index:(t.writes - 1) ~offset ~data)
-      backend
-  in
-  t.stack <- Shim.fault fault (Shim.timing ~charge:(charge t) metered);
-  t
+  {
+    geom;
+    timing;
+    fault;
+    clock;
+    backend;
+    last_end = -1;
+    observer = None;
+    obs = Lld_obs.Obs.null;
+    writes = 0;
+    reads = 0;
+    bytes_written = 0;
+    bytes_read = 0;
+  }
 
 let create ?timing ?fault ?backend ~clock geom =
   let backend =
@@ -114,9 +86,10 @@ let load ?timing ?fault ~clock geom image =
   make ?timing ?fault ~clock geom (Backend.of_bytes image)
 
 (* Queued [Fault.corrupt_sector] bit-rot is applied straight to the raw
-   store, below the shim stack: silent media decay charges nothing to
-   the virtual clock, counts no write, and wakes no observer — exactly
-   like real rot, it is only visible to whoever checks the checksums. *)
+   store, bypassing the fault plan, the charge and the meter: silent
+   media decay charges nothing to the virtual clock, counts no write,
+   and wakes no observer — exactly like real rot, it is only visible to
+   whoever checks the checksums. *)
 let apply_corruption t =
   List.iter
     (fun (offset, length) ->
@@ -135,19 +108,19 @@ let maybe_corrupt t =
 
 let snapshot_view t =
   maybe_corrupt t;
-  t.stack.Backend.snapshot ()
+  t.backend.Backend.snapshot ()
 
 let snapshot t = Blk.to_bytes (snapshot_view t)
 
 let restore_view t image =
-  if Blk.length image <> t.stack.Backend.size then
+  if Blk.length image <> t.backend.Backend.size then
     invalid_arg "Disk.restore: image size does not match the partition";
-  t.stack.Backend.restore image
+  t.backend.Backend.restore image
 
 let restore t image = restore_view t (Blk.of_bytes image)
 
-let barrier t = t.stack.Backend.barrier ()
-let close t = t.stack.Backend.close ()
+let barrier t = t.backend.Backend.barrier ()
+let close t = t.backend.Backend.close ()
 let backend_label t = t.backend.Backend.label
 
 let set_observer t obs = t.observer <- obs
@@ -158,18 +131,44 @@ let fault t = t.fault
 let clock t = t.clock
 
 let check_range t ~offset ~length =
-  if offset < 0 || length < 0 || offset + length > t.stack.Backend.size then
+  if offset < 0 || length < 0 || offset + length > t.backend.Backend.size then
     invalid_arg "Disk: request outside the partition"
+
+(* Every request passes, in order: the fault plan, the charge, the
+   store, then the counters and the write observer.  The fault plan
+   comes first so a crashed device charges nothing and a torn write
+   charges, stores and shows the observer only its surviving prefix;
+   the meter comes last so it counts exactly what reached the store. *)
+let store_write t ~offset data =
+  charge t "write" ~offset ~length:(Blk.length data);
+  t.backend.Backend.write ~offset data;
+  t.writes <- t.writes + 1;
+  t.bytes_written <- t.bytes_written + Blk.length data;
+  match t.observer with
+  | None -> ()
+  | Some f -> f ~index:(t.writes - 1) ~offset ~data
 
 let write_view t ~offset data =
   check_range t ~offset ~length:(Blk.length data);
   maybe_corrupt t;
-  t.stack.Backend.write ~offset data
+  match Fault.on_write t.fault ~length:(Blk.length data) with
+  | `Ok -> store_write t ~offset data
+  | `Torn keep ->
+    (* the prefix reached the medium before power was lost; the slice
+       is a view — no copy on the crash path either *)
+    store_write t ~offset (Blk.sub data 0 keep);
+    raise Fault.Crashed
 
 let read_view t ~offset ~length =
   check_range t ~offset ~length;
   maybe_corrupt t;
-  t.stack.Backend.read ~offset ~length
+  if Fault.crashed t.fault then raise Fault.Crashed;
+  Fault.check_read t.fault ~offset ~length;
+  charge t "read" ~offset ~length;
+  let data = t.backend.Backend.read ~offset ~length in
+  t.reads <- t.reads + 1;
+  t.bytes_read <- t.bytes_read + length;
+  data
 
 let write t ~offset data = write_view t ~offset (Blk.of_bytes data)
 let read t ~offset ~length = Blk.to_bytes (read_view t ~offset ~length)

@@ -3,12 +3,11 @@
     A byte store standing in for the paper's HP C3010 partition accessed
     through the SunOS raw-disk interface.  The store itself is a
     pluggable {!Backend} (in-memory by default, file-backed for real
-    persistence); the device wraps it in the canonical {!Shim} stack —
-    fault plan, timing, write observer — exactly once, so every request
-    charges mechanical latency from {!Timing} to the shared virtual
-    {!Lld_sim.Clock} and passes through the {!Fault} plan identically on
-    every backend, and crash and media-failure behaviour stays
-    deterministic.
+    persistence).  Every request passes, in order, the {!Fault} plan,
+    the mechanical charge from {!Timing} to the shared virtual
+    {!Lld_sim.Clock}, the store, and the counters and write observer —
+    identically on every backend, so crash and media-failure behaviour
+    stays deterministic.
 
     The data plane is {!Lld_util.Blk.t} views ({!read_view} /
     {!write_view}); the [bytes] entry points remain as converting
@@ -103,8 +102,9 @@ val restore : t -> bytes -> unit
 (** {2 Media corruption}
 
     {!Fault.corrupt_sector} queues silent bit-rot; the device drains the
-    queue onto the raw store below the shim stack before the next
-    request — no clock charge, no write counted, no observer callback.
+    queue straight onto the raw store before the next request — no
+    fault check, no clock charge, no write counted, no observer
+    callback.
     Only the checksum layer ([lld scrub], segment CRCs, superblock
     generations) can tell. *)
 

@@ -40,10 +40,10 @@ val clear_bad : t -> unit
 val corrupt_sector : t -> offset:int -> length:int -> unit
 (** Queue silent bit-rot over the byte range: unlike {!mark_bad} the
     range stays readable, but its bytes come back flipped — the media
-    decayed without telling anyone.  {!Disk} drains the queue onto the
-    raw store (below the shim stack, so no clock charge and no write
-    counted) before the next request; detection is the checksum layer's
-    job ([lld scrub], segment CRCs, the superblock generations). *)
+    decayed without telling anyone.  {!Disk} drains the queue straight
+    onto the raw store (no clock charge, no write counted) before the
+    next request; detection is the checksum layer's job ([lld scrub],
+    segment CRCs, the superblock generations). *)
 
 val take_corruption : t -> (int * int) list
 (** Drain the queued [(offset, length)] corruption ranges, oldest

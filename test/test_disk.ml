@@ -152,6 +152,51 @@ let test_fault_schedule_counts_from_now () =
   Alcotest.check_raises "crashes on second write from scheduling"
     Fault.Crashed (fun () -> Disk.write d ~offset:0 (Bytes.make 10 'c'))
 
+(* The request order DESIGN §5.8 relies on: the fault plan comes before
+   the charge and the meter, so a torn write costs and counts only its
+   surviving prefix, and a refused request costs and counts nothing. *)
+let test_disk_request_order () =
+  let clock, d = mk_disk () in
+  Disk.write d ~offset:8192 (Bytes.make 512 'x');
+  let prefix_ns = Clock.now_ns clock in
+  let fault =
+    Fault.create
+      ~crash:(Fault.During_write { write_index = 0; keep_bytes = 512 })
+      ()
+  in
+  let clock, d = mk_disk ~fault () in
+  let seen = ref [] in
+  Disk.set_observer d
+    (Some (fun ~index:_ ~offset:_ ~data -> seen := Lld_util.Blk.length data :: !seen));
+  Alcotest.check_raises "torn write crashes" Fault.Crashed (fun () ->
+      Disk.write d ~offset:8192 (Bytes.make 4096 'y'));
+  Alcotest.(check int) "torn write charges its prefix" prefix_ns
+    (Clock.now_ns clock);
+  let check_meter what ~writes ~bytes_written ~reads =
+    let c = Disk.counters d in
+    Alcotest.(check (list int))
+      (what ^ ": writes, bytes written, reads")
+      [ writes; bytes_written; reads ]
+      [ c.Disk.writes; c.Disk.bytes_written; c.Disk.reads ];
+    Alcotest.(check (list int)) (what ^ ": observer saw the prefix") [ 512 ]
+      !seen
+  in
+  check_meter "torn write" ~writes:1 ~bytes_written:512 ~reads:0;
+  Alcotest.check_raises "crashed device refuses a write" Fault.Crashed
+    (fun () -> Disk.write d ~offset:0 (Bytes.make 4096 'z'));
+  Alcotest.check_raises "crashed device refuses a read" Fault.Crashed
+    (fun () -> ignore (Disk.read d ~offset:0 ~length:4096));
+  Alcotest.(check int) "crashed device charges nothing" prefix_ns
+    (Clock.now_ns clock);
+  check_meter "crashed device" ~writes:1 ~bytes_written:512 ~reads:0;
+  let clock, d = mk_disk () in
+  Fault.mark_bad (Disk.fault d) ~offset:8192 ~length:512;
+  Alcotest.check_raises "bad range raises"
+    (Fault.Media_error { offset = 8192 })
+    (fun () -> ignore (Disk.read d ~offset:8192 ~length:4096));
+  Alcotest.(check int) "bad read charges nothing" 0 (Clock.now_ns clock);
+  Alcotest.(check int) "bad read counts no read" 0 (Disk.counters d).Disk.reads
+
 let () =
   Alcotest.run "lld_disk"
     [
@@ -181,6 +226,8 @@ let () =
             test_disk_charges_clock;
           Alcotest.test_case "bounds checking" `Quick test_disk_bounds;
           Alcotest.test_case "counters" `Quick test_disk_counters;
+          Alcotest.test_case "fault plan, charge, store, meter" `Quick
+            test_disk_request_order;
         ] );
       ( "fault",
         [
