@@ -2026,7 +2026,7 @@ let flight_effect =
       o3_clock_match = p_ns = f_ns;
       o3_counters_match = String.equal p_counters f_counters;
       o3_image_match = Bytes.equal p_image f_image;
-      o3_flight_events = Lld_obs.Flight.count (Obs.flight obs);
+      o3_flight_events = Trace.count (Obs.flight obs);
     }
   in
   let tables r =

@@ -10,22 +10,6 @@ type json =
   | List of json list
   | Obj of (string * json) list
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* The shortest %g rendering that reads back as the same float. *)
 let float_repr f =
   let rec go p =
@@ -42,7 +26,7 @@ let rec json_write buf = function
     Buffer.add_string buf (if Float.is_finite f then float_repr f else "null")
   | String s ->
     Buffer.add_char buf '"';
-    Buffer.add_string buf (json_escape s);
+    Buffer.add_string buf (Lld_obs.Trace.json_escape s);
     Buffer.add_char buf '"'
   | List items ->
     Buffer.add_char buf '[';

@@ -4,7 +4,7 @@ type t = {
   active : bool;
   clock : Clock.t;
   trace : Trace.t;
-  flight : Flight.t;
+  flight : Trace.t; (* the black box: every category, the last events *)
   metrics : Metrics.t;
 }
 
@@ -13,16 +13,18 @@ let null =
     active = false;
     clock = Clock.create ();
     trace = Trace.disabled;
-    flight = Flight.disabled;
+    flight = Trace.disabled;
     metrics = Metrics.create ();
   }
+
+let black_box ?(capacity = 4096) clock = Trace.create ~capacity ~clock ()
 
 let create ?capacity ?categories ?flight_capacity ~clock () =
   {
     active = true;
     clock;
     trace = Trace.create ?capacity ?categories ~clock ();
-    flight = Flight.create ?capacity:flight_capacity ~clock ();
+    flight = black_box ?capacity:flight_capacity clock;
     metrics = Metrics.create ();
   }
 
@@ -33,7 +35,7 @@ let flight_only ?capacity ~clock () =
     active = false;
     clock;
     trace = Trace.disabled;
-    flight = Flight.create ?capacity ~clock ();
+    flight = black_box ?capacity clock;
     metrics = Metrics.create ();
   }
 
@@ -41,7 +43,7 @@ let active t = t.active
 let trace t = t.trace
 let flight t = t.flight
 let metrics t = t.metrics
-let recording t = t.active || Flight.enabled t.flight
+let recording t = t.active || Trace.enabled t.flight
 
 (* [env_default ~clock obs] upgrades a fully inert handle to a
    flight-only one when LLD_FLIGHT=1, so every Lld instance carries a
@@ -54,29 +56,29 @@ let env_default ~clock obs =
     | Some "1" -> flight_only ~clock ()
     | _ -> obs
 
-let fl_record t cat name args =
-  Flight.record t.flight (Trace.category_label cat) name args
+(* One event, recorded in the black box (every category, when enabled)
+   and in the tracer (its categories, when the handle is active). *)
+let record t ?flow cat name ~ts_ns ~dur_ns args =
+  let ev =
+    {
+      Trace.ev_name = name;
+      ev_cat = cat;
+      ev_ts_ns = ts_ns;
+      ev_dur_ns = dur_ns;
+      ev_args = args;
+      ev_flow = flow;
+    }
+  in
+  Trace.record t.flight ev;
+  if t.active then Trace.record t.trace ev
 
-let instant t cat name args =
-  if Flight.enabled t.flight then fl_record t cat name args;
-  if t.active then Trace.instant t.trace cat name args
-
-(* A structured event: lands in the flight ring (always, when enabled)
-   and in the trace ring — as a flow-chain link when [flow] is given,
-   as a plain instant otherwise. *)
+(* A structured event: a flow-chain link when [flow] is given, a plain
+   instant otherwise. *)
 let event t ?flow cat name args =
-  if Flight.enabled t.flight then
-    fl_record t cat name
-      (match flow with
-      | Some (phase, id) ->
-        ("flow", Trace.S (Trace.flow_phase_label phase))
-        :: ("flow_id", Trace.I id)
-        :: args
-      | None -> args);
-  if t.active then
-    match flow with
-    | Some (phase, id) -> Trace.flow t.trace cat name ~phase ~id args
-    | None -> Trace.instant t.trace cat name args
+  if recording t then
+    record t ?flow cat name ~ts_ns:(Clock.now_ns t.clock) ~dur_ns:(-1) args
+
+let instant t cat name args = event t cat name args
 
 let complete t cat name ~ts_ns ~dur_ns args =
   if t.active then Trace.complete t.trace cat name ~ts_ns ~dur_ns args
@@ -87,33 +89,27 @@ let span t cat name ?args f =
 (* Histogram key for a span: "<category>.<name>", e.g. "op.read". *)
 let hist_key cat name = Trace.category_label cat ^ "." ^ name
 
-(* Time [f] on the virtual clock: record a trace span (if the category
-   is on), feed the duration into the matching histogram, and drop a
-   completion record into the flight ring.  On an exception the span is
-   still recorded (tagged "exn") but the duration is not counted in the
-   histogram — an interrupted operation is not a completed-latency
+(* Time [f] on the virtual clock: record a span in both rings and feed
+   the duration into the matching histogram.  On an exception the span
+   is still recorded (tagged "exn") but the duration is not counted in
+   the histogram — an interrupted operation is not a completed-latency
    sample. *)
 let timed t cat name ?(args = []) f =
   if not (recording t) then f ()
   else begin
     let ts = Clock.now_ns t.clock in
+    let finish args =
+      record t cat name ~ts_ns:ts ~dur_ns:(max 0 (Clock.now_ns t.clock - ts))
+        args
+    in
     match f () with
     | v ->
-      let dur = Clock.now_ns t.clock - ts in
-      if t.active then begin
-        Metrics.observe t.metrics (hist_key cat name) dur;
-        Trace.complete t.trace cat name ~ts_ns:ts ~dur_ns:dur args
-      end;
-      if Flight.enabled t.flight then
-        fl_record t cat name (("dur_ns", Trace.I dur) :: args);
+      if t.active then
+        Metrics.observe t.metrics (hist_key cat name) (Clock.now_ns t.clock - ts);
+      finish args;
       v
     | exception e ->
-      let exn_args = ("exn", Trace.S (Printexc.to_string e)) :: args in
-      if t.active then
-        Trace.complete t.trace cat name ~ts_ns:ts
-          ~dur_ns:(Clock.now_ns t.clock - ts)
-          exn_args;
-      if Flight.enabled t.flight then fl_record t cat name exn_args;
+      finish (("exn", Trace.S (Printexc.to_string e)) :: args);
       raise e
   end
 

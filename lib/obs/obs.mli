@@ -1,5 +1,7 @@
-(** Observability handle: a {!Trace} tracer, a {!Flight} recorder, and
-    a {!Metrics} registry behind one switch.
+(** Observability handle: two {!Trace} rings — the tracer and the
+    black box (flight recorder) — and a {!Metrics} registry behind one
+    switch.  The black box records every category in a small ring;
+    {!instant}, {!event} and {!timed} record the same event in both.
 
     Components take an [Obs.t] and default to {!null}, on which every
     probe is an immediate no-op — no allocation, no clock reads — so the
@@ -17,13 +19,15 @@ val create :
   ?capacity:int -> ?categories:Trace.category list -> ?flight_capacity:int ->
   clock:Lld_sim.Clock.t -> unit -> t
 (** Live handle stamping events on [clock].  [capacity] and
-    [categories] are passed to {!Trace.create}; the flight ring is
-    enabled too ([flight_capacity], default 4096). *)
+    [categories] are passed to {!Trace.create} for the tracer; the
+    black box is enabled too ([flight_capacity], default 4096 events,
+    every category). *)
 
 val flight_only : ?capacity:int -> clock:Lld_sim.Clock.t -> unit -> t
 (** A black-box handle: no tracer, no histograms, just the bounded
-    {!Flight} ring.  [active] is false on it — only {!event},
-    {!instant}, and {!timed} leave a record. *)
+    black-box ring ([capacity], default 4096 events).  [active] is
+    false on it — only {!event}, {!instant}, and {!timed} leave a
+    record. *)
 
 val env_default : clock:Lld_sim.Clock.t -> t -> t
 (** [env_default ~clock obs] returns [obs] unchanged when it records
@@ -33,27 +37,31 @@ val env_default : clock:Lld_sim.Clock.t -> t -> t
 
 val active : t -> bool
 val trace : t -> Trace.t
-val flight : t -> Flight.t
+
+val flight : t -> Trace.t
+(** The black box; {!Trace.disabled} on {!null}. *)
+
 val metrics : t -> Metrics.t
 
 val recording : t -> bool
 (** True when any probe on this handle leaves a record (tracer active
-    or flight ring enabled). *)
+    or black box enabled). *)
 
 val instant : t -> Trace.category -> string -> (string * Trace.arg) list -> unit
 
 val event :
   t -> ?flow:Trace.flow_phase * int -> Trace.category -> string ->
   (string * Trace.arg) list -> unit
-(** Structured event: recorded in the flight ring (when enabled) and in
-    the trace — as a causality-chain link when [flow] is given (see
-    {!Trace.flow}), as a plain instant otherwise. *)
+(** Structured event at the current virtual time, recorded in the black
+    box (when enabled) and in the tracer (when active) — as a
+    causality-chain link when [flow] is given (see {!Trace.flow}), as a
+    plain instant otherwise. *)
 
 val complete :
   t -> Trace.category -> string -> ts_ns:int -> dur_ns:int ->
   (string * Trace.arg) list -> unit
-(** Record an already-measured span in the trace (active handles
-    only). *)
+(** Record an already-measured span in the tracer (active handles
+    only; the black box does not see it). *)
 
 val span :
   t -> Trace.category -> string -> ?args:(string * Trace.arg) list ->
@@ -63,11 +71,12 @@ val span :
 val timed :
   t -> Trace.category -> string -> ?args:(string * Trace.arg) list ->
   (unit -> 'a) -> 'a
-(** [timed t cat name f] runs [f], records a trace span, feeds the
-    virtual duration into the histogram keyed ["<cat>.<name>"] (e.g.
-    ["op.read"]), and drops a completion record in the flight ring.  If
-    [f] raises, the span is recorded (tagged ["exn"]) but no histogram
-    sample is taken.  Exactly [f ()] when nothing records. *)
+(** [timed t cat name f] runs [f], records a span (its start and
+    virtual duration) in the black box and the tracer, and feeds the
+    duration into the histogram keyed ["<cat>.<name>"] (e.g.
+    ["op.read"]; active handles only).  If [f] raises, the span is
+    recorded (tagged ["exn"]) but no histogram sample is taken.
+    Exactly [f ()] when nothing records. *)
 
 val hist_key : Trace.category -> string -> string
 

@@ -85,7 +85,6 @@ let create ?(capacity = 65_536) ?(categories = all_categories) ~clock () =
 
 let enabled t = t.enabled
 let on t cat = t.enabled && t.cats.(category_index cat)
-let capacity t = Array.length t.ring
 let count t = t.count
 let dropped t = max 0 (t.count - Array.length t.ring)
 let now_ns t = Clock.now_ns t.clock
@@ -95,7 +94,10 @@ let push t ev =
   t.head <- (t.head + 1) mod Array.length t.ring;
   t.count <- t.count + 1
 
-let instant t cat name args =
+let record t ev = if on t ev.ev_cat then push t ev
+
+(* A zero-duration event at the current virtual time. *)
+let mark t cat name flow args =
   if on t cat then
     push t
       {
@@ -104,22 +106,14 @@ let instant t cat name args =
         ev_ts_ns = Clock.now_ns t.clock;
         ev_dur_ns = -1;
         ev_args = args;
-        ev_flow = None;
+        ev_flow = flow;
       }
+
+let instant t cat name args = mark t cat name None args
 
 (* One link in a causality chain: flow events with the same (name, cat,
    id) triple are drawn as connected arrows by Perfetto. *)
-let flow t cat name ~phase ~id args =
-  if on t cat then
-    push t
-      {
-        ev_name = name;
-        ev_cat = cat;
-        ev_ts_ns = Clock.now_ns t.clock;
-        ev_dur_ns = -1;
-        ev_args = args;
-        ev_flow = Some (phase, id);
-      }
+let flow t cat name ~phase ~id args = mark t cat name (Some (phase, id)) args
 
 (* Record an already-measured span. *)
 let complete t cat name ~ts_ns ~dur_ns args =

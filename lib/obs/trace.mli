@@ -23,8 +23,6 @@ type arg = I of int | S of string | F of float
     rendered by Perfetto as connected arrows across slices. *)
 type flow_phase = Flow_start | Flow_step | Flow_end
 
-val flow_phase_label : flow_phase -> string
-
 type event = {
   ev_name : string;
   ev_cat : category;
@@ -49,6 +47,10 @@ val create :
 val enabled : t -> bool
 val on : t -> category -> bool
 (** [on t cat] is true when events of [cat] would be recorded. *)
+
+val record : t -> event -> unit
+(** Record an already-built event when its category is on.  {!Obs}
+    builds each event once and records it in both of its rings. *)
 
 val instant : t -> category -> string -> (string * arg) list -> unit
 (** Record a zero-duration marker at the current virtual time. *)
@@ -80,7 +82,6 @@ val count : t -> int
 val dropped : t -> int
 (** Events lost to ring-buffer overwrite. *)
 
-val capacity : t -> int
 val now_ns : t -> int
 val clear : t -> unit
 
@@ -89,9 +90,6 @@ val events : t -> event list
 
 val json_escape : string -> string
 (** Escape a string for inclusion inside a JSON string literal. *)
-
-val add_args : Buffer.t -> (string * arg) list -> unit
-(** Append an [args] JSON object (["args":{...}]) to [buf]. *)
 
 val to_chrome_string : t -> string
 val to_jsonl_string : t -> string

@@ -1,7 +1,6 @@
 module Clock = Lld_sim.Clock
 module Histogram = Lld_sim.Stats.Histogram
 module Trace = Lld_obs.Trace
-module Flight = Lld_obs.Flight
 module Metrics = Lld_obs.Metrics
 module Obs = Lld_obs.Obs
 module Errors = Lld_core.Errors
@@ -90,6 +89,10 @@ let test_category_filter () =
 (* ------------------------------------------------------ ring buffer *)
 
 let test_ring_overwrites_oldest () =
+  Alcotest.(check bool) "disabled is off" false (Trace.enabled Trace.disabled);
+  Trace.instant Trace.disabled Trace.Op "noop" [];
+  Alcotest.(check int) "disabled records nothing" 0
+    (Trace.count Trace.disabled);
   let clock = Clock.create () in
   let t = Trace.create ~capacity:4 ~clock () in
   for i = 1 to 10 do
@@ -102,7 +105,10 @@ let test_ring_overwrites_oldest () =
   Alcotest.(check (list string)) "last four, oldest first"
     [ "e7"; "e8"; "e9"; "e10" ] names;
   let ts = List.map (fun e -> e.Trace.ev_ts_ns) (Trace.events t) in
-  Alcotest.(check (list int)) "timestamps ascending" [ 7; 8; 9; 10 ] ts
+  Alcotest.(check (list int)) "timestamps ascending" [ 7; 8; 9; 10 ] ts;
+  Trace.clear t;
+  Alcotest.(check int) "clear empties the ring" 0
+    (List.length (Trace.events t))
 
 (* ----------------------------------------------------------- export *)
 
@@ -188,35 +194,7 @@ let test_flow_chrome_export () =
   Alcotest.(check bool) "end binds to enclosing slice" true
     (contains s "\"ph\":\"f\",\"id\":7,\"bp\":\"e\"")
 
-(* --------------------------------------------------- flight recorder *)
-
-let test_flight_ring_wrap () =
-  Alcotest.(check bool) "disabled is off" false (Flight.enabled Flight.disabled);
-  Flight.record Flight.disabled "op" "noop" [];
-  Alcotest.(check int) "disabled records nothing" 0
-    (Flight.count Flight.disabled);
-  let clock = Clock.create () in
-  let fl = Flight.create ~capacity:4 ~clock () in
-  for i = 1 to 10 do
-    Clock.charge clock Clock.Cpu 1;
-    Flight.record fl "op" (Printf.sprintf "e%d" i) [ ("i", Trace.I i) ]
-  done;
-  Alcotest.(check int) "total count" 10 (Flight.count fl);
-  Alcotest.(check int) "dropped" 6 (Flight.dropped fl);
-  let names = List.map (fun e -> e.Flight.fl_name) (Flight.entries fl) in
-  Alcotest.(check (list string)) "last four, oldest first"
-    [ "e7"; "e8"; "e9"; "e10" ] names;
-  let ts = List.map (fun e -> e.Flight.fl_ns) (Flight.entries fl) in
-  Alcotest.(check (list int)) "virtual timestamps ascending" [ 7; 8; 9; 10 ] ts;
-  let lines =
-    List.filter
-      (fun l -> l <> "")
-      (String.split_on_char '\n' (Flight.to_jsonl_string fl))
-  in
-  Alcotest.(check int) "one JSONL line per held entry" 4 (List.length lines);
-  Flight.clear fl;
-  Alcotest.(check int) "clear empties the ring" 0
-    (List.length (Flight.entries fl))
+(* --------------------------------------------------------- black box *)
 
 let test_flight_only_handle () =
   let clock = Clock.create () in
@@ -225,23 +203,29 @@ let test_flight_only_handle () =
   Alcotest.(check bool) "still recording" true (Obs.recording obs);
   Obs.event obs ~flow:(Trace.Flow_start, 3) Trace.Aru "commit"
     [ ("stage", Trace.S "submit") ];
-  Alcotest.(check int) "flight saw the event" 1 (Flight.count (Obs.flight obs));
+  Alcotest.(check int) "flight saw the event" 1
+    (Trace.count (Obs.flight obs));
   Alcotest.(check int) "tracer stayed dark" 0 (Trace.count (Obs.trace obs));
-  (match Flight.entries (Obs.flight obs) with
+  (match Trace.events (Obs.flight obs) with
   | [ e ] ->
-    Alcotest.(check bool) "flow phase folded into args" true
-      (List.mem_assoc "flow" e.Flight.fl_args);
-    Alcotest.(check bool) "flow id folded into args" true
-      (List.mem_assoc "flow_id" e.Flight.fl_args)
-  | es -> Alcotest.failf "expected one entry, got %d" (List.length es));
+    Alcotest.(check bool) "flow link kept" true
+      (e.Trace.ev_flow = Some (Trace.Flow_start, 3))
+  | es -> Alcotest.failf "expected one event, got %d" (List.length es));
+  Clock.charge clock Clock.Cpu 1_000;
   let r =
     Obs.timed obs Trace.Op "write" (fun () ->
         Clock.charge clock Clock.Io 500;
         17)
   in
   Alcotest.(check int) "timed passes through" 17 r;
-  Alcotest.(check int) "timed left a black-box record" 2
-    (Flight.count (Obs.flight obs));
+  (match Trace.events (Obs.flight obs) with
+  | [ _; e ] ->
+    Alcotest.(check string) "timed record" "write" e.Trace.ev_name;
+    Alcotest.(check int) "timed record keeps its start" 1_000
+      e.Trace.ev_ts_ns;
+    Alcotest.(check int) "timed record keeps its duration" 500
+      e.Trace.ev_dur_ns
+  | es -> Alcotest.failf "expected two events, got %d" (List.length es));
   Alcotest.(check int) "no histograms on the black box" 0
     (List.length (Metrics.histograms (Obs.metrics obs)))
 
@@ -373,8 +357,6 @@ let () =
         ] );
       ( "flight",
         [
-          Alcotest.test_case "ring wrap + dropped accounting" `Quick
-            test_flight_ring_wrap;
           Alcotest.test_case "flight-only black box" `Quick
             test_flight_only_handle;
           Alcotest.test_case "LLD_FLIGHT=1 upgrades inert handles" `Quick
