@@ -887,6 +887,12 @@ let dump_point_writes trace point ~path =
   Buffer.output_buffer oc buf;
   close_out oc
 
+(* A reproducer that cannot be written still leaves the verdict intact;
+   say why its files are missing instead of dropping them silently. *)
+let reproducer_not_written dir msg =
+  Printf.eprintf "crashcheck: reproducer files not written under %s: %s\n%!"
+    dir msg
+
 let check_point ?recover_config trace point =
   let n = trace_writes trace in
   if point.pt_index < 0 || point.pt_index > n then
@@ -1003,9 +1009,8 @@ let run ?(granularity = 512) ?budget ?(seed = 1) ?recover_config
       let label = Printf.sprintf "crash-%s-at-%s" trace.tr_name point_tag in
       let wpath = Filename.concat dir (label ^ ".writes.json") in
       (try
-         if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
          (* the bundle's trace file is the recovery trace the reproducer
-            always carried; flight ring + metrics ride alongside *)
+            always carried; the black box + metrics ride alongside *)
          let bundle =
            dump_point_bundle ?recover_config trace v.v_point ~dir ~label
          in
@@ -1017,7 +1022,9 @@ let run ?(granularity = 512) ?budget ?(seed = 1) ?recover_config
          in
          let extras = List.filter (fun p -> Some p <> tpath) bundle in
          (tpath, Some wpath, extras)
-       with Sys_error _ -> (None, None, []))
+       with Sys_error msg ->
+         reproducer_not_written dir msg;
+         (None, None, []))
     | _ -> (None, None, [])
   in
   {
@@ -1223,10 +1230,12 @@ let run_during_recovery ?(granularity = 512) ?(budget = 24) ?inner_budget
              point_tag)
       in
       (try
-         if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+         Lld_obs.Forensics.ensure_dir dir;
          dump_point_writes trace first.rv_outer ~path;
          Some path
-       with Sys_error _ -> None)
+       with Sys_error msg ->
+         reproducer_not_written dir msg;
+         None)
     | _ -> None
   in
   {

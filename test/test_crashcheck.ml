@@ -155,6 +155,39 @@ let test_catches_broken_sweep () =
     Alcotest.(check (list string)) "real recovery is consistent there" []
       (Crashcheck.check_point trace v.Crashcheck.v_point)
 
+(* A trace directory whose parents do not exist yet is created whole:
+   the reproducer's trace, its writes and its forensics bundle all land
+   in it. *)
+let test_trace_dir_parents () =
+  let spec = churn () in
+  let broken =
+    { spec.Crashcheck.sc_config with Config.recovery_sweep = false }
+  in
+  let trace = Crashcheck.record spec in
+  let root = Filename.temp_file "lld-trace-dir" "" in
+  Sys.remove root;
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let r =
+    Crashcheck.run ~budget:20 ~recover_config:broken ~trace_dir:dir trace
+  in
+  let files =
+    Option.to_list r.Crashcheck.r_trace_file
+    @ Option.to_list r.Crashcheck.r_writes_file
+    @ r.Crashcheck.r_forensics_files
+  in
+  Alcotest.(check bool) "trace file returned" true
+    (r.Crashcheck.r_trace_file <> None);
+  Alcotest.(check int) "trace, writes, flight and metrics files" 4
+    (List.length files);
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (f ^ " exists") true (Sys.file_exists f);
+      Sys.remove f)
+    files;
+  Sys.rmdir dir;
+  Sys.rmdir (Filename.dirname dir);
+  Sys.rmdir root
+
 (* ------------------------------------------------------------------ *)
 (* Crash-image ownership: a point's recovery adopts its image and writes
    into it (the post-recovery checkpoint, then the idempotency leg's
@@ -440,6 +473,8 @@ let () =
         [
           Alcotest.test_case "broken sweep caught, minimal reproducer" `Quick
             test_catches_broken_sweep;
+          Alcotest.test_case "trace dir created with its parents" `Quick
+            test_trace_dir_parents;
         ] );
       ( "corruption",
         [
