@@ -52,11 +52,9 @@ type t = {
   (* reversed emission order; mirrors recovery's per-ARU buffers *)
   commit_q : int Queue.t;
   (* group commit: ARUs whose commit intent is queued, FIFO *)
-  commit_set : (int, unit) Hashtbl.t; (* membership mirror of commit_q *)
   commit_enq_ns : (int, int) Hashtbl.t;
-  (* per queued ARU: virtual enqueue time — feeds the queue-wait stage
-     histogram and repairs [commit_first_ns] after an abort-dequeue *)
-  mutable commit_first_ns : int; (* enqueue time of the oldest intent *)
+  (* per queued ARU: virtual enqueue time; its keys are exactly the
+     members of [commit_q], and the head's entry starts the window *)
   mutable in_cleaning : bool;
   mutable in_checkpoint : bool;
   mutable warming : Recovery.pending option;
@@ -945,12 +943,14 @@ let commit_finish t (a : Aru.t) aid ~commit_seq collected_b collected_l =
   Hashtbl.remove t.v.Versions.arus (Types.Aru_id.to_int aid);
   t.counters.Counters.arus_committed <- t.counters.Counters.arus_committed + 1
 
+let commit_pending t aid =
+  Hashtbl.mem t.commit_enq_ns (Types.Aru_id.to_int aid)
+
 (* The immediate commit path, untimed: [end_aru] times it, and a
    degenerate [submit_commit] takes it inside its own span. *)
 let commit_immediate t aid =
   Versions.dispatch t.v;
-  if Hashtbl.mem t.commit_set (Types.Aru_id.to_int aid) then
-    raise (Errors.Commit_pending aid);
+  if commit_pending t aid then raise (Errors.Commit_pending aid);
   let a = Versions.find_aru t.v aid in
   match t.config.Config.mode with
   | Config.Sequential ->
@@ -982,22 +982,14 @@ let commit_immediate t aid =
 let end_aru t aid = op t "end_aru" @@ fun () -> commit_immediate t aid
 
 (* A queued commit intent is withdrawn, not rejected: the ARU leaves
-   [commit_q] (and its mirrors) and aborts like any other.  The oldest
-   remaining intent's enqueue time repairs the window clock. *)
+   [commit_q] and [commit_enq_ns] and aborts like any other. *)
 let commit_dequeue t aid =
   let key = Types.Aru_id.to_int aid in
-  Hashtbl.remove t.commit_set key;
   Hashtbl.remove t.commit_enq_ns key;
   let q = Queue.create () in
   Queue.iter (fun k -> if k <> key then Queue.push k q) t.commit_q;
   Queue.clear t.commit_q;
   Queue.transfer q t.commit_q;
-  (match Queue.peek_opt t.commit_q with
-  | Some head -> (
-    match Hashtbl.find_opt t.commit_enq_ns head with
-    | Some ns -> t.commit_first_ns <- ns
-    | None -> ())
-  | None -> ());
   t.counters.Counters.commit_queue_aborts <-
     t.counters.Counters.commit_queue_aborts + 1;
   Obs.event t.obs
@@ -1010,8 +1002,7 @@ let abort_aru t aid =
   Versions.dispatch t.v;
   if t.config.Config.mode = Config.Sequential then
     invalid_arg "Lld.abort_aru: not supported by the sequential prototype";
-  if Hashtbl.mem t.commit_set (Types.Aru_id.to_int aid) then
-    commit_dequeue t aid;
+  if commit_pending t aid then commit_dequeue t aid;
   Ld_ops.abort t.ops aid
 
 (* ------------------------------------------------------------------ *)
@@ -1024,14 +1015,15 @@ let abort_aru t aid =
    mode) [submit_commit] degenerates to the immediate [end_aru] path,
    bit-identically. *)
 
-let commit_pending t aid = Hashtbl.mem t.commit_set (Types.Aru_id.to_int aid)
 let pending_commits t = Queue.length t.commit_q
 
 let commit_due t =
-  (not (Queue.is_empty t.commit_q))
-  && (Queue.length t.commit_q >= t.config.Config.group_commit_batch
-     || Clock.now_ns t.clock - t.commit_first_ns
-        >= t.config.Config.group_commit_window)
+  match Queue.peek_opt t.commit_q with
+  | None -> false
+  | Some head ->
+    Queue.length t.commit_q >= t.config.Config.group_commit_batch
+    || Clock.now_ns t.clock - Hashtbl.find t.commit_enq_ns head
+       >= t.config.Config.group_commit_window
 
 let submit_commit t aid =
   op t "submit_commit" @@ fun () ->
@@ -1041,11 +1033,9 @@ let submit_commit t aid =
   else begin
     Versions.dispatch t.v;
     let key = Types.Aru_id.to_int aid in
-    if Hashtbl.mem t.commit_set key then raise (Errors.Commit_pending aid);
+    if commit_pending t aid then raise (Errors.Commit_pending aid);
     ignore (Versions.find_aru t.v aid);
-    if Queue.is_empty t.commit_q then t.commit_first_ns <- Clock.now_ns t.clock;
     Queue.push key t.commit_q;
-    Hashtbl.replace t.commit_set key ();
     Hashtbl.replace t.commit_enq_ns key (Clock.now_ns t.clock);
     t.counters.Counters.commits_submitted <-
       t.counters.Counters.commits_submitted + 1;
@@ -1118,15 +1108,13 @@ let flush_commits t =
     let committed = ref 0 in
     while not (Queue.is_empty t.commit_q) do
       let key = Queue.pop t.commit_q in
-      Hashtbl.remove t.commit_set key;
-      let enq_ns = Hashtbl.find_opt t.commit_enq_ns key in
+      let enq = Hashtbl.find t.commit_enq_ns key in
       Hashtbl.remove t.commit_enq_ns key;
       match Hashtbl.find_opt t.v.Versions.arus key with
       | None -> () (* unreachable: queued ARUs stay active until drained *)
       | Some a ->
         let aid = Types.Aru_id.of_int key in
-        (match enq_ns with
-        | Some enq when Obs.recording t.obs ->
+        if Obs.recording t.obs then begin
           let wait = max 0 (Clock.now_ns t.clock - enq) in
           Obs.observe t.obs "aru.commit.queue_wait" wait;
           Obs.complete t.obs Tr.Aru "commit.queue_wait" ~ts_ns:enq
@@ -1136,7 +1124,7 @@ let flush_commits t =
             ~flow:(Tr.Flow_step, key)
             Tr.Aru "commit"
             [ ("aru", Tr.I key); ("stage", Tr.S "batch") ]
-        | _ -> ());
+        end;
         cpu t (cost t).Cost.aru_commit_ns;
         if !subbatch_n >= t.config.Config.group_commit_batch then
           close_subbatch ();
@@ -1179,8 +1167,7 @@ let note_gid t gid = if gid >= t.next_gid then t.next_gid <- gid + 1
 let require_commit_ready t aid =
   if not (concurrent t) then
     invalid_arg "Lld: two-phase commit requires concurrent mode";
-  if Hashtbl.mem t.commit_set (Types.Aru_id.to_int aid) then
-    raise (Errors.Commit_pending aid);
+  if commit_pending t aid then raise (Errors.Commit_pending aid);
   if Hashtbl.mem t.prepared_commits (Types.Aru_id.to_int aid) then
     raise (Errors.Commit_pending aid);
   Versions.find_aru t.v aid
@@ -1686,9 +1673,7 @@ let make ~config ~disk ~blocks ~lists =
         sealed_since_ckpt = 0;
         pending = Hashtbl.create 16;
         commit_q = Queue.create ();
-        commit_set = Hashtbl.create 16;
         commit_enq_ns = Hashtbl.create 16;
-        commit_first_ns = 0;
         in_cleaning = false;
         in_checkpoint = false;
         warming = None;
