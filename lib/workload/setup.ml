@@ -7,15 +7,15 @@ module Fs = Lld_minixfs.Fs
 
 type variant = Old | New | New_delete
 
-(* Formatting happens before the clock reset, so its trace events would
-   carry timestamps from a dead timeline: drop them along with the
-   counters. *)
-let reset_obs obs =
-  match obs with
-  | Some o when Lld_obs.Obs.active o ->
-    Lld_obs.Trace.clear (Lld_obs.Obs.trace o);
-    Lld_obs.Metrics.reset_histograms (Lld_obs.Obs.metrics o)
-  | Some _ | None -> ()
+(* Formatting happens before the clock reset, so the events it recorded
+   would carry timestamps from a dead timeline: drop them from the
+   instance's own handle (the caller's, or the black box LLD_FLIGHT=1
+   gave it) along with the counters. *)
+let reset_obs lld =
+  let obs = Lld.obs lld in
+  Lld_obs.Trace.clear (Lld_obs.Obs.trace obs);
+  Lld_obs.Trace.clear (Lld_obs.Obs.flight obs);
+  Lld_obs.Metrics.reset_histograms (Lld_obs.Obs.metrics obs)
 
 let variant_label = function
   | Old -> "old"
@@ -57,26 +57,31 @@ let resolve_config variant visibility =
   | None -> base
   | Some v -> { base with Config.visibility = v }
 
-let make ?(geom = Geometry.paper) ?inode_count ?clock ?obs ?backend ?visibility
-    variant =
+(* Format with [format], then zero the clock, the counters and the
+   handle's records, so measurements exclude setup. *)
+let formatted ?(geom = Geometry.paper) ?clock ?obs ?backend ?visibility variant
+    format =
   let clock = match clock with Some c -> c | None -> Clock.create () in
   let backend = resolve_backend geom backend in
   let disk = Disk.create ~backend ~clock geom in
   let lld = Lld.create ~config:(resolve_config variant visibility) ?obs disk in
-  let fs = Fs.mkfs ~config:(fs_config variant) ?inode_count lld in
-  Fs.flush fs;
+  let formatted = format lld in
   Clock.reset clock;
   Lld_core.Counters.reset (Lld.counters lld);
-  reset_obs obs;
+  reset_obs lld;
+  (disk, lld, clock, formatted)
+
+let make ?geom ?inode_count ?clock ?obs ?backend ?visibility variant =
+  let disk, lld, clock, fs =
+    formatted ?geom ?clock ?obs ?backend ?visibility variant (fun lld ->
+        let fs = Fs.mkfs ~config:(fs_config variant) ?inode_count lld in
+        Fs.flush fs;
+        fs)
+  in
   { disk; lld; fs; clock }
 
-let make_raw ?(geom = Geometry.paper) ?clock ?obs ?backend ?visibility variant =
-  let clock = match clock with Some c -> c | None -> Clock.create () in
-  let backend = resolve_backend geom backend in
-  let disk = Disk.create ~backend ~clock geom in
-  let lld = Lld.create ~config:(resolve_config variant visibility) ?obs disk in
-  Lld.flush lld;
-  Clock.reset clock;
-  Lld_core.Counters.reset (Lld.counters lld);
-  reset_obs obs;
+let make_raw ?geom ?clock ?obs ?backend ?visibility variant =
+  let disk, lld, _, () =
+    formatted ?geom ?clock ?obs ?backend ?visibility variant Lld.flush
+  in
   (disk, lld)

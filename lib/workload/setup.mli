@@ -25,8 +25,10 @@ val make :
   ?visibility:Lld_core.Config.visibility -> variant -> instance
 (** Default geometry is the paper's 400 MB partition.  [obs] (default
     {!Lld_obs.Obs.null}) is attached to the logical disk and the device;
-    the clock reset after formatting keeps setup out of the trace
-    timeline's origin.  Pass [clock] (reset after formatting, like the
+    the clock reset after formatting also empties the instance's tracer,
+    black box and histograms (whichever handle it carries, the one
+    [LLD_FLIGHT=1] gives it included), so setup leaves no record on the
+    discarded timeline.  Pass [clock] (reset after formatting, like the
     internally created one) when the caller needs the clock before
     construction — an {!Lld_obs.Obs.create} handle wraps it.  [backend]
     defaults to {!Lld_disk.Backend.of_env} (honouring [LLD_BACKEND=file])

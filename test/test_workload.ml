@@ -30,6 +30,53 @@ let test_setup_variants () =
         (Lld_minixfs.Fs.readdir inst.Setup.fs "/" = []))
     Setup.all_variants
 
+(* Formatting runs before the clock reset: no record the instance's
+   handle keeps may be stamped on the timeline the reset discarded,
+   whether the caller passed a live handle, a black box, or none under
+   LLD_FLIGHT=1. *)
+let test_setup_drops_format_records () =
+  let module Obs = Lld_obs.Obs in
+  let module Trace = Lld_obs.Trace in
+  let old = Sys.getenv_opt "LLD_FLIGHT" in
+  Fun.protect ~finally:(fun () ->
+      Unix.putenv "LLD_FLIGHT" (Option.value old ~default:""))
+  @@ fun () ->
+  Unix.putenv "LLD_FLIGHT" "1";
+  let handles =
+    [
+      ("live", fun clock -> Some (Obs.create ~clock ()));
+      ("black box", fun clock -> Some (Obs.flight_only ~clock ()));
+      ("LLD_FLIGHT=1", fun _ -> None);
+    ]
+  in
+  List.iter
+    (fun (kind, handle) ->
+      let check what clock lld =
+        let obs = Lld.obs lld in
+        let now = Lld_sim.Clock.now_ns clock in
+        Alcotest.(check bool) (what ^ ", " ^ kind ^ ": black box on") true
+          (Trace.enabled (Obs.flight obs));
+        List.iter
+          (fun (ring, t) ->
+            let late =
+              List.filter (fun e -> e.Trace.ev_ts_ns > now) (Trace.events t)
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "%s, %s: %s events after the clock" what kind
+                 ring)
+              0 (List.length late))
+          [ ("black box", Obs.flight obs); ("tracer", Obs.trace obs) ]
+      in
+      let clock = Lld_sim.Clock.create () in
+      let inst =
+        Setup.make ~geom ~inode_count:64 ~clock ?obs:(handle clock) Setup.New
+      in
+      check "make" clock inst.Setup.lld;
+      let clock = Lld_sim.Clock.create () in
+      let _, lld = Setup.make_raw ~geom ~clock ?obs:(handle clock) Setup.New in
+      check "make_raw" clock lld)
+    handles
+
 let test_smallfile_phases () =
   let inst = Setup.make ~geom ~inode_count:512 Setup.New in
   let p = { Smallfile.file_count = 60; file_bytes = 1024; dirs = 1 } in
@@ -245,7 +292,11 @@ let () =
   Alcotest.run "lld_workload"
     [
       ( "setup",
-        [ Alcotest.test_case "variants" `Quick test_setup_variants ] );
+        [
+          Alcotest.test_case "variants" `Quick test_setup_variants;
+          Alcotest.test_case "format records dropped" `Quick
+            test_setup_drops_format_records;
+        ] );
       ( "smallfile",
         [
           Alcotest.test_case "phases" `Quick test_smallfile_phases;
