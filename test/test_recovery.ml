@@ -561,6 +561,44 @@ let test_early_open_first_mutation_completes () =
   check_data "mutation applied on the recovered state" (block_data 777)
     (Lld.read lld2 (List.hd bs))
 
+(* What early open promises, whatever serves it: reads and walks of
+   single identifiers write nothing and take no checkpoint, and a dead
+   ARU's block already reads unallocated; the first mutation writes the
+   post-recovery checkpoint, after which recovery is complete. *)
+let test_early_open_defers_writes () =
+  let disk, groups, (l_aru, b_aru), b_orphan = build_crash_state () in
+  let lld2, _ = Lld.recover ~config:early_config disk in
+  let writes () = (Disk.counters disk).Disk.writes in
+  let checkpoints () = (Lld.counters lld2).Lld_core.Counters.checkpoints in
+  let writes0 = writes () and checkpoints0 = checkpoints () in
+  let member = Alcotest.(option (testable Types.List_id.pp ( = ))) in
+  List.iter
+    (fun (l, bs, tag) ->
+      Alcotest.(check bool) "list exists" true (Lld.list_exists lld2 l);
+      Alcotest.check block_ids "list walk" bs (Lld.list_blocks lld2 l);
+      List.iteri
+        (fun i b ->
+          check_data (Printf.sprintf "read %d" (tag + i)) (block_data (tag + i))
+            (Lld.read lld2 b);
+          Alcotest.(check bool) "allocated" true (Lld.block_allocated lld2 b);
+          Alcotest.check member "member" (Some l) (Lld.block_member lld2 b))
+        bs)
+    groups;
+  check_data "committed ARU's block" (block_data 7) (Lld.read lld2 b_aru);
+  Alcotest.check block_ids "committed ARU's list" [ b_aru ]
+    (Lld.list_blocks lld2 l_aru);
+  Alcotest.(check bool) "dead ARU's block reads unallocated" false
+    (Lld.block_allocated lld2 b_orphan);
+  Alcotest.(check int) "reads write nothing" writes0 (writes ());
+  Alcotest.(check int) "reads take no checkpoint" checkpoints0 (checkpoints ());
+  let _, bs, _ = List.hd groups in
+  Lld.write lld2 (List.hd bs) (block_data 777);
+  Alcotest.(check int) "first mutation takes the post-recovery checkpoint"
+    (checkpoints0 + 1) (checkpoints ());
+  Alcotest.(check bool) "and writes it" true (writes () > writes0);
+  Alcotest.(check bool) "recovery then complete" true
+    (Lld.complete_recovery lld2 = None)
+
 (* Lists and members written before a checkpoint, so their membership
    and owner edges reach recovery only through the checkpoint. *)
 let checkpointed_lists lld ~lists ~members =
@@ -735,6 +773,8 @@ let () =
             test_early_open_first_mutation_completes;
           Alcotest.test_case "unnamed members of checkpointed lists" `Quick
             test_early_open_unnamed_members;
+          Alcotest.test_case "reads defer every write" `Quick
+            test_early_open_defers_writes;
           Alcotest.test_case "checkpoint membership joins groups" `Quick
             test_checkpoint_membership_joins_groups;
         ] );
