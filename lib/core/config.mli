@@ -51,17 +51,16 @@ type t = {
           checker's violation reporting can be exercised.  Always [true]
           outside such tests. *)
   recovery_parallel : bool;
-      (** replay dependency-independent summary partitions on OCaml 5
-          domains.  The partitioned apply touches no disk and charges no
-          virtual time, so results and the cost model are identical to
-          the sequential fallback (used when this is [false] or the
-          partition count makes domains pointless). *)
+      (** ignored: recovery replays the log tail in one pass, never on
+          domains.  Kept only because the frozen benchmark sets it;
+          ROADMAP item 2's benchmark step deletes it. *)
   recovery_early_open : bool;
-      (** open for reads before the replay finishes: {!Lld.recover}
-          returns after the checkpoint restore + log-tail scan, and a
-          logical block or list is recovered on demand the first time a
-          read touches it.  The first mutating operation (or
-          {!Lld.complete_recovery}) finishes the sweep. *)
+      (** open before the post-recovery work that only mutations need:
+          {!Lld.recover} recovers the tables in full (replay, sweep and
+          report as without this flag) and serves reads at once, but
+          rebuilding the live-block index and the free-segment queue
+          and writing the post-recovery checkpoint wait for the first
+          mutating operation (or {!Lld.complete_recovery}). *)
   group_commit_window : int;
       (** group-commit window in virtual nanoseconds: once the oldest
           queued commit intent ({!Lld.submit_commit}) has waited this

@@ -38,7 +38,7 @@ type corruption =
           generational structures: both superblock slots failed their
           checksums on a disk that otherwise holds valid checkpoints, or
           neither checkpoint region yields a generation while a
-          superblock slot is valid (see {!Recovery.prepare}).  Mount
+          superblock slot is valid (see {!Recovery.recover}).  Mount
           refuses. *)
 
 exception Corruption of corruption

@@ -57,9 +57,10 @@ type t = {
      members of [commit_q], and the head's entry starts the window *)
   mutable in_cleaning : bool;
   mutable in_checkpoint : bool;
-  mutable warming : Recovery.pending option;
-  (* early-open recovery still in progress: reads recover identifiers on
-     demand, the first mutating operation completes the replay *)
+  mutable warming : Recovery.restored option;
+  (* early open: the tables are recovered, but the live index, the free
+     queue and the post-recovery checkpoint wait for the first mutating
+     operation *)
   mutable obs : Obs.t; (* observability handle; Obs.null = every probe a no-op *)
 }
 
@@ -736,10 +737,10 @@ let clean_internal t ~target_free =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Early-open recovery: finishing the warming replay and rebuilding the
-   run-time structures (live index, sealed flags, free queue) that the
-   lazy handle could not know yet.  Ends with a forced full checkpoint —
-   the only disk writes recovery performs. *)
+(* The run-time structures recovery rebuilds from the recovered tables
+   (live index, sealed flags, free queue), at once or, under early open,
+   at the first mutation.  Ends with a forced full checkpoint — the only
+   disk writes recovery performs. *)
 
 let finalize_recovery t (restored : Recovery.restored) =
   let report = restored.Recovery.r_report in
@@ -772,29 +773,19 @@ let finalize_recovery t (restored : Recovery.restored) =
 let complete_recovery t =
   match t.warming with
   | None -> None
-  | Some p ->
+  | Some restored ->
     t.warming <- None;
-    let restored = Recovery.finish p in
     finalize_recovery t restored;
     Some restored.Recovery.r_report
 
 let warm t = if t.warming <> None then ignore (complete_recovery t)
-
-let touch_block t b =
-  match t.warming with Some p -> Recovery.touch_block p b | None -> ()
-
-let touch_list t l =
-  match t.warming with Some p -> Recovery.touch_list p l | None -> ()
-
-let recovery_pending t =
-  match t.warming with Some p -> Recovery.pending_groups p | None -> 0
 
 (* ------------------------------------------------------------------ *)
 
 (* Every public LD operation is timed once, at its definition: on the
    virtual clock into an ["op.<name>"] histogram and as an [op] trace
    span.  Inside the span a mutation first completes an early-open
-   recovery ([warm]) and a read recovers just its block.  With
+   recovery ([warm]).  With
    {!Obs.null} attached (the default) this is one field read and a
    direct call — the cost model never sees it. *)
 let op t name f = Obs.timed t.obs Tr.Op name f
@@ -835,7 +826,6 @@ let write t ?aru block data =
 
 let read_view t ?aru block =
   op t "read" @@ fun () ->
-  touch_block t block;
   let r = Ld_ops.read t.ops ?aru block in
   match r.Record.data with
   | Some d ->
@@ -1303,31 +1293,20 @@ let with_aru t f =
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 
-(* The walks are Versions'; a read first recovers what it names, a
-   whole-table walk first completes an early-open recovery. *)
-let list_exists t ?aru list =
-  touch_list t list;
-  Versions.list_exists t.v ?aru list
-
-let block_allocated t ?aru block =
-  touch_block t block;
-  Versions.block_allocated t.v ?aru block
+(* The walks are Versions'; a whole-table walk first completes an
+   early-open recovery. *)
+let list_exists t ?aru list = Versions.list_exists t.v ?aru list
+let block_allocated t ?aru block = Versions.block_allocated t.v ?aru block
 
 let block_phys t block =
-  touch_block t block;
   if not (Block_map.in_range t.v.Versions.blocks block) then None
   else
     match (Block_map.anchor t.v.Versions.blocks block).Record.phys with
     | Some p -> Some (p.Record.seg_index, p.Record.slot)
     | None -> None
 
-let block_member t ?aru block =
-  touch_block t block;
-  Versions.block_member t.v ?aru block
-
-let list_blocks t ?aru list =
-  touch_list t list;
-  Versions.list_blocks t.v ?aru list
+let block_member t ?aru block = Versions.block_member t.v ?aru block
+let list_blocks t ?aru list = Versions.list_blocks t.v ?aru list
 
 let lists t =
   warm t;
@@ -1709,34 +1688,24 @@ let recover ?(config = Config.default) ?(obs = Obs.null) ?decisions disk =
   let obs = Obs.env_default ~clock:(Disk.clock disk) obs in
   Lld_disk.Fault.reset_after_recovery (Disk.fault disk);
   Disk.set_obs disk obs;
-  let prepared =
-    Recovery.prepare ~obs ~sweep:config.Config.recovery_sweep
-      ~parallel:config.Config.recovery_parallel ?decisions disk
+  let restored =
+    Recovery.recover ~obs ~sweep:config.Config.recovery_sweep ?decisions disk
   in
-  let blocks, lists = Recovery.tables prepared in
   let mirror_superblock t =
     let a, b = Superblock.read_slots disk in
     t.sb_slots.(0) <- a;
     t.sb_slots.(1) <- b;
     if config.Config.scrub_on_mount then ignore (scrub t)
   in
-  (* early open serves reads at once: blocks/lists recover on demand,
-     the first mutating operation (or [complete_recovery]) finishes, and
-     the report carries only the parse-phase facts so far *)
-  let restored =
-    if config.Config.recovery_early_open then None
-    else Some (Recovery.finish prepared)
+  let t =
+    make ~config ~disk ~blocks:restored.Recovery.r_blocks
+      ~lists:restored.Recovery.r_lists
   in
-  let t = make ~config ~disk ~blocks ~lists in
   set_obs t obs;
-  let report =
-    match restored with
-    | Some restored ->
-      finalize_recovery t restored;
-      restored.Recovery.r_report
-    | None ->
-      t.warming <- Some prepared;
-      Recovery.preliminary_report prepared
-  in
+  (* early open serves reads from the recovered tables at once; the
+     first mutating operation (or [complete_recovery]) rebuilds the rest
+     and writes the post-recovery checkpoint *)
+  if config.Config.recovery_early_open then t.warming <- Some restored
+  else finalize_recovery t restored;
   mirror_superblock t;
-  (t, report)
+  (t, restored.Recovery.r_report)

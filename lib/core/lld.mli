@@ -38,24 +38,19 @@ val recover :
     [recovery] phase spans and the disk reads of the log-tail replay
     appear in the trace.
 
-    With {!Config.t.recovery_early_open} set, [recover] returns as soon
-    as the checkpoint is restored and the log tail scanned ({e early
-    open}): reads and introspection recover each logical block or list
-    on demand, and the first mutating operation — or an explicit
-    {!complete_recovery} — finishes the replay, the sweep and the
-    post-recovery checkpoint.  The returned report then carries only the
-    parse-phase facts (checkpoint identity, segments replayed / skipped
-    / invalid, group count); replay and sweep tallies are zero. *)
+    With {!Config.t.recovery_early_open} set ({e early open}), the
+    tables are recovered in full — replay, sweep and report are those of
+    an eager recovery — but the run-time structures that only mutations
+    need (the live-block index and the free-segment queue) and the
+    post-recovery checkpoint wait for the first mutating operation, or
+    an explicit {!complete_recovery}.  Reads and introspection of single
+    identifiers are served at once and write nothing. *)
 
 val complete_recovery : t -> Recovery.report option
-(** Finish an early-open recovery now: apply the remaining replay
-    groups, run the consistency sweep, rebuild the free-segment queue
-    and write the post-recovery checkpoint.  Returns the final report,
-    or [None] when recovery was already complete.  Idempotent. *)
-
-val recovery_pending : t -> int
-(** Replay groups not yet applied by an early-open recovery (0 once
-    warm). *)
+(** Finish an early-open recovery now: rebuild the live-block index and
+    the free-segment queue and write the post-recovery checkpoint.
+    Returns the recovery report, or [None] when recovery was already
+    complete.  Idempotent. *)
 
 (** {1 The LD interface} *)
 

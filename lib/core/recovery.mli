@@ -1,7 +1,7 @@
 (** Crash recovery: REDO-only replay of the log tail over the newest
     consistent checkpoint generation (paper §3.3, DESIGN.md §5.10).
 
-    Recovery runs in phases:
+    {!recover} runs in phases, each a [recovery] span:
 
     + {e checkpoint restore} — {!Checkpoint.read_best} picks the newest
       consistent generation (a full, or a delta composed over its full
@@ -9,39 +9,25 @@
       table are rebuilt from it.  Both regions are read and checksummed,
       but only the generation restored (and its base) is decoded.  A
       region that raises a media error is treated as empty.
-    + {e tail scan} — segments sealed after the checkpoint are read
-      along the checkpoint's recorded free order until the sequence
-      numbers stop being contiguous (a torn or unwritten segment ends
-      the stream).  Everything at or below [covered_seq] is {e skipped}
-      — restart cost is proportional to the work since the last
-      checkpoint, not to the log length.
-    + {e partition} — the tail's summary entries are split into
-      dependency-independent groups (union-find over the block, list and
-      ARU identifiers each entry names, plus the relations the
-      checkpoint itself carries), so replay order only matters within a
-      group.  Only identifiers the tail (or the checkpoint's pending and
-      prepared ARUs) names get a node: each joins its checkpoint parent
-      when created, a block the list its restored record is a member of,
-      a list its owning ARU.  Those edges form a forest, so the groups
-      are the same as over every checkpointed identifier, at a cost
-      proportional to the tail.  Early open climbs the same edges from
-      an identifier the tail never names.
-    + {e apply} — each group replays its entries in log order through
-      the {{!section:replay}summary-entry replay} below: ARUs whose
-      commit record never reached disk are discarded wholesale.  Groups
-      touch disjoint records and read nothing from disk, so independent
-      groups run on OCaml 5 domains when [parallel] is on; results and
-      virtual-clock costs are identical to the sequential fallback.
+    + {e tail scan} ([replay]) — segments sealed after the checkpoint
+      are read along the checkpoint's recorded free order until the
+      sequence numbers stop being contiguous (a torn or unwritten
+      segment ends the stream).  Everything at or below [covered_seq] is
+      {e skipped} — restart cost is proportional to the work since the
+      last checkpoint, not to the log length.
+    + {e apply} — the tail's summary entries replay in log order through
+      the {{!section:replay}summary-entry replay} below, seeded with the
+      checkpoint's pending ARU entries and prepared marks: ARUs whose
+      commit record never reached disk are discarded wholesale.
+    + {e resolve prepared} — ARUs left prepared under two-phase commit
+      with no [Decide] record are resolved in ARU-id order.
     + {e sweep} — the consistency sweep frees blocks that are allocated
       but on no list and still-empty lists of ARUs that never committed
       — the remains of their allocations (paper §3.3) — and drops every
-      owner mark.
+      owner mark.  The free pools are then rebuilt.
 
-    The lazy handle ({!prepare} / {!touch_block} / {!touch_list} /
-    {!finish}) additionally supports {e early open}: reads can be served
-    as soon as {!prepare} returns, recovering a logical block or list on
-    demand the first time it is touched; {!finish} completes the replay
-    and the global sweep. *)
+    Only the first two phases read the disk; the rest is CPU work that
+    charges nothing to the virtual clock. *)
 
 type report = {
   checkpoint_id : int;
@@ -63,8 +49,13 @@ type report = {
       (** segments the checkpoint made it unnecessary to read
           (= [covered_seq]: every sealed segment at or below it) *)
   replay_groups : int;
-      (** dependency-independent replay partitions in the tail *)
-  parallel_replay : bool;  (** whether the apply phase used domains *)
+      (** always 1: the tail replays in one pass.  Kept because the
+          frozen benchmark reads it; ROADMAP item 2's benchmark step
+          deletes it *)
+  parallel_replay : bool;
+      (** always [false]: replay never runs on domains.  Kept because
+          the frozen benchmark reads it; ROADMAP item 2's benchmark step
+          deletes it *)
   invalid_segments : int;  (** torn, unreadable, or stale *)
   entries_applied : int;
   arus_committed : int;  (** from buffered entries (incl. checkpoint-pending) *)
@@ -102,68 +93,30 @@ type restored = {
   r_report : report;
 }
 
-type pending
-(** A recovery in progress: checkpoint restored, log tail scanned and
-    partitioned, but not necessarily applied yet. *)
-
-val prepare :
-  ?obs:Lld_obs.Obs.t -> ?sweep:bool -> ?parallel:bool ->
-  ?decisions:(int -> bool option) ->
-  Lld_disk.Disk.t -> pending
-(** Phases 1–3 (restore, tail scan, partition).  This is the only part
-    of recovery that reads the disk; its virtual-clock cost is identical
-    whether the rest happens eagerly, lazily or in parallel.  Raises
-    [Errors.Corrupt] when nothing on the disk parses (never formatted),
-    and [Errors.Corruption All_generations_corrupted] when the
-    superblock and the checkpoint regions contradict each other — a
-    formatted image whose generation pointers (or both checkpoint
-    generations) were destroyed.  [sweep] (default [true])
-    enables the consistency sweep; see {!Config.t.recovery_sweep} for
-    the test-only reason to disable it.  [decisions] resolves an ARU
-    left {e prepared} under two-phase commit with no [Decide] record in
-    this log: [Some true] commits it, anything else aborts it (presumed
-    abort).  The sharded front-end passes the union of the [Decide]
-    records in every shard's log; the default resolves nothing, which is
-    correct for a standalone disk.  [obs] (default {!Lld_obs.Obs.null}) records
-    the [recovery] phase spans — [checkpoint_restore], [replay],
-    [partition], [apply], [resolve_prepared], [sweep] — and their
-    latency histograms. *)
-
-val touch_block : pending -> Types.Block_id.t -> unit
-(** Recover one logical block on demand: apply the replay group that
-    owns it (if not yet applied) and sweep just that block.  Because a
-    block's record is only ever mutated by its own group, the result is
-    exactly the block's post-{!finish} state.  Out-of-range ids are
-    ignored. *)
-
-val touch_list : pending -> Types.List_id.t -> unit
-(** Same, for a list (sweeping frees it if its owning ARU never
-    committed and it is still empty). *)
-
-val tables : pending -> Block_map.t * List_table.t
-(** The tables being recovered — valid for reads of identifiers already
-    touched (and for everything once {!finish} ran). *)
-
-val pending_groups : pending -> int
-(** Replay groups not yet applied (0 once {!finish} ran). *)
-
-val preliminary_report : pending -> report
-(** The facts known after {!prepare}: checkpoint identity, segments
-    replayed / skipped / invalid, group count.  Replay tallies and sweep
-    counts are zero until {!finish}. *)
-
-val finish : pending -> restored
-(** Apply all remaining groups (on domains when [parallel] — default
-    [true] — and the group count warrants it), merge tallies, run the
-    global consistency sweep and rebuild the free pools.  Identifiers
-    already swept on demand are no-ops here, so the report's totals
-    match an eager recovery exactly.  Idempotent. *)
+val recover :
+  ?obs:Lld_obs.Obs.t -> ?sweep:bool -> ?decisions:(int -> bool option) ->
+  Lld_disk.Disk.t -> restored
+(** Recover the tables a crashed disk held.  Raises [Errors.Corrupt]
+    when nothing on the disk parses (never formatted), and
+    [Errors.Corruption All_generations_corrupted] when the superblock
+    and the checkpoint regions contradict each other — a formatted
+    image whose generation pointers (or both checkpoint generations)
+    were destroyed.  [sweep] (default [true]) enables the consistency
+    sweep; see {!Config.t.recovery_sweep} for the test-only reason to
+    disable it.  [decisions] resolves an ARU left {e prepared} under
+    two-phase commit with no [Decide] record in this log: [Some true]
+    commits it, anything else aborts it (presumed abort).  The sharded
+    front-end passes the union of the [Decide] records in every shard's
+    log; the default resolves nothing, which is correct for a standalone
+    disk.  [obs] (default {!Lld_obs.Obs.null}) records the [recovery]
+    phase spans — [checkpoint_restore], [replay], [apply],
+    [resolve_prepared], [sweep] — and their latency histograms. *)
 
 (** {1:replay Summary-entry replay}
 
     The REDO semantics of a summary entry, written once for both
-    logical disks: each replay group above runs through it, and so does
-    [Jld]'s journal replay.  [Simple] entries apply at their position;
+    logical disks: {!recover} replays LLD's log tail through it, and
+    [Jld] its journal.  [Simple] entries apply at their position;
     an ARU's [In_aru] entries are buffered until its [Commit],
     [Commit_group] or committing [Decide] record, and those of an ARU
     with none are never applied.  ['p] is the payload an entry arrives
@@ -199,5 +152,4 @@ val sweep : 'p replay -> Block_map.t -> List_table.t -> unit
 (** The consistency sweep (paper §3.3), once every entry is replayed: a
     block allocated but on no list is freed, and so is a list created by
     an ARU that never committed and left empty; every owner mark is
-    dropped.  The per-record rule is the one {!touch_block},
-    {!touch_list} and {!finish} apply. *)
+    dropped.  {!recover} sweeps by the same rule. *)

@@ -1111,8 +1111,8 @@ let recovery_ok r = r.rr_violation_points = 0
 
 (* Verify the oracle on an early-opened instance (the on-demand pass:
    reads alone — no invariant probe, no fsck — so every unit is served
-   while the replay of unrelated groups is still pending), complete the
-   recovery, verify again eagerly and demand the verdicts agree. *)
+   before the post-recovery checkpoint), complete the recovery, verify
+   again eagerly and demand the verdicts agree. *)
 let verify_early_then_complete trace lld =
   let on_demand () =
     let fs, unmounted =
@@ -1158,7 +1158,7 @@ let check_during_recovery ?recover_config ~granularity ~inner_budget ~seed
         match Lld.recover ~config disks.(0) with
         | exception e ->
           Error [ "early-open recovery raised: " ^ Printexc.to_string e ]
-        | lld, _preliminary -> Ok (verify_early_then_complete trace lld))
+        | lld, _report -> Ok (verify_early_then_complete trace lld))
   in
   let violation ?inner problems =
     on_violation { rv_outer = outer; rv_inner = inner; rv_problems = problems }

@@ -272,9 +272,10 @@ val pp_result : Format.formatter -> result -> unit
     The checker above crashes the {e workload}; this one also crashes
     the {e recovery}.  For a sample of workload crash points it mounts
     the crash image with {!Lld_core.Config.t.recovery_early_open} set,
-    verifies every oracle unit through on-demand reads {e while the
-    replay is still pending}, completes the recovery (recording its
-    writes — the post-recovery checkpoint included), verifies again
+    verifies every oracle unit through reads alone {e before the
+    recovery completes} (the {e on-demand} pass), completes the recovery
+    (recording its writes — the post-recovery checkpoint included),
+    verifies again
     eagerly and demands the two verdicts agree — then enumerates crash
     points over recovery's own write sequence (complete and torn, so
     mid-checkpoint torn chunks are covered) and checks that a second
@@ -301,7 +302,7 @@ type recovery_result = {
   rr_recovery_writes : int;
       (** disk writes recovery performed, summed over all outer points *)
   rr_ondemand_units : int;
-      (** oracle units verified through on-demand reads, summed *)
+      (** oracle units verified by the on-demand pass, summed *)
   rr_violation_points : int;
   rr_violations : recovery_violation list;
       (** capped at {!max_kept_violations} *)

@@ -423,16 +423,15 @@ let test_tail_media_error_counted_once () =
     (report.Recovery.segments_replayed, report.Recovery.invalid_segments);
   Alcotest.(check bool) "list survives" true (Lld.list_exists lld l)
 
-(* --- early open: reads served before the replay finishes ----------- *)
+(* --- early open: reads served before the post-recovery checkpoint -- *)
 
 module Op = Lld_core.Op
 module Ops = Op.Make (Lld)
 
 let early_config = { Config.default with Config.recovery_early_open = true }
 
-(* A crash image with several independent dependency groups, one
-   committed ARU and one uncommitted ARU whose allocation the sweep
-   must scavenge. *)
+(* A crash image with several independent lists, one committed ARU and
+   one uncommitted ARU whose allocation the sweep must scavenge. *)
 let build_crash_state () =
   let disk, lld = fresh_lld () in
   let mk tag =
@@ -463,13 +462,8 @@ let build_crash_state () =
 
 let test_early_open_serves_reads_on_demand () =
   let disk, groups, (l_aru, b_aru), b_orphan = build_crash_state () in
-  let lld2, preliminary = Lld.recover ~config:early_config disk in
-  Alcotest.(check bool) "replay pending" true (Lld.recovery_pending lld2 > 0);
-  Alcotest.(check int) "preliminary report carries no sweep tallies" 0
-    preliminary.Recovery.blocks_scavenged;
-  Alcotest.(check bool) "independent groups partitioned" true
-    (preliminary.Recovery.replay_groups >= List.length groups);
-  (* on-demand reads while the replay is pending *)
+  let lld2, _ = Lld.recover ~config:early_config disk in
+  (* reads before recovery completes *)
   List.iter
     (fun (l, bs, tag) ->
       List.iteri
@@ -486,16 +480,14 @@ let test_early_open_serves_reads_on_demand () =
     (Lld.read lld2 b_aru);
   Alcotest.check block_ids "ARU list on demand" [ b_aru ]
     (Lld.list_blocks lld2 l_aru);
-  (* the uncommitted ARU's allocation is swept on first touch *)
-  Alcotest.(check bool) "orphan swept on touch" false
+  (* the uncommitted ARU's allocation is already swept *)
+  Alcotest.(check bool) "orphan swept" false
     (Lld.block_allocated lld2 b_orphan);
   (match Lld.complete_recovery lld2 with
   | None -> Alcotest.fail "recovery should still have been pending"
   | Some report ->
     Alcotest.(check bool) "orphan counted by the sweep" true
       (report.Recovery.blocks_scavenged >= 1));
-  Alcotest.(check int) "nothing pending once complete" 0
-    (Lld.recovery_pending lld2);
   Alcotest.(check bool) "second completion is a no-op" true
     (Lld.complete_recovery lld2 = None)
 
@@ -505,13 +497,11 @@ let test_early_open_matches_eager_recovery () =
   let image = Disk.snapshot disk in
   let load () = Disk.load ~clock:(Clock.create ()) geom (Bytes.copy image) in
   let eager_lld, eager_report = Lld.recover (load ()) in
-  let lazy_lld, _preliminary = Lld.recover ~config:early_config (load ()) in
-  (* interleave queries through the op hook with the pending replay: each
-     read races the on-demand recovery of the group it lands in, while
-     the other groups stay unapplied *)
+  let lazy_lld, _ = Lld.recover ~config:early_config (load ()) in
+  (* queries through the op hook before recovery completes *)
   let same op =
     Alcotest.(check bool)
-      (Format.asprintf "op %a agrees while replay pending" Op.pp op)
+      (Format.asprintf "op %a agrees before completion" Op.pp op)
       true
       (Op.equal_result (Ops.apply lazy_lld op) (Ops.apply eager_lld op))
   in
@@ -527,11 +517,8 @@ let test_early_open_matches_eager_recovery () =
   match Lld.complete_recovery lazy_lld with
   | None -> Alcotest.fail "expected a pending recovery"
   | Some report ->
-    (* whether domains ran depends on how many groups the touches left
-       behind; every other report field must agree with the eager run *)
     Alcotest.(check bool) "final report equals the eager report" true
-      ({ report with Recovery.parallel_replay = false }
-      = { eager_report with Recovery.parallel_replay = false });
+      (report = eager_report);
     List.iter
       (fun (l, bs, tag) ->
         List.iteri
@@ -550,12 +537,8 @@ let test_early_open_matches_eager_recovery () =
 let test_early_open_first_mutation_completes () =
   let disk, groups, _, _ = build_crash_state () in
   let lld2, _ = Lld.recover ~config:early_config disk in
-  Alcotest.(check bool) "pending after early open" true
-    (Lld.recovery_pending lld2 > 0);
   let _, bs, _ = List.hd groups in
   Lld.write lld2 (List.hd bs) (block_data 777);
-  Alcotest.(check int) "first mutation completes the replay" 0
-    (Lld.recovery_pending lld2);
   Alcotest.(check bool) "explicit completion is then a no-op" true
     (Lld.complete_recovery lld2 = None);
   check_data "mutation applied on the recovered state" (block_data 777)
@@ -617,11 +600,10 @@ let checkpointed_lists lld ~lists ~members =
   ls
 
 (* The tail deletes one list and one member of another; every other
-   member of those lists is named by no tail entry and reaches its
-   replay group only through its checkpointed membership.  Early open
-   must recover such a member before serving it: first touched, it
-   must already read as deleted (or still linked), exactly as after an
-   eager recovery. *)
+   member of those lists is named by no tail entry, and the deletion
+   reaches it only through its checkpointed membership.  Early open
+   must serve such a member as deleted (or still linked), exactly as an
+   eager recovery does. *)
 let test_early_open_unnamed_members () =
   let disk, lld = fresh_lld () in
   let ls = checkpointed_lists lld ~lists:3 ~members:4 in
@@ -636,16 +618,14 @@ let test_early_open_unnamed_members () =
   let image = Disk.snapshot disk in
   let load () = Disk.load ~clock:(Clock.create ()) geom (Bytes.copy image) in
   let eager_lld, eager_report = Lld.recover (load ()) in
-  let lazy_lld, _preliminary = Lld.recover ~config:early_config (load ()) in
-  Alcotest.(check bool) "replay pending" true (Lld.recovery_pending lazy_lld > 0);
+  let lazy_lld, _ = Lld.recover ~config:early_config (load ()) in
   let same op =
     Alcotest.(check bool)
-      (Format.asprintf "op %a agrees while replay pending" Op.pp op)
+      (Format.asprintf "op %a agrees before completion" Op.pp op)
       true
       (Op.equal_result (Ops.apply lazy_lld op) (Ops.apply eager_lld op))
   in
-  (* members before their lists: each member's first touch is the one
-     that must find the group *)
+  (* members before their lists *)
   List.iter
     (fun b ->
       same (Op.Block_allocated { aru = None; block = b });
@@ -658,24 +638,7 @@ let test_early_open_unnamed_members () =
   | None -> Alcotest.fail "expected a pending recovery"
   | Some report ->
     Alcotest.(check bool) "final report equals the eager report" true
-      ({ report with Recovery.parallel_replay = false }
-      = { eager_report with Recovery.parallel_replay = false })
-
-(* Members of one checkpointed list share a replay group through the
-   list, though no tail entry names the list. *)
-let test_checkpoint_membership_joins_groups () =
-  let disk, lld = fresh_lld () in
-  let ls = checkpointed_lists lld ~lists:2 ~members:3 in
-  let a, b =
-    match ls with [ (_, a); (_, b) ] -> (a, b) | _ -> assert false
-  in
-  Lld.write lld (List.nth a 0) (block_data 1);
-  Lld.write lld (List.nth a 2) (block_data 2);
-  Lld.write lld (List.nth b 1) (block_data 3);
-  Lld.flush lld;
-  crash disk;
-  let _, report = Lld.recover disk in
-  Alcotest.(check int) "one group per list" 2 report.Recovery.replay_groups
+      (report = eager_report)
 
 let test_recovery_report_counts () =
   let disk, lld = fresh_lld () in
@@ -775,8 +738,6 @@ let () =
             test_early_open_unnamed_members;
           Alcotest.test_case "reads defer every write" `Quick
             test_early_open_defers_writes;
-          Alcotest.test_case "checkpoint membership joins groups" `Quick
-            test_checkpoint_membership_joins_groups;
         ] );
       ( "cleaner",
         [
