@@ -6,7 +6,9 @@
 #   scripts/identity.sh <rev>          e.g. scripts/identity.sh HEAD~1
 #
 # Prints one "same" or "DIFFERS" line per artifact and exits 1 on any
-# difference (2 on a usage or build error).  The artifacts are the
+# difference (2 on a usage or build error).  Under a DIFFERS line of a
+# text artifact (all but the mkfs image) go the first 10 lines of its
+# diff, indented.  The artifacts are the
 # verify recipe's: the trace JSONL and OpenMetrics text, the mkfs image,
 # seven crashcheck runs, three model runs, the masked SCALE=0.05 bench
 # stdout (and its exit status), the two_disks example, and every virtual
@@ -128,6 +130,10 @@ for a in trace.jsonl openmetrics.txt mkfs.img crashcheck-1.txt \
     printf 'same     %s\n' "$a"
   else
     printf 'DIFFERS  %s\n' "$a"
+    if [ "$a" != mkfs.img ]; then
+      diff "$work/out/base/$a" "$work/out/head/$a" | head -n 10 |
+        sed 's/^/    /'
+    fi
     status=1
   fi
 done
