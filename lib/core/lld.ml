@@ -785,9 +785,8 @@ let warm t = if t.warming <> None then ignore (complete_recovery t)
 (* Every public LD operation is timed once, at its definition: on the
    virtual clock into an ["op.<name>"] histogram and as an [op] trace
    span.  Inside the span a mutation first completes an early-open
-   recovery ([warm]).  With
-   {!Obs.null} attached (the default) this is one field read and a
-   direct call — the cost model never sees it. *)
+   recovery ([warm]).  With {!Obs.null} attached (the default) this is
+   one field read and a direct call — the cost model never sees it. *)
 let op t name f = Obs.timed t.obs Tr.Op name f
 
 (* ------------------------------------------------------------------ *)
