@@ -103,10 +103,18 @@ val hash64 : ?pos:int -> ?len:int -> t -> int64
 val crc32c : ?init:int -> ?pos:int -> ?len:int -> t -> int
 (** CRC32c (Castagnoli, reflected 0x82f63b78) of the window; the
     per-slot and header checksum of segment format v3 and the
-    superblock.  [crc32c "123456789" = 0xe3069283].  Slice-by-8: eight
-    256-entry tables consume a 64-bit word per step, with a byte-wise
-    tail.  [~init] chains: the CRC of a window split anywhere, fed the
-    first part's CRC as [init], equals the CRC of the whole. *)
+    superblock.  [crc32c "123456789" = 0xe3069283].  On an x86-64 CPU
+    with SSE4.2 (asked once, at module initialisation) it folds a
+    64-bit word per [crc32] instruction, with a byte-wise tail;
+    anywhere else it runs {!crc32c_slice8}.  Both give the same bits.
+    [~init] chains: the CRC of a window split anywhere, fed the first
+    part's CRC as [init], equals the CRC of the whole. *)
+
+val crc32c_slice8 : ?init:int -> ?pos:int -> ?len:int -> t -> int
+(** {!crc32c} in pure OCaml on every host.  Slice-by-8: eight 256-entry
+    tables consume a 64-bit word per step, with a byte-wise tail.
+    Exported so that the tests cover it on CPUs where {!crc32c} takes
+    the instruction. *)
 
 val crc32c_bytes : ?init:int -> ?pos:int -> ?len:int -> bytes -> int
 (** {!crc32c} of a [bytes] window, one byte per step: the byte-wise

@@ -339,6 +339,8 @@ let test_blk_crc32c_vector () =
     (fun (name, data, want) ->
       let b = Bytes.of_string data in
       Alcotest.(check int) name want (Blk.crc32c (Blk.of_bytes b));
+      Alcotest.(check int) (name ^ ", slice-by-8") want
+        (Blk.crc32c_slice8 (Blk.of_bytes b));
       Alcotest.(check int) (name ^ ", byte-wise") want (Blk.crc32c_bytes b))
     [
       ("123456789", "123456789", 0xe3069283);
@@ -551,26 +553,81 @@ let kernel_view () =
   Blk.blit_from_bytes kernel_data 0 v 0 (Bytes.length kernel_data);
   v
 
+(* Both CRC32c paths: [crc32c] takes the crc32 instruction on an x86-64
+   CPU with SSE4.2, and [crc32c_slice8] is the OCaml loop it runs
+   everywhere else. *)
+type crc32c_path = ?init:int -> ?pos:int -> ?len:int -> Blk.t -> int
+
+let crc32c_paths : (string * crc32c_path) list =
+  [ ("crc32c", Blk.crc32c); ("crc32c_slice8", Blk.crc32c_slice8) ]
+
+(* [name]'s one-shot CRC of the window, and the CRC chained through
+   [~init] at [split], each against the byte-wise [want]. *)
+let check_crc32c_window name (crc : crc32c_path) v ~pos ~len ~split ~want =
+  let got = crc ~pos ~len v in
+  if got <> want then
+    Alcotest.failf "%s ~pos:%d ~len:%d = %08x, byte-wise %08x" name pos len got
+      want;
+  let init = crc ~pos ~len:split v in
+  let chained = crc ~init ~pos:(pos + split) ~len:(len - split) v in
+  if chained <> want then
+    Alcotest.failf "%s ~pos:%d ~len:%d split at %d = %08x, want %08x" name pos
+      len split chained want
+
 let test_blk_crc32c_slices () =
   let v = kernel_view () in
-  for len = 0 to 70 do
-    for pos = 0 to 9 do
-      let want = Blk.crc32c_bytes ~pos ~len kernel_data in
-      let got = Blk.crc32c ~pos ~len v in
-      if got <> want then
-        Alcotest.failf "crc32c ~pos:%d ~len:%d = %08x, byte-wise %08x" pos len
-          got want;
-      (* a chained checksum equals the one-shot, split anywhere *)
-      for split = 0 to len do
-        let init = Blk.crc32c ~pos ~len:split v in
-        let chained =
-          Blk.crc32c ~init ~pos:(pos + split) ~len:(len - split) v
-        in
-        if chained <> want then
-          Alcotest.failf "crc32c ~pos:%d ~len:%d split at %d = %08x, want %08x"
-            pos len split chained want
-      done
-    done
+  List.iter
+    (fun (name, crc) ->
+      for len = 0 to 70 do
+        for pos = 0 to 9 do
+          let want = Blk.crc32c_bytes ~pos ~len kernel_data in
+          (* a chained checksum equals the one-shot, split anywhere *)
+          for split = 0 to len do
+            check_crc32c_window name crc v ~pos ~len ~split ~want
+          done
+        done
+      done)
+    crc32c_paths
+
+(* 1 MB of seeded bytes, in a [sub] view whose window starts inside a
+   larger buffer. *)
+let big_data =
+  let st = Random.State.make [| 3720 |] in
+  Bytes.init (1 lsl 20) (fun _ -> Char.chr (Random.State.int st 256))
+
+let big_view () =
+  let whole = Blk.create (Bytes.length big_data + 5) in
+  let v = Blk.sub whole 5 (Bytes.length big_data) in
+  Blk.blit_from_bytes big_data 0 v 0 (Bytes.length big_data);
+  v
+
+(* A slot, a 32 KB run and a whole segment, at every start offset
+   modulo a word. *)
+let test_blk_crc32c_large () =
+  let v = big_view () in
+  List.iter
+    (fun len ->
+      for pos = 0 to 7 do
+        let want = Blk.crc32c_bytes ~pos ~len big_data in
+        List.iter
+          (fun (name, crc) ->
+            check_crc32c_window name crc v ~pos ~len ~split:(len / 2) ~want)
+          crc32c_paths
+      done)
+    [ 4096; 32768; 524288 ]
+
+let test_blk_crc32c_random () =
+  let v = big_view () in
+  let n = Bytes.length big_data in
+  let st = Random.State.make [| 82; 0xf6; 0x3b; 0x78 |] in
+  for _ = 1 to 50 do
+    let pos = Random.State.int st n in
+    let len = Random.State.int st (n - pos + 1) in
+    let split = Random.State.int st (len + 1) in
+    let want = Blk.crc32c_bytes ~pos ~len big_data in
+    List.iter
+      (fun (name, crc) -> check_crc32c_window name crc v ~pos ~len ~split ~want)
+      crc32c_paths
   done
 
 (* FNV-1a over little-endian 64-bit words assembled byte by byte, then
@@ -791,6 +848,10 @@ let () =
             test_blk_bulk_copies;
           Alcotest.test_case "crc32c slices match the byte-wise loop" `Quick
             test_blk_crc32c_slices;
+          Alcotest.test_case "crc32c slot and segment windows" `Quick
+            test_blk_crc32c_large;
+          Alcotest.test_case "crc32c random chained windows" `Quick
+            test_blk_crc32c_random;
           Alcotest.test_case "hash64 matches a byte-wise FNV-1a" `Quick
             test_blk_hash64_reference;
           Alcotest.test_case "scalar range boundary" `Quick
