@@ -1098,7 +1098,7 @@ let model_fuzz seed budget clients ops option backend crash_every crash_points
   (match (out_dir, report.Differ.rp_failure) with
   | Some dir, Some f ->
     (try
-       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+       Forensics.ensure_dir dir;
        let path =
          Filename.concat dir (Printf.sprintf "model-divergence-seed%d.txt" seed)
        in

@@ -712,7 +712,7 @@ let clean_internal t ~target_free =
       let gain = !n_victims - ((!copies + bps t - 1) / bps t) in
       if !victims = [] || gain <= 0 then progress := false
       else begin
-        Obs.instant t.obs Tr.Clean "batch"
+        Obs.event t.obs Tr.Clean "batch"
           [
             ("victims", Tr.I !n_victims);
             ("copies", Tr.I !copies);

@@ -16,7 +16,6 @@ module Obs = Lld_obs.Obs
 module Oracle = Lld_workload.Oracle
 module Setup = Lld_workload.Setup
 module Smallfile = Lld_workload.Smallfile
-module Aru_churn = Lld_workload.Aru_churn
 
 (* ------------------------------------------------------------------ *)
 (* Workload specifications                                             *)
@@ -101,8 +100,28 @@ let aru_churn_spec ?(arus = 160) ?(blocks_per_aru = 2) () =
     sc_inode_count = None;
     sc_run =
       (fun cx oracle ->
-        Aru_churn.run_traced cx.cx_lld oracle
-          { Aru_churn.arus; blocks_per_aru; flush_every = 1 });
+        let lld = cx.cx_lld in
+        let payload =
+          payload ~tag:"churn" ~mul:(131, 31) (Lld.block_bytes lld)
+        in
+        let one_unit ~index ~must_not_commit =
+          ignore
+            (one_unit lld oracle ~blocks:blocks_per_aru ~data:(payload index)
+               ~must_not_commit
+               ~commit:(if must_not_commit then ignore else Lld.end_aru lld)
+               ~label:
+                 (Printf.sprintf "aru-%d%s" index
+                    (if must_not_commit then "-open" else "")))
+        in
+        for i = 0 to arus - 1 do
+          one_unit ~index:i ~must_not_commit:false;
+          Lld.flush lld
+        done;
+        (* an ARU whose commit record is never written: recovery must
+           discard it wholesale at every crash point, including the
+           final image *)
+        one_unit ~index:arus ~must_not_commit:true;
+        Lld.flush lld);
   }
 
 (* Cleaning-heavy raw-LD workload: committed units, whole-unit
@@ -421,9 +440,7 @@ module Raw = struct
     advance t images ~from:0 ~upto:point.pt_index ~keep:point.pt_keep;
     images
 
-  let images_at t point = Array.map Blk.to_bytes (views_at t point)
-
-  let image_at t point = (images_at t point).(0)
+  let image_at t point = Blk.to_bytes (views_at t point).(0)
 
   (* Walk points in enumeration order over one rolling image per disk
      that always holds writes [0 .. applied-1]; each point gets its own
@@ -654,7 +671,8 @@ let default_backend geom = function
 (* One full traced run of the workload on the given backend.  The base
    image and every subsequent state come from the backend API
    ([Disk.snapshot] / the write observer), so the checker exercises
-   whatever store it is pointed at. *)
+   whatever store it is pointed at.  The disk is left open, for the
+   caller to fingerprint or close. *)
 let record_on backend spec =
   let clock = Clock.create () in
   let disk = Disk.create ~backend ~clock spec.sc_geom in
@@ -687,15 +705,12 @@ let record_on backend spec =
           | lld, _report -> Ok (verify_recovered ~fs:spec.sc_fs oracle lld));
     }
   in
-  let final = Disk.snapshot disk in
-  let counters = Disk.counters disk in
-  let label = Disk.backend_label disk in
-  Disk.close disk;
-  (trace, label, final, counters, Clock.now_ns clock)
+  (trace, disk, lld)
 
 let record ?backend spec =
   let backend = default_backend spec.sc_geom backend in
-  let trace, _, _, _, _ = record_on backend spec in
+  let trace, disk, _ = record_on backend spec in
+  Disk.close disk;
   trace
 
 let trace_raw t = t.tr_raw
@@ -711,9 +726,7 @@ type differential = {
   d_mem_label : string;
   d_file_label : string;
   d_writes : int;
-  d_images_equal : bool;
-  d_counters_equal : bool;
-  d_clocks_equal : bool;
+  d_differs : string list;
   d_problems : string list;
 }
 
@@ -721,17 +734,21 @@ let differential_ok d = d.d_problems = []
 
 let differential ?dir spec =
   let size = Geometry.total_bytes spec.sc_geom in
-  let m_trace, m_label, m_image, m_counters, m_ns =
-    record_on (Lld_disk.Backend.mem ~size) spec
+  let run backend =
+    let trace, disk, lld = record_on backend spec in
+    let fp = Setup.fingerprint disk (Lld.counters lld) in
+    let label = Disk.backend_label disk in
+    Disk.close disk;
+    (trace, label, fp)
   in
-  let f_trace, f_label, f_image, f_counters, f_ns =
-    record_on (Lld_disk.Backend.temp_file ?dir ~size ()) spec
-  in
+  let m_trace, m_label, m_fp = run (Lld_disk.Backend.mem ~size) in
+  let f_trace, f_label, f_fp = run (Lld_disk.Backend.temp_file ?dir ~size ()) in
+  let differs = Setup.fingerprint_diff m_fp f_fp in
   let problems = ref [] in
   let check cond msg = if not cond then problems := msg :: !problems in
-  let images_equal = Bytes.equal m_image f_image in
-  check images_equal
-    "final device images differ byte-for-byte between mem and file backends";
+  check (differs = [])
+    ("final states differ between mem and file backends: "
+    ^ Setup.fingerprint_verdict differs);
   check
     (Blk.equal m_trace.tr_raw.Raw.bases.(0) f_trace.tr_raw.Raw.bases.(0))
     "post-format base images differ between mem and file backends";
@@ -739,33 +756,19 @@ let differential ?dir spec =
     (trace_writes m_trace = trace_writes f_trace)
     (Printf.sprintf "write traces differ in length: mem %d, file %d"
        (trace_writes m_trace) (trace_writes f_trace));
-  let counters_equal = m_counters = f_counters in
-  check counters_equal
-    (Printf.sprintf
-       "device counters differ: mem %d writes / %d reads, file %d writes / %d \
-        reads"
-       m_counters.Disk.writes m_counters.Disk.reads f_counters.Disk.writes
-       f_counters.Disk.reads);
-  let clocks_equal = m_ns = f_ns in
-  check clocks_equal
-    (Printf.sprintf "virtual clocks differ: mem %d ns, file %d ns" m_ns f_ns);
   {
     d_workload = spec.sc_name;
     d_mem_label = m_label;
     d_file_label = f_label;
     d_writes = trace_writes m_trace;
-    d_images_equal = images_equal;
-    d_counters_equal = counters_equal;
-    d_clocks_equal = clocks_equal;
+    d_differs = differs;
     d_problems = List.rev !problems;
   }
 
 let pp_differential ppf d =
-  Format.fprintf ppf
-    "@[<v>workload %s: %d disk writes on %s and %s@,\
-     images byte-identical: %b; counters equal: %b; virtual clocks equal: %b@,"
-    d.d_workload d.d_writes d.d_mem_label d.d_file_label d.d_images_equal
-    d.d_counters_equal d.d_clocks_equal;
+  Format.fprintf ppf "@[<v>workload %s: %d disk writes on %s and %s@,%s@,"
+    d.d_workload d.d_writes d.d_mem_label d.d_file_label
+    (Setup.fingerprint_verdict d.d_differs);
   if d.d_problems = [] then
     Format.fprintf ppf "backends are observably equivalent@]"
   else begin
@@ -1306,7 +1309,9 @@ let corruption_ok r = r.c_problems = []
 
 let corruption_check ?backend spec =
   let backend = default_backend spec.sc_geom backend in
-  let trace, _, final, _, _ = record_on backend spec in
+  let trace, disk, _ = record_on backend spec in
+  let final = Disk.snapshot disk in
+  Disk.close disk;
   let geom = spec.sc_geom in
   let config = spec.sc_config in
   let problems = ref [] in

@@ -60,8 +60,10 @@ val smallfile_spec : ?files:int -> unit -> spec
     (default 200 files of 1 KB). *)
 
 val aru_churn_spec : ?arus:int -> ?blocks_per_aru:int -> unit -> spec
-(** {!Lld_workload.Aru_churn.run_traced} on the raw logical disk
-    (default 160 ARUs of 2 blocks). *)
+(** ARU churn on the raw logical disk (default 160 ARUs of 2 blocks):
+    each ARU creates a list of [blocks_per_aru] blocks with
+    recognisable payloads, commits and is flushed; a last ARU is left
+    open, so no crash image may surface any of its effects. *)
 
 val cleaning_spec : ?units:int -> ?blocks_per_unit:int -> unit -> spec
 (** Cleaning-heavy raw-LD workload: committed units, atomic whole-unit
@@ -104,17 +106,18 @@ val trace_oracle_units : trace -> int
 
     The paper's §2 transparency claim, checked at the store layer: the
     same workload driven once on {!Lld_disk.Backend.mem} and once on
-    {!Lld_disk.Backend.temp_file} must leave byte-identical device
-    images, identical device counters and an identical virtual clock. *)
+    {!Lld_disk.Backend.temp_file} must leave the same
+    {!Lld_workload.Setup.fingerprint} (device image, operation
+    counters, device counters, virtual clock), from the same base image
+    through a write trace of the same length. *)
 
 type differential = {
   d_workload : string;
   d_mem_label : string;
   d_file_label : string;
   d_writes : int;  (** disk writes in the (mem) trace *)
-  d_images_equal : bool;
-  d_counters_equal : bool;
-  d_clocks_equal : bool;
+  d_differs : string list;
+      (** {!Lld_workload.Setup.fingerprint_diff} of the two final states *)
   d_problems : string list;  (** [[]] = backends observably equivalent *)
 }
 
@@ -177,11 +180,8 @@ module Raw : sig
       recorded bases are never handed out, so recovery writing into an
       adopted image leaves every later crash image intact. *)
 
-  val images_at : t -> point -> bytes array
-  (** {!views_at} as [bytes]. *)
-
   val image_at : t -> point -> bytes
-  (** One-disk form of {!images_at}: the first disk's image. *)
+  (** The first disk's {!views_at} image, as [bytes]. *)
 end
 
 val trace_raw : trace -> Raw.t

@@ -6,7 +6,6 @@ type t = {
   read : offset:int -> length:int -> Blk.t;
   write : offset:int -> Blk.t -> unit;
   snapshot : unit -> Blk.t;
-  restore : Blk.t -> unit;
   barrier : unit -> unit;
   close : unit -> unit;
 }
@@ -27,7 +26,6 @@ let of_view store =
     write =
       (fun ~offset data -> Blk.blit data 0 store offset (Blk.length data));
     snapshot = (fun () -> Blk.copy store);
-    restore = (fun image -> Blk.blit image 0 store 0 size);
     barrier = (fun () -> ());
     close = (fun () -> ());
   }
@@ -108,10 +106,6 @@ let file ?(create = false) ~size path =
       (fun () ->
         live "snapshot";
         Blk.copy map);
-    restore =
-      (fun image ->
-        live "restore";
-        Blk.blit image 0 map 0 size);
     barrier =
       (fun () ->
         live "barrier";

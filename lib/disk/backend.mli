@@ -29,8 +29,6 @@ type t = {
           alias of the store *)
   write : offset:int -> Blk.t -> unit;
   snapshot : unit -> Blk.t;  (** fresh copy of the whole image *)
-  restore : Blk.t -> unit;  (** overwrite the whole image (size checked
-                                by {!Disk.restore}) *)
   barrier : unit -> unit;
       (** make every preceding write durable ([fsync] on {!file}, no-op
           on {!mem}).  Charges nothing to the virtual clock. *)

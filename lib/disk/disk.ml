@@ -112,13 +112,6 @@ let snapshot_view t =
 
 let snapshot t = Blk.to_bytes (snapshot_view t)
 
-let restore_view t image =
-  if Blk.length image <> t.backend.Backend.size then
-    invalid_arg "Disk.restore: image size does not match the partition";
-  t.backend.Backend.restore image
-
-let restore t image = restore_view t (Blk.of_bytes image)
-
 let barrier t = t.backend.Backend.barrier ()
 let close t = t.backend.Backend.close ()
 let backend_label t = t.backend.Backend.label

@@ -69,7 +69,8 @@ val read : t -> offset:int -> length:int -> bytes
 
     Hooks for the crash-consistency checker ([lib/crashcheck]): an
     observer sees every byte that reaches the medium, and whole-device
-    images can be captured and restored to replay write prefixes. *)
+    images can be captured; {!load} mounts one again to replay write
+    prefixes. *)
 
 type observer = index:int -> offset:int -> data:Blk.t -> unit
 (** Called after the bytes land: [index] is the device-lifetime write
@@ -94,10 +95,6 @@ val snapshot_view : t -> Blk.t
 (** Fresh copy of the entire device image. *)
 
 val snapshot : t -> bytes
-
-val restore : t -> bytes -> unit
-(** Overwrite the entire device image.  Raises [Invalid_argument] when
-    the image size does not match the partition. *)
 
 (** {2 Media corruption}
 

@@ -60,6 +60,12 @@ let check ck_name ck_ok ck_detail = { ck_name; ck_ok; ck_detail }
 let finite v = Float.is_finite v && v > 0.
 let no_checks _ = []
 
+(* One row per fingerprint component: did the two runs agree on it? *)
+let fingerprint_rows differs =
+  List.map
+    (fun c -> [ R.text c; R.yes_no (not (List.mem c differs)) ])
+    Setup.fingerprint_components
+
 (* A latency percentile of histogram [key], in microseconds (0 when
    nothing was recorded). *)
 let hist_us m key sel =
@@ -1154,8 +1160,9 @@ type s1_cross_row = {
 type s1_result = {
   s1_rows : s1_row list;
   s1_cross : s1_cross_row list;
-  s1_identical : bool;
-      (* S=1 facade leaves the same disk image as a plain Lld *)
+  s1_differs : string list;
+      (* fingerprint components on which the S=1 facade and a plain Lld
+         disagree *)
 }
 
 let s1_geom = Geometry.v ~num_segments:200 ()
@@ -1267,45 +1274,33 @@ let sharded_cross_cost () =
 
 (* The same deterministic op stream through a plain Lld and through a
    one-shard facade: global ids are the identity at S=1 and every call
-   passes straight through, so the final disk images must be
-   byte-identical. *)
+   passes straight through, so the two runs' fingerprints must agree. *)
 let sharded_identity () =
-  let stream (type h) (module Ld : Lld_core.Ld_intf.S with type t = h) (t : h)
-      ~block_bytes =
+  let run (type h) (module Ld : Lld_core.Ld_intf.S with type t = h)
+      (create : Disk.t -> h) =
+    let disk = Disk.create ~clock:(Clock.create ()) s1_geom in
+    let t = create disk in
     let list = Ld.new_list t () in
     for i = 1 to 8 do
       let aru = Ld.begin_aru t in
       let b = Ld.new_block t ~aru ~list ~pred:Summary.Head () in
-      Ld.write t ~aru b (Bytes.make block_bytes (Char.chr (i land 0xff)));
+      Ld.write t ~aru b (Bytes.make (Ld.block_bytes t) (Char.chr (i land 0xff)));
       Ld.end_aru t aru
-    done
-  in
-  let image run =
-    let clock = Clock.create () in
-    let disk = Disk.create ~clock s1_geom in
-    run disk;
-    let image = Disk.snapshot disk in
+    done;
+    let fp = Setup.fingerprint disk (Ld.counters t) in
     Disk.close disk;
-    image
+    fp
   in
-  let plain =
-    image (fun disk ->
-        let lld = Lld.create disk in
-        stream (module Lld) lld ~block_bytes:(Lld.block_bytes lld))
-  in
-  let sharded =
-    image (fun disk ->
-        stream (module Shard) (Shard.create [| disk |])
-          ~block_bytes:s1_geom.Geometry.block_bytes)
-  in
-  Bytes.equal plain sharded
+  Setup.fingerprint_diff
+    (run (module Lld) (fun disk -> Lld.create disk))
+    (run (module Shard) (fun disk -> Shard.create [| disk |]))
 
 let sharded =
   let run scale =
     {
       s1_rows = sharding scale;
       s1_cross = sharded_cross_cost ();
-      s1_identical = sharded_identity ();
+      s1_differs = sharded_identity ();
     }
   in
   let tables r =
@@ -1352,7 +1347,7 @@ let sharded =
            r.s1_cross);
       R.table ~title:"S1: single-shard facade vs plain LLD (same op stream)"
         ~header:[ "quantity"; "identical" ]
-        [ [ R.text "final disk image"; R.yes_no r.s1_identical ] ];
+        (fingerprint_rows r.s1_differs);
     ]
   in
   let checks r =
@@ -1396,9 +1391,9 @@ let sharded =
                 Printf.sprintf "P=%d: %.2f barriers/commit" c.s1_participants
                   c.s1_barriers_per_cross)
               r.s1_cross));
-      check "S1: single-shard facade bit-identical to plain LLD" r.s1_identical
-        (if r.s1_identical then "disk images byte-equal"
-         else "disk images DIFFER");
+      check "S1: single-shard facade bit-identical to plain LLD"
+        (r.s1_differs = [])
+        (Setup.fingerprint_verdict r.s1_differs);
       device_io;
     ]
   in
@@ -1841,73 +1836,78 @@ let cleaning =
 
 (* ------------------------------------------------------------------ *)
 (* O1: observer effect.  The same deterministic small-file workload runs
-   twice — once with Obs.null, once under a live tracer — and the
-   counters JSON and the final virtual clock must be byte-identical,
-   because probes read the clock but never charge it.                  *)
+   twice — once with Obs.null, once under a live tracer — and the two
+   runs' fingerprints must agree, because probes read the clock but
+   never charge it.                                                    *)
 
-type observer_result = {
-  o1_counters_match : bool;
-  o1_clock_match : bool;
-  o1_plain_clock_ns : int;
-  o1_traced_clock_ns : int;
-  o1_trace_events : int;
-}
+(* The small-file workload at [frac] of the scale's file count on a
+   fresh instance, on the store [backend] makes for the partition's size
+   (default: {!Setup.make}'s): its result, the host seconds it took from
+   setup to the end of the run, and the fingerprint of the finished run
+   (after a final [Fs.flush] when [flush]). *)
+let smallfile_run scale ~frac ?(flush = false) ?backend ?clock ?obs () =
+  let params = Smallfile.scaled Smallfile.paper_1k (frac *. scale.files) in
+  let backend =
+    Option.map (fun make -> make (Geometry.total_bytes scale.geom)) backend
+  in
+  let t0 = Unix.gettimeofday () in
+  let inst = Setup.make ~geom:scale.geom ?clock ?obs ?backend Setup.New in
+  let result = Smallfile.run inst params in
+  let wall = Unix.gettimeofday () -. t0 in
+  if flush then Fs.flush inst.Setup.fs;
+  let fp = Setup.fingerprint inst.Setup.disk (Lld.counters inst.Setup.lld) in
+  Disk.close inst.Setup.disk;
+  (result, wall, fp)
 
-let observer_effect =
+(* An observer-effect experiment's result: where the run under the
+   observer differs from the plain one, and how many events it
+   recorded. *)
+type observer_result = { ob_differs : string list; ob_events : int }
+
+(* The small-file run at [frac] once plain and once under the handle
+   [observe] builds over its clock, whose ring [events] must not be
+   empty. *)
+let observer_experiment ~id ~title ~check_name ~events_label ~frac ?flush
+    ?backend ~observe ~events () =
   let run scale =
-    let params = Smallfile.scaled Smallfile.paper_1k (0.1 *. scale.files) in
-    let run ?clock ?obs () =
-      let inst = Setup.make ~geom:scale.geom ?clock ?obs Setup.New in
-      ignore (Smallfile.run inst params);
-      ( Counters.to_json_string (Lld.counters inst.Setup.lld),
-        Clock.now_ns inst.Setup.clock )
-    in
-    let plain_counters, plain_clock = run () in
+    let _, _, plain = smallfile_run scale ~frac ?flush ?backend () in
     let clock = Clock.create () in
-    let obs = Obs.create ~clock () in
-    let traced_counters, traced_clock = run ~clock ~obs () in
+    let obs = observe clock in
+    let _, _, observed =
+      smallfile_run scale ~frac ?flush ?backend ~clock ~obs ()
+    in
     {
-      o1_counters_match = String.equal plain_counters traced_counters;
-      o1_clock_match = plain_clock = traced_clock;
-      o1_plain_clock_ns = plain_clock;
-      o1_traced_clock_ns = traced_clock;
-      o1_trace_events = Trace.count (Obs.trace obs);
+      ob_differs = Setup.fingerprint_diff plain observed;
+      ob_events = Trace.count (events obs);
     }
   in
   let tables r =
     [
-      R.table
-        ~title:
-          "O1: observer effect — identical small-file run with tracing off \
-           vs on (probes read the virtual clock, never charge it)"
-        ~header:[ "quantity"; "untraced"; "traced"; "identical" ]
-        [
-          [
-            R.text "counters JSON"; R.text "(baseline)"; R.text "(compared)";
-            R.yes_no r.o1_counters_match;
-          ];
-          [
-            R.text "final virtual clock (ns)"; R.int r.o1_plain_clock_ns;
-            R.int r.o1_traced_clock_ns; R.yes_no r.o1_clock_match;
-          ];
-          [
-            R.text "trace events recorded"; R.int 0; R.int r.o1_trace_events;
-            R.text "-";
-          ];
-        ];
+      R.table ~title ~header:[ "quantity"; "identical" ]
+        (fingerprint_rows r.ob_differs
+        @ [ [ R.text events_label; R.int r.ob_events ] ]);
     ]
   in
   let checks r =
     [
-      check "O1: tracing has no observer effect"
-        (r.o1_counters_match && r.o1_clock_match && r.o1_trace_events > 0)
-        (Printf.sprintf "counters %s, clock %s (%d ns), %d events traced"
-           (if r.o1_counters_match then "identical" else "DIFFER")
-           (if r.o1_clock_match then "identical" else "DIFFERS")
-           r.o1_traced_clock_ns r.o1_trace_events);
+      check check_name
+        (r.ob_differs = [] && r.ob_events > 0)
+        (Printf.sprintf "%s, %d %s"
+           (Setup.fingerprint_verdict r.ob_differs)
+           r.ob_events events_label);
     ]
   in
-  T { id = "O1"; paper_ref = "ours"; run; tables; checks }
+  T { id; paper_ref = "ours"; run; tables; checks }
+
+let observer_effect =
+  observer_experiment ~id:"O1"
+    ~title:
+      "O1: observer effect — identical small-file run with tracing off vs \
+       on (probes read the virtual clock, never charge it)"
+    ~check_name:"O1: tracing has no observer effect"
+    ~events_label:"trace events recorded" ~frac:0.1
+    ~observe:(fun clock -> Obs.create ~clock ())
+    ~events:Obs.trace ()
 
 (* ------------------------------------------------------------------ *)
 (* O2: the paper's §5.3 empty-ARU churn re-run under tracing, its
@@ -1991,151 +1991,85 @@ let commit_breakdown =
 (* O3 — the always-on flight recorder has no observer effect either.
    The black box must be safe to leave on in production (LLD_FLIGHT=1):
    the same deterministic small-file workload runs once against
-   Obs.null and once with a flight-only handle, and the final disk
-   image, the operation counters, and the virtual clock must be
-   byte-identical — the ring records, it never charges.                *)
-
-type flight_effect_result = {
-  o3_clock_match : bool;
-  o3_counters_match : bool;
-  o3_image_match : bool;
-  o3_flight_events : int;
-}
+   Obs.null and once with a flight-only handle, and the two runs'
+   fingerprints must agree — the ring records, it never charges.      *)
 
 let flight_effect =
-  let run scale =
-    let params = Smallfile.scaled Smallfile.paper_1k (0.05 *. scale.files) in
-    let run ?clock ?obs () =
-      let backend =
-        Lld_disk.Backend.mem ~size:(Geometry.total_bytes scale.geom)
-      in
-      let inst = Setup.make ~geom:scale.geom ?clock ?obs ~backend Setup.New in
-      ignore (Smallfile.run inst params);
-      Fs.flush inst.Setup.fs;
-      let image = Disk.snapshot inst.Setup.disk in
-      let counters = Counters.to_json_string (Lld.counters inst.Setup.lld) in
-      let ns = Clock.now_ns inst.Setup.clock in
-      Disk.close inst.Setup.disk;
-      (image, counters, ns)
-    in
-    let p_image, p_counters, p_ns = run () in
-    let clock = Clock.create () in
-    let obs = Obs.flight_only ~clock () in
-    let f_image, f_counters, f_ns = run ~clock ~obs () in
-    {
-      o3_clock_match = p_ns = f_ns;
-      o3_counters_match = String.equal p_counters f_counters;
-      o3_image_match = Bytes.equal p_image f_image;
-      o3_flight_events = Trace.count (Obs.flight obs);
-    }
-  in
-  let tables r =
-    [
-      R.table
-        ~title:
-          "O3: flight-recorder observer effect — identical run against \
-           Obs.null vs the always-on black box (LLD_FLIGHT=1 semantics)"
-        ~header:[ "quantity"; "identical" ]
-        [
-          [ R.text "final disk image"; R.yes_no r.o3_image_match ];
-          [ R.text "counters JSON"; R.yes_no r.o3_counters_match ];
-          [ R.text "final virtual clock"; R.yes_no r.o3_clock_match ];
-          [ R.text "flight events recorded"; R.int r.o3_flight_events ];
-        ];
-    ]
-  in
-  let checks r =
-    let same b = if b then "identical" else "DIFFERS" in
-    [
-      check "O3: flight recorder has no observer effect"
-        (r.o3_clock_match && r.o3_counters_match && r.o3_image_match
-        && r.o3_flight_events > 0)
-        (Printf.sprintf "image %s, counters %s, clock %s, %d flight events"
-           (same r.o3_image_match)
-           (if r.o3_counters_match then "identical" else "DIFFER")
-           (same r.o3_clock_match) r.o3_flight_events);
-    ]
-  in
-  T { id = "O3"; paper_ref = "ours"; run; tables; checks }
+  observer_experiment ~id:"O3"
+    ~title:
+      "O3: flight-recorder observer effect — identical run against Obs.null \
+       vs the always-on black box (LLD_FLIGHT=1 semantics)"
+    ~check_name:"O3: flight recorder has no observer effect"
+    ~events_label:"flight events recorded" ~frac:0.05 ~flush:true
+    ~backend:(fun size -> Lld_disk.Backend.mem ~size)
+    ~observe:(fun clock -> Obs.flight_only ~clock ())
+    ~events:Obs.flight ()
 
 (* ------------------------------------------------------------------ *)
 (* B1 — backend transparency: the §2 claim one layer down.  The same
    deterministic small-file workload on the in-memory store and on a
    real file image: wall-clock may differ (that is what the file backend
-   buys and pays for); the virtual clock and the counters must not.    *)
+   buys and pays for); the fingerprints must not.                      *)
 
 type backend_row = {
   b1_backend : string;
   b1_wall_s : float;  (* host wall-clock: the real price of durability *)
-  b1_virtual_ns : int;  (* simulated time: must not depend on the store *)
-  b1_counters_json : string;
+  b1_fingerprint : Setup.fingerprint;  (* must not depend on the store *)
   b1_files_per_sec : float;
 }
 
 let backend_comparison =
   let run scale =
-    let params = Smallfile.scaled Smallfile.paper_1k (0.1 *. scale.files) in
-    let run label make_backend =
-      let backend = make_backend (Geometry.total_bytes scale.geom) in
-      let t0 = Unix.gettimeofday () in
-      let inst = Setup.make ~geom:scale.geom ~backend Setup.New in
-      let result = Smallfile.run inst params in
-      let wall = Unix.gettimeofday () -. t0 in
-      let row =
-        {
-          b1_backend = label;
-          b1_wall_s = wall;
-          b1_virtual_ns = Clock.now_ns inst.Setup.clock;
-          b1_counters_json = Counters.to_json_string (Lld.counters inst.Setup.lld);
-          b1_files_per_sec = result.Smallfile.create_write.Smallfile.files_per_sec;
-        }
-      in
-      Disk.close inst.Setup.disk;
-      row
+    let run label backend =
+      let result, wall, fp = smallfile_run scale ~frac:0.1 ~backend () in
+      {
+        b1_backend = label;
+        b1_wall_s = wall;
+        b1_fingerprint = fp;
+        b1_files_per_sec = result.Smallfile.create_write.Smallfile.files_per_sec;
+      }
     in
     let mem = run "mem" (fun size -> Lld_disk.Backend.mem ~size) in
     let file = run "file" (fun size -> Lld_disk.Backend.temp_file ~size ()) in
-    [ mem; file ]
+    (mem, file)
   in
-  let identical = function
-    | [ mem; file ] ->
-      ( mem.b1_virtual_ns = file.b1_virtual_ns,
-        String.equal mem.b1_counters_json file.b1_counters_json )
-    | _ -> (false, false)
+  let differs (mem, file) =
+    Setup.fingerprint_diff mem.b1_fingerprint file.b1_fingerprint
   in
-  let tables rows =
-    let clock, counters = identical rows in
+  let tables ((mem, file) as rows) =
     [
       R.table
         ~title:
           "B1: storage-backend transparency — same workload on mem vs file \
            (paper 2: implementations exchange without the client noticing; \
            wall-clock differs, virtual clock must not)"
-        ~header:
-          [ "backend"; "wall (s)"; "virtual (s)"; "create+write f/s"; "identical" ]
+        ~header:[ "backend"; "wall (s)"; "virtual (s)"; "create+write f/s" ]
         (List.map
            (fun row ->
              [
                R.text row.b1_backend;
                R.float row.b1_wall_s;
-               R.float (float_of_int row.b1_virtual_ns /. 1e9);
+               R.float
+                 (float_of_int row.b1_fingerprint.Setup.fp_clock_ns /. 1e9);
                R.float ~digits:1 row.b1_files_per_sec;
-               R.yes_no (clock && counters);
              ])
-           rows);
+           [ mem; file ]);
+      R.table ~title:"B1: mem vs file (same workload)"
+        ~header:[ "quantity"; "identical" ]
+        (fingerprint_rows (differs rows));
     ]
   in
-  let checks rows =
-    let clock, counters = identical rows in
+  let checks ((mem, file) as rows) =
+    let differs = differs rows in
     [
       check "B1: mem and file backends charge identical virtual time"
-        (clock && counters)
+        (differs = [])
         (String.concat "; "
-           (List.map
-              (fun row ->
-                Printf.sprintf "%s: %d ns virtual, %.2f s wall" row.b1_backend
-                  row.b1_virtual_ns row.b1_wall_s)
-              rows));
+           (Setup.fingerprint_verdict differs
+           :: List.map
+                (fun row ->
+                  Printf.sprintf "%s %.2f s wall" row.b1_backend row.b1_wall_s)
+                [ mem; file ]));
     ]
   in
   T { id = "B1"; paper_ref = "§2 transparency"; run; tables; checks }

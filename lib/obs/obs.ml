@@ -78,13 +78,8 @@ let event t ?flow cat name args =
   if recording t then
     record t ?flow cat name ~ts_ns:(Clock.now_ns t.clock) ~dur_ns:(-1) args
 
-let instant t cat name args = event t cat name args
-
 let complete t cat name ~ts_ns ~dur_ns args =
   if t.active then Trace.complete t.trace cat name ~ts_ns ~dur_ns args
-
-let span t cat name ?args f =
-  if t.active then Trace.span t.trace cat name ?args f else f ()
 
 (* Histogram key for a span: "<category>.<name>", e.g. "op.read". *)
 let hist_key cat name = Trace.category_label cat ^ "." ^ name

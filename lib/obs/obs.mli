@@ -1,7 +1,7 @@
 (** Observability handle: two {!Trace} rings — the tracer and the
     black box (flight recorder) — and a {!Metrics} registry behind one
     switch.  The black box records every category in a small ring;
-    {!instant}, {!event} and {!timed} record the same event in both.
+    {!event} and {!timed} record the same event in both.
 
     Components take an [Obs.t] and default to {!null}, on which every
     probe is an immediate no-op — no allocation, no clock reads — so the
@@ -26,8 +26,7 @@ val create :
 val flight_only : ?capacity:int -> clock:Lld_sim.Clock.t -> unit -> t
 (** A black-box handle: no tracer, no histograms, just the bounded
     black-box ring ([capacity], default 4096 events).  [active] is
-    false on it — only {!event}, {!instant}, and {!timed} leave a
-    record. *)
+    false on it — only {!event} and {!timed} leave a record. *)
 
 val env_default : clock:Lld_sim.Clock.t -> t -> t
 (** [env_default ~clock obs] returns [obs] unchanged when it records
@@ -47,8 +46,6 @@ val recording : t -> bool
 (** True when any probe on this handle leaves a record (tracer active
     or black box enabled). *)
 
-val instant : t -> Trace.category -> string -> (string * Trace.arg) list -> unit
-
 val event :
   t -> ?flow:Trace.flow_phase * int -> Trace.category -> string ->
   (string * Trace.arg) list -> unit
@@ -62,11 +59,6 @@ val complete :
   (string * Trace.arg) list -> unit
 (** Record an already-measured span in the tracer (active handles
     only; the black box does not see it). *)
-
-val span :
-  t -> Trace.category -> string -> ?args:(string * Trace.arg) list ->
-  (unit -> 'a) -> 'a
-(** Trace-only span (no histogram); exactly [f ()] when inactive. *)
 
 val timed :
   t -> Trace.category -> string -> ?args:(string * Trace.arg) list ->

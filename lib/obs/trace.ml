@@ -128,25 +128,6 @@ let complete t cat name ~ts_ns ~dur_ns args =
         ev_flow = None;
       }
 
-(* Time [f] on the virtual clock and record a span.  The span is
-   recorded even when [f] raises (e.g. a simulated crash), marked with
-   an ["exn"] argument, so truncated traces still show what was in
-   flight. *)
-let span t cat name ?(args = []) f =
-  if not (on t cat) then f ()
-  else begin
-    let ts = Clock.now_ns t.clock in
-    match f () with
-    | v ->
-      complete t cat name ~ts_ns:ts ~dur_ns:(Clock.now_ns t.clock - ts) args;
-      v
-    | exception e ->
-      complete t cat name ~ts_ns:ts
-        ~dur_ns:(Clock.now_ns t.clock - ts)
-        (("exn", S (Printexc.to_string e)) :: args);
-      raise e
-  end
-
 let clear t =
   t.head <- 0;
   t.count <- 0

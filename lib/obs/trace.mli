@@ -68,14 +68,6 @@ val complete :
   (string * arg) list -> unit
 (** Record an already-measured span. *)
 
-val span :
-  t -> category -> string -> ?args:(string * arg) list ->
-  (unit -> 'a) -> 'a
-(** [span t cat name f] runs [f] and records a span covering its virtual
-    duration.  When the category is off this is exactly [f ()].  If [f]
-    raises (e.g. a simulated crash) the span is still recorded, with an
-    ["exn"] argument, before the exception propagates. *)
-
 val count : t -> int
 (** Total events recorded since creation (including overwritten). *)
 

@@ -1,27 +1,3 @@
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-}
-
-let summarize = function
-  | [] -> invalid_arg "Stats.summarize: empty sample"
-  | xs ->
-    let n = List.length xs in
-    let sum = List.fold_left ( +. ) 0. xs in
-    let mean = sum /. float_of_int n in
-    let sq = List.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.)) 0. xs in
-    let stddev = if n > 1 then sqrt (sq /. float_of_int (n - 1)) else 0. in
-    {
-      count = n;
-      mean;
-      stddev;
-      min = List.fold_left min infinity xs;
-      max = List.fold_left max neg_infinity xs;
-    }
-
 let percentile xs p =
   match xs with
   | [] -> invalid_arg "Stats.percentile: empty sample"
@@ -97,15 +73,6 @@ module Histogram = struct
     t.max_v <- 0;
     Array.fill t.buckets 0 num_buckets 0
 
-  let merge ~into t =
-    into.count <- into.count + t.count;
-    into.sum <- into.sum + t.sum;
-    if t.count > 0 then begin
-      if t.min_v < into.min_v then into.min_v <- t.min_v;
-      if t.max_v > into.max_v then into.max_v <- t.max_v
-    end;
-    Array.iteri (fun i n -> into.buckets.(i) <- into.buckets.(i) + n) t.buckets
-
   (* Nearest-rank percentile, same rank rule as [Stats.percentile]:
      rank = ceil(p/100 * n), then the bucket holding the rank-th sample.
      The estimate is the bucket's inclusive upper bound clamped to the
@@ -147,10 +114,6 @@ module Histogram = struct
 end
 
 type histogram = Histogram.t
-
-let percent_diff ~baseline v =
-  if baseline = 0. then invalid_arg "Stats.percent_diff: zero baseline";
-  (baseline -. v) /. baseline *. 100.
 
 let throughput ~work ~elapsed_ns =
   if elapsed_ns <= 0 then invalid_arg "Stats.throughput: non-positive time";

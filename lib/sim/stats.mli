@@ -1,16 +1,5 @@
 (** Small numeric summaries used by the experiment harness. *)
 
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-}
-
-val summarize : float list -> summary
-(** Summary of a non-empty sample; raises [Invalid_argument] on []. *)
-
 val percentile : float list -> float -> float
 (** [percentile xs p] for [p] in [\[0,100\]], nearest-rank on the sorted
     sample. Raises [Invalid_argument] on []. *)
@@ -55,15 +44,10 @@ module Histogram : sig
   val bucket_hi : int -> int
 
   val reset : t -> unit
-  val merge : into:t -> t -> unit
   val pp : Format.formatter -> t -> unit
 end
 
 type histogram = Histogram.t
-
-val percent_diff : baseline:float -> float -> float
-(** [(baseline - v) /. baseline * 100.]: how much slower [v] is than the
-    baseline when both are throughputs (positive = [v] is worse). *)
 
 val throughput : work:float -> elapsed_ns:int -> float
 (** Units of work per second of virtual time. *)

@@ -17,19 +17,3 @@ type result = {
 val run : Lld_core.Lld.t -> params -> result
 (** The logical disk's clock is assumed to be at the epoch (use
     {!Setup.make_raw}). *)
-
-(** {1 Traced variant (crash-consistency checking)} *)
-
-type traced_params = {
-  arus : int;  (** committed ARUs to run *)
-  blocks_per_aru : int;  (** blocks each ARU allocates and writes *)
-  flush_every : int;  (** [Lld.flush] after this many ARUs; 0 = only at the end *)
-}
-
-val run_traced : Lld_core.Lld.t -> Oracle.t -> traced_params -> unit
-(** Each ARU creates a list and [blocks_per_aru] blocks with
-    recognisable payloads and registers its expected committed state as
-    an oracle unit; a final ARU is left open (never committed) so the
-    checker can assert it never surfaces.  Identifiers are never reused
-    (nothing is deleted), so oracle units stay unambiguous at every
-    crash point. *)

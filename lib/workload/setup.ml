@@ -85,3 +85,42 @@ let make_raw ?geom ?clock ?obs ?backend ?visibility variant =
     formatted ?geom ?clock ?obs ?backend ?visibility variant Lld.flush
   in
   (disk, lld)
+
+(* ------------------------------------------------------------------ *)
+(* Fingerprints: what "the same run" means                             *)
+
+type fingerprint = {
+  fp_image : int64;
+  fp_counters : (string * int) list;
+  fp_device : Disk.counters;
+  fp_clock_ns : int;
+}
+
+(* A digest, not the image: the paper partition is 400 MB, and a digest
+   lets a caller drop one run's image before the next run starts. *)
+let fingerprint disk counters =
+  {
+    fp_image = Lld_util.Blk.hash64 (Disk.snapshot_view disk);
+    fp_counters = Lld_core.Counters.to_alist counters;
+    fp_device = Disk.counters disk;
+    fp_clock_ns = Clock.now_ns (Disk.clock disk);
+  }
+
+let components =
+  [
+    ("disk image", fun a b -> Int64.equal a.fp_image b.fp_image);
+    ("operation counters", fun a b -> a.fp_counters = b.fp_counters);
+    ("device counters", fun a b -> a.fp_device = b.fp_device);
+    ("virtual clock", fun a b -> a.fp_clock_ns = b.fp_clock_ns);
+  ]
+
+let fingerprint_components = List.map fst components
+
+let fingerprint_diff a b =
+  List.filter_map
+    (fun (name, same) -> if same a b then None else Some name)
+    components
+
+let fingerprint_verdict = function
+  | [] -> String.concat ", " fingerprint_components ^ " identical"
+  | differs -> String.concat ", " differs ^ " DIFFER"

@@ -43,3 +43,37 @@ val make_raw :
   Lld_disk.Disk.t * Lld_core.Lld.t
 (** Logical disk only, no file system (for the ARU-latency experiment).
     [backend] defaults as in {!make}. *)
+
+(** {1 Fingerprints}
+
+    What "the same run" means wherever a workload runs twice and the
+    two results must agree — under a tracer and without one, on the
+    mem and the file backend, through a one-shard facade and a plain
+    logical disk, through the commit engine and blocking calls. *)
+
+type fingerprint = {
+  fp_image : int64;  (** {!Lld_util.Blk.hash64} of the whole device image *)
+  fp_counters : (string * int) list;
+      (** the logical disk's operation counters ({!Lld_core.Counters.to_alist}) *)
+  fp_device : Lld_disk.Disk.counters;  (** the device's request counters *)
+  fp_clock_ns : int;  (** the virtual clock *)
+}
+
+val fingerprint : Lld_disk.Disk.t -> Lld_core.Counters.t -> fingerprint
+(** The finished run on [disk] whose operations [counters] counted.
+    Reads the image without charging the clock or counting a request,
+    so taking a fingerprint changes none of its components.  The disk
+    must still be open. *)
+
+val fingerprint_components : string list
+(** ["disk image"; "operation counters"; "device counters";
+    "virtual clock"]: the order {!fingerprint_diff} reports in. *)
+
+val fingerprint_diff : fingerprint -> fingerprint -> string list
+(** The components on which the two fingerprints differ, in
+    {!fingerprint_components} order; [[]] when the runs are the same. *)
+
+val fingerprint_verdict : string list -> string
+(** One line for a {!fingerprint_diff}: every component named
+    ["... identical"] when it is empty, else the differing ones
+    ["... DIFFER"]. *)

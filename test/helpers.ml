@@ -10,6 +10,7 @@ module Config = Lld_core.Config
 module Lld = Lld_core.Lld
 module Errors = Lld_core.Errors
 module Summary = Lld_core.Summary
+module Setup = Lld_workload.Setup
 
 let block_bytes = 4096
 

@@ -9,7 +9,6 @@ module Backend = Lld_disk.Backend
 module Fault = Lld_disk.Fault
 module Disk = Lld_disk.Disk
 module Config = Lld_core.Config
-module Counters = Lld_core.Counters
 module Lld = Lld_core.Lld
 module Errors = Lld_core.Errors
 module Fs = Lld_minixfs.Fs
@@ -32,22 +31,16 @@ let mixed_params = { Mixed.dirs = 3; files_per_dir = 4; file_bytes = 2048; seed 
 let run_mixed backend =
   let inst = Setup.make ~geom ~backend Setup.New in
   ignore (Mixed.run inst mixed_params);
-  let image = Disk.snapshot inst.Setup.disk in
-  let lld_counters = Counters.to_json_string (Lld.counters inst.Setup.lld) in
-  let disk_counters = Disk.counters inst.Setup.disk in
-  let clock_ns = Clock.now_ns inst.Setup.clock in
+  let fp = Setup.fingerprint inst.Setup.disk (Lld.counters inst.Setup.lld) in
   Disk.close inst.Setup.disk;
-  (image, lld_counters, disk_counters, clock_ns)
+  fp
 
 let test_differential_mixed () =
-  let m_image, m_lld, m_disk, m_ns = run_mixed (Backend.mem ~size) in
-  let f_image, f_lld, f_disk, f_ns = run_mixed (Backend.temp_file ~size ()) in
-  Alcotest.(check bool)
-    "final images byte-identical" true
-    (Bytes.equal m_image f_image);
-  Alcotest.(check string) "logical-disk counters identical" m_lld f_lld;
-  Alcotest.(check bool) "device counters identical" true (m_disk = f_disk);
-  Alcotest.(check int) "virtual clocks identical" m_ns f_ns
+  Alcotest.(check (list string))
+    "image, counters, device counters and clock identical" []
+    (Setup.fingerprint_diff
+       (run_mixed (Backend.mem ~size))
+       (run_mixed (Backend.temp_file ~size ())))
 
 (* ------------------------------------------------------------------ *)
 (* Real persistence: mkfs, close, reopen in a fresh device, recover    *)
@@ -147,10 +140,7 @@ let test_size_mismatches () =
   check_invalid "backend/geometry mismatch" (fun () ->
       Disk.create ~backend:(Backend.mem ~size:(size / 2)) ~clock geom);
   check_invalid "Disk.load mismatch" (fun () ->
-      Disk.load ~clock geom (Bytes.create 123));
-  let disk = Disk.create ~clock geom in
-  check_invalid "Disk.restore mismatch" (fun () ->
-      Disk.restore disk (Bytes.create 123))
+      Disk.load ~clock geom (Bytes.create 123))
 
 let test_unformatted_image_is_corrupt () =
   let path = temp_image () in

@@ -195,9 +195,40 @@ let test_matrix () =
       in
       if failures <> [] then Alcotest.fail (String.concat "\n" failures))
 
+(* [model --out-dir] creates the directory with any missing parents:
+   the divergence report and its forensics bundle land in it. *)
+let test_model_out_dir_parents () =
+  let root = tmp "model-out" in
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let rec remove path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun f -> remove (Filename.concat path f)) (Sys.readdir path);
+        Sys.rmdir path
+      end
+      else Sys.remove path
+  in
+  remove root;
+  Fun.protect ~finally:(fun () -> remove root) (fun () ->
+      let rc =
+        run
+          [
+            "model"; "--inject"; "read-committed"; "--budget"; "20";
+            "--out-dir"; dir;
+          ]
+      in
+      Alcotest.(check int) "exit code" 0 rc;
+      Alcotest.(check bool) "divergence report written" true
+        (Sys.file_exists (Filename.concat dir "model-divergence-seed1.txt")))
+
 let () =
   Alcotest.run "lld_cli"
     [
       ( "exit-codes",
         [ Alcotest.test_case "command exit-code matrix" `Slow test_matrix ] );
+      ( "model",
+        [
+          Alcotest.test_case "--out-dir creates missing parents" `Quick
+            test_model_out_dir_parents;
+        ] );
     ]

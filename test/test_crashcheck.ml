@@ -8,6 +8,11 @@ let churn () = Crashcheck.aru_churn_spec ~arus:12 ()
 let files () = Crashcheck.smallfile_spec ~files:24 ()
 let cleaning () = Crashcheck.cleaning_spec ~units:12 ()
 
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* Enumeration shape. *)
 
@@ -87,11 +92,6 @@ let test_seed_roundtrip () =
   let bad = Crashcheck.run ~budget:60 ~seed:21 ~recover_config:broken trace in
   Alcotest.(check bool) "broken recovery still fails" false (Crashcheck.ok bad);
   let report = Format.asprintf "%a" Crashcheck.pp_result bad in
-  let contains ~needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "failure report names the seed" true
     (contains ~needle:"--seed 21" report)
 
@@ -116,6 +116,50 @@ let test_during_recovery_deterministic () =
   let r1 = Crashcheck.run_during_recovery ~budget:4 ~inner_budget:6 ~seed:5 trace in
   let r2 = Crashcheck.run_during_recovery ~budget:4 ~inner_budget:6 ~seed:5 trace in
   Alcotest.(check bool) "same seed, same sample" true (r1 = r2)
+
+(* The during-recovery checker's violation path: with the consistency
+   sweep off, its report names the first violating workload point and
+   the pre-crash writes land in a trace directory whose parents do not
+   exist yet. *)
+let test_during_recovery_catches_broken_sweep () =
+  let spec = churn () in
+  let broken =
+    { spec.Crashcheck.sc_config with Config.recovery_sweep = false }
+  in
+  let trace = Crashcheck.record spec in
+  let root = Filename.temp_file "lld-rec-dir" "" in
+  Sys.remove root;
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let r =
+    Crashcheck.run_during_recovery ~budget:6 ~inner_budget:8
+      ~recover_config:broken ~trace_dir:dir trace
+  in
+  Alcotest.(check bool) "violations found" false (Crashcheck.recovery_ok r);
+  (match r.Crashcheck.rr_violations with
+  | [] -> Alcotest.fail "no violation kept"
+  | first :: _ ->
+    let outer =
+      Format.asprintf "%a" Crashcheck.pp_point first.Crashcheck.rv_outer
+    in
+    let first_line =
+      List.find_opt
+        (String.starts_with ~prefix:"first: ")
+        (String.split_on_char '\n'
+           (Format.asprintf "%a" Crashcheck.pp_recovery_result r))
+    in
+    Alcotest.(check bool) "report's first violation names its outer point"
+      true
+      (match first_line with
+      | Some line -> contains ~needle:outer line
+      | None -> false));
+  match r.Crashcheck.rr_writes_file with
+  | None -> Alcotest.fail "no pre-crash writes file"
+  | Some f ->
+    Alcotest.(check bool) (f ^ " exists") true (Sys.file_exists f);
+    Sys.remove f;
+    Sys.rmdir dir;
+    Sys.rmdir (Filename.dirname dir);
+    Sys.rmdir root
 
 (* ------------------------------------------------------------------ *)
 (* A deliberately broken recovery — consistency sweep disabled — must be
@@ -468,6 +512,8 @@ let () =
             test_during_recovery_clean;
           Alcotest.test_case "deterministic sampling" `Quick
             test_during_recovery_deterministic;
+          Alcotest.test_case "broken sweep caught" `Quick
+            test_during_recovery_catches_broken_sweep;
         ] );
       ( "detection",
         [

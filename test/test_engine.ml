@@ -334,14 +334,15 @@ let test_engine_stage_histograms () =
 (* Run the same single-client workload through the engine twice — once
    with group commit enabled, once with the window at 0 — plus once as
    plain blocking calls, and require the window=0 run to be
-   bit-identical (disk image and virtual clock) to the blocking run. *)
+   bit-identical (disk image, counters, device counters and virtual
+   clock) to the blocking run. *)
 let test_window_zero_identity () =
   let woken = ref [] in
   let run_engine window =
     let disk, lld = fresh_lld ~config:(config ~window ~batch:8) () in
     ignore (Engine.run lld [ client_commits ~writes:3 5 woken ]);
     Lld.flush lld;
-    (Disk.snapshot disk, Clock.now_ns (Lld.clock lld))
+    (disk, lld)
   in
   let run_blocking () =
     let disk, lld = fresh_lld ~config:(config ~window:0 ~batch:8) () in
@@ -355,18 +356,19 @@ let test_window_zero_identity () =
     Lld.write lld ~aru:a b3 (block_data 5);
     Lld.end_aru lld a;
     Lld.flush lld;
-    (Disk.snapshot disk, Clock.now_ns (Lld.clock lld))
+    (disk, lld)
   in
-  let zero_img, zero_ns = run_engine 0 in
-  let block_img, block_ns = run_blocking () in
-  Alcotest.(check bool) "window=0 disk image bit-identical" true
-    (Bytes.equal zero_img block_img);
-  Alcotest.(check int) "window=0 virtual clock identical" block_ns zero_ns;
+  let fingerprint (disk, lld) = Setup.fingerprint disk (Lld.counters lld) in
+  let zero = run_engine 0 in
+  let blocking = run_blocking () in
+  Alcotest.(check (list string)) "window=0 run bit-identical" []
+    (Setup.fingerprint_diff (fingerprint blocking) (fingerprint zero));
   (* group commit reaches the same committed state (the image may
      differ: commit records are batched) *)
-  let grouped_img, _ = run_engine max_int in
-  let reload img =
-    let disk = Disk.load ~clock:(Clock.create ()) small_geom (Bytes.copy img) in
+  let reload (disk, _) =
+    let disk =
+      Disk.load ~clock:(Clock.create ()) small_geom (Disk.snapshot disk)
+    in
     let lld, _ = Lld.recover disk in
     List.map
       (fun l -> (Types.List_id.to_int l, List.length (Lld.list_blocks lld l)))
@@ -374,7 +376,7 @@ let test_window_zero_identity () =
   in
   Alcotest.(check (list (pair int int)))
     "grouped and immediate commits recover the same logical state"
-    (reload block_img) (reload grouped_img)
+    (reload blocking) (reload (run_engine max_int))
 
 let () =
   Alcotest.run "lld_engine"

@@ -16,7 +16,7 @@ let test_null_is_inert () =
   Alcotest.(check bool) "inactive" false (Obs.active Obs.null);
   let r = Obs.timed Obs.null Trace.Op "write" (fun () -> 42) in
   Alcotest.(check int) "timed passes through" 42 r;
-  Obs.instant Obs.null Trace.Disk "marker" [];
+  Obs.event Obs.null Trace.Disk "marker" [];
   Obs.observe Obs.null "op.write" 123;
   Alcotest.(check int) "nothing recorded" 0 (Trace.count (Obs.trace Obs.null));
   Alcotest.(check int)
@@ -115,8 +115,9 @@ let test_ring_overwrites_oldest () =
 let test_chrome_export_shape () =
   let clock = Clock.create () in
   let t = Trace.create ~clock () in
-  Trace.span t Trace.Disk "write \"0\"\\" ~args:[ ("offset", Trace.I 512) ]
-    (fun () -> Clock.charge clock Clock.Io 1500);
+  Trace.complete t Trace.Disk "write \"0\"\\" ~ts_ns:0 ~dur_ns:1500
+    [ ("offset", Trace.I 512) ];
+  Clock.charge clock Clock.Io 1500;
   Trace.instant t Trace.Clean "batch" [ ("gain", Trace.F 0.5) ];
   let s = Trace.to_chrome_string t in
   Alcotest.(check bool) "displayTimeUnit" true (contains s "\"displayTimeUnit\":\"ns\"");

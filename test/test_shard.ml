@@ -77,16 +77,11 @@ let test_single_shard_passthrough () =
     passthrough_ops;
   Lld.checkpoint lld;
   Shard.checkpoint sharded;
-  Alcotest.(check bool)
-    "counters identical" true
-    (Counters.equal (Lld.counters lld) (Shard.counters sharded));
-  Alcotest.(check int)
-    "virtual clock identical"
-    (Clock.now_ns (Lld.clock lld))
-    (Clock.now_ns (Shard.clock sharded));
-  Alcotest.(check bool)
-    "on-disk image identical" true
-    (Bytes.equal (Disk.snapshot (Lld.disk lld)) (Disk.snapshot disks_s.(0)));
+  Alcotest.(check (list string))
+    "image, counters, device counters and clock identical" []
+    (Setup.fingerprint_diff
+       (Setup.fingerprint (Lld.disk lld) (Lld.counters lld))
+       (Setup.fingerprint disks_s.(0) (Shard.counters sharded)));
   (* and the facade mounts it back as a plain Lld would *)
   let sharded', reports = remount disks_s in
   Alcotest.(check int) "one report" 1 (Array.length reports);

@@ -83,34 +83,15 @@ let test_rng_split_independent () =
   Alcotest.(check bool) "split differs" false
     (Int64.equal (Rng.next r) (Rng.next child))
 
-let test_stats_summary () =
-  let s = Stats.summarize [ 1.; 2.; 3.; 4. ] in
-  Alcotest.(check int) "count" 4 s.Stats.count;
-  Alcotest.(check (float 1e-9)) "mean" 2.5 s.Stats.mean;
-  Alcotest.(check (float 1e-9)) "min" 1. s.Stats.min;
-  Alcotest.(check (float 1e-9)) "max" 4. s.Stats.max;
-  Alcotest.(check (float 1e-6)) "stddev" 1.2909944487 s.Stats.stddev
-
 let test_stats_percentile () =
   let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
   Alcotest.(check (float 1e-9)) "p50" 50. (Stats.percentile xs 50.);
   Alcotest.(check (float 1e-9)) "p100" 100. (Stats.percentile xs 100.);
   Alcotest.(check (float 1e-9)) "p1" 1. (Stats.percentile xs 1.)
 
-let test_stats_percent_diff () =
-  Alcotest.(check (float 1e-9)) "10% slower" 10.
-    (Stats.percent_diff ~baseline:100. 90.);
-  Alcotest.(check (float 1e-9)) "faster is negative" (-10.)
-    (Stats.percent_diff ~baseline:100. 110.)
-
 let test_stats_throughput () =
   Alcotest.(check (float 1e-9)) "files/s" 1000.
     (Stats.throughput ~work:1000. ~elapsed_ns:1_000_000_000)
-
-let test_stats_empty () =
-  Alcotest.check_raises "empty summarize"
-    (Invalid_argument "Stats.summarize: empty sample") (fun () ->
-      ignore (Stats.summarize []))
 
 module H = Stats.Histogram
 
@@ -175,15 +156,9 @@ let test_hist_empty_and_singleton () =
   H.add h 0;
   Alcotest.(check int) "zero lands in bucket 0" 0 (H.percentile h 50.)
 
-let test_hist_merge_reset () =
-  let a = H.create () and b = H.create () in
+let test_hist_reset () =
+  let a = H.create () in
   List.iter (H.add a) [ 1; 2; 3 ];
-  List.iter (H.add b) [ 10; 20 ];
-  H.merge ~into:a b;
-  Alcotest.(check int) "merged count" 5 (H.count a);
-  Alcotest.(check int) "merged sum" 36 (H.sum a);
-  Alcotest.(check int) "merged min" 1 (H.min_ns a);
-  Alcotest.(check int) "merged max" 20 (H.max_ns a);
   H.reset a;
   Alcotest.(check int) "reset count" 0 (H.count a);
   Alcotest.(check int) "reset sum" 0 (H.sum a)
@@ -229,11 +204,8 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "summary" `Quick test_stats_summary;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
-          Alcotest.test_case "percent diff" `Quick test_stats_percent_diff;
           Alcotest.test_case "throughput" `Quick test_stats_throughput;
-          Alcotest.test_case "empty sample rejected" `Quick test_stats_empty;
         ] );
       ( "histogram",
         [
@@ -243,6 +215,6 @@ let () =
             test_hist_percentile_agreement;
           Alcotest.test_case "empty and singleton edge cases" `Quick
             test_hist_empty_and_singleton;
-          Alcotest.test_case "merge and reset" `Quick test_hist_merge_reset;
+          Alcotest.test_case "reset" `Quick test_hist_reset;
         ] );
     ]

@@ -77,6 +77,56 @@ let test_setup_drops_format_records () =
       check "make_raw" clock lld)
     handles
 
+(* A fingerprint diff names exactly the component that differs: one
+   run, then each component changed on its own through the real
+   machinery — rot in the medium (no request, no charge), a counter
+   bump, a device-counter reset, a clock charge. *)
+let test_fingerprint_diff () =
+  let disk, lld = Setup.make_raw ~geom Setup.New in
+  let a = Lld.begin_aru lld in
+  let l = Lld.new_list lld ~aru:a () in
+  let b = Lld.new_block lld ~aru:a ~list:l ~pred:Lld_core.Summary.Head () in
+  Lld.write lld ~aru:a b (Bytes.make (Lld.block_bytes lld) 'f');
+  Lld.end_aru lld a;
+  Lld.flush lld;
+  let fingerprint () = Setup.fingerprint disk (Lld.counters lld) in
+  let base = fingerprint () in
+  Alcotest.(check (list string)) "a run matches itself" []
+    (Setup.fingerprint_diff base (fingerprint ()));
+  let changes =
+    [
+      ( "disk image",
+        fun () ->
+          Lld_disk.Fault.corrupt_sector (Lld_disk.Disk.fault disk) ~offset:0
+            ~length:512 );
+      ( "operation counters",
+        fun () ->
+          let c = Lld.counters lld in
+          c.Lld_core.Counters.arus_begun <- c.Lld_core.Counters.arus_begun + 1
+      );
+      ("device counters", fun () -> Lld_disk.Disk.reset_counters disk);
+      ( "virtual clock",
+        fun () ->
+          Lld_sim.Clock.charge (Lld_disk.Disk.clock disk) Lld_sim.Clock.Cpu 1 );
+    ]
+  in
+  let last =
+    List.fold_left
+      (fun before (component, change) ->
+        change ();
+        let after = fingerprint () in
+        Alcotest.(check (list string)) ("only " ^ component) [ component ]
+          (Setup.fingerprint_diff before after);
+        after)
+      base changes
+  in
+  Alcotest.(check (list string)) "all four, in the fixed order"
+    Setup.fingerprint_components
+    (Setup.fingerprint_diff base last);
+  Alcotest.(check (list string)) "the four components"
+    (List.map fst changes) Setup.fingerprint_components;
+  Lld_disk.Disk.close disk
+
 let test_smallfile_phases () =
   let inst = Setup.make ~geom ~inode_count:512 Setup.New in
   let p = { Smallfile.file_count = 60; file_bytes = 1024; dirs = 1 } in
@@ -296,6 +346,8 @@ let () =
           Alcotest.test_case "variants" `Quick test_setup_variants;
           Alcotest.test_case "format records dropped" `Quick
             test_setup_drops_format_records;
+          Alcotest.test_case "fingerprint diff names one component" `Quick
+            test_fingerprint_diff;
         ] );
       ( "smallfile",
         [
