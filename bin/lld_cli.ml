@@ -1119,7 +1119,11 @@ let model_fuzz seed budget clients ops option backend crash_every crash_points
            cfg ~seed:f.Differ.fl_case_seed f.Differ.fl_shrunk
        in
        List.iter (fun p -> Printf.printf "forensics: %s\n" p) paths
-     with Sys_error msg -> Printf.eprintf "cannot write report: %s\n" msg)
+     with Sys_error msg ->
+       (* evidence that was asked for and not kept fails the run, an
+          expected divergence included *)
+       Printf.eprintf "cannot write report: %s\n" msg;
+       exit 1)
   | _ -> ());
   let diverged = not (Differ.ok report) in
   if expect_divergence || mutation <> None then

@@ -221,6 +221,23 @@ let test_model_out_dir_parents () =
       Alcotest.(check bool) "divergence report written" true
         (Sys.file_exists (Filename.concat dir "model-divergence-seed1.txt")))
 
+(* A report asked for and not written fails the run, even under
+   [--inject], where the divergence itself is the expected outcome:
+   here [--out-dir] names a path under a regular file. *)
+let test_model_out_dir_unwritable () =
+  let file = tmp "model-out-file" in
+  write_file file (Bytes.of_string "not a directory");
+  Fun.protect ~finally:(fun () -> Sys.remove file) (fun () ->
+      let rc =
+        run
+          [
+            "model"; "--inject"; "read-committed"; "--budget"; "20";
+            "--out-dir"; Filename.concat file "x";
+          ]
+      in
+      if rc = 0 then
+        Alcotest.fail "model exited 0 although the report could not be written")
+
 let () =
   Alcotest.run "lld_cli"
     [
@@ -230,5 +247,7 @@ let () =
         [
           Alcotest.test_case "--out-dir creates missing parents" `Quick
             test_model_out_dir_parents;
+          Alcotest.test_case "--out-dir unwritable fails the run" `Quick
+            test_model_out_dir_unwritable;
         ] );
     ]
