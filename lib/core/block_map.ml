@@ -1,9 +1,15 @@
 type t = {
   records : Record.block array;
+      (* [unanchored] until an id's persistent record is first asked for *)
   free : Bytes.t; (* bitset: bit i set iff id i is free *)
   mutable free_count : int;
   mutable hint : int; (* no free identifier below this index *)
 }
+
+(* Stands in for every id whose anchor was never built: a fresh record
+   in all but identity.  Only compared against, never handed out, so
+   it is never written. *)
+let unanchored = Record.fresh_block (Types.Block_id.of_int 0)
 
 let bit_is_set b i = Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
@@ -17,10 +23,12 @@ let bit_clear b i =
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Block_map.create: capacity must be positive";
-  let records =
-    Array.init capacity (fun i -> Record.fresh_block (Types.Block_id.of_int i))
-  in
-  { records; free = Bytes.make ((capacity + 7) / 8) '\xff'; free_count = capacity; hint = 0 }
+  {
+    records = Array.make capacity unanchored;
+    free = Bytes.make ((capacity + 7) / 8) '\xff';
+    free_count = capacity;
+    hint = 0;
+  }
 
 let capacity t = Array.length t.records
 
@@ -32,7 +40,14 @@ let anchor t b =
   if not (in_range t b) then
     invalid_arg
       (Format.asprintf "Block_map.anchor: %a out of range" Types.Block_id.pp b);
-  t.records.(Types.Block_id.to_int b)
+  let i = Types.Block_id.to_int b in
+  let r = t.records.(i) in
+  if r != unanchored then r
+  else begin
+    let r = Record.fresh_block b in
+    t.records.(i) <- r;
+    r
+  end
 
 let alloc_id t =
   if t.free_count = 0 then None
@@ -62,6 +77,7 @@ let release_id t b =
     if i < t.hint then t.hint <- i
   end
 
+(* [unanchored.alloc] is false, so a never-touched id counts as free *)
 let rebuild_free t =
   Bytes.fill t.free 0 (Bytes.length t.free) '\000';
   let free_count = ref 0 in
@@ -74,5 +90,10 @@ let rebuild_free t =
   t.free_count <- !free_count;
   t.hint <- 0
 
-let iter t f = Array.iter f t.records
+let iter t f =
+  for i = 0 to Array.length t.records - 1 do
+    let r = t.records.(i) in
+    if r != unanchored then f r
+  done
+
 let allocated_count t = Array.length t.records - t.free_count

@@ -8,18 +8,18 @@ type pending_entry = { pe_op : Summary.op; pe_seg : int }
 
 type block_entry = {
   b_id : int;
-  b_member : int option;
-  b_succ : int option;
-  b_phys : (int * int) option;
+  b_member : Types.List_id.t option;
+  b_succ : Types.Block_id.t option;
+  b_phys : Record.phys option;
   b_stamp : int;
 }
 
 type list_entry = {
   l_id : int;
-  l_first : int option;
-  l_last : int option;
+  l_first : Types.Block_id.t option;
+  l_last : Types.Block_id.t option;
   l_stamp : int;
-  l_owner : int option;
+  l_owner : Types.Aru_id.t option;
 }
 
 type kind = Full | Delta of { base_id : int }
@@ -61,12 +61,14 @@ let empty =
 
 let payload_version = 3
 
-let opt w = function
+(* An optional identifier is one u32: 0 for [None], the id plus one
+   otherwise. *)
+let opt to_int w = function
   | None -> Codec.Writer.u32 w 0
-  | Some i -> Codec.Writer.u32 w (i + 1)
+  | Some i -> Codec.Writer.u32 w (to_int i + 1)
 
-let read_opt r =
-  match Codec.Reader.u32 r with 0 -> None | n -> Some (n - 1)
+let read_opt of_int r =
+  match Codec.Reader.u32 r with 0 -> None | n -> Some (of_int (n - 1))
 
 let encode snap =
   let w = Codec.Writer.create ~capacity:65536 () in
@@ -87,13 +89,13 @@ let encode snap =
   List.iter
     (fun b ->
       W.u32 w b.b_id;
-      opt w b.b_member;
-      opt w b.b_succ;
+      opt Types.List_id.to_int w b.b_member;
+      opt Types.Block_id.to_int w b.b_succ;
       (match b.b_phys with
       | None -> W.u8 w 0
-      | Some (seg, slot) ->
+      | Some { Record.seg_index; slot } ->
         W.u8 w 1;
-        W.u32 w seg;
+        W.u32 w seg_index;
         W.u32 w slot);
       W.u64 w (Int64.of_int b.b_stamp))
     snap.blocks;
@@ -101,10 +103,10 @@ let encode snap =
   List.iter
     (fun l ->
       W.u32 w l.l_id;
-      opt w l.l_first;
-      opt w l.l_last;
+      opt Types.Block_id.to_int w l.l_first;
+      opt Types.Block_id.to_int w l.l_last;
       W.u64 w (Int64.of_int l.l_stamp);
-      opt w l.l_owner)
+      opt Types.Aru_id.to_int w l.l_owner)
     snap.lists;
   W.u32 w (List.length snap.dead_blocks);
   List.iter (W.u32 w) snap.dead_blocks;
@@ -163,15 +165,15 @@ let decode buf =
     let blocks =
       List.init nblocks (fun _ ->
           let b_id = R.u32 r in
-          let b_member = read_opt r in
-          let b_succ = read_opt r in
+          let b_member = read_opt Types.List_id.of_int r in
+          let b_succ = read_opt Types.Block_id.of_int r in
           let b_phys =
             match R.u8 r with
             | 0 -> None
             | 1 ->
-              let seg = R.u32 r in
+              let seg_index = R.u32 r in
               let slot = R.u32 r in
-              Some (seg, slot)
+              Some { Record.seg_index; slot }
             | n -> raise (Errors.Corrupt (Printf.sprintf "phys tag %d" n))
           in
           { b_id; b_member; b_succ; b_phys; b_stamp = Int64.to_int (R.u64 r) })
@@ -180,10 +182,11 @@ let decode buf =
     let lists =
       List.init nlists (fun _ ->
           let l_id = R.u32 r in
-          let l_first = read_opt r in
-          let l_last = read_opt r in
+          let l_first = read_opt Types.Block_id.of_int r in
+          let l_last = read_opt Types.Block_id.of_int r in
           let l_stamp = Int64.to_int (R.u64 r) in
-          { l_id; l_first; l_last; l_stamp; l_owner = read_opt r })
+          { l_id; l_first; l_last; l_stamp;
+            l_owner = read_opt Types.Aru_id.of_int r })
     in
     let ndead_b = R.u32 r in
     let dead_blocks = List.init ndead_b (fun _ -> R.u32 r) in
@@ -309,17 +312,22 @@ let read_payload disk ~region =
       let combined = List.fold_left (fun n c -> n + Blk.length c) 0 chunks in
       if combined <> total_len then None
       else begin
-        (* chunk payloads are views into their segment reads; stitch
-           them into one payload view for the decoder *)
-        let payload = Blk.create total_len in
-        let _ =
-          List.fold_left
-            (fun off c ->
-              Blk.blit c 0 payload off (Blk.length c);
-              off + Blk.length c)
-            0 chunks
-        in
-        Some payload
+        match chunks with
+        | [ only ] ->
+          (* the chunk is a view into its own fresh segment read, which
+             nothing else holds: it is the payload *)
+          Some only
+        | _ ->
+          (* stitch the chunks' views into one payload for the decoder *)
+          let payload = Blk.create total_len in
+          let _ =
+            List.fold_left
+              (fun off c ->
+                Blk.blit c 0 payload off (Blk.length c);
+                off + Blk.length c)
+              0 chunks
+          in
+          Some payload
       end)
   | Some (_, _, _, _, _) -> None
 
@@ -451,4 +459,10 @@ let read_best disk =
     | payload -> payload
     | exception Fault.Media_error _ -> None
   in
-  select ~region0:(payload 0) ~region1:(payload 1)
+  (* Region 1 is read before region 0.  The order moves the virtual
+     clock (seek distances, rotation), and every recorded clock and
+     trace was taken with this order, so it is bound here rather than
+     left to the unspecified evaluation order of arguments. *)
+  let region1 = payload 1 in
+  let region0 = payload 0 in
+  select ~region0 ~region1

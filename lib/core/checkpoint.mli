@@ -35,20 +35,25 @@ type pending_entry = {
           relative to it) *)
 }
 
+(** The entry fields carry the persistent record's own values, so
+    taking an entry from a record and restoring a record from an entry
+    share the option boxes (and the [phys] record) instead of copying
+    them.  On disk each optional identifier is one u32 (0 for [None],
+    the identifier plus one otherwise). *)
 type block_entry = {
   b_id : int;
-  b_member : int option;
-  b_succ : int option;
-  b_phys : (int * int) option;  (** (segment, slot) *)
+  b_member : Types.List_id.t option;
+  b_succ : Types.Block_id.t option;
+  b_phys : Record.phys option;
   b_stamp : int;
 }
 
 type list_entry = {
   l_id : int;
-  l_first : int option;
-  l_last : int option;
+  l_first : Types.Block_id.t option;
+  l_last : Types.Block_id.t option;
   l_stamp : int;
-  l_owner : int option;
+  l_owner : Types.Aru_id.t option;
       (** allocating ARU if it was still active at checkpoint time *)
 }
 
@@ -97,6 +102,12 @@ val empty : snapshot
 val encode : snapshot -> Lld_util.Blk.t
 val decode : Lld_util.Blk.t -> snapshot
 (** Raises [Errors.Corrupt] on malformed input. *)
+
+val chunk_capacity : Lld_disk.Geometry.t -> int
+(** Payload bytes one region segment holds.  A payload of at most this
+    many bytes is written as one chunk, and read back as a view of its
+    segment's read; a longer one spans several chunks, stitched into
+    one payload on read. *)
 
 val write : Lld_disk.Disk.t -> region:int -> snapshot -> unit
 (** Serialise into the region's segments.  Raises [Errors.Disk_full]

@@ -57,7 +57,14 @@ let write_slot disk s =
      on top of it *)
   Disk.barrier disk
 
-let read_slots disk = (read_slot disk 0, read_slot disk 1)
+(* Slot 1 is read before slot 0.  The order moves the virtual clock,
+   and every recorded clock and trace was taken with this order, so it
+   is bound here rather than left to the unspecified evaluation order
+   of tuple components. *)
+let read_slots disk =
+  let slot1 = read_slot disk 1 in
+  let slot0 = read_slot disk 0 in
+  (slot0, slot1)
 
 let best disk =
   match read_slots disk with

@@ -291,28 +291,27 @@ let abandoned_lists t =
 (* ------------------------------------------------------------------ *)
 (* Checkpoint entries                                                  *)
 
+(* Entries and records share their option boxes and [phys] records
+   (all immutable): neither direction allocates more than the entry. *)
 let block_entry (r : Record.block) =
   {
     Checkpoint.b_id = Types.Block_id.to_int r.Record.id;
-    b_member = Option.map Types.List_id.to_int r.Record.member_of;
-    b_succ = Option.map Types.Block_id.to_int r.Record.successor;
-    b_phys =
-      Option.map
-        (fun (p : Record.phys) -> (p.Record.seg_index, p.Record.slot))
-        r.Record.phys;
+    b_member = r.Record.member_of;
+    b_succ = r.Record.successor;
+    b_phys = r.Record.phys;
     b_stamp = r.Record.stamp;
   }
 
 let list_entry t (r : Record.list_r) =
   let l_owner =
     match r.Record.l_owner with
-    | Some o when owner_active t o -> Some (Types.Aru_id.to_int o)
+    | Some o when owner_active t o -> r.Record.l_owner
     | Some _ | None -> None
   in
   {
     Checkpoint.l_id = Types.List_id.to_int r.Record.lid;
-    l_first = Option.map Types.Block_id.to_int r.Record.first;
-    l_last = Option.map Types.Block_id.to_int r.Record.last;
+    l_first = r.Record.first;
+    l_last = r.Record.last;
     l_stamp = r.Record.lstamp;
     l_owner;
   }
@@ -331,20 +330,17 @@ let restore (snap : Checkpoint.snapshot) blocks lists =
     (fun (b : Checkpoint.block_entry) ->
       let r = Block_map.anchor blocks (Types.Block_id.of_int b.b_id) in
       r.Record.alloc <- true;
-      r.Record.member_of <- Option.map Types.List_id.of_int b.b_member;
-      r.Record.successor <- Option.map Types.Block_id.of_int b.b_succ;
-      r.Record.phys <-
-        Option.map
-          (fun (seg, slot) -> { Record.seg_index = seg; slot })
-          b.b_phys;
+      r.Record.member_of <- b.b_member;
+      r.Record.successor <- b.b_succ;
+      r.Record.phys <- b.b_phys;
       r.Record.stamp <- b.b_stamp)
     snap.Checkpoint.blocks;
   List.iter
     (fun (l : Checkpoint.list_entry) ->
       let r = List_table.anchor lists (Types.List_id.of_int l.l_id) in
       r.Record.exists <- true;
-      r.Record.first <- Option.map Types.Block_id.of_int l.l_first;
-      r.Record.last <- Option.map Types.Block_id.of_int l.l_last;
+      r.Record.first <- l.l_first;
+      r.Record.last <- l.l_last;
       r.Record.lstamp <- l.l_stamp;
-      r.Record.l_owner <- Option.map Types.Aru_id.of_int l.l_owner)
+      r.Record.l_owner <- l.l_owner)
     snap.Checkpoint.lists

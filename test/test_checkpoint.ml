@@ -26,19 +26,22 @@ let snapshot ?(ckpt_id = 5) ?(kind = Checkpoint.Full) ?(covered_seq = 42)
 let block_entry i =
   {
     Checkpoint.b_id = i;
-    b_member = (if i mod 2 = 0 then Some (i / 2) else None);
-    b_succ = (if i mod 3 = 0 then Some (i + 1) else None);
-    b_phys = (if i mod 5 = 0 then None else Some (i mod 30, i mod 128));
+    b_member =
+      (if i mod 2 = 0 then Some (Types.List_id.of_int (i / 2)) else None);
+    b_succ = (if i mod 3 = 0 then Some (Types.Block_id.of_int (i + 1)) else None);
+    b_phys =
+      (if i mod 5 = 0 then None
+       else Some { Lld_core.Record.seg_index = i mod 30; slot = i mod 128 });
     b_stamp = i * 17;
   }
 
 let list_entry i =
   {
     Checkpoint.l_id = i;
-    l_first = Some (i * 2);
-    l_last = Some ((i * 2) + 9);
+    l_first = Some (Types.Block_id.of_int (i * 2));
+    l_last = Some (Types.Block_id.of_int ((i * 2) + 9));
     l_stamp = i * 31;
-    l_owner = (if i mod 4 = 0 then Some (i + 100) else None);
+    l_owner = (if i mod 4 = 0 then Some (Types.Aru_id.of_int (i + 100)) else None);
   }
 
 let test_encode_decode_empty () =
@@ -240,6 +243,43 @@ let test_multi_chunk_checkpoint () =
   Alcotest.(check bool) "multi-chunk roundtrip" true
     (Checkpoint.read_region disk ~region:1 = Some s)
 
+(* The chunk boundary.  A payload of exactly [chunk_capacity] bytes is
+   one chunk (read back as a view of its segment's read); one entry
+   more spills into a second chunk (read back stitched).  Both must
+   come back equal through [read_region] and through [read_best]. *)
+let test_chunk_boundary () =
+  let geom = Disk.geometry (fresh_disk ()) in
+  let cap = Checkpoint.chunk_capacity geom in
+  let size s = Lld_util.Blk.length (Checkpoint.encode s) in
+  (* a block entry without [phys] is 21 bytes and a free-order entry 4:
+     as many block entries as leave a multiple of 4, then free order
+     (each block entry fewer adds 21, that is 1 modulo 4) *)
+  let base = size (snapshot ()) in
+  let blocks = (cap - base) / 21 in
+  let blocks = blocks - ((4 - ((cap - base - (21 * blocks)) mod 4)) mod 4) in
+  let no_phys i = { (block_entry i) with Checkpoint.b_phys = None } in
+  let free = (cap - base - (21 * blocks)) / 4 in
+  let exact =
+    snapshot
+      ~blocks:(List.init blocks no_phys)
+      ~free_order:(List.init free Fun.id) ()
+  in
+  Alcotest.(check int) "payload fills one chunk exactly" cap (size exact);
+  let over = { exact with Checkpoint.free_order = free :: exact.free_order } in
+  Alcotest.(check int) "one entry more" (cap + 4) (size over);
+  List.iter
+    (fun (what, s) ->
+      let disk = fresh_disk () in
+      Checkpoint.write disk ~region:0 s;
+      Alcotest.(check bool) (what ^ ": read_region") true
+        (Checkpoint.read_region disk ~region:0 = Some s);
+      match Checkpoint.read_best disk with
+      | Some b ->
+        Alcotest.(check bool) (what ^ ": read_best") true
+          (b.Checkpoint.best_snap = s)
+      | None -> Alcotest.failf "%s: no checkpoint found" what)
+    [ ("one chunk", exact); ("two chunks", over) ]
+
 let test_oversized_checkpoint_rejected () =
   let disk = fresh_disk () in
   let geom = Disk.geometry disk in
@@ -250,6 +290,50 @@ let test_oversized_checkpoint_rejected () =
   let s = snapshot ~blocks:(List.init entries block_entry) () in
   Alcotest.check_raises "does not fit" Errors.Disk_full (fun () ->
       Checkpoint.write disk ~region:0 s)
+
+(* --- read order --------------------------------------------------- *)
+
+(* Offsets of the disk reads [f] makes, from the spans an active
+   observability handle records. *)
+let read_offsets disk f =
+  let module Obs = Lld_obs.Obs in
+  let module Trace = Lld_obs.Trace in
+  let obs = Obs.create ~clock:(Disk.clock disk) () in
+  Disk.set_obs disk obs;
+  Fun.protect ~finally:(fun () -> Disk.set_obs disk Obs.null) (fun () ->
+      ignore (f ()));
+  List.filter_map
+    (fun (e : Trace.event) ->
+      match (e.ev_cat, e.ev_name, List.assoc_opt "offset" e.ev_args) with
+      | Trace.Disk, "read", Some (Trace.I offset) -> Some offset
+      | _ -> None)
+    (Trace.events (Obs.trace obs))
+
+(* Region 1 and slot 1 are read first.  The order moves the virtual
+   clock (seek distance from the previous request), so every recorded
+   clock depends on it; the code binds it explicitly rather than
+   leaving it to the evaluation order of arguments and tuples. *)
+let test_region_read_order () =
+  let disk = fresh_disk () in
+  let geom = Disk.geometry disk in
+  Checkpoint.write disk ~region:0 (snapshot ~ckpt_id:5 ());
+  Checkpoint.write disk ~region:1 (snapshot ~ckpt_id:6 ());
+  let region r =
+    Geometry.segment_offset geom (Disk_layout.region_first geom ~region:r)
+  in
+  Alcotest.(check (list int)) "region 1, then region 0"
+    [ region 1; region 0 ]
+    (read_offsets disk (fun () -> Checkpoint.read_best disk))
+
+let test_superblock_read_order () =
+  let module Superblock = Lld_core.Superblock in
+  let disk = fresh_disk () in
+  let geom = Disk.geometry disk in
+  Superblock.write_slot disk { Superblock.epoch = 1; region = 0 };
+  Superblock.write_slot disk { Superblock.epoch = 2; region = 1 };
+  Alcotest.(check (list int)) "slot 1, then slot 0"
+    [ Superblock.slot_offset geom 1; Superblock.slot_offset geom 0 ]
+    (read_offsets disk (fun () -> Superblock.best disk))
 
 let test_layout_properties () =
   List.iter
@@ -306,8 +390,15 @@ let () =
             test_delta_codec_roundtrip;
           Alcotest.test_case "multi-chunk payloads" `Quick
             test_multi_chunk_checkpoint;
+          Alcotest.test_case "chunk boundary" `Quick test_chunk_boundary;
           Alcotest.test_case "oversized rejected" `Quick
             test_oversized_checkpoint_rejected;
+        ] );
+      ( "read order",
+        [
+          Alcotest.test_case "checkpoint regions" `Quick test_region_read_order;
+          Alcotest.test_case "superblock slots" `Quick
+            test_superblock_read_order;
         ] );
       ( "layout",
         [

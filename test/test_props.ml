@@ -364,15 +364,23 @@ let gen_snapshot =
       (fun b_id (b_member, b_succ) (b_phys, b_stamp) ->
         { Checkpoint.b_id; b_member; b_succ; b_phys; b_stamp })
       (int_range 0 100_000)
-      (pair (opt (int_range 0 1000)) (opt (int_range 0 100_000)))
-      (pair (opt (pair (int_range 0 800) (int_range 0 127))) (int_range 0 1_000_000))
+      (pair
+         (opt (map Types.List_id.of_int (int_range 0 1000)))
+         (opt (map Types.Block_id.of_int (int_range 0 100_000))))
+      (pair
+         (opt
+            (map2
+               (fun seg_index slot -> { Lld_core.Record.seg_index; slot })
+               (int_range 0 800) (int_range 0 127)))
+         (int_range 0 1_000_000))
   in
+  let block_id = map Types.Block_id.of_int (int_range 0 100_000) in
   let list_entry =
     map3
       (fun l_id (l_first, l_last) l_stamp ->
         { Checkpoint.l_id; l_first; l_last; l_stamp; l_owner = None })
       (int_range 1 100_000)
-      (pair (opt (int_range 0 100_000)) (opt (int_range 0 100_000)))
+      (pair (opt block_id) (opt block_id))
       (int_range 0 1_000_000)
   in
   let pending_entry =
@@ -481,9 +489,9 @@ let checkpoint_decode_total =
             List.init 10 (fun i ->
                 {
                   Checkpoint.b_id = i;
-                  b_member = Some i;
+                  b_member = Some (Types.List_id.of_int i);
                   b_succ = None;
-                  b_phys = Some (1, i);
+                  b_phys = Some { Lld_core.Record.seg_index = 1; slot = i };
                   b_stamp = i;
                 });
           lists = [];
@@ -574,10 +582,17 @@ let block_map_scenario ops =
       (Hashtbl.length held);
   (* rebuild from the persistent flags (recovery path), then drain: the
      refill must hand out exactly the model's free set in ascending
-     order and report exhaustion after *)
+     order and report exhaustion after.  Anchors are built on first
+     touch, so the held ids are marked through [anchor] and every other
+     anchor built so far is cleared through [iter]. *)
+  Hashtbl.iter
+    (fun i () ->
+      (Block_map.anchor bm (Types.Block_id.of_int i)).Lld_core.Record.alloc <-
+        true)
+    held;
   Block_map.iter bm (fun r ->
-      r.Lld_core.Record.alloc <-
-        Hashtbl.mem held (Types.Block_id.to_int r.Lld_core.Record.id));
+      if not (Hashtbl.mem held (Types.Block_id.to_int r.Lld_core.Record.id))
+      then r.Lld_core.Record.alloc <- false);
   Block_map.rebuild_free bm;
   let expected_free =
     List.filter
@@ -618,6 +633,103 @@ let block_map_ops =
 let block_map_model =
   QCheck.Test.make ~name:"Block_map allocates like the naive free-set model"
     ~count:300 block_map_ops block_map_scenario
+
+(* The block map builds an anchor the first time its id is asked for.
+   Against a model of the ids touched: [anchor] returns one physically
+   equal record per id, [iter] visits exactly the anchored ids in
+   ascending order (an out-of-range id raises and anchors nothing),
+   [allocated_count] follows the free-set model, and [rebuild_free]
+   counts every id whose anchor is unallocated or was never built as
+   free. *)
+let block_map_anchor_scenario ops =
+  let bm = Block_map.create ~capacity:block_map_cap in
+  let anchored = Hashtbl.create 16 in
+  let held = Hashtbl.create 16 in
+  let flagged = Hashtbl.create 16 in
+  let anchor i =
+    let r = Block_map.anchor bm (Types.Block_id.of_int i) in
+    (match Hashtbl.find_opt anchored i with
+    | Some first when first != r ->
+      QCheck.Test.fail_reportf "anchor %d: a second record" i
+    | Some _ -> ()
+    | None -> Hashtbl.replace anchored i r);
+    r
+  in
+  List.iter
+    (function
+      | `Anchor i when i >= block_map_cap -> (
+        match Block_map.anchor bm (Types.Block_id.of_int i) with
+        | _ -> QCheck.Test.fail_reportf "anchor %d: out of range accepted" i
+        | exception Invalid_argument _ -> ())
+      | `Anchor i -> ignore (anchor i)
+      | `Flag i ->
+        (anchor i).Lld_core.Record.alloc <- true;
+        Hashtbl.replace flagged i ()
+      | `Alloc -> (
+        match Block_map.alloc_id bm with
+        | Some b -> Hashtbl.replace held (Types.Block_id.to_int b) ()
+        | None -> ())
+      | `Release i ->
+        Block_map.release_id bm (Types.Block_id.of_int i);
+        Hashtbl.remove held i)
+    ops;
+  let visited = ref [] in
+  Block_map.iter bm (fun r ->
+      visited := Types.Block_id.to_int r.Lld_core.Record.id :: !visited);
+  let visited = List.rev !visited in
+  let expected =
+    List.sort Int.compare (Hashtbl.fold (fun i _ acc -> i :: acc) anchored [])
+  in
+  if visited <> expected then
+    QCheck.Test.fail_reportf "iter visited [%s], anchored [%s]"
+      (String.concat ";" (List.map string_of_int visited))
+      (String.concat ";" (List.map string_of_int expected));
+  if Block_map.allocated_count bm <> Hashtbl.length held then
+    QCheck.Test.fail_reportf "allocated_count %d, model holds %d"
+      (Block_map.allocated_count bm)
+      (Hashtbl.length held);
+  Block_map.rebuild_free bm;
+  let expected_free =
+    List.filter
+      (fun i -> not (Hashtbl.mem flagged i))
+      (List.init block_map_cap Fun.id)
+  in
+  let drained =
+    List.filter_map
+      (fun _ -> Option.map Types.Block_id.to_int (Block_map.alloc_id bm))
+      expected_free
+  in
+  if drained <> expected_free then
+    QCheck.Test.fail_reportf "after rebuild drained [%s], free [%s]"
+      (String.concat ";" (List.map string_of_int drained))
+      (String.concat ";" (List.map string_of_int expected_free));
+  Block_map.alloc_id bm = None
+
+let block_map_anchor_ops =
+  let open QCheck.Gen in
+  let id = int_range 0 (block_map_cap - 1) in
+  let op =
+    frequency
+      [
+        (3, map (fun i -> `Anchor i) (int_range 0 (block_map_cap + 3)));
+        (2, map (fun i -> `Flag i) id);
+        (2, return `Alloc);
+        (1, map (fun i -> `Release i) id);
+      ]
+  in
+  let print_op = function
+    | `Anchor i -> Printf.sprintf "anchor %d" i
+    | `Flag i -> Printf.sprintf "flag %d" i
+    | `Alloc -> "alloc"
+    | `Release i -> Printf.sprintf "release %d" i
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+    (list_size (int_range 0 80) op)
+
+let block_map_anchors =
+  QCheck.Test.make ~name:"Block_map builds each anchor once, on first touch"
+    ~count:300 block_map_anchor_ops block_map_anchor_scenario
 
 (* ------------------------------------------------------------------ *)
 (* Sharded placement: the pure id-striping maps behind {!Shard} must be
@@ -738,6 +850,7 @@ let () =
           QCheck_alcotest.to_alcotest model_equivalence;
           QCheck_alcotest.to_alcotest sequential_model;
           QCheck_alcotest.to_alcotest block_map_model;
+          QCheck_alcotest.to_alcotest block_map_anchors;
         ] );
       ( "crash-fuzz",
         [
