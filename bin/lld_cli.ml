@@ -1,7 +1,6 @@
 (* Command-line driver for the ARU/LLD reproduction. *)
 
 module Geometry = Lld_disk.Geometry
-module Fault = Lld_disk.Fault
 module Disk = Lld_disk.Disk
 module Backend = Lld_disk.Backend
 module Errors = Lld_core.Errors
@@ -818,9 +817,7 @@ let run_traced_workload ~variant ~segments ~files ~file =
   Lld.clean inst.Setup.lld
     ~target_free:(Lld.free_segments inst.Setup.lld + 2);
   Fs.flush inst.Setup.fs;
-  Fault.schedule_crash (Disk.fault inst.Setup.disk) (Fault.After_writes 0);
-  (try Disk.write inst.Setup.disk ~offset:0 (Bytes.make 1 'x')
-   with Fault.Crashed -> ());
+  Disk.crash inst.Setup.disk;
   let config =
     let c = Setup.lld_config variant in
     if c.Config.mode = Config.Concurrent then

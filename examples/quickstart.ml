@@ -8,7 +8,6 @@
    and shows that recovery is all-or-nothing. *)
 
 module Geometry = Lld_disk.Geometry
-module Fault = Lld_disk.Fault
 module Disk = Lld_disk.Disk
 module Clock = Lld_sim.Clock
 module Lld = Lld_core.Lld
@@ -57,8 +56,7 @@ let () =
   Lld.write lld ~aru b1 (block_of_string "doomed update 1");
   Lld.write lld ~aru b2 (block_of_string "doomed update 2");
   (* power fails before EndARU reaches the disk *)
-  Fault.schedule_crash (Disk.fault disk) (Fault.After_writes 0);
-  (try Disk.write disk ~offset:0 (Bytes.make 1 'x') with Fault.Crashed -> ());
+  Disk.crash disk;
   Printf.printf "power failure!\n";
 
   let lld, report = Lld.recover disk in

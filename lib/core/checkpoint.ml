@@ -6,23 +6,9 @@ module Fault = Lld_disk.Fault
 
 type pending_entry = { pe_op : Summary.op; pe_seg : int }
 
-type block_entry = {
-  b_id : int;
-  b_member : Types.List_id.t option;
-  b_succ : Types.Block_id.t option;
-  b_phys : Record.phys option;
-  b_stamp : int;
-}
-
-type list_entry = {
-  l_id : int;
-  l_first : Types.Block_id.t option;
-  l_last : Types.Block_id.t option;
-  l_stamp : int;
-  l_owner : Types.Aru_id.t option;
-}
-
-type kind = Full | Delta of { base_id : int }
+type kind =
+  | Full
+  | Delta of { base_id : int; blocks : int list; lists : int list }
 
 type snapshot = {
   ckpt_id : int;
@@ -32,32 +18,10 @@ type snapshot = {
   stamp : int;
   next_aru : int;
   next_gid : int;
-  blocks : block_entry list;
-  lists : list_entry list;
-  dead_blocks : int list;
-  dead_lists : int list;
   pending : (int * pending_entry list) list;
   free_order : int list;
   prepared : (int * int * int) list;
 }
-
-let empty =
-  {
-    ckpt_id = 1;
-    kind = Full;
-    covered_seq = 0;
-    next_seq = 1;
-    stamp = 1;
-    next_aru = 1;
-    next_gid = 1;
-    blocks = [];
-    lists = [];
-    dead_blocks = [];
-    dead_lists = [];
-    pending = [];
-    free_order = [];
-    prepared = [];
-  }
 
 let payload_version = 3
 
@@ -70,13 +34,19 @@ let opt to_int w = function
 let read_opt of_int r =
   match Codec.Reader.u32 r with 0 -> None | n -> Some (of_int (n - 1))
 
-let encode snap =
+(* A dirty list id names a live list only while its anchor exists. *)
+let live_list lists i =
+  match List_table.find_anchor lists (Types.List_id.of_int i) with
+  | Some r when r.Record.exists -> Some r
+  | Some _ | None -> None
+
+let encode ~owner_active blocks lists snap =
   let w = Codec.Writer.create ~capacity:65536 () in
   let module W = Codec.Writer in
   W.u32 w payload_version;
   (match snap.kind with
   | Full -> W.u8 w 0
-  | Delta { base_id } ->
+  | Delta { base_id; _ } ->
     W.u8 w 1;
     W.u64 w (Int64.of_int base_id));
   W.u64 w (Int64.of_int snap.ckpt_id);
@@ -85,33 +55,66 @@ let encode snap =
   W.u64 w (Int64.of_int snap.stamp);
   W.u64 w (Int64.of_int snap.next_aru);
   W.u64 w (Int64.of_int snap.next_gid);
-  W.u32 w (List.length snap.blocks);
-  List.iter
-    (fun b ->
-      W.u32 w b.b_id;
-      opt Types.List_id.to_int w b.b_member;
-      opt Types.Block_id.to_int w b.b_succ;
-      (match b.b_phys with
+  (* The anchors the payload names: every allocated block and existing
+     list in a full, the dirty ids in a delta, where an id whose anchor
+     is unallocated or absent is a tombstone. *)
+  let block i = Block_map.anchor blocks (Types.Block_id.of_int i) in
+  let each_block f =
+    match snap.kind with
+    | Full -> Block_map.iter blocks (fun r -> if r.Record.alloc then f r)
+    | Delta d ->
+      List.iter
+        (fun i ->
+          let r = block i in
+          if r.Record.alloc then f r)
+        d.blocks
+  in
+  let each_list f =
+    match snap.kind with
+    | Full -> List_table.iter lists (fun r -> if r.Record.exists then f r)
+    | Delta d -> List.iter (fun i -> Option.iter f (live_list lists i)) d.lists
+  in
+  let dead_blocks, dead_lists =
+    match snap.kind with
+    | Full -> ([], [])
+    | Delta d ->
+      ( List.filter (fun i -> not (block i).Record.alloc) d.blocks,
+        List.filter (fun i -> Option.is_none (live_list lists i)) d.lists )
+  in
+  let count each =
+    let n = ref 0 in
+    each (fun _ -> incr n);
+    !n
+  in
+  let ints l =
+    W.u32 w (List.length l);
+    List.iter (W.u32 w) l
+  in
+  W.u32 w (count each_block);
+  each_block (fun r ->
+      W.u32 w (Types.Block_id.to_int r.Record.id);
+      opt Types.List_id.to_int w r.Record.member_of;
+      opt Types.Block_id.to_int w r.Record.successor;
+      (match r.Record.phys with
       | None -> W.u8 w 0
       | Some { Record.seg_index; slot } ->
         W.u8 w 1;
         W.u32 w seg_index;
         W.u32 w slot);
-      W.u64 w (Int64.of_int b.b_stamp))
-    snap.blocks;
-  W.u32 w (List.length snap.lists);
-  List.iter
-    (fun l ->
-      W.u32 w l.l_id;
-      opt Types.Block_id.to_int w l.l_first;
-      opt Types.Block_id.to_int w l.l_last;
-      W.u64 w (Int64.of_int l.l_stamp);
-      opt Types.Aru_id.to_int w l.l_owner)
-    snap.lists;
-  W.u32 w (List.length snap.dead_blocks);
-  List.iter (W.u32 w) snap.dead_blocks;
-  W.u32 w (List.length snap.dead_lists);
-  List.iter (W.u32 w) snap.dead_lists;
+      W.u64 w (Int64.of_int r.Record.stamp));
+  W.u32 w (count each_list);
+  each_list (fun r ->
+      W.u32 w (Types.List_id.to_int r.Record.lid);
+      opt Types.Block_id.to_int w r.Record.first;
+      opt Types.Block_id.to_int w r.Record.last;
+      W.u64 w (Int64.of_int r.Record.lstamp);
+      (* an owner persists only while its ARU is active *)
+      opt Types.Aru_id.to_int w
+        (match r.Record.l_owner with
+        | Some o when owner_active o -> r.Record.l_owner
+        | Some _ | None -> None));
+  ints dead_blocks;
+  ints dead_lists;
   W.u32 w (List.length snap.pending);
   List.iter
     (fun (aru, entries) ->
@@ -125,8 +128,7 @@ let encode snap =
           W.u32 w pe.pe_seg)
         entries)
     snap.pending;
-  W.u32 w (List.length snap.free_order);
-  List.iter (W.u32 w) snap.free_order;
+  ints snap.free_order;
   W.u32 w (List.length snap.prepared);
   List.iter
     (fun (aru, gid, coordinator) ->
@@ -137,87 +139,132 @@ let encode snap =
   W.contents w
 
 (* The fields a payload leads with: all that generation selection needs
-   to choose a winner before anything else is decoded. *)
+   to choose a winner before anything else is decoded.  The base is the
+   full a delta rests on, [None] for a full. *)
 let read_header r =
   let module R = Codec.Reader in
   let version = R.u32 r in
   if version <> payload_version then
     raise (Errors.Corrupt (Printf.sprintf "checkpoint version %d" version));
-  let kind =
+  let base =
     match R.u8 r with
-    | 0 -> Full
-    | 1 -> Delta { base_id = Int64.to_int (R.u64 r) }
+    | 0 -> None
+    | 1 -> Some (Int64.to_int (R.u64 r))
     | n -> raise (Errors.Corrupt (Printf.sprintf "checkpoint kind %d" n))
   in
-  (kind, Int64.to_int (R.u64 r))
+  (base, Int64.to_int (R.u64 r))
 
-let decode buf =
+(* A tombstone leaves its anchor as a fresh one. *)
+let reset_block (r : Record.block) =
+  let fresh = Record.fresh_block r.Record.id in
+  r.Record.alloc <- fresh.Record.alloc;
+  r.Record.member_of <- fresh.Record.member_of;
+  r.Record.successor <- fresh.Record.successor;
+  r.Record.phys <- fresh.Record.phys;
+  r.Record.stamp <- fresh.Record.stamp
+
+let reset_list (r : Record.list_r) =
+  let fresh = Record.fresh_list r.Record.lid in
+  r.Record.exists <- fresh.Record.exists;
+  r.Record.first <- fresh.Record.first;
+  r.Record.last <- fresh.Record.last;
+  r.Record.lstamp <- fresh.Record.lstamp;
+  r.Record.l_owner <- fresh.Record.l_owner
+
+let decode_into blocks lists buf =
   let r = Codec.Reader.of_view buf in
   let module R = Codec.Reader in
+  let u64 () = Int64.to_int (R.u64 r) in
+  let ints () = List.init (R.u32 r) (fun _ -> R.u32 r) in
+  (* an id outside the tables is corruption, like any undecodable field *)
+  let block_anchor i =
+    let id = Types.Block_id.of_int i in
+    if not (Block_map.in_range blocks id) then
+      raise (Errors.Corrupt (Printf.sprintf "checkpoint names block %d" i));
+    Block_map.anchor blocks id
+  in
+  let list_id i =
+    let id = Types.List_id.of_int i in
+    if not (List_table.in_range lists id) then
+      raise (Errors.Corrupt (Printf.sprintf "checkpoint names list %d" i));
+    id
+  in
   try
-    let kind, ckpt_id = read_header r in
-    let covered_seq = Int64.to_int (R.u64 r) in
-    let next_seq = Int64.to_int (R.u64 r) in
-    let stamp = Int64.to_int (R.u64 r) in
-    let next_aru = Int64.to_int (R.u64 r) in
-    let next_gid = Int64.to_int (R.u64 r) in
-    let nblocks = R.u32 r in
-    let blocks =
-      List.init nblocks (fun _ ->
-          let b_id = R.u32 r in
-          let b_member = read_opt Types.List_id.of_int r in
-          let b_succ = read_opt Types.Block_id.of_int r in
-          let b_phys =
-            match R.u8 r with
-            | 0 -> None
-            | 1 ->
-              let seg_index = R.u32 r in
-              let slot = R.u32 r in
-              Some { Record.seg_index; slot }
-            | n -> raise (Errors.Corrupt (Printf.sprintf "phys tag %d" n))
-          in
-          { b_id; b_member; b_succ; b_phys; b_stamp = Int64.to_int (R.u64 r) })
-    in
-    let nlists = R.u32 r in
-    let lists =
-      List.init nlists (fun _ ->
-          let l_id = R.u32 r in
-          let l_first = read_opt Types.Block_id.of_int r in
-          let l_last = read_opt Types.Block_id.of_int r in
-          let l_stamp = Int64.to_int (R.u64 r) in
-          { l_id; l_first; l_last; l_stamp;
-            l_owner = read_opt Types.Aru_id.of_int r })
-    in
-    let ndead_b = R.u32 r in
-    let dead_blocks = List.init ndead_b (fun _ -> R.u32 r) in
-    let ndead_l = R.u32 r in
-    let dead_lists = List.init ndead_l (fun _ -> R.u32 r) in
-    let npending = R.u32 r in
+    let base, ckpt_id = read_header r in
+    let covered_seq = u64 () in
+    let next_seq = u64 () in
+    let stamp = u64 () in
+    let next_aru = u64 () in
+    let next_gid = u64 () in
+    (* a delta reports the ids it names; a full names every anchor *)
+    let delta = Option.is_some base in
+    let named_blocks = ref [] and named_lists = ref [] in
+    for _ = 1 to R.u32 r do
+      let i = R.u32 r in
+      let b = block_anchor i in
+      b.Record.alloc <- true;
+      b.Record.member_of <- read_opt Types.List_id.of_int r;
+      b.Record.successor <- read_opt Types.Block_id.of_int r;
+      (b.Record.phys <-
+         match R.u8 r with
+         | 0 -> None
+         | 1 ->
+           let seg_index = R.u32 r in
+           let slot = R.u32 r in
+           Some { Record.seg_index; slot }
+         | n -> raise (Errors.Corrupt (Printf.sprintf "phys tag %d" n)));
+      b.Record.stamp <- u64 ();
+      if delta then named_blocks := i :: !named_blocks
+    done;
+    for _ = 1 to R.u32 r do
+      let i = R.u32 r in
+      let l = List_table.anchor lists (list_id i) in
+      l.Record.exists <- true;
+      l.Record.first <- read_opt Types.Block_id.of_int r;
+      l.Record.last <- read_opt Types.Block_id.of_int r;
+      l.Record.lstamp <- u64 ();
+      l.Record.l_owner <- read_opt Types.Aru_id.of_int r;
+      if delta then named_lists := i :: !named_lists
+    done;
+    let dead_blocks = ints () in
+    List.iter (fun i -> reset_block (block_anchor i)) dead_blocks;
+    let dead_lists = ints () in
+    List.iter
+      (fun i -> Option.iter reset_list (List_table.find_anchor lists (list_id i)))
+      dead_lists;
     let pending =
-      List.init npending (fun _ ->
+      List.init (R.u32 r) (fun _ ->
           let aru = R.u32 r in
-          let n = R.u32 r in
           let entries =
-            List.init n (fun _ ->
+            List.init (R.u32 r) (fun _ ->
                 let entry = Summary.decode r in
                 let pe_seg = R.u32 r in
                 { pe_op = entry.Summary.op; pe_seg })
           in
           (aru, entries))
     in
-    let nfree = R.u32 r in
-    let free_order = List.init nfree (fun _ -> R.u32 r) in
-    let nprep = R.u32 r in
+    let free_order = ints () in
     let prepared =
-      List.init nprep (fun _ ->
+      List.init (R.u32 r) (fun _ ->
           let aru = R.u32 r in
-          let gid = Int64.to_int (R.u64 r) in
+          let gid = u64 () in
           let coordinator = R.u16 r in
           (aru, gid, coordinator))
     in
+    let kind =
+      match base with
+      | None -> Full
+      | Some base_id ->
+        Delta
+          {
+            base_id;
+            blocks = List.merge Int.compare (List.rev !named_blocks) dead_blocks;
+            lists = List.merge Int.compare (List.rev !named_lists) dead_lists;
+          }
+    in
     {
-      ckpt_id; kind; covered_seq; next_seq; stamp; next_aru; next_gid; blocks;
-      lists; dead_blocks; dead_lists; pending; free_order; prepared;
+      ckpt_id; kind; covered_seq; next_seq; stamp; next_aru; next_gid; pending;
+      free_order; prepared;
     }
   with Codec.Truncated -> raise (Errors.Corrupt "truncated checkpoint payload")
 
@@ -232,9 +279,9 @@ let chunk_trailer_bytes = 8
 let chunk_capacity geom =
   geom.Geometry.segment_bytes - chunk_header_bytes - chunk_trailer_bytes
 
-let write disk ~region snap =
+let write disk ~region ~owner_active blocks lists snap =
   let geom = Disk.geometry disk in
-  let payload = encode snap in
+  let payload = encode ~owner_active blocks lists snap in
   let total_len = Blk.length payload in
   let cap = chunk_capacity geom in
   let chunk_count = max 1 ((total_len + cap - 1) / cap) in
@@ -331,55 +378,10 @@ let read_payload disk ~region =
       end)
   | Some (_, _, _, _, _) -> None
 
-let decode_opt payload =
-  match decode payload with
-  | snap -> Some snap
-  | exception Errors.Corrupt _ -> None
-
-let read_region disk ~region = Option.bind (read_payload disk ~region) decode_opt
-
-(* Overlay a cumulative delta on its full base: delta entries replace
-   (or add) base entries, tombstones remove them, and every scalar —
-   position, pending ARU state, free order — comes from the delta, which
-   is the newer generation.  Raises [Invalid_argument] when [delta] is
-   not a delta against exactly [full]. *)
-let compose ~full ~delta =
-  let base_id =
-    match delta.kind with
-    | Delta { base_id } -> base_id
-    | Full -> invalid_arg "Checkpoint.compose: delta is a full checkpoint"
-  in
-  if full.kind <> Full || full.ckpt_id <> base_id then
-    invalid_arg "Checkpoint.compose: base mismatch";
-  let dead_b = Hashtbl.create 64 and dead_l = Hashtbl.create 16 in
-  List.iter (fun i -> Hashtbl.replace dead_b i ()) delta.dead_blocks;
-  List.iter (fun (b : block_entry) -> Hashtbl.replace dead_b b.b_id ())
-    delta.blocks;
-  List.iter (fun i -> Hashtbl.replace dead_l i ()) delta.dead_lists;
-  List.iter (fun (l : list_entry) -> Hashtbl.replace dead_l l.l_id ())
-    delta.lists;
-  let blocks =
-    List.filter (fun (b : block_entry) -> not (Hashtbl.mem dead_b b.b_id))
-      full.blocks
-    @ delta.blocks
-  in
-  let lists =
-    List.filter (fun (l : list_entry) -> not (Hashtbl.mem dead_l l.l_id))
-      full.lists
-    @ delta.lists
-  in
-  {
-    delta with
-    blocks = List.sort (fun a b -> Int.compare a.b_id b.b_id) blocks;
-    lists = List.sort (fun a b -> Int.compare a.l_id b.l_id) lists;
-    dead_blocks = [];
-    dead_lists = [];
-  }
-
 type best = {
   best_snap : snapshot;
-      (* the effective (composed) snapshot; [kind] still names the
-         newest generation it came from *)
+  best_blocks : Block_map.t;
+  best_lists : List_table.t;
   best_region : int;
   best_full_region : int;
 }
@@ -390,15 +392,16 @@ type best = {
    wins — so a torn newest write (delta or full) falls back to the
    previous generation, and a delta orphaned by a later full (never
    produced by the writer, but conceivable after media errors) is
-   ignored rather than composed against the wrong base.
+   ignored rather than restored over the wrong base.
 
    The choice reads only each payload's header; then the winner is
-   decoded, and its base when it is a delta.  A payload that does not
-   decode drops out and the choice runs again.  The answer is the one
-   decoding both regions first would give: a payload that does not
-   decode can neither win nor be a base, and once the winner and its
-   base decode, no payload that dropped out could have beaten it. *)
-let select ~region0 ~region1 =
+   decoded into fresh tables, its base full first when it is a delta.
+   A payload that does not decode drops out and the choice runs again.
+   The answer is the one decoding both regions first would give: a
+   payload that does not decode can neither win nor be a base, and once
+   the winner and its base decode, no payload that dropped out could
+   have beaten it. *)
+let select geom ~region0 ~region1 =
   let header payload =
     match read_header (Codec.Reader.of_view payload) with
     | h -> Some h
@@ -413,19 +416,12 @@ let select ~region0 ~region1 =
   let candidate region =
     match headers.(region) with
     | None -> None
-    | Some (_, (Full, id)) -> Some (region, id, region)
-    | Some (_, (Delta { base_id }, id)) -> (
+    | Some (_, (None, id)) -> Some (region, id, region)
+    | Some (_, (Some base_id, id)) -> (
       match headers.(1 - region) with
-      | Some (_, (Full, full_id)) when full_id = base_id && id > base_id ->
+      | Some (_, (None, full_id)) when full_id = base_id && id > base_id ->
         Some (region, id, 1 - region)
       | Some _ | None -> None)
-  in
-  let decoded region =
-    match decode_opt (fst (Option.get headers.(region))) with
-    | None ->
-      headers.(region) <- None;
-      None
-    | snap -> snap
   in
   let rec choose () =
     let winner =
@@ -438,16 +434,29 @@ let select ~region0 ~region1 =
     match winner with
     | None -> None
     | Some (region, _, full_region) -> (
-      let best best_snap =
-        Some { best_snap; best_region = region; best_full_region = full_region }
+      let blocks = Block_map.create ~capacity:(Disk_layout.block_capacity geom) in
+      let lists = List_table.create ~max_lists:(Disk_layout.max_lists geom) in
+      let decoded region =
+        match decode_into blocks lists (fst (Option.get headers.(region))) with
+        | snap -> Some snap
+        | exception Errors.Corrupt _ ->
+          headers.(region) <- None;
+          None
       in
-      match decoded region with
+      match decoded full_region with
       | None -> choose ()
-      | Some snap when full_region = region -> best snap
-      | Some delta -> (
-        match decoded full_region with
+      | Some full -> (
+        match if full_region = region then Some full else decoded region with
         | None -> choose ()
-        | Some full -> best (compose ~full ~delta)))
+        | Some best_snap ->
+          Some
+            {
+              best_snap;
+              best_blocks = blocks;
+              best_lists = lists;
+              best_region = region;
+              best_full_region = full_region;
+            }))
   in
   choose ()
 
@@ -465,4 +474,4 @@ let read_best disk =
      left to the unspecified evaluation order of arguments. *)
   let region1 = payload 1 in
   let region0 = payload 0 in
-  select ~region0 ~region1
+  select (Disk.geometry disk) ~region0 ~region1

@@ -4,7 +4,9 @@
     list-table as of a log position, so recovery restores it and replays
     only later segments.  It also enables cleaning — a log segment may
     be reused only once a checkpoint covers its summary (DESIGN.md
-    §5.3).
+    §5.3).  This module is the one that knows which anchor fields
+    persist: the encoder reads them from the tables, and the decoder
+    writes them straight back.
 
     Checkpoints additionally capture the {e pending} ARU entries: the
     [In_aru] summary entries already emitted (in covered segments) whose
@@ -14,9 +16,9 @@
     wholesale.
 
     Checkpoints come in two generations.  A {e full} checkpoint captures
-    the complete block map and list table.  A {e delta} captures only
-    the entries dirtied since the last full one (plus tombstones for
-    entries that disappeared), and names that full's [ckpt_id] as its
+    every allocated block and existing list.  A {e delta} captures only
+    the anchors dirtied since the last full one (a tombstone for each
+    that is no longer allocated), and names that full's [ckpt_id] as its
     base; deltas are cumulative, so at most one full + one delta are
     ever live.  Two fixed regions at the front of the partition hold
     them: the full stays put while deltas overwrite the other region,
@@ -26,7 +28,7 @@
     consistent generation intact, and {!read_best} performs the
     generation selection: newest consistent wins, a torn newest falls
     back.  Only the generation restored (and the full it rests on) is
-    decoded. *)
+    decoded: the base full into fresh tables, then the delta over it. *)
 
 type pending_entry = {
   pe_op : Summary.op;
@@ -35,33 +37,13 @@ type pending_entry = {
           relative to it) *)
 }
 
-(** The entry fields carry the persistent record's own values, so
-    taking an entry from a record and restoring a record from an entry
-    share the option boxes (and the [phys] record) instead of copying
-    them.  On disk each optional identifier is one u32 (0 for [None],
-    the identifier plus one otherwise). *)
-type block_entry = {
-  b_id : int;
-  b_member : Types.List_id.t option;
-  b_succ : Types.Block_id.t option;
-  b_phys : Record.phys option;
-  b_stamp : int;
-}
-
-type list_entry = {
-  l_id : int;
-  l_first : Types.Block_id.t option;
-  l_last : Types.Block_id.t option;
-  l_stamp : int;
-  l_owner : Types.Aru_id.t option;
-      (** allocating ARU if it was still active at checkpoint time *)
-}
-
 type kind =
-  | Full  (** complete block map + list table *)
-  | Delta of { base_id : int }
-      (** only entries dirtied since full checkpoint [base_id]
-          (cumulative: each delta supersedes the previous one) *)
+  | Full  (** every allocated block and existing list *)
+  | Delta of { base_id : int; blocks : int list; lists : int list }
+      (** the block and list ids dirtied since full checkpoint
+          [base_id], ascending (cumulative: each delta supersedes the
+          previous one).  An id whose anchor is allocated (exists) is
+          written as an entry, any other as a tombstone. *)
 
 type snapshot = {
   ckpt_id : int;  (** monotonically increasing across checkpoints *)
@@ -75,12 +57,6 @@ type snapshot = {
           witness; persisting the watermark keeps gids globally unique
           across incarnations, so a stale [Decide] record in a
           not-yet-reused segment can never vouch for a new prepare *)
-  blocks : block_entry list;  (** allocated blocks only (dirty only in a delta) *)
-  lists : list_entry list;  (** existing lists only (dirty only in a delta) *)
-  dead_blocks : int list;
-      (** delta tombstones: blocks deallocated since the base full *)
-  dead_lists : int list;
-      (** delta tombstones: lists deleted since the base full *)
   pending : (int * pending_entry list) list;
       (** ARU id -> its buffered entries, in emission order *)
   free_order : int list;
@@ -95,13 +71,27 @@ type snapshot = {
           The ARU's entries stay in [pending]; recovery resolves these
           against the coordinator shard's decisions (DESIGN.md §5.14). *)
 }
+(** What a checkpoint carries beside the tables. *)
 
-val empty : snapshot
-(** The snapshot written by [mkfs]: [ckpt_id = 1], nothing allocated. *)
+val encode :
+  owner_active:(Types.Aru_id.t -> bool) ->
+  Block_map.t ->
+  List_table.t ->
+  snapshot ->
+  Lld_util.Blk.t
+(** The anchors [kind] names, then the snapshot's other fields.  A
+    block entry is its id, [member_of], [successor], [phys] and
+    [stamp]; a list entry its id, [first], [last], [lstamp] and
+    [l_owner], kept only while [owner_active] holds for it.  On disk
+    each optional identifier is one u32 (0 for [None], the identifier
+    plus one otherwise).  A delta's ids must lie inside the tables. *)
 
-val encode : snapshot -> Lld_util.Blk.t
-val decode : Lld_util.Blk.t -> snapshot
-(** Raises [Errors.Corrupt] on malformed input. *)
+val decode_into : Block_map.t -> List_table.t -> Lld_util.Blk.t -> snapshot
+(** Write each entry's fields into its anchor, reset each tombstoned
+    anchor to a fresh one's values, and return the rest; a delta's
+    [kind] lists the ids it named.  Raises [Errors.Corrupt] on malformed
+    input, an identifier outside the tables included, after writing any
+    prefix of the entries. *)
 
 val chunk_capacity : Lld_disk.Geometry.t -> int
 (** Payload bytes one region segment holds.  A payload of at most this
@@ -109,19 +99,24 @@ val chunk_capacity : Lld_disk.Geometry.t -> int
     segment's read; a longer one spans several chunks, stitched into
     one payload on read. *)
 
-val write : Lld_disk.Disk.t -> region:int -> snapshot -> unit
-(** Serialise into the region's segments.  Raises [Errors.Disk_full]
-    when the payload exceeds the region (only possible with enormous
-    pending-ARU state). *)
-
-val read_region : Lld_disk.Disk.t -> region:int -> snapshot option
-(** The region's checkpoint, read, checksummed and decoded: [None] when
-    the region holds no complete, checksummed checkpoint or its payload
-    does not decode. *)
+val write :
+  Lld_disk.Disk.t ->
+  region:int ->
+  owner_active:(Types.Aru_id.t -> bool) ->
+  Block_map.t ->
+  List_table.t ->
+  snapshot ->
+  unit
+(** Serialise ({!encode}) into the region's segments.  Raises
+    [Errors.Disk_full] when the payload exceeds the region (only
+    possible with enormous pending-ARU state). *)
 
 type best = {
-  best_snap : snapshot;
-      (** effective (composed when a delta won) snapshot to restore *)
+  best_snap : snapshot;  (** the winning generation's fields *)
+  best_blocks : Block_map.t;
+  best_lists : List_table.t;
+      (** the restored tables: the winner's, over its base when it is a
+          delta *)
   best_region : int;  (** region of the winning generation *)
   best_full_region : int;
       (** region of the full base the winner depends on (equal to
@@ -136,8 +131,9 @@ val read_best : Lld_disk.Disk.t -> best option
     full is also decodable, and the candidate with the highest
     [ckpt_id] wins.  [None] when neither region yields a candidate.  The
     winner is chosen from each payload's header (version, kind, base id,
-    [ckpt_id]), and only the winner is decoded, plus its base when a
-    delta wins; the result is the same as decoding both regions first.
-    A region whose read raises [Fault.Media_error] counts as empty, so
-    recovery survives an unreadable region by falling back to the other
-    generation.  Both regions are always read and checksummed. *)
+    [ckpt_id]), then decoded into fresh tables sized for the disk, its
+    base full first when a delta wins; the result is the same as
+    decoding both regions first.  A region whose read raises
+    [Fault.Media_error] counts as empty, so recovery survives an
+    unreadable region by falling back to the other generation.  Both
+    regions are always read and checksummed. *)

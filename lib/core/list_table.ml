@@ -19,6 +19,12 @@ let anchor t l =
     Hashtbl.replace t.table i r;
     r
 
+(* identifiers start at 1, and the pool never hands out more than
+   [max_lists] of them *)
+let in_range t l =
+  let i = Types.List_id.to_int l in
+  i >= 1 && i <= t.max_lists
+
 let find_anchor t l = Hashtbl.find_opt t.table (Types.List_id.to_int l)
 
 let alloc_id t =

@@ -14,6 +14,10 @@ val anchor : t -> Types.List_id.t -> Record.list_r
 (** The persistent record for the identifier, created on first use
     (with [exists = false]). *)
 
+val in_range : t -> Types.List_id.t -> bool
+(** Whether the identifier is one {!alloc_id} can hand out: from 1 to
+    [max_lists]. *)
+
 val find_anchor : t -> Types.List_id.t -> Record.list_r option
 (** The persistent record only if it was ever materialised. *)
 

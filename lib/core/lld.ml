@@ -432,55 +432,30 @@ let checkpoint_internal ?(extra_free = []) ?(force_full = false) t =
       ]
   @@ fun () ->
   Seglog.seal t.log;
-  let blocks, lists, dead_blocks, dead_lists =
-    if delta then begin
-      let sorted tbl =
-        List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
-      in
-      let blocks, dead_blocks =
-        List.partition_map
-          (fun bi ->
-            let id = Types.Block_id.of_int bi in
-            let r = Block_map.anchor t.v.Versions.blocks id in
-            if r.Record.alloc then Either.Left (Versions.block_entry r)
-            else Either.Right bi)
-          (sorted t.dirty_blocks)
-      in
-      let lists, dead_lists =
-        List.partition_map
-          (fun li ->
-            let id = Types.List_id.of_int li in
-            match List_table.find_anchor t.v.Versions.lists id with
-            | Some r when r.Record.exists ->
-              Either.Left (Versions.list_entry t.v r)
-            | Some _ | None -> Either.Right li)
-          (sorted t.dirty_lists)
-      in
-      (blocks, lists, dead_blocks, dead_lists)
-    end
-    else
-      let blocks, lists = Versions.entries t.v in
-      (blocks, lists, [], [])
-  in
   let pending =
     Hashtbl.fold (fun aru rev acc -> (aru, List.rev rev) :: acc) t.pending []
+  in
+  let sorted tbl =
+    List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
   in
   t.ckpt_id <- t.ckpt_id + 1;
   let snap =
     {
       Checkpoint.ckpt_id = t.ckpt_id;
       kind =
-        (if delta then Checkpoint.Delta { base_id = t.full_ckpt_id }
+        (if delta then
+           Checkpoint.Delta
+             {
+               base_id = t.full_ckpt_id;
+               blocks = sorted t.dirty_blocks;
+               lists = sorted t.dirty_lists;
+             }
          else Checkpoint.Full);
       covered_seq = Seglog.next_seq t.log - 1;
       next_seq = Seglog.next_seq t.log;
       stamp = t.ops.Ld_ops.stamp;
       next_aru = t.ops.Ld_ops.next_aru;
       next_gid = t.next_gid;
-      blocks;
-      lists;
-      dead_blocks;
-      dead_lists;
       pending;
       free_order = Seglog.free_order t.log @ extra_free;
       prepared =
@@ -491,7 +466,9 @@ let checkpoint_internal ?(extra_free = []) ?(force_full = false) t =
              t.prepared_commits []);
     }
   in
-  Checkpoint.write t.disk ~region:target snap;
+  Checkpoint.write t.disk ~region:target
+    ~owner_active:(Versions.owner_active t.v)
+    t.v.Versions.blocks t.v.Versions.lists snap;
   (* advance the generational superblock: epoch = ckpt_id, so parity
      alternates and the previous generation's slot survives a torn
      write of this one *)

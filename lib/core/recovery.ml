@@ -1,4 +1,3 @@
-module Disk = Lld_disk.Disk
 module Obs = Lld_obs.Obs
 module Tr = Lld_obs.Trace
 
@@ -244,7 +243,6 @@ let lld_effects =
 
 let recover ?(obs = Obs.null) ?(sweep = true) ?(decisions = fun _ -> None) disk
     =
-  let geom = Disk.geometry disk in
   (* Generational superblock gate: a formatted disk always carries at
      least one valid slot.  Both slots invalid while a checkpoint still
      parses (or vice versa) is media corruption of a formatted image —
@@ -254,25 +252,21 @@ let recover ?(obs = Obs.null) ?(sweep = true) ?(decisions = fun _ -> None) disk
     | Some s -> s.Superblock.epoch
     | None -> 0
   in
-  let best, blocks, lists =
+  let best =
     Obs.timed obs Tr.Recovery "checkpoint_restore" @@ fun () ->
-    let best =
-      match Checkpoint.read_best disk with
-      | None ->
-        if sb_epoch > 0 then
-          raise (Errors.Corruption Errors.All_generations_corrupted)
-        else Errors.corrupt "no valid checkpoint: disk not formatted"
-      | Some b ->
-        if sb_epoch = 0 then
-          raise (Errors.Corruption Errors.All_generations_corrupted)
-        else b
-    in
-    let blocks = Block_map.create ~capacity:(Disk_layout.block_capacity geom) in
-    let lists = List_table.create ~max_lists:(Disk_layout.max_lists geom) in
-    Versions.restore best.Checkpoint.best_snap blocks lists;
-    (best, blocks, lists)
+    match Checkpoint.read_best disk with
+    | None ->
+      if sb_epoch > 0 then
+        raise (Errors.Corruption Errors.All_generations_corrupted)
+      else Errors.corrupt "no valid checkpoint: disk not formatted"
+    | Some b ->
+      if sb_epoch = 0 then
+        raise (Errors.Corruption Errors.All_generations_corrupted)
+      else b
   in
   let snap = best.Checkpoint.best_snap in
+  let blocks = best.Checkpoint.best_blocks in
+  let lists = best.Checkpoint.best_lists in
   (* Find the log tail (Seglog.read_tail): read along the checkpoint's
      recorded free-segment order until the sequence numbers stop being
      contiguous.  A checkpoint written while the free queue was empty (a

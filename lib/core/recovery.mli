@@ -4,11 +4,12 @@
     {!recover} runs in phases, each a [recovery] span:
 
     + {e checkpoint restore} — {!Checkpoint.read_best} picks the newest
-      consistent generation (a full, or a delta composed over its full
-      base; a torn newest falls back), and the block-number map / list
-      table are rebuilt from it.  Both regions are read and checksummed,
-      but only the generation restored (and its base) is decoded.  A
-      region that raises a media error is treated as empty.
+      consistent generation (a full, or a delta over its full base; a
+      torn newest falls back) and decodes it straight into a fresh
+      block-number map and list table: the base full first, then the
+      delta.  Both regions are read and checksummed, but only the
+      generation restored (and its base) is decoded.  A region that
+      raises a media error is treated as empty.
     + {e tail scan} ([replay]) — segments sealed after the checkpoint
       are read along the checkpoint's recorded free order until the
       sequence numbers stop being contiguous (a torn or unwritten

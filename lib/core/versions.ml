@@ -287,60 +287,3 @@ let abandoned_lists t =
         acc := anchor.Record.lid :: !acc
       | Some _ | None -> ());
   !acc
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoint entries                                                  *)
-
-(* Entries and records share their option boxes and [phys] records
-   (all immutable): neither direction allocates more than the entry. *)
-let block_entry (r : Record.block) =
-  {
-    Checkpoint.b_id = Types.Block_id.to_int r.Record.id;
-    b_member = r.Record.member_of;
-    b_succ = r.Record.successor;
-    b_phys = r.Record.phys;
-    b_stamp = r.Record.stamp;
-  }
-
-let list_entry t (r : Record.list_r) =
-  let l_owner =
-    match r.Record.l_owner with
-    | Some o when owner_active t o -> r.Record.l_owner
-    | Some _ | None -> None
-  in
-  {
-    Checkpoint.l_id = Types.List_id.to_int r.Record.lid;
-    l_first = r.Record.first;
-    l_last = r.Record.last;
-    l_stamp = r.Record.lstamp;
-    l_owner;
-  }
-
-let entries t =
-  let blocks = ref [] in
-  let lists = ref [] in
-  Block_map.iter t.blocks (fun r ->
-      if r.Record.alloc then blocks := block_entry r :: !blocks);
-  List_table.iter t.lists (fun r ->
-      if r.Record.exists then lists := list_entry t r :: !lists);
-  (List.rev !blocks, List.rev !lists)
-
-let restore (snap : Checkpoint.snapshot) blocks lists =
-  List.iter
-    (fun (b : Checkpoint.block_entry) ->
-      let r = Block_map.anchor blocks (Types.Block_id.of_int b.b_id) in
-      r.Record.alloc <- true;
-      r.Record.member_of <- b.b_member;
-      r.Record.successor <- b.b_succ;
-      r.Record.phys <- b.b_phys;
-      r.Record.stamp <- b.b_stamp)
-    snap.Checkpoint.blocks;
-  List.iter
-    (fun (l : Checkpoint.list_entry) ->
-      let r = List_table.anchor lists (Types.List_id.of_int l.l_id) in
-      r.Record.exists <- true;
-      r.Record.first <- l.l_first;
-      r.Record.last <- l.l_last;
-      r.Record.lstamp <- l.l_stamp;
-      r.Record.l_owner <- l.l_owner)
-    snap.Checkpoint.lists

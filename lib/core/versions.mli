@@ -1,7 +1,6 @@
 (** The version store both Logical Disk implementations read through:
     owner visibility, the views of the record mesh (paper §3.3), the
-    splice contexts over them, the introspection walks, and the mapping
-    between anchors and {!Checkpoint} entries.
+    splice contexts over them, and the introspection walks.
 
     An instance has one of three layer shapes, fixed by what it is:
     {!Anchors} alone (LLD's sequential prototype); {!Anchors_shadows},
@@ -112,16 +111,3 @@ val orphan_blocks : t -> Types.Block_id.t list
 
 val abandoned_lists : t -> Types.List_id.t list
 (** Empty lists allocated by an ARU that has ended, highest id first. *)
-
-(** {1 Checkpoint entries} *)
-
-val block_entry : Record.block -> Checkpoint.block_entry
-
-val list_entry : t -> Record.list_r -> Checkpoint.list_entry
-(** Keeps the owner only while that ARU is active. *)
-
-val entries : t -> Checkpoint.block_entry list * Checkpoint.list_entry list
-(** Every allocated block and existing list anchor, in id order. *)
-
-val restore : Checkpoint.snapshot -> Block_map.t -> List_table.t -> unit
-(** Load a snapshot's entries into the anchors. *)

@@ -788,11 +788,6 @@ let load ?(clock = Clock.create ()) trace images =
         trace.tr_geom)
     images
 
-let crash_now disk =
-  Fault.schedule_crash (Disk.fault disk) (Fault.After_writes 0);
-  try Disk.write disk ~offset:0 (Bytes.make 1 'x')
-  with Fault.Crashed -> ()
-
 (* Check fully materialised crash images (consumed, not copied). *)
 let check_images ?recover_config trace images =
   let config = Option.value recover_config ~default:trace.tr_config in
@@ -804,7 +799,7 @@ let check_images ?recover_config trace images =
     (* idempotency: recovery ends with its own checkpoint write; crash
        every disk in place right after it and recover again — the state
        must not change *)
-    Array.iter crash_now disks;
+    Array.iter Disk.crash disks;
     match recover () with
     | Error e ->
       problems @ [ "recovery after recovery raised: " ^ Printexc.to_string e ]

@@ -166,6 +166,10 @@ let read_view t ~offset ~length =
 let write t ~offset data = write_view t ~offset (Blk.of_bytes data)
 let read t ~offset ~length = Blk.to_bytes (read_view t ~offset ~length)
 
+let crash t =
+  Fault.schedule_crash t.fault (Fault.After_writes 0);
+  try write t ~offset:0 (Bytes.make 1 'x') with Fault.Crashed -> ()
+
 let counters t =
   {
     writes = t.writes;

@@ -65,6 +65,13 @@ val write : t -> offset:int -> bytes -> unit
 val read : t -> offset:int -> length:int -> bytes
 (** {!read_view} through a converting copy. *)
 
+val crash : t -> unit
+(** Power fails now: a crash is scheduled at the next write, and that
+    write (one byte at offset 0) is issued and lost.  Like any request
+    it first applies queued rot; like any crashed write it charges
+    nothing to the clock and stores nothing.  A device that has already
+    crashed stays crashed. *)
+
 (** {2 Tracing and imaging}
 
     Hooks for the crash-consistency checker ([lib/crashcheck]): an

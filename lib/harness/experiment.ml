@@ -8,7 +8,6 @@ module Engine = Lld_core.Engine
 module Shard = Lld_core.Shard
 module Shard_engine = Engine.Make (Shard)
 module Recovery = Lld_core.Recovery
-module Fault = Lld_disk.Fault
 module Disk = Lld_disk.Disk
 module Clock = Lld_sim.Clock
 module Setup = Lld_workload.Setup
@@ -483,9 +482,7 @@ let recovery_cost =
         let segments =
           (Lld.counters inst.Setup.lld).Counters.segments_written
         in
-        Fault.schedule_crash (Disk.fault inst.Setup.disk) (Fault.After_writes 0);
-        (try Disk.write inst.Setup.disk ~offset:0 (Bytes.make 1 'x')
-         with Fault.Crashed -> ());
+        Disk.crash inst.Setup.disk;
         let t0 = Clock.now_ns inst.Setup.clock in
         let _lld, report = Lld.recover inst.Setup.disk in
         {
@@ -589,9 +586,7 @@ let restart_cost =
         done;
         Lld.flush lld;
         let log_segments = (Lld.counters lld).Counters.segments_written in
-        Fault.schedule_crash (Disk.fault disk) (Fault.After_writes 0);
-        (try Disk.write disk ~offset:0 (Bytes.make 1 'x')
-         with Fault.Crashed -> ());
+        Disk.crash disk;
         let t0 = Clock.now_ns clock in
         let lld2, _report = Lld.recover disk in
         let c2 = Lld.counters lld2 in

@@ -217,7 +217,6 @@ let table_magic = 0x4a544142 (* "JTAB" *)
 
 let write_tables t =
   let bb = block_bytes t in
-  let blocks, lists = Versions.entries t.v in
   let snap =
     {
       Lld_core.Checkpoint.ckpt_id = t.epoch + 1;
@@ -227,16 +226,17 @@ let write_tables t =
       stamp = t.ops.Ld_ops.stamp;
       next_aru = t.ops.Ld_ops.next_aru;
       next_gid = 1;
-      blocks;
-      lists;
-      dead_blocks = [];
-      dead_lists = [];
       pending = [];
       free_order = [];
       prepared = [];
     }
   in
-  let payload = Blk.to_bytes (Lld_core.Checkpoint.encode snap) in
+  let payload =
+    Blk.to_bytes
+      (Lld_core.Checkpoint.encode
+         ~owner_active:(Versions.owner_active t.v)
+         t.v.Versions.blocks t.v.Versions.lists snap)
+  in
   let header = 16 in
   let total = header + Bytes.length payload + 8 in
   let region_bytes = t.layout.table_blocks * bb in
@@ -263,15 +263,11 @@ let read_tables disk bb layout region =
     let total = 16 + len + 8 in
     if total > layout.table_blocks * bb then None
     else begin
-      let image = Disk.read disk ~offset:(region * bb) ~length:total in
+      let image = Disk.read_view disk ~offset:(region * bb) ~length:total in
       let sum_off = 16 + len in
-      let stored = Bytes.get_int64_le image sum_off in
-      if not (Int64.equal stored (Blk.hash64 ~len:sum_off (Blk.of_bytes image))) then
-        None
-      else
-        match Lld_core.Checkpoint.decode (Blk.of_bytes (Bytes.sub image 16 len)) with
-        | snap -> Some (epoch, snap)
-        | exception Errors.Corrupt _ -> None
+      let stored = Blk.get_u64 image sum_off in
+      if not (Int64.equal stored (Blk.hash64 ~len:sum_off image)) then None
+      else Some (epoch, Blk.sub image 16 len)
     end
   end
 
@@ -633,19 +629,33 @@ let recover ?(config = default_config) disk =
   let geom = Disk.geometry disk in
   let bb = geom.Geometry.block_bytes in
   let layout = decode_superblock (Disk.read disk ~offset:0 ~length:bb) in
-  let t = make config disk layout in
   let a = read_tables disk bb layout layout.table_a_first in
   let b = read_tables disk bb layout layout.table_b_first in
-  let epoch, snap =
-    match (a, b) with
-    | None, None -> raise (Errors.Corrupt "JLD: no valid tables")
-    | Some x, None | None, Some x -> x
-    | Some ((ea, _) as x), Some ((eb, _) as y) -> if ea >= eb then x else y
+  (* the higher epoch wins (region A on a tie); when its payload does
+     not decode, a fresh handle takes the other region *)
+  let restore (epoch, payload) =
+    let t = make config disk layout in
+    match
+      Lld_core.Checkpoint.decode_into t.v.Versions.blocks t.v.Versions.lists
+        payload
+    with
+    | snap ->
+      t.epoch <- epoch;
+      t.ops.Ld_ops.stamp <- snap.Lld_core.Checkpoint.stamp;
+      t.ops.Ld_ops.next_aru <- snap.Lld_core.Checkpoint.next_aru;
+      Some t
+    | exception Errors.Corrupt _ -> None
   in
-  t.epoch <- epoch;
-  t.ops.Ld_ops.stamp <- snap.Lld_core.Checkpoint.stamp;
-  t.ops.Ld_ops.next_aru <- snap.Lld_core.Checkpoint.next_aru;
-  Versions.restore snap t.v.Versions.blocks t.v.Versions.lists;
+  let newest_first =
+    List.stable_sort
+      (fun (ea, _) (eb, _) -> Int.compare eb ea)
+      (List.filter_map Fun.id [ a; b ])
+  in
+  let t =
+    match List.find_map restore newest_first with
+    | Some t -> t
+    | None -> raise (Errors.Corrupt "JLD: no valid tables")
+  in
   let chunks = replay_journal t in
   Block_map.rebuild_free t.v.Versions.blocks;
   List_table.rebuild_free t.v.Versions.lists;

@@ -369,10 +369,6 @@ module Agreement = struct
         (String.concat "\n" (List.rev ld.history));
     rl
 
-  let crash disk =
-    Fault.schedule_crash (Disk.fault disk) (Fault.After_writes 0);
-    try Disk.write disk ~offset:0 (Bytes.make 1 'x') with Fault.Crashed -> ()
-
   (* What each open ARU holds: blocks and lists, by id. *)
   type gen = {
     rng : Random.State.t;
@@ -499,8 +495,8 @@ module Agreement = struct
      them what they held. *)
   let restart ld g ldisk jdisk =
     ignore (apply ld Op.Flush);
-    crash ldisk;
-    crash jdisk;
+    Disk.crash ldisk;
+    Disk.crash jdisk;
     ld.l <- fst (Lld.recover ldisk);
     ld.j <- fst (Jld.recover jdisk);
     ld.history <- "crash, recover" :: ld.history;

@@ -2,9 +2,9 @@ open Helpers
 module Checkpoint = Lld_core.Checkpoint
 module Disk_layout = Lld_core.Disk_layout
 module Fault = Lld_disk.Fault
+module Blk = Lld_util.Blk
 
 let snapshot ?(ckpt_id = 5) ?(kind = Checkpoint.Full) ?(covered_seq = 42)
-    ?(blocks = []) ?(lists = []) ?(dead_blocks = []) ?(dead_lists = [])
     ?(pending = []) ?(free_order = []) ?(prepared = []) () =
   {
     Checkpoint.ckpt_id;
@@ -14,164 +14,278 @@ let snapshot ?(ckpt_id = 5) ?(kind = Checkpoint.Full) ?(covered_seq = 42)
     stamp = 1000;
     next_aru = 9;
     next_gid = 1;
-    blocks;
-    lists;
-    dead_blocks;
-    dead_lists;
     pending;
     free_order;
     prepared;
   }
 
-let block_entry i =
-  {
-    Checkpoint.b_id = i;
-    b_member =
-      (if i mod 2 = 0 then Some (Types.List_id.of_int (i / 2)) else None);
-    b_succ = (if i mod 3 = 0 then Some (Types.Block_id.of_int (i + 1)) else None);
-    b_phys =
-      (if i mod 5 = 0 then None
-       else Some { Lld_core.Record.seg_index = i mod 30; slot = i mod 128 });
-    b_stamp = i * 17;
-  }
+(* Block [i]: on list [i / 2] when even, followed by [i + 1] when a
+   multiple of 3, with no data when a multiple of 5. *)
+let block i =
+  ( i,
+    (if i mod 2 = 0 then Some (i / 2) else None),
+    (if i mod 3 = 0 then Some (i + 1) else None),
+    (if i mod 5 = 0 then None else Some (i mod 30, i mod 128)),
+    i * 17 )
 
-let list_entry i =
-  {
-    Checkpoint.l_id = i;
-    l_first = Some (Types.Block_id.of_int (i * 2));
-    l_last = Some (Types.Block_id.of_int ((i * 2) + 9));
-    l_stamp = i * 31;
-    l_owner = (if i mod 4 = 0 then Some (Types.Aru_id.of_int (i + 100)) else None);
-  }
+let list i =
+  (i, Some (i * 2), Some ((i * 2) + 9), i * 31,
+   if i mod 4 = 0 then Some (i + 100) else None)
 
-let test_encode_decode_empty () =
-  let s = snapshot () in
-  Alcotest.(check bool) "roundtrip" true (Checkpoint.decode (Checkpoint.encode s) = s)
+let owner_active _ = true
+
+let encode ?(tables = tables ()) s =
+  Checkpoint.encode ~owner_active (fst tables) (snd tables) s
+
+let write ?(tables = tables ()) disk ~region s =
+  Checkpoint.write disk ~region ~owner_active (fst tables) (snd tables) s
+
+(* A payload decoded into fresh tables: its fields and the tables' dump. *)
+let decode buf =
+  let t = tables () in
+  let s = Checkpoint.decode_into (fst t) (snd t) buf in
+  (s, dump_tables t)
+
+let check_roundtrip what ?(tables = tables ()) s =
+  let s', dump = decode (encode ~tables s) in
+  Alcotest.(check bool) (what ^ ": fields") true (s' = s);
+  Alcotest.(check (list string)) (what ^ ": tables") (dump_tables tables) dump
+
+(* What [read_best] restores: fields, tables, region, full region. *)
+let restored disk =
+  match Checkpoint.read_best disk with
+  | None -> Alcotest.fail "no checkpoint found"
+  | Some b ->
+    ( b.Checkpoint.best_snap,
+      dump_tables (b.Checkpoint.best_blocks, b.Checkpoint.best_lists),
+      b.Checkpoint.best_region,
+      b.Checkpoint.best_full_region )
+
+let best_id disk =
+  let s, _, _, _ = restored disk in
+  s.Checkpoint.ckpt_id
+
+let test_encode_decode_empty () = check_roundtrip "empty" (snapshot ())
 
 let test_encode_decode_populated () =
-  let s =
-    snapshot
-      ~blocks:(List.init 50 block_entry)
-      ~lists:(List.init 20 list_entry)
-      ~pending:
-        [
-          ( 3,
-            [
-              {
-                Checkpoint.pe_op =
-                  Lld_core.Summary.Dealloc
-                    { block = Types.Block_id.of_int 9; stamp = 77 };
-                pe_seg = 12;
-              };
-            ] );
-        ]
-      ~free_order:[ 10; 11; 12; 13 ] ()
-  in
-  Alcotest.(check bool) "roundtrip" true (Checkpoint.decode (Checkpoint.encode s) = s)
+  check_roundtrip "populated"
+    ~tables:
+      (tables ~blocks:(List.init 50 block)
+         ~lists:(List.init 20 (fun i -> list (i + 1)))
+         ())
+    (snapshot
+       ~pending:
+         [
+           ( 3,
+             [
+               {
+                 Checkpoint.pe_op =
+                   Lld_core.Summary.Dealloc
+                     { block = Types.Block_id.of_int 9; stamp = 77 };
+                 pe_seg = 12;
+               };
+             ] );
+         ]
+       ~free_order:[ 10; 11; 12; 13 ] ())
 
 let test_decode_rejects_garbage () =
   Alcotest.check_raises "truncated"
     (Errors.Corrupt "truncated checkpoint payload") (fun () ->
-      ignore (Checkpoint.decode (Lld_util.Blk.of_bytes (Bytes.make 3 'x'))))
+      ignore (decode (Blk.of_bytes (Bytes.make 3 'x'))))
+
+(* The wire bytes of a full and a delta, pinned: the encoder must
+   produce them from these tables, and decoding them (the full, then
+   the delta over it) must give the tables back.  Recovery reads images
+   that older builds wrote, so the bytes may not move. *)
+let pinned_full =
+  {
+    (snapshot ~ckpt_id:7 ~covered_seq:40 ~free_order:[ 9; 10 ] ()) with
+    Checkpoint.stamp = 100;
+    next_aru = 5;
+    next_gid = 3;
+  }
+
+let pinned_full_hex =
+  String.concat ""
+    [
+      "03000000000700000000000000280000000000000029000000000000";
+      "00640000000000000005000000000000000300000000000000030000";
+      "000100000000000000000000000103000000070000000b0000000000";
+      "0000020000000000000000000000000c000000000000000500000002";
+      "000000000000000104000000000000000d0000000000000002000000";
+      "01000000060000000600000015000000000000000400000002000000";
+      "00000000000000001600000000000000000000000000000000000000";
+      "0000000002000000090000000a00000000000000";
+    ]
+
+let pinned_delta =
+  {
+    (snapshot ~ckpt_id:8
+       ~kind:(Checkpoint.Delta { base_id = 7; blocks = [ 1; 2; 6 ]; lists = [ 2 ] })
+       ~covered_seq:44
+       ~pending:
+         [
+           ( 3,
+             [
+               {
+                 Checkpoint.pe_op =
+                   Lld_core.Summary.Write
+                     { block = Types.Block_id.of_int 2; slot = 4; stamp = 30 };
+                 pe_seg = 12;
+               };
+             ] );
+         ]
+       ~free_order:[ 11 ] ~prepared:[ (3, 9, 1) ] ())
+    with
+    Checkpoint.stamp = 130;
+    next_aru = 6;
+    next_gid = 4;
+  }
+
+let pinned_delta_hex =
+  String.concat ""
+    [
+      "0300000001070000000000000008000000000000002c000000000000";
+      "002d0000000000000082000000000000000600000000000000040000";
+      "00000000000100000002000000000000000000000001060000000200";
+      "00001e00000000000000000000000200000001000000060000000100";
+      "00000200000001000000030000000100000001030000000202000000";
+      "040000001e000000000000000c000000010000000b00000001000000";
+      "0300000009000000000000000100";
+    ]
+
+(* three blocks (one without data, one on a list) and two lists, the
+   second owned by an ARU that is no longer active *)
+let pinned_blocks =
+  [
+    (1, None, None, Some (3, 7), 11);
+    (2, None, None, None, 12);
+    (5, Some 1, None, Some (4, 0), 13);
+  ]
+
+let pinned_list1 = (1, Some 5, Some 5, 21, Some 3)
+
+(* at the delta: block 1 freed, block 2 rewritten, list 2 deleted, and
+   block 6 (never allocated) dirtied *)
+let pinned_delta_tables () =
+  tables
+    ~blocks:[ (2, None, None, Some (6, 2), 30); (5, Some 1, None, Some (4, 0), 13) ]
+    ~lists:[ pinned_list1 ] ()
+
+let hex buf =
+  String.concat ""
+    (List.init (Blk.length buf) (fun i -> Printf.sprintf "%02x" (Blk.get_u8 buf i)))
+
+let of_hex h =
+  Blk.of_bytes
+    (Bytes.init (String.length h / 2) (fun i ->
+         Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2))))
+
+let test_pinned_bytes () =
+  let owner_active o = Types.Aru_id.to_int o = 3 in
+  let encode (blocks, lists) s =
+    hex (Checkpoint.encode ~owner_active blocks lists s)
+  in
+  Alcotest.(check string) "full bytes" pinned_full_hex
+    (encode
+       (tables ~blocks:pinned_blocks
+          ~lists:[ pinned_list1; (2, None, None, 22, Some 4) ] ())
+       pinned_full);
+  Alcotest.(check string) "delta bytes" pinned_delta_hex
+    (encode (pinned_delta_tables ()) pinned_delta);
+  let t = tables () in
+  let decode_into h = Checkpoint.decode_into (fst t) (snd t) (of_hex h) in
+  Alcotest.(check bool) "full fields" true
+    (decode_into pinned_full_hex = pinned_full);
+  Alcotest.(check (list string)) "full tables, inactive owner dropped"
+    (dump_tables
+       (tables ~blocks:pinned_blocks
+          ~lists:[ pinned_list1; (2, None, None, 22, None) ] ()))
+    (dump_tables t);
+  Alcotest.(check bool) "delta fields" true
+    (decode_into pinned_delta_hex = pinned_delta);
+  Alcotest.(check (list string)) "delta tables over the full"
+    (dump_tables (pinned_delta_tables ()))
+    (dump_tables t)
 
 let test_region_write_read () =
   let disk = fresh_disk () in
-  let s = snapshot ~blocks:(List.init 10 block_entry) () in
-  Checkpoint.write disk ~region:0 s;
-  Alcotest.(check bool) "region 0 readable" true
-    (Checkpoint.read_region disk ~region:0 = Some s);
-  Alcotest.(check bool) "region 1 still empty" true
-    (Checkpoint.read_region disk ~region:1 = None)
-
-let best_id disk =
-  match Checkpoint.read_best disk with
-  | Some b -> b.Checkpoint.best_snap.Checkpoint.ckpt_id
-  | None -> Alcotest.fail "no checkpoint found"
+  Alcotest.(check bool) "empty regions" true (Checkpoint.read_best disk = None);
+  let t = tables ~blocks:(List.init 10 block) () in
+  let s = snapshot () in
+  write ~tables:t disk ~region:0 s;
+  let s', dump, region, full_region = restored disk in
+  Alcotest.(check bool) "fields" true (s' = s);
+  Alcotest.(check (list string)) "tables" (dump_tables t) dump;
+  Alcotest.(check (pair int int)) "region 0 alone" (0, 0) (region, full_region)
 
 let test_read_best_prefers_newer () =
   let disk = fresh_disk () in
-  Checkpoint.write disk ~region:0 (snapshot ~ckpt_id:5 ());
-  Checkpoint.write disk ~region:1 (snapshot ~ckpt_id:9 ());
+  write disk ~region:0 (snapshot ~ckpt_id:5 ());
+  write disk ~region:1 (snapshot ~ckpt_id:9 ());
   Alcotest.(check int) "newest wins" 9 (best_id disk);
-  Checkpoint.write disk ~region:0 (snapshot ~ckpt_id:12 ());
+  write disk ~region:0 (snapshot ~ckpt_id:12 ());
   Alcotest.(check int) "alternation" 12 (best_id disk)
 
 let test_torn_checkpoint_write_falls_back () =
   let disk = fresh_disk () in
-  Checkpoint.write disk ~region:0 (snapshot ~ckpt_id:5 ());
-  Checkpoint.write disk ~region:1 (snapshot ~ckpt_id:6 ());
+  write disk ~region:0 (snapshot ~ckpt_id:5 ());
+  write disk ~region:1 (snapshot ~ckpt_id:6 ());
   (* region 0 is being rewritten with ckpt 7 when power fails *)
   Fault.schedule_crash (Disk.fault disk)
     (Fault.During_write { write_index = 0; keep_bytes = 64 });
-  (try Checkpoint.write disk ~region:0 (snapshot ~ckpt_id:7 ())
-   with Fault.Crashed -> ());
+  (try write disk ~region:0 (snapshot ~ckpt_id:7 ()) with Fault.Crashed -> ());
   Fault.reset_after_recovery (Disk.fault disk);
   Alcotest.(check int) "survivor used" 6 (best_id disk)
 
 (* --- generation selection: full + delta ------------------------------ *)
 
-let delta ~base_id = Checkpoint.Delta { base_id }
+let delta ?(blocks = []) ?(lists = []) base_id =
+  Checkpoint.Delta { base_id; blocks; lists }
 
 let test_delta_composes_over_full () =
   let disk = fresh_disk () in
-  let full =
-    snapshot ~ckpt_id:5 ~covered_seq:10
-      ~blocks:[ block_entry 1; block_entry 2; block_entry 4 ]
-      ~lists:[ list_entry 1 ] ()
-  in
+  write disk ~region:0
+    ~tables:(tables ~blocks:[ block 1; block 2; block 4 ] ~lists:[ list 1 ] ())
+    (snapshot ~ckpt_id:5 ~covered_seq:10 ());
   (* the delta rewrites block 2, adds block 6, tombstones block 4, and
      deletes list 1 *)
-  let changed = { (block_entry 2) with Checkpoint.b_stamp = 999 } in
+  let b2, l2, s2, p2, _ = block 2 in
+  let now = tables ~blocks:[ block 1; (b2, l2, s2, p2, 999); block 6 ] () in
   let d =
-    snapshot ~ckpt_id:6 ~kind:(delta ~base_id:5) ~covered_seq:20
-      ~blocks:[ changed; block_entry 6 ]
-      ~dead_blocks:[ 4 ] ~dead_lists:[ 1 ] ()
+    snapshot ~ckpt_id:6
+      ~kind:(delta ~blocks:[ 2; 4; 6 ] ~lists:[ 1 ] 5)
+      ~covered_seq:20 ()
   in
-  Checkpoint.write disk ~region:0 full;
-  Checkpoint.write disk ~region:1 d;
-  match Checkpoint.read_best disk with
-  | None -> Alcotest.fail "no checkpoint found"
-  | Some b ->
-    let s = b.Checkpoint.best_snap in
-    Alcotest.(check int) "delta generation wins" 6 s.Checkpoint.ckpt_id;
-    Alcotest.(check int) "delta covered_seq" 20 s.Checkpoint.covered_seq;
-    Alcotest.(check int) "delta region" 1 b.Checkpoint.best_region;
-    Alcotest.(check int) "full region remembered" 0 b.Checkpoint.best_full_region;
-    Alcotest.(check (list int)) "effective block set" [ 1; 2; 6 ]
-      (List.map (fun (e : Checkpoint.block_entry) -> e.b_id) s.Checkpoint.blocks);
-    Alcotest.(check int) "replacement entry wins" 999
-      (List.find
-         (fun (e : Checkpoint.block_entry) -> e.b_id = 2)
-         s.Checkpoint.blocks)
-        .Checkpoint.b_stamp;
-    Alcotest.(check (list int)) "tombstoned list gone" []
-      (List.map (fun (e : Checkpoint.list_entry) -> e.l_id) s.Checkpoint.lists)
+  write disk ~region:1 ~tables:now d;
+  let s, dump, region, full_region = restored disk in
+  Alcotest.(check int) "delta generation wins" 6 s.Checkpoint.ckpt_id;
+  Alcotest.(check int) "delta covered_seq" 20 s.Checkpoint.covered_seq;
+  Alcotest.(check int) "delta region" 1 region;
+  Alcotest.(check int) "full region remembered" 0 full_region;
+  Alcotest.(check (list string))
+    "blocks 1, 2 (rewritten) and 6; list 1 gone" (dump_tables now) dump
 
 let test_torn_delta_falls_back_to_full () =
   let disk = fresh_disk () in
-  Checkpoint.write disk ~region:0 (snapshot ~ckpt_id:5 ~covered_seq:10 ());
+  write disk ~region:0 (snapshot ~ckpt_id:5 ~covered_seq:10 ());
   Fault.schedule_crash (Disk.fault disk)
     (Fault.During_write { write_index = 0; keep_bytes = 100 });
   (try
-     Checkpoint.write disk ~region:1
-       (snapshot ~ckpt_id:6 ~kind:(delta ~base_id:5) ~covered_seq:20 ())
+     write disk ~region:1 (snapshot ~ckpt_id:6 ~kind:(delta 5) ~covered_seq:20 ())
    with Fault.Crashed -> ());
   Fault.reset_after_recovery (Disk.fault disk);
-  match Checkpoint.read_best disk with
-  | None -> Alcotest.fail "lost both generations"
-  | Some b ->
-    Alcotest.(check int) "full base survives" 5
-      b.Checkpoint.best_snap.Checkpoint.ckpt_id;
-    Alcotest.(check int) "its region is the full region" 0
-      b.Checkpoint.best_full_region
+  let s, _, _, full_region = restored disk in
+  Alcotest.(check int) "full base survives" 5 s.Checkpoint.ckpt_id;
+  Alcotest.(check int) "its region is the full region" 0 full_region
 
 let test_orphaned_delta_ignored () =
   let disk = fresh_disk () in
   (* the delta names base 5, but the other region holds full 8 — a
-     fresher full has superseded it, so composing would be wrong *)
-  Checkpoint.write disk ~region:0 (snapshot ~ckpt_id:8 ~covered_seq:30 ());
-  Checkpoint.write disk ~region:1
-    (snapshot ~ckpt_id:6 ~kind:(delta ~base_id:5) ~covered_seq:20 ());
+     fresher full has superseded it, so restoring it over 8 would be
+     wrong *)
+  write disk ~region:0 (snapshot ~ckpt_id:8 ~covered_seq:30 ());
+  write disk ~region:1 (snapshot ~ckpt_id:6 ~kind:(delta 5) ~covered_seq:20 ());
   Alcotest.(check int) "orphaned delta ignored" 8 (best_id disk)
 
 (* Payloads that pass every checksum yet do not decode.  A region's
@@ -181,13 +295,15 @@ let test_orphaned_delta_ignored () =
    decoder can tell.  One breaks the header (the payload version), the
    other the body behind it (a full's block count, at payload offset 53
    after version, kind, ckpt_id and five u64 scalars). *)
-let spoil ~pos ~value disk ~region =
-  let module Blk = Lld_util.Blk in
+let first_chunk disk ~region =
   let geom = Disk.geometry disk in
   let offset =
     Geometry.segment_offset geom (Disk_layout.region_first geom ~region)
   in
-  let chunk = Disk.read_view disk ~offset ~length:geom.Geometry.segment_bytes in
+  (offset, Disk.read_view disk ~offset ~length:geom.Geometry.segment_bytes)
+
+let spoil ~pos ~value disk ~region =
+  let offset, chunk = first_chunk disk ~region in
   let len = Blk.get_u32 chunk 20 in
   Blk.set_u32 chunk (28 + pos) value;
   Blk.set_u64 chunk (28 + len) (Blk.hash64 ~pos:0 ~len:(28 + len) chunk);
@@ -203,12 +319,16 @@ let test_undecodable_newer_full_loses () =
   List.iter
     (fun (what, spoil) ->
       let disk = fresh_disk () in
-      Checkpoint.write disk ~region:0 (snapshot ~ckpt_id:5 ~covered_seq:10 ());
-      Checkpoint.write disk ~region:1
-        (snapshot ~ckpt_id:6 ~covered_seq:20 ~blocks:[ block_entry 1 ] ());
+      write disk ~region:0 (snapshot ~ckpt_id:5 ~covered_seq:10 ());
+      write disk ~region:1
+        ~tables:(tables ~blocks:[ block 1 ] ())
+        (snapshot ~ckpt_id:6 ~covered_seq:20 ());
       spoil disk ~region:1;
+      let _, chunk = first_chunk disk ~region:1 in
       Alcotest.(check bool) (what ^ ": region does not decode") true
-        (Checkpoint.read_region disk ~region:1 = None);
+        (match decode (Blk.sub chunk 28 (Blk.get_u32 chunk 20)) with
+        | _ -> false
+        | exception Errors.Corrupt _ -> true);
       Alcotest.(check int) (what ^ ": older full wins") 5 (best_id disk))
     spoilers
 
@@ -216,68 +336,84 @@ let test_delta_over_undecodable_base () =
   List.iter
     (fun (what, spoil) ->
       let disk = fresh_disk () in
-      Checkpoint.write disk ~region:0
-        (snapshot ~ckpt_id:5 ~covered_seq:10 ~blocks:[ block_entry 1 ] ());
-      Checkpoint.write disk ~region:1
-        (snapshot ~ckpt_id:6 ~kind:(delta ~base_id:5) ~covered_seq:20 ());
+      write disk ~region:0
+        ~tables:(tables ~blocks:[ block 1 ] ())
+        (snapshot ~ckpt_id:5 ~covered_seq:10 ());
+      write disk ~region:1 (snapshot ~ckpt_id:6 ~kind:(delta 5) ~covered_seq:20 ());
       spoil disk ~region:0;
       Alcotest.(check bool) (what ^ ": no generation") true
         (Checkpoint.read_best disk = None))
     spoilers
 
-let test_delta_codec_roundtrip () =
-  let s =
-    snapshot ~ckpt_id:7 ~kind:(delta ~base_id:3)
-      ~blocks:[ block_entry 1 ] ~dead_blocks:[ 9; 12 ] ~dead_lists:[ 2 ] ()
-  in
-  Alcotest.(check bool) "roundtrip" true
-    (Checkpoint.decode (Checkpoint.encode s) = s)
+(* A checksummed full that names an identifier outside the disk's
+   tables is as corrupt as one that does not parse: it drops out, and
+   the older generation beside it is restored. *)
+let test_identifier_outside_the_disk () =
+  let capacity = Disk_layout.block_capacity small_geom in
+  List.iter
+    (fun (what, blocks, lists) ->
+      let disk = fresh_disk () in
+      let older = tables ~blocks:[ block 1 ] () in
+      write disk ~region:0 ~tables:older (snapshot ~ckpt_id:5 ~covered_seq:10 ());
+      write disk ~region:1
+        ~tables:(tables ~capacity:(capacity + 10) ~blocks ~lists ())
+        (snapshot ~ckpt_id:6 ~covered_seq:20 ());
+      let s, dump, region, _ = restored disk in
+      Alcotest.(check int) (what ^ ": older full wins") 5 s.Checkpoint.ckpt_id;
+      Alcotest.(check int) (what ^ ": from region 0") 0 region;
+      Alcotest.(check (list string)) (what ^ ": its tables") (dump_tables older)
+        dump)
+    [
+      ("block", [ (capacity + 5, None, None, None, 1) ], []);
+      ("list", [], [ (capacity + 5, None, None, 1, None) ]);
+    ]
 
+let test_delta_codec_roundtrip () =
+  check_roundtrip "delta"
+    ~tables:(tables ~blocks:[ block 1 ] ())
+    (snapshot ~ckpt_id:7 ~kind:(delta ~blocks:[ 1; 9; 12 ] ~lists:[ 2 ] 3) ())
+
+(* Chunking is exercised with free-order entries (4 bytes each): the
+   tables' identifiers must stay inside the disk, and a full table of
+   the small test disk fits in one chunk. *)
 let test_multi_chunk_checkpoint () =
-  (* enough block entries to spill across several region segments *)
   let disk = fresh_disk () in
   let geom = Disk.geometry disk in
-  let entries_needed = (2 * geom.Geometry.segment_bytes / 22) + 100 in
-  let s = snapshot ~blocks:(List.init entries_needed block_entry) () in
-  Checkpoint.write disk ~region:1 s;
-  Alcotest.(check bool) "multi-chunk roundtrip" true
-    (Checkpoint.read_region disk ~region:1 = Some s)
+  let entries_needed = (2 * geom.Geometry.segment_bytes / 4) + 100 in
+  let s = snapshot ~free_order:(List.init entries_needed Fun.id) () in
+  write disk ~region:1 s;
+  let s', _, _, _ = restored disk in
+  Alcotest.(check bool) "multi-chunk roundtrip" true (s' = s)
 
 (* The chunk boundary.  A payload of exactly [chunk_capacity] bytes is
    one chunk (read back as a view of its segment's read); one entry
    more spills into a second chunk (read back stitched).  Both must
-   come back equal through [read_region] and through [read_best]. *)
+   come back equal through [read_best]. *)
 let test_chunk_boundary () =
   let geom = Disk.geometry (fresh_disk ()) in
   let cap = Checkpoint.chunk_capacity geom in
-  let size s = Lld_util.Blk.length (Checkpoint.encode s) in
+  let size ?tables s = Blk.length (encode ?tables s) in
   (* a block entry without [phys] is 21 bytes and a free-order entry 4:
-     as many block entries as leave a multiple of 4, then free order
-     (each block entry fewer adds 21, that is 1 modulo 4) *)
+     as many block entries as the payload's remainder modulo 4 (each
+     adds 1 modulo 4), then free order *)
   let base = size (snapshot ()) in
-  let blocks = (cap - base) / 21 in
-  let blocks = blocks - ((4 - ((cap - base - (21 * blocks)) mod 4)) mod 4) in
-  let no_phys i = { (block_entry i) with Checkpoint.b_phys = None } in
-  let free = (cap - base - (21 * blocks)) / 4 in
-  let exact =
-    snapshot
-      ~blocks:(List.init blocks no_phys)
-      ~free_order:(List.init free Fun.id) ()
+  let nblocks = (cap - base) mod 4 in
+  let t =
+    tables ~blocks:(List.init nblocks (fun i -> (i, None, None, None, i))) ()
   in
-  Alcotest.(check int) "payload fills one chunk exactly" cap (size exact);
+  let free = (cap - base - (21 * nblocks)) / 4 in
+  let exact = snapshot ~free_order:(List.init free Fun.id) () in
+  Alcotest.(check int) "payload fills one chunk exactly" cap
+    (size ~tables:t exact);
   let over = { exact with Checkpoint.free_order = free :: exact.free_order } in
-  Alcotest.(check int) "one entry more" (cap + 4) (size over);
+  Alcotest.(check int) "one entry more" (cap + 4) (size ~tables:t over);
   List.iter
     (fun (what, s) ->
       let disk = fresh_disk () in
-      Checkpoint.write disk ~region:0 s;
-      Alcotest.(check bool) (what ^ ": read_region") true
-        (Checkpoint.read_region disk ~region:0 = Some s);
-      match Checkpoint.read_best disk with
-      | Some b ->
-        Alcotest.(check bool) (what ^ ": read_best") true
-          (b.Checkpoint.best_snap = s)
-      | None -> Alcotest.failf "%s: no checkpoint found" what)
+      write disk ~tables:t ~region:0 s;
+      let s', dump, _, _ = restored disk in
+      Alcotest.(check bool) (what ^ ": fields") true (s' = s);
+      Alcotest.(check (list string)) (what ^ ": tables") (dump_tables t) dump)
     [ ("one chunk", exact); ("two chunks", over) ]
 
 let test_oversized_checkpoint_rejected () =
@@ -286,10 +422,9 @@ let test_oversized_checkpoint_rejected () =
   let region_bytes =
     Lld_core.Disk_layout.region_segments geom * geom.Geometry.segment_bytes
   in
-  let entries = (region_bytes / 22) + 10_000 in
-  let s = snapshot ~blocks:(List.init entries block_entry) () in
+  let s = snapshot ~free_order:(List.init ((region_bytes / 4) + 10_000) Fun.id) () in
   Alcotest.check_raises "does not fit" Errors.Disk_full (fun () ->
-      Checkpoint.write disk ~region:0 s)
+      write disk ~region:0 s)
 
 (* --- read order --------------------------------------------------- *)
 
@@ -316,8 +451,8 @@ let read_offsets disk f =
 let test_region_read_order () =
   let disk = fresh_disk () in
   let geom = Disk.geometry disk in
-  Checkpoint.write disk ~region:0 (snapshot ~ckpt_id:5 ());
-  Checkpoint.write disk ~region:1 (snapshot ~ckpt_id:6 ());
+  write disk ~region:0 (snapshot ~ckpt_id:5 ());
+  write disk ~region:1 (snapshot ~ckpt_id:6 ());
   let region r =
     Geometry.segment_offset geom (Disk_layout.region_first geom ~region:r)
   in
@@ -368,6 +503,7 @@ let () =
           Alcotest.test_case "populated roundtrip" `Quick
             test_encode_decode_populated;
           Alcotest.test_case "rejects garbage" `Quick test_decode_rejects_garbage;
+          Alcotest.test_case "pinned wire bytes" `Quick test_pinned_bytes;
         ] );
       ( "regions",
         [
@@ -386,6 +522,8 @@ let () =
             test_undecodable_newer_full_loses;
           Alcotest.test_case "delta over undecodable base" `Quick
             test_delta_over_undecodable_base;
+          Alcotest.test_case "identifier outside the disk loses" `Quick
+            test_identifier_outside_the_disk;
           Alcotest.test_case "delta codec roundtrip" `Quick
             test_delta_codec_roundtrip;
           Alcotest.test_case "multi-chunk payloads" `Quick

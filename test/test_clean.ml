@@ -88,8 +88,7 @@ let test_clean_after_recovery () =
   let config = { Config.default with Config.auto_clean = false } in
   let disk, lld = fresh_lld ~config ~geom:geom16 () in
   let keep = fill_and_delete lld (new_list lld) in
-  Fault.schedule_crash (Disk.fault disk) (Fault.After_writes 0);
-  (try Disk.write disk ~offset:0 (Bytes.make 1 'x') with Fault.Crashed -> ());
+  Disk.crash disk;
   let lld2, _ = Lld.recover ~config disk in
   let free_before = Lld.free_segments lld2 in
   Lld.clean lld2 ~target_free:(free_before + 2);

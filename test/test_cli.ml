@@ -43,13 +43,16 @@ let write_file path bytes =
    small to hold a log — and two formatted ones that lost every
    generation of a generational structure: both superblock slots (blocks
    0 and 1), or the first chunk of both checkpoint regions (segments 1
-   and 4 of a 64-segment image). *)
+   and 4 of a 64-segment image), and a formatted one whose other
+   checkpoint region holds a checksummed, newer full naming a block
+   outside the disk. *)
 let good_image = tmp "good.img"
 let badsize_image = tmp "badsize.img"
 let zeroed_image = tmp "zeroed.img"
 let tiny_image = tmp "tiny.img"
 let no_superblock_image = tmp "no-superblock.img"
 let no_checkpoint_image = tmp "no-checkpoint.img"
+let outside_block_image = tmp "outside-block.img"
 
 (* mkfs target that a rejected geometry must not create *)
 let small_mkfs_image = tmp "small-mkfs.img"
@@ -71,14 +74,41 @@ let setup_images () =
   in
   damaged no_superblock_image [ (0, 2 * 4096) ];
   damaged no_checkpoint_image
-    [ (segment_bytes, segment_bytes); (4 * segment_bytes, segment_bytes) ]
+    [ (segment_bytes, segment_bytes); (4 * segment_bytes, segment_bytes) ];
+  damaged outside_block_image [];
+  let open Helpers in
+  let module Checkpoint = Lld_core.Checkpoint in
+  let geom = Geometry.v ~num_segments:64 () in
+  let disk =
+    Disk.create ~clock:(Clock.create ())
+      ~backend:
+        (Lld_disk.Backend.file ~size:(Geometry.total_bytes geom)
+           outside_block_image)
+      geom
+  in
+  (match Checkpoint.read_best disk with
+  | None -> Alcotest.fail "mkfs fixture has no checkpoint"
+  | Some best ->
+    let capacity = Lld_core.Disk_layout.block_capacity geom in
+    let blocks, lists =
+      tables ~capacity:(capacity + 10)
+        ~blocks:[ (capacity + 5, None, None, None, 1) ]
+        ()
+    in
+    let snap = best.Checkpoint.best_snap in
+    Checkpoint.write disk
+      ~region:(1 - best.Checkpoint.best_full_region)
+      ~owner_active:(fun _ -> false)
+      blocks lists
+      { snap with Checkpoint.ckpt_id = snap.Checkpoint.ckpt_id + 1; kind = Full });
+  Disk.close disk
 
 let cleanup_images () =
   List.iter
     (fun p -> try Sys.remove p with Sys_error _ -> ())
     [
       good_image; badsize_image; zeroed_image; tiny_image; small_mkfs_image;
-      no_superblock_image; no_checkpoint_image;
+      no_superblock_image; no_checkpoint_image; outside_block_image;
     ]
 
 (* The matrix.  [trace]/[stats] run a real (small) workload; [model]
@@ -116,6 +146,13 @@ let matrix () =
         ("superblock slots destroyed", no_superblock_image);
         ("checkpoint generations destroyed", no_checkpoint_image);
       ]
+  (* a newer checkpoint that names a block outside the disk is corrupt
+     and drops out: the older generation mounts *)
+  @ List.map
+      (fun cmd ->
+        (cmd ^ ", newer checkpoint outside the disk",
+         [ cmd; "--file"; outside_block_image ], 0))
+      [ "mount"; "info"; "scrub" ]
   @ [
     ( "trace, small workload",
       [

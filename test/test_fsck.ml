@@ -9,10 +9,6 @@ module Crashcheck = Lld_crashcheck.Crashcheck
    needed.  Without ARUs (the "old" configuration), a crash can leave
    half-created files behind. *)
 
-let crash disk =
-  Fault.schedule_crash (Disk.fault disk) (Fault.After_writes 0);
-  (try Disk.write disk ~offset:0 (Bytes.make 1 'x') with Fault.Crashed -> ())
-
 let payload n = Bytes.init n (fun i -> Char.chr ((i * 13) land 0xff))
 
 (* Run a workload that crashes the disk at the [k]-th segment write
@@ -28,7 +24,7 @@ let crash_during_workload ?geom ~fs_config ~lld_config ~crash_after_writes
     match workload fs with
     | () ->
       (* never hit the crash point: force it now *)
-      crash disk;
+      Disk.crash disk;
       true
     | exception Fault.Crashed -> true
   in
@@ -213,7 +209,7 @@ let test_recovery_then_continued_use () =
   Fs.create fs "/d/a";
   Fs.write_file fs "/d/a" ~off:0 (payload 2048);
   Fs.flush fs;
-  crash disk;
+  Disk.crash disk;
   let lld2, _ = Lld.recover disk in
   let fs2 = Fs.mount lld2 in
   Alcotest.(check bytes) "old data" (payload 2048)

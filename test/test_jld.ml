@@ -42,10 +42,6 @@ let append lld list =
   in
   Jld.new_block lld ~list ~pred ()
 
-let crash disk =
-  Fault.schedule_crash (Disk.fault disk) (Fault.After_writes 0);
-  (try Disk.write disk ~offset:0 (Bytes.make 1 'x') with Fault.Crashed -> ())
-
 let test_basic_ops () =
   let _, lld = fresh () in
   let l = Jld.new_list lld () in
@@ -94,7 +90,7 @@ let test_committed_aru_survives_crash () =
   Jld.write lld ~aru:a b (block_data 42);
   Jld.end_aru lld a;
   Jld.flush lld;
-  crash disk;
+  Disk.crash disk;
   let lld2, chunks = Jld.recover disk in
   Alcotest.(check bool) "journal replayed" true (chunks >= 1);
   Alcotest.(check int) "data recovered" 42 (tag_of (Jld.read lld2 b));
@@ -111,7 +107,7 @@ let test_uncommitted_aru_discarded () =
   let b1 = Jld.new_block lld ~aru:a ~list:l ~pred:(Summary.After b0) () in
   Jld.write lld ~aru:a b1 (block_data 8);
   Jld.flush lld (* flush must not commit the ARU *);
-  crash disk;
+  Disk.crash disk;
   let lld2, _ = Jld.recover disk in
   Alcotest.(check int) "write undone" 1 (tag_of (Jld.read lld2 b0));
   Alcotest.(check int) "insertion undone" 1
@@ -126,7 +122,7 @@ let test_unflushed_lost () =
   Jld.write lld b (block_data 1);
   Jld.flush lld;
   Jld.write lld b (block_data 2) (* committed, never flushed *);
-  crash disk;
+  Disk.crash disk;
   let lld2, _ = Jld.recover disk in
   Alcotest.(check int) "persistent version" 1 (tag_of (Jld.read lld2 b))
 
@@ -137,7 +133,7 @@ let test_checkpoint_and_in_place_data () =
   List.iteri (fun i b -> Jld.write lld b (block_data i)) blocks;
   Jld.checkpoint lld;
   (* after the checkpoint the data lives at its fixed in-place address *)
-  crash disk;
+  Disk.crash disk;
   let lld2, chunks = Jld.recover disk in
   Alcotest.(check int) "nothing left to replay" 0 chunks;
   List.iteri
@@ -201,7 +197,7 @@ let test_reissue_across_recovery =
       Jld.delete_block lld b;
       let b2 = append lld l in
       Jld.flush lld;
-      crash disk;
+      Disk.crash disk;
       (fst (Jld.recover disk), b2))
 
 let test_torn_journal_chunk () =
@@ -255,7 +251,7 @@ let test_multiple_crash_cycles () =
     J.write !lld b (block_data round);
     J.flush !lld;
     blocks := !blocks @ [ (b, round) ];
-    crash disk;
+    Disk.crash disk;
     let recovered, _ = J.recover disk in
     lld := recovered;
     List.iter
@@ -278,7 +274,7 @@ let test_dead_owner_mark_swept () =
   Jld.abort_aru lld a;
   let b0 = Jld.new_block lld ~list:l ~pred:Summary.Head () in
   Jld.flush lld;
-  crash disk;
+  Disk.crash disk;
   let lld2, _ = Jld.recover disk in
   let a2 = Jld.begin_aru lld2 in
   Alcotest.(check int) "ARU id reissued" (Types.Aru_id.to_int a)
@@ -379,9 +375,7 @@ let test_random_workload_crash_sweep () =
              ig (fun () -> ignore (Fs.read_file fs (file d f) ~off:0 ~len:512))
          done;
          Fs.flush fs;
-         Fault.schedule_crash (Disk.fault disk) (Fault.After_writes 0);
-         try Disk.write disk ~offset:0 (Bytes.make 1 'x')
-         with Fault.Crashed -> ()
+         Disk.crash disk
        with Fault.Crashed -> ());
       let lld2, _ = Jld.recover disk in
       let fs2 = Fs.mount lld2 in

@@ -161,8 +161,7 @@ let model_equivalence_scenario seed =
   visible_after committed;
   (* crash with one ARU still open; recovery must keep exactly the
      committed state *)
-  Fault.schedule_crash (Disk.fault disk) (Fault.After_writes 0);
-  (try Disk.write disk ~offset:0 (Bytes.make 1 'x') with Fault.Crashed -> ());
+  Disk.crash disk;
   let lld2, _report = Lld.recover disk in
   List.iter
     (fun c -> check_actor lld2 { c with aru = None })
@@ -249,9 +248,7 @@ let atomicity_scenario (seed, crash_after) =
      done;
      Lld.flush lld;
      (* never crashed: force it so recovery still runs *)
-     Fault.schedule_crash (Disk.fault disk) (Fault.After_writes 0);
-     try Disk.write disk ~offset:0 (Bytes.make 1 'x')
-     with Fault.Crashed -> ()
+     Disk.crash disk
    with Fault.Crashed -> ());
   let lld2, _ = Lld.recover disk in
   for g = 0 to groups - 1 do
@@ -287,8 +284,7 @@ let accounting_scenario seed =
   let l = Lld.new_list lld ~aru () in
   let _b = Lld.new_block lld ~aru ~list:l ~pred:Summary.Head () in
   Lld.flush lld;
-  Fault.schedule_crash (Disk.fault disk) (Fault.After_writes 0);
-  (try Disk.write disk ~offset:0 (Bytes.make 1 'x') with Fault.Crashed -> ());
+  Disk.crash disk;
   let lld2, _ = Lld.recover disk in
   (* every allocated block is on exactly one list *)
   let on_lists =
@@ -357,30 +353,28 @@ let entry_roundtrip =
       Blk.length buf = Summary.encoded_size entry
       && Summary.decode (Blk.Reader.of_view buf) = entry)
 
+(* A random checkpoint over random tables, ids up to 100 000 (so the
+   tables are that large): a full, or a delta whose dirty ids name every
+   anchor plus blocks 1, 5 and 9 and list 2, tombstones unless the
+   tables hold them. *)
+let snapshot_capacity = 100_001
+
 let gen_snapshot =
   let open QCheck.Gen in
-  let block_entry =
+  let block =
     map3
-      (fun b_id (b_member, b_succ) (b_phys, b_stamp) ->
-        { Checkpoint.b_id; b_member; b_succ; b_phys; b_stamp })
+      (fun id (member, succ) (phys, stamp) -> (id, member, succ, phys, stamp))
       (int_range 0 100_000)
+      (pair (opt (int_range 0 1000)) (opt (int_range 0 100_000)))
       (pair
-         (opt (map Types.List_id.of_int (int_range 0 1000)))
-         (opt (map Types.Block_id.of_int (int_range 0 100_000))))
-      (pair
-         (opt
-            (map2
-               (fun seg_index slot -> { Lld_core.Record.seg_index; slot })
-               (int_range 0 800) (int_range 0 127)))
+         (opt (pair (int_range 0 800) (int_range 0 127)))
          (int_range 0 1_000_000))
   in
-  let block_id = map Types.Block_id.of_int (int_range 0 100_000) in
-  let list_entry =
+  let list =
     map3
-      (fun l_id (l_first, l_last) l_stamp ->
-        { Checkpoint.l_id; l_first; l_last; l_stamp; l_owner = None })
+      (fun id (first, last) stamp -> (id, first, last, stamp, None))
       (int_range 1 100_000)
-      (pair (opt block_id) (opt block_id))
+      (pair (opt (int_range 0 100_000)) (opt (int_range 0 100_000)))
       (int_range 0 1_000_000)
   in
   let pending_entry =
@@ -396,32 +390,154 @@ let gen_snapshot =
   let pending = small_list (pair (int_range 1 1000) (small_list pending_entry)) in
   map3
     (fun (ckpt_id, covered_seq) (blocks, lists) pending ->
-      {
-        Checkpoint.ckpt_id = ckpt_id + 1;
-        kind =
-          (if ckpt_id mod 3 = 0 then Checkpoint.Delta { base_id = ckpt_id }
-           else Checkpoint.Full);
-        covered_seq;
-        next_seq = covered_seq + 1;
-        stamp = 1 + covered_seq;
-        next_aru = 1;
-        next_gid = 1;
-        blocks;
-        lists;
-        dead_blocks = (if ckpt_id mod 3 = 0 then [ 1; 5; 9 ] else []);
-        dead_lists = (if ckpt_id mod 3 = 0 then [ 2 ] else []);
-        pending;
-        free_order = [];
-        prepared = (if ckpt_id mod 4 = 0 then [ (7, 3, 1); (9, 4, 0) ] else []);
-      })
+      let ids extra l =
+        List.sort_uniq Int.compare (extra @ List.map (fun (id, _, _, _, _) -> id) l)
+      in
+      ( tables ~capacity:snapshot_capacity ~blocks ~lists (),
+        {
+          Checkpoint.ckpt_id = ckpt_id + 1;
+          kind =
+            (if ckpt_id mod 3 = 0 then
+               Checkpoint.Delta
+                 {
+                   base_id = ckpt_id;
+                   blocks = ids [ 1; 5; 9 ] blocks;
+                   lists = ids [ 2 ] lists;
+                 }
+             else Checkpoint.Full);
+          covered_seq;
+          next_seq = covered_seq + 1;
+          stamp = 1 + covered_seq;
+          next_aru = 1;
+          next_gid = 1;
+          pending;
+          free_order = [];
+          prepared = (if ckpt_id mod 4 = 0 then [ (7, 3, 1); (9, 4, 0) ] else []);
+        } ))
     (pair (int_range 0 100_000) (int_range 0 100_000))
-    (pair (small_list block_entry) (small_list list_entry))
+    (pair (small_list block) (small_list list))
     pending
 
 let snapshot_roundtrip =
   QCheck.Test.make ~name:"checkpoint snapshot encode/decode roundtrip"
     ~count:200 (QCheck.make gen_snapshot)
-    (fun snap -> Checkpoint.decode (Checkpoint.encode snap) = snap)
+    (fun (t, snap) ->
+      let buf =
+        Checkpoint.encode ~owner_active:(fun _ -> true) (fst t) (snd t) snap
+      in
+      let t' = tables ~capacity:snapshot_capacity () in
+      Checkpoint.decode_into (fst t') (snd t') buf = snap
+      && dump_tables t' = dump_tables t)
+
+(* A delta restores over its full like an overlay.  The full holds
+   random blocks and lists; the delta rewrites the full's first block
+   and list, tombstones its second ones, adds new blocks and lists,
+   tombstones blocks and lists the full never held, and rewrites,
+   tombstones or keeps each other id at random.  Written to region 1
+   beside the full in region 0, [read_best] must restore the overlay
+   computed here over id-keyed maps, and count as many allocated
+   blocks. *)
+module Ids = Map.Make (Int)
+
+let overlay_disk = lazy (fresh_disk ())
+
+let delta_overlay =
+  QCheck.Test.make ~name:"delta restores over its full like an overlay"
+    ~count:100
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let pick n = Rng.int rng n in
+      let opt x = if pick 2 = 0 then None else Some x in
+      let capacity = Lld_core.Disk_layout.block_capacity small_geom in
+      let block id =
+        ( id,
+          opt (1 + pick 60),
+          opt (pick capacity),
+          opt (pick 800, pick 128),
+          pick 1_000_000 )
+      in
+      let list id =
+        (id, opt (pick capacity), opt (pick capacity), pick 1_000_000, None)
+      in
+      (* [n] distinct ids in [lo, hi) outside [held], with fields [f] *)
+      let draw n lo hi held f =
+        let rec go m =
+          if Ids.cardinal m = n then m
+          else
+            let id = lo + pick (hi - lo) in
+            go (if held id || Ids.mem id m then m else Ids.add id (f id) m)
+        in
+        go Ids.empty
+      in
+      (* the delta's changes, by id: an entry, or [None] for a tombstone *)
+      let changes full fields ~lo ~hi =
+        let held id = Ids.mem id full in
+        let fresh = draw (1 + pick 4) lo hi held fields in
+        let never =
+          draw (1 + pick 4) lo hi (fun id -> held id || Ids.mem id fresh) ignore
+        in
+        List.concat
+          [
+            List.filter_map
+              (fun (i, (id, _)) ->
+                match if i < 2 then i else pick 3 with
+                | 0 -> Some (id, Some (fields id))
+                | 1 -> Some (id, None)
+                | _ -> None)
+              (List.mapi (fun i b -> (i, b)) (Ids.bindings full));
+            List.map (fun (id, f) -> (id, Some f)) (Ids.bindings fresh);
+            List.map (fun (id, ()) -> (id, None)) (Ids.bindings never);
+          ]
+      in
+      let overlay full changes =
+        List.fold_left
+          (fun m (id, change) ->
+            match change with Some f -> Ids.add id f m | None -> Ids.remove id m)
+          full changes
+      in
+      let dirty changes = List.sort_uniq Int.compare (List.map fst changes) in
+      let full_b = draw (2 + pick 30) 0 capacity (fun _ -> false) block in
+      let full_l = draw (2 + pick 10) 1 61 (fun _ -> false) list in
+      let changes_b = changes full_b block ~lo:0 ~hi:capacity in
+      let changes_l = changes full_l list ~lo:1 ~hi:61 in
+      let expected_b = overlay full_b changes_b in
+      let expected_l = overlay full_l changes_l in
+      let build b l =
+        tables
+          ~blocks:(List.map snd (Ids.bindings b))
+          ~lists:(List.map snd (Ids.bindings l))
+          ()
+      in
+      let disk = Lazy.force overlay_disk in
+      let write ~region t ckpt_id kind =
+        Checkpoint.write disk ~region ~owner_active:(fun _ -> true) (fst t) (snd t)
+          {
+            Checkpoint.ckpt_id;
+            kind;
+            covered_seq = ckpt_id;
+            next_seq = ckpt_id + 1;
+            stamp = 1;
+            next_aru = 1;
+            next_gid = 1;
+            pending = [];
+            free_order = [];
+            prepared = [];
+          }
+      in
+      let expected = build expected_b expected_l in
+      write ~region:0 (build full_b full_l) 5 Checkpoint.Full;
+      write ~region:1 expected 6
+        (Checkpoint.Delta
+           { base_id = 5; blocks = dirty changes_b; lists = dirty changes_l });
+      match Checkpoint.read_best disk with
+      | None -> false
+      | Some best ->
+        let restored = (best.Checkpoint.best_blocks, best.Checkpoint.best_lists) in
+        Block_map.rebuild_free (fst restored);
+        best.Checkpoint.best_region = 1
+        && dump_tables restored = dump_tables expected
+        && Block_map.allocated_count (fst restored) = Ids.cardinal expected_b)
 
 (* ------------------------------------------------------------------ *)
 (* Decoder robustness: arbitrary bytes must never escape the declared
@@ -475,7 +591,13 @@ let checkpoint_decode_total =
     (fun seed ->
       let rng = Rng.create ~seed in
       (* corrupt a valid payload: keeps the version plausible so the
-         decoder gets deep before failing *)
+         decoder gets deep before failing, and decodes into tables of
+         capacity 16, so a scribbled identifier can fall outside them *)
+      let t =
+        tables ~capacity:16
+          ~blocks:(List.init 10 (fun i -> (i, Some i, None, Some (1, i), i)))
+          ()
+      in
       let snap =
         {
           Checkpoint.ckpt_id = 3;
@@ -485,29 +607,22 @@ let checkpoint_decode_total =
           stamp = 100;
           next_aru = 4;
           next_gid = 2;
-          blocks =
-            List.init 10 (fun i ->
-                {
-                  Checkpoint.b_id = i;
-                  b_member = Some (Types.List_id.of_int i);
-                  b_succ = None;
-                  b_phys = Some { Lld_core.Record.seg_index = 1; slot = i };
-                  b_stamp = i;
-                });
-          lists = [];
-          dead_blocks = [];
-          dead_lists = [];
           pending = [];
           free_order = [ 5; 6 ];
           prepared = [];
         }
       in
-      let buf = Blk.of_bytes (Blk.to_bytes (Checkpoint.encode snap)) in
+      let buf =
+        Blk.of_bytes
+          (Blk.to_bytes
+             (Checkpoint.encode ~owner_active:(fun _ -> true) (fst t) (snd t) snap))
+      in
       for _ = 1 to 1 + Rng.int rng 8 do
         let pos = Rng.int rng (Blk.length buf) in
         Blk.set_u8 buf pos (Rng.int rng 256)
       done;
-      match Checkpoint.decode buf with
+      let blocks, lists = tables ~capacity:16 () in
+      match Checkpoint.decode_into blocks lists buf with
       | _ -> true
       | exception Errors.Corrupt _ -> true)
 
@@ -861,6 +976,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest entry_roundtrip;
           QCheck_alcotest.to_alcotest snapshot_roundtrip;
+          QCheck_alcotest.to_alcotest delta_overlay;
         ] );
       ( "robustness",
         [

@@ -3,15 +3,10 @@ module Fault = Lld_disk.Fault
 module Recovery = Lld_core.Recovery
 
 (* Crash the device, then mount again. *)
-let crash disk =
-  Fault.schedule_crash (Disk.fault disk) (Fault.After_writes 0);
-  (try Disk.write disk ~offset:0 (Bytes.make 1 'x') with Fault.Crashed -> ());
-  ()
-
 let test_recover_freshly_formatted () =
   let disk, lld = fresh_lld () in
   ignore lld;
-  crash disk;
+  Disk.crash disk;
   let lld2, report = Lld.recover disk in
   Alcotest.(check int) "nothing allocated" 0 (Lld.allocated_blocks lld2);
   Alcotest.(check int) "no ARUs committed" 0 report.Recovery.arus_committed
@@ -32,7 +27,7 @@ let test_flushed_data_survives () =
         b)
   in
   Lld.flush lld;
-  crash disk;
+  Disk.crash disk;
   let lld2, _ = Lld.recover disk in
   Alcotest.(check bool) "list survives" true (Lld.list_exists lld2 l);
   Alcotest.(check int) "all blocks on list" 10
@@ -50,7 +45,7 @@ let test_unflushed_data_lost () =
   Lld.write lld b (block_data 1);
   Lld.flush lld;
   Lld.write lld b (block_data 2) (* committed but never flushed *);
-  crash disk;
+  Disk.crash disk;
   let lld2, _ = Lld.recover disk in
   check_data "recovers the persistent version" (block_data 1) (Lld.read lld2 b)
 
@@ -62,7 +57,7 @@ let test_committed_aru_survives_crash () =
   Lld.write lld ~aru:a b (block_data 42);
   Lld.end_aru lld a;
   Lld.flush lld;
-  crash disk;
+  Disk.crash disk;
   let lld2, report = Lld.recover disk in
   Alcotest.(check bool) "ARU replayed" true (report.Recovery.arus_committed >= 1);
   Alcotest.check block_ids "list intact" [ b ] (Lld.list_blocks lld2 l);
@@ -81,7 +76,7 @@ let test_uncommitted_aru_all_or_nothing () =
   let b1 = Lld.new_block lld ~aru:a ~list:l ~pred:(Summary.After b0) () in
   Lld.write lld ~aru:a b1 (block_data 98);
   Lld.flush lld (* even a flush must not commit the ARU *);
-  crash disk;
+  Disk.crash disk;
   let lld2, report = Lld.recover disk in
   check_data "write undone" (block_data 0) (Lld.read lld2 b0);
   Alcotest.check block_ids "insertion undone" [ b0 ] (Lld.list_blocks lld2 l);
@@ -103,7 +98,7 @@ let test_commit_record_not_flushed_discards_aru () =
   Lld.write lld ~aru:a b0 (block_data 5);
   Lld.end_aru lld a;
   (* no flush: the commit record sits in the open segment *)
-  crash disk;
+  Disk.crash disk;
   let lld2, report = Lld.recover disk in
   check_data "ARU discarded wholesale" (block_data 0) (Lld.read lld2 b0);
   ignore report
@@ -137,7 +132,7 @@ let test_multiple_crash_recover_cycles () =
     Lld.write !lld b (block_data round);
     Lld.flush !lld;
     expected := !expected @ [ (b, round) ];
-    crash disk;
+    Disk.crash disk;
     let recovered, _ = Lld.recover disk in
     lld := recovered;
     List.iter
@@ -162,7 +157,7 @@ let test_sequential_mode_crash_semantics () =
   Lld.write lld ~aru:a b (block_data 7);
   Lld.flush lld;
   ignore a;
-  crash disk;
+  Disk.crash disk;
   let lld2, _ = Lld.recover ~config disk in
   check_data "uncommitted seq ARU undone" (block_data 1) (Lld.read lld2 b)
 
@@ -175,7 +170,7 @@ let test_sequential_mode_committed_aru_survives () =
   Lld.write lld ~aru:a b (block_data 3);
   Lld.end_aru lld a;
   Lld.flush lld;
-  crash disk;
+  Disk.crash disk;
   let lld2, _ = Lld.recover ~config disk in
   check_data "committed seq ARU survives" (block_data 3) (Lld.read lld2 b);
   Alcotest.check block_ids "list intact" [ b ] (Lld.list_blocks lld2 l)
@@ -189,7 +184,7 @@ let test_checkpoint_bounds_replay () =
   let b2 = append_block lld l in
   Lld.write lld b2 (block_data 2);
   Lld.flush lld;
-  crash disk;
+  Disk.crash disk;
   let lld2, report = Lld.recover disk in
   Alcotest.(check bool) "replay bounded by checkpoint" true
     (report.Recovery.covered_seq > 0);
@@ -207,7 +202,7 @@ let test_checkpoint_mid_aru_preserves_atomicity () =
   Lld.write lld ~aru:a b0 (block_data 50);
   Lld.checkpoint lld;
   (* crash before commit: ARU discarded *)
-  crash disk;
+  Disk.crash disk;
   let lld2, _ = Lld.recover disk in
   check_data "mid-ARU checkpoint kept atomicity" (block_data 0)
     (Lld.read lld2 b0)
@@ -227,7 +222,7 @@ let test_auto_checkpoint_interval () =
   Lld.flush lld;
   Alcotest.(check bool) "auto checkpoints happened" true
     ((Lld.counters lld).Lld_core.Counters.checkpoints > ckpt0);
-  crash disk;
+  Disk.crash disk;
   let lld2, report = Lld.recover ~config disk in
   Alcotest.(check bool) "replay bounded" true
     (report.Recovery.segments_replayed <= 3);
@@ -294,7 +289,7 @@ let test_cleaner_then_crash_recovers () =
     (List.init 300 (fun _ -> append_block lld l));
   Lld.flush lld;
   Lld.clean lld ~target_free:(Lld.free_segments lld + 1);
-  crash disk;
+  Disk.crash disk;
   let lld2, _ = Lld.recover ~config disk in
   List.iter
     (fun (b, i) ->
@@ -330,7 +325,7 @@ let test_multi_victim_clean_then_crash () =
     Lld.write lld b (block_data i)
   done;
   Lld.flush lld;
-  crash disk;
+  Disk.crash disk;
   let lld2, _ = Lld.recover ~config disk in
   Alcotest.(check int) "every flushed block survives" written
     (List.length (Lld.list_blocks lld2 l2))
@@ -341,7 +336,7 @@ let test_media_error_on_checkpoint_region_falls_back () =
   let b = append_block lld l in
   Lld.write lld b (block_data 8);
   Lld.checkpoint lld (* region 0 holds the newest checkpoint *);
-  crash disk;
+  Disk.crash disk;
   (* region written last becomes unreadable; recovery must fall back *)
   Fault.mark_bad (Disk.fault disk) ~offset:0 ~length:4096;
   let lld2, _ = Lld.recover disk in
@@ -362,7 +357,7 @@ let test_mkfs_over_used_disk () =
   done;
   Lld.flush lld;
   let _fresh = Lld.create disk in
-  crash disk;
+  Disk.crash disk;
   let lld2, _ = Lld.recover disk in
   Alcotest.(check int) "nothing allocated" 0 (Lld.allocated_blocks lld2);
   Alcotest.(check int) "no list" 0 (List.length (Lld.lists lld2))
@@ -384,7 +379,7 @@ let test_empty_free_order_checkpoint () =
   Alcotest.(check int) "free queue exhausted" 0 (Lld.free_segments lld);
   Lld.checkpoint lld;
   let allocated = Lld.allocated_blocks lld in
-  crash disk;
+  Disk.crash disk;
   let lld2, _ = Lld.recover ~config disk in
   Alcotest.(check int) "allocations survive" allocated
     (Lld.allocated_blocks lld2)
@@ -409,12 +404,12 @@ let test_tail_media_error_counted_once () =
     | None -> Alcotest.fail "last block has no location"
   in
   let disk, _, _ = build () in
-  crash disk;
+  Disk.crash disk;
   let _, clean = Lld.recover disk in
   Alcotest.(check (pair int int)) "replayed, invalid without a fault" (3, 1)
     (clean.Recovery.segments_replayed, clean.Recovery.invalid_segments);
   let disk, l, (seg, slot) = build () in
-  crash disk;
+  Disk.crash disk;
   Fault.mark_bad (Disk.fault disk)
     ~offset:(Geometry.segment_offset small_geom seg + (slot * block_bytes))
     ~length:block_bytes;
@@ -457,7 +452,7 @@ let build_crash_state () =
   Lld.write lld ~aru:a2 b_orphan (block_data 9);
   ignore a2 (* never committed *);
   Lld.flush lld;
-  crash disk;
+  Disk.crash disk;
   (disk, groups, (l_aru, b_aru), b_orphan)
 
 let test_early_open_serves_reads_on_demand () =
@@ -613,7 +608,7 @@ let test_early_open_unnamed_members () =
   Lld.delete_list lld l_deleted;
   Lld.delete_block lld (List.hd shrunk_members);
   Lld.flush lld;
-  crash disk;
+  Disk.crash disk;
   let geom = Disk.geometry disk in
   let image = Disk.snapshot disk in
   let load () = Disk.load ~clock:(Clock.create ()) geom (Bytes.copy image) in
@@ -650,7 +645,7 @@ let test_recovery_report_counts () =
     Lld.end_aru lld a
   done;
   Lld.flush lld;
-  crash disk;
+  Disk.crash disk;
   let _, report = Lld.recover disk in
   Alcotest.(check int) "five ARUs committed" 5 report.Recovery.arus_committed;
   Alcotest.(check int) "none discarded" 0 report.Recovery.arus_discarded
@@ -663,7 +658,7 @@ let test_report_prints_scavenged_apart () =
   let l = Lld.new_list lld ~aru:a () in
   ignore (Lld.new_block lld ~aru:a ~list:l ~pred:Summary.Head ());
   Lld.flush lld;
-  crash disk;
+  Disk.crash disk;
   let _, report = Lld.recover disk in
   Alcotest.(check (pair int int)) "one block, one list" (1, 1)
     (report.Recovery.blocks_scavenged, report.Recovery.lists_scavenged);
