@@ -3,6 +3,7 @@ module Rng = Lld_sim.Rng
 module Blk = Lld_util.Blk
 module Geometry = Lld_disk.Geometry
 module Disk = Lld_disk.Disk
+module Backend = Lld_disk.Backend
 module Fault = Lld_disk.Fault
 module Config = Lld_core.Config
 module Lld = Lld_core.Lld
@@ -324,19 +325,42 @@ let torn_boundaries ~granularity len =
   List.sort_uniq Int.compare (List.filter (fun k -> k > 0 && k < len) ks)
 
 (* The crash-trace engine for any number of disks: one recorder, the
-   enumeration and sampling of crash points, the one place per-disk
-   crash images are built, and one rolling-prefix walker.  Checkers with their own
-   notion of correctness — the differential tester in lib/model judges
-   against the model's crash frontier — use it without the oracle/spec
-   superstructure. *)
+   enumeration and sampling of crash points, and the one place per-disk
+   crash images are built, as stores over the trace.  Checkers with
+   their own notion of correctness — the differential tester in
+   lib/model judges against the model's crash frontier — use it without
+   the oracle/spec superstructure. *)
 module Raw = struct
   type t = {
     bases : Blk.t array;
         (* each disk's image before the first write; never handed out,
-           every crash image starts as a copy *)
+           crash images read through to it *)
     writes : (int * int * bytes) array;
         (* (disk, offset, data) in global write order *)
+    touching : int array array array;
+        (* per disk, per overlay page: the indices of the writes that
+           touch the page, in write order *)
   }
+
+  let make bases writes =
+    let touching =
+      Array.map
+        (fun base ->
+          Array.make
+            ((Blk.length base + Backend.page_bytes - 1) / Backend.page_bytes)
+            [])
+        bases
+    in
+    for i = Array.length writes - 1 downto 0 do
+      let d, offset, data = writes.(i) in
+      for
+        p = offset / Backend.page_bytes
+        to (offset + Bytes.length data - 1) / Backend.page_bytes
+      do
+        touching.(d).(p) <- i :: touching.(d).(p)
+      done
+    done;
+    { bases; writes; touching = Array.map (Array.map Array.of_list) touching }
 
   (* The observers fire in the order writes reach the media; callers
      are single-threaded, so that is the global persistence order, and
@@ -358,13 +382,10 @@ module Raw = struct
           Array.iter (fun disk -> Disk.set_observer disk None) disks)
         f
     in
-    ({ bases; writes = Array.of_list (List.rev !writes) }, result)
+    (make bases (Array.of_list (List.rev !writes)), result)
 
   let v ~base ~writes =
-    {
-      bases = [| Blk.of_bytes base |];
-      writes = Array.map (fun (o, d) -> (0, o, d)) writes;
-    }
+    make [| Blk.of_bytes base |] (Array.map (fun (o, d) -> (0, o, d)) writes)
 
   let enumerate ?(granularity = 512) t =
     if granularity < 1 then
@@ -421,41 +442,61 @@ module Raw = struct
       List.map (fun i -> arr.(i)) chosen
     end
 
-  (* Where every crash image is built: bring [images], holding writes
-     [0 .. from-1], up to writes [0 .. upto-1] plus the first [keep]
-     bytes of write [upto], if any. *)
-  let advance t images ~from ~upto ~keep =
-    let apply i ~len =
-      let d, offset, data = t.writes.(i) in
-      Blk.blit_from_bytes data 0 images.(d) offset
-        (min len (Bytes.length data))
+  (* The number of entries of the ascending [ws.(lo .. hi-1)] below
+     [index], plus [lo]. *)
+  let rec count_below ws index lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if ws.(mid) < index then count_below ws index (mid + 1) hi
+      else count_below ws index lo mid
+
+  let covers t i ~start ~stop =
+    let _, offset, data = t.writes.(i) in
+    offset <= start && offset + Bytes.length data >= stop
+
+  (* Copy what the first [len] bytes of write [i] put on the page at
+     [start] into [page]. *)
+  let apply t i ~len ~start page =
+    let _, offset, data = t.writes.(i) in
+    let lo = max start offset
+    and hi =
+      min (start + Blk.length page) (offset + min len (Bytes.length data))
     in
-    for i = from to upto - 1 do
-      apply i ~len:max_int
+    if lo < hi then
+      Blk.blit_from_bytes data (lo - offset) page (lo - start) (hi - lo)
+
+  (* Page [p] of disk [d] as of [point], written into [page]: from the
+     newest write before the point that covers the whole page (else from
+     the base), then every later write before the point that reaches
+     part of it, then the point's own torn prefix. *)
+  let fill_page t d point p page =
+    let start = p * Backend.page_bytes in
+    let stop = start + Blk.length page in
+    let ws = t.touching.(d).(p) in
+    let before = count_below ws point.pt_index 0 (Array.length ws) in
+    let from = ref (before - 1) in
+    while !from >= 0 && not (covers t ws.(!from) ~start ~stop) do
+      decr from
     done;
-    Option.iter (fun k -> apply upto ~len:k) keep
+    if !from < 0 then Blk.blit t.bases.(d) start page 0 (stop - start);
+    for j = max !from 0 to before - 1 do
+      apply t ws.(j) ~len:max_int ~start page
+    done;
+    match point.pt_keep with
+    | Some k ->
+      let wd, _, _ = t.writes.(point.pt_index) in
+      if wd = d then apply t point.pt_index ~len:k ~start page
+    | None -> ()
 
-  let views_at t point =
-    let images = Array.map Blk.copy t.bases in
-    advance t images ~from:0 ~upto:point.pt_index ~keep:point.pt_keep;
-    images
+  let stores_at t point =
+    Array.mapi
+      (fun d base ->
+        Backend.overlay ~size:(Blk.length base) (fill_page t d point))
+      t.bases
 
-  let image_at t point = Blk.to_bytes (views_at t point).(0)
-
-  (* Walk points in enumeration order over one rolling image per disk
-     that always holds writes [0 .. applied-1]; each point gets its own
-     copy with its torn prefix added, which [f] owns. *)
-  let walk t points f =
-    let images = Array.map Blk.copy t.bases in
-    let applied = ref 0 in
-    List.iter
-      (fun p ->
-        advance t images ~from:!applied ~upto:p.pt_index ~keep:None;
-        applied := max !applied p.pt_index;
-        let at_point = Array.map Blk.copy images in
-        advance t at_point ~from:p.pt_index ~upto:p.pt_index ~keep:p.pt_keep;
-        f p at_point)
-      points
+  let image_at t point =
+    Blk.to_bytes ((stores_at t point).(0).Backend.snapshot ())
 end
 
 (* ------------------------------------------------------------------ *)
@@ -779,19 +820,17 @@ let pp_differential ppf d =
 (* ------------------------------------------------------------------ *)
 (* Checking one crash point                                            *)
 
-(* Mount crash images as disks; each disk adopts its image as its store,
-   so recovery writes into it. *)
-let load ?(clock = Clock.create ()) trace images =
+(* Mount a crash point of [raw] — the trace's own, or the writes of a
+   recovery — as disks over its stores; recovery's writes land in the
+   stores' private pages. *)
+let load ?(clock = Clock.create ()) trace raw point =
   Array.map
-    (fun image ->
-      Disk.create ~clock ~backend:(Lld_disk.Backend.of_view image)
-        trace.tr_geom)
-    images
+    (fun backend -> Disk.create ~clock ~backend trace.tr_geom)
+    (Raw.stores_at raw point)
 
-(* Check fully materialised crash images (consumed, not copied). *)
-let check_images ?recover_config trace images =
+let check_at ?recover_config trace raw point =
   let config = Option.value recover_config ~default:trace.tr_config in
-  let disks = load trace images in
+  let disks = load trace raw point in
   let recover () = trace.tr_recover ~obs:Obs.null config disks in
   match recover () with
   | Error e -> [ "recovery raised: " ^ Printexc.to_string e ]
@@ -821,7 +860,7 @@ let replay_point_obs ?recover_config trace point =
   let config = Option.value recover_config ~default:trace.tr_config in
   let clock = Clock.create () in
   let obs = Obs.create ~clock () in
-  let disks = load ~clock trace (Raw.views_at trace.tr_raw point) in
+  let disks = load ~clock trace trace.tr_raw point in
   ignore (trace.tr_recover ~obs config disks);
   obs
 
@@ -907,7 +946,7 @@ let check_point ?recover_config trace point =
             torn write's length"
            (Bytes.length data))
   | _ -> ());
-  check_images ?recover_config trace (Raw.views_at trace.tr_raw point)
+  check_at ?recover_config trace trace.tr_raw point
 
 (* ------------------------------------------------------------------ *)
 (* The checker                                                         *)
@@ -937,19 +976,21 @@ let ok r = r.r_violation_points = 0
 let sample = Raw.sample
 
 (* Check the selected points of [raw] — the trace's own, or the writes
-   of a recovery — in enumeration order over the rolling images. *)
+   of a recovery — in enumeration order. *)
 let check_ordered ?recover_config ?progress trace raw points ~on_violation =
   let selected = List.length points in
   let checked = ref 0 in
   let torn = ref 0 in
-  Raw.walk raw points (fun p images ->
+  List.iter
+    (fun p ->
       if p.pt_keep <> None then incr torn;
-      let problems = check_images ?recover_config trace images in
+      let problems = check_at ?recover_config trace raw p in
       incr checked;
       (match progress with
       | Some f -> f ~checked:!checked ~selected
       | None -> ());
-      if problems <> [] then on_violation { v_point = p; v_problems = problems });
+      if problems <> [] then on_violation { v_point = p; v_problems = problems })
+    points;
   (!checked, !torn)
 
 let run ?(granularity = 512) ?budget ?(seed = 1) ?recover_config
@@ -1150,7 +1191,7 @@ let check_during_recovery ?recover_config ~granularity ~inner_budget ~seed
     trace outer ~on_violation =
   let base_config = Option.value recover_config ~default:trace.tr_config in
   let config = { base_config with Config.recovery_early_open = true } in
-  let disks = load trace (Raw.views_at trace.tr_raw outer) in
+  let disks = load trace trace.tr_raw outer in
   let raw, outcome =
     Raw.record disks (fun () ->
         match Lld.recover ~config disks.(0) with

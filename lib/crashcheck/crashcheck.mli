@@ -173,15 +173,17 @@ module Raw : sig
       always kept (so a [budget] of 0 or 1 still yields both), the rest
       drawn via {!Lld_sim.Rng} seeded by [seed]. *)
 
-  val views_at : t -> point -> Lld_util.Blk.t array
-  (** Build every disk's image as of the crash point, indexed like
-      {!record}'s [disks]: fresh views the caller owns, each ready for
-      {!Lld_disk.Backend.of_view} to adopt without another copy.  The
-      recorded bases are never handed out, so recovery writing into an
-      adopted image leaves every later crash image intact. *)
+  val stores_at : t -> point -> Lld_disk.Backend.t array
+  (** Every disk's image as of the crash point, indexed like {!record}'s
+      [disks], each an {!Lld_disk.Backend.overlay} over the trace: a
+      page reads as the base image with the writes before the point,
+      then the point's torn prefix, laid over it in order.  Only the
+      pages a caller reads are copied, and its writes land in the
+      store's private pages, never in the trace, so recovering one
+      point leaves every other point's image intact. *)
 
   val image_at : t -> point -> bytes
-  (** The first disk's {!views_at} image, as [bytes]. *)
+  (** The first disk's {!stores_at} image, as [bytes]. *)
 end
 
 val trace_raw : trace -> Raw.t

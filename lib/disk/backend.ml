@@ -37,6 +37,71 @@ let mem ~size =
   of_view (Blk.create size)
 
 (* ------------------------------------------------------------------ *)
+(* Overlay                                                             *)
+
+let page_bytes = 4096
+
+(* A page that has not been written reads through [fill]; the first
+   write to a page gives it a private copy, and every later read and
+   write of that page goes to the copy.  Nothing [fill] reads from is
+   ever handed out or written: every read is a fresh view filled by
+   copying. *)
+let overlay ~size fill =
+  if size <= 0 then invalid_arg "Backend.overlay: size must be positive";
+  let pages = Array.make ((size + page_bytes - 1) / page_bytes) None in
+  let page_len p = min page_bytes (size - (p * page_bytes)) in
+  (* [f p ~pos ~lo ~len] for each page [p] the range meets: [len] bytes
+     at [lo] within the page, at [pos] within the range *)
+  let each_page what ~offset ~length f =
+    if offset < 0 || length < 0 || offset + length > size then
+      invalid_arg ("Backend.overlay: " ^ what ^ " outside the store");
+    let stop = offset + length in
+    let p = ref (offset / page_bytes) in
+    while !p * page_bytes < stop do
+      let start = !p * page_bytes in
+      let lo = max offset start in
+      f !p ~pos:(lo - offset) ~lo:(lo - start)
+        ~len:(min stop (start + page_len !p) - lo);
+      incr p
+    done
+  in
+  let read ~offset ~length =
+    let out = Blk.create length in
+    each_page "read" ~offset ~length (fun p ~pos ~lo ~len ->
+        match pages.(p) with
+        | Some page -> Blk.blit page lo out pos len
+        | None when len = page_len p -> fill p (Blk.sub out pos len)
+        | None ->
+          let page = Blk.create (page_len p) in
+          fill p page;
+          Blk.blit page lo out pos len);
+    out
+  in
+  let write ~offset data =
+    each_page "write" ~offset ~length:(Blk.length data)
+      (fun p ~pos ~lo ~len ->
+        let page =
+          match pages.(p) with
+          | Some page -> page
+          | None ->
+            let page = Blk.create (page_len p) in
+            if len < page_len p then fill p page;
+            pages.(p) <- Some page;
+            page
+        in
+        Blk.blit data pos page lo len)
+  in
+  {
+    label = "overlay";
+    size;
+    read;
+    write;
+    snapshot = (fun () -> read ~offset:0 ~length:size);
+    barrier = (fun () -> ());
+    close = (fun () -> ());
+  }
+
+(* ------------------------------------------------------------------ *)
 (* File                                                                *)
 
 (* Every [Unix_error] is rewrapped so callers above the device layer see

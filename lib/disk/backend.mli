@@ -13,16 +13,18 @@
     [read] hands back a {e fresh} view the caller owns outright — it
     never aliases the store, so later writes cannot mutate it.
 
-    Two stores are provided: {!mem}, the in-memory image the simulation
-    always used, and {!file}, a real on-disk image memory-mapped through
-    [Unix.map_file] — giving the logical disk actual durability across
-    process runs ([lld mkfs --file] / [lld mount --file]) at identical
-    virtual-clock cost. *)
+    Three stores are provided: {!mem}, the in-memory image the
+    simulation always used; {!file}, a real on-disk image memory-mapped
+    through [Unix.map_file] — giving the logical disk actual durability
+    across process runs ([lld mkfs --file] / [lld mount --file]) at
+    identical virtual-clock cost; and {!overlay}, an in-memory
+    copy-on-write store over content it reads through to. *)
 
 module Blk = Lld_util.Blk
 
 type t = {
-  label : string;  (** ["mem"] or ["file:<path>"] — for reports *)
+  label : string;
+      (** ["mem"], ["file:<path>"] or ["overlay"] — for reports *)
   size : int;  (** total bytes; must match the device geometry *)
   read : offset:int -> length:int -> Blk.t;
       (** a fresh view of the range — owned by the caller, never an
@@ -38,12 +40,21 @@ type t = {
 val mem : size:int -> t
 (** A zero-filled in-memory store. *)
 
-val of_view : Blk.t -> t
-(** Wrap an existing view without copying — the caller hands over
-    ownership of the buffer, and the store's writes land in it.  Crash
-    images are built as fresh views and adopted this way
-    ([Crashcheck.Raw.views_at]), so each crash point pays one image
-    copy. *)
+val page_bytes : int
+(** The page size of {!overlay}: 4096 bytes. *)
+
+val overlay : size:int -> (int -> Blk.t -> unit) -> t
+(** A copy-on-write store over original content it never writes.
+    [overlay ~size fill] reads page [p] (bytes [p * page_bytes] up to
+    the next page or [size]) by calling [fill p view], which must write
+    the page's original content into [view], of exactly the page's
+    length.  The first write to a page gives it a private copy, and
+    every later read and write of that page goes to the copy, so the
+    store's writes never reach what [fill] reads from.  Reads return
+    fresh views filled by copying, as on every store; [snapshot] reads
+    the whole store.  Crash images are built this way
+    ([Crashcheck.Raw.stores_at]), and so is the model checker's fresh
+    disk, over zero pages. *)
 
 val of_bytes : bytes -> t
 (** An in-memory store initialised from a copy of the image (one

@@ -39,8 +39,8 @@ val load :
 (** A partition whose initial contents are a copy of the given image,
     taken once through {!Backend.of_bytes}.  Raises [Invalid_argument]
     when the image size does not match the geometry.  Crash images are
-    not built this way: [Crashcheck.Raw.views_at] builds each as a fresh
-    view, and {!Backend.of_view} adopts it without another copy. *)
+    not built this way: [Crashcheck.Raw.stores_at] mounts each as a
+    {!Backend.overlay} that reads through to the recorded trace. *)
 
 val geometry : t -> Geometry.t
 val fault : t -> Fault.t
@@ -76,8 +76,7 @@ val crash : t -> unit
 
     Hooks for the crash-consistency checker ([lib/crashcheck]): an
     observer sees every byte that reaches the medium, and whole-device
-    images can be captured; {!load} mounts one again to replay write
-    prefixes. *)
+    images can be captured. *)
 
 type observer = index:int -> offset:int -> data:Blk.t -> unit
 (** Called after the bytes land: [index] is the device-lifetime write

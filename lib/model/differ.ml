@@ -280,9 +280,11 @@ let lld_config cfg =
     group_commit_batch = 4;
   }
 
+(* A fresh in-memory disk is an overlay over zero pages: it allocates
+   only the pages the program writes. *)
 let make_backend cfg size =
   match cfg.backend with
-  | Mem -> Backend.mem ~size
+  | Mem -> Backend.overlay ~size (fun _ page -> Backend.Blk.fill page '\000')
   | File -> Backend.temp_file ~size ()
 
 let diverged kind detail trail =
@@ -496,10 +498,8 @@ let run_program_stats ?(crash = false) ?obs_for cfg ~seed (program : Program.t)
         let rclock = Clock.create () in
         let rdisks =
           Array.map
-            (fun image ->
-              Disk.create ~clock:rclock ~backend:(Backend.of_view image)
-                differ_geom)
-            (Raw.views_at raw point)
+            (fun backend -> Disk.create ~clock:rclock ~backend differ_geom)
+            (Raw.stores_at raw point)
         in
         let verdict =
           match Shard.recover ~config rdisks with

@@ -17,7 +17,10 @@
 #     ops_per_s and op_p50_us;
 #   - one row per end-to-end metric of BENCHMARK.json: each side's
 #     median and quartiles, the change in the median, the pairs the
-#     change won (ties count for neither), and a verdict.  "gain" means
+#     change won and the pairs the side that ran first won (ties count
+#     for neither), and a verdict.  A first-run count far from half the
+#     pairs means run order moves the metric, so the change's count
+#     measures order as well as the change.  "gain" means
 #     the change won at least nine pairs in ten and its median is
 #     better by more than the parent's quartile spread; "outside bound"
 #     means its median is worse than the parent's by more than the
@@ -152,15 +155,15 @@ def quartiles(xs):
 
 print()
 print("| metric | unit | parent median [q1–q3] | change median [q1–q3] "
-      "| change | change wins | verdict |")
-print("|---|---|---|---|---|---|---|")
+      "| change | change wins | first-run wins | verdict |")
+print("|---|---|---|---|---|---|---|---|")
 for m in bench["end_to_end"]:
     k, higher, bound = m["name"], m["better"] == "higher", m["bound"]
     both = [i for i in range(pairs)
             if val("parent", i, k) is not None
             and val("change", i, k) is not None]
     if not both:
-        print(f"| `{k}` | {m['unit']} | - | - | - | - | no runs |")
+        print(f"| `{k}` | {m['unit']} | - | - | - | - | - | no runs |")
         continue
     p = sorted(val("parent", i, k) for i in both)
     c = sorted(val("change", i, k) for i in both)
@@ -171,6 +174,9 @@ for m in bench["end_to_end"]:
 
     wins = sum(better(val("change", i, k), val("parent", i, k))
                for i in both)
+    first_wins = sum(better(val(sides[i % 2], i, k),
+                            val(sides[1 - i % 2], i, k))
+                     for i in both)
     delta = pq[1] and (cq[1] - pq[1]) / pq[1]
     worse = -delta if higher else delta  # > 0: change median worse
     spread = pq[1] and (pq[2] - pq[0]) / pq[1]
@@ -185,6 +191,7 @@ for m in bench["end_to_end"]:
         verdict = "within bound"
     print(f"| `{k}` | {m['unit']} | {fmt(pq[1])} [{fmt(pq[0])}–{fmt(pq[2])}] "
           f"| {fmt(cq[1])} [{fmt(cq[0])}–{fmt(cq[2])}] | {delta:+.1%} "
-          f"| {wins} of {len(both)} | {verdict} |")
+          f"| {wins} of {len(both)} | {first_wins} of {len(both)} "
+          f"| {verdict} |")
 sys.exit(0 if ok else 1)
 EOF

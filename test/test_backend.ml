@@ -42,6 +42,16 @@ let test_differential_mixed () =
        (run_mixed (Backend.mem ~size))
        (run_mixed (Backend.temp_file ~size ())))
 
+(* The model checker's fresh disks: an overlay over zero pages must be
+   indistinguishable from a zero-filled mem store. *)
+let test_overlay_mixed () =
+  Alcotest.(check (list string))
+    "image, counters, device counters and clock identical" []
+    (Setup.fingerprint_diff
+       (run_mixed (Backend.mem ~size))
+       (run_mixed
+          (Backend.overlay ~size (fun _ page -> Backend.Blk.fill page '\000'))))
+
 (* ------------------------------------------------------------------ *)
 (* Real persistence: mkfs, close, reopen in a fresh device, recover    *)
 
@@ -232,6 +242,8 @@ let () =
             test_differential_mixed;
           Alcotest.test_case "torn write persists same prefix" `Quick
             test_torn_write_on_file;
+          Alcotest.test_case "mixed workload mem vs zero overlay" `Quick
+            test_overlay_mixed;
         ] );
       ( "persistence",
         [

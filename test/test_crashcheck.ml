@@ -290,6 +290,199 @@ let test_run_matches_check_point () =
   Alcotest.(check bool) "same per-point problems" true
     (one_by_one = r.Crashcheck.r_violations)
 
+(* A store's writes never reach its sources.  Point 0's image is the
+   base, and each write is whole in the image of the point after it, so
+   the digests of the complete points' images pin the trace's base and
+   write data: recovering points (whose checkpoint writes land in the
+   stores) must leave every digest as it was. *)
+let test_stores_leave_trace_intact () =
+  let trace = Crashcheck.record (churn ()) in
+  let raw = Crashcheck.trace_raw trace in
+  let points = Crashcheck.enumerate trace in
+  let digests () =
+    List.filter_map
+      (fun p ->
+        match p.Crashcheck.pt_keep with
+        | None -> Some (Digest.bytes (Crashcheck.Raw.image_at raw p))
+        | Some _ -> None)
+      points
+  in
+  let before = digests () in
+  let torn = List.find (fun p -> p.Crashcheck.pt_keep <> None) points in
+  List.iter
+    (fun p ->
+      Alcotest.(check (list string)) "point consistent" []
+        (Crashcheck.check_point trace p))
+    [ List.hd points; torn; List.nth points (List.length points - 1) ];
+  Alcotest.(check bool) "sampled run clean" true
+    (Crashcheck.ok (Crashcheck.run ~budget:20 trace));
+  Alcotest.(check bool) "crash during recovery clean" true
+    (Crashcheck.recovery_ok
+       (Crashcheck.run_during_recovery ~budget:2 ~inner_budget:4 trace));
+  Alcotest.(check bool) "base and write data unchanged" true
+    (before = digests ())
+
+(* ------------------------------------------------------------------ *)
+(* Crash stores against copy-and-replay images: on random traces of one
+   and of several disks, whose writes are unaligned, straddle pages and
+   overlap, every store of every complete point and of torn prefixes of
+   1, len-1 and a random number of bytes reads as the image built by
+   copying the bases and replaying the writes before the point over
+   them — its snapshot, random reads, and reads between its own writes.
+   A store's writes reach no later store of the same point. *)
+
+module Backend = Lld_disk.Backend
+module Blk = Lld_util.Blk
+
+let replayed bases writes point =
+  let images = Array.map Bytes.copy bases in
+  let apply i ~len =
+    let d, offset, data = writes.(i) in
+    Bytes.blit data 0 images.(d) offset (min len (Bytes.length data))
+  in
+  for i = 0 to point.Crashcheck.pt_index - 1 do
+    apply i ~len:max_int
+  done;
+  Option.iter
+    (fun k -> apply point.Crashcheck.pt_index ~len:k)
+    point.Crashcheck.pt_keep;
+  images
+
+(* An affine byte pattern with a random slope and start, so overlapping
+   writes and the base differ byte by byte. *)
+let random_bytes rng n =
+  let slope = 1 + (2 * Random.State.int rng 128)
+  and start = Random.State.int rng 256 in
+  Bytes.init n (fun i -> Char.chr (((i * slope) + start) land 0xff))
+
+(* A range of a store of [size] bytes: whole pages, a straddle of a page
+   boundary, or any range. *)
+let random_range rng size =
+  let page = Backend.page_bytes in
+  match Random.State.int rng 3 with
+  | 0 when size >= page ->
+    let pages = size / page in
+    let p = Random.State.int rng pages in
+    (p * page, page * (1 + Random.State.int rng (pages - p)))
+  | 1 when size > page ->
+    let b = page * (1 + Random.State.int rng ((size - 1) / page)) in
+    let lo = b - 1 - Random.State.int rng (min b page) in
+    (lo, b + 1 + Random.State.int rng (min (size - b) page) - lo)
+  | _ ->
+    let offset = Random.State.int rng size in
+    (offset, 1 + Random.State.int rng (size - offset))
+
+(* One disk of any size through [Raw.v], or up to three disks (sizes in
+   sectors) through [Raw.record] over real devices. *)
+let random_trace rng =
+  let page = Backend.page_bytes in
+  let by_record = Random.State.bool rng in
+  let bases =
+    if by_record then
+      Array.init
+        (1 + Random.State.int rng 3)
+        (fun _ -> random_bytes rng (512 * (1 + Random.State.int rng 40)))
+    else [| random_bytes rng (1 + Random.State.int rng (5 * page)) |]
+  in
+  let writes =
+    Array.init (Random.State.int rng 10) (fun _ ->
+        let d = Random.State.int rng (Array.length bases) in
+        let offset, length = random_range rng (Bytes.length bases.(d)) in
+        (d, offset, random_bytes rng length))
+  in
+  let raw =
+    if by_record then begin
+      let clock = Clock.create () in
+      let disks =
+        Array.map
+          (fun base ->
+            Disk.load ~clock
+              (Geometry.v ~block_bytes:512 ~segment_bytes:(Bytes.length base)
+                 ~num_segments:1 ())
+              base)
+          bases
+      in
+      fst
+        (Crashcheck.Raw.record disks (fun () ->
+             Array.iter
+               (fun (d, offset, data) -> Disk.write disks.(d) ~offset data)
+               writes))
+    end
+    else
+      Crashcheck.Raw.v ~base:bases.(0)
+        ~writes:(Array.map (fun (_, offset, data) -> (offset, data)) writes)
+  in
+  (bases, writes, raw)
+
+let stores_match_replay =
+  QCheck.Test.make ~name:"crash stores read as copy-and-replay images"
+    ~count:200 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let bases, writes, raw = random_trace rng in
+      let points =
+        List.concat
+          (List.init
+             (Array.length writes + 1)
+             (fun i ->
+               let complete = { Crashcheck.pt_index = i; pt_keep = None } in
+               let len =
+                 if i < Array.length writes then
+                   let _, _, data = writes.(i) in
+                   Bytes.length data
+                 else 0
+               in
+               if len < 2 then [ complete ]
+               else
+                 complete
+                 :: List.map
+                      (fun k -> { Crashcheck.pt_index = i; pt_keep = Some k })
+                      [ 1; len - 1; 1 + Random.State.int rng (len - 1) ]))
+      in
+      let fail point d what =
+        QCheck.Test.fail_reportf "seed %d, %s, disk %d: %s" seed
+          (Format.asprintf "%a" Crashcheck.pp_point point)
+          d what
+      in
+      let same_snapshot point d store image what =
+        if not (Bytes.equal (Blk.to_bytes (store.Backend.snapshot ())) image)
+        then fail point d what
+      in
+      List.iter
+        (fun point ->
+          let expect = replayed bases writes point in
+          Array.iteri
+            (fun d store ->
+              let image = Bytes.copy expect.(d) in
+              same_snapshot point d store image "snapshot differs";
+              for _ = 1 to 8 do
+                let offset, length = random_range rng (Bytes.length image) in
+                if Random.State.bool rng then begin
+                  let data = random_bytes rng length in
+                  store.Backend.write ~offset (Blk.of_bytes data);
+                  Bytes.blit data 0 image offset length
+                end
+                else if
+                  not
+                    (Bytes.equal
+                       (Blk.to_bytes (store.Backend.read ~offset ~length))
+                       (Bytes.sub image offset length))
+                then
+                  fail point d
+                    (Printf.sprintf "read of %d bytes at %d differs" length
+                       offset)
+              done;
+              same_snapshot point d store image "snapshot after writes differs")
+            (Crashcheck.Raw.stores_at raw point);
+          Array.iteri
+            (fun d store ->
+              same_snapshot point d store expect.(d)
+                "a store's writes reached the next store")
+            (Crashcheck.Raw.stores_at raw point);
+          if not (Bytes.equal (Crashcheck.Raw.image_at raw point) expect.(0))
+          then fail point 0 "image_at differs")
+        points;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Sharded crash points: the cross-shard workload's 2PC must be
    all-or-nothing across shards at EVERY crash point of the interleaved
@@ -494,6 +687,9 @@ let () =
             test_image_ownership;
           Alcotest.test_case "run agrees with check_point" `Quick
             test_run_matches_check_point;
+          Alcotest.test_case "stores leave the trace intact" `Quick
+            test_stores_leave_trace_intact;
+          QCheck_alcotest.to_alcotest stores_match_replay;
           Alcotest.test_case "sampling seed round-trips" `Quick
             test_seed_roundtrip;
         ] );
