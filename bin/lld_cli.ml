@@ -235,7 +235,7 @@ let mount_cmd =
           ~doc:
             "Scrub the image as part of recovery: verify every checksum \
              guarding live data and repair what redundancy allows before \
-             serving reads (also: LLD_SCRUB_ON_MOUNT=1).")
+             serving reads.")
   in
   Cmd.v
     (Cmd.info "mount"
@@ -1075,7 +1075,6 @@ let model_fuzz seed budget clients ops option backend crash_every crash_points
   if shards < 1 then fail_invalid "--shards must be at least 1";
   let cfg =
     {
-      Differ.default_config with
       Differ.visibility;
       mutation;
       backend = (match backend with `Mem -> Differ.Mem | `File -> Differ.File);

@@ -21,10 +21,11 @@ type t = {
   scrub_on_mount : bool;
 }
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> ( match int_of_string_opt s with Some v -> v | None -> default)
+(* [LLD_GROUP_COMMIT_WINDOW] (virtual nanoseconds) overrides the
+   window, so the suite can re-run with group commit off. *)
+let group_commit_window =
+  Option.value ~default:100_000
+    (Option.bind (Sys.getenv_opt "LLD_GROUP_COMMIT_WINDOW") int_of_string_opt)
 
 let default =
   {
@@ -41,9 +42,9 @@ let default =
     recovery_sweep = true;
     recovery_parallel = true;
     recovery_early_open = false;
-    group_commit_window = env_int "LLD_GROUP_COMMIT_WINDOW" 100_000;
-    group_commit_batch = env_int "LLD_GROUP_COMMIT_BATCH" 32;
-    scrub_on_mount = env_int "LLD_SCRUB_ON_MOUNT" 0 <> 0;
+    group_commit_window;
+    group_commit_batch = 32;
+    scrub_on_mount = false;
   }
 
 let old_lld = { default with mode = Sequential }

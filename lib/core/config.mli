@@ -74,18 +74,17 @@ type t = {
   scrub_on_mount : bool;
       (** run {!Lld.scrub} right after recovery: verify every sealed
           segment's slot checksums and both superblock generations,
-          repairing what redundancy allows.  Defaults to [false]
-          (overridable with [LLD_SCRUB_ON_MOUNT=1]); [lld mount
-          --scrub] and the corruption crashcheck workload switch it
-          on. *)
+          repairing what redundancy allows.  Defaults to [false];
+          [lld mount --scrub] and the corruption crashcheck workload
+          switch it on. *)
 }
 
 val default : t
 (** Concurrent mode, [Own_shadow] visibility, SPARC-5/70 cost model,
-    8 MB cache, readahead on, auto-clean on.  The group-commit knobs
-    default to a 100 µs window and batches of 32, overridable with the
-    [LLD_GROUP_COMMIT_WINDOW] / [LLD_GROUP_COMMIT_BATCH] environment
-    variables (integers; the window is virtual nanoseconds). *)
+    8 MB cache, readahead on, auto-clean on.  Group commit closes
+    batches of 32 within a 100 µs window; the [LLD_GROUP_COMMIT_WINDOW]
+    environment variable (an integer, virtual nanoseconds) overrides
+    the window. *)
 
 val old_lld : t
 (** The "old" baseline: sequential mode; everything else as {!default}. *)

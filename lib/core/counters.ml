@@ -208,28 +208,3 @@ let copy t =
   c
 
 let to_alist t = List.map (fun (name, get, _) -> (name, get t)) fields
-
-let diff ~base t =
-  List.map (fun (name, get, _) -> (name, get t - get base)) fields
-
-let equal a b = List.for_all (fun (_, get, _) -> get a = get b) fields
-
-let to_json_string t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" name v))
-    (to_alist t);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Format.fprintf ppf "@,";
-      Format.fprintf ppf "%-20s %d" name v)
-    (to_alist t);
-  Format.fprintf ppf "@]"

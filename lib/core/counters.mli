@@ -91,8 +91,8 @@ type t = {
 
 val fields : (string * (t -> int) * (t -> int -> unit)) list
 (** [(name, get, set)] for every field, in declaration order — the
-    single source of truth that {!reset}, {!copy}, {!diff}, {!pp} and
-    {!to_json_string} are derived from.  A field missing here is a bug;
+    single source of truth that {!reset}, {!copy} and {!to_alist} are
+    derived from.  A field missing here is a bug;
     the coverage test asserts [List.length fields] matches the record
     width. *)
 
@@ -102,13 +102,3 @@ val copy : t -> t
 
 val to_alist : t -> (string * int) list
 (** [(name, value)] per field, in declaration order. *)
-
-val diff : base:t -> t -> (string * int) list
-(** Per-field [t - base], in declaration order. *)
-
-val equal : t -> t -> bool
-
-val to_json_string : t -> string
-(** One flat JSON object covering every field. *)
-
-val pp : Format.formatter -> t -> unit

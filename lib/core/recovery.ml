@@ -91,6 +91,7 @@ let replay ctx fx =
 
 let max_stamp st = st.max_stamp
 let next_aru st = st.max_aru
+let outcomes st = (st.applied, st.skips)
 
 let note_stamp st stamp = if stamp > st.max_stamp then st.max_stamp <- stamp
 let note_gid st gid = if gid >= st.max_gid then st.max_gid <- gid + 1
@@ -107,9 +108,11 @@ let reset_block (r : Record.block) ~alloc ~stamp =
   r.Record.phys <- None;
   r.Record.stamp <- stamp
 
-(* Apply one operation to the persistent state.  This function mirrors
-   the committed-state semantics of the runtime exactly (see Splice). *)
-let rec apply_op st payload op =
+(* Apply one data or list operation to the persistent state.  This
+   function mirrors the committed-state semantics of the runtime exactly
+   (see Splice).  Lld and Jld write commit records only on the [Simple]
+   stream, so one found among an ARU's buffered entries is skipped. *)
+let apply_data st payload op =
   match op with
   | Summary.Alloc { block; list = _; stamp } ->
     let r = st.ctx.Splice.get_block block in
@@ -157,6 +160,23 @@ let rec apply_op st payload op =
     end
     else count_outcome st `Skipped;
     note_stamp st stamp
+  | Summary.Commit _ | Summary.Commit_group _ | Summary.Prepare _
+  | Summary.Decide _ ->
+    count_outcome st `Skipped
+
+let commit_aru st aru =
+  let key = Types.Aru_id.to_int aru in
+  let buffered = Option.value ~default:[] (Hashtbl.find_opt st.buffers key) in
+  Hashtbl.remove st.buffers key;
+  Hashtbl.replace st.committed key ();
+  List.iter (fun (op, payload) -> apply_data st payload op) (List.rev buffered);
+  st.ncommitted <- st.ncommitted + 1;
+  count_outcome st `Applied
+
+(* Apply one [Simple] entry: a commit record commits its ARUs' buffered
+   entries, anything else applies at once. *)
+let apply_op st payload op =
+  match op with
   | Summary.Commit { aru } -> commit_aru st aru
   | Summary.Commit_group { arus } ->
     (* a batched commit record: one Commit per contained ARU, in list
@@ -177,15 +197,9 @@ let rec apply_op st payload op =
       Hashtbl.remove st.buffers (Types.Aru_id.to_int aru);
       count_outcome st `Applied
     end
-
-and commit_aru st aru =
-  let key = Types.Aru_id.to_int aru in
-  let buffered = Option.value ~default:[] (Hashtbl.find_opt st.buffers key) in
-  Hashtbl.remove st.buffers key;
-  Hashtbl.replace st.committed key ();
-  List.iter (fun (op, payload) -> apply_op st payload op) (List.rev buffered);
-  st.ncommitted <- st.ncommitted + 1;
-  count_outcome st `Applied
+  | ( Summary.Alloc _ | Summary.Write _ | Summary.Link _ | Summary.Unlink _
+    | Summary.New_list _ | Summary.Delete_list _ | Summary.Dealloc _ ) as op ->
+    apply_data st payload op
 
 let replay_entry st payload (entry : Summary.t) =
   match entry.Summary.stream with

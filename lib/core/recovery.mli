@@ -149,6 +149,12 @@ val max_stamp : 'p replay -> int
 val next_aru : 'p replay -> int
 (** One past the largest ARU id an [In_aru] entry named (0 when none). *)
 
+val outcomes : 'p replay -> int * int
+(** Entries applied and entries skipped so far ({!recover}'s
+    [entries_applied] and [replay_skips]).  A commit record found among
+    an ARU's buffered entries is skipped: Lld and Jld write commit
+    records only on the [Simple] stream. *)
+
 val sweep : 'p replay -> Block_map.t -> List_table.t -> unit
 (** The consistency sweep (paper §3.3), once every entry is replayed: a
     block allocated but on no list is freed, and so is a list created by

@@ -54,13 +54,21 @@ let read_tail disk ~order ~after =
   in
   (match order with
   | _ :: _ ->
-    (* Batched reads: the run length ramps up so a short tail — the
-       common O(dirty) restart — over-reads at most one segment past the
-       gap probe, while a long tail amortises to one request per 32 MB
-       of log.  Per-segment images are O(1) views into the batched read.
-       A media error on a batched read falls back to per-segment reads
-       of the same run, so the stream ends exactly where an unbatched
-       scan would end it. *)
+    (* Batched reads: runs of 1, 2, 4, ... 64 segments, each read whole,
+       so a long tail amortises to one request per 64 segments of log.
+       The batch holding the gap probe (the first segment that does not
+       extend the stream) is read to its end: a tail of n segments reads
+       up to 2n + 1 of them while the runs still double, and up to 63
+       past the probe after that.  On the aru-churn crash images (32 KB
+       segments) a recovery that replays 37 segments reads 62, one that
+       replays 17 reads 30.  The ramp stays: on bench/perf's crashcheck
+       (2 vCPUs, 8 s runs), reading one segment per request cut the
+       median virtual time per check from 1.88 to 1.28 s but raised the
+       peak heap from 28.2 to 33.3 MB, since fewer Bigarray reads pace
+       the major GC less (ROADMAP item 3).  Per-segment images are O(1)
+       views into the batched read.  A media error on a batched read
+       falls back to per-segment reads of the same run, so the stream
+       ends exactly where an unbatched scan would end it. *)
     let order = Array.of_list order in
     let n = Array.length order in
     let continue = ref true in

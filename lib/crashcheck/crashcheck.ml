@@ -132,7 +132,7 @@ let aru_churn_spec ?(arus = 160) ?(blocks_per_aru = 2) () =
    all land inside the recorded trace.  One ARU stays open across the
    cleaning.  Identifiers freed by the deletions are never reallocated
    (the open ARU allocates first), keeping oracle units unambiguous. *)
-let cleaning_spec ?(units = 36) ?(blocks_per_unit = 2) () =
+let cleaning_spec ?(units = 36) () =
   {
     sc_name = "cleaning";
     sc_geom = checker_geom;
@@ -146,7 +146,7 @@ let cleaning_spec ?(units = 36) ?(blocks_per_unit = 2) () =
           payload ~tag:"clean" ~mul:(137, 29) (Lld.block_bytes lld)
         in
         let one_unit ~index ~must_not_commit =
-          one_unit lld oracle ~blocks:blocks_per_unit ~data:(payload index)
+          one_unit lld oracle ~blocks:2 ~data:(payload index)
             ~must_not_commit
             ~commit:(if must_not_commit then ignore else Lld.end_aru lld)
             ~label:
@@ -198,8 +198,8 @@ let cleaning_spec ?(units = 36) ?(blocks_per_unit = 2) () =
    all-or-nothing inside torn batches; one ARU is submitted but never
    flushed — its commit intent lives only in memory, so no crash image
    may surface it as committed. *)
-let group_commit_spec ?(rounds = 10) ?(arus_per_round = 4)
-    ?(blocks_per_aru = 2) () =
+let group_commit_spec =
+  let rounds = 10 and arus_per_round = 4 in
   {
     sc_name = "group-commit";
     sc_geom = checker_geom;
@@ -220,7 +220,7 @@ let group_commit_spec ?(rounds = 10) ?(arus_per_round = 4)
         in
         let one_unit ~index ~must_not_commit =
           ignore
-            (one_unit lld oracle ~blocks:blocks_per_aru ~data:(payload index)
+            (one_unit lld oracle ~blocks:2 ~data:(payload index)
                ~must_not_commit ~commit:(Lld.submit_commit lld)
                ~label:
                  (Printf.sprintf "group-%d%s" index
@@ -301,7 +301,7 @@ let specs =
     ("smallfile", fun () -> smallfile_spec ());
     ("aru-churn", fun () -> aru_churn_spec ());
     ("cleaning", fun () -> cleaning_spec ());
-    ("group-commit", fun () -> group_commit_spec ());
+    ("group-commit", fun () -> group_commit_spec);
     ("torture", fun () -> torture_spec ());
   ]
 
@@ -701,13 +701,12 @@ type trace = {
          [Error] carries what recovery raised. *)
 }
 
-let default_backend geom = function
+(* The store [LLD_BACKEND] names, else an in-memory one. *)
+let default_backend geom =
+  let size = Geometry.total_bytes geom in
+  match Lld_disk.Backend.of_env ~size () with
   | Some b -> b
-  | None -> (
-    let size = Geometry.total_bytes geom in
-    match Lld_disk.Backend.of_env ~size () with
-    | Some b -> b
-    | None -> Lld_disk.Backend.mem ~size)
+  | None -> Lld_disk.Backend.mem ~size
 
 (* One full traced run of the workload on the given backend.  The base
    image and every subsequent state come from the backend API
@@ -749,7 +748,9 @@ let record_on backend spec =
   (trace, disk, lld)
 
 let record ?backend spec =
-  let backend = default_backend spec.sc_geom backend in
+  let backend =
+    match backend with Some b -> b | None -> default_backend spec.sc_geom
+  in
   let trace, disk, _ = record_on backend spec in
   Disk.close disk;
   trace
@@ -773,7 +774,7 @@ type differential = {
 
 let differential_ok d = d.d_problems = []
 
-let differential ?dir spec =
+let differential spec =
   let size = Geometry.total_bytes spec.sc_geom in
   let run backend =
     let trace, disk, lld = record_on backend spec in
@@ -783,7 +784,7 @@ let differential ?dir spec =
     (trace, label, fp)
   in
   let m_trace, m_label, m_fp = run (Lld_disk.Backend.mem ~size) in
-  let f_trace, f_label, f_fp = run (Lld_disk.Backend.temp_file ?dir ~size ()) in
+  let f_trace, f_label, f_fp = run (Lld_disk.Backend.temp_file ~size ()) in
   let differs = Setup.fingerprint_diff m_fp f_fp in
   let problems = ref [] in
   let check cond msg = if not cond then problems := msg :: !problems in
@@ -993,8 +994,8 @@ let check_ordered ?recover_config ?progress trace raw points ~on_violation =
     points;
   (!checked, !torn)
 
-let run ?(granularity = 512) ?budget ?(seed = 1) ?recover_config
-    ?(shrink_limit = 4000) ?trace_dir ?progress trace =
+let run ?(granularity = 512) ?budget ?(seed = 1) ?recover_config ?trace_dir
+    ?progress trace =
   let all_points = enumerate ~granularity trace in
   let total = List.length all_points in
   let points =
@@ -1014,8 +1015,8 @@ let run ?(granularity = 512) ?budget ?(seed = 1) ?recover_config
   in
   let violations = List.rev !kept in
   (* shrink: the minimal reproducer is the earliest failing point of the
-     full enumeration; scan from the start (bounded), falling back to
-     the earliest sampled failure *)
+     full enumeration; scan from the start (at most 4000 points),
+     falling back to the earliest sampled failure *)
   let minimal =
     match violations with
     | [] -> None
@@ -1028,7 +1029,7 @@ let run ?(granularity = 512) ?budget ?(seed = 1) ?recover_config
               (List.filter
                  (fun p ->
                    incr scanned;
-                   !scanned <= shrink_limit
+                   !scanned <= 4000
                    && (p.pt_index, p.pt_keep) < (first.v_point.pt_index, first.v_point.pt_keep))
                  all_points)
               ~on_violation:(fun v ->
@@ -1343,9 +1344,8 @@ type corruption_result = {
 
 let corruption_ok r = r.c_problems = []
 
-let corruption_check ?backend spec =
-  let backend = default_backend spec.sc_geom backend in
-  let trace, disk, _ = record_on backend spec in
+let corruption_check spec =
+  let trace, disk, _ = record_on (default_backend spec.sc_geom) spec in
   let final = Disk.snapshot disk in
   Disk.close disk;
   let geom = spec.sc_geom in
@@ -1679,9 +1679,7 @@ let record_sharded spec =
   let clock = Clock.create () in
   let disks =
     Array.init spec.ss_shards (fun _ ->
-        Disk.create
-          ~backend:(default_backend spec.ss_geom None)
-          ~clock spec.ss_geom)
+        Disk.create ~backend:(default_backend spec.ss_geom) ~clock spec.ss_geom)
   in
   let t = Shard.create ~config:spec.ss_config disks in
   Shard.flush t;

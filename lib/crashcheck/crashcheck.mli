@@ -65,8 +65,9 @@ val aru_churn_spec : ?arus:int -> ?blocks_per_aru:int -> unit -> spec
     recognisable payloads, commits and is flushed; a last ARU is left
     open, so no crash image may surface any of its effects. *)
 
-val cleaning_spec : ?units:int -> ?blocks_per_unit:int -> unit -> spec
-(** Cleaning-heavy raw-LD workload: committed units, atomic whole-unit
+val cleaning_spec : ?units:int -> unit -> spec
+(** Cleaning-heavy raw-LD workload (default 36 units of 2 blocks):
+    committed units, atomic whole-unit
     deletions, same-content rewrites, then a forced {!Lld_core.Lld.clean}
     with one ARU left open across it — segment relocation, the live
     index and the cleaner's checkpoint all inside the recorded trace. *)
@@ -121,10 +122,10 @@ type differential = {
   d_problems : string list;  (** [[]] = backends observably equivalent *)
 }
 
-val differential : ?dir:string -> spec -> differential
-(** Run [spec]'s workload on both backends and compare.  [dir] is where
-    the temporary file image lives while the run is in flight (default
-    the system temp directory); it is unlinked eagerly either way. *)
+val differential : spec -> differential
+(** Run [spec]'s workload on both backends and compare.  The file image
+    lives in the system temp directory while the run is in flight and
+    is unlinked eagerly. *)
 
 val differential_ok : differential -> bool
 val pp_differential : Format.formatter -> differential -> unit
@@ -248,7 +249,6 @@ val run :
   ?budget:int ->
   ?seed:int ->
   ?recover_config:Lld_core.Config.t ->
-  ?shrink_limit:int ->
   ?trace_dir:string ->
   ?progress:(checked:int -> selected:int -> unit) ->
   trace ->
@@ -260,8 +260,7 @@ val run :
     last points are always kept, and the sample is drawn with
     {!Lld_sim.Rng} seeded by [seed] (default 1).  When violations are
     found, the earliest failing point is located by scanning the full
-    enumeration from the start (at most [shrink_limit] extra checks,
-    default 4000).  With [trace_dir], the minimal reproducer's recovery
+    enumeration from the start (at most 4000 extra checks).  With [trace_dir], the minimal reproducer's recovery
     is replayed under live tracing and the Chrome trace written into
     that directory; the path lands in
     [r_trace_file] and in {!pp_result}'s output next to the reproducer
@@ -405,8 +404,9 @@ type corruption_result = {
   c_problems : string list;  (** empty iff every scenario healed fully *)
 }
 
-val corruption_check :
-  ?backend:Lld_disk.Backend.t -> spec -> corruption_result
+val corruption_check : spec -> corruption_result
+(** Record [spec] once on the store {!record} defaults to
+    ([LLD_BACKEND=file] honoured), then run the three scenarios. *)
 
 val corruption_ok : corruption_result -> bool
 val pp_corruption_result : Format.formatter -> corruption_result -> unit

@@ -11,7 +11,6 @@ type observer = index:int -> offset:int -> data:Blk.t -> unit
 
 type t = {
   geom : Geometry.t;
-  timing : Timing.t;
   fault : Fault.t;
   clock : Lld_sim.Clock.t;
   backend : Backend.t; (* the raw store *)
@@ -30,8 +29,8 @@ type t = {
    durations equal the cost-model charge. *)
 let charge t op ~offset ~length =
   let b =
-    Timing.request_breakdown t.timing t.geom ~last_end:t.last_end ~offset
-      ~length
+    Timing.request_breakdown Timing.hp_c3010 t.geom ~last_end:t.last_end
+      ~offset ~length
   in
   let ns = b.Timing.position_ns + b.Timing.xfer_ns in
   let module Obs = Lld_obs.Obs in
@@ -53,14 +52,12 @@ let charge t op ~offset ~length =
   else Lld_sim.Clock.charge t.clock Lld_sim.Clock.Io ns;
   t.last_end <- offset + length
 
-let make ?(timing = Timing.hp_c3010) ?fault ~clock geom backend =
-  let fault = match fault with Some f -> f | None -> Fault.none () in
+let make ~clock geom backend =
   if backend.Backend.size <> Geometry.total_bytes geom then
     invalid_arg "Disk: backend size does not match the geometry";
   {
     geom;
-    timing;
-    fault;
+    fault = Fault.none ();
     clock;
     backend;
     last_end = -1;
@@ -72,18 +69,18 @@ let make ?(timing = Timing.hp_c3010) ?fault ~clock geom backend =
     bytes_read = 0;
   }
 
-let create ?timing ?fault ?backend ~clock geom =
+let create ?backend ~clock geom =
   let backend =
     match backend with
     | Some b -> b
     | None -> Backend.mem ~size:(Geometry.total_bytes geom)
   in
-  make ?timing ?fault ~clock geom backend
+  make ~clock geom backend
 
-let load ?timing ?fault ~clock geom image =
+let load ~clock geom image =
   if Bytes.length image <> Geometry.total_bytes geom then
     invalid_arg "Disk.load: image size does not match the geometry";
-  make ?timing ?fault ~clock geom (Backend.of_bytes image)
+  make ~clock geom (Backend.of_bytes image)
 
 (* Queued [Fault.corrupt_sector] bit-rot is applied straight to the raw
    store, bypassing the fault plan, the charge and the meter: silent

@@ -17,25 +17,14 @@ module Blk = Lld_util.Blk
 
 type t
 
-val create :
-  ?timing:Timing.t ->
-  ?fault:Fault.t ->
-  ?backend:Backend.t ->
-  clock:Lld_sim.Clock.t ->
-  Geometry.t ->
-  t
+val create : ?backend:Backend.t -> clock:Lld_sim.Clock.t -> Geometry.t -> t
 (** A partition on the given backend (default: a zero-filled
-    {!Backend.mem}).  Default timing is {!Timing.hp_c3010}; default
-    fault plan is {!Fault.none}.  Raises [Invalid_argument] when the
-    backend size does not match the geometry. *)
+    {!Backend.mem}), timed by {!Timing.hp_c3010}, with a fresh
+    {!Fault.none} plan (reach it through {!fault} to schedule a crash
+    or mark media bad).  Raises [Invalid_argument] when the backend
+    size does not match the geometry. *)
 
-val load :
-  ?timing:Timing.t ->
-  ?fault:Fault.t ->
-  clock:Lld_sim.Clock.t ->
-  Geometry.t ->
-  bytes ->
-  t
+val load : clock:Lld_sim.Clock.t -> Geometry.t -> bytes -> t
 (** A partition whose initial contents are a copy of the given image,
     taken once through {!Backend.of_bytes}.  Raises [Invalid_argument]
     when the image size does not match the geometry.  Crash images are

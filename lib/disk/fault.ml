@@ -32,11 +32,6 @@ let schedule_crash t crash =
     | After_writes n -> n
     | During_write { write_index; _ } -> write_index)
 
-let create ?crash () =
-  let t = none () in
-  (match crash with None -> () | Some c -> schedule_crash t c);
-  t
-
 let mark_bad t ~offset ~length =
   if length <= 0 then invalid_arg "Fault.mark_bad: non-positive length";
   t.bad <- (offset, length) :: t.bad

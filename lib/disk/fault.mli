@@ -26,8 +26,6 @@ type t
 val none : unit -> t
 (** No faults scheduled (fresh, mutable plan). *)
 
-val create : ?crash:crash -> unit -> t
-
 val schedule_crash : t -> crash -> unit
 (** Replace the crash schedule (counting from the current write count). *)
 

@@ -7,16 +7,9 @@ type t = private {
   block_bytes : int;  (** data block size (paper: 4096) *)
   segment_bytes : int;  (** segment size (paper: 524288) *)
   num_segments : int;  (** segments in the partition *)
-  cylinder_bytes : int;  (** bytes per cylinder, for the seek model *)
 }
 
-val v :
-  ?block_bytes:int ->
-  ?segment_bytes:int ->
-  ?cylinder_bytes:int ->
-  num_segments:int ->
-  unit ->
-  t
+val v : ?block_bytes:int -> ?segment_bytes:int -> num_segments:int -> unit -> t
 (** Constructor with paper defaults; validates that the segment size is
     a multiple of the block size. *)
 
@@ -33,5 +26,6 @@ val total_bytes : t -> int
 val segment_offset : t -> int -> int
 (** Byte offset of segment [i] within the partition. *)
 
-val cylinder_of_offset : t -> int -> int
-(** Cylinder index containing a byte offset (for the seek model). *)
+val cylinder_of_offset : int -> int
+(** Cylinder index containing a byte offset (for the seek model): a
+    cylinder is 1 MB of the partition. *)

@@ -15,15 +15,6 @@ let hp_c3010 =
     transfer_bytes_per_sec = 2_350_000;
   }
 
-let instant =
-  {
-    min_seek_ns = 0;
-    avg_seek_ns = 0;
-    rotation_ns = 0;
-    settle_ns = 0;
-    transfer_bytes_per_sec = max_int;
-  }
-
 (* Seek time grows with the square root of the cylinder distance, scaled
    so that a random seek (expected normalised distance ~1/3, sqrt ~0.52)
    costs [avg_seek_ns]. *)
@@ -58,13 +49,13 @@ type breakdown = {
 }
 
 let request_breakdown t geom ~last_end ~offset ~length =
-  let total_cyl = Geometry.cylinder_of_offset geom (Geometry.total_bytes geom - 1) + 1 in
+  let total_cyl = Geometry.cylinder_of_offset (Geometry.total_bytes geom - 1) + 1 in
   let position_ns, kind =
     if last_end < 0 then (t.avg_seek_ns + (t.rotation_ns / 2), Cold)
     else if offset = last_end then (t.settle_ns, Sequential)
     else
-      let from_cyl = Geometry.cylinder_of_offset geom last_end in
-      let to_cyl = Geometry.cylinder_of_offset geom offset in
+      let from_cyl = Geometry.cylinder_of_offset last_end in
+      let to_cyl = Geometry.cylinder_of_offset offset in
       let seek = seek_ns t geom ~from_cyl ~to_cyl ~total_cyl in
       if seek = 0 then
         (* same cylinder, different position: partial rotation *)

@@ -17,9 +17,6 @@ type t = {
 
 val hp_c3010 : t
 
-val instant : t
-(** Zero-latency model for pure-correctness tests. *)
-
 val request_ns :
   t -> Geometry.t -> last_end:int -> offset:int -> length:int -> int
 (** Virtual duration of a request of [length] bytes at byte [offset],

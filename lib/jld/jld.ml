@@ -17,22 +17,16 @@ module Versions = Lld_core.Versions
 module Ld_ops = Lld_core.Ld_ops
 module Recovery = Lld_core.Recovery
 
-type config = {
-  cost : Cost.t;
-  cache_blocks : int;
-  buffer_blocks : int;
-  journal_fraction : float;
-  dirty_limit_blocks : int;
-}
-
-let default_config =
-  {
-    cost = Cost.sparc5_70;
-    cache_blocks = 2048;
-    buffer_blocks = 64;
-    journal_fraction = 0.25;
-    dirty_limit_blocks = 2048;
-  }
+(* JLD runs one configuration: the paper's cost model, an 8 MB LRU over
+   in-place reads, journal chunks flushed every 64 data blocks (group
+   commit), a quarter of the partition as journal, and a checkpoint once
+   2048 blocks of committed data wait to be written home (the
+   write-back bound of a real buffer cache). *)
+let cost = Cost.sparc5_70
+let cache_blocks = 2048
+let buffer_blocks = 64
+let journal_fraction = 0.25
+let dirty_limit_blocks = 2048
 
 (* ------------------------------------------------------------------ *)
 (* On-disk layout (all units are blocks)                               *)
@@ -49,7 +43,7 @@ type layout = {
 
 let sb_magic = 0x4a4c4421 (* "JLD!" *)
 
-let layout_of ~total_blocks ~journal_fraction =
+let layout_of ~total_blocks =
   let journal_blocks = max 16 (int_of_float (float_of_int total_blocks *. journal_fraction)) in
   (* worst-case table payload, as in Disk_layout: 31 B per block entry,
      22 B per list entry, plus chunk header slack *)
@@ -101,7 +95,6 @@ let decode_superblock b =
 (* ------------------------------------------------------------------ *)
 
 type t = {
-  config : config;
   disk : Disk.t;
   geom : Geometry.t;
   clock : Clock.t;
@@ -130,7 +123,7 @@ type t = {
 }
 
 let clock t = t.clock
-let cost_model t = t.config.cost
+let cost_model _ = cost
 let counters t = t.counters
 let obs t = t.obs
 
@@ -159,7 +152,7 @@ let pend_chunk_blocks t =
 
 (* A reserve so that one full buffer can always be flushed before a
    checkpoint frees the journal. *)
-let journal_reserve t = t.config.buffer_blocks + 4
+let journal_reserve = buffer_blocks + 4
 
 let journal_remaining t = t.layout.journal_blocks - t.jptr
 
@@ -307,24 +300,23 @@ let checkpoint t =
 (* Ensure room for [blocks] more journal blocks (checkpointing if
    needed, which is forbidden mid-commit — end_aru reserves ahead). *)
 let ensure_journal_room t blocks =
-  if journal_remaining t - journal_reserve t < blocks then begin
+  if journal_remaining t - journal_reserve < blocks then begin
     if t.in_commit then raise Errors.Disk_full;
     checkpoint t
   end
 
 let append t ?payload entry =
-  let c = t.config.cost in
   t.pend <- (entry, payload) :: t.pend;
   t.pend_entries <- t.pend_entries + 1;
   t.pend_entry_bytes <- t.pend_entry_bytes + Summary.encoded_size entry;
   (match payload with
   | Some _ ->
     t.pend_data <- t.pend_data + 1;
-    cpu t c.Cost.block_copy_ns
+    cpu t cost.Cost.block_copy_ns
   | None -> ());
   t.counters.Counters.summary_entries <- t.counters.Counters.summary_entries + 1;
-  cpu t c.Cost.summary_entry_ns;
-  if t.pend_data >= t.config.buffer_blocks then begin
+  cpu t cost.Cost.summary_entry_ns;
+  if t.pend_data >= buffer_blocks then begin
     ensure_journal_room t (pend_chunk_blocks t);
     flush_chunk t
   end
@@ -345,7 +337,7 @@ let forget t b =
 let committed_write t stream b data ~stamp =
   if
     (not t.in_commit)
-    && Hashtbl.length t.dirty >= t.config.dirty_limit_blocks
+    && Hashtbl.length t.dirty >= dirty_limit_blocks
   then checkpoint t;
   (* the slot is the payload's index among the chunk's data blocks,
      where journal replay finds it *)
@@ -407,11 +399,11 @@ let delete_list t ?aru list = Ld_ops.delete_list t.ops ?aru list
 let end_aru t aid =
   Versions.dispatch t.v;
   let a = Versions.find_aru t.v aid in
-  cpu t t.config.cost.Cost.aru_commit_ns;
+  cpu t cost.Cost.aru_commit_ns;
   (* reserve journal room for the whole commit before starting it *)
   let data_bound = Aru.shadow_block_count a in
   ensure_journal_room t
-    (pend_chunk_blocks t + data_bound + 2 + t.config.buffer_blocks);
+    (pend_chunk_blocks t + data_bound + 2 + buffer_blocks);
   t.in_commit <- true;
   Fun.protect ~finally:(fun () -> t.in_commit <- false) @@ fun () ->
   Ld_ops.replay_log t.ops a t.committed;
@@ -491,13 +483,13 @@ let sink v committed (self : t Lazy.t) =
     drop_data = (fun r -> r.Record.data <- None);
   }
 
-let make config disk layout =
+let make disk layout =
   let geom = Disk.geometry disk in
   let counters = Counters.create () in
   let v =
     Versions.create ~layers:Versions.Anchors_shadows
       ~visibility:Lld_core.Config.Own_shadow ~clock:(Disk.clock disk)
-      ~cost:config.cost ~counters
+      ~cost ~counters
       (Block_map.create ~capacity:layout.capacity)
       (List_table.create ~max_lists:layout.capacity)
   in
@@ -508,7 +500,6 @@ let make config disk layout =
   let rec self =
     lazy
       {
-        config;
         disk;
         geom;
         clock = Disk.clock disk;
@@ -525,7 +516,7 @@ let make config disk layout =
         pend_data = 0;
         dirty = Hashtbl.create 256;
         zeroed = Hashtbl.create 64;
-        cache = Lru.create ~capacity:(max 16 config.cache_blocks);
+        cache = Lru.create ~capacity:cache_blocks;
         counters;
         in_commit = false;
         obs = Lld_obs.Obs.null;
@@ -533,14 +524,12 @@ let make config disk layout =
   in
   Lazy.force self
 
-let create ?(config = default_config) disk =
+let create disk =
   let geom = Disk.geometry disk in
   let bb = geom.Geometry.block_bytes in
   let total_blocks = Geometry.total_bytes geom / bb in
-  let layout =
-    layout_of ~total_blocks ~journal_fraction:config.journal_fraction
-  in
-  let t = make config disk layout in
+  let layout = layout_of ~total_blocks in
+  let t = make disk layout in
   Disk.write disk ~offset:0 (encode_superblock bb layout);
   (* epoch 1 tables on both regions so stale state never resurfaces *)
   write_tables t;
@@ -624,7 +613,7 @@ let replay_journal t =
   t.ops.Ld_ops.next_aru <- max t.ops.Ld_ops.next_aru (Recovery.next_aru st);
   !chunks
 
-let recover ?(config = default_config) disk =
+let recover disk =
   Lld_disk.Fault.reset_after_recovery (Disk.fault disk);
   let geom = Disk.geometry disk in
   let bb = geom.Geometry.block_bytes in
@@ -634,7 +623,7 @@ let recover ?(config = default_config) disk =
   (* the higher epoch wins (region A on a tie); when its payload does
      not decode, a fresh handle takes the other region *)
   let restore (epoch, payload) =
-    let t = make config disk layout in
+    let t = make disk layout in
     match
       Lld_core.Checkpoint.decode_into t.v.Versions.blocks t.v.Versions.lists
         payload

@@ -34,22 +34,15 @@
 
 type t
 
-type config = {
-  cost : Lld_sim.Cost.t;
-  cache_blocks : int;  (** LRU over in-place reads *)
-  buffer_blocks : int;  (** journal chunk buffer size (group commit) *)
-  journal_fraction : float;  (** share of the partition used as journal *)
-  dirty_limit_blocks : int;
-      (** checkpoint when this much committed data waits to be written
-          home (the write-back bound of a real buffer cache) *)
-}
+val create : Lld_disk.Disk.t -> t
+(** Format the partition: superblock, empty tables, empty journal.  JLD
+    has one configuration: the SPARC-5/70 cost model, an 8 MB LRU over
+    in-place reads, journal chunks of up to 64 data blocks (group
+    commit), a quarter of the partition as journal, and a checkpoint
+    once 2048 blocks of committed data wait to be written home (the
+    write-back bound of a real buffer cache). *)
 
-val default_config : config
-
-val create : ?config:config -> Lld_disk.Disk.t -> t
-(** Format the partition: superblock, empty tables, empty journal. *)
-
-val recover : ?config:config -> Lld_disk.Disk.t -> t * int
+val recover : Lld_disk.Disk.t -> t * int
 (** Mount after a crash: restore the newest valid tables, replay the
     journal's chunks through the shared REDO replay (an ARU's entries
     wait for its commit record), run the shared consistency sweep, and

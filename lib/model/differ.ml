@@ -22,7 +22,6 @@ type config = {
   ops : int;
   crash_every : int;
   crash_points : int;
-  granularity : int;
   group_commit : bool;
   shards : int;
 }
@@ -36,7 +35,6 @@ let default_config =
     ops = 40;
     crash_every = 4;
     crash_points = 12;
-    granularity = 512;
     group_commit = false;
     shards = 1;
   }
@@ -489,7 +487,7 @@ let run_program_stats ?(crash = false) ?obs_for cfg ~seed (program : Program.t)
   (* Recover every sampled crash point of [raw] — all shards' writes
      after the flush above, one interleaved trace — on fresh disks. *)
   let crash_check raw =
-    let points = Raw.enumerate ~granularity:cfg.granularity raw in
+    let points = Raw.enumerate raw in
     let points = Raw.sample ~budget:cfg.crash_points ~seed points in
     let rec each = function
       | [] -> None

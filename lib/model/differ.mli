@@ -28,8 +28,9 @@ type config = {
   crash_every : int;
       (** every [n]-th case also replays sampled crash points
           ([0] = never) *)
-  crash_points : int;  (** crash-point sample budget per crash case *)
-  granularity : int;  (** torn-write granularity in bytes *)
+  crash_points : int;
+      (** crash-point sample budget per crash case; torn writes are cut
+          every 512 bytes *)
   group_commit : bool;
       (** schedule commits through the group-commit engine: [Commit]
           commands become [Submit_commit], and both sides' queues are

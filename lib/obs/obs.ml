@@ -17,25 +17,26 @@ let null =
     metrics = Metrics.create ();
   }
 
-let black_box ?(capacity = 4096) clock = Trace.create ~capacity ~clock ()
+(* The black box keeps the last 4096 events of every category. *)
+let black_box clock = Trace.create ~capacity:4096 ~clock ()
 
-let create ?capacity ?categories ?flight_capacity ~clock () =
+let create ?categories ~clock () =
   {
     active = true;
     clock;
-    trace = Trace.create ?capacity ?categories ~clock ();
-    flight = black_box ?capacity:flight_capacity clock;
+    trace = Trace.create ?categories ~clock ();
+    flight = black_box clock;
     metrics = Metrics.create ();
   }
 
 (* The black-box configuration: no tracer, no histogram sampling, just
    the bounded event ring.  Cheap enough to leave on everywhere. *)
-let flight_only ?capacity ~clock () =
+let flight_only ~clock () =
   {
     active = false;
     clock;
     trace = Trace.disabled;
-    flight = black_box ?capacity clock;
+    flight = black_box clock;
     metrics = Metrics.create ();
   }
 

@@ -16,17 +16,16 @@ val null : t
 (** The inert handle: [active null = false], all probes are no-ops. *)
 
 val create :
-  ?capacity:int -> ?categories:Trace.category list -> ?flight_capacity:int ->
-  clock:Lld_sim.Clock.t -> unit -> t
-(** Live handle stamping events on [clock].  [capacity] and
-    [categories] are passed to {!Trace.create} for the tracer; the
-    black box is enabled too ([flight_capacity], default 4096 events,
-    every category). *)
+  ?categories:Trace.category list -> clock:Lld_sim.Clock.t -> unit -> t
+(** Live handle stamping events on [clock].  [categories] is passed to
+    {!Trace.create} for the tracer (a ring of 65536 events);
+    the black box is enabled too (the last 4096 events, every
+    category). *)
 
-val flight_only : ?capacity:int -> clock:Lld_sim.Clock.t -> unit -> t
+val flight_only : clock:Lld_sim.Clock.t -> unit -> t
 (** A black-box handle: no tracer, no histograms, just the bounded
-    black-box ring ([capacity], default 4096 events).  [active] is
-    false on it — only {!event} and {!timed} leave a record. *)
+    black-box ring (the last 4096 events).  [active] is false on it —
+    only {!event} and {!timed} leave a record. *)
 
 val env_default : clock:Lld_sim.Clock.t -> t -> t
 (** [env_default ~clock obs] returns [obs] unchanged when it records

@@ -23,15 +23,15 @@ let small_geom = Geometry.small
 let default_backend geom =
   Lld_disk.Backend.of_env ~size:(Geometry.total_bytes geom) ()
 
-let fresh_disk ?(geom = small_geom) ?fault ?backend () =
+let fresh_disk ?(geom = small_geom) ?backend () =
   let clock = Clock.create () in
   let backend =
     match backend with Some b -> Some b | None -> default_backend geom
   in
-  Disk.create ?fault ?backend ~clock geom
+  Disk.create ?backend ~clock geom
 
-let fresh_lld ?(config = Config.default) ?geom ?fault () =
-  let disk = fresh_disk ?geom ?fault () in
+let fresh_lld ?(config = Config.default) ?geom () =
+  let disk = fresh_disk ?geom () in
   let lld = Lld.create ~config disk in
   (disk, lld)
 

@@ -101,10 +101,9 @@ let test_close_is_idempotent_and_final () =
 
 let torn_run backend =
   let clock = Clock.create () in
-  let fault = Fault.none () in
-  let disk = Disk.create ~backend ~fault ~clock geom in
+  let disk = Disk.create ~backend ~clock geom in
   Disk.write disk ~offset:0 (Bytes.make 4096 'a');
-  Fault.schedule_crash fault
+  Fault.schedule_crash (Disk.fault disk)
     (Fault.During_write { write_index = 0; keep_bytes = 1000 });
   (match Disk.write disk ~offset:8192 (Bytes.make 4096 'b') with
   | () -> Alcotest.fail "torn write did not crash"

@@ -35,59 +35,19 @@ let test_getter_setter_roundtrip () =
 let fill c =
   List.iteri (fun i (_, _, set) -> set c (100 + i)) Counters.fields
 
-let test_reset_copy_diff_equal () =
+let test_reset_copy () =
   let c = Counters.create () in
   fill c;
   let d = Counters.copy c in
-  Alcotest.(check bool) "copy equal" true (Counters.equal c d);
-  let diff = Counters.diff ~base:d c in
-  Alcotest.(check bool)
-    "diff of equals all zero" true
-    (List.for_all (fun (_, v) -> v = 0) diff);
+  Alcotest.(check (list (pair string int)))
+    "copy equal" (Counters.to_alist c) (Counters.to_alist d);
   Counters.reset c;
-  Alcotest.(check bool) "reset differs" false (Counters.equal c d);
   Alcotest.(check bool)
     "reset zeroes everything" true
     (List.for_all (fun (_, v) -> v = 0) (Counters.to_alist c));
   Alcotest.(check bool)
     "copy was independent" true
     (List.for_all (fun (_, v) -> v >= 100) (Counters.to_alist d))
-
-let test_pp_covers_every_field () =
-  let c = Counters.create () in
-  fill c;
-  let out = Format.asprintf "%a" Counters.pp c in
-  List.iter
-    (fun (name, get, _) ->
-      let line = Printf.sprintf "%-20s %d" name (get c) in
-      if
-        not
-          (List.exists
-             (fun l -> String.trim l = String.trim line)
-             (String.split_on_char '\n' out))
-      then Alcotest.failf "pp output missing %S" line)
-    Counters.fields
-
-let test_json_covers_every_field () =
-  let c = Counters.create () in
-  fill c;
-  let json = Counters.to_json_string c in
-  List.iter
-    (fun (name, get, _) ->
-      let frag = Printf.sprintf "\"%s\":%d" name (get c) in
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i =
-          i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-        in
-        go 0
-      in
-      if not (contains json frag) then
-        Alcotest.failf "JSON missing %S in %s" frag json)
-    Counters.fields;
-  (* shape: one object, no trailing comma *)
-  Alcotest.(check bool) "starts {" true (json.[0] = '{');
-  Alcotest.(check bool) "ends }" true (json.[String.length json - 1] = '}')
 
 let () =
   Alcotest.run "counters"
@@ -100,13 +60,5 @@ let () =
           Alcotest.test_case "getter/setter round trip" `Quick
             test_getter_setter_roundtrip;
         ] );
-      ( "derived",
-        [
-          Alcotest.test_case "reset/copy/diff/equal" `Quick
-            test_reset_copy_diff_equal;
-          Alcotest.test_case "pp covers every field" `Quick
-            test_pp_covers_every_field;
-          Alcotest.test_case "JSON covers every field" `Quick
-            test_json_covers_every_field;
-        ] );
+      ("derived", [ Alcotest.test_case "reset/copy" `Quick test_reset_copy ]);
     ]

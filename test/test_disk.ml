@@ -62,14 +62,12 @@ let test_timing_random_block_reads_slow () =
     true
     (t > 10_000_000 && t < 25_000_000)
 
-let test_timing_instant () =
-  Alcotest.(check int) "instant is free" 0
-    (Timing.request_ns Timing.instant Geometry.small ~last_end:(-1) ~offset:0
-       ~length:4096)
-
-let mk_disk ?fault () =
+(* A fresh disk, with its crash plan scheduled when [crash] is given. *)
+let mk_disk ?crash () =
   let clock = Clock.create () in
-  (clock, Disk.create ?fault ~clock Geometry.small)
+  let d = Disk.create ~clock Geometry.small in
+  Option.iter (Fault.schedule_crash (Disk.fault d)) crash;
+  (clock, d)
 
 let test_disk_write_read_roundtrip () =
   let _, d = mk_disk () in
@@ -105,8 +103,7 @@ let test_disk_counters () =
   Alcotest.(check int) "reset" 0 (Disk.counters d).Disk.writes
 
 let test_fault_crash_after_writes () =
-  let fault = Fault.create ~crash:(Fault.After_writes 2) () in
-  let _, d = mk_disk ~fault () in
+  let _, d = mk_disk ~crash:(Fault.After_writes 2) () in
   Disk.write d ~offset:0 (Bytes.make 10 'a');
   Disk.write d ~offset:0 (Bytes.make 10 'b');
   Alcotest.check_raises "third write crashes" Fault.Crashed (fun () ->
@@ -114,25 +111,24 @@ let test_fault_crash_after_writes () =
   (* after the crash the device stays down until recovery resets it *)
   Alcotest.check_raises "still down" Fault.Crashed (fun () ->
       ignore (Disk.read d ~offset:0 ~length:1));
-  Fault.reset_after_recovery fault;
+  Fault.reset_after_recovery (Disk.fault d);
   Alcotest.(check string) "surviving content" "b"
     (Bytes.to_string (Disk.read d ~offset:0 ~length:1))
 
 let test_fault_torn_write () =
-  let fault =
-    Fault.create ~crash:(Fault.During_write { write_index = 0; keep_bytes = 4 }) ()
+  let _, d =
+    mk_disk ~crash:(Fault.During_write { write_index = 0; keep_bytes = 4 }) ()
   in
-  let _, d = mk_disk ~fault () in
   Alcotest.check_raises "torn write crashes" Fault.Crashed (fun () ->
       Disk.write d ~offset:0 (Bytes.of_string "ABCDEFGH"));
-  Fault.reset_after_recovery fault;
+  Fault.reset_after_recovery (Disk.fault d);
   let back = Disk.read d ~offset:0 ~length:8 in
   Alcotest.(check string) "prefix persisted" "ABCD\000\000\000\000"
     (Bytes.to_string back)
 
 let test_fault_media_error () =
-  let fault = Fault.none () in
-  let _, d = mk_disk ~fault () in
+  let _, d = mk_disk () in
+  let fault = Disk.fault d in
   Disk.write d ~offset:0 (Bytes.make 8192 'x');
   Fault.mark_bad fault ~offset:4096 ~length:4096;
   Alcotest.(check int) "clean range readable" 4096
@@ -144,10 +140,9 @@ let test_fault_media_error () =
   Alcotest.(check int) "cleared" 8192 (Bytes.length (Disk.read d ~offset:0 ~length:8192))
 
 let test_fault_schedule_counts_from_now () =
-  let fault = Fault.none () in
-  let _, d = mk_disk ~fault () in
+  let _, d = mk_disk () in
   Disk.write d ~offset:0 (Bytes.make 10 'a');
-  Fault.schedule_crash fault (Fault.After_writes 1);
+  Fault.schedule_crash (Disk.fault d) (Fault.After_writes 1);
   Disk.write d ~offset:0 (Bytes.make 10 'b');
   Alcotest.check_raises "crashes on second write from scheduling"
     Fault.Crashed (fun () -> Disk.write d ~offset:0 (Bytes.make 10 'c'))
@@ -159,12 +154,9 @@ let test_disk_request_order () =
   let clock, d = mk_disk () in
   Disk.write d ~offset:8192 (Bytes.make 512 'x');
   let prefix_ns = Clock.now_ns clock in
-  let fault =
-    Fault.create
-      ~crash:(Fault.During_write { write_index = 0; keep_bytes = 512 })
-      ()
+  let clock, d =
+    mk_disk ~crash:(Fault.During_write { write_index = 0; keep_bytes = 512 }) ()
   in
-  let clock, d = mk_disk ~fault () in
   let seen = ref [] in
   Disk.set_observer d
     (Some (fun ~index:_ ~offset:_ ~data -> seen := Lld_util.Blk.length data :: !seen));
@@ -216,7 +208,6 @@ let () =
             test_timing_sequential_bandwidth;
           Alcotest.test_case "random 4KB read ~18ms" `Quick
             test_timing_random_block_reads_slow;
-          Alcotest.test_case "instant model" `Quick test_timing_instant;
         ] );
       ( "disk",
         [

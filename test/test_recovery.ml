@@ -668,6 +668,36 @@ let test_report_prints_scavenged_apart () =
   Alcotest.(check string) "printed" "scavenged: 1 blocks, 1 lists"
     (List.nth lines (List.length lines - 1))
 
+(* Lld and Jld write commit records only on the [Simple] stream.  One
+   found among an ARU's buffered entries is counted as a replay skip
+   when that ARU commits, and is not applied: the ARU it names stays
+   uncommitted and its buffered allocation never happens. *)
+let test_buffered_commit_record_skipped () =
+  let blocks = Lld_core.Block_map.create ~capacity:16 in
+  let lists = Lld_core.List_table.create ~max_lists:4 in
+  let allocs = ref 0 in
+  let st =
+    Recovery.replay
+      (Lld_core.Versions.anchor_ctx blocks lists)
+      {
+        Recovery.on_alloc = (fun _ -> incr allocs);
+        on_write = (fun _ ~slot:_ () -> ());
+        on_free = ignore;
+      }
+  in
+  let aru = Types.Aru_id.of_int and blk = Types.Block_id.of_int in
+  let entry stream op = Recovery.replay_entry st () { Summary.stream; op } in
+  entry (Summary.In_aru (aru 2))
+    (Summary.Alloc { block = blk 3; list = Types.List_id.of_int 0; stamp = 1 });
+  entry (Summary.In_aru (aru 1)) (Summary.Commit { aru = aru 2 });
+  entry Summary.Simple (Summary.Commit { aru = aru 1 });
+  Alcotest.(check (pair int int))
+    "ARU 1's commit applied, its buffered Commit skipped" (1, 1)
+    (Recovery.outcomes st);
+  Alcotest.(check int) "ARU 2's allocation not applied" 0 !allocs;
+  Alcotest.(check bool) "block 3 still free" false
+    (Lld_core.Block_map.anchor blocks (blk 3)).Lld_core.Record.alloc
+
 let () =
   Alcotest.run "lld_recovery"
     [
@@ -699,6 +729,8 @@ let () =
           Alcotest.test_case "report counts" `Quick test_recovery_report_counts;
           Alcotest.test_case "report prints scavenged apart" `Quick
             test_report_prints_scavenged_apart;
+          Alcotest.test_case "buffered commit record skipped" `Quick
+            test_buffered_commit_record_skipped;
         ] );
       ( "torn-writes",
         [ Alcotest.test_case "torn segment write" `Quick test_torn_segment_write ]
