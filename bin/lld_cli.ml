@@ -448,13 +448,20 @@ let crashcheck workload shards budget granularity seed at broken_sweep
   applies_to [ enumeration; "--during-recovery" ] "--trace-dir"
     (trace_dir <> None);
   applies_to [ "--during-recovery" ] "--inner-budget" (inner_budget <> None);
+  applies_to [ enumeration; "--during-recovery" ] "--granularity"
+    (granularity <> None);
+  applies_to [ enumeration; "--during-recovery" ] "--seed" (seed <> None);
+  let granularity = Option.value granularity ~default:512 in
+  let seed = Option.value seed ~default:1 in
   let cross_shard = workload = Some "cross-shard" in
   if cross_shard && (differential || corruption || during_recovery) then
     usage
       "--workload cross-shard does not support --differential, --corruption \
        or --during-recovery";
-  if cross_shard && shards < 2 then
-    usage "--shards must be at least 2 for cross-shard ARUs";
+  if shards <> None && not cross_shard then
+    usage "--shards is ignored without --workload cross-shard";
+  let shards = Option.value shards ~default:3 in
+  if shards < 2 then usage "--shards must be at least 2 for cross-shard ARUs";
   (* the one-disk specs: every mode but cross-shard's *)
   let selected =
     match workload with
@@ -608,7 +615,8 @@ let crashcheck_cmd =
   in
   let shards =
     Arg.(
-      value & opt int 3
+      value
+      & opt (some int) None
       & info [ "shards" ] ~docv:"S"
           ~doc:
             "With $(b,--workload cross-shard): number of independent \
@@ -626,14 +634,21 @@ let crashcheck_cmd =
   in
   let granularity =
     Arg.(
-      value & opt int 512
+      value
+      & opt (some int) None
       & info [ "granularity" ] ~docv:"BYTES"
-          ~doc:"Torn-write boundary spacing in bytes (at least 1).")
+          ~doc:
+            "Torn-write boundary spacing in bytes (at least 1; default \
+             512), for crash-point enumeration and $(b,--during-recovery).")
   in
   let seed =
     Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N" ~doc:"Sampling seed for budgeted mode.")
+      value
+      & opt (some int) None
+      & info [ "seed" ] ~docv:"N"
+          ~doc:
+            "Sampling seed for $(b,--budget) (default 1), for crash-point \
+             enumeration and $(b,--during-recovery).")
   in
   let at =
     Arg.(
@@ -735,52 +750,29 @@ let arm_panic_forensics obs =
 (* One group-commit engine client: begin, populate a private list with
    [writes] written blocks, commit (translated to a queued submission
    by the engine).  Used by the traced workload so the trace carries
-   complete submit -> batch -> seal barrier -> wake flow chains. *)
+   complete submit -> batch -> seal barrier -> wake flow chains.  An
+   unexpected result ends the client. *)
 let engine_commit_client ~block_bytes ~writes tag =
-  let aru = ref None in
-  let list = ref None in
-  let last = ref None in
-  let written = ref 0 in
-  let state = ref `Begin in
-  fun (r : Op.result option) ->
-    match !state with
-    | `Begin ->
-      state := `List;
-      Some Op.Begin_aru
-    | `List ->
-      (match r with Some (Op.R_aru a) -> aru := Some a | _ -> ());
-      state := `Block;
-      Some (Op.New_list !aru)
-    | `Block ->
-      (match r with Some (Op.R_list l) -> list := Some l | _ -> ());
-      if !written < writes then begin
-        state := `Write;
-        let pred =
-          match !last with
-          | None -> Summary.Head
-          | Some b -> Summary.After b
-        in
-        Some (Op.New_block { aru = !aru; list = Option.get !list; pred })
-      end
-      else begin
-        state := `Done;
-        Some (Op.End_aru (Option.get !aru))
-      end
-    | `Write ->
-      (match r with
-      | Some (Op.R_block b) ->
-        last := Some b;
-        incr written
-      | _ -> ());
-      state := `Block;
-      Some
-        (Op.Write
-           {
-             aru = !aru;
-             block = Option.get !last;
-             data = Bytes.make block_bytes (Char.chr (Char.code 'a' + tag));
-           })
-    | `Done -> None
+  Engine.direct @@ fun perform ->
+  let fill = Char.chr (Char.code 'a' + tag) in
+  match perform Op.Begin_aru with
+  | Op.R_aru a -> (
+    let aru = Some a in
+    match perform (Op.New_list aru) with
+    | Op.R_list list ->
+      let rec write_blocks pred n =
+        if n = 0 then ignore (perform (Op.End_aru a))
+        else
+          match perform (Op.New_block { aru; list; pred }) with
+          | Op.R_block block ->
+            let data = Bytes.make block_bytes fill in
+            if perform (Op.Write { aru; block; data }) = Op.R_unit then
+              write_blocks (Summary.After block) (n - 1)
+          | _ -> ()
+      in
+      write_blocks Summary.Head writes
+    | _ -> ())
+  | _ -> ()
 
 (* Shared runner for `lld trace` and `lld stats`: a small-file workload
    through the Minix FS (create/write/overwrite/delete), then a forced

@@ -11,6 +11,43 @@ module Tr = Lld_obs.Trace
 
 type client = Op.result option -> Op.t option
 
+(* A direct-style client body runs on its own fiber: [perform] suspends
+   it with the op as the generator's next value, and the next call
+   resumes the continuation with that op's result.  [next] is what the
+   next call does; it is [finished] while a step runs, so a body that
+   returns or raises leaves the client done. *)
+type _ Effect.t += Perform : Op.t -> Op.result Effect.t
+
+let perform op = Effect.perform (Perform op)
+
+let direct body : client =
+  let finished _ = None in
+  let next : client ref = ref finished in
+  let resume k = function
+    | Some r -> Effect.Deep.continue k r
+    | None -> invalid_arg "Engine.direct: resumed without a result"
+  in
+  let handler =
+    {
+      Effect.Deep.retc = finished;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Perform op ->
+            Some
+              (fun (k : (a, _) Effect.Deep.continuation) ->
+                next := resume k;
+                Some op)
+          | _ -> None);
+    }
+  in
+  next := (fun _ -> Effect.Deep.match_with body perform handler);
+  fun r ->
+    let step = !next in
+    next := finished;
+    step r
+
 type stats = {
   ops : int;
   commits : int;

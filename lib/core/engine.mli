@@ -9,9 +9,12 @@
     {!Op} per step, and drains the commit queue whenever a batch is
     due (DESIGN.md §5.11).
 
-    A client is a generator closure: it receives the result of its
-    previous operation ([None] on the first step) and returns the next
-    operation, or [None] when it is finished.
+    Clients are written with {!direct}: a plain function that calls
+    [perform op] for each operation and gets that operation's result
+    back, so a paused client's state is its continuation, and the same
+    body runs blocking when [perform] is {!Op.Make}'s [apply].  The
+    {!client} generator type underneath stays for bench/perf's frozen
+    client, written against it by hand.
 
     When group commit is enabled (concurrent mode and
     {!Config.t.group_commit_window}[ > 0]) a client's [End_aru] is
@@ -46,8 +49,18 @@
     [Make(Lld)]'s, for compatibility. *)
 
 type client = Op.result option -> Op.t option
-(** One request stream.  The closure owns its state (typically the ARU
-    it is working in, captured mutably). *)
+(** One request stream, as a generator: it receives the result of its
+    previous operation ([None] on the first step) and returns the next
+    operation, or [None] when it is finished. *)
+
+val direct : ((Op.t -> Op.result) -> unit) -> client
+(** [direct body] is the client that runs [body perform] in direct
+    style.  The first call runs [body] up to its first [perform op] and
+    returns [Some op]; each later call resumes [body] with its argument
+    as that op's result, up to the next [perform].  When [body] returns,
+    the call yields [None], and so does every later call.  An exception
+    from [body] escapes from the call that resumed it (so from {!run}).
+    [perform] may only be called by [body] while the client runs. *)
 
 type stats = {
   ops : int;  (** operations applied, including translated submits *)

@@ -85,3 +85,18 @@ module type S = sig
 
   val obs : t -> Lld_obs.Obs.t
 end
+
+(** [with_aru ~begin_aru ~end_aru ~undo t f] is {!S.with_aru} written
+    once: it begins an ARU on [t] and runs [f] in it, then ends the ARU
+    when [f] returns, or calls [undo] on it and re-raises when [f]
+    raises.  [undo] is the implementation's abort, or its [end_aru]
+    where it cannot abort (LLD's sequential prototype). *)
+let with_aru ~begin_aru ~end_aru ~undo t f =
+  let aru = begin_aru t in
+  match f aru with
+  | v ->
+    end_aru t aru;
+    v
+  | exception e ->
+    undo t aru;
+    raise e

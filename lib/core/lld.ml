@@ -1255,16 +1255,12 @@ let flush t =
   flush_log t
 
 let with_aru t f =
-  let aru = begin_aru t in
-  match f aru with
-  | v ->
-    end_aru t aru;
-    v
-  | exception e ->
-    (match t.config.Config.mode with
-    | Config.Concurrent -> abort_aru t aru
-    | Config.Sequential -> end_aru t aru);
-    raise e
+  let undo =
+    match t.config.Config.mode with
+    | Config.Concurrent -> abort_aru
+    | Config.Sequential -> end_aru
+  in
+  Ld_intf.with_aru ~begin_aru ~end_aru ~undo t f
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

@@ -416,16 +416,12 @@ let pending_commits t =
     + t.sync_committed
 
 let with_aru t f =
-  let aru = begin_aru t in
-  match f aru with
-  | v ->
-    end_aru t aru;
-    v
-  | exception e ->
-    (match t.cfg.Config.mode with
-    | Config.Concurrent -> abort_aru t aru
-    | Config.Sequential -> end_aru t aru);
-    raise e
+  let undo =
+    match t.cfg.Config.mode with
+    | Config.Concurrent -> abort_aru
+    | Config.Sequential -> end_aru
+  in
+  Ld_intf.with_aru ~begin_aru ~end_aru ~undo t f
 
 (* ------------------------------------------------------------------ *)
 (* The LD operations: route by placement, translate ids both ways      *)

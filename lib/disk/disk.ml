@@ -29,8 +29,7 @@ type t = {
    durations equal the cost-model charge. *)
 let charge t op ~offset ~length =
   let b =
-    Timing.request_breakdown Timing.hp_c3010 t.geom ~last_end:t.last_end
-      ~offset ~length
+    Timing.request_breakdown t.geom ~last_end:t.last_end ~offset ~length
   in
   let ns = b.Timing.position_ns + b.Timing.xfer_ns in
   let module Obs = Lld_obs.Obs in

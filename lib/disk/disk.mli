@@ -19,7 +19,7 @@ type t
 
 val create : ?backend:Backend.t -> clock:Lld_sim.Clock.t -> Geometry.t -> t
 (** A partition on the given backend (default: a zero-filled
-    {!Backend.mem}), timed by {!Timing.hp_c3010}, with a fresh
+    {!Backend.mem}), timed by the {!Timing} model, with a fresh
     {!Fault.none} plan (reach it through {!fault} to schedule a crash
     or mark media bad).  Raises [Invalid_argument] when the backend
     size does not match the geometry. *)

@@ -1,38 +1,26 @@
-type t = {
-  min_seek_ns : int;
-  avg_seek_ns : int;
-  rotation_ns : int;
-  settle_ns : int;
-  transfer_bytes_per_sec : int;
-}
-
-let hp_c3010 =
-  {
-    min_seek_ns = 2_500_000;
-    avg_seek_ns = 11_500_000;
-    rotation_ns = 11_111_111 (* 5400 rpm *);
-    settle_ns = 200_000;
-    transfer_bytes_per_sec = 2_350_000;
-  }
+(* The HP C3010 *)
+let min_seek_ns = 2_500_000 (* track-to-track *)
+let avg_seek_ns = 11_500_000 (* random; the seek curve is scaled to hit it *)
+let rotation_ns = 11_111_111 (* one revolution at 5400 rpm *)
+let settle_ns = 200_000 (* head settle on sequential continuation *)
+let transfer_bytes_per_sec = 2_350_000
 
 (* Seek time grows with the square root of the cylinder distance, scaled
    so that a random seek (expected normalised distance ~1/3, sqrt ~0.52)
    costs [avg_seek_ns]. *)
-let seek_ns t geom ~from_cyl ~to_cyl ~total_cyl =
+let seek_ns ~from_cyl ~to_cyl ~total_cyl =
   if from_cyl = to_cyl then 0
   else begin
-    ignore geom;
     let d = float_of_int (abs (to_cyl - from_cyl)) /. float_of_int (max 1 total_cyl) in
     let scaled =
-      float_of_int (t.avg_seek_ns - t.min_seek_ns) *. (sqrt d /. 0.52)
+      float_of_int (avg_seek_ns - min_seek_ns) *. (sqrt d /. 0.52)
     in
-    t.min_seek_ns + int_of_float (min scaled (1.8 *. float_of_int t.avg_seek_ns))
+    min_seek_ns + int_of_float (min scaled (1.8 *. float_of_int avg_seek_ns))
   end
 
-let transfer_ns t length =
-  if t.transfer_bytes_per_sec = max_int then 0
-  else
-    int_of_float (float_of_int length /. float_of_int t.transfer_bytes_per_sec *. 1e9)
+let transfer_ns length =
+  int_of_float
+    (float_of_int length /. float_of_int transfer_bytes_per_sec *. 1e9)
 
 type position_kind = Cold | Sequential | Same_cylinder | Seek
 
@@ -48,22 +36,18 @@ type breakdown = {
   kind : position_kind;
 }
 
-let request_breakdown t geom ~last_end ~offset ~length =
+let request_breakdown geom ~last_end ~offset ~length =
   let total_cyl = Geometry.cylinder_of_offset (Geometry.total_bytes geom - 1) + 1 in
   let position_ns, kind =
-    if last_end < 0 then (t.avg_seek_ns + (t.rotation_ns / 2), Cold)
-    else if offset = last_end then (t.settle_ns, Sequential)
+    if last_end < 0 then (avg_seek_ns + (rotation_ns / 2), Cold)
+    else if offset = last_end then (settle_ns, Sequential)
     else
       let from_cyl = Geometry.cylinder_of_offset last_end in
       let to_cyl = Geometry.cylinder_of_offset offset in
-      let seek = seek_ns t geom ~from_cyl ~to_cyl ~total_cyl in
+      let seek = seek_ns ~from_cyl ~to_cyl ~total_cyl in
       if seek = 0 then
         (* same cylinder, different position: partial rotation *)
-        (t.settle_ns + (t.rotation_ns / 4), Same_cylinder)
-      else (seek + (t.rotation_ns / 2), Seek)
+        (settle_ns + (rotation_ns / 4), Same_cylinder)
+      else (seek + (rotation_ns / 2), Seek)
   in
-  { position_ns; xfer_ns = transfer_ns t length; kind }
-
-let request_ns t geom ~last_end ~offset ~length =
-  let b = request_breakdown t geom ~last_end ~offset ~length in
-  b.position_ns + b.xfer_ns
+  { position_ns; xfer_ns = transfer_ns length; kind }

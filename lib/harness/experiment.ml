@@ -654,58 +654,35 @@ let restart_cost =
 
 (* [iters] ARUs, each appending [blocks_per_aru] written blocks to the
    client's private list; after each End_aru the client parks until the
-   commit is durable.  [on_done] runs when the last commit returns. *)
+   commit is durable.  [on_done] runs when the last commit returns.  An
+   unexpected result ends the client. *)
 let sync_commit_client ~iters ~blocks_per_aru ~block_bytes ?(on_done = ignore)
-    tag : Engine.client =
-  let aru = ref None in
-  let list = ref None in
-  let remaining = ref iters in
-  let blocks_left = ref 0 in
-  let state = ref `Setup in
-  let begin_aru () =
-    state := `Block;
-    blocks_left := blocks_per_aru;
-    Some Op.Begin_aru
-  in
-  let new_block () =
-    state := `Write;
-    Some (Op.New_block { aru = !aru; list = Option.get !list; pred = Summary.Head })
-  in
-  fun r ->
-    match (!state, r) with
-    | `Setup, _ ->
-      state := `Begin;
-      Some (Op.New_list None)
-    | `Begin, Some (Op.R_list l) ->
-      list := Some l;
-      begin_aru ()
-    | `Block, Some (Op.R_aru a) ->
-      aru := Some a;
-      new_block ()
-    | `Write, Some (Op.R_block b) ->
-      state := `Wrote;
-      Some
-        (Op.Write
-           {
-             aru = !aru;
-             block = b;
-             data = Bytes.make block_bytes (Char.chr (tag land 0xff));
-           })
-    | `Wrote, Some Op.R_unit ->
-      decr blocks_left;
-      if !blocks_left > 0 then new_block ()
-      else begin
-        state := `Committed;
-        Some (Op.End_aru (Option.get !aru))
-      end
-    | `Committed, Some Op.R_unit ->
-      decr remaining;
-      if !remaining = 0 then begin
-        on_done ();
-        None
-      end
-      else begin_aru ()
-    | _ -> None
+    tag =
+  Engine.direct @@ fun perform ->
+  let fill = Char.chr (tag land 0xff) in
+  match perform (Op.New_list None) with
+  | Op.R_list list ->
+    let rec commit_arus n =
+      match perform Op.Begin_aru with
+      | Op.R_aru a ->
+        let aru = Some a in
+        (* whether the blocks were written and the ARU committed *)
+        let rec write_and_commit k =
+          if k = 0 then perform (Op.End_aru a) = Op.R_unit
+          else
+            match perform (Op.New_block { aru; list; pred = Summary.Head }) with
+            | Op.R_block block ->
+              let data = Bytes.make block_bytes fill in
+              perform (Op.Write { aru; block; data }) = Op.R_unit
+              && write_and_commit (k - 1)
+            | _ -> false
+        in
+        if write_and_commit blocks_per_aru then
+          if n = 1 then on_done () else commit_arus (n - 1)
+      | _ -> ()
+    in
+    commit_arus iters
+  | _ -> ()
 
 let mean_batch (c : Counters.t) =
   ratio c.Counters.group_commits c.Counters.commit_batches
@@ -875,37 +852,21 @@ let group_commit_stages_rows scale =
       let lld = Lld.create ~config ~obs disk in
       let block_bytes = Lld.block_bytes lld in
       let live = ref n in
-      let churner () =
-        let list = ref None in
-        let block = ref None in
-        let state = ref `List in
-        fun (r : Op.result option) ->
-          if !live = 0 then None
-          else
-            match (!state, r) with
-            | `List, _ ->
-              state := `Block;
-              Some (Op.New_list None)
-            | `Block, Some (Op.R_list l) ->
-              list := Some l;
-              state := `Write;
-              Some
-                (Op.New_block
-                   { aru = None; list = Option.get !list; pred = Summary.Head })
-            | `Write, Some (Op.R_block b) ->
-              block := Some b;
-              state := `Churn;
-              Some
-                (Op.Write { aru = None; block = b; data = Bytes.make block_bytes 'c' })
-            | `Churn, _ ->
-              Some
-                (Op.Write
-                   {
-                     aru = None;
-                     block = Option.get !block;
-                     data = Bytes.make block_bytes 'c';
-                   })
-            | _ -> None
+      let churner =
+        Engine.direct @@ fun perform ->
+        if !live > 0 then
+          match perform (Op.New_list None) with
+          | Op.R_list list when !live > 0 -> (
+            match
+              perform (Op.New_block { aru = None; list; pred = Summary.Head })
+            with
+            | Op.R_block block ->
+              while !live > 0 do
+                let data = Bytes.make block_bytes 'c' in
+                ignore (perform (Op.Write { aru = None; block; data }))
+              done
+            | _ -> ())
+          | _ -> ()
       in
       let stats =
         Engine.run lld
@@ -913,7 +874,7 @@ let group_commit_stages_rows scale =
                sync_commit_client ~iters ~blocks_per_aru:1 ~block_bytes
                  ~on_done:(fun () -> decr live)
                  (i + 1))
-          @ [ churner () ])
+          @ [ churner ])
       in
       let m = Obs.metrics obs in
       {

@@ -425,14 +425,7 @@ let submit_commit t aid = end_aru t aid
 let flush_commits _t = 0
 
 let with_aru t f =
-  let aru = begin_aru t in
-  match f aru with
-  | v ->
-    end_aru t aru;
-    v
-  | exception e ->
-    abort_aru t aru;
-    raise e
+  Lld_core.Ld_intf.with_aru ~begin_aru ~end_aru ~undo:abort_aru t f
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

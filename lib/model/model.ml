@@ -710,14 +710,7 @@ let flush_commit_steps t after_each =
 let flush_commits t = flush_commit_steps t (fun () -> ())
 
 let with_aru t f =
-  let aru = begin_aru t in
-  match f aru with
-  | v ->
-    end_aru t aru;
-    v
-  | exception e ->
-    abort_aru t aru;
-    raise e
+  Lld_core.Ld_intf.with_aru ~begin_aru ~end_aru ~undo:abort_aru t f
 
 let flush _t = ()
 

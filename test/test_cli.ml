@@ -168,6 +168,9 @@ let matrix () =
     ( "crashcheck, negative granularity",
       [ "crashcheck"; "--workload"; "aru-churn"; "--granularity=-512" ],
       2 );
+    ( "crashcheck, cross-shard on one shard",
+      [ "crashcheck"; "--workload"; "cross-shard"; "--shards"; "1" ],
+      2 );
     ( "crashcheck, torture workload",
       [ "crashcheck"; "--workload"; "torture"; "--budget"; "20" ],
       0 );
@@ -197,6 +200,15 @@ let matrix () =
         ("--budget with --at", [ "--at"; "1"; "--budget"; "2" ]);
         ("--trace-dir with --corruption",
          [ "--corruption"; "--trace-dir"; tmp "unused-dir" ]);
+        ("--shards without cross-shard", [ "--shards"; "3" ]);
+        ("--granularity with --at", [ "--at"; "1"; "--granularity"; "512" ]);
+        ("--granularity with --differential",
+         [ "--differential"; "--granularity"; "512" ]);
+        ("--granularity with --corruption",
+         [ "--corruption"; "--granularity"; "512" ]);
+        ("--seed with --at", [ "--at"; "1"; "--seed"; "1" ]);
+        ("--seed with --differential", [ "--differential"; "--seed"; "1" ]);
+        ("--seed with --corruption", [ "--corruption"; "--seed"; "1" ]);
       ]
   @ [
     ( "model, small clean fuzz",

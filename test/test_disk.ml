@@ -25,7 +25,8 @@ let test_geometry_offsets () =
       ignore (Geometry.segment_offset g 32))
 
 let request ~last_end ~offset ~length =
-  Timing.request_ns Timing.hp_c3010 Geometry.paper ~last_end ~offset ~length
+  let b = Timing.request_breakdown Geometry.paper ~last_end ~offset ~length in
+  b.Timing.position_ns + b.Timing.xfer_ns
 
 let test_timing_sequential_cheaper_than_random () =
   let seq = request ~last_end:1_000_000 ~offset:1_000_000 ~length:4096 in

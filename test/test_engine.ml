@@ -139,64 +139,108 @@ let test_subbatch_split () =
   Alcotest.(check int) "every member counted" 3 c.Counters.group_commits
 
 (* ------------------------------------------------------------------ *)
+(* Engine.direct: a direct-style body as a generator client. *)
+
+let op = Alcotest.testable Op.pp ( = )
+let op_result = Alcotest.testable Op.pp_result Op.equal_result
+
+let test_direct_first_call () =
+  let log = ref [] in
+  let c =
+    Engine.direct (fun perform ->
+        log := "started" :: !log;
+        ignore (perform Op.Lists);
+        log := "resumed" :: !log)
+  in
+  Alcotest.(check (list string)) "nothing runs before the first call" [] !log;
+  Alcotest.(check (option op)) "first call yields the first op"
+    (Some Op.Lists) (c None);
+  Alcotest.(check (list string)) "body ran up to its first op" [ "started" ]
+    !log
+
+let test_direct_resumes () =
+  let seen = ref [] in
+  let c =
+    Engine.direct (fun perform ->
+        let r1 = perform Op.Begin_aru in
+        let r2 = perform Op.Lists in
+        seen := [ r1; r2 ])
+  in
+  Alcotest.(check (option op)) "first op" (Some Op.Begin_aru) (c None);
+  Alcotest.(check (option op)) "second op" (Some Op.Lists)
+    (c (Some (Op.R_int 1)));
+  Alcotest.(check (option op)) "body returned" None (c (Some (Op.R_int 2)));
+  Alcotest.(check (list op_result)) "each perform got its op's result"
+    [ Op.R_int 1; Op.R_int 2 ] !seen
+
+let test_direct_empty_body () =
+  let c = Engine.direct (fun _ -> ()) in
+  Alcotest.(check (option op)) "no op" None (c None)
+
+let test_direct_stays_done () =
+  let runs = ref 0 in
+  let c =
+    Engine.direct (fun perform ->
+        incr runs;
+        ignore (perform Op.Flush))
+  in
+  ignore (c None);
+  Alcotest.(check (option op)) "returned" None (c (Some Op.R_unit));
+  Alcotest.(check (option op)) "done on the next call" None
+    (c (Some Op.R_unit));
+  Alcotest.(check (option op)) "done on a first-call argument" None (c None);
+  Alcotest.(check int) "body ran once" 1 !runs
+
+exception Boom
+
+let test_direct_exception_escapes () =
+  let _disk, lld = fresh_lld () in
+  let c =
+    Engine.direct (fun perform ->
+        ignore (perform (Op.New_list None));
+        raise Boom)
+  in
+  Alcotest.check_raises "escapes Engine.run" Boom (fun () ->
+      ignore (Engine.run lld [ c ]))
+
+(* ------------------------------------------------------------------ *)
 (* The engine: run-to-completion loop, End_aru translation, parking,
    forced drain, and per-client result delivery. *)
 
-(* A client that opens an ARU, fills a private list with [writes]
+(* A client body that opens an ARU, fills a private list with [writes]
    written blocks, commits, and records [tag] once the commit's result
-   arrives — immediately, or on wake after its batch flushed. *)
-let client_commits ~writes tag woken =
-  let aru = ref None in
-  let list = ref None in
-  let last = ref None in
-  let written = ref 0 in
-  let state = ref `Begin in
+   arrives — immediately, or on wake after its batch flushed.  It runs
+   under the engine as [Engine.direct (commits ...)], or blocking with
+   [perform] applying each op at once. *)
+let commits ~writes tag woken perform =
   let expect what r =
-    Alcotest.failf "client %d: expected %s, got %a" tag what
-      Format.(pp_print_option Op.pp_result)
-      r
+    Alcotest.failf "client %d: expected %s, got %a" tag what Op.pp_result r
   in
-  fun (r : Op.result option) ->
-    match !state with
-    | `Begin ->
-      state := `List;
-      Some Op.Begin_aru
-    | `List ->
-      (match r with Some (Op.R_aru a) -> aru := Some a | r -> expect "aru" r);
-      state := `Block;
-      Some (Op.New_list !aru)
-    | `Block -> (
-      (match r with
-      | Some (Op.R_list l) -> list := Some l
-      | Some (Op.R_unit) -> () (* a write completed *)
-      | r -> expect "list or unit" r);
-      match (!written < writes, !last) with
-      | true, None ->
-        state := `Write;
-        Some
-          (Op.New_block
-             { aru = !aru; list = Option.get !list; pred = Summary.Head })
-      | true, Some b ->
-        state := `Write;
-        Some
-          (Op.New_block
-             { aru = !aru; list = Option.get !list; pred = Summary.After b })
-      | false, _ ->
-        state := `Done;
-        Some (Op.End_aru (Option.get !aru)))
-    | `Write ->
-      (match r with
-      | Some (Op.R_block b) ->
-        last := Some b;
-        incr written
-      | r -> expect "block" r);
-      state := `Block;
-      Some
-        (Op.Write
-           { aru = !aru; block = Option.get !last; data = block_data tag })
-    | `Done ->
-      woken := tag :: !woken;
-      None
+  let a =
+    match perform Op.Begin_aru with Op.R_aru a -> a | r -> expect "aru" r
+  in
+  let aru = Some a in
+  let list =
+    match perform (Op.New_list aru) with
+    | Op.R_list l -> l
+    | r -> expect "list" r
+  in
+  let pred = ref Summary.Head in
+  for _ = 1 to writes do
+    match perform (Op.New_block { aru; list; pred = !pred }) with
+    | Op.R_block block -> (
+      pred := Summary.After block;
+      match perform (Op.Write { aru; block; data = block_data tag }) with
+      | Op.R_unit -> ()
+      | r -> expect "unit" r)
+    | r -> expect "block" r
+  done;
+  (match perform (Op.End_aru a) with
+  | Op.R_unit -> ()
+  | r -> expect "commit" r);
+  woken := tag :: !woken
+
+let client_commits ~writes tag woken = Engine.direct (commits ~writes tag woken)
 
 let test_engine_forced_drain () =
   (* neither size nor window can close: the only way commits complete
@@ -249,33 +293,24 @@ let test_engine_cross_client_abort () =
   let _disk, lld = fresh_lld ~config:(config ~window:max_int ~batch:1000) () in
   let shared = ref None in
   let a_woken = ref false in
-  let a_state = ref `Begin in
-  let client_a r =
-    match !a_state with
-    | `Begin ->
-      a_state := `Submit;
-      Some Op.Begin_aru
-    | `Submit ->
-      (match r with
-      | Some (Op.R_aru a) -> shared := Some a
-      | _ -> Alcotest.fail "client A expected an ARU");
-      a_state := `Done;
+  let client_a perform =
+    match perform Op.Begin_aru with
+    | Op.R_aru a ->
+      shared := Some a;
       (* translated to Submit_commit by the engine; A parks *)
-      Some (Op.End_aru (Option.get !shared))
-    | `Done ->
-      a_woken := r = Some Op.R_unit;
-      None
+      a_woken := perform (Op.End_aru a) = Op.R_unit
+    | _ -> Alcotest.fail "client A expected an ARU"
   in
-  let b_state = ref `Idle in
-  let client_b _r =
-    match (!b_state, !shared) with
-    | `Idle, None -> Some (Op.New_list None) (* harmless filler step *)
-    | `Idle, Some a ->
-      b_state := `Done;
-      Some (Op.Abort_aru a)
-    | `Done, _ -> None
+  let rec client_b perform =
+    match !shared with
+    | None ->
+      ignore (perform (Op.New_list None)) (* harmless filler step *);
+      client_b perform
+    | Some a -> ignore (perform (Op.Abort_aru a))
   in
-  let stats = Engine.run lld [ client_a; client_b ] in
+  let stats =
+    Engine.run lld [ Engine.direct client_a; Engine.direct client_b ]
+  in
   Alcotest.(check bool) "A woke with its result" true !a_woken;
   Alcotest.(check int) "nothing committed" 0 stats.Engine.commits;
   Alcotest.(check int) "queue empty" 0 (Lld.pending_commits lld);
@@ -331,11 +366,11 @@ let test_engine_stage_histograms () =
   Alcotest.(check int) "flow ends" 4 (phases Trace.Flow_end);
   Alcotest.(check bool) "flow steps" true (phases Trace.Flow_step >= 8)
 
-(* Run the same single-client workload through the engine twice — once
-   with group commit enabled, once with the window at 0 — plus once as
-   plain blocking calls, and require the window=0 run to be
-   bit-identical (disk image, counters, device counters and virtual
-   clock) to the blocking run. *)
+(* Run one client body through the engine twice — once with group
+   commit enabled, once with the window at 0 — plus once blocking, each
+   op applied at once, and require the window=0 run to be bit-identical
+   (disk image, counters, device counters and virtual clock) to the
+   blocking run. *)
 let test_window_zero_identity () =
   let woken = ref [] in
   let run_engine window =
@@ -346,15 +381,8 @@ let test_window_zero_identity () =
   in
   let run_blocking () =
     let disk, lld = fresh_lld ~config:(config ~window:0 ~batch:8) () in
-    let a = Lld.begin_aru lld in
-    let l = Lld.new_list lld ~aru:a () in
-    let b1 = Lld.new_block lld ~aru:a ~list:l ~pred:Summary.Head () in
-    Lld.write lld ~aru:a b1 (block_data 5);
-    let b2 = Lld.new_block lld ~aru:a ~list:l ~pred:(Summary.After b1) () in
-    Lld.write lld ~aru:a b2 (block_data 5);
-    let b3 = Lld.new_block lld ~aru:a ~list:l ~pred:(Summary.After b2) () in
-    Lld.write lld ~aru:a b3 (block_data 5);
-    Lld.end_aru lld a;
+    let module A = Op.Make (Lld) in
+    commits ~writes:3 5 woken (A.apply lld);
     Lld.flush lld;
     (disk, lld)
   in
@@ -394,6 +422,19 @@ let () =
             test_queued_abort_dequeues;
           Alcotest.test_case "oversize drain splits into sub-batches" `Quick
             test_subbatch_split;
+        ] );
+      ( "direct",
+        [
+          Alcotest.test_case "first call runs to the first op" `Quick
+            test_direct_first_call;
+          Alcotest.test_case "later calls resume with the result" `Quick
+            test_direct_resumes;
+          Alcotest.test_case "empty body yields None at once" `Quick
+            test_direct_empty_body;
+          Alcotest.test_case "returned body stays done" `Quick
+            test_direct_stays_done;
+          Alcotest.test_case "body exception escapes Engine.run" `Quick
+            test_direct_exception_escapes;
         ] );
       ( "engine",
         [
