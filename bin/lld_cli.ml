@@ -451,6 +451,10 @@ let crashcheck workload shards budget granularity seed at broken_sweep
   applies_to [ enumeration; "--during-recovery" ] "--granularity"
     (granularity <> None);
   applies_to [ enumeration; "--during-recovery" ] "--seed" (seed <> None);
+  (* enumeration samples only under a budget; --during-recovery's
+     budget defaults to 24 *)
+  if mode = enumeration && seed <> None && budget = None then
+    usage "--seed is ignored without --budget";
   let granularity = Option.value granularity ~default:512 in
   let seed = Option.value seed ~default:1 in
   let cross_shard = workload = Some "cross-shard" in
@@ -648,7 +652,8 @@ let crashcheck_cmd =
       & info [ "seed" ] ~docv:"N"
           ~doc:
             "Sampling seed for $(b,--budget) (default 1), for crash-point \
-             enumeration and $(b,--during-recovery).")
+             enumeration with $(b,--budget) and for \
+             $(b,--during-recovery).")
   in
   let at =
     Arg.(

@@ -957,6 +957,7 @@ type violation = { v_point : point; v_problems : string list }
 type result = {
   r_workload : string;
   r_seed : int;
+  r_budget : int option;
   r_writes : int;
   r_oracle_units : int;
   r_points_total : int;
@@ -1070,6 +1071,7 @@ let run ?(granularity = 512) ?budget ?(seed = 1) ?recover_config ?trace_dir
   {
     r_workload = trace.tr_name;
     r_seed = seed;
+    r_budget = budget;
     r_writes = trace_writes trace;
     r_oracle_units = trace_oracle_units trace;
     r_points_total = total;
@@ -1103,10 +1105,16 @@ let pp_result ppf r =
   if r.r_violation_points = 0 then
     Format.fprintf ppf "no atomicity violations@]"
   else begin
-    Format.fprintf ppf
-      "%d crash point(s) VIOLATED atomicity (sampling seed %d; rerun with \
-       --seed %d)@,"
-      r.r_violation_points r.r_seed r.r_seed;
+    Format.fprintf ppf "%d crash point(s) VIOLATED atomicity"
+      r.r_violation_points;
+    (* an exhaustive run has no sample to reproduce *)
+    (match r.r_budget with
+    | None -> ()
+    | Some b ->
+      Format.fprintf ppf
+        " (sampling seed %d; rerun with --budget %d --seed %d)" r.r_seed b
+        r.r_seed);
+    Format.fprintf ppf "@,";
     (match r.r_minimal with
     | None -> ()
     | Some v ->

@@ -214,7 +214,10 @@ type result = {
   r_workload : string;
   r_seed : int;
       (** sampling seed the run used — printed on failure so a budgeted
-          CI run reproduces bit-for-bit with [--seed] *)
+          CI run reproduces bit-for-bit with [--budget] and [--seed] *)
+  r_budget : int option;
+      (** the sample budget the run was given; [None] for an exhaustive
+          run, whose failure report names neither flag *)
   r_writes : int;  (** disk writes in the recorded trace *)
   r_oracle_units : int;
   r_points_total : int;  (** size of the full enumeration *)

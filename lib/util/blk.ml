@@ -16,6 +16,48 @@ exception Truncated
 
 let length t = t.len
 
+(* The byte kernels (blk_stubs.c): libc's memmove, memcpy, memset and
+   memcmp at absolute offsets.  Callers check the ranges first.  None
+   allocates, so a copy builds no Bigarray header and runs no OCaml
+   loop. *)
+external unsafe_blit :
+  buf -> (int[@untagged]) -> buf -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "lld_blk_memmove_byte" "lld_blk_memmove"
+[@@noalloc]
+
+external unsafe_blit_from_bytes :
+  bytes ->
+  (int[@untagged]) ->
+  buf ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "lld_blk_memcpy_from_bytes_byte" "lld_blk_memcpy_from_bytes"
+[@@noalloc]
+
+external unsafe_blit_to_bytes :
+  buf ->
+  (int[@untagged]) ->
+  bytes ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "lld_blk_memcpy_to_bytes_byte" "lld_blk_memcpy_to_bytes"
+[@@noalloc]
+
+external unsafe_fill :
+  buf -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "lld_blk_memset_byte" "lld_blk_memset"
+[@@noalloc]
+
+(* -1, 0 or 1, comparing bytes as unsigned. *)
+external unsafe_compare :
+  buf ->
+  (int[@untagged]) ->
+  buf ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "lld_blk_memcmp_byte" "lld_blk_memcmp"
+[@@noalloc]
+
 (* A fresh buffer with unspecified contents, for constructors that
    overwrite all of it. *)
 let uninit len =
@@ -25,7 +67,7 @@ let uninit len =
 let create len =
   if len < 0 then invalid_arg "Blk.create: negative length";
   let t = uninit len in
-  Bigarray.Array1.fill t.buf '\000';
+  unsafe_fill t.buf 0 len 0;
   t
 
 let of_buffer buf =
@@ -43,8 +85,7 @@ let set t i c =
   if i < 0 || i >= t.len then invalid_arg "Blk.set";
   Bigarray.Array1.unsafe_set t.buf (t.off + i) c
 
-let fill t c =
-  Bigarray.Array1.fill (Bigarray.Array1.sub t.buf t.off t.len) c
+let fill t c = unsafe_fill t.buf t.off t.len (Char.code c)
 
 let blit src src_off dst dst_off len =
   if
@@ -52,20 +93,15 @@ let blit src src_off dst dst_off len =
     || src_off + len > src.len
     || dst_off + len > dst.len
   then invalid_arg "Blk.blit";
-  Bigarray.Array1.blit
-    (Bigarray.Array1.sub src.buf (src.off + src_off) len)
-    (Bigarray.Array1.sub dst.buf (dst.off + dst_off) len)
+  unsafe_blit src.buf (src.off + src_off) dst.buf (dst.off + dst_off) len
 
-(* Unchecked loads and stores in native byte order.  Both ends of a
-   copy use the same order, so a word moves as 8 plain bytes. *)
+(* Unchecked loads and stores in native byte order. *)
 external buf_get16 : buf -> int -> int = "%caml_bigstring_get16u"
 external buf_set16 : buf -> int -> int -> unit = "%caml_bigstring_set16u"
 external buf_get32 : buf -> int -> int32 = "%caml_bigstring_get32u"
 external buf_set32 : buf -> int -> int32 -> unit = "%caml_bigstring_set32u"
 external buf_get64 : buf -> int -> int64 = "%caml_bigstring_get64u"
 external buf_set64 : buf -> int -> int64 -> unit = "%caml_bigstring_set64u"
-external bytes_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
-external bytes_set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 external swap16 : int -> int = "%bswap16"
 external swap32 : int32 -> int32 = "%bswap_int32"
 external swap64 : int64 -> int64 = "%bswap_int64"
@@ -92,33 +128,13 @@ let[@inline] le_get64 buf i =
 let[@inline] le_set64 buf i v =
   buf_set64 buf i (if Sys.big_endian then swap64 v else v)
 
-(* The Bytes <-> Bigarray copies: 8 bytes per step, then a byte-wise
-   tail.  Offsets are absolute and the ranges already checked. *)
-let unsafe_bytes_to_buf src s dst d len =
-  let words = len / 8 in
-  for i = 0 to words - 1 do
-    buf_set64 dst (d + (i * 8)) (bytes_get64 src (s + (i * 8)))
-  done;
-  for i = words * 8 to len - 1 do
-    Bigarray.Array1.unsafe_set dst (d + i) (Bytes.unsafe_get src (s + i))
-  done
-
-let unsafe_buf_to_bytes src s dst d len =
-  let words = len / 8 in
-  for i = 0 to words - 1 do
-    bytes_set64 dst (d + (i * 8)) (buf_get64 src (s + (i * 8)))
-  done;
-  for i = words * 8 to len - 1 do
-    Bytes.unsafe_set dst (d + i) (Bigarray.Array1.unsafe_get src (s + i))
-  done
-
 let blit_from_bytes src src_off dst dst_off len =
   if
     len < 0 || src_off < 0 || dst_off < 0
     || src_off + len > Bytes.length src
     || dst_off + len > dst.len
   then invalid_arg "Blk.blit_from_bytes";
-  unsafe_bytes_to_buf src src_off dst.buf (dst.off + dst_off) len
+  unsafe_blit_from_bytes src src_off dst.buf (dst.off + dst_off) len
 
 let blit_to_bytes src src_off dst dst_off len =
   if
@@ -126,7 +142,7 @@ let blit_to_bytes src src_off dst dst_off len =
     || src_off + len > src.len
     || dst_off + len > Bytes.length dst
   then invalid_arg "Blk.blit_to_bytes";
-  unsafe_buf_to_bytes src.buf (src.off + src_off) dst dst_off len
+  unsafe_blit_to_bytes src.buf (src.off + src_off) dst dst_off len
 
 let of_bytes b =
   let t = uninit (Bytes.length b) in
@@ -148,29 +164,12 @@ let copy t =
   c
 
 let equal a b =
-  a.len = b.len
-  &&
-  let rec go i =
-    i >= a.len
-    || Bigarray.Array1.unsafe_get a.buf (a.off + i)
-       = Bigarray.Array1.unsafe_get b.buf (b.off + i)
-       && go (i + 1)
-  in
-  go 0
+  a.len = b.len && unsafe_compare a.buf a.off b.buf b.off a.len = 0
 
 let compare a b =
-  let n = min a.len b.len in
-  let rec go i =
-    if i >= n then Stdlib.compare a.len b.len
-    else
-      let c =
-        Char.compare
-          (Bigarray.Array1.unsafe_get a.buf (a.off + i))
-          (Bigarray.Array1.unsafe_get b.buf (b.off + i))
-      in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  match unsafe_compare a.buf a.off b.buf b.off (min a.len b.len) with
+  | 0 -> Int.compare a.len b.len
+  | c -> c
 
 (* -------------------------------------------------- scalar accessors *)
 
@@ -372,9 +371,7 @@ module Writer = struct
       cap := !cap * 2
     done;
     let bigger = Bigarray.Array1.create Bigarray.char Bigarray.c_layout !cap in
-    Bigarray.Array1.blit
-      (Bigarray.Array1.sub t.w_buf 0 (t.w_off + t.w_pos))
-      (Bigarray.Array1.sub bigger 0 (t.w_off + t.w_pos));
+    unsafe_blit t.w_buf 0 bigger 0 (t.w_off + t.w_pos);
     t.w_buf <- bigger
 
   (* Each field calls [ensure] once for its whole width, then stores
@@ -409,15 +406,13 @@ module Writer = struct
 
   let raw t (v : view) =
     ensure t v.len;
-    Bigarray.Array1.blit
-      (Bigarray.Array1.sub v.buf v.off v.len)
-      (Bigarray.Array1.sub t.w_buf (at t) v.len);
+    unsafe_blit v.buf v.off t.w_buf (at t) v.len;
     t.w_pos <- t.w_pos + v.len
 
   let raw_bytes t b =
     let n = Bytes.length b in
     ensure t n;
-    unsafe_bytes_to_buf b 0 t.w_buf (at t) n;
+    unsafe_blit_from_bytes b 0 t.w_buf (at t) n;
     t.w_pos <- t.w_pos + n
 
   (* The length prefix and the bytes are one field. *)

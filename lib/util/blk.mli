@@ -2,8 +2,11 @@
 
     A [Blk.t] is an (buffer, offset, length) window.  [sub] and the
     {!Reader} alias the underlying buffer in O(1); only {!copy},
-    {!to_bytes} and {!of_bytes} allocate and copy.  Copies between
-    [bytes] and a view move 8 bytes per step with a byte-wise tail.
+    {!to_bytes} and {!of_bytes} allocate and copy.  Every byte a copy,
+    fill or comparison touches goes through one of four libc kernels
+    ([memmove], [memcpy], [memset], [memcmp], in [blk_stubs.c]), called
+    after the range check and allocating nothing: no sub-array header,
+    no OCaml loop.  They move the same bytes a byte loop would.
 
     {b Range contract.}  Every multi-byte field is little-endian on
     every host.  An accessor checks a field's whole range once, then
@@ -43,23 +46,28 @@ val sub : t -> int -> int -> t
 
 val get : t -> int -> char
 val set : t -> int -> char -> unit
+
 val fill : t -> char -> unit
+(** Sets every byte of the view, through [memset]. *)
 
 val blit : t -> int -> t -> int -> int -> unit
 (** [blit src src_off dst dst_off len], in [Bytes.blit] argument
-    order. *)
+    order, through [memmove]: the two windows may overlap, also within
+    one buffer, and the result is as if [src] were copied out first.
+    Raises [Invalid_argument] for a range outside either view, before
+    any byte moves. *)
 
 val blit_from_bytes : bytes -> int -> t -> int -> int -> unit
 (** [blit_from_bytes src src_off dst dst_off len], in [Bytes.blit]
-    argument order; raises [Invalid_argument] for a range outside
-    either side. *)
+    argument order, through [memcpy]; raises [Invalid_argument] for a
+    range outside either side, before any byte moves. *)
 
 val blit_to_bytes : t -> int -> bytes -> int -> int -> unit
 (** The converse of {!blit_from_bytes}. *)
 
 val of_bytes : bytes -> t
 (** Copying conversion (the explicit boundary copy) into a fresh
-    buffer, not zero-filled first. *)
+    buffer, not zero-filled first: one Bigarray and one [memcpy]. *)
 
 val of_string : string -> t
 val to_bytes : t -> bytes
@@ -67,10 +75,16 @@ val to_string : t -> string
 
 val copy : t -> t
 (** A fresh view with its own buffer, not zero-filled first — the only
-    way to detach from the producer's lifetime. *)
+    way to detach from the producer's lifetime.  One Bigarray and one
+    [memmove]. *)
 
 val equal : t -> t -> bool
+(** Same length and the same bytes, through [memcmp]. *)
+
 val compare : t -> t -> int
+(** Lexicographic on bytes read as unsigned (as [Char.compare] orders
+    them), a proper prefix first; through [memcmp].  Negative, zero or
+    positive. *)
 
 (** {1 Little-endian scalar accessors}
 

@@ -174,6 +174,16 @@ let matrix () =
     ( "crashcheck, torture workload",
       [ "crashcheck"; "--workload"; "torture"; "--budget"; "20" ],
       0 );
+    (* enumeration samples, and so reads --seed, only under --budget *)
+    ( "crashcheck, --seed without --budget",
+      [ "crashcheck"; "--workload"; "group-commit"; "--seed"; "7" ],
+      2 );
+    ( "crashcheck, --seed with --budget",
+      [
+        "crashcheck"; "--workload"; "group-commit"; "--budget"; "100";
+        "--seed"; "7";
+      ],
+      0 );
   ]
   (* a second mode, or a flag the chosen mode ignores, is a usage
      error *)

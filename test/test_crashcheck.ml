@@ -93,7 +93,23 @@ let test_seed_roundtrip () =
   Alcotest.(check bool) "broken recovery still fails" false (Crashcheck.ok bad);
   let report = Format.asprintf "%a" Crashcheck.pp_result bad in
   Alcotest.(check bool) "failure report names the seed" true
-    (contains ~needle:"--seed 21" report)
+    (contains ~needle:"--seed 21" report);
+  Alcotest.(check bool) "sampled: the hint names the budget and the seed"
+    true
+    (contains
+       ~needle:
+         "VIOLATED atomicity (sampling seed 21; rerun with --budget 60 --seed \
+          21)\n"
+       report);
+  (* an exhaustive run ignores the seed, so its report names no flag *)
+  let report =
+    Format.asprintf "%a" Crashcheck.pp_result
+      { bad with Crashcheck.r_budget = None }
+  in
+  Alcotest.(check bool) "exhaustive: the hint names neither flag" true
+    (contains ~needle:"crash point(s) VIOLATED atomicity\n" report
+    && (not (contains ~needle:"seed" report))
+    && not (contains ~needle:"--budget" report))
 
 (* ------------------------------------------------------------------ *)
 (* Crashing during recovery itself: early-open on-demand verification

@@ -332,50 +332,6 @@ let test_blk_hash64_range () =
   Alcotest.(check bool) "range differs from whole" false
     (Int64.equal whole prefix)
 
-let test_blk_crc32c_vector () =
-  (* The canonical Castagnoli check vector, and the RFC 3720 (iSCSI)
-     appendix B.4 vectors. *)
-  List.iter
-    (fun (name, data, want) ->
-      let b = Bytes.of_string data in
-      Alcotest.(check int) name want (Blk.crc32c (Blk.of_bytes b));
-      Alcotest.(check int) (name ^ ", slice-by-8") want
-        (Blk.crc32c_slice8 (Blk.of_bytes b));
-      Alcotest.(check int) (name ^ ", byte-wise") want (Blk.crc32c_bytes b))
-    [
-      ("123456789", "123456789", 0xe3069283);
-      ("32 x 00", String.make 32 '\000', 0x8a9136aa);
-      ("32 x ff", String.make 32 '\xff', 0x62a8ab43);
-      ("0..31", String.init 32 Char.chr, 0x46dd794e);
-      ("31..0", String.init 32 (fun i -> Char.chr (31 - i)), 0x113fdb5c);
-    ];
-  let v = Blk.of_string "123456789" in
-  (* incremental == one-shot *)
-  let a = Blk.crc32c ~len:4 v in
-  Alcotest.(check int) "incremental" 0xe3069283
-    (Blk.crc32c ~init:a ~pos:4 ~len:5 v);
-  Alcotest.(check int) "empty" 0 (Blk.crc32c ~len:0 v);
-  (* sensitive to any flipped byte *)
-  let w = Blk.copy v in
-  Blk.set w 4 '\000';
-  Alcotest.(check bool) "sensitive" false (Blk.crc32c w = 0xe3069283);
-  (* a window outside the data is refused, for bytes as for views *)
-  let b = Bytes.of_string "123456789" in
-  Alcotest.(check int) "crc32c_bytes window agrees"
-    (Blk.crc32c ~pos:4 ~len:5 v)
-    (Blk.crc32c_bytes ~pos:4 ~len:5 b);
-  List.iter
-    (fun (pos, len) ->
-      Alcotest.check_raises
-        (Printf.sprintf "crc32c ~pos:%d ~len:%d" pos len)
-        (Invalid_argument "Blk.crc32c")
-        (fun () -> ignore (Blk.crc32c ~pos ~len v));
-      Alcotest.check_raises
-        (Printf.sprintf "crc32c_bytes ~pos:%d ~len:%d" pos len)
-        (Invalid_argument "Blk.crc32c_bytes")
-        (fun () -> ignore (Blk.crc32c_bytes ~pos ~len b)))
-    [ (4, 64); (-3, 2); (0, -1) ]
-
 let test_blk_writer_reader_roundtrip () =
   let w = Blk.Writer.create ~capacity:4 () in
   Blk.Writer.u8 w 0xab;
@@ -448,97 +404,6 @@ let test_blk_reader_raw_aliases () =
   let raw = Blk.Reader.raw r 4 in
   Blk.set v 1 'Z';
   Alcotest.(check string) "alias sees mutation" "aZcd" (Blk.to_string raw)
-
-(* The bulk copies move 8 bytes per step with a byte-wise tail; check
-   each against a byte-at-a-time reference for every length 0-33 (word
-   loop alone, tail alone, both) at source and destination offsets 0-9,
-   on [sub] views whose window starts inside a larger buffer.  Every
-   byte outside the copied range must keep its sentinel. *)
-let test_blk_bulk_copies () =
-  let size = 48 and margin = 3 and sentinel = '\xa5' in
-  let src = Bytes.init size (fun i -> Char.chr (((i * 73) + 41) land 0xff)) in
-  (* a [size]-byte window at offset [margin] of a sentinel-filled buffer *)
-  let window () =
-    let whole = Blk.create (size + (2 * margin)) in
-    Blk.fill whole sentinel;
-    (whole, Blk.sub whole margin size)
-  in
-  let filled () =
-    let whole, v = window () in
-    Bytes.iteri (fun i c -> Blk.set v i c) src;
-    (whole, v)
-  in
-  let bytes_of_view v pos len = Bytes.init len (fun i -> Blk.get v (pos + i)) in
-  let same_view what (whole, _) (ref_whole, _) =
-    if not (Blk.equal whole ref_whole) then Alcotest.failf "%s" what
-  in
-  let same_bytes what got want =
-    if not (Bytes.equal got want) then Alcotest.failf "%s" what
-  in
-  for len = 0 to 33 do
-    for so = 0 to 9 do
-      for d = 0 to 9 do
-        let case name =
-          Printf.sprintf "%s len=%d src=%d dst=%d" name len so d
-        in
-        (* Bytes -> view *)
-        let got = window () and want = window () in
-        Blk.blit_from_bytes src so (snd got) d len;
-        for i = 0 to len - 1 do
-          Blk.set (snd want) (d + i) (Bytes.get src (so + i))
-        done;
-        same_view (case "blit_from_bytes") got want;
-        (* view -> Bytes *)
-        let _, v = filled () in
-        let got = Bytes.make size sentinel in
-        let want = Bytes.copy got in
-        Blk.blit_to_bytes v so got d len;
-        for i = 0 to len - 1 do
-          Bytes.set want (d + i) (Blk.get v (so + i))
-        done;
-        same_bytes (case "blit_to_bytes") got want
-      done;
-      let case name = Printf.sprintf "%s len=%d at %d" name len so in
-      let _, v = filled () in
-      let want = bytes_of_view v so len in
-      same_bytes (case "to_bytes") (Blk.to_bytes (Blk.sub v so len)) want;
-      let c = Blk.copy (Blk.sub v so len) in
-      same_bytes (case "copy") (bytes_of_view c 0 len) want;
-      let r = Blk.Reader.of_view ~pos:so v in
-      same_bytes (case "Reader.raw_bytes") (Blk.Reader.raw_bytes r len) want;
-      Alcotest.(check int) (case "Reader.raw_bytes advances") (so + len)
-        (Blk.Reader.pos r);
-      (* a u16 length at [so], then the string *)
-      let _, v = filled () in
-      Blk.set_u16 v so len;
-      let r = Blk.Reader.of_view ~pos:so v in
-      Alcotest.(check string) (case "Reader.string")
-        (Bytes.to_string (bytes_of_view v (so + 2) len))
-        (Blk.Reader.string r);
-      (* the writer's position plays the destination offset *)
-      let data = Bytes.sub src so len in
-      let got = window () and want = window () in
-      let w = Blk.Writer.of_view (snd got) in
-      for i = 0 to so - 1 do
-        Blk.Writer.u8 w i;
-        Blk.set_u8 (snd want) i i
-      done;
-      Blk.Writer.raw_bytes w data;
-      Bytes.iteri (fun i c -> Blk.set (snd want) (so + i) c) data;
-      same_view (case "Writer.raw_bytes") got want;
-      let got = window () and want = window () in
-      let w = Blk.Writer.of_view (Blk.sub (snd got) so (size - so)) in
-      Blk.Writer.string w (Bytes.to_string data);
-      Blk.set_u16 (snd want) so len;
-      Bytes.iteri (fun i c -> Blk.set (snd want) (so + 2 + i) c) data;
-      same_view (case "Writer.string") got want
-    done;
-    let b = Bytes.sub src 0 len in
-    same_bytes
-      (Printf.sprintf "of_bytes len=%d" len)
-      (bytes_of_view (Blk.of_bytes b) 0 len)
-      b
-  done
 
 (* The word-at-a-time kernels against byte-wise references, for every
    length 0-70 (word loop alone, tail alone, both) at offsets 0-9 of a
@@ -836,7 +701,8 @@ let () =
           Alcotest.test_case "hash64 stable and sensitive" `Quick
             test_blk_hash64_stable;
           Alcotest.test_case "hash64 ranges" `Quick test_blk_hash64_range;
-          Alcotest.test_case "crc32c check vector" `Quick test_blk_crc32c_vector;
+          Alcotest.test_case "crc32c check vector" `Quick
+            Kernel_cases.crc32c_vectors;
           Alcotest.test_case "writer/reader roundtrip" `Quick
             test_blk_writer_reader_roundtrip;
           Alcotest.test_case "writer golden bytes" `Quick test_blk_writer_golden;
@@ -845,7 +711,9 @@ let () =
           Alcotest.test_case "reader raw aliases" `Quick
             test_blk_reader_raw_aliases;
           Alcotest.test_case "bulk copies match a byte loop" `Quick
-            test_blk_bulk_copies;
+            Kernel_cases.bulk_copies;
+          Alcotest.test_case "out-of-range kernel calls move nothing" `Quick
+            Kernel_cases.out_of_range;
           Alcotest.test_case "crc32c slices match the byte-wise loop" `Quick
             test_blk_crc32c_slices;
           Alcotest.test_case "crc32c slot and segment windows" `Quick
