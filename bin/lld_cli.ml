@@ -700,9 +700,8 @@ let crashcheck_cmd =
       & info [ "during-recovery" ]
           ~doc:
             "Crash the recovery itself: for a sample of workload crash \
-             points ($(b,--budget), default 24), recover with early open, \
-             verify the oracle through reads before the recovery completes, \
-             then enumerate crash points over recovery's own \
+             points ($(b,--budget), default 24), recover and verify the \
+             oracle, then enumerate crash points over recovery's own \
              writes (including torn checkpoint chunks) and verify a second \
              recovery from each.")
   in

@@ -52,15 +52,13 @@ type t = {
           outside such tests. *)
   recovery_parallel : bool;
       (** ignored: recovery replays the log tail in one pass, never on
-          domains.  Kept only because the frozen benchmark sets it;
-          ROADMAP item 2's benchmark step deletes it. *)
+          domains.  Kept only because the frozen benchmark sets it, and
+          deleted once the benchmark stops setting it. *)
   recovery_early_open : bool;
-      (** open before the post-recovery work that only mutations need:
-          {!Lld.recover} recovers the tables in full (replay, sweep and
-          report as without this flag) and serves reads at once, but
-          rebuilding the live-block index and the free-segment queue
-          and writing the post-recovery checkpoint wait for the first
-          mutating operation (or {!Lld.complete_recovery}). *)
+      (** ignored: {!Lld.recover} always finishes recovery, post-recovery
+          checkpoint included, before it returns.  Kept only because the
+          frozen benchmark sets it, and deleted once the benchmark stops
+          setting it. *)
   group_commit_window : int;
       (** group-commit window in virtual nanoseconds: once the oldest
           queued commit intent ({!Lld.submit_commit}) has waited this

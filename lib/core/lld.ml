@@ -57,10 +57,6 @@ type t = {
      members of [commit_q], and the head's entry starts the window *)
   mutable in_cleaning : bool;
   mutable in_checkpoint : bool;
-  mutable warming : Recovery.restored option;
-  (* early open: the tables are recovered, but the live index, the free
-     queue and the post-recovery checkpoint wait for the first mutating
-     operation *)
   mutable obs : Obs.t; (* observability handle; Obs.null = every probe a no-op *)
 }
 
@@ -715,9 +711,8 @@ let clean_internal t ~target_free =
 
 (* ------------------------------------------------------------------ *)
 (* The run-time structures recovery rebuilds from the recovered tables
-   (live index, sealed flags, free queue), at once or, under early open,
-   at the first mutation.  Ends with a forced full checkpoint — the only
-   disk writes recovery performs. *)
+   (live index, sealed flags, free queue).  Ends with a forced full
+   checkpoint — the only disk writes recovery performs. *)
 
 let finalize_recovery t (restored : Recovery.restored) =
   let report = restored.Recovery.r_report in
@@ -747,23 +742,12 @@ let finalize_recovery t (restored : Recovery.restored) =
   t.full_ckpt_id <- 0;
   checkpoint_internal t ~force_full:true
 
-let complete_recovery t =
-  match t.warming with
-  | None -> None
-  | Some restored ->
-    t.warming <- None;
-    finalize_recovery t restored;
-    Some restored.Recovery.r_report
-
-let warm t = if t.warming <> None then ignore (complete_recovery t)
-
 (* ------------------------------------------------------------------ *)
 
 (* Every public LD operation is timed once, at its definition: on the
    virtual clock into an ["op.<name>"] histogram and as an [op] trace
-   span.  Inside the span a mutation first completes an early-open
-   recovery ([warm]).  With {!Obs.null} attached (the default) this is
-   one field read and a direct call — the cost model never sees it. *)
+   span.  With {!Obs.null} attached (the default) this is one field
+   read and a direct call — the cost model never sees it. *)
 let op t name f = Obs.timed t.obs Tr.Op name f
 
 (* ------------------------------------------------------------------ *)
@@ -771,7 +755,6 @@ let op t name f = Obs.timed t.obs Tr.Op name f
 
 let begin_aru t =
   op t "begin_aru" @@ fun () ->
-  warm t;
   Versions.dispatch t.v;
   if t.config.Config.mode = Config.Sequential && t.seq_aru <> None then
     raise Errors.Aru_already_active;
@@ -781,17 +764,14 @@ let begin_aru t =
 
 let new_list t ?aru () =
   op t "new_list" @@ fun () ->
-  warm t;
   Ld_ops.new_list t.ops ?aru ()
 
 let new_block t ?aru ~list ~pred () =
   op t "new_block" @@ fun () ->
-  warm t;
   Ld_ops.new_block t.ops ?aru ~list ~pred ()
 
 let write_view t ?aru block data =
   op t "write" @@ fun () ->
-  warm t;
   if Blk.length data <> block_bytes t then
     invalid_arg "Lld.write: data must be exactly one block";
   Ld_ops.write t.ops ?aru block data
@@ -819,12 +799,10 @@ let read t ?aru block =
 
 let delete_block t ?aru block =
   op t "delete_block" @@ fun () ->
-  warm t;
   Ld_ops.delete_block t.ops ?aru block
 
 let delete_list t ?aru list =
   op t "delete_list" @@ fun () ->
-  warm t;
   Ld_ops.delete_list t.ops ?aru list
 
 (* ------------------------------------------------------------------ *)
@@ -1251,7 +1229,6 @@ let next_gid t = t.next_gid
 
 let flush t =
   op t "flush" @@ fun () ->
-  warm t;
   flush_log t
 
 let with_aru t f =
@@ -1265,8 +1242,6 @@ let with_aru t f =
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 
-(* The walks are Versions'; a whole-table walk first completes an
-   early-open recovery. *)
 let list_exists t ?aru list = Versions.list_exists t.v ?aru list
 let block_allocated t ?aru block = Versions.block_allocated t.v ?aru block
 
@@ -1280,9 +1255,7 @@ let block_phys t block =
 let block_member t ?aru block = Versions.block_member t.v ?aru block
 let list_blocks t ?aru list = Versions.list_blocks t.v ?aru list
 
-let lists t =
-  warm t;
-  Versions.lists t.v
+let lists t = Versions.lists t.v
 
 let aru_active t aid = Versions.owner_active t.v aid
 
@@ -1298,12 +1271,9 @@ let active_arus t =
 let checkpoint t =
   if t.config.Config.mode = Config.Sequential && t.seq_aru <> None then
     raise Errors.Aru_already_active;
-  warm t;
   checkpoint_internal t
 
-let clean t ~target_free =
-  warm t;
-  clean_internal t ~target_free
+let clean t ~target_free = clean_internal t ~target_free
 
 (* ------------------------------------------------------------------ *)
 (* Scrub: walk the on-disk image, verify every checksum that protects
@@ -1345,7 +1315,6 @@ let pp_scrub_report ppf r =
     r.scrub_lost r.scrub_superblock_repaired
 
 let scrub t =
-  warm t;
   flush t;
   Obs.timed t.obs Tr.Checkpoint "scrub" @@ fun () ->
   (* 1. the generational superblock *)
@@ -1424,7 +1393,6 @@ let scrub t =
   }
 
 let orphan_blocks t =
-  warm t;
   flush t;
   Versions.orphan_blocks t.v
 
@@ -1433,7 +1401,6 @@ let orphan_blocks t =
    [orphan_blocks]/[scavenge]: meaningful right after [recover], before
    any new operations run. *)
 let recovery_invariant_errors t =
-  warm t;
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
   let n_arus = Hashtbl.length t.v.Versions.arus in
@@ -1485,7 +1452,6 @@ let recovery_invariant_errors t =
   List.rev !errs
 
 let scavenge t =
-  warm t;
   flush t;
   let freed = ref 0 in
   List.iter
@@ -1627,7 +1593,6 @@ let make ~config ~disk ~blocks ~lists =
         commit_enq_ns = Hashtbl.create 16;
         in_cleaning = false;
         in_checkpoint = false;
-        warming = None;
         obs = Obs.null;
       }
   in
@@ -1674,10 +1639,6 @@ let recover ?(config = Config.default) ?(obs = Obs.null) ?decisions disk =
       ~lists:restored.Recovery.r_lists
   in
   set_obs t obs;
-  (* early open serves reads from the recovered tables at once; the
-     first mutating operation (or [complete_recovery]) rebuilds the rest
-     and writes the post-recovery checkpoint *)
-  if config.Config.recovery_early_open then t.warming <- Some restored
-  else finalize_recovery t restored;
+  finalize_recovery t restored;
   mirror_superblock t;
   (t, restored.Recovery.r_report)

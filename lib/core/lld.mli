@@ -38,19 +38,9 @@ val recover :
     [recovery] phase spans and the disk reads of the log-tail replay
     appear in the trace.
 
-    With {!Config.t.recovery_early_open} set ({e early open}), the
-    tables are recovered in full — replay, sweep and report are those of
-    an eager recovery — but the run-time structures that only mutations
-    need (the live-block index and the free-segment queue) and the
-    post-recovery checkpoint wait for the first mutating operation, or
-    an explicit {!complete_recovery}.  Reads and introspection of single
-    identifiers are served at once and write nothing. *)
-
-val complete_recovery : t -> Recovery.report option
-(** Finish an early-open recovery now: rebuild the live-block index and
-    the free-segment queue and write the post-recovery checkpoint.
-    Returns the recovery report, or [None] when recovery was already
-    complete.  Idempotent. *)
+    Recovery finishes before this returns: the live-block index and
+    the free-segment queue are rebuilt and the post-recovery checkpoint
+    is written, so no later operation does recovery work. *)
 
 (** {1 The LD interface} *)
 

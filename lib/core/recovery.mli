@@ -51,12 +51,12 @@ type report = {
           (= [covered_seq]: every sealed segment at or below it) *)
   replay_groups : int;
       (** always 1: the tail replays in one pass.  Kept because the
-          frozen benchmark reads it; ROADMAP item 2's benchmark step
-          deletes it *)
+          frozen benchmark reads it, and deleted once the benchmark
+          stops reading it *)
   parallel_replay : bool;
       (** always [false]: replay never runs on domains.  Kept because
-          the frozen benchmark reads it; ROADMAP item 2's benchmark step
-          deletes it *)
+          the frozen benchmark reads it, and deleted once the benchmark
+          stops reading it *)
   invalid_segments : int;  (** torn, unreadable, or stale *)
   entries_applied : int;
   arus_committed : int;  (** from buffered entries (incl. checkpoint-pending) *)

@@ -105,9 +105,6 @@ let recover ?(config = Config.default) ?(obs = Obs.null) disks =
     (t, [| report |])
   end
   else begin
-    (* the decision oracle must be complete before any shard replays,
-       so early open is off and all logs are scanned up front *)
-    let config = { config with Config.recovery_early_open = false } in
     (* a disk that crashed in place refuses reads until its fault plan
        is reset, which [Lld.recover] does only after the scan below *)
     Array.iter

@@ -53,11 +53,9 @@ val recover :
     recovers each shard with the union as its [decisions] oracle, so a
     participant's dangling prepare commits exactly when the
     coordinator's [Decide] survived.  The cross-shard transaction-id
-    watermark resumes past every gid any shard has seen.  With more
-    than one shard, {!Config.t.recovery_early_open} is forced off (the
-    decision oracle must be complete before any shard replays).  A
-    single shard recovers as a plain {!Lld.recover} — scan and oracle
-    elided, bit-identical. *)
+    watermark resumes past every gid any shard has seen.  A single
+    shard recovers as a plain {!Lld.recover} — scan and oracle elided,
+    bit-identical. *)
 
 val shard_count : t -> int
 

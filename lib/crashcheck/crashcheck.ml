@@ -316,6 +316,10 @@ let pp_point ppf = function
   | { pt_index; pt_keep = Some k } ->
     Format.fprintf ppf "torn write %d (first %d bytes persisted)" pt_index k
 
+(* Bytes between the torn variants of one write, unless the caller
+   picks another step. *)
+let default_granularity = 512
+
 let torn_boundaries ~granularity len =
   let rec multiples acc k =
     if k >= len then acc else multiples (k :: acc) (k + granularity)
@@ -387,7 +391,7 @@ module Raw = struct
   let v ~base ~writes =
     make [| Blk.of_bytes base |] (Array.map (fun (o, d) -> (0, o, d)) writes)
 
-  let enumerate ?(granularity = 512) t =
+  let enumerate ?(granularity = default_granularity) t =
     if granularity < 1 then
       invalid_arg
         (Printf.sprintf
@@ -995,8 +999,8 @@ let check_ordered ?recover_config ?progress trace raw points ~on_violation =
     points;
   (!checked, !torn)
 
-let run ?(granularity = 512) ?budget ?(seed = 1) ?recover_config ?trace_dir
-    ?progress trace =
+let run ?(granularity = default_granularity) ?budget ?(seed = 1)
+    ?recover_config ?trace_dir ?progress trace =
   let all_points = enumerate ~granularity trace in
   let total = List.length all_points in
   let points =
@@ -1149,7 +1153,9 @@ type recovery_result = {
   rr_inner_checked : int;
   rr_inner_torn : int;
   rr_recovery_writes : int;
-  rr_ondemand_units : int;
+  rr_budget : int;
+  rr_inner_budget : int option;
+  rr_granularity : int;
   rr_violation_points : int;
   rr_violations : recovery_violation list;
   rr_writes_file : string option;
@@ -1157,65 +1163,26 @@ type recovery_result = {
 
 let recovery_ok r = r.rr_violation_points = 0
 
-(* Verify the oracle on an early-opened instance (the on-demand pass:
-   reads alone — no invariant probe, no fsck — so every unit is served
-   before the post-recovery checkpoint), complete the recovery, verify
-   again eagerly and demand the verdicts agree. *)
-let verify_early_then_complete trace lld =
-  let on_demand () =
-    let fs, unmounted =
-      mount_fs ~what:"mount during early-open recovery" trace.tr_fs lld
-    in
-    let problems, statuses =
-      judge_units ~blocks:(Lld_judge.blocks lld) ~fs trace.tr_oracle
-    in
-    (unmounted @ problems, statuses)
-  in
-  match on_demand () with
-  | exception e -> [ "on-demand verification raised: " ^ Printexc.to_string e ]
-  | early_problems, early_statuses -> (
-    match Lld.complete_recovery lld with
-    | exception e ->
-      early_problems @ [ "completing recovery raised: " ^ Printexc.to_string e ]
-    | _final_report ->
-      let full_problems, full_statuses =
-        verify_recovered ~fs:trace.tr_fs trace.tr_oracle lld
-      in
-      let drift =
-        if early_statuses = full_statuses then []
-        else
-          [
-            "on-demand recovery disagrees with completed recovery: unit \
-             statuses changed";
-          ]
-      in
-      early_problems @ full_problems @ drift)
-
-(* One outer workload crash point: recover with early open and verify
-   it (its writes — the post-recovery checkpoint included — recorded),
-   then crash the recovery itself at every inner point of its own write
-   sequence (including torn checkpoint chunks) and demand that a second
-   recovery from each such image still satisfies the oracle. *)
+(* One outer workload crash point: recover and verify it, recording
+   recovery's writes (the post-recovery checkpoint), then crash the
+   recovery itself at every inner point of its own write sequence
+   (including torn checkpoint chunks) and demand that a second recovery
+   from each such image still satisfies the oracle. *)
 let check_during_recovery ?recover_config ~granularity ~inner_budget ~seed
     trace outer ~on_violation =
-  let base_config = Option.value recover_config ~default:trace.tr_config in
-  let config = { base_config with Config.recovery_early_open = true } in
+  let config = Option.value recover_config ~default:trace.tr_config in
   let disks = load trace trace.tr_raw outer in
   let raw, outcome =
-    Raw.record disks (fun () ->
-        match Lld.recover ~config disks.(0) with
-        | exception e ->
-          Error [ "early-open recovery raised: " ^ Printexc.to_string e ]
-        | lld, _report -> Ok (verify_early_then_complete trace lld))
+    Raw.record disks (fun () -> trace.tr_recover ~obs:Obs.null config disks)
   in
   let violation ?inner problems =
     on_violation { rv_outer = outer; rv_inner = inner; rv_problems = problems }
   in
   match outcome with
-  | Error problems ->
-    violation problems;
-    (0, 0, 0, 0)
-  | Ok problems ->
+  | Error e ->
+    violation [ "recovery raised: " ^ Printexc.to_string e ];
+    (0, 0, 0)
+  | Ok (problems, _statuses) ->
     if problems <> [] then violation problems;
     let inner_all = Raw.enumerate ~granularity raw in
     let inner =
@@ -1227,10 +1194,10 @@ let check_during_recovery ?recover_config ~granularity ~inner_budget ~seed
       check_ordered ?recover_config trace raw inner ~on_violation:(fun v ->
           violation ~inner:v.v_point v.v_problems)
     in
-    (Array.length raw.Raw.writes, checked, torn, trace_oracle_units trace)
+    (Array.length raw.Raw.writes, checked, torn)
 
-let run_during_recovery ?(granularity = 512) ?(budget = 24) ?inner_budget
-    ?(seed = 1) ?recover_config ?trace_dir ?progress trace =
+let run_during_recovery ?(granularity = default_granularity) ?(budget = 24)
+    ?inner_budget ?(seed = 1) ?recover_config ?trace_dir ?progress trace =
   if Array.length trace.tr_raw.Raw.bases <> 1 then
     invalid_arg "Crashcheck.run_during_recovery: one-disk traces only";
   let outer_points =
@@ -1247,10 +1214,9 @@ let run_during_recovery ?(granularity = 512) ?(budget = 24) ?inner_budget
   let inner_checked = ref 0 in
   let inner_torn = ref 0 in
   let recovery_writes = ref 0 in
-  let ondemand_units = ref 0 in
   List.iter
     (fun outer ->
-      let writes, checked, torn, units =
+      let writes, checked, torn =
         check_during_recovery ?recover_config ~granularity ~inner_budget ~seed
           trace outer ~on_violation
       in
@@ -1258,7 +1224,6 @@ let run_during_recovery ?(granularity = 512) ?(budget = 24) ?inner_budget
       recovery_writes := !recovery_writes + writes;
       inner_checked := !inner_checked + checked;
       inner_torn := !inner_torn + torn;
-      ondemand_units := !ondemand_units + units;
       match progress with
       | Some f -> f ~outer:!outer_checked ~total
       | None -> ())
@@ -1293,7 +1258,9 @@ let run_during_recovery ?(granularity = 512) ?(budget = 24) ?inner_budget
     rr_inner_checked = !inner_checked;
     rr_inner_torn = !inner_torn;
     rr_recovery_writes = !recovery_writes;
-    rr_ondemand_units = !ondemand_units;
+    rr_budget = budget;
+    rr_inner_budget = inner_budget;
+    rr_granularity = granularity;
     rr_violation_points = !violation_points;
     rr_violations = violations;
     rr_writes_file = writes_file;
@@ -1308,19 +1275,32 @@ let pp_recovery_violation ppf v =
       "crash during recovery (workload %a; recovery %a)" pp_point v.rv_outer
       pp_point ip
 
+(* The command line that draws the same sample of outer and inner
+   points. *)
+let recovery_repro_hint r =
+  Printf.sprintf
+    "lld crashcheck --workload %s --during-recovery --budget %d%s%s --seed %d"
+    r.rr_workload r.rr_budget
+    (match r.rr_inner_budget with
+    | None -> ""
+    | Some b -> Printf.sprintf " --inner-budget %d" b)
+    (if r.rr_granularity = default_granularity then ""
+     else Printf.sprintf " --granularity %d" r.rr_granularity)
+    r.rr_seed
+
 let pp_recovery_result ppf r =
   Format.fprintf ppf
     "@[<v>workload %s, crash-during-recovery: %d workload crash points@,\
      %d recovery-internal crash points checked (%d torn) over %d recovery \
-     writes; %d on-demand unit verifications@,"
+     writes@,"
     r.rr_workload r.rr_outer_checked r.rr_inner_checked r.rr_inner_torn
-    r.rr_recovery_writes r.rr_ondemand_units;
+    r.rr_recovery_writes;
   if r.rr_violation_points = 0 then
     Format.fprintf ppf "no atomicity violations@]"
   else begin
     Format.fprintf ppf
-      "%d point(s) VIOLATED atomicity (sampling seed %d)@,"
-      r.rr_violation_points r.rr_seed;
+      "%d point(s) VIOLATED atomicity (sampling seed %d; rerun with %s)@,"
+      r.rr_violation_points r.rr_seed (recovery_repro_hint r);
     (match r.rr_violations with
     | [] -> ()
     | v :: _ ->
@@ -1411,7 +1391,7 @@ let corruption_check spec =
 
   (* Round 1 — segment meta rot on a cold mount.  The slot bytes are
      intact, so scrub must recover every live block of the segment
-     (salvage, or relocation when recovery happened to warm the cache)
+     (salvage, or relocation when recovery happened to cache the slot)
      with zero loss. *)
   (match mount "meta-rot" (Bytes.copy final) with
   | None -> ()

@@ -274,24 +274,20 @@ val pp_result : Format.formatter -> result -> unit
 (** {1 Crashing during recovery itself}
 
     The checker above crashes the {e workload}; this one also crashes
-    the {e recovery}.  For a sample of workload crash points it mounts
-    the crash image with {!Lld_core.Config.t.recovery_early_open} set,
-    verifies every oracle unit through reads alone {e before the
-    recovery completes} (the {e on-demand} pass), completes the recovery
-    (recording its writes — the post-recovery checkpoint included),
-    verifies again
-    eagerly and demands the two verdicts agree — then enumerates crash
-    points over recovery's own write sequence (complete and torn, so
-    mid-checkpoint torn chunks are covered) and checks that a second
-    recovery from each such image still satisfies the oracle and is
-    idempotent. *)
+    the {e recovery}.  For a sample of workload crash points it recovers
+    the crash image, recording recovery's writes (the post-recovery
+    checkpoint), and verifies the result (invariant probe, oracle units,
+    fsck) — then enumerates crash points over recovery's own write
+    sequence (complete and torn, so mid-checkpoint torn chunks are
+    covered) and checks that a second recovery from each such image
+    still satisfies the oracle and is idempotent. *)
 
 type recovery_violation = {
   rv_outer : point;  (** the workload crash point recovery started from *)
   rv_inner : point option;
       (** crash point within recovery's own writes; [None] means the
-          early-open recovery itself (on-demand verification, completion
-          or the eager re-verification) failed before any inner crash *)
+          recovery from [rv_outer] itself raised or failed verification,
+          before any inner crash *)
   rv_problems : string list;
 }
 
@@ -305,8 +301,12 @@ type recovery_result = {
   rr_inner_torn : int;  (** of those, torn variants *)
   rr_recovery_writes : int;
       (** disk writes recovery performed, summed over all outer points *)
-  rr_ondemand_units : int;
-      (** oracle units verified by the on-demand pass, summed *)
+  rr_budget : int;
+  rr_inner_budget : int option;
+  rr_granularity : int;
+      (** the sampling parameters the run was given: with [rr_seed] they
+          draw the same points again, and {!pp_recovery_result} names
+          them in its rerun command *)
   rr_violation_points : int;
   rr_violations : recovery_violation list;
       (** capped at {!max_kept_violations} *)
@@ -332,9 +332,7 @@ val run_during_recovery :
     deterministically samples the workload crash points recovery starts
     from; [inner_budget] (default: exhaustive) optionally samples the
     crash points within each recovery's own write sequence.
-    [recover_config] overrides the base config ([recovery_early_open]
-    is forced on for the outer recovery; inner re-recoveries use it
-    unchanged, exercising the eager path). *)
+    [recover_config] overrides the config both recoveries run with. *)
 
 val pp_recovery_result : Format.formatter -> recovery_result -> unit
 

@@ -112,8 +112,8 @@ let test_seed_roundtrip () =
     && not (contains ~needle:"--budget" report))
 
 (* ------------------------------------------------------------------ *)
-(* Crashing during recovery itself: early-open on-demand verification
-   plus crash points inside recovery's own write sequence. *)
+(* Crashing during recovery itself: crash points inside recovery's own
+   write sequence. *)
 
 let test_during_recovery_clean () =
   let trace = Crashcheck.record (churn ()) in
@@ -123,9 +123,7 @@ let test_during_recovery_clean () =
   Alcotest.(check bool) "inner crash points checked" true
     (r.Crashcheck.rr_inner_checked > 0);
   Alcotest.(check bool) "recovery writes recorded" true
-    (r.Crashcheck.rr_recovery_writes > 0);
-  Alcotest.(check bool) "oracle units judged on demand" true
-    (r.Crashcheck.rr_ondemand_units > 0)
+    (r.Crashcheck.rr_recovery_writes > 0)
 
 let test_during_recovery_deterministic () =
   let trace = Crashcheck.record (churn ()) in
@@ -134,9 +132,9 @@ let test_during_recovery_deterministic () =
   Alcotest.(check bool) "same seed, same sample" true (r1 = r2)
 
 (* The during-recovery checker's violation path: with the consistency
-   sweep off, its report names the first violating workload point and
-   the pre-crash writes land in a trace directory whose parents do not
-   exist yet. *)
+   sweep off, its report names the command that draws the same sample
+   and the first violating workload point, and the pre-crash writes
+   land in a trace directory whose parents do not exist yet. *)
 let test_during_recovery_catches_broken_sweep () =
   let spec = churn () in
   let broken =
@@ -151,6 +149,24 @@ let test_during_recovery_catches_broken_sweep () =
       ~recover_config:broken ~trace_dir:dir trace
   in
   Alcotest.(check bool) "violations found" false (Crashcheck.recovery_ok r);
+  let report r = Format.asprintf "%a" Crashcheck.pp_recovery_result r in
+  Alcotest.(check bool) "rerun names budget, inner budget and seed" true
+    (contains
+       ~needle:
+         "(sampling seed 1; rerun with lld crashcheck --workload aru-churn \
+          --during-recovery --budget 6 --inner-budget 8 --seed 1)\n"
+       (report r));
+  Alcotest.(check bool) "rerun names a granularity other than 512" true
+    (contains
+       ~needle:
+         "rerun with lld crashcheck --workload aru-churn --during-recovery \
+          --budget 6 --granularity 4096 --seed 1)"
+       (report
+          {
+            r with
+            Crashcheck.rr_inner_budget = None;
+            rr_granularity = 4096;
+          }));
   (match r.Crashcheck.rr_violations with
   | [] -> Alcotest.fail "no violation kept"
   | first :: _ ->
@@ -160,8 +176,7 @@ let test_during_recovery_catches_broken_sweep () =
     let first_line =
       List.find_opt
         (String.starts_with ~prefix:"first: ")
-        (String.split_on_char '\n'
-           (Format.asprintf "%a" Crashcheck.pp_recovery_result r))
+        (String.split_on_char '\n' (report r))
     in
     Alcotest.(check bool) "report's first violation names its outer point"
       true

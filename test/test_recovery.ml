@@ -418,222 +418,51 @@ let test_tail_media_error_counted_once () =
     (report.Recovery.segments_replayed, report.Recovery.invalid_segments);
   Alcotest.(check bool) "list survives" true (Lld.list_exists lld l)
 
-(* --- early open: reads served before the post-recovery checkpoint -- *)
-
-module Op = Lld_core.Op
-module Ops = Op.Make (Lld)
-
-let early_config = { Config.default with Config.recovery_early_open = true }
-
-(* A crash image with several independent lists, one committed ARU and
-   one uncommitted ARU whose allocation the sweep must scavenge. *)
-let build_crash_state () =
+(* [recovery_early_open] and [recovery_parallel] are declared only
+   because the frozen benchmark sets them: flipping either must leave
+   recovery's disk image, counters, device counters, virtual clock and
+   report as under the default config.  The crash image holds a
+   committed ARU, an ARU left open across an explicit checkpoint, and a
+   tail written after that checkpoint. *)
+let test_pinned_fields_change_nothing () =
   let disk, lld = fresh_lld () in
-  let mk tag =
-    let l = new_list lld in
-    let bs =
-      List.init 6 (fun i ->
-          let b = append_block lld l in
-          Lld.write lld b (block_data (tag + i));
-          b)
-    in
-    (l, bs, tag)
-  in
-  let groups = List.init 4 (fun g -> mk (100 * (g + 1))) in
-  let l_aru = new_list lld in
+  let l = new_list lld in
   let a = Lld.begin_aru lld in
-  let b_aru = Lld.new_block lld ~aru:a ~list:l_aru ~pred:Summary.Head () in
-  Lld.write lld ~aru:a b_aru (block_data 7);
+  let b = Lld.new_block lld ~aru:a ~list:l ~pred:Summary.Head () in
+  Lld.write lld ~aru:a b (block_data 1);
   Lld.end_aru lld a;
-  let a2 = Lld.begin_aru lld in
-  let b_orphan =
-    Lld.new_block lld ~aru:a2 ~list:l_aru ~pred:(Summary.After b_aru) ()
+  let left_open = Lld.begin_aru lld in
+  let orphan =
+    Lld.new_block lld ~aru:left_open ~list:l ~pred:(Summary.After b) ()
   in
-  Lld.write lld ~aru:a2 b_orphan (block_data 9);
-  ignore a2 (* never committed *);
-  Lld.flush lld;
-  Disk.crash disk;
-  (disk, groups, (l_aru, b_aru), b_orphan)
-
-let test_early_open_serves_reads_on_demand () =
-  let disk, groups, (l_aru, b_aru), b_orphan = build_crash_state () in
-  let lld2, _ = Lld.recover ~config:early_config disk in
-  (* reads before recovery completes *)
-  List.iter
-    (fun (l, bs, tag) ->
-      List.iteri
-        (fun i b ->
-          check_data
-            (Printf.sprintf "on-demand read %d" (tag + i))
-            (block_data (tag + i))
-            (Lld.read lld2 b))
-        bs;
-      Alcotest.check block_ids "on-demand list walk" bs
-        (Lld.list_blocks lld2 l))
-    groups;
-  check_data "committed ARU served on demand" (block_data 7)
-    (Lld.read lld2 b_aru);
-  Alcotest.check block_ids "ARU list on demand" [ b_aru ]
-    (Lld.list_blocks lld2 l_aru);
-  (* the uncommitted ARU's allocation is already swept *)
-  Alcotest.(check bool) "orphan swept" false
-    (Lld.block_allocated lld2 b_orphan);
-  (match Lld.complete_recovery lld2 with
-  | None -> Alcotest.fail "recovery should still have been pending"
-  | Some report ->
-    Alcotest.(check bool) "orphan counted by the sweep" true
-      (report.Recovery.blocks_scavenged >= 1));
-  Alcotest.(check bool) "second completion is a no-op" true
-    (Lld.complete_recovery lld2 = None)
-
-let test_early_open_matches_eager_recovery () =
-  let disk, groups, (l_aru, b_aru), b_orphan = build_crash_state () in
-  let geom = Disk.geometry disk in
-  let image = Disk.snapshot disk in
-  let load () = Disk.load ~clock:(Clock.create ()) geom (Bytes.copy image) in
-  let eager_lld, eager_report = Lld.recover (load ()) in
-  let lazy_lld, _ = Lld.recover ~config:early_config (load ()) in
-  (* queries through the op hook before recovery completes *)
-  let same op =
-    Alcotest.(check bool)
-      (Format.asprintf "op %a agrees before completion" Op.pp op)
-      true
-      (Op.equal_result (Ops.apply lazy_lld op) (Ops.apply eager_lld op))
-  in
-  List.iter
-    (fun (l, bs, _) ->
-      same (Op.Read { aru = None; block = List.hd bs });
-      same (Op.Block_member { aru = None; block = List.hd bs });
-      same (Op.List_blocks { aru = None; list = l }))
-    groups;
-  same (Op.Read { aru = None; block = b_aru });
-  same (Op.List_blocks { aru = None; list = l_aru });
-  same (Op.Block_allocated { aru = None; block = b_orphan });
-  match Lld.complete_recovery lazy_lld with
-  | None -> Alcotest.fail "expected a pending recovery"
-  | Some report ->
-    Alcotest.(check bool) "final report equals the eager report" true
-      (report = eager_report);
-    List.iter
-      (fun (l, bs, tag) ->
-        List.iteri
-          (fun i b ->
-            check_data
-              (Printf.sprintf "completed read %d" (tag + i))
-              (Lld.read eager_lld b) (Lld.read lazy_lld b))
-          bs;
-        Alcotest.check block_ids "completed list"
-          (Lld.list_blocks eager_lld l)
-          (Lld.list_blocks lazy_lld l))
-      groups;
-    Alcotest.(check bool) "same list universe" true
-      (Lld.lists lazy_lld = Lld.lists eager_lld)
-
-let test_early_open_first_mutation_completes () =
-  let disk, groups, _, _ = build_crash_state () in
-  let lld2, _ = Lld.recover ~config:early_config disk in
-  let _, bs, _ = List.hd groups in
-  Lld.write lld2 (List.hd bs) (block_data 777);
-  Alcotest.(check bool) "explicit completion is then a no-op" true
-    (Lld.complete_recovery lld2 = None);
-  check_data "mutation applied on the recovered state" (block_data 777)
-    (Lld.read lld2 (List.hd bs))
-
-(* What early open promises, whatever serves it: reads and walks of
-   single identifiers write nothing and take no checkpoint, and a dead
-   ARU's block already reads unallocated; the first mutation writes the
-   post-recovery checkpoint, after which recovery is complete. *)
-let test_early_open_defers_writes () =
-  let disk, groups, (l_aru, b_aru), b_orphan = build_crash_state () in
-  let lld2, _ = Lld.recover ~config:early_config disk in
-  let writes () = (Disk.counters disk).Disk.writes in
-  let checkpoints () = (Lld.counters lld2).Lld_core.Counters.checkpoints in
-  let writes0 = writes () and checkpoints0 = checkpoints () in
-  let member = Alcotest.(option (testable Types.List_id.pp ( = ))) in
-  List.iter
-    (fun (l, bs, tag) ->
-      Alcotest.(check bool) "list exists" true (Lld.list_exists lld2 l);
-      Alcotest.check block_ids "list walk" bs (Lld.list_blocks lld2 l);
-      List.iteri
-        (fun i b ->
-          check_data (Printf.sprintf "read %d" (tag + i)) (block_data (tag + i))
-            (Lld.read lld2 b);
-          Alcotest.(check bool) "allocated" true (Lld.block_allocated lld2 b);
-          Alcotest.check member "member" (Some l) (Lld.block_member lld2 b))
-        bs)
-    groups;
-  check_data "committed ARU's block" (block_data 7) (Lld.read lld2 b_aru);
-  Alcotest.check block_ids "committed ARU's list" [ b_aru ]
-    (Lld.list_blocks lld2 l_aru);
-  Alcotest.(check bool) "dead ARU's block reads unallocated" false
-    (Lld.block_allocated lld2 b_orphan);
-  Alcotest.(check int) "reads write nothing" writes0 (writes ());
-  Alcotest.(check int) "reads take no checkpoint" checkpoints0 (checkpoints ());
-  let _, bs, _ = List.hd groups in
-  Lld.write lld2 (List.hd bs) (block_data 777);
-  Alcotest.(check int) "first mutation takes the post-recovery checkpoint"
-    (checkpoints0 + 1) (checkpoints ());
-  Alcotest.(check bool) "and writes it" true (writes () > writes0);
-  Alcotest.(check bool) "recovery then complete" true
-    (Lld.complete_recovery lld2 = None)
-
-(* Lists and members written before a checkpoint, so their membership
-   and owner edges reach recovery only through the checkpoint. *)
-let checkpointed_lists lld ~lists ~members =
-  let ls =
-    List.init lists (fun g ->
-        let l = new_list lld in
-        let bs =
-          List.init members (fun i ->
-              let b = append_block lld l in
-              Lld.write lld b (block_data ((100 * g) + i));
-              b)
-        in
-        (l, bs))
-  in
+  Lld.write lld ~aru:left_open orphan (block_data 2);
   Lld.checkpoint lld;
-  ls
-
-(* The tail deletes one list and one member of another; every other
-   member of those lists is named by no tail entry, and the deletion
-   reaches it only through its checkpointed membership.  Early open
-   must serve such a member as deleted (or still linked), exactly as an
-   eager recovery does. *)
-let test_early_open_unnamed_members () =
-  let disk, lld = fresh_lld () in
-  let ls = checkpointed_lists lld ~lists:3 ~members:4 in
-  let (l_deleted, deleted_members), (l_shrunk, shrunk_members), _ =
-    match ls with [ a; b; c ] -> (a, b, c) | _ -> assert false
-  in
-  Lld.delete_list lld l_deleted;
-  Lld.delete_block lld (List.hd shrunk_members);
+  Lld.write lld (append_block lld l) (block_data 3);
   Lld.flush lld;
   Disk.crash disk;
   let geom = Disk.geometry disk in
   let image = Disk.snapshot disk in
-  let load () = Disk.load ~clock:(Clock.create ()) geom (Bytes.copy image) in
-  let eager_lld, eager_report = Lld.recover (load ()) in
-  let lazy_lld, _ = Lld.recover ~config:early_config (load ()) in
-  let same op =
-    Alcotest.(check bool)
-      (Format.asprintf "op %a agrees before completion" Op.pp op)
-      true
-      (Op.equal_result (Ops.apply lazy_lld op) (Ops.apply eager_lld op))
+  let recover config =
+    let disk = Disk.load ~clock:(Clock.create ()) geom (Bytes.copy image) in
+    let lld, report = Lld.recover ~config disk in
+    (Setup.fingerprint disk (Lld.counters lld), report)
   in
-  (* members before their lists *)
+  let fp, report = recover Config.default in
+  let d = Config.default in
   List.iter
-    (fun b ->
-      same (Op.Block_allocated { aru = None; block = b });
-      same (Op.Block_member { aru = None; block = b });
-      same (Op.Read { aru = None; block = b }))
-    (deleted_members @ List.tl shrunk_members);
-  same (Op.List_blocks { aru = None; list = l_deleted });
-  same (Op.List_blocks { aru = None; list = l_shrunk });
-  match Lld.complete_recovery lazy_lld with
-  | None -> Alcotest.fail "expected a pending recovery"
-  | Some report ->
-    Alcotest.(check bool) "final report equals the eager report" true
-      (report = eager_report)
+    (fun (field, config) ->
+      let fp', report' = recover config in
+      Alcotest.(check (list string))
+        (field ^ " flipped: same fingerprint")
+        [] (Setup.fingerprint_diff fp fp');
+      Alcotest.(check bool) (field ^ " flipped: same report") true
+        (report' = report))
+    [
+      ( "recovery_early_open",
+        { d with recovery_early_open = not d.recovery_early_open } );
+      ( "recovery_parallel",
+        { d with recovery_parallel = not d.recovery_parallel } );
+    ]
 
 let test_recovery_report_counts () =
   let disk, lld = fresh_lld () in
@@ -753,18 +582,10 @@ let () =
           Alcotest.test_case "tail media error counted once" `Quick
             test_tail_media_error_counted_once;
         ] );
-      ( "early-open",
+      ( "config",
         [
-          Alcotest.test_case "reads served on demand" `Quick
-            test_early_open_serves_reads_on_demand;
-          Alcotest.test_case "matches eager recovery" `Quick
-            test_early_open_matches_eager_recovery;
-          Alcotest.test_case "first mutation completes replay" `Quick
-            test_early_open_first_mutation_completes;
-          Alcotest.test_case "unnamed members of checkpointed lists" `Quick
-            test_early_open_unnamed_members;
-          Alcotest.test_case "reads defer every write" `Quick
-            test_early_open_defers_writes;
+          Alcotest.test_case "pinned fields change nothing" `Quick
+            test_pinned_fields_change_nothing;
         ] );
       ( "cleaner",
         [
